@@ -20,14 +20,13 @@ from .capacity import (CapacityExperiment, crossover_snr, mimo_capacity,
 from .clusters import (ClusterSet, LinkGeometry, apply_in_cluster_k,
                        build_drop, extract_drop_stats, gen_angles, gen_delays,
                        gen_powers, gen_xpr_and_phases, geometry_for,
-                       place_user, rescale_azimuth, rescale_delays,
-                       rescale_zenith)
+                       map_drops, place_user, rescale_azimuth,
+                       rescale_delays, rescale_zenith)
 from .coeffs import (AntennaArray, ChannelRealization, assemble_cir,
                      cir_to_ctf, isotropic_horizontal, isotropic_vertical,
-                     los_coeff, nlos_ray_coeff, single_antenna,
-                     spherical_unit, ura)
+                     los_coeff, single_antenna, spherical_unit, ura)
 from .constants import RAY_OFFSETS, SPEED_OF_LIGHT, c_phi, c_theta, ray_offsets, wrap_deg
-from .fields import GaussianField, generate_field
+from .fields import GaussianField
 from .lsp import LspRealization, draw_lsp_iid, generate_lsp, mixing_matrix
 from .params import (LogNormalSpec, NormalSpec, ParamValidationError,
                      ScenarioParamSet, available_sets, load_params,

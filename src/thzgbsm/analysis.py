@@ -324,8 +324,7 @@ class KPowerMeans:
     Follows the estimator convention: construct with hyperparameters,
     ``fit(X, sample_weight)`` with X columns (delay_s, aoa_deg, zoa_deg),
     then read ``labels_``, ``cluster_centers_`` (same column layout),
-    ``inertia_`` and ``objective_path_``. ``get_params``/``set_params``
-    allow generic tuning loops.
+    ``inertia_`` and ``objective_path_``.
     """
 
     def __init__(self, n_clusters: int = 3, delay_weight: float = 8.0,
@@ -335,26 +334,6 @@ class KPowerMeans:
         self.n_init = n_init
         self.max_iter = max_iter
         self.random_state = random_state
-
-    # -- estimator plumbing -------------------------------------------
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {
-            "n_clusters": self.n_clusters,
-            "delay_weight": self.delay_weight,
-            "n_init": self.n_init,
-            "max_iter": self.max_iter,
-            "random_state": self.random_state,
-        }
-
-    def set_params(self, **kw) -> "KPowerMeans":
-        for k, v in kw.items():
-            if k not in self.get_params():
-                raise ValueError(f"unknown parameter {k!r}")
-            setattr(self, k, v)
-        return self
-
-    # -- fitting -------------------------------------------------------
 
     def fit(self, X, sample_weight=None) -> "KPowerMeans":
         X = np.asarray(X, dtype=float)
@@ -385,9 +364,6 @@ class KPowerMeans:
         self.n_iter_ = iters
         self.cluster_centers_ = self._centers_to_domain(E, X, labels, w, k)
         return self
-
-    def fit_predict(self, X, sample_weight=None) -> np.ndarray:
-        return self.fit(X, sample_weight).labels_
 
     def _lloyd(self, E, w, k, rng):
         n = E.shape[0]
@@ -450,11 +426,13 @@ def kpower_means(mpcs: MpcSet, n_clusters: int, delay_weight: float = 8.0,
 
 def select_n_clusters(mpcs: MpcSet, k_min: int = 2, k_max: int = 10,
                       delay_weight: float = 8.0, random_state: int = 0
-                      ) -> tuple[int, dict]:
+                      ) -> tuple[int, dict, np.ndarray]:
     """Pick a cluster count by a Calinski-Harabasz style ratio.
 
     Fits K-power-means for each k and scores the weighted between/within
-    dispersion ratio; returns (best_k, {k: score}).
+    dispersion ratio; returns (best_k, {k: score}, labels), the labels
+    being those of the best_k fit, i.e. what
+    ``kpower_means(mpcs, best_k, delay_weight, random_state)`` returns.
     """
     if mpcs.aoa_deg is None or mpcs.zoa_deg is None:
         raise ValueError("clustering needs arrival angles on the MpcSet")
@@ -465,10 +443,12 @@ def select_n_clusters(mpcs: MpcSet, k_min: int = 2, k_max: int = 10,
     total = float((w * ((E - gmean) ** 2).sum(axis=1)).sum())
     n = len(mpcs)
     scores = {}
+    labels = {}
     for k in range(k_min, min(k_max, n - 1) + 1):
         km = KPowerMeans(n_clusters=k, delay_weight=delay_weight,
                          random_state=random_state)
         km.fit(X, sample_weight=w)
+        labels[k] = km.labels_
         within = km.inertia_
         between = max(total - within, 0.0)
         if within <= 0:
@@ -476,7 +456,7 @@ def select_n_clusters(mpcs: MpcSet, k_min: int = 2, k_max: int = 10,
         else:
             scores[k] = (between / (k - 1)) / (within / max(n - k, 1))
     best = max(scores, key=lambda k: (scores[k], -k))
-    return best, scores
+    return best, scores, labels[best]
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,11 @@ anywhere. Every drop's capacity is checked to be nondecreasing in SNR.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clusters import build_drop, place_user
+from .clusters import build_drop, map_drops, place_user
 from .coeffs import AntennaArray, assemble_cir, cir_to_ctf, ura
 from .lsp import draw_lsp_iid
 from .params import ScenarioParamSet
@@ -111,7 +110,7 @@ def _drop_payload(args):
     c_ds = p.clusters.c_ds_ns * 1e-9 if mode == "standard" else None
     cr = assemble_cir(cs, rx, tx, p.wavelength_m, mode=mode, c_ds_s=c_ds)
     freqs = np.linspace(-bandwidth_hz / 2.0, bandwidth_hz / 2.0, n_tones)
-    h = cir_to_ctf(cr, freqs)[..., 0]                     # (F, U, S)
+    h = cir_to_ctf(cr, freqs)                              # (F, U, S)
     gram = h @ h.conj().transpose(0, 2, 1)
     return np.linalg.eigvalsh(gram)                        # (F, U)
 
@@ -160,12 +159,7 @@ def run_capacity_experiment(params: ScenarioParamSet, snr_db,
     jobs = [(params, params_nlos, ss, mode, n_tones, bandwidth_hz,
              rx_array, tx_array, los_fraction)
             for ss in seeds]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            eigs = list(ex.map(_drop_payload, jobs, chunksize=max(1, n_drops // (workers * 4))))
-    else:
-        eigs = [_drop_payload(j) for j in jobs]
-    eigs = np.stack(eigs)                                  # (drops, F, U)
+    eigs = np.stack(map_drops(_drop_payload, jobs, workers))   # (drops, F, U)
 
     m_t = tx_array.n_elements
     m_r = rx_array.n_elements

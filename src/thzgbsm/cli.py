@@ -15,7 +15,6 @@ import csv
 import hashlib
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -24,7 +23,7 @@ import yaml
 
 from . import __version__, analysis
 from .capacity import crossover_snr, run_capacity_experiment
-from .clusters import build_drop, extract_drop_stats, geometry_for
+from .clusters import build_drop, extract_drop_stats, geometry_for, map_drops
 from .coeffs import assemble_cir, single_antenna
 from .lsp import generate_lsp
 from .params import (ParamValidationError, ScenarioParamSet, data_dir,
@@ -52,11 +51,11 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _write_manifest(out: Path, command: str, args_ns, seed: int,
+def _write_manifest(out: Path, command: str, argv: list[str], seed: int,
                     outputs: list[str], params_files: dict) -> None:
     manifest = {
         "command": command,
-        "argv": sys.argv[1:] if sys.argv else [],
+        "argv": argv,
         "version": __version__,
         "master_seed": seed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -134,7 +133,7 @@ def _sim_drop(job):
         cr = assemble_cir(cs, single_antenna(), single_antenna(),
                           params.wavelength_m, mode=mode, c_ds_s=c_ds)
         cir_rows = [(t, 0, 0, cr.delays_s[t] * 1e9,
-                     cr.amps[t, 0, 0, 0].real, cr.amps[t, 0, 0, 0].imag)
+                     cr.amps[t, 0, 0].real, cr.amps[t, 0, 0].imag)
                     for t in range(cr.n_taps)]
     return cols, cir_rows, extract_drop_stats(cs)
 
@@ -158,11 +157,7 @@ def cmd_simulate(parser, args) -> int:
     drop_seeds = children[2:]
     jobs = [(params, ss, xs[i], ys[i], lsp.row(i), args.mode,
              args.dump_cir) for i, ss in enumerate(drop_seeds)]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as ex:
-            results = list(ex.map(_sim_drop, jobs, chunksize=max(1, args.drops // (args.workers * 4))))
-    else:
-        results = [_sim_drop(j) for j in jobs]
+    results = map_drops(_sim_drop, jobs, args.workers)
 
     outputs = ["lsp.csv"]
     lsp_rows = [(i, xs[i], ys[i], lsp.ds_s[i], lsp.asa_deg[i], lsp.sf_db[i],
@@ -199,7 +194,7 @@ def cmd_simulate(parser, args) -> int:
                stats_rows)
     outputs.append("drop_stats.csv")
 
-    _write_manifest(out, "simulate", args, args.seed, outputs,
+    _write_manifest(out, "simulate", args.argv, args.seed, outputs,
                     {params.label(): pfile})
     print(f"simulate: {args.drops} drops of {params.label()} -> {out}")
     return 0
@@ -209,22 +204,35 @@ def cmd_simulate(parser, args) -> int:
 # analyze
 
 
-def _read_csv(parser, path: Path) -> tuple[list[str], list[dict]]:
+def _read_csv(parser, path: Path) -> tuple[list[str], list[tuple[int, dict]]]:
+    """Header and (line number, row) pairs of a CSV file."""
     if not path.is_file():
         parser.error(f"--input: file not found: {path}")
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             parser.error(f"--input: {path} has no header row")
-        rows = list(reader)
+        rows = [(reader.line_num, row) for row in reader]
     return list(reader.fieldnames), rows
 
 
-def _f(row, key, default=None):
+def _f(line_row, key, default=None):
+    """Finite float from a (line number, row) pair; an empty or absent
+    cell gives default, and is an error where there is none."""
+    line, row = line_row
     v = row.get(key, "")
     if v is None or v == "":
+        if default is None:
+            raise ValueError(f"input line {line}: column {key!r} is empty")
         return default
-    return float(v)
+    try:
+        x = float(v)
+    except ValueError:
+        x = np.nan
+    if not np.isfinite(x):
+        raise ValueError(f"input line {line}: column {key!r} holds "
+                         f"{v!r}, not a finite number")
+    return x
 
 
 def _analyze_mpcs(args, header, rows) -> tuple[dict, list[tuple]]:
@@ -254,11 +262,9 @@ def _analyze_mpcs(args, header, rows) -> tuple[dict, list[tuple]]:
             labels = np.array([int(_f(r, "cluster", 0.0)) for r in rs])
         elif aoa is not None and len(rs) >= 3:
             mp = analysis.MpcSet(delay, power, aoa, zoa)
-            k_best, _ = analysis.select_n_clusters(
+            _, _, labels = analysis.select_n_clusters(
                 mp, k_min=2, k_max=min(args.max_clusters, len(rs) - 1),
                 delay_weight=args.delay_weight)
-            labels, _ = analysis.kpower_means(mp, k_best,
-                                              delay_weight=args.delay_weight)
         if labels is not None:
             mp = analysis.MpcSet(delay, power, aoa, zoa, labels=labels)
             st = analysis.cluster_stats(mp)
@@ -347,6 +353,8 @@ def _analyze_pdp(args, header, rows) -> dict:
 
 
 def cmd_analyze(parser, args) -> int:
+    if args.max_clusters < 2:
+        parser.error("--max-clusters: must be at least 2")
     path = Path(args.input)
     header, rows = _read_csv(parser, path)
     if not rows:
@@ -374,7 +382,7 @@ def cmd_analyze(parser, args) -> int:
         report = _analyze_pdp(args, header, rows)
         report["input"] = path.name
     _yaml_dump(report, out / "report.yaml")
-    _write_manifest(out, "analyze", args, 0, outputs, {})
+    _write_manifest(out, "analyze", args.argv, 0, outputs, {})
     print(f"analyze: report written to {out / 'report.yaml'}")
     return 0
 
@@ -399,12 +407,7 @@ def cmd_roundtrip(parser, args) -> int:
         parser.error("--drops: must be at least 1")
 
     seeds = np.random.SeedSequence(args.seed).spawn(args.drops)
-    jobs = [(params, ss) for ss in seeds]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as ex:
-            res = list(ex.map(_rt_drop, jobs, chunksize=max(1, args.drops // (args.workers * 4))))
-    else:
-        res = [_rt_drop(j) for j in jobs]
+    res = map_drops(_rt_drop, [(params, ss) for ss in seeds], args.workers)
     res = np.array([[np.nan if v is None else v for v in row] for row in res])
 
     checks = []
@@ -437,7 +440,7 @@ def cmd_roundtrip(parser, args) -> int:
                 "extracted_ds_s", "extracted_asa_deg", "extracted_k_db"),
                [(i, *row) for i, row in enumerate(res.tolist())])
     _yaml_dump(report, out / "report.yaml")
-    _write_manifest(out, "roundtrip", args, args.seed,
+    _write_manifest(out, "roundtrip", args.argv, args.seed,
                     ["report.yaml", "roundtrip_drops.csv"],
                     {params.label(): pfile})
     for c in checks:
@@ -527,7 +530,7 @@ def cmd_capacity(parser, args) -> int:
                           curves["3gpp"].capacity_bpshz)
         report["crossover_snr_db"] = None if x is None else round(x, 6)
     _yaml_dump(report, out / "report.yaml")
-    _write_manifest(out, "capacity", args, args.seed,
+    _write_manifest(out, "capacity", args.argv, args.seed,
                     ["capacity.csv", "capacity.svg", "report.yaml"], pfiles)
     for src in sources:
         at = curves[src].capacity_bpshz[-1]
@@ -626,7 +629,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    args.argv = argv
     try:
         return args.func(parser, args)
     except (ParamValidationError, ValueError, RuntimeError) as exc:

@@ -16,6 +16,7 @@ of being a smeared copy of them.
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -458,3 +459,17 @@ def build_drop(params: ScenarioParamSet, rng, geometry: LinkGeometry | None = No
                       ray_fractions=fractions, aoa_deg=aoa, aod_deg=aod,
                       zoa_deg=zoa, zod_deg=zod, xpr=xpr, phases=phases,
                       geometry=geometry, lsp=lsp_record)
+
+
+def map_drops(fn, jobs, workers: int = 1) -> list:
+    """``[fn(job) for job in jobs]``, over a process pool when workers > 1.
+
+    Results come back in submission order, so output built from them
+    does not depend on the worker count. With workers > 1, fn and every
+    job must pickle.
+    """
+    if workers <= 1:
+        return [fn(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(fn, jobs,
+                           chunksize=max(1, len(jobs) // (workers * 4))))

@@ -2,12 +2,12 @@
 
 Drops become MIMO channel matrices here: each ray contributes a dual-
 polarized field term (random-phase polarization matrix scaled by the
-ray's XPR), array steering phases at both ends, and an optional Doppler
-rotation. Rays sum within a tap; taps are either one per cluster
-("thz-simplified", suited to sparse THz clusters whose intra-cluster
-delay spread is far below typical sounding resolution) or the standard
-form where the two strongest clusters split into three sub-taps with
-fixed ray groups and delay offsets.
+ray's XPR) and array steering phases at both ends. Rays sum within a
+tap; taps are either one per cluster ("thz-simplified", suited to sparse
+THz clusters whose intra-cluster delay spread is far below typical
+sounding resolution) or the standard form where the two strongest
+clusters split into three sub-taps with fixed ray groups and delay
+offsets.
 
 Conventions: zenith is measured from +z, azimuth from +x in the x-y
 plane; arrival angles point from the receiver toward the source of the
@@ -104,7 +104,7 @@ def ura(n_rows: int, n_cols: int, spacing_m: float,
 
 
 # ---------------------------------------------------------------------------
-# single-ray reference coefficients
+# ray coefficients
 
 
 def _steering(array: AntennaArray, unit_vec, wavelength_m: float):
@@ -113,47 +113,10 @@ def _steering(array: AntennaArray, unit_vec, wavelength_m: float):
     return np.exp(2j * np.pi * phase / wavelength_m)
 
 
-def _doppler(unit_rx, velocity_mps, t_s, wavelength_m):
-    t = np.atleast_1d(np.asarray(t_s, dtype=float))
-    if velocity_mps is None:
-        return np.ones(np.shape(np.asarray(unit_rx)[..., 0]) + t.shape, dtype=complex)
-    v = np.asarray(velocity_mps, dtype=float)
-    speed = (np.asarray(unit_rx) * v).sum(axis=-1)
-    return np.exp(2j * np.pi * speed[..., None] * t / wavelength_m)
-
-
-def nlos_ray_coeff(power: float, aoa_deg: float, zoa_deg: float,
-                   aod_deg: float, zod_deg: float, xpr: float, phases,
-                   rx_array: AntennaArray, tx_array: AntennaArray,
-                   wavelength_m: float, t_s=0.0, velocity_mps=None) -> np.ndarray:
-    """Coefficient matrix of one scattered ray, shape (rx, tx[, t]).
-
-    The polarization term couples the theta/phi responses through the
-    random-phase matrix with cross terms damped by sqrt(1/xpr); steering
-    phases use the positive-exponent convention at both ends.
-    """
-    ph = np.asarray(phases, dtype=float)
-    f_th_r, f_ph_r = rx_array.pattern(zoa_deg, aoa_deg)
-    f_th_t, f_ph_t = tx_array.pattern(zod_deg, aod_deg)
-    inv = np.sqrt(1.0 / xpr)
-    pol = (f_th_r * np.exp(1j * ph[0]) * f_th_t
-           + f_th_r * inv * np.exp(1j * ph[1]) * f_ph_t
-           + f_ph_r * inv * np.exp(1j * ph[2]) * f_th_t
-           + f_ph_r * np.exp(1j * ph[3]) * f_ph_t)
-    u_rx = spherical_unit(zoa_deg, aoa_deg)
-    u_tx = spherical_unit(zod_deg, aod_deg)
-    a_rx = _steering(rx_array, u_rx, wavelength_m)
-    a_tx = _steering(tx_array, u_tx, wavelength_m)
-    base = np.sqrt(power) * pol * np.outer(a_rx, a_tx)
-    dop = _doppler(u_rx, velocity_mps, t_s, wavelength_m)
-    out = base[..., None] * dop
-    return out[..., 0] if np.ndim(t_s) == 0 else out
-
-
 def los_coeff(aoa_deg: float, zoa_deg: float, aod_deg: float, zod_deg: float,
               distance_m: float, rx_array: AntennaArray, tx_array: AntennaArray,
-              wavelength_m: float, t_s=0.0, velocity_mps=None) -> np.ndarray:
-    """Unit-power direct-path coefficient matrix, shape (rx, tx[, t]).
+              wavelength_m: float) -> np.ndarray:
+    """Unit-power direct-path coefficient matrix, shape (rx, tx).
 
     Deterministic polarization coupling (theta preserved, phi sign
     flipped) and the carrier phase of the traveled distance.
@@ -166,10 +129,7 @@ def los_coeff(aoa_deg: float, zoa_deg: float, aod_deg: float, zod_deg: float,
     a_rx = _steering(rx_array, u_rx, wavelength_m)
     a_tx = _steering(tx_array, u_tx, wavelength_m)
     phase = np.exp(-2j * np.pi * distance_m / wavelength_m)
-    base = pol * phase * np.outer(a_rx, a_tx)
-    dop = _doppler(u_rx, velocity_mps, t_s, wavelength_m)
-    out = base[..., None] * dop
-    return out[..., 0] if np.ndim(t_s) == 0 else out
+    return pol * phase * np.outer(a_rx, a_tx)
 
 
 # ---------------------------------------------------------------------------
@@ -178,23 +138,27 @@ def los_coeff(aoa_deg: float, zoa_deg: float, aod_deg: float, zod_deg: float,
 
 @dataclass
 class ChannelRealization:
-    """Tapped-delay-line MIMO channel: amps are (tap, rx, tx, time)."""
+    """Tapped-delay-line MIMO channel: amps are (tap, rx, tx)."""
     delays_s: np.ndarray
     amps: np.ndarray
     wavelength_m: float
-    t_s: np.ndarray
 
     @property
     def n_taps(self) -> int:
         return self.delays_s.size
 
     def total_power(self) -> float:
-        """Mean over rx/tx elements and time of the summed tap power."""
+        """Mean over rx/tx elements of the summed tap power."""
         return float((np.abs(self.amps) ** 2).sum(axis=0).mean())
 
 
-def _ray_matrix(cs: ClusterSet, rx_array, tx_array, wavelength_m, t_s, velocity):
-    """All ray coefficients at once, shape (N, M, U, S, T)."""
+def _ray_matrix(cs: ClusterSet, rx_array, tx_array, wavelength_m):
+    """All ray coefficients at once, shape (N, M, U, S).
+
+    The polarization term couples the theta/phi responses through the
+    random-phase matrix with cross terms damped by sqrt(1/xpr); steering
+    phases use the positive-exponent convention at both ends.
+    """
     ph = cs.phases
     f_th_r, f_ph_r = rx_array.pattern(cs.zoa_deg, cs.aoa_deg)
     f_th_t, f_ph_t = tx_array.pattern(cs.zod_deg, cs.aod_deg)
@@ -208,20 +172,11 @@ def _ray_matrix(cs: ClusterSet, rx_array, tx_array, wavelength_m, t_s, velocity)
     a_rx = _steering(rx_array, u_rx, wavelength_m)    # (U, N, M)
     a_tx = _steering(tx_array, u_tx, wavelength_m)    # (S, N, M)
     amp = np.sqrt(cs.ray_powers()) * pol              # (N, M)
-    ray = np.einsum("nm,unm,snm->nmus", amp, a_rx, a_tx)
-    if velocity is None:
-        dop = np.ones((1, 1, np.atleast_1d(t_s).size), dtype=complex)
-        return ray[..., None] * dop[None, None]
-    v = np.asarray(velocity, dtype=float)
-    speed = (u_rx * v).sum(axis=-1)                   # (N, M)
-    t = np.atleast_1d(np.asarray(t_s, dtype=float))
-    dop = np.exp(2j * np.pi * speed[..., None] * t / wavelength_m)  # (N, M, T)
-    return ray[..., None] * dop[:, :, None, None, :]
+    return np.einsum("nm,unm,snm->nmus", amp, a_rx, a_tx)
 
 
 def assemble_cir(cs: ClusterSet, rx_array: AntennaArray, tx_array: AntennaArray,
                  wavelength_m: float, mode: str = "thz-simplified",
-                 t_s=(0.0,), velocity_mps=None,
                  c_ds_s: float | None = None) -> ChannelRealization:
     """Tapped channel realization from one drop.
 
@@ -237,8 +192,7 @@ def assemble_cir(cs: ClusterSet, rx_array: AntennaArray, tx_array: AntennaArray,
     """
     if mode not in ("thz-simplified", "standard"):
         raise ValueError(f"unknown mode {mode!r}")
-    t_arr = np.atleast_1d(np.asarray(t_s, dtype=float))
-    rays = _ray_matrix(cs, rx_array, tx_array, wavelength_m, t_arr, velocity_mps)
+    rays = _ray_matrix(cs, rx_array, tx_array, wavelength_m)
     n, m = cs.ray_powers().shape
 
     delays = []
@@ -266,7 +220,7 @@ def assemble_cir(cs: ClusterSet, rx_array: AntennaArray, tx_array: AntennaArray,
         g = cs.geometry
         direct = los_coeff(g.aoa_los_deg, g.zoa_los_deg, g.aod_los_deg,
                            g.zod_los_deg, g.d3_m, rx_array, tx_array,
-                           wavelength_m, t_arr, velocity_mps)
+                           wavelength_m)
         delays.insert(0, 0.0)
         amps.insert(0, np.sqrt(cs.los_weight) * direct)
 
@@ -274,11 +228,11 @@ def assemble_cir(cs: ClusterSet, rx_array: AntennaArray, tx_array: AntennaArray,
     amps = np.stack(amps)
     order = np.argsort(delays, kind="stable")
     return ChannelRealization(delays_s=delays[order], amps=amps[order],
-                              wavelength_m=wavelength_m, t_s=t_arr)
+                              wavelength_m=wavelength_m)
 
 
 def cir_to_ctf(cr: ChannelRealization, freqs_hz) -> np.ndarray:
-    """Sampled transfer function, shape (freq, rx, tx, time).
+    """Sampled transfer function, shape (freq, rx, tx).
 
     Plain discrete sum over taps: H(f) = sum_k a_k exp(-j 2 pi f tau_k).
     Frequencies are offsets from the carrier the drop was generated at.

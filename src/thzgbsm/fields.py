@@ -170,8 +170,3 @@ class GaussianField:
                + 2 * r1 * (w00 * w10 + w00 * w01 + w10 * w11 + w01 * w11)
                + 2 * rd * (w00 * w11 + w10 * w01))
         return val / np.sqrt(var)
-
-
-def generate_field(corr_dist_m, extent, rng, grid_step_m=None) -> GaussianField:
-    """Convenience constructor matching the class signature."""
-    return GaussianField(corr_dist_m, extent, rng, grid_step_m)

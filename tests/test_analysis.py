@@ -248,12 +248,6 @@ def test_kpower_means_recovers_planted_clusters():
 
 
 def test_kpower_means_estimator_api():
-    km = KPowerMeans(n_clusters=2, random_state=0)
-    params = km.get_params()
-    assert params["n_clusters"] == 2
-    km.set_params(n_clusters=4)
-    assert km.get_params()["n_clusters"] == 4
-
     rng = np.random.default_rng(5)
     x = np.column_stack([rng.uniform(0, 1e-7, 40),
                          rng.uniform(-180, 180, 40),
@@ -287,9 +281,20 @@ def test_select_n_clusters_finds_planted_count():
     centers = [(0.0, -90.0, 85.0), (60e-9, 0.0, 95.0), (150e-9, 120.0, 100.0)]
     rng = np.random.default_rng(9)
     mpcs, _ = _planted_mpcs(rng, centers, spread_scale=0.15)
-    best, scores = select_n_clusters(mpcs, k_min=2, k_max=6)
+    best, scores, _ = select_n_clusters(mpcs, k_min=2, k_max=6)
     assert best == 3
     assert set(scores) == {2, 3, 4, 5, 6}
+
+
+@pytest.mark.parametrize("seed", [9, 21])
+def test_select_n_clusters_labels_match_refit(seed):
+    centers = [(0.0, -90.0, 85.0), (60e-9, 0.0, 95.0), (150e-9, 120.0, 100.0)]
+    mpcs, _ = _planted_mpcs(np.random.default_rng(seed), centers,
+                            spread_scale=0.6)
+    best, _, labels = select_n_clusters(mpcs, k_min=2, k_max=6,
+                                        delay_weight=4.0)
+    refit, _ = kpower_means(mpcs, best, delay_weight=4.0)
+    assert np.array_equal(labels, refit)
 
 
 def test_mcd_embedding_shapes_and_delay_weight():

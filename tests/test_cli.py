@@ -81,12 +81,20 @@ def test_simulate_rerun_byte_identical(tmp_path):
 
 def test_simulate_worker_count_does_not_change_output(tmp_path):
     args = ["simulate", "--scenario", "office", "--condition", "nlos",
-            "--drops", "6", "--seed", "2"]
+            "--drops", "6", "--seed", "2", "--dump-clusters", "--dump-cir"]
     a, b = tmp_path / "w1", tmp_path / "w3"
     assert main(args + ["--out", str(a), "--workers", "1"]) == 0
     assert main(args + ["--out", str(b), "--workers", "3"]) == 0
-    assert _read(a / "lsp.csv") == _read(b / "lsp.csv")
-    assert _read(a / "drop_stats.csv") == _read(b / "drop_stats.csv")
+    for name in ("lsp.csv", "drop_stats.csv", "clusters.csv", "cir.csv"):
+        assert _read(a / name) == _read(b / name)
+
+
+def test_manifest_records_parsed_argv(tmp_path):
+    argv = ["simulate", "--scenario", "office", "--condition", "los",
+            "--drops", "1", "--seed", "8", "--out", str(tmp_path / "m")]
+    assert main(argv) == 0
+    man = json.loads((tmp_path / "m" / "manifest.json").read_text())
+    assert man["argv"] == argv
 
 
 def test_simulate_writes_only_inside_out(tmp_path, monkeypatch):
@@ -162,6 +170,37 @@ def test_analyze_empty_input_no_partial_outputs(tmp_path):
     assert rc == 1
     assert not (out / "report.yaml").exists()
     assert not (out / "per_drop.csv").exists()
+
+
+@pytest.mark.parametrize("cell", ["", "nan", "inf", "abc"])
+@pytest.mark.parametrize("column", ["delay_ns", "power"])
+def test_analyze_bad_cell_exits_1_with_message(tmp_path, capsys, column, cell):
+    rows = [{"drop": 0, "delay_ns": 0.0, "power": 1.0},
+            {"drop": 0, "delay_ns": 5.0, "power": 0.5},
+            {"drop": 1, "delay_ns": 0.0, "power": 1.0}]
+    rows[1][column] = cell
+    src = tmp_path / "bad.csv"
+    with open(src, "w", newline="") as fh:
+        w = csv.DictWriter(fh, ["drop", "delay_ns", "power"])
+        w.writeheader()
+        w.writerows(rows)
+    out = tmp_path / "rep"
+    assert main(["analyze", "--input", str(src), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "line 3" in err and repr(column) in err
+    assert not (out / "report.yaml").exists()
+    assert not (out / "per_drop.csv").exists()
+
+
+def test_analyze_max_clusters_below_two_exits_2(tmp_path):
+    src = tmp_path / "mpcs.csv"
+    src.write_text("drop,delay_ns,power,aoa_deg\n0,0,1,0\n0,5,1,90\n"
+                   "0,9,1,180\n0,12,1,-90\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--input", str(src), "--recluster",
+              "--max-clusters", "1", "--out", str(tmp_path / "rep")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "rep" / "report.yaml").exists()
 
 
 def test_analyze_pdp_schema(tmp_path):

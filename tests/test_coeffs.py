@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from thzgbsm.clusters import build_drop
+from thzgbsm.clusters import ClusterSet, LinkGeometry, build_drop
 from thzgbsm.coeffs import (
     AntennaArray, ChannelRealization, assemble_cir, cir_to_ctf,
-    isotropic_horizontal, isotropic_vertical, los_coeff, nlos_ray_coeff,
-    single_antenna, spherical_unit, ura)
+    isotropic_horizontal, isotropic_vertical, los_coeff, single_antenna,
+    spherical_unit, ura)
 from thzgbsm.params import load_params
 
 LAM = 299792458.0 / 100e9
@@ -65,12 +65,27 @@ def test_los_coeff_horizontal_polarization_sign():
     assert h[0, 0] == pytest.approx(-1.0 + 0.0j, abs=1e-12)
 
 
+def _one_ray(power, aoa, zoa, aod, zod, xpr, phases, rx, tx):
+    """(rx, tx) coefficients of a one-cluster, one-ray NLoS drop."""
+    one = np.ones((1, 1))
+    geom = LinkGeometry(d2_m=1.0, d3_m=1.0, aoa_los_deg=0.0, aod_los_deg=0.0,
+                        zoa_los_deg=90.0, zod_los_deg=90.0, mu_xy_m=(1.0, 0.0))
+    cs = ClusterSet(delays_s=np.zeros(1), powers=np.array([power]),
+                    los_weight=0.0, ray_fractions=one, aoa_deg=aoa * one,
+                    aod_deg=aod * one, zoa_deg=zoa * one, zod_deg=zod * one,
+                    xpr=xpr * one,
+                    phases=np.asarray(phases, dtype=float).reshape(1, 1, 4),
+                    geometry=geom, lsp={})
+    cr = assemble_cir(cs, rx, tx, LAM)
+    assert cr.amps.shape == (1, rx.n_elements, tx.n_elements)
+    return cr.amps[0]
+
+
 def test_nlos_ray_pure_copolar_when_xpr_infinite():
     rx = single_antenna()
     tx = single_antenna()
     phases = np.zeros(4)
-    h = nlos_ray_coeff(1.0, 10.0, 90.0, -40.0, 90.0, 1e12, phases,
-                       rx, tx, LAM)
+    h = _one_ray(1.0, 10.0, 90.0, -40.0, 90.0, 1e12, phases, rx, tx)
     assert h[0, 0] == pytest.approx(1.0 + 0.0j, abs=1e-5)
 
 
@@ -80,8 +95,7 @@ def test_nlos_ray_power_is_pattern_independent_of_phase():
     rng = np.random.default_rng(1)
     for _ in range(10):
         phases = rng.uniform(-np.pi, np.pi, 4)
-        h = nlos_ray_coeff(0.7, 33.0, 80.0, 12.0, 100.0, 10.0, phases,
-                           rx, tx, LAM)
+        h = _one_ray(0.7, 33.0, 80.0, 12.0, 100.0, 10.0, phases, rx, tx)
         assert abs(h[0, 0]) == pytest.approx(np.sqrt(0.7), rel=1e-9)
 
 
@@ -90,9 +104,9 @@ def test_steering_reciprocity_transpose():
     rx = ura(2, 2, 0.5 * LAM, name="a")
     tx = ura(1, 3, 0.5 * LAM, name="b")
     phases = np.array([0.3, -1.0, 2.2, 0.7])
-    h_ab = nlos_ray_coeff(1.0, 25.0, 75.0, -130.0, 95.0, 8.0, phases, rx, tx, LAM)
-    h_ba = nlos_ray_coeff(1.0, -130.0, 95.0, 25.0, 75.0, 8.0,
-                          phases[[0, 2, 1, 3]], tx, rx, LAM)
+    h_ab = _one_ray(1.0, 25.0, 75.0, -130.0, 95.0, 8.0, phases, rx, tx)
+    h_ba = _one_ray(1.0, -130.0, 95.0, 25.0, 75.0, 8.0,
+                    phases[[0, 2, 1, 3]], tx, rx)
     assert_allclose(h_ba, h_ab.T, atol=1e-12)
 
 
@@ -170,23 +184,23 @@ def test_assemble_cir_array_shapes():
     rx = ura(2, 2, 0.5 * p.wavelength_m)
     tx = ura(4, 4, 0.5 * p.wavelength_m)
     cr = assemble_cir(cs, rx, tx, p.wavelength_m)
-    t, u, s = cr.amps.shape[0], cr.amps.shape[1], cr.amps.shape[2]
-    assert (u, s) == (4, 16)
+    assert cr.amps.shape == (cs.n_clusters + 1, 4, 16)
+    h = cir_to_ctf(cr, np.linspace(-0.5e9, 0.5e9, 8))
+    assert h.shape == (8, 4, 16)
 
 
 def _tap_cr(delays, amp_per_tap):
     t = len(delays)
-    amps = np.asarray(amp_per_tap, dtype=complex).reshape(t, 1, 1, 1)
+    amps = np.asarray(amp_per_tap, dtype=complex).reshape(t, 1, 1)
     return ChannelRealization(delays_s=np.asarray(delays, dtype=float),
-                              amps=amps, wavelength_m=LAM,
-                              t_s=np.array([0.0]))
+                              amps=amps, wavelength_m=LAM)
 
 
 def test_cir_to_ctf_flat_for_single_zero_tap():
     cr = _tap_cr([0.0], [1.0])
     f = np.linspace(-0.5e9, 0.5e9, 16)
     h = cir_to_ctf(cr, f)
-    assert h.shape == (16, 1, 1, 1)
+    assert h.shape == (16, 1, 1)
     assert_allclose(h, 1.0, atol=1e-12)
 
 
@@ -194,7 +208,7 @@ def test_cir_to_ctf_linear_phase_slope():
     tau = 1e-9
     cr = _tap_cr([tau], [1.0])
     f = np.array([0.0, 1e8, 2e8])
-    h = cir_to_ctf(cr, f)[:, 0, 0, 0]
+    h = cir_to_ctf(cr, f)[:, 0, 0]
     assert_allclose(np.angle(h), -2 * np.pi * f * tau, atol=1e-9)
 
 
@@ -202,5 +216,5 @@ def test_cir_to_ctf_two_tap_nulls():
     delta = 2e-9
     cr = _tap_cr([0.0, delta], [1.0, 1.0])
     null_freqs = np.array([1.0, 3.0, 5.0]) / (2 * delta)
-    h = cir_to_ctf(cr, null_freqs)[:, 0, 0, 0]
+    h = cir_to_ctf(cr, null_freqs)[:, 0, 0]
     assert_allclose(np.abs(h), 0.0, atol=1e-9)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from thzgbsm.fields import GaussianField, generate_field
+from thzgbsm.fields import GaussianField
 
 
 def _transect_autocorr(values, lag_steps):
@@ -69,11 +69,3 @@ def test_too_coarse_grid_rejected():
     with pytest.raises(ValueError):
         GaussianField(2.0, ((0.0, 10.0), (0.0, 10.0)),
                       np.random.default_rng(0), grid_step_m=1.5)
-
-
-def test_generate_field_wrapper():
-    f = generate_field(3.0, ((0.0, 9.0), (0.0, 9.0)), np.random.default_rng(5))
-    assert isinstance(f, GaussianField)
-    v = f.sample(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-    assert v.shape == (2,)
-    assert np.all(np.isfinite(v))
