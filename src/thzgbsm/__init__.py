@@ -15,8 +15,7 @@ from .analysis import (InfiniteKFactorError, KPowerMeans, MpcSet, Pdp, asa,
                        lsp_cross_corr, rms_ds, select_n_clusters, synth_omni,
                        threshold)
 from .capacity import (CapacityExperiment, crossover_snr, mimo_capacity,
-                       mimo_capacity_det, normalize_channel,
-                       run_capacity_experiment)
+                       mimo_capacity_det, run_capacity_experiment)
 from .clusters import (ClusterSet, LinkGeometry, apply_in_cluster_k,
                        build_drop, extract_drop_stats, gen_angles, gen_delays,
                        gen_powers, gen_xpr_and_phases, geometry_for,

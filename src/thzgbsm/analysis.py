@@ -318,6 +318,10 @@ def mcd_embedding(delay_s, aoa_deg, zoa_deg, delay_weight: float = 8.0) -> np.nd
     return np.column_stack([u / 2.0, scale * t])
 
 
+N_INIT = 10      # K-power-means restarts per fit; the best objective wins
+MAX_ITER = 100   # Lloyd iteration cap per restart
+
+
 class KPowerMeans:
     """Power-weighted K-means over the multipath component distance.
 
@@ -328,11 +332,9 @@ class KPowerMeans:
     """
 
     def __init__(self, n_clusters: int = 3, delay_weight: float = 8.0,
-                 n_init: int = 10, max_iter: int = 100, random_state: int = 0):
+                 random_state: int = 0):
         self.n_clusters = n_clusters
         self.delay_weight = delay_weight
-        self.n_init = n_init
-        self.max_iter = max_iter
         self.random_state = random_state
 
     def fit(self, X, sample_weight=None) -> "KPowerMeans":
@@ -349,7 +351,7 @@ class KPowerMeans:
 
         E = mcd_embedding(X[:, 0], X[:, 1], X[:, 2], self.delay_weight)
         best = None
-        seeds = np.random.SeedSequence(self.random_state).spawn(self.n_init)
+        seeds = np.random.SeedSequence(self.random_state).spawn(N_INIT)
         for ss in seeds:
             rng = np.random.default_rng(ss)
             labels, centers, path, iters = self._lloyd(E, w, k, rng)
@@ -373,7 +375,7 @@ class KPowerMeans:
         centers = E[init].copy()
         labels = np.full(n, -1)
         path = []
-        for it in range(1, self.max_iter + 1):
+        for it in range(1, MAX_ITER + 1):
             d2 = ((E[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             new_labels = d2.argmin(axis=1)
             path.append(float((w * d2[np.arange(n), new_labels]).sum()))

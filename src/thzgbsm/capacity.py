@@ -64,16 +64,6 @@ def capacity_from_eigs(eigs, rho_linear: float, m_t: int) -> np.ndarray:
     return np.log2(1.0 + rho_linear * lam / m_t).sum(axis=-1)
 
 
-def normalize_channel(h_set) -> np.ndarray:
-    """Scale a set of channel matrices so mean ||H||_F^2 = rx*tx."""
-    h = np.asarray(h_set, dtype=complex)
-    u, s = h.shape[-2:]
-    mean_sq = (np.abs(h) ** 2).sum(axis=(-2, -1)).mean()
-    if mean_sq <= 0:
-        raise ValueError("cannot normalize an all-zero channel set")
-    return h * np.sqrt(u * s / mean_sq)
-
-
 # ---------------------------------------------------------------------------
 # experiments
 

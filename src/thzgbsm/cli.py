@@ -216,9 +216,10 @@ def _read_csv(parser, path: Path) -> tuple[list[str], list[tuple[int, dict]]]:
     return list(reader.fieldnames), rows
 
 
-def _f(line_row, key, default=None):
+def _f(line_row, key, default=None, power=False):
     """Finite float from a (line number, row) pair; an empty or absent
-    cell gives default, and is an error where there is none."""
+    cell gives default, and is an error where there is none. A power
+    cell must not be negative either."""
     line, row = line_row
     v = row.get(key, "")
     if v is None or v == "":
@@ -232,6 +233,9 @@ def _f(line_row, key, default=None):
     if not np.isfinite(x):
         raise ValueError(f"input line {line}: column {key!r} holds "
                          f"{v!r}, not a finite number")
+    if power and x < 0:
+        raise ValueError(f"input line {line}: column {key!r} holds "
+                         f"{v!r}, a negative power")
     return x
 
 
@@ -246,12 +250,15 @@ def _analyze_mpcs(args, header, rows) -> tuple[dict, list[tuple]]:
     for d in sorted(drops):
         rs = drops[d]
         delay = np.array([_f(r, "delay_ns") * 1e-9 for r in rs])
-        power = np.array([_f(r, "power") for r in rs])
+        power = np.array([_f(r, "power", power=True) for r in rs])
         aoa = (np.array([_f(r, "aoa_deg") for r in rs])
                if "aoa_deg" in header else None)
         zoa = (np.array([_f(r, "zoa_deg", 90.0) for r in rs])
                if "zoa_deg" in header or "aoa_deg" in header else None)
         ds = analysis.rms_ds(delay, power)
+        if np.ptp(delay[power > 0]) == 0:
+            raise ValueError(f"drop {d}: all its rows with power share one "
+                             "delay, so its delay spread is zero")
         asa_v = analysis.asa(aoa, power) if aoa is not None else None
         k_v = analysis.k_factor(power, on_infinite="inf")
         if np.isfinite(k_v):
@@ -326,7 +333,7 @@ def _analyze_pdp(args, header, rows) -> dict:
     for key in sorted(groups):
         rs = groups[key]
         delays = np.array([_f(r, "delay_ns") * 1e-9 for r in rs])
-        powers = np.array([_f(r, "power_linear") for r in rs])
+        powers = np.array([_f(r, "power_linear", power=True) for r in rs])
         order = np.argsort(delays)
         pdps.append(analysis.Pdp(delays[order], powers[order],
                                  direction=dict(zip(dir_cols, key)) or None))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .constants import SPEED_OF_LIGHT, c_phi, c_theta, ray_offsets, wrap_deg
+from .constants import c_phi, c_theta, ray_offsets, wrap_deg
 from .params import ScenarioParamSet
 
 
@@ -282,32 +282,26 @@ def gen_angles(powers, ray_fractions, los_weight: float, asa_deg: float,
     ct = c_theta(n, k_db)
     ray_p = (1.0 - los_weight) * p[:, None] * ray_fractions
 
-    def az_plane(bearing, c_spread):
-        phi_c = 2.0 * (asa_deg / 1.4) * np.sqrt(-np.log(ratio)) / cp
-        x = rng.integers(0, 2, n) * 2 - 1
-        y = rng.normal(0.0, asa_deg / 7.0, n)
-        centers = x * phi_c + y + bearing
-        offs = c_spread * ray_offsets(m)
-        rays = np.empty((n, m))
-        for i in range(n):
-            rays[i] = centers[i] + offs[rng.permutation(m)]
-        return rescale_azimuth(rays, ray_p, los_weight, bearing, asa_deg)
-
-    def zen_plane(bearing, spread, c_spread):
-        theta_c = -(spread / ct) * np.log(ratio)
+    def plane(rescale, bearing, center_dev, spread, c_spread):
+        # random sign flips and N(0, spread/7) jitter about the bearing,
+        # then the tabulated offsets in a fresh order per cluster
         x = rng.integers(0, 2, n) * 2 - 1
         y = rng.normal(0.0, spread / 7.0, n)
-        centers = x * theta_c + y + bearing
+        centers = x * center_dev + y + bearing
         offs = c_spread * ray_offsets(m)
-        rays = np.empty((n, m))
-        for i in range(n):
-            rays[i] = centers[i] + offs[rng.permutation(m)]
-        return rescale_zenith(rays, ray_p, los_weight, bearing, spread)
+        perm = np.array([rng.permutation(m) for _ in range(n)])
+        return rescale(centers[:, None] + offs[perm], ray_p, los_weight,
+                       bearing, spread)
 
-    aoa = az_plane(geometry.aoa_los_deg, params.clusters.c_asa_deg)
-    aod = az_plane(geometry.aod_los_deg, params.clusters.c_asa_deg)
-    zoa = zen_plane(geometry.zoa_los_deg, zsa_deg, params.supplemental.c_zsa_deg)
-    zod = zen_plane(geometry.zod_los_deg, zsd_deg, params.supplemental.c_zsd_deg)
+    phi_c = 2.0 * (asa_deg / 1.4) * np.sqrt(-np.log(ratio)) / cp
+    c_asa = params.clusters.c_asa_deg
+    sup = params.supplemental
+    aoa = plane(rescale_azimuth, geometry.aoa_los_deg, phi_c, asa_deg, c_asa)
+    aod = plane(rescale_azimuth, geometry.aod_los_deg, phi_c, asa_deg, c_asa)
+    zoa = plane(rescale_zenith, geometry.zoa_los_deg,
+                -(zsa_deg / ct) * np.log(ratio), zsa_deg, sup.c_zsa_deg)
+    zod = plane(rescale_zenith, geometry.zod_los_deg,
+                -(zsd_deg / ct) * np.log(ratio), zsd_deg, sup.c_zsd_deg)
     return aoa, aod, zoa, zod
 
 
@@ -338,10 +332,6 @@ class ClusterSet:
     @property
     def n_rays(self) -> int:
         return self.ray_fractions.shape[1]
-
-    @property
-    def los_delay_s(self) -> float:
-        return self.geometry.d3_m / SPEED_OF_LIGHT
 
     def ray_powers(self) -> np.ndarray:
         """(N, M) absolute ray powers; together with the direct share
@@ -401,8 +391,7 @@ def extract_drop_stats(cs: ClusterSet) -> dict:
 
 
 def build_drop(params: ScenarioParamSet, rng, geometry: LinkGeometry | None = None,
-               lsp_vals: dict | None = None, n_clusters: int | None = None,
-               k_db_override: float | None = None,
+               lsp_vals: dict | None = None, k_db_override: float | None = None,
                cluster_count_mode: str = "fixed") -> ClusterSet:
     """Generate one full drop.
 
@@ -417,9 +406,7 @@ def build_drop(params: ScenarioParamSet, rng, geometry: LinkGeometry | None = No
         from .lsp import draw_lsp_iid
         lsp_vals = draw_lsp_iid(params, 1, rng).row(0)
 
-    if n_clusters is not None:
-        n = int(n_clusters)
-    elif cluster_count_mode == "lognormal":
+    if cluster_count_mode == "lognormal":
         spec = params.clusters.count_log10
         if spec is None:
             raise ValueError(f"{params.label()} has no cluster-count lognormal fit")

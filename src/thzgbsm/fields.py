@@ -17,7 +17,6 @@ query point, not only on the nodes.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 # Kernel support radius in units of the kernel scale. exp(-8) ~ 3e-4,
 # negligible against unit correlations.
@@ -33,18 +32,20 @@ def _kernel(a_cells: float) -> np.ndarray:
     return np.exp(-np.hypot(x, y) / a_cells)
 
 
+def _lag_corr(k: np.ndarray, dy: int, dx: int) -> float:
+    """Normalized autocorrelation of the kernel field at lag (dy, dx)
+    cells: the kernel's overlap with its shifted self over its energy."""
+    h, w = k.shape
+    return float((k[dy:, dx:] * k[:h - dy, :w - dx]).sum() / (k * k).sum())
+
+
 def _autocorr_at(a_cells: float, lag_cells: float) -> float:
     """Normalized autocorrelation of the kernel field at a lag along x."""
     k = _kernel(a_cells)
-    # Correlation of the kernel with itself; symmetric, so no flip needed.
-    corr = fftconvolve(k, k[::-1, ::-1], mode="full")
-    c = corr.shape[0] // 2
-    row = corr[c]
     lo = int(np.floor(lag_cells))
     frac = lag_cells - lo
-    hi = min(lo + 1, row.size - c - 1)
-    val = (1 - frac) * row[c + lo] + frac * row[c + hi]
-    return val / corr[c, c]
+    hi = min(lo + 1, k.shape[1] - 1)
+    return (1 - frac) * _lag_corr(k, 0, lo) + frac * _lag_corr(k, 0, hi)
 
 
 def _calibrate(ratio: float) -> tuple[float, float, float]:
@@ -72,11 +73,7 @@ def _calibrate(ratio: float) -> tuple[float, float, float]:
             hi = mid
     a_cells = 0.5 * (lo + hi)
     k = _kernel(a_cells)
-    corr = fftconvolve(k, k[::-1, ::-1], mode="full")
-    c = corr.shape[0] // 2
-    rho_1 = corr[c, c + 1] / corr[c, c]
-    rho_diag = corr[c + 1, c + 1] / corr[c, c]
-    result = (a_cells, float(rho_1), float(rho_diag))
+    result = (a_cells, _lag_corr(k, 0, 1), _lag_corr(k, 1, 1))
     _calibration_cache[key] = result
     return result
 
@@ -129,8 +126,11 @@ class GaussianField:
         kern = _kernel(a_cells)
         kern = kern / np.sqrt((kern**2).sum())
         white = rng.standard_normal((ny + 2 * pad, nx + 2 * pad))
-        smooth = fftconvolve(white, kern, mode="same")
-        self.values = smooth[pad:pad + ny, pad:pad + nx]
+        # the kernel is 2*pad + 1 wide: past the first 2*pad rows and columns
+        # the circular convolution is the linear one's wrap-free "valid" part
+        spec = np.fft.rfft2(white) * np.fft.rfft2(kern, s=white.shape)
+        smooth = np.fft.irfft2(spec, s=white.shape)
+        self.values = smooth[2 * pad:, 2 * pad:]
         self.shape = self.values.shape
 
     def sample(self, x_m, y_m) -> np.ndarray:

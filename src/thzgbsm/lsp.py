@@ -59,8 +59,7 @@ def mixing_matrix(params: ScenarioParamSet) -> np.ndarray:
     return v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
 
-def transform_standard_normals(params: ScenarioParamSet, z: np.ndarray,
-                               asa_cap_deg: float = ASA_CAP_DEG) -> dict:
+def transform_standard_normals(params: ScenarioParamSet, z: np.ndarray) -> dict:
     """Apply marginal transforms to correlated standard normals.
 
     ``z`` has one column per parameter in LSP_ORDER (K column only for
@@ -75,7 +74,7 @@ def transform_standard_normals(params: ScenarioParamSet, z: np.ndarray,
         "ds_s": 10.0 ** (params.ds_log10s.mu + params.ds_log10s.sigma * cols["ds"]),
         "asa_deg": np.minimum(
             10.0 ** (params.asa_log10deg.mu + params.asa_log10deg.sigma * cols["asa"]),
-            asa_cap_deg),
+            ASA_CAP_DEG),
         "sf_db": params.pathloss.sigma_sf_db * cols["sf"],
     }
     if "k" in cols:
@@ -84,8 +83,7 @@ def transform_standard_normals(params: ScenarioParamSet, z: np.ndarray,
 
 
 def generate_lsp(params: ScenarioParamSet, x_m, y_m, rng,
-                 grid_step_m=None, asa_cap_deg: float = ASA_CAP_DEG
-                 ) -> LspRealization:
+                 grid_step_m=None) -> LspRealization:
     """Spatially and cross-correlated LSPs at explicit 2D locations.
 
     One exponential-correlation field per parameter (its own correlation
@@ -108,17 +106,16 @@ def generate_lsp(params: ScenarioParamSet, x_m, y_m, rng,
         f = GaussianField(params.corr_dist_m[nm], extent, rng, step)
         cols.append(f.sample(x, y))
     z = np.column_stack(cols) @ mixing_matrix(params).T
-    vals = transform_standard_normals(params, z, asa_cap_deg)
+    vals = transform_standard_normals(params, z)
     return LspRealization(x_m=x, y_m=y, **vals)
 
 
-def draw_lsp_iid(params: ScenarioParamSet, n: int, rng,
-                 asa_cap_deg: float = ASA_CAP_DEG) -> LspRealization:
+def draw_lsp_iid(params: ScenarioParamSet, n: int, rng) -> LspRealization:
     """Cross-correlated but spatially independent LSP draws.
 
     Used for independent drops (capacity experiments, round-trip checks)
     where locations are statistically unrelated.
     """
     z = rng.standard_normal((n, len(params.lsp_names))) @ mixing_matrix(params).T
-    vals = transform_standard_normals(params, z, asa_cap_deg)
+    vals = transform_standard_normals(params, z)
     return LspRealization(**vals)

@@ -1,7 +1,7 @@
 """Dependency-free SVG line plots for the command-line reports.
 
-Deliberately small: line series on linear or log10 y axes, nice tick
-placement, a legend box, fixed palette. Output is a deterministic text
+Deliberately small: line series on linear axes, nice tick placement,
+a legend box, fixed palette and canvas size. Output is a deterministic text
 file so reruns stay byte-identical.
 """
 
@@ -36,8 +36,7 @@ def _fmt(v: float) -> str:
 
 
 def line_plot(series, out_path=None, title: str = "", xlabel: str = "",
-              ylabel: str = "", log_y: bool = False,
-              width: int = 660, height: int = 460) -> str:
+              ylabel: str = "") -> str:
     """Render line series to an SVG string (and optionally a file).
 
     series: iterable of (label, x, y) with array-likes x and y.
@@ -49,21 +48,17 @@ def line_plot(series, out_path=None, title: str = "", xlabel: str = "",
     for lab, x, y in series:
         if x.shape != y.shape or x.ndim != 1 or x.size == 0:
             raise ValueError(f"series {lab!r} needs matching non-empty 1-D arrays")
-        if log_y and np.any(y <= 0):
-            raise ValueError(f"series {lab!r} has non-positive values on a log axis")
-
-    def ty(v):
-        return np.log10(v) if log_y else v
 
     xlo = min(x.min() for _, x, _ in series)
     xhi = max(x.max() for _, x, _ in series)
-    ylo = min(ty(y).min() for _, _, y in series)
-    yhi = max(ty(y).max() for _, _, y in series)
+    ylo = min(y.min() for _, _, y in series)
+    yhi = max(y.max() for _, _, y in series)
     if yhi <= ylo:
         yhi = ylo + 1.0
     pad = 0.05 * (yhi - ylo)
     ylo, yhi = ylo - pad, yhi + pad
 
+    width, height = 660, 460
     ml, mr, mt, mb = 64, 16, 34, 48
     pw, phh = width - ml - mr, height - mt - mb
 
@@ -74,10 +69,7 @@ def line_plot(series, out_path=None, title: str = "", xlabel: str = "",
         return mt + (yhi - v) / (yhi - ylo) * phh
 
     xt = _nice_ticks(xlo, xhi)
-    if log_y:
-        yt = np.arange(math.floor(ylo), math.ceil(yhi) + 1)
-    else:
-        yt = _nice_ticks(ylo, yhi)
+    yt = _nice_ticks(ylo, yhi)
     yt = yt[(yt >= ylo - 1e-12) & (yt <= yhi + 1e-12)]
     xt = xt[(xt >= xlo - 1e-12) & (xt <= xhi + 1e-12)]
 
@@ -98,11 +90,10 @@ def line_plot(series, out_path=None, title: str = "", xlabel: str = "",
                  f'font-size="11">{_fmt(t)}</text>')
     for t in yt:
         y = py(t)
-        lab = f"1e{int(t)}" if log_y else _fmt(t)
         e.append(f'<line x1="{ml}" y1="{y:.2f}" x2="{ml + pw}" y2="{y:.2f}" '
                  f'stroke="#dddddd" stroke-width="1"/>')
         e.append(f'<text x="{ml - 6}" y="{y + 4:.2f}" text-anchor="end" '
-                 f'font-size="11">{lab}</text>')
+                 f'font-size="11">{_fmt(t)}</text>')
 
     e.append(f'<rect x="{ml}" y="{mt}" width="{pw}" height="{phh}" fill="none" '
              f'stroke="#333333" stroke-width="1"/>')
@@ -116,7 +107,7 @@ def line_plot(series, out_path=None, title: str = "", xlabel: str = "",
 
     for i, (lab, x, y) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, ty(y)))
+        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, y))
         e.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                  f'stroke-width="1.8"/>')
 

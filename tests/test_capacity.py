@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from thzgbsm.capacity import (
     capacity_from_eigs, crossover_snr, mimo_capacity, mimo_capacity_det,
-    normalize_channel, run_capacity_experiment)
+    run_capacity_experiment)
 from thzgbsm.coeffs import ura
 from thzgbsm.params import load_params
 
@@ -51,12 +51,14 @@ def test_capacity_rejects_bad_input():
         mimo_capacity(np.array([[1.0 + 0j]]), -0.5)
 
 
-def test_normalize_channel_frobenius_budget():
-    rng = np.random.default_rng(3)
-    hs = rng.normal(size=(30, 4, 16)) + 1j * rng.normal(size=(30, 4, 16))
-    out = normalize_channel(hs)
-    got = np.mean([np.linalg.norm(h, "fro") ** 2 for h in out])
-    assert got == pytest.approx(4 * 16, rel=1e-9)
+def test_experiment_normalization_frobenius_budget():
+    # Mean ||H||_F^2 = m_r * m_t over drops and tones; at low SNR the
+    # capacity is linear in it, sum(log2(1 + rho*lam/m_t)) ~ rho*m_r/ln 2.
+    p = load_params("office", "los", "measured")
+    e = run_capacity_experiment(p, snr_db=[-50.0], n_drops=4, seed=3)
+    rho = 10.0 ** (-50.0 / 10.0)
+    assert e.capacity_bpshz[0] == pytest.approx(rho * e.meta["m_r"] / np.log(2.0),
+                                                rel=1e-3)
 
 
 def test_experiment_reproducible_and_worker_independent():

@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,26 @@ def test_console_script_exists():
     # argparse --version exits 0 and prints the tool name
     assert out.returncode == 0
     assert "thzgbsm" in out.stdout
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    """numpy and PyYAML are the whole runtime: importing the package and
+    running simulate, Gaussian field included, loads no scipy module."""
+    import thzgbsm
+    code = ("import sys, thzgbsm, thzgbsm.cli\n"
+            "rc = thzgbsm.cli.main(['simulate', '--scenario', 'office', "
+            "'--condition', 'los', '--drops', '2', '--out', sys.argv[1]])\n"
+            "assert rc == 0, rc\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    src_root = str(Path(thzgbsm.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src_root] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "sim")],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "sim" / "lsp.csv").is_file()
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_missing_subcommand_exits_2():
@@ -172,8 +194,11 @@ def test_analyze_empty_input_no_partial_outputs(tmp_path):
     assert not (out / "per_drop.csv").exists()
 
 
-@pytest.mark.parametrize("cell", ["", "nan", "inf", "abc"])
-@pytest.mark.parametrize("column", ["delay_ns", "power"])
+# a negative delay_ns stays legal: the RMS delay spread is shift-invariant
+@pytest.mark.parametrize(("column", "cell"),
+                         [(c, v) for c in ("delay_ns", "power")
+                          for v in ("", "abc", "inf", "nan")]
+                         + [("power", "-1")])
 def test_analyze_bad_cell_exits_1_with_message(tmp_path, capsys, column, cell):
     rows = [{"drop": 0, "delay_ns": 0.0, "power": 1.0},
             {"drop": 0, "delay_ns": 5.0, "power": 0.5},
@@ -190,6 +215,18 @@ def test_analyze_bad_cell_exits_1_with_message(tmp_path, capsys, column, cell):
     assert "line 3" in err and repr(column) in err
     assert not (out / "report.yaml").exists()
     assert not (out / "per_drop.csv").exists()
+
+
+@pytest.mark.parametrize("drop0", ["0,5,1\n", "0,5,1\n0,5,0.5\n0,9,0\n"],
+                         ids=["one-row", "one-delay"])
+def test_analyze_zero_delay_spread_names_the_drop(tmp_path, capsys, drop0):
+    src = tmp_path / "mpcs.csv"
+    src.write_text("drop,delay_ns,power\n" + drop0 + "1,0,1\n1,5,0.5\n")
+    out = tmp_path / "rep"
+    assert main(["analyze", "--input", str(src), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "drop 0" in err and "delay spread is zero" in err
+    assert not (out / "report.yaml").exists()
 
 
 def test_analyze_max_clusters_below_two_exits_2(tmp_path):

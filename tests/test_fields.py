@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from thzgbsm.fields import GaussianField
+from thzgbsm.fields import GaussianField, _autocorr_at, _calibrate, _kernel
 
 
 def _transect_autocorr(values, lag_steps):
@@ -17,6 +17,36 @@ def test_field_is_reproducible():
     x = np.linspace(1.0, 49.0, 40)
     y = np.linspace(1.0, 49.0, 40)
     assert np.array_equal(f1.sample(x, y), f2.sample(x, y))
+
+
+def test_field_is_direct_convolution_of_white_noise():
+    """Node values are the kernel summed over the seed's white noise."""
+    f = GaussianField(2.0, ((0.0, 3.0), (-1.0, 1.5)), np.random.default_rng(5))
+    a_cells, _, _ = _calibrate(f.corr_dist_m / f.grid_step_m)
+    kern = _kernel(a_cells)
+    kern /= np.sqrt((kern**2).sum())
+    pad = kern.shape[0] // 2
+    ny, nx = f.shape
+    white = np.random.default_rng(5).standard_normal((ny + 2 * pad, nx + 2 * pad))
+    want = np.zeros((ny, nx))
+    for i in range(ny):
+        for j in range(nx):
+            # kernel centered on noise cell (i + pad, j + pad)
+            want[i, j] = (kern * white[i:i + 2 * pad + 1, j:j + 2 * pad + 1]).sum()
+    assert_allclose(f.values, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("ratio", [2.0, 4.0, 7.5])
+def test_calibrated_kernel_autocorrelation_is_one_over_e(ratio):
+    a_cells, _, _ = _calibrate(ratio)
+    assert abs(_autocorr_at(a_cells, ratio) - np.exp(-1.0)) < 1e-9
+    # at whole-cell lags, the kernel autocorrelation from its power spectrum
+    k = _kernel(a_cells)
+    shape = (2 * k.shape[0], 2 * k.shape[1])
+    acf = np.fft.irfft2(np.abs(np.fft.rfft2(k, s=shape)) ** 2, s=shape)
+    lag = int(ratio)
+    assert _autocorr_at(a_cells, lag) == pytest.approx(acf[0, lag] / acf[0, 0],
+                                                       abs=1e-12)
 
 
 def test_field_marginals_standard_normal():

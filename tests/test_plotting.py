@@ -28,16 +28,8 @@ def test_line_plot_writes_file(tmp_path):
     assert out.read_text() == svg
 
 
-def test_line_plot_log_axis_ticks():
-    x = np.array([1.0, 10.0, 100.0])
-    svg = line_plot([("pl", x, np.array([70.0, 90.0, 110.0]))], log_y=False)
-    assert "70" in svg
-    svgy = line_plot([("ds", x, np.array([1e-9, 1e-8, 1e-7]))], log_y=True)
-    assert "1e-9" in svgy or "1e-09" in svgy
-
-
-def test_line_plot_rejects_empty_and_bad_log():
+def test_line_plot_rejects_empty_and_mismatched_series():
     with pytest.raises(ValueError):
         line_plot([])
     with pytest.raises(ValueError):
-        line_plot([("a", np.array([1.0]), np.array([-1.0]))], log_y=True)
+        line_plot([("a", np.array([1.0, 2.0]), np.array([-1.0]))])
