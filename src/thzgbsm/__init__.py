@@ -23,7 +23,7 @@ from .clusters import (ClusterSet, LinkGeometry, apply_in_cluster_k,
                        rescale_delays, rescale_zenith)
 from .coeffs import (AntennaArray, ChannelRealization, assemble_cir,
                      cir_to_ctf, isotropic_horizontal, isotropic_vertical,
-                     los_coeff, single_antenna, spherical_unit, ura)
+                     single_antenna, spherical_unit, ura)
 from .constants import RAY_OFFSETS, SPEED_OF_LIGHT, c_phi, c_theta, ray_offsets, wrap_deg
 from .fields import GaussianField
 from .lsp import LspRealization, draw_lsp_iid, generate_lsp, mixing_matrix

@@ -138,7 +138,11 @@ def _delays_powers(a, powers):
 
 
 def rms_ds(pdp_or_delays, powers=None) -> float:
-    """RMS delay spread: power-weighted standard deviation of delay."""
+    """RMS delay spread: power-weighted standard deviation of delay.
+
+    The same statistic serves as the linear (unwrapped) zenith spread
+    when given angles in degrees.
+    """
     delays, p = _delays_powers(pdp_or_delays, powers)
     tot = p.sum()
     if tot <= 0:
@@ -163,17 +167,6 @@ def asa(azimuth_deg, powers) -> float:
     r = np.abs((p * np.exp(1j * phi)).sum()) / tot
     r = min(r, 1.0)
     return float(np.rad2deg(np.sqrt(max(1.0 - r * r, 0.0))))
-
-
-def zenith_spread(zenith_deg, powers) -> float:
-    """Power-weighted linear std of zenith angle (degrees, no wrapping)."""
-    z = np.asarray(zenith_deg, dtype=float)
-    p = np.asarray(powers, dtype=float)
-    tot = p.sum()
-    if tot <= 0:
-        raise ValueError("total power must be positive")
-    mean = (p * z).sum() / tot
-    return float(np.sqrt((p * (z - mean) ** 2).sum() / tot))
 
 
 def k_factor(pdp_or_powers, powers=None, on_infinite: str = "raise") -> float:

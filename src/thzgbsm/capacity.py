@@ -133,6 +133,8 @@ def run_capacity_experiment(params: ScenarioParamSet, snr_db,
             raise ValueError("los_fraction needs params_nlos for the NLoS share")
         if not 0.0 <= los_fraction <= 1.0:
             raise ValueError("los_fraction must lie in [0, 1]")
+    if n_tones < 1:
+        raise ValueError("n_tones must be at least 1")
     snr_db = np.atleast_1d(np.asarray(snr_db, dtype=float))
     if snr_db.size == 0:
         raise ValueError("snr_db must contain at least one point")

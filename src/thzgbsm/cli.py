@@ -255,10 +255,16 @@ def _analyze_mpcs(args, header, rows) -> tuple[dict, list[tuple]]:
                if "aoa_deg" in header else None)
         zoa = (np.array([_f(r, "zoa_deg", 90.0) for r in rs])
                if "zoa_deg" in header or "aoa_deg" in header else None)
+        if not np.any(power > 0):
+            raise ValueError(f"drop {d}: all its power cells are 0, so it "
+                             "carries no power")
         ds = analysis.rms_ds(delay, power)
         if np.ptp(delay[power > 0]) == 0:
             raise ValueError(f"drop {d}: all its rows with power share one "
                              "delay, so its delay spread is zero")
+        if aoa is not None and np.ptp(aoa[power > 0]) == 0:
+            raise ValueError(f"drop {d}: all its rows with power share one "
+                             "aoa_deg, so its azimuth spread is zero")
         asa_v = analysis.asa(aoa, power) if aoa is not None else None
         k_v = analysis.k_factor(power, on_infinite="inf")
         if np.isfinite(k_v):
@@ -487,6 +493,8 @@ def cmd_capacity(parser, args) -> int:
     sources = ("measured", "3gpp") if args.source == "both" else (args.source,)
     if args.drops < 1:
         parser.error("--drops: must be at least 1")
+    if args.tones < 1:
+        parser.error("--tones: must be at least 1")
 
     curves = {}
     pfiles = {}

@@ -209,9 +209,8 @@ def rescale_azimuth(angles_deg, ray_powers, los_weight: float,
     vals = np.array([scale_spread(s) for s in grid])
     hit = np.nonzero(vals >= target_asa_deg)[0]
     if hit.size:
+        # grid[0] is the scale 1.0 already found below the target
         i = hit[0]
-        if i == 0:
-            return from_dev(grid[0] * dev)
         s = bisect(scale_spread, grid[i - 1], grid[i])
         return from_dev(s * dev)
 
@@ -243,7 +242,7 @@ def rescale_zenith(angles_deg, ray_powers, los_weight: float,
     if los_weight > 0:
         a = np.concatenate([[bearing_deg], a])
         p = np.concatenate([[los_weight], p])
-    cur = analysis.zenith_spread(a, p)
+    cur = analysis.rms_ds(a, p)
     if cur <= 0:
         return _fold_zenith(ang)
     return _fold_zenith(bearing_deg + (target_spread_deg / cur) * (ang - bearing_deg))

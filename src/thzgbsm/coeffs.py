@@ -1,19 +1,20 @@
 """Antenna arrays, ray coefficients and channel impulse/transfer functions.
 
-Drops become MIMO channel matrices here: each ray contributes a dual-
-polarized field term (random-phase polarization matrix scaled by the
-ray's XPR) and array steering phases at both ends. Rays sum within a
-tap; taps are either one per cluster ("thz-simplified", suited to sparse
-THz clusters whose intra-cluster delay spread is far below typical
-sounding resolution) or the standard form where the two strongest
-clusters split into three sub-taps with fixed ray groups and delay
-offsets.
+Drops become MIMO channel matrices here. Every ray, the direct path
+included, contributes one dual-polarized field term (its amplitude and
+2x2 polarization matrix between the element patterns) and array
+steering phases at both ends; ``assemble_cir`` evaluates that one
+kernel for all rays of a drop at once. Rays sum within a tap; taps are
+either one per cluster ("thz-simplified", suited to sparse THz clusters
+whose intra-cluster delay spread is far below typical sounding
+resolution) or the standard form where the two strongest clusters split
+into three sub-taps with fixed ray groups and delay offsets.
 
 Conventions: zenith is measured from +z, azimuth from +x in the x-y
 plane; arrival angles point from the receiver toward the source of the
 wave, departure angles from the transmitter toward the scatterer. The
-direct path uses the identity-like polarization coupling with a sign
-flip on the phi component and the carrier phase of the 3D distance.
+direct path's polarization matrix is diag(1, -1), and its amplitude
+carries the carrier phase of the 3D distance.
 """
 
 from __future__ import annotations
@@ -113,25 +114,6 @@ def _steering(array: AntennaArray, unit_vec, wavelength_m: float):
     return np.exp(2j * np.pi * phase / wavelength_m)
 
 
-def los_coeff(aoa_deg: float, zoa_deg: float, aod_deg: float, zod_deg: float,
-              distance_m: float, rx_array: AntennaArray, tx_array: AntennaArray,
-              wavelength_m: float) -> np.ndarray:
-    """Unit-power direct-path coefficient matrix, shape (rx, tx).
-
-    Deterministic polarization coupling (theta preserved, phi sign
-    flipped) and the carrier phase of the traveled distance.
-    """
-    f_th_r, f_ph_r = rx_array.pattern(zoa_deg, aoa_deg)
-    f_th_t, f_ph_t = tx_array.pattern(zod_deg, aod_deg)
-    pol = f_th_r * f_th_t - f_ph_r * f_ph_t
-    u_rx = spherical_unit(zoa_deg, aoa_deg)
-    u_tx = spherical_unit(zod_deg, aod_deg)
-    a_rx = _steering(rx_array, u_rx, wavelength_m)
-    a_tx = _steering(tx_array, u_tx, wavelength_m)
-    phase = np.exp(-2j * np.pi * distance_m / wavelength_m)
-    return pol * phase * np.outer(a_rx, a_tx)
-
-
 # ---------------------------------------------------------------------------
 # full-drop assembly
 
@@ -152,82 +134,75 @@ class ChannelRealization:
         return float((np.abs(self.amps) ** 2).sum(axis=0).mean())
 
 
-def _ray_matrix(cs: ClusterSet, rx_array, tx_array, wavelength_m):
-    """All ray coefficients at once, shape (N, M, U, S).
-
-    The polarization term couples the theta/phi responses through the
-    random-phase matrix with cross terms damped by sqrt(1/xpr); steering
-    phases use the positive-exponent convention at both ends.
-    """
-    ph = cs.phases
-    f_th_r, f_ph_r = rx_array.pattern(cs.zoa_deg, cs.aoa_deg)
-    f_th_t, f_ph_t = tx_array.pattern(cs.zod_deg, cs.aod_deg)
-    inv = np.sqrt(1.0 / cs.xpr)
-    pol = (f_th_r * np.exp(1j * ph[..., 0]) * f_th_t
-           + f_th_r * inv * np.exp(1j * ph[..., 1]) * f_ph_t
-           + f_ph_r * inv * np.exp(1j * ph[..., 2]) * f_th_t
-           + f_ph_r * np.exp(1j * ph[..., 3]) * f_ph_t)
-    u_rx = spherical_unit(cs.zoa_deg, cs.aoa_deg)     # (N, M, 3)
-    u_tx = spherical_unit(cs.zod_deg, cs.aod_deg)
-    a_rx = _steering(rx_array, u_rx, wavelength_m)    # (U, N, M)
-    a_tx = _steering(tx_array, u_tx, wavelength_m)    # (S, N, M)
-    amp = np.sqrt(cs.ray_powers()) * pol              # (N, M)
-    return np.einsum("nm,unm,snm->nmus", amp, a_rx, a_tx)
-
-
 def assemble_cir(cs: ClusterSet, rx_array: AntennaArray, tx_array: AntennaArray,
                  wavelength_m: float, mode: str = "thz-simplified",
                  c_ds_s: float | None = None) -> ChannelRealization:
     """Tapped channel realization from one drop.
 
-    mode "thz-simplified" collapses every cluster to a single tap; mode
-    "standard" splits the two strongest clusters into three sub-taps at
-    fixed delay offsets scaled by c_ds_s (the canonical 3.91 ns when not
+    Every ray, the direct path included, goes through one kernel: its
+    amplitude times [f_theta_rx f_phi_rx] P [f_theta_tx f_phi_tx]^T times
+    the rx and tx steering phases (positive-exponent convention at both
+    ends). For a scattered ray P holds the random phases with cross terms
+    damped by sqrt(1/xpr) and the amplitude is the square root of the ray
+    power. The direct path, when the drop carries one, is ray 0 with
+    P = diag(1, -1), amplitude sqrt(los_weight) exp(-j 2 pi d3/lambda)
+    and a tap of its own at zero excess delay.
+
+    Each ray is assigned a tap and a tap sums its rays. mode
+    "thz-simplified" gives every cluster one tap; mode "standard" splits
+    the two strongest clusters into three sub-taps of fixed ray groups at
+    delay offsets scaled by c_ds_s (the canonical 3.91 ns when not
     given). Drops with fewer than two clusters, or too few rays for a
     sub-group, degrade gracefully to fewer taps. Total tap power is
-    identical between the modes.
-
-    The direct path, when the drop carries one, is a separate tap at
-    zero excess delay with power los_weight.
+    identical between the modes. Taps come out in stable delay order,
+    the direct tap first among the zero-delay ones.
     """
     if mode not in ("thz-simplified", "standard"):
         raise ValueError(f"unknown mode {mode!r}")
-    rays = _ray_matrix(cs, rx_array, tx_array, wavelength_m)
-    n, m = cs.ray_powers().shape
-
-    delays = []
-    amps = []
-    if mode == "thz-simplified" or n < 2:
-        split_idx = []
-    else:
-        split_idx = list(np.argsort(cs.powers)[::-1][:2])
     if c_ds_s is None:
         c_ds_s = DEFAULT_C_DS_S
-
-    for i in range(n):
-        if i in split_idx and m > 1:
-            for fac, group in zip(SUBCLUSTER_DELAY_FACTORS, SUBCLUSTER_RAY_GROUPS):
-                sel = [g for g in group if g < m]
-                if not sel:
-                    continue
-                delays.append(cs.delays_s[i] + fac * c_ds_s)
-                amps.append(rays[i, sel].sum(axis=0))
-        else:
-            delays.append(cs.delays_s[i])
-            amps.append(rays[i].sum(axis=0))
-
+    n, m = cs.ray_fractions.shape
+    sub = np.zeros((n, m), dtype=int)     # sub-tap of each ray in its cluster
+    if mode == "standard" and n >= 2:
+        strongest = np.argsort(cs.powers)[::-1][:2]
+        for k, group in enumerate(SUBCLUSTER_RAY_GROUPS):
+            sub[np.ix_(strongest, [r for r in group if r < m])] = k
+    # tap index 3 * cluster + sub-tap; the direct path's -1 sorts first
+    # among equal delays
+    tap = (3 * np.arange(n)[:, None] + sub).ravel()
+    delay = (cs.delays_s[:, None]
+             + np.take(SUBCLUSTER_DELAY_FACTORS, sub) * c_ds_s).ravel()
+    amp = np.sqrt(cs.ray_powers()).ravel()
+    inv = np.sqrt(1.0 / cs.xpr)
+    e = np.exp(1j * cs.phases)
+    pol = np.stack([e[..., 0], inv * e[..., 1], inv * e[..., 2], e[..., 3]],
+                   axis=-1).reshape(-1, 4)            # rows of P, flattened
+    ang = np.stack([cs.zoa_deg, cs.aoa_deg, cs.zod_deg, cs.aod_deg]).reshape(4, -1)
     if cs.los_weight > 0:
         g = cs.geometry
-        direct = los_coeff(g.aoa_los_deg, g.zoa_los_deg, g.aod_los_deg,
-                           g.zod_los_deg, g.d3_m, rx_array, tx_array,
-                           wavelength_m)
-        delays.insert(0, 0.0)
-        amps.insert(0, np.sqrt(cs.los_weight) * direct)
+        tap = np.concatenate([[-1], tap])
+        delay = np.concatenate([[0.0], delay])
+        amp = np.concatenate([[np.sqrt(cs.los_weight)
+                               * np.exp(-2j * np.pi * g.d3_m / wavelength_m)], amp])
+        pol = np.concatenate([[[1.0, 0.0, 0.0, -1.0]], pol])
+        ang = np.column_stack([[g.zoa_los_deg, g.aoa_los_deg,
+                                g.zod_los_deg, g.aod_los_deg], ang])
 
-    delays = np.asarray(delays)
-    amps = np.stack(amps)
-    order = np.argsort(delays, kind="stable")
-    return ChannelRealization(delays_s=delays[order], amps=amps[order],
+    zoa, aoa, zod, aod = ang
+    f_th_r, f_ph_r = rx_array.pattern(zoa, aoa)
+    f_th_t, f_ph_t = tx_array.pattern(zod, aod)
+    coeff = amp * (f_th_r * (pol[:, 0] * f_th_t + pol[:, 1] * f_ph_t)
+                   + f_ph_r * (pol[:, 2] * f_th_t + pol[:, 3] * f_ph_t))
+    a_rx = coeff * _steering(rx_array, spherical_unit(zoa, aoa), wavelength_m)
+    a_tx = _steering(tx_array, spherical_unit(zod, aod), wavelength_m)
+
+    # rays sorted by (delay, tap): each tap is one contiguous run
+    order = np.lexsort((tap, delay))
+    tap, a_rx, a_tx = tap[order], a_rx[:, order], a_tx[:, order]
+    start = np.flatnonzero(np.concatenate([[True], tap[1:] != tap[:-1]]))
+    stop = np.append(start[1:], tap.size)
+    amps = np.stack([a_rx[:, i:j] @ a_tx[:, i:j].T for i, j in zip(start, stop)])
+    return ChannelRealization(delays_s=delay[order][start], amps=amps,
                               wavelength_m=wavelength_m)
 
 

@@ -7,7 +7,7 @@ from thzgbsm.analysis import (
     InfiniteKFactorError, KPowerMeans, MpcSet, Pdp, cluster_stats,
     correlation_distance, cross_corr, fit_lognormal, fit_normal, k_factor,
     kpower_means, lsp_cross_corr, mcd_embedding, rms_ds, asa,
-    select_n_clusters, synth_omni, threshold, zenith_spread)
+    select_n_clusters, synth_omni, threshold)
 
 
 # --- delay spread ---
@@ -70,8 +70,9 @@ def test_asa_invariant_to_rotation_and_scale():
 
 
 def test_zenith_spread_weighted_std():
+    # the zenith spread is the power-weighted std that rms_ds computes
     z = np.array([80.0, 100.0])
-    assert zenith_spread(z, [1.0, 1.0]) == pytest.approx(10.0)
+    assert rms_ds(z, [1.0, 1.0]) == pytest.approx(10.0)
 
 
 # --- K-factor ---

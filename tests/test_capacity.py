@@ -122,6 +122,13 @@ def test_mixed_condition_requires_nlos_params():
                                 los_fraction=0.5)
 
 
+def test_experiment_rejects_fewer_than_one_tone():
+    p = load_params("office", "los", "measured")
+    for n_tones in (0, -1):
+        with pytest.raises(ValueError, match="n_tones"):
+            run_capacity_experiment(p, snr_db=[10.0], n_drops=2, n_tones=n_tones)
+
+
 def test_crossover_snr_interpolates():
     snr = np.array([0.0, 10.0, 20.0])
     a = np.array([1.0, 2.0, 3.0])

@@ -217,15 +217,21 @@ def test_analyze_bad_cell_exits_1_with_message(tmp_path, capsys, column, cell):
     assert not (out / "per_drop.csv").exists()
 
 
-@pytest.mark.parametrize("drop0", ["0,5,1\n", "0,5,1\n0,5,0.5\n0,9,0\n"],
-                         ids=["one-row", "one-delay"])
-def test_analyze_zero_delay_spread_names_the_drop(tmp_path, capsys, drop0):
+@pytest.mark.parametrize(("drop0", "cause"), [
+    ("0,5,1,30\n", "delay spread is zero"),
+    ("0,5,1,30\n0,5,0.5,40\n0,9,0,50\n", "delay spread is zero"),
+    ("0,5,1,30\n0,9,0.5,30\n0,12,0,50\n", "azimuth spread is zero"),
+    ("0,5,0,30\n0,9,0,40\n", "carries no power"),
+], ids=["one-row", "one-delay", "one-aoa", "no-power"])
+def test_analyze_zero_delay_spread_names_the_drop(tmp_path, capsys, drop0,
+                                                  cause):
     src = tmp_path / "mpcs.csv"
-    src.write_text("drop,delay_ns,power\n" + drop0 + "1,0,1\n1,5,0.5\n")
+    src.write_text("drop,delay_ns,power,aoa_deg\n" + drop0
+                   + "1,0,1,0\n1,5,0.5,40\n")
     out = tmp_path / "rep"
     assert main(["analyze", "--input", str(src), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "drop 0" in err and "delay spread is zero" in err
+    assert "drop 0" in err and cause in err
     assert not (out / "report.yaml").exists()
 
 
@@ -312,6 +318,16 @@ def test_capacity_bad_snr_exits_2(tmp_path):
         main(["capacity", "--scenario", "umi", "--snr", "bogus",
               "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("tones", ["0", "-3"])
+def test_capacity_tones_below_one_exits_2(tmp_path, tones):
+    out = tmp_path / "cap"
+    with pytest.raises(SystemExit) as exc:
+        main(["capacity", "--scenario", "office", "--source", "measured",
+              "--drops", "2", "--tones", tones, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not (out / "capacity.csv").exists()
 
 
 def test_capacity_rerun_byte_identical(tmp_path):

@@ -160,8 +160,8 @@ def test_rescale_zenith_target_and_range():
     ang = np.array([85.0, 95.0, 100.0])
     pw = np.array([1.0, 1.0, 1.0])
     out = rescale_zenith(ang, pw, 0.0, 90.0, 3.0)
-    from thzgbsm.analysis import zenith_spread
-    assert zenith_spread(out, pw) == pytest.approx(3.0, abs=1e-9)
+    from thzgbsm.analysis import rms_ds
+    assert rms_ds(out, pw) == pytest.approx(3.0, abs=1e-9)
     assert np.all((out >= 0.0) & (out <= 180.0))
 
 

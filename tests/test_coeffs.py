@@ -6,9 +6,9 @@ from numpy.testing import assert_allclose
 
 from thzgbsm.clusters import ClusterSet, LinkGeometry, build_drop
 from thzgbsm.coeffs import (
-    AntennaArray, ChannelRealization, assemble_cir, cir_to_ctf,
-    isotropic_horizontal, isotropic_vertical, los_coeff, single_antenna,
-    spherical_unit, ura)
+    SUBCLUSTER_DELAY_FACTORS, SUBCLUSTER_RAY_GROUPS, AntennaArray,
+    ChannelRealization, assemble_cir, cir_to_ctf, isotropic_horizontal,
+    isotropic_vertical, single_antenna, spherical_unit, ura)
 from thzgbsm.params import load_params
 
 LAM = 299792458.0 / 100e9
@@ -46,36 +46,52 @@ def test_single_antenna():
     assert_allclose(arr.positions_m, 0.0)
 
 
-def test_los_coeff_phase_oracles():
+def _hand_drop(power, los_weight, aoa, zoa, aod, zod, xpr, phases, d3_m=1.0):
+    """One cluster of one ray at 5 ns, plus a direct path of share
+    los_weight from azimuth 0 / 180 deg on the horizon, d3_m apart."""
+    one = np.ones((1, 1))
+    geom = LinkGeometry(d2_m=d3_m, d3_m=d3_m, aoa_los_deg=0.0,
+                        aod_los_deg=180.0, zoa_los_deg=90.0, zod_los_deg=90.0,
+                        mu_xy_m=(1.0, 0.0))
+    return ClusterSet(delays_s=np.array([5e-9]), powers=np.array([power]),
+                      los_weight=los_weight, ray_fractions=one,
+                      aoa_deg=aoa * one, aod_deg=aod * one, zoa_deg=zoa * one,
+                      zod_deg=zod * one, xpr=xpr * one,
+                      phases=np.asarray(phases, dtype=float).reshape(1, 1, 4),
+                      geometry=geom, lsp={})
+
+
+def _direct_tap(d3_m, rx, tx):
+    """Direct-path tap of a drop whose power is all in the direct path."""
+    cs = _hand_drop(1.0, 1.0, 40.0, 70.0, -20.0, 95.0, 10.0,
+                    [0.3, -1.0, 2.2, 0.7], d3_m=d3_m)
+    cr = assemble_cir(cs, rx, tx, LAM)
+    assert_allclose(cr.delays_s, [0.0, 5e-9])
+    assert_allclose(cr.amps[1], 0.0, atol=1e-15)
+    return cr.amps[0]
+
+
+def test_direct_path_phase_oracles():
     rx = single_antenna()
     tx = single_antenna()
-    h1 = los_coeff(0.0, 90.0, 180.0, 90.0, LAM, rx, tx, LAM)
+    h1 = _direct_tap(LAM, rx, tx)
     assert h1.shape == (1, 1)
     assert h1[0, 0] == pytest.approx(1.0 + 0.0j, abs=1e-12)
-    h2 = los_coeff(0.0, 90.0, 180.0, 90.0, LAM / 2, rx, tx, LAM)
+    h2 = _direct_tap(LAM / 2, rx, tx)
     assert h2[0, 0] == pytest.approx(-1.0 + 0.0j, abs=1e-12)
 
 
-def test_los_coeff_horizontal_polarization_sign():
+def test_direct_path_horizontal_polarization_sign():
     rx = single_antenna(pattern=isotropic_horizontal)
     tx = single_antenna(pattern=isotropic_horizontal)
-    h = los_coeff(0.0, 90.0, 180.0, 90.0, LAM, rx, tx, LAM)
-    # pure horizontal links through the minus branch of the 2x2 identity-like
-    # polarization coupling
+    h = _direct_tap(LAM, rx, tx)
+    # pure horizontal links through the minus branch of diag(1, -1)
     assert h[0, 0] == pytest.approx(-1.0 + 0.0j, abs=1e-12)
 
 
 def _one_ray(power, aoa, zoa, aod, zod, xpr, phases, rx, tx):
     """(rx, tx) coefficients of a one-cluster, one-ray NLoS drop."""
-    one = np.ones((1, 1))
-    geom = LinkGeometry(d2_m=1.0, d3_m=1.0, aoa_los_deg=0.0, aod_los_deg=0.0,
-                        zoa_los_deg=90.0, zod_los_deg=90.0, mu_xy_m=(1.0, 0.0))
-    cs = ClusterSet(delays_s=np.zeros(1), powers=np.array([power]),
-                    los_weight=0.0, ray_fractions=one, aoa_deg=aoa * one,
-                    aod_deg=aod * one, zoa_deg=zoa * one, zod_deg=zod * one,
-                    xpr=xpr * one,
-                    phases=np.asarray(phases, dtype=float).reshape(1, 1, 4),
-                    geometry=geom, lsp={})
+    cs = _hand_drop(power, 0.0, aoa, zoa, aod, zod, xpr, phases)
     cr = assemble_cir(cs, rx, tx, LAM)
     assert cr.amps.shape == (1, rx.n_elements, tx.n_elements)
     return cr.amps[0]
@@ -139,6 +155,12 @@ def test_assemble_cir_standard_splits_two_strongest():
     tx = single_antenna()
     cr = assemble_cir(cs, rx, tx, p.wavelength_m, mode="standard")
     assert cr.amps.shape[0] == cs.n_clusters + 4
+    # sub-taps at tau, tau + 1.28 c and tau + 2.56 c, c the default 3.91 ns
+    top = np.argsort(cs.powers)[-2:]
+    tau = cs.delays_s[top]
+    expected = np.sort(np.concatenate([cs.delays_s, tau + 1.28 * 3.91e-9,
+                                       tau + 2.56 * 3.91e-9]))
+    assert_allclose(cr.delays_s, expected, rtol=1e-12, atol=0.0)
     # few-ray drops degrade gracefully instead of emitting empty taps
     pm, csm = _drop("office", "nlos")  # 5 rays per cluster
     crm = assemble_cir(csm, rx, tx, pm.wavelength_m, mode="standard")
@@ -187,6 +209,72 @@ def test_assemble_cir_array_shapes():
     assert cr.amps.shape == (cs.n_clusters + 1, 4, 16)
     h = cir_to_ctf(cr, np.linspace(-0.5e9, 0.5e9, 8))
     assert h.shape == (8, 4, 16)
+
+
+def _slanted(zenith_deg, azimuth_deg):
+    """Pattern with both polarization components, so every entry of the
+    polarization matrix reaches the coefficient."""
+    z = np.deg2rad(np.asarray(zenith_deg, dtype=float))
+    a = np.deg2rad(np.asarray(azimuth_deg, dtype=float))
+    return np.cos(0.3 + 0.2 * a) * np.sin(z), np.sin(0.3 + 0.2 * a) + 0.0 * z
+
+
+def _reference_taps(cs, rx, tx, lam, mode, c_ds):
+    """Per-ray loop: each tap sums amp [f_th_r f_ph_r] P [f_th_t f_ph_t]^T
+    outer(a_rx, a_tx) over its rays; taps in stable delay order."""
+    def steer(arr, zen, az):
+        return np.exp(2j * np.pi * (arr.positions_m @ spherical_unit(zen, az)) / lam)
+
+    def ray(amp, pol, zoa, aoa, zod, aod):
+        f_r = np.array(rx.pattern(zoa, aoa), dtype=float)
+        f_t = np.array(tx.pattern(zod, aod), dtype=float)
+        return (amp * (f_r @ pol @ f_t)
+                * np.outer(steer(rx, zoa, aoa), steer(tx, zod, aod)))
+
+    taps = []
+    if cs.los_weight > 0:
+        g = cs.geometry
+        amp = np.sqrt(cs.los_weight) * np.exp(-2j * np.pi * g.d3_m / lam)
+        taps.append((0.0, ray(amp, np.diag([1.0, -1.0]), g.zoa_los_deg,
+                              g.aoa_los_deg, g.zod_los_deg, g.aod_los_deg)))
+    n, m = cs.ray_fractions.shape
+    split = set(np.argsort(cs.powers)[-2:]) if mode == "standard" and n >= 2 else set()
+    rp = cs.ray_powers()
+    for i in range(n):
+        groups = SUBCLUSTER_RAY_GROUPS if i in split else [range(m)]
+        for fac, group in zip(SUBCLUSTER_DELAY_FACTORS, groups):
+            h = 0.0
+            rays = [r for r in group if r < m]
+            for r in rays:
+                e = np.exp(1j * cs.phases[i, r])
+                k = np.sqrt(1.0 / cs.xpr[i, r])
+                pol = np.array([[e[0], k * e[1]], [k * e[2], e[3]]])
+                h = h + ray(np.sqrt(rp[i, r]), pol, cs.zoa_deg[i, r],
+                            cs.aoa_deg[i, r], cs.zod_deg[i, r], cs.aod_deg[i, r])
+            if rays:
+                taps.append((cs.delays_s[i] + fac * c_ds, h))
+    taps.sort(key=lambda t: t[0])
+    return np.array([t[0] for t in taps]), np.stack([t[1] for t in taps])
+
+
+@pytest.mark.parametrize("mode", ["thz-simplified", "standard"])
+@pytest.mark.parametrize("condition", ["los", "nlos"])
+@pytest.mark.parametrize("source", ["3gpp", "measured"])
+def test_assemble_cir_matches_per_ray_reference(source, condition, mode):
+    p = load_params("office", condition, source)
+    c_ds = p.clusters.c_ds_ns * 1e-9
+    lam = p.wavelength_m
+    small = ura(2, 2, lam / 2, pattern=_slanted)
+    large = ura(4, 4, lam / 2, pattern=_slanted)
+    for rx, tx in ((small, large), (large, small)):
+        for seed in range(2):
+            cs = build_drop(p, np.random.default_rng(seed))
+            cr = assemble_cir(cs, rx, tx, lam, mode=mode, c_ds_s=c_ds)
+            delays, amps = _reference_taps(cs, rx, tx, lam, mode, c_ds)
+            assert_allclose(cr.delays_s, delays, rtol=1e-12, atol=0.0)
+            assert cr.amps.shape == amps.shape
+            assert_allclose(cr.amps, amps, rtol=0.0,
+                            atol=1e-12 * np.abs(amps).max())
 
 
 def _tap_cr(delays, amp_per_tap):
