@@ -9,11 +9,10 @@ between the two parameter sources.
 
 __version__ = "0.1.0"
 
-from .analysis import (InfiniteKFactorError, KPowerMeans, MpcSet, Pdp, asa,
-                       cluster_stats, correlation_distance, cross_corr,
-                       fit_lognormal, fit_normal, k_factor, kpower_means,
-                       lsp_cross_corr, rms_ds, select_n_clusters, synth_omni,
-                       threshold)
+from .analysis import (KPowerMeans, MpcSet, Pdp, asa, cluster_stats,
+                       cross_corr, fit_lognormal, fit_normal, k_factor,
+                       kpower_means, lsp_cross_corr, rms_ds,
+                       select_n_clusters, synth_omni, threshold)
 from .capacity import (CapacityExperiment, crossover_snr, mimo_capacity,
                        mimo_capacity_det, run_capacity_experiment)
 from .clusters import (ClusterSet, LinkGeometry, apply_in_cluster_k,
@@ -28,10 +27,8 @@ from .constants import RAY_OFFSETS, SPEED_OF_LIGHT, c_phi, c_theta, ray_offsets,
 from .fields import GaussianField
 from .lsp import LspRealization, draw_lsp_iid, generate_lsp, mixing_matrix
 from .params import (LogNormalSpec, NormalSpec, ParamValidationError,
-                     ScenarioParamSet, available_sets, load_params,
-                     load_params_file, nearest_psd)
-from .pathloss import (CiFit, PathLossSample, ci_pl_db, fit_ci, fspl_db,
-                       pathloss_db, pl_best_direction, pl_from_pdp,
-                       umi_nlos_3gpp_pl_db)
+                     ScenarioParamSet, load_params, load_params_file,
+                     nearest_psd)
+from .pathloss import fspl_db, pl_from_pdp, umi_nlos_3gpp_pl_db
 
 __all__ = [k for k in dir() if not k.startswith("_")]

@@ -4,9 +4,8 @@ Standalone estimators that work on measured or simulated power-delay
 data: omnidirectional PDP synthesis from directional scans, noise
 thresholding, RMS delay spread, circular azimuth spread, Rician
 K-factor, lognormal/normal parameter fits, LSP cross-correlations,
-correlation distance along a track, multipath-component clustering by
-power-weighted K-means over a multipath component distance, and
-per-cluster spread statistics.
+multipath-component clustering by power-weighted K-means over a
+multipath component distance, and per-cluster spread statistics.
 
 Everything here consumes plain arrays (or the small dataclasses below)
 and knows nothing about the generation side, so the same code runs on
@@ -20,13 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import wrap_deg
-
-INV_E = 1.0 / np.e
-
-
-class InfiniteKFactorError(ValueError):
-    """K-factor of a single-component profile: the diffuse power is zero."""
-
 
 # ---------------------------------------------------------------------------
 # containers
@@ -169,13 +161,11 @@ def asa(azimuth_deg, powers) -> float:
     return float(np.rad2deg(np.sqrt(max(1.0 - r * r, 0.0))))
 
 
-def k_factor(pdp_or_powers, powers=None, on_infinite: str = "raise") -> float:
+def k_factor(pdp_or_powers, powers=None) -> float:
     """Rician K estimate in dB: strongest component over the rest.
 
-    A profile with a single nonzero component has no diffuse power; that
-    case raises InfiniteKFactorError by default, or returns +inf when
-    called with on_infinite="inf" (cluster statistics want the flag, not
-    the exception).
+    A profile with a single nonzero component has no diffuse power and
+    returns +inf, a flag that keeps medians across clusters defined.
     """
     if isinstance(pdp_or_powers, Pdp):
         p = pdp_or_powers.powers
@@ -187,9 +177,7 @@ def k_factor(pdp_or_powers, powers=None, on_infinite: str = "raise") -> float:
     peak = p.max()
     rest = p.sum() - peak
     if rest <= 0:
-        if on_infinite == "inf":
-            return float("inf")
-        raise InfiniteKFactorError("single-component profile, K-factor infinite")
+        return float("inf")
     return float(10.0 * np.log10(peak / rest))
 
 
@@ -247,41 +235,6 @@ def lsp_cross_corr(ds_s, asa_deg, sf_db, k_db=None) -> tuple[list[str], np.ndarr
     if k_db is not None:
         cols["k"] = np.asarray(k_db, dtype=float)
     return cross_corr(cols)
-
-
-def correlation_distance(positions_m, values) -> float:
-    """Distance at which the track autocorrelation first drops to 1/e.
-
-    positions_m must be a uniformly spaced increasing 1-D track with at
-    least 20 points. Linear interpolation between the two lags bracketing
-    the 1/e crossing refines the estimate below the lag spacing.
-    """
-    pos = np.asarray(positions_m, dtype=float)
-    val = np.asarray(values, dtype=float)
-    if pos.shape != val.shape or pos.ndim != 1:
-        raise ValueError("positions_m and values must be matching 1-D arrays")
-    if pos.size < 20:
-        raise ValueError("need at least 20 positions along the track")
-    steps = np.diff(pos)
-    if np.any(steps <= 0):
-        raise ValueError("positions_m must be strictly increasing")
-    spacing = steps.mean()
-    if not np.allclose(steps, spacing, rtol=1e-6, atol=1e-12):
-        raise ValueError("positions_m must be uniformly spaced")
-    x = val - val.mean()
-    denom = (x * x).sum()
-    if denom == 0:
-        raise ValueError("values have zero variance along the track")
-
-    prev = 1.0
-    for lag in range(1, pos.size - 1):
-        r = (x[:-lag] * x[lag:]).sum() / denom
-        if r < INV_E:
-            frac = (prev - INV_E) / (prev - r)
-            return float((lag - 1 + frac) * spacing)
-        prev = r
-    raise ValueError("autocorrelation never falls to 1/e; track too short "
-                     "for this correlation distance")
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +443,7 @@ def cluster_stats(mpcs: MpcSet, labels=None) -> ClusterStats:
             casa.append(asa(mpcs.aoa_deg[m], p))
         else:
             casa.append(np.nan)
-        ck.append(k_factor(p, on_infinite="inf"))
+        ck.append(k_factor(p))
         cnt.append(int(m.sum()))
     cds, casa, ck = map(np.asarray, (cds, casa, ck))
     cnt = np.asarray(cnt)

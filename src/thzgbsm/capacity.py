@@ -43,8 +43,7 @@ def mimo_capacity(h, rho_linear: float, m_t: int | None = None) -> float:
     if m_t is None:
         m_t = s
     gram = h @ h.conj().T if u <= s else h.conj().T @ h
-    eig = np.linalg.eigvalsh(gram)
-    return float(np.log2(1.0 + rho_linear * np.clip(eig, 0.0, None) / m_t).sum())
+    return float(capacity_from_eigs(np.linalg.eigvalsh(gram), rho_linear, m_t))
 
 
 def mimo_capacity_det(h, rho_linear: float, m_t: int | None = None) -> float:

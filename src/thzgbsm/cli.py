@@ -266,7 +266,7 @@ def _analyze_mpcs(args, header, rows) -> tuple[dict, list[tuple]]:
             raise ValueError(f"drop {d}: all its rows with power share one "
                              "aoa_deg, so its azimuth spread is zero")
         asa_v = analysis.asa(aoa, power) if aoa is not None else None
-        k_v = analysis.k_factor(power, on_infinite="inf")
+        k_v = analysis.k_factor(power)
         if np.isfinite(k_v):
             k_vals.append(k_v)
 
@@ -350,8 +350,7 @@ def _analyze_pdp(args, header, rows) -> dict:
         "kind": "pdp",
         "n_directions": len(pdps),
         "ds_ns": round(analysis.rms_ds(omni) * 1e9, 6),
-        "k_db": round(analysis.k_factor(omni.powers[omni.powers > 0],
-                                        on_infinite="inf"), 6),
+        "k_db": round(analysis.k_factor(omni.powers[omni.powers > 0]), 6),
     }
     if "phi_rx_deg" in dir_cols and len(pdps) > 1:
         az = np.array([p.direction["phi_rx_deg"] for p in pdps])
@@ -360,7 +359,7 @@ def _analyze_pdp(args, header, rows) -> dict:
     if "distance_m" in header:
         from .pathloss import pl_from_pdp
         d = _f(rows[0], "distance_m")
-        report["pl_db"] = round(pl_from_pdp(omni, distance_m=d).pl_db, 6)
+        report["pl_db"] = round(pl_from_pdp(omni), 6)
         report["distance_m"] = d
     return report
 
@@ -473,20 +472,19 @@ def cmd_roundtrip(parser, args) -> int:
 def _parse_snr(parser, spec: str) -> np.ndarray:
     try:
         if ":" in spec:
-            parts = [float(p) for p in spec.split(":")]
+            parts = [_finite_float(p) for p in spec.split(":")]
             if len(parts) != 3:
                 raise ValueError("expected start:stop:step")
             start, stop, step = parts
             if step <= 0 or stop < start:
                 raise ValueError("need stop >= start and step > 0")
             return np.arange(start, stop + step / 2.0, step)
-        return np.array([float(p) for p in spec.split(",") if p != ""])
-    except ValueError as exc:
+        return np.array([_finite_float(p) for p in spec.split(",") if p != ""])
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         parser.error(f"--snr: {exc}")
 
 
 def cmd_capacity(parser, args) -> int:
-    out = _out_dir(parser, args)
     snr = _parse_snr(parser, args.snr)
     if snr.size == 0:
         parser.error("--snr: no points given")
@@ -495,6 +493,7 @@ def cmd_capacity(parser, args) -> int:
         parser.error("--drops: must be at least 1")
     if args.tones < 1:
         parser.error("--tones: must be at least 1")
+    out = _out_dir(parser, args)
 
     curves = {}
     pfiles = {}
@@ -561,6 +560,14 @@ def cmd_capacity(parser, args) -> int:
 # parser
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float other than nan and +-inf."""
+    x = float(text)
+    if not np.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return x
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="thzgbsm",
@@ -594,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write per-ray multipath components")
     sp.add_argument("--dump-cir", action="store_true",
                     help="write single-element tapped impulse responses")
-    sp.add_argument("--grid-step", type=float, default=None,
+    sp.add_argument("--grid-step", type=_finite_float, default=None,
                     help="field grid step in meters")
     sp.set_defaults(func=cmd_simulate)
 
@@ -604,19 +611,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--recluster", action="store_true",
                     help="ignore provided cluster labels and re-cluster")
     sp.add_argument("--max-clusters", type=int, default=10)
-    sp.add_argument("--delay-weight", type=float, default=8.0)
-    sp.add_argument("--noise-floor", type=float, default=None,
+    sp.add_argument("--delay-weight", type=_finite_float, default=8.0)
+    sp.add_argument("--noise-floor", type=_finite_float, default=None,
                     help="linear noise floor for PDP thresholding")
-    sp.add_argument("--margin-db", type=float, default=6.0)
+    sp.add_argument("--margin-db", type=_finite_float, default=6.0)
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("roundtrip",
                         help="generate drops, re-extract, compare medians")
     selection(sp)
     common(sp, 500)
-    sp.add_argument("--tol-log10", type=float, default=0.15,
+    sp.add_argument("--tol-log10", type=_finite_float, default=0.15,
                     help="median tolerance for log10 DS and ASA")
-    sp.add_argument("--tol-k-db", type=float, default=3.0,
+    sp.add_argument("--tol-k-db", type=_finite_float, default=3.0,
                     help="median tolerance for the K-factor in dB")
     sp.set_defaults(func=cmd_roundtrip)
 
@@ -633,8 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", default="thz-simplified",
                     choices=("thz-simplified", "standard"))
     sp.add_argument("--tones", type=int, default=64)
-    sp.add_argument("--bandwidth-hz", type=float, default=1e9)
-    sp.add_argument("--los-fraction", type=float, default=None,
+    sp.add_argument("--bandwidth-hz", type=_finite_float, default=1e9)
+    sp.add_argument("--los-fraction", type=_finite_float, default=None,
                     help="mix NLoS drops in with this LoS probability")
     sp.add_argument("--normalization", default="experiment",
                     choices=("experiment", "per-drop"))

@@ -385,19 +385,17 @@ def extract_drop_stats(cs: ClusterSet) -> dict:
         "asa_deg": analysis.asa(cols["aoa_deg"], cols["power"]),
     }
     if cs.los_weight > 0:
-        out["k_db"] = analysis.k_factor(cols["power"], on_infinite="inf")
+        out["k_db"] = analysis.k_factor(cols["power"])
     return out
 
 
 def build_drop(params: ScenarioParamSet, rng, geometry: LinkGeometry | None = None,
-               lsp_vals: dict | None = None, k_db_override: float | None = None,
-               cluster_count_mode: str = "fixed") -> ClusterSet:
+               lsp_vals: dict | None = None, k_db_override: float | None = None
+               ) -> ClusterSet:
     """Generate one full drop.
 
     lsp_vals, when given, must carry ds_s / asa_deg / sf_db (and k_db for
     LoS sets); otherwise an independent correlated draw is made here.
-    cluster_count_mode "lognormal" draws the cluster count from the
-    set's fitted count distribution instead of the fixed value.
     """
     if geometry is None:
         geometry = place_user(params, rng)
@@ -405,16 +403,7 @@ def build_drop(params: ScenarioParamSet, rng, geometry: LinkGeometry | None = No
         from .lsp import draw_lsp_iid
         lsp_vals = draw_lsp_iid(params, 1, rng).row(0)
 
-    if cluster_count_mode == "lognormal":
-        spec = params.clusters.count_log10
-        if spec is None:
-            raise ValueError(f"{params.label()} has no cluster-count lognormal fit")
-        n = max(1, round(10.0 ** (spec.mu + spec.sigma * rng.standard_normal())))
-    elif cluster_count_mode == "fixed":
-        n = params.clusters.count
-    else:
-        raise ValueError(f"unknown cluster_count_mode {cluster_count_mode!r}")
-
+    n = params.clusters.count
     k_db = k_db_override if k_db_override is not None else lsp_vals.get("k_db")
     if params.condition == "nlos":
         k_db = None

@@ -1,4 +1,4 @@
-"""Scenario parameter sets: schema, validation, serialization.
+"""Scenario parameter sets: schema, validation, loading.
 
 A parameter set bundles everything one scenario/condition/source needs:
 path loss model coefficients, large-scale parameter distributions
@@ -16,7 +16,7 @@ The bundled files live in ``thzgbsm/data``; the environment variable
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +68,7 @@ class ClusterSpec:
     c_ds_ns: float
     c_asa_deg: float
     c_k_db: float
-    count_log10: LogNormalSpec | None = None  # optional lognormal cluster-count mode
+    count_log10: LogNormalSpec | None = None  # measured count fit; reference only
 
 
 @dataclass
@@ -212,16 +212,7 @@ class ScenarioParamSet:
         if issues:
             raise ParamValidationError(issues)
 
-    # -- serialization ---------------------------------------------------
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        if d["k_db"] is None:
-            del d["k_db"]
-        if d["clusters"]["count_log10"] is None:
-            del d["clusters"]["count_log10"]
-        d["geometry"]["annulus_m"] = list(d["geometry"]["annulus_m"])
-        return d
+    # -- loading ---------------------------------------------------------
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioParamSet":
@@ -314,9 +305,6 @@ class ScenarioParamSet:
         ps.validate()
         return ps
 
-    def save(self, path) -> None:
-        Path(path).write_text(yaml.safe_dump(self.to_dict(), sort_keys=True))
-
 
 def _pair_key(a: str, b: str) -> str:
     # Stored pair keys follow LSP_ORDER precedence, e.g. "ds_sf", "asa_k".
@@ -381,10 +369,9 @@ def load_params_file(path) -> list[ScenarioParamSet]:
     return sets
 
 
-def load_params(scenario: str, condition: str, source: str,
-                params_dir=None) -> ScenarioParamSet:
+def load_params(scenario: str, condition: str, source: str) -> ScenarioParamSet:
     """Load one bundled (or overridden) parameter set by its coordinates."""
-    base = Path(params_dir) if params_dir is not None else data_dir()
+    base = data_dir()
     path = base / f"{scenario}_{condition}_{source}.yaml"
     if not path.is_file():
         raise FileNotFoundError(
@@ -398,13 +385,3 @@ def load_params(scenario: str, condition: str, source: str,
         raise ParamValidationError(
             [f"{path}: file coordinates {ps.label()} do not match request"])
     return ps
-
-
-def available_sets(params_dir=None) -> list[tuple[str, str, str]]:
-    base = Path(params_dir) if params_dir is not None else data_dir()
-    out = []
-    for p in sorted(base.glob("*.yaml")):
-        parts = p.stem.split("_")
-        if len(parts) == 3:
-            out.append(tuple(parts))
-    return out

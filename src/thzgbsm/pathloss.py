@@ -1,20 +1,16 @@
-"""Path loss models and close-in fitting.
+"""Path loss models and path loss from a calibrated power-delay profile.
 
 The measured sets use the close-in (CI) form referenced to one meter of
 free-space loss; the urban-microcell NLoS defaults use a fixed-slope
-street-canyon expression. Fitting goes the other way: given distance /
-loss samples, recover the CI exponent with the physically anchored
-intercept and the shadow-fading spread from the residuals.
+street-canyon expression. The other direction integrates the power of a
+calibrated profile into one loss value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .params import ScenarioParamSet
 
 
 def fspl_db(f_ghz: float, d_m) -> np.ndarray | float:
@@ -27,15 +23,6 @@ def fspl_db(f_ghz: float, d_m) -> np.ndarray | float:
     return float(out) if np.isscalar(d_m) else out
 
 
-def ci_pl_db(f_ghz: float, d_m, ple: float, sf_db=0.0) -> np.ndarray | float:
-    """Close-in path loss: one-meter FSPL anchor plus 10*n*log10(d) + SF."""
-    d = np.asarray(d_m, dtype=float)
-    if np.any(d < 1.0):
-        raise ValueError("close-in model holds for distances of at least 1 m")
-    out = fspl_db(f_ghz, 1.0) + 10.0 * ple * np.log10(d) + np.asarray(sf_db)
-    return float(out) if np.isscalar(d_m) and np.isscalar(sf_db) else out
-
-
 def umi_nlos_3gpp_pl_db(d_m, sf_db=0.0) -> np.ndarray | float:
     """Street-canyon NLoS default at 132 GHz: 67.57 + 35.5 log10(d) + SF."""
     d = np.asarray(d_m, dtype=float)
@@ -45,69 +32,8 @@ def umi_nlos_3gpp_pl_db(d_m, sf_db=0.0) -> np.ndarray | float:
     return float(out) if np.isscalar(d_m) and np.isscalar(sf_db) else out
 
 
-def pathloss_db(params: ScenarioParamSet, d_m, sf_db=0.0):
-    """Path loss under a parameter set's configured model."""
-    if params.pathloss.model == "ci":
-        return ci_pl_db(params.carrier_frequency_ghz, d_m,
-                        params.pathloss.ple, sf_db)
-    return umi_nlos_3gpp_pl_db(d_m, sf_db)
-
-
-# ---------------------------------------------------------------------------
-# fitting
-
-
-@dataclass
-class PathLossSample:
-    distance_m: float
-    pl_db: float
-    condition: str | None = None
-
-
-@dataclass
-class CiFit:
-    ple: float
-    sigma_sf_db: float
-    intercept_db: float      # fixed one-meter FSPL anchor, not estimated
-    n_samples: int
-
-
-def fit_ci(samples, pl_db=None, f_ghz: float | None = None) -> CiFit:
-    """Least-squares close-in exponent with the intercept pinned to the
-    one-meter FSPL.
-
-    Accepts either a list of PathLossSample (then f_ghz is required as a
-    keyword) or two arrays (distances_m, pl_db). The shadow-fading spread
-    is the population standard deviation of the fit residuals.
-    """
-    if pl_db is None:
-        if not samples:
-            raise ValueError("no samples to fit")
-        d = np.array([s.distance_m for s in samples], dtype=float)
-        y = np.array([s.pl_db for s in samples], dtype=float)
-    else:
-        d = np.asarray(samples, dtype=float)
-        y = np.asarray(pl_db, dtype=float)
-        if d.shape != y.shape or d.ndim != 1:
-            raise ValueError("distances and losses must be matching 1-D arrays")
-    if f_ghz is None:
-        raise ValueError("f_ghz is required to anchor the intercept")
-    if np.any(d < 1.0):
-        raise ValueError("close-in fitting needs distances of at least 1 m")
-    if np.unique(d).size < 2:
-        raise ValueError("need at least two distinct distances to identify "
-                         "the exponent")
-    x = 10.0 * np.log10(d)
-    r = y - fspl_db(f_ghz, 1.0)
-    ple = float((x * r).sum() / (x * x).sum())
-    resid = r - ple * x
-    return CiFit(ple=ple, sigma_sf_db=float(resid.std()),
-                 intercept_db=fspl_db(f_ghz, 1.0), n_samples=d.size)
-
-
-def pl_from_pdp(pdp, distance_m: float | None = None,
-                condition: str | None = None) -> PathLossSample:
-    """Path gain integration: loss = -10 log10(sum of linear powers).
+def pl_from_pdp(pdp) -> float:
+    """Path gain integration: loss = -10 log10(sum of linear powers) in dB.
 
     The profile must be calibrated so bin powers are absolute linear
     path gains.
@@ -115,22 +41,4 @@ def pl_from_pdp(pdp, distance_m: float | None = None,
     total = float(np.asarray(pdp.powers, dtype=float).sum())
     if total <= 0:
         raise ValueError("profile has no positive power")
-    return PathLossSample(distance_m=distance_m if distance_m is not None else np.nan,
-                          pl_db=-10.0 * np.log10(total), condition=condition)
-
-
-def pl_best_direction(pdps, distance_m: float | None = None,
-                      condition: str | None = None) -> PathLossSample:
-    """Loss of the strongest single pointing out of a directional scan.
-
-    Never smaller than the loss of the synthesized omni profile, since
-    the omni profile keeps the per-bin maximum across pointings.
-    """
-    if not pdps:
-        raise ValueError("need at least one directional PDP")
-    sums = [float(np.asarray(p.powers, dtype=float).sum()) for p in pdps]
-    best = max(sums)
-    if best <= 0:
-        raise ValueError("no pointing has positive power")
-    return PathLossSample(distance_m=distance_m if distance_m is not None else np.nan,
-                          pl_db=-10.0 * np.log10(best), condition=condition)
+    return float(-10.0 * np.log10(total))

@@ -4,10 +4,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from thzgbsm.analysis import (
-    InfiniteKFactorError, KPowerMeans, MpcSet, Pdp, cluster_stats,
-    correlation_distance, cross_corr, fit_lognormal, fit_normal, k_factor,
-    kpower_means, lsp_cross_corr, mcd_embedding, rms_ds, asa,
-    select_n_clusters, synth_omni, threshold)
+    KPowerMeans, MpcSet, Pdp, cluster_stats, cross_corr, fit_lognormal,
+    fit_normal, k_factor, kpower_means, lsp_cross_corr, mcd_embedding, rms_ds,
+    asa, select_n_clusters, synth_omni, threshold)
 
 
 # --- delay spread ---
@@ -84,11 +83,9 @@ def test_k_factor_oracles():
 
 
 def test_k_factor_infinite_policy():
-    with pytest.raises(InfiniteKFactorError):
-        k_factor([1.0])
-    assert k_factor([1.0], on_infinite="inf") == np.inf
+    assert k_factor([1.0]) == np.inf
     # zero-power entries do not count as competing components
-    assert k_factor([1.0, 0.0, 0.0], on_infinite="inf") == np.inf
+    assert k_factor([1.0, 0.0, 0.0]) == np.inf
 
 
 # --- PDP containers and synthesis ---
@@ -174,40 +171,6 @@ def test_lsp_cross_corr_uses_log_domains():
     names, c = lsp_cross_corr(ds, asa_deg, sf)
     i, j = names.index("ds"), names.index("asa")
     assert c[i, j] == pytest.approx(1.0, abs=1e-9)
-
-
-# --- correlation distance ---
-
-def test_correlation_distance_exponential_fixture():
-    """A Gauss-Markov series with a planted 5 m correlation distance."""
-    rng = np.random.default_rng(12)
-    step, d_corr, n = 0.5, 5.0, 40_000
-    rho = np.exp(-step / d_corr)
-    v = np.empty(n)
-    v[0] = rng.normal()
-    innov = rng.normal(size=n - 1) * np.sqrt(1 - rho**2)
-    for i in range(1, n):
-        v[i] = rho * v[i - 1] + innov[i - 1]
-    x = np.arange(n) * step
-    assert correlation_distance(x, v) == pytest.approx(5.0, abs=0.5)
-
-
-def test_correlation_distance_white_noise_small():
-    rng = np.random.default_rng(3)
-    x = np.arange(2000) * 0.5
-    v = rng.normal(size=2000)
-    assert correlation_distance(x, v) <= 0.5
-
-
-def test_correlation_distance_input_checks():
-    with pytest.raises(ValueError):
-        correlation_distance(np.arange(5.0), np.ones(5))  # constant series
-    with pytest.raises(ValueError):
-        correlation_distance(np.array([0.0, 1.0, 3.0, 6.0, 7.0, 8.0, 9.0,
-                                       10.0, 11.0, 12.0, 13.0, 14.0, 15.0,
-                                       16.0, 17.0, 18.0, 19.0, 20.0, 21.0,
-                                       22.0]),
-                             np.random.default_rng(0).normal(size=20))
 
 
 # --- clustering ---

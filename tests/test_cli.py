@@ -130,11 +130,11 @@ def test_simulate_writes_only_inside_out(tmp_path, monkeypatch):
 
 
 def test_simulate_custom_params_file(tmp_path):
-    from thzgbsm.params import load_params
-    p = load_params("office", "los", "measured")
-    p.clusters.count = 2
+    from thzgbsm.params import data_dir
+    d = yaml.safe_load((data_dir() / "office_los_measured.yaml").read_text())
+    d["clusters"]["count"] = 2
     pfile = tmp_path / "mine.yaml"
-    p.save(pfile)
+    pfile.write_text(yaml.safe_dump(d))
     out = tmp_path / "sim"
     rc = main(["simulate", "--scenario", "office", "--condition", "los",
                "--params", str(pfile), "--drops", "2", "--out", str(out),
@@ -314,10 +314,35 @@ def test_capacity_both_sources_report(tmp_path):
 
 
 def test_capacity_bad_snr_exits_2(tmp_path):
+    for snr in ("bogus", "nan", "0,inf", "0:inf:5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["capacity", "--scenario", "umi", "--snr", snr,
+                  "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--input", "in.csv", "--recluster", "--delay-weight", "nan"],
+    ["analyze", "--input", "in.csv", "--noise-floor", "inf"],
+    ["analyze", "--input", "in.csv", "--margin-db", "nan"],
+    ["capacity", "--scenario", "umi", "--bandwidth-hz", "nan"],
+    ["capacity", "--scenario", "umi", "--bandwidth-hz", "inf"],
+    ["capacity", "--scenario", "umi", "--los-fraction", "nan"],
+    ["simulate", "--scenario", "office", "--condition", "los",
+     "--grid-step", "nan"],
+    ["roundtrip", "--scenario", "office", "--condition", "los",
+     "--tol-log10", "nan"],
+    ["roundtrip", "--scenario", "office", "--condition", "los",
+     "--tol-k-db=-inf"],
+])
+def test_non_finite_float_option_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main(["capacity", "--scenario", "umi", "--snr", "bogus",
-              "--out", str(tmp_path / "x")])
+        main(argv + ["--out", str(out)])
     assert exc.value.code == 2
+    assert "not a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("tones", ["0", "-3"])

@@ -234,15 +234,6 @@ def test_build_drop_angles_wrapped():
         assert np.all((z >= 0.0) & (z <= 180.0))
 
 
-def test_build_drop_lognormal_count_mode():
-    p = load_params("office", "los", "measured")
-    counts = {build_drop(p, np.random.default_rng(s),
-                         cluster_count_mode="lognormal").n_clusters
-              for s in range(40)}
-    assert min(counts) >= 1
-    assert len(counts) > 1  # actually random
-
-
 def test_mpc_arrays_layout():
     p = load_params("umi", "los", "measured")
     cs = build_drop(p, np.random.default_rng(2))

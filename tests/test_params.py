@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from thzgbsm.params import (
-    LSP_ORDER, ParamValidationError, ScenarioParamSet, available_sets,
-    load_params, load_params_file, nearest_psd)
+    LSP_ORDER, ParamValidationError, ScenarioParamSet, data_dir, load_params,
+    nearest_psd)
 
 ALL_SETS = [("office", "los", "measured"), ("office", "nlos", "measured"),
             ("umi", "los", "measured"), ("umi", "nlos", "measured"),
@@ -21,12 +22,6 @@ def test_bundled_sets_load_and_validate(scenario, condition, source):
     assert p.condition == condition
     assert p.source == source
     assert p.has_k == (condition == "los")
-
-
-def test_available_sets_lists_all_eight():
-    sets = set(available_sets())
-    assert len(sets) == 8
-    assert ("umi", "nlos", "measured") in sets
 
 
 def test_umi_nlos_measured_spot_values():
@@ -78,14 +73,12 @@ def test_lsp_names_order():
     assert LSP_ORDER == ("ds", "asa", "sf", "k")
 
 
-def test_round_trip_dict():
-    p = load_params("umi", "los", "measured")
-    q = ScenarioParamSet.from_dict(p.to_dict())
-    assert q.to_dict() == p.to_dict()
+def _bundled_dict(label):
+    return yaml.safe_load((data_dir() / f"{label}.yaml").read_text())
 
 
 def test_from_dict_rejects_unknown_keys():
-    d = load_params("office", "nlos", "measured").to_dict()
+    d = _bundled_dict("office_nlos_measured")
     d["unexpected"] = 1
     with pytest.raises(ParamValidationError):
         ScenarioParamSet.from_dict(d)
@@ -106,19 +99,10 @@ def test_validate_rejects_negative_sigma():
         p.validate()
 
 
-def test_save_and_reload(tmp_path):
-    p = load_params("umi", "nlos", "measured")
-    path = tmp_path / "custom.yaml"
-    p.save(path)
-    sets = load_params_file(path)
-    assert len(sets) == 1
-    assert sets[0].to_dict() == p.to_dict()
-
-
-def test_params_dir_env_override(tmp_path, monkeypatch):
-    p = load_params("office", "los", "measured")
-    p.ds_log10s.mu = -9.5
-    p.save(tmp_path / "office_los_measured.yaml")
+def test_env_var_overrides_bundled_dir(tmp_path, monkeypatch):
+    d = _bundled_dict("office_los_measured")
+    d["ds_log10s"]["mu"] = -9.5
+    (tmp_path / "office_los_measured.yaml").write_text(yaml.safe_dump(d))
     monkeypatch.setenv("THZ_GBSM_PARAMS_DIR", str(tmp_path))
     q = load_params("office", "los", "measured")
     assert q.ds_log10s.mu == pytest.approx(-9.5)
