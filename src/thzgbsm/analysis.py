@@ -274,7 +274,13 @@ class KPowerMeans:
     Follows the estimator convention: construct with hyperparameters,
     ``fit(X, sample_weight)`` with X columns (delay_s, aoa_deg, zoa_deg),
     then read ``labels_``, ``cluster_centers_`` (same column layout),
-    ``inertia_`` and ``objective_path_``.
+    ``inertia_``, ``objective_path_`` and ``n_iter_``.
+
+    The ``N_INIT`` restarts run as one batch in lockstep, each seeded by
+    its own child of ``SeedSequence(random_state)``. A restart stops on
+    the first iteration whose labels repeat (``MAX_ITER`` at most) and
+    leaves the batch. The first restart with the lowest objective wins,
+    and ``objective_path_`` and ``n_iter_`` are that restart's.
     """
 
     def __init__(self, n_clusters: int = 3, delay_weight: float = 8.0,
@@ -294,53 +300,59 @@ class KPowerMeans:
         w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=float)
         if w.shape != (n,) or np.any(w < 0) or w.sum() <= 0:
             raise ValueError("sample_weight must be nonnegative with positive sum")
+        if k > np.count_nonzero(w):
+            raise ValueError(f"n_clusters={k} exceeds the number of components "
+                             f"with positive weight, {np.count_nonzero(w)}")
 
         E = mcd_embedding(X[:, 0], X[:, 1], X[:, 2], self.delay_weight)
-        best = None
+        # weight-proportional seeding over distinct points, one generator
+        # per restart
         seeds = np.random.SeedSequence(self.random_state).spawn(N_INIT)
-        for ss in seeds:
-            rng = np.random.default_rng(ss)
-            labels, centers, path, iters = self._lloyd(E, w, k, rng)
-            obj = path[-1]
-            if best is None or obj < best[0]:
-                best = (obj, labels, centers, path, iters)
-
-        obj, labels, centers, path, iters = best
-        self.labels_ = labels
-        self.inertia_ = float(obj)
-        self.objective_path_ = np.asarray(path)
-        self.n_iter_ = iters
-        self.cluster_centers_ = self._centers_to_domain(E, X, labels, w, k)
-        return self
-
-    def _lloyd(self, E, w, k, rng):
-        n = E.shape[0]
-        p = w / w.sum()
-        # weight-proportional seeding over distinct points
-        init = rng.choice(n, size=k, replace=False, p=p)
-        centers = E[init].copy()
-        labels = np.full(n, -1)
-        path = []
+        init = [np.random.default_rng(ss).choice(n, size=k, replace=False,
+                                                 p=w / w.sum()) for ss in seeds]
+        centers = E[np.array(init)]                  # (restart, k, 4)
+        labels = np.full((N_INIT, n), -1)
+        paths = [[] for _ in range(N_INIT)]
+        n_iter = np.zeros(N_INIT, dtype=int)
+        active = np.arange(N_INIT)
+        EW = np.column_stack([E, np.ones(n)])
         for it in range(1, MAX_ITER + 1):
-            d2 = ((E[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            new_labels = d2.argmin(axis=1)
-            path.append(float((w * d2[np.arange(n), new_labels]).sum()))
-            if np.array_equal(new_labels, labels):
-                labels = new_labels
+            # (active, k, n) squared distances, one coordinate at a time
+            C = centers[active, :, :, None]
+            d2 = (E[:, 0] - C[:, :, 0]) ** 2
+            for j in range(1, E.shape[1]):
+                d2 += (E[:, j] - C[:, :, j]) ** 2
+            new = d2.argmin(axis=1)
+            wd = w * d2.min(axis=1)
+            for r, obj in zip(active, wd.sum(axis=1)):
+                paths[r].append(float(obj))
+            # a restart whose labels repeat has converged and leaves
+            moving = (new != labels[active]).any(axis=1)
+            labels[active] = new
+            n_iter[active] = it
+            active, new, wd = active[moving], new[moving], wd[moving]
+            if not active.size:
                 break
-            labels = new_labels
-            for c in range(k):
-                m = labels == c
-                wc = w[m].sum()
-                if wc > 0:
-                    centers[c] = (w[m, None] * E[m]).sum(axis=0) / wc
-                else:
-                    # re-seed an emptied cluster at the currently worst
-                    # represented point; the next assignment step can only
-                    # lower the objective
-                    far = (w * d2[np.arange(n), labels]).argmax()
-                    centers[c] = E[far]
-        return labels, centers, path, it
+            # weighted sums and cluster weights in one matmul
+            onehot = (new[:, None, :] == np.arange(k)[:, None]) * w
+            S = onehot @ EW                          # (active, k, 5)
+            wc = S[:, :, -1:]
+            centers[active] = np.divide(S[:, :, :-1], wc, where=wc > 0,
+                                        out=np.zeros_like(S[:, :, :-1]))
+            # re-seed an emptied cluster at its restart's currently worst
+            # represented point; the next assignment can only lower the
+            # objective
+            for a, c in zip(*np.nonzero(wc[:, :, 0] <= 0)):
+                centers[active[a], c] = E[wd[a].argmax()]
+
+        # first restart with the lowest objective wins
+        best = int(np.argmin([path[-1] for path in paths]))
+        self.labels_ = labels[best].copy()
+        self.inertia_ = paths[best][-1]
+        self.objective_path_ = np.asarray(paths[best])
+        self.n_iter_ = int(n_iter[best])
+        self.cluster_centers_ = self._centers_to_domain(E, X, self.labels_, w, k)
+        return self
 
     @staticmethod
     def _centers_to_domain(E, X, labels, w, k):

@@ -271,12 +271,14 @@ def _analyze_mpcs(args, header, rows) -> tuple[dict, list[tuple]]:
             k_vals.append(k_v)
 
         labels = None
+        # only rows with power can seed a cluster
+        n_powered = np.count_nonzero(power)
         if "cluster" in header and not args.recluster:
             labels = np.array([int(_f(r, "cluster", 0.0)) for r in rs])
-        elif aoa is not None and len(rs) >= 3:
+        elif aoa is not None and n_powered >= 3:
             mp = analysis.MpcSet(delay, power, aoa, zoa)
             _, _, labels = analysis.select_n_clusters(
-                mp, k_min=2, k_max=min(args.max_clusters, len(rs) - 1),
+                mp, k_min=2, k_max=min(args.max_clusters, n_powered - 1),
                 delay_weight=args.delay_weight)
         if labels is not None:
             mp = analysis.MpcSet(delay, power, aoa, zoa, labels=labels)

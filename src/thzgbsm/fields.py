@@ -22,6 +22,10 @@ import numpy as np
 # negligible against unit correlations.
 _TRUNCATION = 8.0
 
+# Most grid cells one field may build: 2**22 float64 cells are 32 MiB per
+# array. The bundled sets at their default steps stay under 1e6.
+MAX_GRID_CELLS = 2**22
+
 # a/h bisection results keyed by the dimensionless ratio d_corr/h.
 _calibration_cache: dict[float, tuple[float, float, float]] = {}
 
@@ -78,6 +82,14 @@ def _calibrate(ratio: float) -> tuple[float, float, float]:
     return result
 
 
+def _check_cells(cells: float, step_m: float) -> None:
+    """Refuse a grid step whose arrays would exceed MAX_GRID_CELLS."""
+    if not cells <= MAX_GRID_CELLS:
+        raise ValueError(
+            f"grid_step_m={step_m:g} needs about {cells:.3g} field grid "
+            f"cells, more than {MAX_GRID_CELLS}; use a coarser grid step")
+
+
 class GaussianField:
     """One spatially correlated standard-normal field over a rectangle.
 
@@ -111,6 +123,8 @@ class GaussianField:
         self.grid_step_m = float(grid_step_m)
         h = self.grid_step_m
 
+        # the calibration's widest kernel has a scale of 4 d_corr/h cells
+        _check_cells((2 * _TRUNCATION * 4.0 * self.corr_dist_m / h + 1) ** 2, h)
         a_cells, self._rho1, self._rho_diag = _calibrate(self.corr_dist_m / h)
         pad = int(np.ceil(_TRUNCATION * a_cells))
 
@@ -123,6 +137,7 @@ class GaussianField:
         self._xmax, self._ymax = xmax, ymax
         self._xmin, self._ymin = xmin, ymin
 
+        _check_cells((ny + 2 * pad) * (nx + 2 * pad), h)
         kern = _kernel(a_cells)
         kern = kern / np.sqrt((kern**2).sum())
         white = rng.standard_normal((ny + 2 * pad, nx + 2 * pad))

@@ -15,6 +15,7 @@ The bundled files live in ``thzgbsm/data``; the environment variable
 
 from __future__ import annotations
 
+import copy
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -216,7 +217,8 @@ class ScenarioParamSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioParamSet":
-        d = dict(d)
+        # deep: the takes below pop keys out of nested mappings too
+        d = copy.deepcopy(d)
         issues = []
 
         def take(mapping, key, where):

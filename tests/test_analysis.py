@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from thzgbsm.analysis import (
-    KPowerMeans, MpcSet, Pdp, cluster_stats, cross_corr, fit_lognormal,
-    fit_normal, k_factor, kpower_means, lsp_cross_corr, mcd_embedding, rms_ds,
-    asa, select_n_clusters, synth_omni, threshold)
+    MAX_ITER, N_INIT, KPowerMeans, MpcSet, Pdp, cluster_stats, cross_corr,
+    fit_lognormal, fit_normal, k_factor, kpower_means, lsp_cross_corr,
+    mcd_embedding, rms_ds, asa, select_n_clusters, synth_omni, threshold)
+from thzgbsm.clusters import build_drop
+from thzgbsm.params import load_params
 
 
 # --- delay spread ---
@@ -239,6 +241,130 @@ def test_kpower_means_weight_sensitivity():
     km = KPowerMeans(n_clusters=2, random_state=0).fit(x, w)
     c = km.cluster_centers_[km.labels_[0]]
     assert abs(c[1] - 0.0) < 5.0
+
+
+def test_kpower_means_rejects_more_clusters_than_powered_points():
+    x = np.column_stack([np.arange(5) * 1e-9, np.arange(5) * 30.0,
+                         np.full(5, 90.0)])
+    with pytest.raises(ValueError, match="positive weight"):
+        KPowerMeans(n_clusters=3).fit(x, np.array([1.0, 0, 0, 2.0, 0]))
+
+
+def _reference_restarts(x, w, k, random_state=0, delay_weight=8.0):
+    """The scalar Lloyd loop, one restart after another, that the lockstep
+    fit batches. Returns ([(labels, path, n_iter)] per restart, index of
+    the first restart with the lowest objective, re-seeded clusters)."""
+    e = mcd_embedding(x[:, 0], x[:, 1], x[:, 2], delay_weight)
+    n = e.shape[0]
+    runs, reseeds = [], 0
+    for ss in np.random.SeedSequence(random_state).spawn(N_INIT):
+        rng = np.random.default_rng(ss)
+        centers = e[rng.choice(n, size=k, replace=False, p=w / w.sum())]
+        labels = np.full(n, -1)
+        path = []
+        for it in range(1, MAX_ITER + 1):
+            d2 = ((e[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            new_labels = d2.argmin(axis=1)
+            path.append(float((w * d2[np.arange(n), new_labels]).sum()))
+            if np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+            for c in range(k):
+                m = labels == c
+                wc = w[m].sum()
+                if wc > 0:
+                    centers[c] = (w[m, None] * e[m]).sum(axis=0) / wc
+                else:
+                    reseeds += 1
+                    far = (w * d2[np.arange(n), labels]).argmax()
+                    centers[c] = e[far]
+        runs.append((new_labels, path, it))
+    best = 0
+    for r, (_, path, _) in enumerate(runs):
+        if path[-1] < runs[best][1][-1]:
+            best = r
+    return runs, best, reseeds
+
+
+def _assert_matches_reference(x, w, k):
+    runs, best, reseeds = _reference_restarts(x, w, k)
+    km = KPowerMeans(n_clusters=k).fit(x, w)
+    labels, path, n_iter = runs[best]
+    assert np.array_equal(km.labels_, labels)
+    assert km.n_iter_ == n_iter
+    # The batch sums cluster members in another order. An objective that
+    # is 0 in exact arithmetic is then roundoff of either sum, so the
+    # tolerance also has an absolute part scaled by the first objective.
+    tol = {"rtol": 1e-12, "atol": 1e-12 * path[0]}
+    assert_allclose(km.objective_path_, path, **tol)
+    assert_allclose(km.inertia_, path[-1], **tol)
+    # the winner is the first restart that ends where the fit ended
+    won = [r for r, (lab, p, _) in enumerate(runs)
+           if np.array_equal(lab, km.labels_) and len(p) == km.n_iter_
+           and np.allclose(p, km.objective_path_, **tol)]
+    assert won[0] == best
+    return reseeds
+
+
+def test_lockstep_fit_matches_scalar_restarts_on_planted_clusters():
+    centers = [(0.0, -60.0, 85.0), (50e-9, 20.0, 95.0), (120e-9, 110.0, 100.0)]
+    mpcs, _ = _planted_mpcs(np.random.default_rng(3), centers,
+                            spread_scale=0.8)
+    x = np.column_stack([mpcs.delay_s, mpcs.aoa_deg, mpcs.zoa_deg])
+    for k in (2, 3, 5):
+        _assert_matches_reference(x, mpcs.power, k)
+
+
+def test_lockstep_fit_matches_scalar_restarts_on_reseeded_clusters():
+    # Stacks of duplicates: a restart seeded twice inside one stack gets an
+    # empty cluster on its first assignment. The scattered points keep the
+    # objective away from 0, where roundoff alone would pick the labels.
+    stacks = np.repeat([[0.0, 10.0, 90.0], [80e-9, -120.0, 100.0],
+                        [40e-9, 60.0, 80.0]], 5, axis=0)
+    scatter = np.array([[5e-9, 30.0, 85.0], [70e-9, -90.0, 95.0],
+                        [30e-9, 80.0, 70.0], [60e-9, 150.0, 110.0]])
+    x = np.vstack([stacks, scatter])
+    w = np.linspace(0.5, 2.0, len(x))
+    for k in (3, 4):
+        assert _assert_matches_reference(x, w, k) > 0
+
+
+def test_lockstep_fit_matches_scalar_restarts_on_generated_drop():
+    cols = build_drop(load_params("umi", "nlos", "3gpp"),
+                      np.random.default_rng(11)).mpc_arrays()
+    x = np.column_stack([cols["delay_s"], cols["aoa_deg"], cols["zoa_deg"]])
+    for k in range(2, 7):
+        _assert_matches_reference(x, cols["power"], k)
+
+
+@st.composite
+def weighted_points(draw):
+    n = draw(st.integers(min_value=2, max_value=20))
+    coord = st.tuples(st.floats(0.0, 1e-7), st.floats(-180.0, 180.0),
+                      st.floats(0.0, 180.0))
+    x = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    w = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                               min_size=n, max_size=n)))
+    powered = int(np.count_nonzero(w))
+    assume(powered > 0)
+    k = draw(st.integers(min_value=1, max_value=min(powered, 5)))
+    return x, w, k, draw(st.integers(0, 2**16))
+
+
+@given(weighted_points())
+@settings(max_examples=40, deadline=None)
+def test_kpower_means_properties(case):
+    x, w, k, seed = case
+    km = KPowerMeans(n_clusters=k, random_state=seed).fit(x, w)
+    path = km.objective_path_
+    # nonincreasing up to the roundoff of squared embedded coordinates
+    e = mcd_embedding(x[:, 0], x[:, 1], x[:, 2])
+    assert np.all(np.diff(path) <= 1e-12 * w.sum() * (e**2).sum(axis=1).max())
+    assert km.labels_.min() >= 0 and km.labels_.max() < k
+    again = KPowerMeans(n_clusters=k, random_state=seed).fit(x, w)
+    assert np.array_equal(again.labels_, km.labels_)
+    assert np.array_equal(again.objective_path_, path)
+    assert again.n_iter_ == km.n_iter_
 
 
 def test_select_n_clusters_finds_planted_count():

@@ -235,6 +235,30 @@ def test_analyze_zero_delay_spread_names_the_drop(tmp_path, capsys, drop0,
     assert not (out / "report.yaml").exists()
 
 
+def test_analyze_recluster_counts_only_powered_rows(tmp_path):
+    # drop 0: five rows, two with power; drop 1: six rows, four with power
+    src = tmp_path / "mpcs.csv"
+    src.write_text("drop,delay_ns,power,aoa_deg\n"
+                   "0,0,1,0\n0,5,0,90\n0,9,0.5,180\n0,12,0,-90\n0,20,0,45\n"
+                   "1,0,1,0\n1,5,0,90\n1,9,0.5,180\n1,12,0.2,-90\n"
+                   "1,20,0,45\n1,30,0.7,60\n")
+    out = tmp_path / "rep"
+    assert main(["analyze", "--input", str(src), "--recluster",
+                 "--out", str(out)]) == 0
+    rows = _rows(out / "per_drop.csv")
+    assert [r["n_mpcs"] for r in rows] == ["5", "6"]
+    assert rows[0]["n_clusters"] == "1" and rows[0]["c_ds_ns_median"] == ""
+    assert 2 <= int(rows[1]["n_clusters"]) <= 3
+
+
+def test_simulate_oversized_grid_exits_1(tmp_path, capsys):
+    assert main(["simulate", "--scenario", "office", "--condition", "los",
+                 "--grid-step", "1e-4", "--drops", "3",
+                 "--out", str(tmp_path / "sim")]) == 1
+    err = capsys.readouterr().err
+    assert "grid_step_m=0.0001" in err and "grid cells" in err
+
+
 def test_analyze_max_clusters_below_two_exits_2(tmp_path):
     src = tmp_path / "mpcs.csv"
     src.write_text("drop,delay_ns,power,aoa_deg\n0,0,1,0\n0,5,1,90\n"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -99,3 +101,21 @@ def test_too_coarse_grid_rejected():
     with pytest.raises(ValueError):
         GaussianField(2.0, ((0.0, 10.0), (0.0, 10.0)),
                       np.random.default_rng(0), grid_step_m=1.5)
+
+
+@pytest.mark.parametrize(("extent", "step"), [
+    (((0.0, 10.0), (0.0, 10.0)), 1e-4),   # calibration kernel too wide
+    (((0.0, 1e5), (0.0, 1e5)), 0.5),      # noise grid too large
+], ids=["kernel", "grid"])
+def test_oversized_grid_refused_before_allocating(extent, step):
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="grid cells") as exc:
+            GaussianField(2.0, extent, rng, grid_step_m=step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"grid_step_m={step:g}" in str(exc.value)
+    # the refused grids need 13 TB and 320 GB; a small calibration may run
+    assert peak < 16 << 20

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 import yaml
@@ -82,6 +84,14 @@ def test_from_dict_rejects_unknown_keys():
     d["unexpected"] = 1
     with pytest.raises(ParamValidationError):
         ScenarioParamSet.from_dict(d)
+
+
+def test_from_dict_leaves_callers_dict_unchanged():
+    d = _bundled_dict("office_los_measured")
+    assert "count_log10" in d["clusters"]
+    before = copy.deepcopy(d)
+    ScenarioParamSet.from_dict(d)
+    assert d == before
 
 
 def test_validate_requires_k_for_los():
