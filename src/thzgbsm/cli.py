@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import json
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -61,6 +62,9 @@ def _write_manifest(out: Path, command: str, argv: list[str], seed: int,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "params_files": {k: _sha256(p) for k, p in sorted(params_files.items())},
         "outputs": sorted(outputs),
+        # simulate's bytes depend on numpy's FFT and generators
+        "versions": {"python": platform.python_version(),
+                     "numpy": np.__version__, "pyyaml": yaml.__version__},
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2,
                                                   sort_keys=True) + "\n")
@@ -140,9 +144,9 @@ def _sim_drop(job):
 
 def cmd_simulate(parser, args) -> int:
     params, pfile = _resolve_params(parser, args)
-    out = _out_dir(parser, args)
     if args.drops < 1:
         parser.error("--drops: must be at least 1")
+    out = _out_dir(parser, args)
 
     children = np.random.SeedSequence(args.seed).spawn(2 + args.drops)
     place_rng = np.random.default_rng(children[0])
@@ -416,9 +420,9 @@ def _rt_drop(job):
 
 def cmd_roundtrip(parser, args) -> int:
     params, pfile = _resolve_params(parser, args)
-    out = _out_dir(parser, args)
     if args.drops < 1:
         parser.error("--drops: must be at least 1")
+    out = _out_dir(parser, args)
 
     seeds = np.random.SeedSequence(args.seed).spawn(args.drops)
     res = map_drops(_rt_drop, [(params, ss) for ss in seeds], args.workers)
@@ -490,31 +494,38 @@ def cmd_capacity(parser, args) -> int:
     snr = _parse_snr(parser, args.snr)
     if snr.size == 0:
         parser.error("--snr: no points given")
-    sources = ("measured", "3gpp") if args.source == "both" else (args.source,)
     if args.drops < 1:
         parser.error("--drops: must be at least 1")
     if args.tones < 1:
         parser.error("--tones: must be at least 1")
-    out = _out_dir(parser, args)
+    if args.los_fraction is not None:
+        if args.condition != "los":
+            parser.error("--los-fraction: only meaningful with "
+                         "--condition los as the base set")
+        if not 0.0 <= args.los_fraction <= 1.0:
+            parser.error("--los-fraction: must lie in [0, 1]")
+    sources = ("measured", "3gpp") if args.source == "both" else (args.source,)
 
-    curves = {}
+    runs = {}
     pfiles = {}
     for src in sources:
         ps, pf = _resolve_params(parser, args, source=src)
         pfiles[ps.label()] = pf
         kw = {}
         if args.los_fraction is not None:
-            if args.condition != "los":
-                parser.error("--los-fraction: only meaningful with "
-                             "--condition los as the base set")
             ps_nlos, pf_n = _resolve_params(parser, args, condition="nlos",
                                             source=src)
             pfiles[ps_nlos.label()] = pf_n
             kw = {"los_fraction": args.los_fraction, "params_nlos": ps_nlos}
-        curves[src] = run_capacity_experiment(
+        runs[src] = (ps, kw)
+    out = _out_dir(parser, args)
+
+    curves = {
+        src: run_capacity_experiment(
             ps, snr, n_drops=args.drops, seed=args.seed, mode=args.mode,
             n_tones=args.tones, bandwidth_hz=args.bandwidth_hz,
             normalization=args.normalization, workers=args.workers, **kw)
+        for src, (ps, kw) in runs.items()}
 
     rows = []
     for src in sources:

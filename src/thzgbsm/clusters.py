@@ -390,8 +390,7 @@ def extract_drop_stats(cs: ClusterSet) -> dict:
 
 
 def build_drop(params: ScenarioParamSet, rng, geometry: LinkGeometry | None = None,
-               lsp_vals: dict | None = None, k_db_override: float | None = None
-               ) -> ClusterSet:
+               lsp_vals: dict | None = None) -> ClusterSet:
     """Generate one full drop.
 
     lsp_vals, when given, must carry ds_s / asa_deg / sf_db (and k_db for
@@ -404,7 +403,7 @@ def build_drop(params: ScenarioParamSet, rng, geometry: LinkGeometry | None = No
         lsp_vals = draw_lsp_iid(params, 1, rng).row(0)
 
     n = params.clusters.count
-    k_db = k_db_override if k_db_override is not None else lsp_vals.get("k_db")
+    k_db = lsp_vals.get("k_db")
     if params.condition == "nlos":
         k_db = None
     k_lin = 10.0 ** (k_db / 10.0) if k_db is not None else None

@@ -1,13 +1,17 @@
 """Spatially correlated standard-normal fields.
 
-Large-scale parameters decorrelate exponentially with distance, with a
-per-parameter correlation distance. A field is realized by convolving
-white Gaussian noise on a regular grid with an exponential kernel
-``exp(-r/a)``; the kernel scale ``a`` is calibrated numerically so the
-resulting normalized autocorrelation equals ``1/e`` at exactly the
-requested correlation distance (the naive choice ``a = d_corr`` does
-not, because the squared kernel that the autocorrelation sees decays
-twice as fast).
+Large-scale parameters decorrelate exponentially with distance: two
+points ``r`` apart correlate as ``exp(-r / d_corr)``, with a
+per-parameter correlation distance (3GPP TR 38.901 §7.6.3). A field
+draws that covariance on a regular grid by circulant embedding
+(Dietrich & Newsam, SIAM J. Sci. Comput. 18(4), 1997). The grid plus a
+margin of ``4 d_corr`` on every side is wrapped onto a torus. There the
+covariance over minimum-image lags is a circulant matrix whose
+eigenvalues are the 2-D FFT of its first row, and white noise filtered
+by their square roots has exactly that covariance. Node pairs less than
+half the torus apart along each axis get ``exp(-r / d_corr)`` exactly;
+farther pairs see the lag the short way round, at least ``8 d_corr``,
+so their correlation is below ``exp(-8) ~ 3e-4``.
 
 Values between grid nodes come from bilinear interpolation followed by
 a variance restandardization, so sampled marginals stay N(0, 1) at any
@@ -18,68 +22,12 @@ from __future__ import annotations
 
 import numpy as np
 
-# Kernel support radius in units of the kernel scale. exp(-8) ~ 3e-4,
-# negligible against unit correlations.
-_TRUNCATION = 8.0
+# Torus margin beyond the kept grid, in correlation distances.
+_MARGIN = 4.0
 
 # Most grid cells one field may build: 2**22 float64 cells are 32 MiB per
 # array. The bundled sets at their default steps stay under 1e6.
 MAX_GRID_CELLS = 2**22
-
-# a/h bisection results keyed by the dimensionless ratio d_corr/h.
-_calibration_cache: dict[float, tuple[float, float, float]] = {}
-
-
-def _kernel(a_cells: float) -> np.ndarray:
-    r = int(np.ceil(_TRUNCATION * a_cells))
-    y, x = np.mgrid[-r:r + 1, -r:r + 1]
-    return np.exp(-np.hypot(x, y) / a_cells)
-
-
-def _lag_corr(k: np.ndarray, dy: int, dx: int) -> float:
-    """Normalized autocorrelation of the kernel field at lag (dy, dx)
-    cells: the kernel's overlap with its shifted self over its energy."""
-    h, w = k.shape
-    return float((k[dy:, dx:] * k[:h - dy, :w - dx]).sum() / (k * k).sum())
-
-
-def _autocorr_at(a_cells: float, lag_cells: float) -> float:
-    """Normalized autocorrelation of the kernel field at a lag along x."""
-    k = _kernel(a_cells)
-    lo = int(np.floor(lag_cells))
-    frac = lag_cells - lo
-    hi = min(lo + 1, k.shape[1] - 1)
-    return (1 - frac) * _lag_corr(k, 0, lo) + frac * _lag_corr(k, 0, hi)
-
-
-def _calibrate(ratio: float) -> tuple[float, float, float]:
-    """Solve for a/h so the field autocorrelation at d_corr is 1/e.
-
-    Returns (a_cells, rho_1, rho_diag): the kernel scale in cells and the
-    autocorrelation at one-cell and diagonal one-cell lags, which the
-    interpolation variance correction needs.
-    """
-    key = round(ratio, 9)
-    if key in _calibration_cache:
-        return _calibration_cache[key]
-    target = 1.0 / np.e
-    lo, hi = ratio / 8.0, ratio * 4.0
-    # autocorrelation at a fixed lag grows monotonically with kernel scale
-    while _autocorr_at(lo, ratio) > target:
-        lo /= 2.0
-    while _autocorr_at(hi, ratio) < target:
-        hi *= 2.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if _autocorr_at(mid, ratio) < target:
-            lo = mid
-        else:
-            hi = mid
-    a_cells = 0.5 * (lo + hi)
-    k = _kernel(a_cells)
-    result = (a_cells, _lag_corr(k, 0, 1), _lag_corr(k, 1, 1))
-    _calibration_cache[key] = result
-    return result
 
 
 def _check_cells(cells: float, step_m: float) -> None:
@@ -88,6 +36,12 @@ def _check_cells(cells: float, step_m: float) -> None:
         raise ValueError(
             f"grid_step_m={step_m:g} needs about {cells:.3g} field grid "
             f"cells, more than {MAX_GRID_CELLS}; use a coarser grid step")
+
+
+def _wrapped_lags(n: int) -> np.ndarray:
+    """Minimum-image lag, in cells, of each index on a ring of n cells."""
+    i = np.arange(n)
+    return np.minimum(i, n - i)
 
 
 class GaussianField:
@@ -122,30 +76,33 @@ class GaussianField:
         self.corr_dist_m = float(corr_dist_m)
         self.grid_step_m = float(grid_step_m)
         h = self.grid_step_m
-
-        # the calibration's widest kernel has a scale of 4 d_corr/h cells
-        _check_cells((2 * _TRUNCATION * 4.0 * self.corr_dist_m / h + 1) ** 2, h)
-        a_cells, self._rho1, self._rho_diag = _calibrate(self.corr_dist_m / h)
-        pad = int(np.ceil(_TRUNCATION * a_cells))
+        ratio = self.corr_dist_m / h
+        self._rho1 = np.exp(-1.0 / ratio)
+        self._rho_diag = np.exp(-np.sqrt(2.0) / ratio)
 
         # one guard cell beyond each edge so bilinear interpolation has a
         # full cell around every in-extent query point
         self._x0 = xmin - h
         self._y0 = ymin - h
-        nx = int(np.ceil((xmax - self._x0) / h)) + 2
-        ny = int(np.ceil((ymax - self._y0) / h)) + 2
+        nx = np.ceil((xmax - self._x0) / h) + 2
+        ny = np.ceil((ymax - self._y0) / h) + 2
         self._xmax, self._ymax = xmax, ymax
         self._xmin, self._ymin = xmin, ymin
 
-        _check_cells((ny + 2 * pad) * (nx + 2 * pad), h)
-        kern = _kernel(a_cells)
-        kern = kern / np.sqrt((kern**2).sum())
-        white = rng.standard_normal((ny + 2 * pad, nx + 2 * pad))
-        # the kernel is 2*pad + 1 wide: past the first 2*pad rows and columns
-        # the circular convolution is the linear one's wrap-free "valid" part
-        spec = np.fft.rfft2(white) * np.fft.rfft2(kern, s=white.shape)
-        smooth = np.fft.irfft2(spec, s=white.shape)
-        self.values = smooth[2 * pad:, 2 * pad:]
+        # checked in floats, before any count becomes an int or an array
+        margin = np.ceil(_MARGIN * ratio)
+        _check_cells((ny + 2 * margin) * (nx + 2 * margin), h)
+        ny, nx, margin = int(ny), int(nx), int(margin)
+        torus = (ny + 2 * margin, nx + 2 * margin)
+        lag = np.hypot(_wrapped_lags(torus[0])[:, None],
+                       _wrapped_lags(torus[1])[None, :])
+        # eigenvalues of the circulant covariance. The wrapped exponential
+        # is not exactly positive definite: at steps much finer than
+        # d_corr a few fall a little below zero, and are clipped.
+        lam = np.fft.rfft2(np.exp(-lag / ratio)).real
+        white = rng.standard_normal(torus)
+        spec = np.sqrt(np.maximum(lam, 0.0)) * np.fft.rfft2(white)
+        self.values = np.fft.irfft2(spec, s=torus)[:ny, :nx]
         self.shape = self.values.shape
 
     def sample(self, x_m, y_m) -> np.ndarray:

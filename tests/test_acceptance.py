@@ -104,14 +104,19 @@ def test_criterion_4_channel_level_roundtrip():
             assert abs(d_k) <= 3.0, f"{p.label()}: K median delta {d_k:+.2f} dB"
 
     # forced K sweep: extraction must track the input strictly
-    from thzgbsm.clusters import build_drop, extract_drop_stats
+    from thzgbsm.clusters import build_drop, extract_drop_stats, place_user
     p = load_params("umi", "los", "measured")
     medians = []
     for k_db in (0.0, 10.0, 20.0):
-        ext = [extract_drop_stats(
-                   build_drop(p, np.random.default_rng(5000 + i),
-                              k_db_override=k_db))["k_db"]
-               for i in range(100)]
+        ext = []
+        for i in range(100):
+            # build_drop's own draw order, with K replaced
+            rng = np.random.default_rng(5000 + i)
+            geom = place_user(p, rng)
+            lsp = draw_lsp_iid(p, 1, rng).row(0)
+            lsp["k_db"] = k_db
+            ext.append(extract_drop_stats(build_drop(
+                p, rng, geometry=geom, lsp_vals=lsp))["k_db"])
         medians.append(float(np.median(ext)))
     assert medians[0] < medians[1] < medians[2], medians
 

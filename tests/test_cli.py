@@ -119,6 +119,16 @@ def test_manifest_records_parsed_argv(tmp_path):
     assert man["argv"] == argv
 
 
+def test_manifest_records_versions(tmp_path):
+    src = tmp_path / "mpcs.csv"
+    src.write_text("drop,delay_ns,power\n0,0,1\n0,5,1\n")
+    assert main(["analyze", "--input", str(src),
+                 "--out", str(tmp_path / "m")]) == 0
+    man = json.loads((tmp_path / "m" / "manifest.json").read_text())
+    assert man["versions"]["numpy"] == np.__version__
+    assert set(man["versions"]) == {"python", "numpy", "pyyaml"}
+
+
 def test_simulate_writes_only_inside_out(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     before = set(tmp_path.iterdir())
@@ -366,6 +376,22 @@ def test_non_finite_float_option_exits_2(tmp_path, capsys, argv):
         main(argv + ["--out", str(out)])
     assert exc.value.code == 2
     assert "not a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--scenario", "office", "--condition", "los", "--drops", "0"],
+    ["roundtrip", "--scenario", "office", "--condition", "los", "--drops", "0"],
+    ["capacity", "--scenario", "umi", "--los-fraction", "1.5"],
+    ["capacity", "--scenario", "umi", "--condition", "nlos",
+     "--los-fraction", "0.5"],
+], ids=["simulate-drops", "roundtrip-drops", "los-fraction-range",
+        "los-fraction-nlos"])
+def test_bad_argument_exits_2_before_creating_out(tmp_path, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
     assert not out.exists()
 
 

@@ -8,6 +8,7 @@ from thzgbsm.clusters import (
     extract_drop_stats, gen_delays, gen_powers, gen_xpr_and_phases,
     geometry_for, place_user, rescale_azimuth, rescale_delays,
     rescale_zenith)
+from thzgbsm.lsp import draw_lsp_iid
 from thzgbsm.params import load_params
 
 
@@ -213,12 +214,20 @@ def test_build_drop_nlos_has_no_direct():
     assert "k_db" not in extract_drop_stats(cs)
 
 
+def _forced_k_drop(params, rng, k_db):
+    # the draws build_drop makes itself, in its order, with K replaced
+    geom = place_user(params, rng)
+    lsp = draw_lsp_iid(params, 1, rng).row(0)
+    lsp["k_db"] = k_db
+    return build_drop(params, rng, geometry=geom, lsp_vals=lsp)
+
+
 def test_build_drop_forced_k():
     p = load_params("umi", "los", "measured")
     meds = []
     for k in (0.0, 10.0, 20.0):
-        ext = [extract_drop_stats(build_drop(p, np.random.default_rng(s),
-                                             k_db_override=k))["k_db"]
+        ext = [extract_drop_stats(
+                   _forced_k_drop(p, np.random.default_rng(s), k))["k_db"]
                for s in range(30)]
         meds.append(np.median(ext))
     assert meds[0] < meds[1] < meds[2]

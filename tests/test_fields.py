@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from thzgbsm.fields import GaussianField, _autocorr_at, _calibrate, _kernel
+from thzgbsm.fields import GaussianField
 
 
 def _transect_autocorr(values, lag_steps):
@@ -21,34 +21,58 @@ def test_field_is_reproducible():
     assert np.array_equal(f1.sample(x, y), f2.sample(x, y))
 
 
-def test_field_is_direct_convolution_of_white_noise():
-    """Node values are the kernel summed over the seed's white noise."""
-    f = GaussianField(2.0, ((0.0, 3.0), (-1.0, 1.5)), np.random.default_rng(5))
-    a_cells, _, _ = _calibrate(f.corr_dist_m / f.grid_step_m)
-    kern = _kernel(a_cells)
-    kern /= np.sqrt((kern**2).sum())
-    pad = kern.shape[0] // 2
-    ny, nx = f.shape
-    white = np.random.default_rng(5).standard_normal((ny + 2 * pad, nx + 2 * pad))
-    want = np.zeros((ny, nx))
-    for i in range(ny):
-        for j in range(nx):
-            # kernel centered on noise cell (i + pad, j + pad)
-            want[i, j] = (kern * white[i:i + 2 * pad + 1, j:j + 2 * pad + 1]).sum()
-    assert_allclose(f.values, want, rtol=0, atol=1e-12)
+class _Impulses:
+    """Stand-in generator whose successive white-noise draws are the unit
+    impulses of the torus, one cell after another."""
+
+    def __init__(self):
+        self.calls = 0
+        self.cells = None
+
+    def standard_normal(self, shape):
+        white = np.zeros(shape)
+        white.flat[self.calls] = 1.0
+        self.calls += 1
+        self.cells = white.size
+        return white
 
 
-@pytest.mark.parametrize("ratio", [2.0, 4.0, 7.5])
-def test_calibrated_kernel_autocorrelation_is_one_over_e(ratio):
-    a_cells, _, _ = _calibrate(ratio)
-    assert abs(_autocorr_at(a_cells, ratio) - np.exp(-1.0)) < 1e-9
-    # at whole-cell lags, the kernel autocorrelation from its power spectrum
-    k = _kernel(a_cells)
-    shape = (2 * k.shape[0], 2 * k.shape[1])
-    acf = np.fft.irfft2(np.abs(np.fft.rfft2(k, s=shape)) ** 2, s=shape)
-    lag = int(ratio)
-    assert _autocorr_at(a_cells, lag) == pytest.approx(acf[0, lag] / acf[0, 0],
-                                                       abs=1e-12)
+def test_node_covariance_is_exact_exponential():
+    """The impulse responses are the columns of the synthesis matrix A, so
+    A @ A.T is the node covariance: exp(-r / d_corr) at every node pair."""
+    d_corr, step = 2.0, 0.5
+    impulses = _Impulses()
+    cols = []
+    while impulses.cells is None or impulses.calls < impulses.cells:
+        f = GaussianField(d_corr, ((0.0, 1.0), (0.0, 1.0)), impulses, step)
+        cols.append(f.values.ravel())
+    a = np.stack(cols, axis=1)
+    iy, ix = np.divmod(np.arange(f.values.size), f.shape[1])
+    dist = step * np.hypot(iy[:, None] - iy[None, :], ix[:, None] - ix[None, :])
+    assert_allclose(a @ a.T, np.exp(-dist / d_corr), rtol=0, atol=1e-12)
+
+
+def test_node_autocorrelation_follows_exponential_at_many_lags():
+    """Empirical node correlation over 40 fields, along both axes."""
+    d_corr, step = 2.0, 0.5
+    lags = {1: [], 2: [], 4: [], 8: [], 12: []}   # r/d = 0.25 ... 3
+    for seed in range(40):
+        v = GaussianField(d_corr, ((0.0, 60.0), (0.0, 60.0)),
+                          np.random.default_rng(seed), step).values
+        for lag, got in lags.items():
+            got.append(0.5 * (np.mean(v[:, :-lag] * v[:, lag:])
+                              + np.mean(v[:-lag] * v[lag:])))
+    for lag, got in lags.items():
+        assert np.mean(got) == pytest.approx(np.exp(-lag * step / d_corr),
+                                             abs=0.03), lag
+
+
+def test_fine_grid_step_builds():
+    # a d_corr/40 step over 10 m needs a 523 x 523 torus
+    f = GaussianField(2.0, ((0.0, 10.0), (0.0, 10.0)),
+                      np.random.default_rng(0), grid_step_m=2.0 / 40)
+    assert f.shape == (203, 203)
+    assert np.isfinite(f.sample(5.0, 5.0)).all()
 
 
 def test_field_marginals_standard_normal():
@@ -104,7 +128,7 @@ def test_too_coarse_grid_rejected():
 
 
 @pytest.mark.parametrize(("extent", "step"), [
-    (((0.0, 10.0), (0.0, 10.0)), 1e-4),   # calibration kernel too wide
+    (((0.0, 10.0), (0.0, 10.0)), 1e-4),   # torus margin too wide
     (((0.0, 1e5), (0.0, 1e5)), 0.5),      # noise grid too large
 ], ids=["kernel", "grid"])
 def test_oversized_grid_refused_before_allocating(extent, step):
@@ -117,5 +141,5 @@ def test_oversized_grid_refused_before_allocating(extent, step):
     finally:
         tracemalloc.stop()
     assert f"grid_step_m={step:g}" in str(exc.value)
-    # the refused grids need 13 TB and 320 GB; a small calibration may run
+    # the refused grids need 540 GB and 320 GB
     assert peak < 16 << 20
