@@ -144,8 +144,11 @@ def _sim_drop(job):
 
 def cmd_simulate(parser, args) -> int:
     params, pfile = _resolve_params(parser, args)
-    if args.drops < 1:
-        parser.error("--drops: must be at least 1")
+    if args.grid_step is not None:
+        limit = min(params.corr_dist_m[n] for n in params.lsp_names) / 2.0
+        if not 0.0 < args.grid_step <= limit:
+            parser.error(f"--grid-step: must lie in (0, {limit:g}] m, half the "
+                         f"smallest correlation distance of {params.label()}")
     out = _out_dir(parser, args)
 
     children = np.random.SeedSequence(args.seed).spawn(2 + args.drops)
@@ -379,7 +382,6 @@ def cmd_analyze(parser, args) -> int:
         print(f"analyze: {path} contains a header but no data rows",
               file=sys.stderr)
         return 1
-    out = _out_dir(parser, args)
 
     is_mpc = "power" in header and "delay_ns" in header
     is_pdp = "power_linear" in header and "delay_ns" in header
@@ -387,18 +389,19 @@ def cmd_analyze(parser, args) -> int:
         parser.error("--input: CSV must carry delay_ns plus power (multipath "
                      "components) or power_linear (power-delay profile)")
 
-    outputs = ["report.yaml"]
     if is_mpc:
         report, per_drop = _analyze_mpcs(args, header, rows)
-        report["input"] = path.name
+    else:
+        report = _analyze_pdp(args, header, rows)
+    report["input"] = path.name
+    out = _out_dir(parser, args)
+    outputs = ["report.yaml"]
+    if is_mpc:
         _write_csv(out / "per_drop.csv",
                    ("drop", "n_mpcs", "ds_s", "asa_deg", "k_db", "n_clusters",
                     "c_ds_ns_median", "c_asa_deg_median", "c_k_db_median"),
                    per_drop)
         outputs.append("per_drop.csv")
-    else:
-        report = _analyze_pdp(args, header, rows)
-        report["input"] = path.name
     _yaml_dump(report, out / "report.yaml")
     _write_manifest(out, "analyze", args.argv, 0, outputs, {})
     print(f"analyze: report written to {out / 'report.yaml'}")
@@ -420,8 +423,6 @@ def _rt_drop(job):
 
 def cmd_roundtrip(parser, args) -> int:
     params, pfile = _resolve_params(parser, args)
-    if args.drops < 1:
-        parser.error("--drops: must be at least 1")
     out = _out_dir(parser, args)
 
     seeds = np.random.SeedSequence(args.seed).spawn(args.drops)
@@ -494,10 +495,6 @@ def cmd_capacity(parser, args) -> int:
     snr = _parse_snr(parser, args.snr)
     if snr.size == 0:
         parser.error("--snr: no points given")
-    if args.drops < 1:
-        parser.error("--drops: must be at least 1")
-    if args.tones < 1:
-        parser.error("--tones: must be at least 1")
     if args.los_fraction is not None:
         if args.condition != "los":
             parser.error("--los-fraction: only meaningful with "
@@ -581,6 +578,14 @@ def _finite_float(text: str) -> float:
     return x
 
 
+def _count(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer of at least 1")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="thzgbsm",
@@ -591,9 +596,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, drops_default):
         sp.add_argument("--out", required=True, help="output directory")
         sp.add_argument("--seed", type=int, default=0, help="master seed")
-        sp.add_argument("--drops", type=int, default=drops_default,
+        sp.add_argument("--drops", type=_count, default=drops_default,
                         help="number of independent drops")
-        sp.add_argument("--workers", type=int, default=1,
+        sp.add_argument("--workers", type=_count, default=1,
                         help="parallel worker processes")
 
     def selection(sp, with_source=True):
@@ -652,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="SNR grid: start:stop:step or comma list (dB)")
     sp.add_argument("--mode", default="thz-simplified",
                     choices=("thz-simplified", "standard"))
-    sp.add_argument("--tones", type=int, default=64)
+    sp.add_argument("--tones", type=_count, default=64)
     sp.add_argument("--bandwidth-hz", type=_finite_float, default=1e9)
     sp.add_argument("--los-fraction", type=_finite_float, default=None,
                     help="mix NLoS drops in with this LoS probability")

@@ -11,13 +11,17 @@ factor, per-cluster shadowing, XPR, zenith spreads, geometry).
 Sets are stored as YAML, one file per (scenario, condition, source).
 The bundled files live in ``thzgbsm/data``; the environment variable
 ``THZ_GBSM_PARAMS_DIR`` points the loader at an alternative directory.
+One builder, driven by the spec dataclasses' annotations, reports every
+missing, unknown, wrongly typed or non-finite entry by its dotted path.
 """
 
-from __future__ import annotations
-
-import copy
+# No ``from __future__ import annotations``: _build reads each field's
+# type from ``dataclasses.fields`` as an object, not a string.
 import os
-from dataclasses import dataclass, field
+import sys
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -108,9 +112,9 @@ class ScenarioParamSet:
     clusters: ClusterSpec
     supplemental: SupplementalSpec
     geometry: GeometrySpec
-    corr_dist_m: dict = field(default_factory=dict)   # keys from LSP_ORDER
-    xcorr: dict = field(default_factory=dict)         # pair keys like "ds_sf"
-    k_db: NormalSpec | None = None                    # LoS only
+    corr_dist_m: dict[str, float] = field(default_factory=dict)  # keys from LSP_ORDER
+    xcorr: dict[str, float] = field(default_factory=dict)        # pair keys like "ds_sf"
+    k_db: NormalSpec | None = None                               # LoS only
 
     # -- derived ---------------------------------------------------------
 
@@ -217,95 +221,57 @@ class ScenarioParamSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioParamSet":
-        # deep: the takes below pop keys out of nested mappings too
-        d = copy.deepcopy(d)
+        """Build and validate a set from ``yaml.safe_load`` data; ``d`` is not changed."""
         issues = []
-
-        def take(mapping, key, where):
-            if key not in mapping:
-                issues.append(f"{where}: missing key {key!r}")
-                return None
-            return mapping.pop(key)
-
-        def subspec(mapping, key, spec_cls, where, optional=False):
-            raw = mapping.pop(key, None)
-            if raw is None:
-                if not optional:
-                    issues.append(f"{where}: missing key {key!r}")
-                return None
-            try:
-                return spec_cls(**raw)
-            except TypeError as exc:
-                issues.append(f"{where}.{key}: {exc}")
-                return None
-
-        scenario = take(d, "scenario", "top level")
-        condition = take(d, "condition", "top level")
-        source = take(d, "source", "top level")
-        fc = take(d, "carrier_frequency_ghz", "top level")
-        pl_raw = take(d, "pathloss", "top level") or {}
-        ds = subspec(d, "ds_log10s", LogNormalSpec, "top level")
-        asa = subspec(d, "asa_log10deg", LogNormalSpec, "top level")
-        k = subspec(d, "k_db", NormalSpec, "top level", optional=True)
-        xcorr = d.pop("xcorr", {})
-        corr = d.pop("corr_dist_m", {})
-
-        cl_raw = take(d, "clusters", "top level") or {}
-        count_ln = None
-        if "count_log10" in cl_raw:
-            count_ln = LogNormalSpec(**cl_raw.pop("count_log10"))
-        try:
-            clusters = ClusterSpec(count_log10=count_ln, **cl_raw)
-        except TypeError as exc:
-            issues.append(f"clusters: {exc}")
-            clusters = None
-
-        sup_raw = take(d, "supplemental", "top level") or {}
-        try:
-            supplemental = SupplementalSpec(
-                r_tau=sup_raw["r_tau"],
-                per_cluster_shadow_db=sup_raw["per_cluster_shadow_db"],
-                xpr_db=NormalSpec(**sup_raw["xpr_db"]),
-                zsa_log10deg=LogNormalSpec(**sup_raw["zsa_log10deg"]),
-                zsd_log10deg=LogNormalSpec(**sup_raw["zsd_log10deg"]),
-                c_zsa_deg=sup_raw["c_zsa_deg"],
-                c_zsd_deg=sup_raw["c_zsd_deg"],
-            )
-        except (KeyError, TypeError) as exc:
-            issues.append(f"supplemental: missing or malformed field ({exc})")
-            supplemental = None
-
-        geo_raw = take(d, "geometry", "top level") or {}
-        try:
-            geometry = GeometrySpec(
-                bs_height_m=geo_raw["bs_height_m"],
-                mu_height_m=geo_raw["mu_height_m"],
-                annulus_m=tuple(geo_raw["annulus_m"]),
-            )
-        except (KeyError, TypeError) as exc:
-            issues.append(f"geometry: missing or malformed field ({exc})")
-            geometry = None
-
-        try:
-            pathloss = PathLossSpec(**pl_raw)
-        except TypeError as exc:
-            issues.append(f"pathloss: {exc}")
-            pathloss = None
-
-        for key in sorted(d):
-            issues.append(f"top level: unknown key {key!r}")
+        ps = _build(cls, d, "", issues)
         if issues:
             raise ParamValidationError(issues)
-
-        ps = cls(
-            scenario=scenario, condition=condition, source=source,
-            carrier_frequency_ghz=float(fc), pathloss=pathloss,
-            ds_log10s=ds, asa_log10deg=asa, clusters=clusters,
-            supplemental=supplemental, geometry=geometry,
-            corr_dist_m=dict(corr), xcorr=dict(xcorr), k_db=k,
-        )
         ps.validate()
         return ps
+
+
+def _build(tp, raw, path: str, issues: list):
+    """A value of type ``tp`` built from ``raw``, or None after appending
+    one issue per missing, unknown, wrongly typed or non-finite entry,
+    each named by its dotted path from the document root."""
+    where = path or "top level"
+    if isinstance(tp, types.UnionType):    # X | None: null means absent
+        if raw is None:
+            return None
+        tp = typing.get_args(tp)[0]
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    n_issues = len(issues)
+    if is_dataclass(tp) and isinstance(raw, dict):
+        specs = {f.name: f for f in fields(tp)}
+        issues += [f"{where}: unknown key {k!r}"
+                   for k in sorted(raw.keys() - specs.keys(), key=str)]
+        issues += [f"{where}: missing key {k!r}" for k, f in specs.items()
+                   if k not in raw and f.default is f.default_factory is MISSING]
+        kw = {k: _build(f.type, raw[k], _join(path, k), issues)
+              for k, f in specs.items() if k in raw}
+        return tp(**kw) if len(issues) == n_issues else None
+    if origin is dict and isinstance(raw, dict):
+        value = {_build(args[0], k, where, issues): _build(args[1], v, _join(path, k), issues)
+                 for k, v in raw.items()}
+    elif origin is tuple and isinstance(raw, (list, tuple)) and len(raw) == len(args):
+        value = tuple(_build(a, v, f"{where}[{i}]", issues)
+                      for i, (a, v) in enumerate(zip(args, raw)))
+    elif (tp in (float, int, str) and not isinstance(raw, bool)
+          and isinstance(raw, (int, float) if tp is float else tp)
+          # exact comparison: nan, +-inf and ints past the float range fail
+          and (tp is not float or abs(raw) <= sys.float_info.max)):
+        value = tp(raw)
+    else:
+        expected = ("a mapping" if is_dataclass(tp) or origin is dict
+                    else f"a list of {len(args)} entries" if origin is tuple
+                    else {float: "a finite number", int: "an integer"}.get(tp, "a string"))
+        issues.append(f"{where}: expected {expected}, got {raw!r}")
+        return None
+    return value if len(issues) == n_issues else None
+
+
+def _join(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
 
 
 def _pair_key(a: str, b: str) -> str:
@@ -356,7 +322,10 @@ def data_dir() -> Path:
 def load_params_file(path) -> list[ScenarioParamSet]:
     """Load one YAML file holding a single set or a list of sets."""
     path = Path(path)
-    raw = yaml.safe_load(path.read_text())
+    try:
+        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        raise ParamValidationError([f"{path}: not valid YAML: {exc}"]) from exc
     if raw is None:
         raise ParamValidationError([f"{path}: file is empty"])
     docs = raw if isinstance(raw, list) else [raw]

@@ -200,8 +200,7 @@ def test_analyze_empty_input_no_partial_outputs(tmp_path):
     out = tmp_path / "rep"
     rc = main(["analyze", "--input", str(src), "--out", str(out)])
     assert rc == 1
-    assert not (out / "report.yaml").exists()
-    assert not (out / "per_drop.csv").exists()
+    assert not out.exists()
 
 
 # a negative delay_ns stays legal: the RMS delay spread is shift-invariant
@@ -223,8 +222,7 @@ def test_analyze_bad_cell_exits_1_with_message(tmp_path, capsys, column, cell):
     assert main(["analyze", "--input", str(src), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "line 3" in err and repr(column) in err
-    assert not (out / "report.yaml").exists()
-    assert not (out / "per_drop.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(("drop0", "cause"), [
@@ -242,7 +240,7 @@ def test_analyze_zero_delay_spread_names_the_drop(tmp_path, capsys, drop0,
     assert main(["analyze", "--input", str(src), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "drop 0" in err and cause in err
-    assert not (out / "report.yaml").exists()
+    assert not out.exists()
 
 
 def test_analyze_recluster_counts_only_powered_rows(tmp_path):
@@ -277,7 +275,18 @@ def test_analyze_max_clusters_below_two_exits_2(tmp_path):
         main(["analyze", "--input", str(src), "--recluster",
               "--max-clusters", "1", "--out", str(tmp_path / "rep")])
     assert exc.value.code == 2
-    assert not (tmp_path / "rep" / "report.yaml").exists()
+    assert not (tmp_path / "rep").exists()
+
+
+def test_analyze_unknown_schema_exits_2_before_creating_out(tmp_path, capsys):
+    src = tmp_path / "cir.csv"
+    src.write_text("drop,tap,u,s,delay_ns,re,im\n0,0,0,0,1.5,1.0,0.0\n")
+    out = tmp_path / "rep"
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--input", str(src), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "power_linear" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_pdp_schema(tmp_path):
@@ -382,10 +391,18 @@ def test_non_finite_float_option_exits_2(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["simulate", "--scenario", "office", "--condition", "los", "--drops", "0"],
     ["roundtrip", "--scenario", "office", "--condition", "los", "--drops", "0"],
+    ["simulate", "--scenario", "office", "--condition", "los", "--workers", "0"],
+    ["roundtrip", "--scenario", "umi", "--condition", "los", "--workers", "-3"],
+    ["simulate", "--scenario", "office", "--condition", "los",
+     "--grid-step", "0"],
+    ["simulate", "--scenario", "office", "--condition", "los",
+     "--grid-step", "5"],
     ["capacity", "--scenario", "umi", "--los-fraction", "1.5"],
     ["capacity", "--scenario", "umi", "--condition", "nlos",
      "--los-fraction", "0.5"],
-], ids=["simulate-drops", "roundtrip-drops", "los-fraction-range",
+], ids=["simulate-drops", "roundtrip-drops", "simulate-workers-0",
+        "roundtrip-workers-negative", "grid-step-zero",
+        "grid-step-above-half-corr-dist", "los-fraction-range",
         "los-fraction-nlos"])
 def test_bad_argument_exits_2_before_creating_out(tmp_path, argv):
     out = tmp_path / "out"
@@ -414,3 +431,72 @@ def test_capacity_rerun_byte_identical(tmp_path):
     assert main(args + ["--out", str(b), "--workers", "2"]) == 0
     assert _read(a / "capacity.csv") == _read(b / "capacity.csv")
     assert _read(a / "capacity.svg") == _read(b / "capacity.svg")
+
+
+_DELETE = object()
+# (where, new value) edits of office_los_measured, or raw file text, with
+# the text the usage error must carry
+_BAD_PARAMS = {
+    "string-sigma": ((("ds_log10s", "sigma"), "x"), "ds_log10s.sigma"),
+    "string-count": ((("clusters", "count"), "four"),
+                     "clusters.count: expected an integer, got 'four'"),
+    "string-r-tau": ((("supplemental", "r_tau"), "x"), "supplemental.r_tau"),
+    "string-corr-dist": ((("corr_dist_m", "ds"), "x"), "corr_dist_m.ds"),
+    "float-count": ((("clusters", "count"), 4.5), "clusters.count"),
+    "float-rays": ((("clusters", "rays"), 3.0), "clusters.rays"),
+    "bool-count": ((("clusters", "count"), True), "clusters.count"),
+    "list-xcorr": ((("xcorr",), [0.1, 0.2]), "xcorr: expected a mapping"),
+    "scalar-count-log10": ((("clusters", "count_log10"), 3),
+                           "clusters.count_log10: expected a mapping"),
+    "unknown-supplemental-key": ((("supplemental", "extra"), 1),
+                                 "supplemental: unknown key 'extra'"),
+    "unknown-geometry-key": ((("geometry", "extra"), 1),
+                             "geometry: unknown key 'extra'"),
+    "unknown-top-level-key": ((("extra",), 1), "top level: unknown key 'extra'"),
+    "inf-corr-dist": ((("corr_dist_m", "ds"), float("inf")), "corr_dist_m.ds"),
+    "nan-zsa-mu": ((("supplemental", "zsa_log10deg", "mu"), float("nan")),
+                   "supplemental.zsa_log10deg.mu"),
+    "int-past-float-range": ((("geometry", "bs_height_m"), 10**400),
+                             "geometry.bs_height_m: expected a finite number"),
+    "string-ple": ((("pathloss", "ple"), "x"), "pathloss.ple"),
+    "scalar-pathloss": ((("pathloss",), "ci"), "pathloss: expected a mapping"),
+    "three-element-annulus": ((("geometry", "annulus_m"), [1.0, 2.0, 3.0]),
+                              "geometry.annulus_m: expected a list of 2"),
+    "string-annulus-max": ((("geometry", "annulus_m", 1), "far"),
+                           "geometry.annulus_m[1]"),
+    "null-xcorr-pair": ((("xcorr", "ds_k"), None), "xcorr.ds_k"),
+    "missing-supplemental-key": ((("supplemental", "c_zsd_deg"), _DELETE),
+                                 "supplemental: missing key 'c_zsd_deg'"),
+    "yaml-syntax-error": ("scenario: office\n  condition: [los\n", "not valid YAML"),
+    "not-utf8": (b"scenario: \xff\n", "not valid YAML"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_PARAMS.values()), ids=list(_BAD_PARAMS))
+def test_malformed_params_file_exits_2_naming_the_entry(tmp_path, capsys, case):
+    from thzgbsm.params import data_dir
+    content, expected = case
+    pfile = tmp_path / "bad.yaml"
+    if isinstance(content, bytes):
+        pfile.write_bytes(content)
+    elif isinstance(content, str):
+        pfile.write_text(content)
+    else:
+        (*where, key), value = content
+        d = yaml.safe_load((data_dir() / "office_los_measured.yaml").read_text())
+        node = d
+        for k in where:
+            node = node[k]
+        if value is _DELETE:
+            del node[key]
+        else:
+            node[key] = value
+        pfile.write_text(yaml.safe_dump(d))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["roundtrip", "--scenario", "office", "--condition", "los",
+              "--params", str(pfile), "--drops", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert expected in err and str(pfile) in err
+    assert not out.exists()

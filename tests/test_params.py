@@ -94,6 +94,45 @@ def test_from_dict_leaves_callers_dict_unchanged():
     assert d == before
 
 
+def test_from_dict_reads_explicit_null_as_absent():
+    d = _bundled_dict("office_nlos_measured")
+    d["k_db"] = None
+    d["clusters"]["count_log10"] = None
+    ps = ScenarioParamSet.from_dict(d)
+    assert ps.k_db is None and ps.clusters.count_log10 is None
+
+
+def _leaf_paths(node, path=()):
+    if not isinstance(node, (dict, list)):
+        return [path]
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    return [p for k, v in items for p in _leaf_paths(v, path + (k,))]
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.just(10**400), st.floats(),
+    st.text(max_size=4), st.lists(st.floats(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+@given(label=st.sampled_from(["_".join(s) for s in ALL_SETS]), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_from_dict_with_one_leaf_swapped_builds_or_raises_validation_error(
+        label, data):
+    d = _bundled_dict(label)
+    path = data.draw(st.sampled_from(_leaf_paths(d)))
+    node = d
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = data.draw(_JUNK)
+    try:
+        ps = ScenarioParamSet.from_dict(d)
+    except ParamValidationError as exc:
+        assert exc.issues
+    else:
+        ps.validate()
+
+
 def test_validate_requires_k_for_los():
     p = load_params("office", "los", "measured")
     p.k_db = None
