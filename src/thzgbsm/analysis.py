@@ -143,22 +143,25 @@ def rms_ds(pdp_or_delays, powers=None) -> float:
     return float(np.sqrt((p * (delays - mean) ** 2).sum() / tot))
 
 
-def asa(azimuth_deg, powers) -> float:
+def asa(azimuth_deg, powers) -> float | np.ndarray:
     """Circular azimuth spread in degrees.
 
     sqrt(1 - R^2) radians with R the power-weighted resultant length
     |sum p e^{j phi}| / sum p, converted to degrees. A single direction
     gives 0; power spread uniformly over the circle saturates at one
     radian (57.2958 deg).
+
+    Sums run over the last axis: 1-D inputs give a float, stacked (k, n)
+    rows give (k,) spreads, each equal bit for bit to its row's 1-D call.
     """
     phi = np.deg2rad(np.asarray(azimuth_deg, dtype=float))
     p = np.asarray(powers, dtype=float)
-    tot = p.sum()
-    if tot <= 0:
+    tot = p.sum(axis=-1)
+    if (tot <= 0).any():
         raise ValueError("total power must be positive")
-    r = np.abs((p * np.exp(1j * phi)).sum()) / tot
-    r = min(r, 1.0)
-    return float(np.rad2deg(np.sqrt(max(1.0 - r * r, 0.0))))
+    r = np.minimum(np.abs((p * np.exp(1j * phi)).sum(axis=-1)) / tot, 1.0)
+    s = np.rad2deg(np.sqrt(np.maximum(1.0 - r * r, 0.0)))
+    return float(s) if s.ndim == 0 else s
 
 
 def k_factor(pdp_or_powers, powers=None) -> float:

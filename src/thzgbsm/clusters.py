@@ -150,14 +150,48 @@ def rescale_delays(delays_s, powers, los_weight: float,
 
 
 def composite_asa(angles_deg, ray_powers, los_weight: float,
-                  bearing_deg: float) -> float:
-    """Circular azimuth spread of all rays plus the direct path."""
-    a = np.asarray(angles_deg, dtype=float).ravel()
+                  bearing_deg: float) -> float | np.ndarray:
+    """Circular azimuth spread of all rays plus the direct path. Axes of
+    angles_deg ahead of ray_powers' shape stack configurations."""
+    a = np.asarray(angles_deg, dtype=float)
+    a = a.reshape(a.shape[:max(a.ndim - np.ndim(ray_powers), 0)] + (-1,))
     p = np.asarray(ray_powers, dtype=float).ravel()
     if los_weight > 0:
-        a = np.concatenate([[bearing_deg], a])
+        a = np.concatenate([np.full(a.shape[:-1] + (1,), bearing_deg), a], axis=-1)
         p = np.concatenate([[los_weight], p])
     return analysis.asa(a, p)
+
+
+# ray angles per stacked spread evaluation in rescale_azimuth: amortizes numpy's
+# call overhead on small sets; 300-380-ray sets stay near one configuration
+_ASA_BATCH = 1024
+
+
+def _bisect(spread_at, lo, hi, target: float, depth: int, steps: int = 60):
+    """0.5 * (lo + hi) after `steps` steps of mid = 0.5 * (lo + hi), then
+    lo = mid if spread_at(mid) < target else hi = mid. Each round walks
+    the 2**depth - 1 midpoints the next `depth` steps can visit, evaluated
+    in one stacked call. Once a midpoint equals an end of its bracket no
+    later step changes the result: it is that midpoint."""
+    while steps > 0:
+        d = min(depth, steps)
+        nodes, mids = [(lo, hi)], []
+        for _ in range(d):      # breadth first: node i has children 2i+1, 2i+2
+            level = [0.5 * (a + b) for a, b in nodes]
+            nodes = [x for (a, b), m in zip(nodes, level) for x in ((a, m), (m, b))]
+            mids += level
+        if mids[0] in (lo, hi):
+            return mids[0]
+        vals, i = spread_at(np.array(mids)), 0
+        for _ in range(d):
+            if mids[i] in (lo, hi):
+                return mids[i]
+            if vals[i] < target:
+                lo, i = mids[i], 2 * i + 2
+            else:
+                hi, i = mids[i], 2 * i + 1
+        steps -= d
+    return 0.5 * (lo + hi)
 
 
 def rescale_azimuth(angles_deg, ray_powers, los_weight: float,
@@ -175,55 +209,53 @@ def rescale_azimuth(angles_deg, ray_powers, los_weight: float,
     even that clamps at the maximum-spread configuration. The sweep
     distorts per-ray geometry only on drops whose drawn spread exceeds
     what their drawn K-factor admits at all.
+
+    Spreads are evaluated in stacks of about _ASA_BATCH ray angles: the
+    scale grid in growing chunks up to the first reaching the target, and
+    bisections several steps ahead (_bisect). Stacked spreads equal lone
+    ones bit for bit, so every decision equals the one-at-a-time search's.
     """
     ang = np.asarray(angles_deg, dtype=float)
-    dev = wrap_deg(ang - bearing_deg)
-
-    def from_dev(d):
-        return wrap_deg(bearing_deg + d)
-
-    def spread_of(d):
-        return composite_asa(from_dev(d), ray_powers, los_weight, bearing_deg)
-
-    def bisect(f, lo, hi, n=60):
-        # f(lo) < target <= f(hi); returns the crossing parameter
-        for _ in range(n):
-            mid = 0.5 * (lo + hi)
-            if f(mid) < target_asa_deg:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    if spread_of(dev) <= 0:
+    dev = wrap_deg(ang - bearing_deg).ravel()
+    p = np.asarray(ray_powers, dtype=float).ravel()
+    per_call = max(1, _ASA_BATCH // dev.size)
+    depth = (1 + per_call).bit_length() - 1     # floor(log2(1 + per_call))
+    from_dev = lambda d: wrap_deg(bearing_deg + d).reshape(ang.shape)
+    # (k, n) deviations -> (k,) spreads, in one stacked evaluation
+    spreads = lambda devs: composite_asa(wrap_deg(bearing_deg + devs), p,
+                                         los_weight, bearing_deg)
+    scaled = lambda s: spreads(s[:, None] * dev)
+    s0 = spreads(dev[None])[0]
+    if s0 <= 0:
         return from_dev(dev)
-
-    scale_spread = lambda s: spread_of(s * dev)
-    if scale_spread(1.0) >= target_asa_deg:
-        s = bisect(scale_spread, 0.0, 1.0)
-        return from_dev(s * dev)
+    if s0 >= target_asa_deg:
+        return from_dev(_bisect(scaled, 0.0, 1.0, target_asa_deg, depth) * dev)
 
     # growing: the spread is not monotone in the scale once deviations
-    # wrap, so probe a log grid and bisect the first upward crossing
+    # wrap, so probe a log grid (grid[0] = 1 gave s0) and bisect the
+    # first upward crossing
     grid = np.geomspace(1.0, 256.0, 96)
-    vals = np.array([scale_spread(s) for s in grid])
-    hit = np.nonzero(vals >= target_asa_deg)[0]
-    if hit.size:
-        # grid[0] is the scale 1.0 already found below the target
-        i = hit[0]
-        s = bisect(scale_spread, grid[i - 1], grid[i])
-        return from_dev(s * dev)
+    vals, j, chunk = [np.array([s0])], 1, per_call
+    while j < grid.size:
+        vals.append(scaled(grid[j:j + chunk]))
+        hit = np.nonzero(vals[-1] >= target_asa_deg)[0]
+        if hit.size:
+            i = j + hit[0]
+            s = _bisect(scaled, grid[i - 1], grid[i], target_asa_deg, depth)
+            return from_dev(s * dev)
+        j, chunk = j + chunk, 2 * chunk
+    vals = np.concatenate(vals)
 
     # no uniform scale reaches the target: sweep from the best scaled
     # configuration toward the antipodal maximum-spread one
-    s_star = grid[int(np.argmax(vals))]
-    base = wrap_deg(s_star * dev)
+    base = wrap_deg(grid[int(np.argmax(vals))] * dev)
     anti = 180.0 * np.where(base >= 0.0, 1.0, -1.0)
-    sweep_spread = lambda u: spread_of((1.0 - u) * base + u * anti)
-    if sweep_spread(1.0) >= target_asa_deg:
-        u = bisect(sweep_spread, 0.0, 1.0)
+    swept = lambda u: spreads((1.0 - u)[:, None] * base + u[:, None] * anti)
+    s_anti = spreads(anti[None])[0]
+    if s_anti >= target_asa_deg:
+        u = _bisect(swept, 0.0, 1.0, target_asa_deg, depth)
         return from_dev((1.0 - u) * base + u * anti)
-    if sweep_spread(1.0) >= vals.max():
+    if s_anti >= vals.max():
         return from_dev(anti)
     return from_dev(base)
 

@@ -320,7 +320,8 @@ def data_dir() -> Path:
 
 
 def load_params_file(path) -> list[ScenarioParamSet]:
-    """Load one YAML file holding a single set or a list of sets."""
+    """Load one YAML file holding a single set or a list of sets. Issues in
+    a list name their entry; two entries for one set are an error."""
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
@@ -329,14 +330,18 @@ def load_params_file(path) -> list[ScenarioParamSet]:
     if raw is None:
         raise ParamValidationError([f"{path}: file is empty"])
     docs = raw if isinstance(raw, list) else [raw]
-    sets = []
+    sets, first = [], {}
     for i, doc in enumerate(docs):
         if not isinstance(doc, dict):
             raise ParamValidationError([f"{path}: entry {i} is not a mapping"])
+        where = f"{path}: entry {i}:" if isinstance(raw, list) else f"{path}:"
         try:
-            sets.append(ScenarioParamSet.from_dict(doc))
+            ps = ScenarioParamSet.from_dict(doc)
         except ParamValidationError as exc:
-            raise ParamValidationError([f"{path}: {issue}" for issue in exc.issues]) from exc
+            raise ParamValidationError([f"{where} {issue}" for issue in exc.issues]) from exc
+        if (j := first.setdefault(ps.label(), i)) != i:
+            raise ParamValidationError([f"{path}: entries {j} and {i} are both {ps.label()}"])
+        sets.append(ps)
     return sets
 
 

@@ -500,3 +500,19 @@ def test_malformed_params_file_exits_2_naming_the_entry(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert expected in err and str(pfile) in err
     assert not out.exists()
+
+
+def test_params_list_with_a_set_twice_exits_2_naming_both_entries(
+        tmp_path, capsys):
+    from thzgbsm.params import data_dir
+    d = yaml.safe_load((data_dir() / "office_los_measured.yaml").read_text())
+    pfile = tmp_path / "twice.yaml"
+    pfile.write_text(yaml.safe_dump([d, d]))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["roundtrip", "--scenario", "office", "--condition", "los",
+              "--params", str(pfile), "--drops", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert (f"{pfile}: entries 0 and 1 are both office_los_measured"
+            in capsys.readouterr().err)
+    assert not out.exists()

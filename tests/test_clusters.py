@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from thzgbsm import clusters
 from thzgbsm.analysis import asa, k_factor, rms_ds
 from thzgbsm.clusters import (
     apply_in_cluster_k, build_drop, composite_asa, composite_rms_ds,
     extract_drop_stats, gen_delays, gen_powers, gen_xpr_and_phases,
     geometry_for, place_user, rescale_azimuth, rescale_delays,
     rescale_zenith)
+from thzgbsm.constants import wrap_deg
 from thzgbsm.lsp import draw_lsp_iid
 from thzgbsm.params import load_params
 
@@ -155,6 +157,129 @@ def test_rescale_azimuth_degenerate_input_unchanged():
     pw = np.array([1.0, 2.0])
     out = rescale_azimuth(ang, pw, 0.0, 20.0, 30.0)
     assert_allclose(out, ang)
+
+
+def _scalar_spread(angles_deg, ray_powers, los_weight, bearing_deg):
+    """One configuration's composite spread, as the scalar code took it."""
+    a = np.asarray(angles_deg, dtype=float).ravel()
+    p = np.asarray(ray_powers, dtype=float).ravel()
+    if los_weight > 0:
+        a = np.concatenate([[bearing_deg], a])
+        p = np.concatenate([[los_weight], p])
+    phi = np.deg2rad(a)
+    r = min(np.abs((p * np.exp(1j * phi)).sum()) / p.sum(), 1.0)
+    return float(np.rad2deg(np.sqrt(max(1.0 - r * r, 0.0))))
+
+
+def _reference_rescale_azimuth(angles_deg, ray_powers, los_weight,
+                               bearing_deg, target_asa_deg):
+    """The search rescale_azimuth stacks: a 96-point grid scan and 60-step
+    sequential bisections, one spread evaluation at a time. Returns the
+    angles and the exit taken."""
+    ang = np.asarray(angles_deg, dtype=float)
+    dev = wrap_deg(ang - bearing_deg)
+
+    def from_dev(d):
+        return wrap_deg(bearing_deg + d)
+
+    def spread_of(d):
+        return _scalar_spread(from_dev(d), ray_powers, los_weight, bearing_deg)
+
+    def bisect(f, lo, hi, n=60):
+        for _ in range(n):
+            mid = 0.5 * (lo + hi)
+            if f(mid) < target_asa_deg:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    if spread_of(dev) <= 0:
+        return from_dev(dev), "zero"
+    scale_spread = lambda s: spread_of(s * dev)
+    if scale_spread(1.0) >= target_asa_deg:
+        return from_dev(bisect(scale_spread, 0.0, 1.0) * dev), "shrink"
+    grid = np.geomspace(1.0, 256.0, 96)
+    vals = np.array([scale_spread(s) for s in grid])
+    hit = np.nonzero(vals >= target_asa_deg)[0]
+    if hit.size:
+        i = hit[0]
+        return from_dev(bisect(scale_spread, grid[i - 1], grid[i]) * dev), "grow"
+    base = wrap_deg(grid[int(np.argmax(vals))] * dev)
+    anti = 180.0 * np.where(base >= 0.0, 1.0, -1.0)
+    sweep_spread = lambda u: spread_of((1.0 - u) * base + u * anti)
+    if sweep_spread(1.0) >= target_asa_deg:
+        u = bisect(sweep_spread, 0.0, 1.0)
+        return from_dev((1.0 - u) * base + u * anti), "sweep"
+    if sweep_spread(1.0) >= vals.max():
+        return from_dev(anti), "antipode"
+    return from_dev(base), "base"
+
+
+# (angles, ray powers, direct share, bearing, target, exit the search takes)
+_RESCALE_CASES = {
+    "zero spread": ([20.0, 20.0], [1.0, 2.0], 0.0, 20.0, 30.0, "zero"),
+    "shrink": ([-120.0, -60.0, 40.0, 170.0], [1.0] * 4, 0.0, 0.0, 5.0, "shrink"),
+    "grow": ([3.0, -2.0, 7.0, -5.0], [0.4, 0.3, 0.2, 0.1], 0.0, -170.0, 30.0,
+             "grow"),
+    "sweep reaches target": ([5.0, -3.0, 12.0], [0.12, 0.12, 0.06], 0.7, 0.0,
+                             50.0, "sweep"),
+    "clamp to antipode": ([5.0, -3.0, 12.0], [0.02, 0.02, 0.01], 0.95, 0.0,
+                          40.0, "antipode"),
+    "clamp to base": ([5.0, -3.0, 12.0, 40.0], [0.3, 0.3, 0.2, 0.1], 0.1,
+                      30.0, 80.0, "base"),
+    "nlos w = 0 unreachable": ([10.0, -4.0, 25.0], [0.5, 0.3, 0.2], 0.0, 90.0,
+                               70.0, "base"),
+    # no scale above 1 spreads two opposite rays more: the grid's best is 1
+    "clamp to unscaled base": ([90.0, -90.0], [0.5, 0.5], 0.0, 0.0, 60.0, "base"),
+    "single ray": ([12.0], [0.4], 0.6, 0.0, 35.0, "grow"),
+    "single ray, no direct path": ([12.0], [1.0], 0.0, 0.0, 35.0, "zero"),
+}
+
+
+@pytest.mark.parametrize("case", list(_RESCALE_CASES))
+def test_rescale_azimuth_equals_scalar_search(case):
+    ang, pw, w, bearing, target, exit_ = _RESCALE_CASES[case]
+    want, took = _reference_rescale_azimuth(np.array(ang), np.array(pw), w,
+                                            bearing, target)
+    assert took == exit_
+    assert np.array_equal(rescale_azimuth(np.array(ang), np.array(pw), w,
+                                          bearing, target), want)
+
+
+@pytest.mark.parametrize("scenario,condition,source", [
+    (s, c, src) for s in ("office", "umi") for c in ("los", "nlos")
+    for src in ("measured", "3gpp")])
+def test_build_drop_azimuths_equal_scalar_search(scenario, condition, source,
+                                                 monkeypatch):
+    p = load_params(scenario, condition, source)
+    seeds = np.random.SeedSequence(2024).spawn(25)
+    new = [build_drop(p, np.random.default_rng(s)) for s in seeds]
+    monkeypatch.setattr(clusters, "rescale_azimuth",
+                        lambda *a: _reference_rescale_azimuth(*a)[0])
+    for s, cs in zip(seeds, new):
+        ref = build_drop(p, np.random.default_rng(s))
+        assert np.array_equal(cs.aoa_deg, ref.aoa_deg)
+        assert np.array_equal(cs.aod_deg, ref.aod_deg)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 301, 381,
+                               1000])
+def test_stacked_spreads_equal_one_dimensional_calls(n):
+    rng = np.random.default_rng(n)
+    ang = rng.uniform(-180.0, 180.0, (6, n))
+    pw = rng.uniform(0.0, 1.0, n)
+    stacked = asa(ang, pw)
+    assert stacked.shape == (6,)
+    assert all(stacked[i] == asa(ang[i], pw) for i in range(6))
+    assert isinstance(asa(ang[0], pw), float)
+    cfg = ang.reshape(3, 2, 1, n)           # two leading stack axes
+    pw2 = pw.reshape(1, n)
+    comp = composite_asa(cfg, pw2, 0.3, 42.0)
+    assert comp.shape == (3, 2)
+    assert all(comp[i, j] == composite_asa(cfg[i, j], pw2, 0.3, 42.0)
+               == _scalar_spread(cfg[i, j], pw2, 0.3, 42.0)
+               for i in range(3) for j in range(2))
 
 
 def test_rescale_zenith_target_and_range():

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from thzgbsm.params import (
     LSP_ORDER, ParamValidationError, ScenarioParamSet, data_dir, load_params,
-    nearest_psd)
+    load_params_file, nearest_psd)
 
 ALL_SETS = [("office", "los", "measured"), ("office", "nlos", "measured"),
             ("umi", "los", "measured"), ("umi", "nlos", "measured"),
@@ -155,6 +155,39 @@ def test_env_var_overrides_bundled_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("THZ_GBSM_PARAMS_DIR", str(tmp_path))
     q = load_params("office", "los", "measured")
     assert q.ds_log10s.mu == pytest.approx(-9.5)
+
+
+def test_list_file_issues_name_their_entry(tmp_path):
+    good = _bundled_dict("office_los_measured")
+    bad = _bundled_dict("umi_los_measured")
+    bad["clusters"]["count"] = "four"
+    two = tmp_path / "two.yaml"
+    two.write_text(yaml.safe_dump([good, bad]))
+    with pytest.raises(ParamValidationError) as exc:
+        load_params_file(two)
+    assert exc.value.issues == [
+        f"{two}: entry 1: clusters.count: expected an integer, got 'four'"]
+    # a single-set file has no entries to name
+    one = tmp_path / "one.yaml"
+    one.write_text(yaml.safe_dump(bad))
+    with pytest.raises(ParamValidationError) as exc:
+        load_params_file(one)
+    assert exc.value.issues == [
+        f"{one}: clusters.count: expected an integer, got 'four'"]
+
+
+def test_list_file_rejects_two_entries_for_one_set(tmp_path):
+    d = _bundled_dict("office_los_measured")
+    other = _bundled_dict("umi_los_measured")
+    f = tmp_path / "dup.yaml"
+    f.write_text(yaml.safe_dump([d, other, d]))
+    with pytest.raises(ParamValidationError) as exc:
+        load_params_file(f)
+    assert exc.value.issues == [
+        f"{f}: entries 0 and 2 are both office_los_measured"]
+    f.write_text(yaml.safe_dump([d, other]))
+    assert [ps.label() for ps in load_params_file(f)] == [
+        "office_los_measured", "umi_los_measured"]
 
 
 # --- nearest correlation-matrix projection ---
