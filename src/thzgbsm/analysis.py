@@ -284,6 +284,8 @@ class KPowerMeans:
     the first iteration whose labels repeat (``MAX_ITER`` at most) and
     leaves the batch. The first restart with the lowest objective wins,
     and ``objective_path_`` and ``n_iter_`` are that restart's.
+    A cluster's center is its members' weighted mean, or their unweighted
+    mean when every member has zero weight.
     """
 
     def __init__(self, n_clusters: int = 3, delay_weight: float = 8.0,
@@ -365,7 +367,7 @@ class KPowerMeans:
             if not m.any():
                 out[c] = np.nan
                 continue
-            wc = w[m]
+            wc = w[m] if w[m].sum() > 0 else np.ones(np.count_nonzero(m))
             out[c, 0] = (wc * X[m, 0]).sum() / wc.sum()
             u = (wc[:, None] * 2.0 * E[m, :3]).sum(axis=0) / wc.sum()
             norm = np.linalg.norm(u)

@@ -113,7 +113,9 @@ def _to_native(obj):
     if isinstance(obj, np.ndarray):
         return [_to_native(v) for v in obj.tolist()]
     if isinstance(obj, np.generic):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and obj == 0.0:
+        return 0.0      # round() of a tiny negative value gives -0.0
     return obj
 
 

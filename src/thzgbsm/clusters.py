@@ -162,35 +162,28 @@ def composite_asa(angles_deg, ray_powers, los_weight: float,
     return analysis.asa(a, p)
 
 
-# ray angles per stacked spread evaluation in rescale_azimuth: amortizes numpy's
-# call overhead on small sets; 300-380-ray sets stay near one configuration
+# ray angles per stacked spread evaluation in rescale_azimuth's scale-grid
+# scan: amortizes numpy's call overhead on small sets
 _ASA_BATCH = 1024
 
+# rescale_azimuth stops once the composite spread is this close to the
+# target, relative to it; nothing downstream resolves it any finer
+_SPREAD_RTOL = 1e-10
 
-def _bisect(spread_at, lo, hi, target: float, depth: int, steps: int = 60):
-    """0.5 * (lo + hi) after `steps` steps of mid = 0.5 * (lo + hi), then
-    lo = mid if spread_at(mid) < target else hi = mid. Each round walks
-    the 2**depth - 1 midpoints the next `depth` steps can visit, evaluated
-    in one stacked call. Once a midpoint equals an end of its bracket no
-    later step changes the result: it is that midpoint."""
-    while steps > 0:
-        d = min(depth, steps)
-        nodes, mids = [(lo, hi)], []
-        for _ in range(d):      # breadth first: node i has children 2i+1, 2i+2
-            level = [0.5 * (a + b) for a, b in nodes]
-            nodes = [x for (a, b), m in zip(nodes, level) for x in ((a, m), (m, b))]
-            mids += level
-        if mids[0] in (lo, hi):
-            return mids[0]
-        vals, i = spread_at(np.array(mids)), 0
-        for _ in range(d):
-            if mids[i] in (lo, hi):
-                return mids[i]
-            if vals[i] < target:
-                lo, i = mids[i], 2 * i + 2
-            else:
-                hi, i = mids[i], 2 * i + 1
-        steps -= d
+
+def _solve(f, lo, hi, target: float):
+    """Bisect [lo, hi], where f(lo) < target <= f(hi), for f(x) = target:
+    the first midpoint whose f lies within _SPREAD_RTOL * target of the
+    target, else the midpoint left after 60 halvings."""
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        val = f(mid)
+        if abs(val - target) <= _SPREAD_RTOL * target:
+            return mid
+        if val < target:
+            lo = mid
+        else:
+            hi = mid
     return 0.5 * (lo + hi)
 
 
@@ -199,49 +192,43 @@ def rescale_azimuth(angles_deg, ray_powers, los_weight: float,
     """Move ray azimuths about the bearing until the composite circular
     spread hits the target.
 
-    Reachable targets are met by bisecting a common deviation scale.
-    The spread saturates, though: it cannot exceed one radian, and a
-    direct path pinning the fraction w at the bearing caps it harder,
-    at sqrt(1 - (2w - 1)^2), attained when all scattered power sits at
-    the antipode. When no uniform scale reaches the target the rays are
-    therefore swept from the best uniformly scaled configuration toward
-    the antipode (bisecting the sweep position), and a target beyond
-    even that clamps at the maximum-spread configuration. The sweep
-    distorts per-ray geometry only on drops whose drawn spread exceeds
-    what their drawn K-factor admits at all.
-
-    Spreads are evaluated in stacks of about _ASA_BATCH ray angles: the
-    scale grid in growing chunks up to the first reaching the target, and
-    bisections several steps ahead (_bisect). Stacked spreads equal lone
-    ones bit for bit, so every decision equals the one-at-a-time search's.
+    Reachable targets are met by bisecting a common deviation scale, to
+    within _SPREAD_RTOL of the target (_solve). The spread saturates,
+    though: it cannot exceed one radian, and a direct path pinning the
+    fraction w at the bearing caps it harder, at sqrt(1 - (2w - 1)^2),
+    attained when all scattered power sits at the antipode. When no
+    uniform scale reaches the target the rays are therefore swept from
+    the best uniformly scaled configuration toward the antipode
+    (bisecting the sweep position), and a target beyond even that clamps
+    at the maximum-spread configuration. The sweep distorts per-ray
+    geometry only on drops whose drawn spread exceeds what their drawn
+    K-factor admits at all.
     """
     ang = np.asarray(angles_deg, dtype=float)
     dev = wrap_deg(ang - bearing_deg).ravel()
     p = np.asarray(ray_powers, dtype=float).ravel()
-    per_call = max(1, _ASA_BATCH // dev.size)
-    depth = (1 + per_call).bit_length() - 1     # floor(log2(1 + per_call))
     from_dev = lambda d: wrap_deg(bearing_deg + d).reshape(ang.shape)
-    # (k, n) deviations -> (k,) spreads, in one stacked evaluation
-    spreads = lambda devs: composite_asa(wrap_deg(bearing_deg + devs), p,
-                                         los_weight, bearing_deg)
-    scaled = lambda s: spreads(s[:, None] * dev)
-    s0 = spreads(dev[None])[0]
+    # deviations (n,) -> spread, or stacked (k, n) -> (k,) spreads
+    spread = lambda d: composite_asa(wrap_deg(bearing_deg + d), p,
+                                     los_weight, bearing_deg)
+    scaled = lambda s: spread(s * dev)
+    s0 = spread(dev)
     if s0 <= 0:
         return from_dev(dev)
     if s0 >= target_asa_deg:
-        return from_dev(_bisect(scaled, 0.0, 1.0, target_asa_deg, depth) * dev)
+        return from_dev(_solve(scaled, 0.0, 1.0, target_asa_deg) * dev)
 
     # growing: the spread is not monotone in the scale once deviations
     # wrap, so probe a log grid (grid[0] = 1 gave s0) and bisect the
     # first upward crossing
     grid = np.geomspace(1.0, 256.0, 96)
-    vals, j, chunk = [np.array([s0])], 1, per_call
+    vals, j, chunk = [np.array([s0])], 1, max(1, _ASA_BATCH // dev.size)
     while j < grid.size:
-        vals.append(scaled(grid[j:j + chunk]))
+        vals.append(spread(grid[j:j + chunk, None] * dev))
         hit = np.nonzero(vals[-1] >= target_asa_deg)[0]
         if hit.size:
             i = j + hit[0]
-            s = _bisect(scaled, grid[i - 1], grid[i], target_asa_deg, depth)
+            s = _solve(scaled, grid[i - 1], grid[i], target_asa_deg)
             return from_dev(s * dev)
         j, chunk = j + chunk, 2 * chunk
     vals = np.concatenate(vals)
@@ -250,10 +237,10 @@ def rescale_azimuth(angles_deg, ray_powers, los_weight: float,
     # configuration toward the antipodal maximum-spread one
     base = wrap_deg(grid[int(np.argmax(vals))] * dev)
     anti = 180.0 * np.where(base >= 0.0, 1.0, -1.0)
-    swept = lambda u: spreads((1.0 - u)[:, None] * base + u[:, None] * anti)
-    s_anti = spreads(anti[None])[0]
+    swept = lambda u: spread((1.0 - u) * base + u * anti)
+    s_anti = spread(anti)
     if s_anti >= target_asa_deg:
-        u = _bisect(swept, 0.0, 1.0, target_asa_deg, depth)
+        u = _solve(swept, 0.0, 1.0, target_asa_deg)
         return from_dev((1.0 - u) * base + u * anti)
     if s_anti >= vals.max():
         return from_dev(anti)

@@ -233,6 +233,15 @@ def test_kpower_means_duplicate_points_co_assigned():
     assert km.labels_[0] != km.labels_[-1]
 
 
+def test_kpower_means_weightless_cluster_center_is_plain_mean():
+    # the zero-weight point ends up alone in its cluster
+    x = np.array([[5e-8, -100.0, 80.0], [1e-8, 10.0, 90.0], [1e-8, 10.0, 90.0]])
+    km = KPowerMeans(n_clusters=2, random_state=0).fit(x, [0.0, 1.0, 1.0])
+    assert km.labels_[0] != km.labels_[1] == km.labels_[2]
+    assert_allclose(km.cluster_centers_[km.labels_[0]], x[0], rtol=1e-9)
+    assert_allclose(km.cluster_centers_[km.labels_[1]], x[1], rtol=1e-9)
+
+
 def test_kpower_means_weight_sensitivity():
     # a heavy point drags its cluster centroid onto itself
     x = np.array([[0.0, 0.0, 90.0], [0.0, 40.0, 90.0],

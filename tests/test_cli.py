@@ -321,6 +321,18 @@ def test_roundtrip_cli_pass_and_exit_codes(tmp_path, capsys):
     assert (out / "roundtrip_drops.csv").exists()
 
 
+def test_roundtrip_report_writes_no_negative_zero(tmp_path):
+    # the k-factor medians agree here, and their difference rounds to zero
+    # from below
+    out = tmp_path / "rt"
+    main(["roundtrip", "--scenario", "office", "--condition", "los",
+          "--drops", "10", "--seed", "0", "--out", str(out)])
+    rep = yaml.safe_load((out / "report.yaml").read_text())
+    k, = (c for c in rep["checks"] if c["statistic"] == "k")
+    assert k["drawn_median"] == k["extracted_median"]
+    assert k["delta"] == 0.0 and not np.signbit(k["delta"])
+
+
 def test_roundtrip_zero_tolerance_fails(tmp_path):
     out = tmp_path / "rt0"
     rc = main(["roundtrip", "--scenario", "umi", "--condition", "los",

@@ -173,9 +173,9 @@ def _scalar_spread(angles_deg, ray_powers, los_weight, bearing_deg):
 
 def _reference_rescale_azimuth(angles_deg, ray_powers, los_weight,
                                bearing_deg, target_asa_deg):
-    """The search rescale_azimuth stacks: a 96-point grid scan and 60-step
-    sequential bisections, one spread evaluation at a time. Returns the
-    angles and the exit taken."""
+    """The search rescale_azimuth follows: a 96-point grid scan and 60-step
+    bisections, one spread evaluation at a time. Returns the angles and
+    the exit taken."""
     ang = np.asarray(angles_deg, dtype=float)
     dev = wrap_deg(ang - bearing_deg)
 
@@ -234,33 +234,71 @@ _RESCALE_CASES = {
     "clamp to unscaled base": ([90.0, -90.0], [0.5, 0.5], 0.0, 0.0, 60.0, "base"),
     "single ray": ([12.0], [0.4], 0.6, 0.0, 35.0, "grow"),
     "single ray, no direct path": ([12.0], [1.0], 0.0, 0.0, 35.0, "zero"),
+    # three upward crossings inside the grow bracket: a solver that does
+    # not bisect lands on another one, about 110 degrees away
+    "grow bracket with several crossings": ([-9.0, -10.0, 171.0],
+                                            [0.49, 0.49, 0.01], 0.0, -27.0,
+                                            57.0, "grow"),
 }
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """(bracket start, result) of every clusters._solve call."""
+    seen, solve = [], clusters._solve
+
+    def spy(f, lo, hi, target):
+        seen.append((lo, solve(f, lo, hi, target)))
+        return seen[-1][1]
+    monkeypatch.setattr(clusters, "_solve", spy)
+    return seen
+
+
+def _check_against_reference(ang, pw, w, bearing, target, solves):
+    """rescale_azimuth takes the reference search's exit, meets the target
+    to _SPREAD_RTOL on the bisected exits and stays within 1e-4 degrees of
+    the reference's angles. Returns rescale_azimuth's angles and the exit."""
+    want, took = _reference_rescale_azimuth(ang, pw, w, bearing, target)
+    solves.clear()
+    got = rescale_azimuth(ang, pw, w, bearing, target)
+    if took in ("zero", "antipode", "base"):
+        assert not solves and np.array_equal(got, want)
+        return got, took
+    # one bisection: of the deviation scale from 0 (shrink) or from a grid
+    # point at or above 1 (grow), else of the antipodal sweep
+    (lo, x), = solves
+    scaled = np.array_equal(got, wrap_deg(bearing + x * wrap_deg(ang - bearing)))
+    assert took == ("sweep" if not scaled else "grow" if lo >= 1.0 else "shrink")
+    spread = composite_asa(got, pw, w, bearing)
+    assert abs(spread - target) <= clusters._SPREAD_RTOL * target
+    assert np.abs(wrap_deg(got - want)).max() <= 1e-4
+    return got, took
+
+
 @pytest.mark.parametrize("case", list(_RESCALE_CASES))
-def test_rescale_azimuth_equals_scalar_search(case):
+def test_rescale_azimuth_equals_scalar_search(case, solves):
     ang, pw, w, bearing, target, exit_ = _RESCALE_CASES[case]
-    want, took = _reference_rescale_azimuth(np.array(ang), np.array(pw), w,
-                                            bearing, target)
+    _, took = _check_against_reference(np.array(ang), np.array(pw), w,
+                                       bearing, target, solves)
     assert took == exit_
-    assert np.array_equal(rescale_azimuth(np.array(ang), np.array(pw), w,
-                                          bearing, target), want)
 
 
 @pytest.mark.parametrize("scenario,condition,source", [
     (s, c, src) for s in ("office", "umi") for c in ("los", "nlos")
     for src in ("measured", "3gpp")])
 def test_build_drop_azimuths_equal_scalar_search(scenario, condition, source,
-                                                 monkeypatch):
+                                                 solves, monkeypatch):
     p = load_params(scenario, condition, source)
-    seeds = np.random.SeedSequence(2024).spawn(25)
-    new = [build_drop(p, np.random.default_rng(s)) for s in seeds]
-    monkeypatch.setattr(clusters, "rescale_azimuth",
-                        lambda *a: _reference_rescale_azimuth(*a)[0])
-    for s, cs in zip(seeds, new):
-        ref = build_drop(p, np.random.default_rng(s))
-        assert np.array_equal(cs.aoa_deg, ref.aoa_deg)
-        assert np.array_equal(cs.aod_deg, ref.aod_deg)
+    exits = []
+
+    def checked(*args):
+        got, took = _check_against_reference(*args, solves)
+        exits.append(took)
+        return got
+    monkeypatch.setattr(clusters, "rescale_azimuth", checked)
+    for s in np.random.SeedSequence(2024).spawn(25):
+        build_drop(p, np.random.default_rng(s))
+    assert len(exits) == 50
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 301, 381,
