@@ -18,8 +18,8 @@ from .capacity import (CapacityExperiment, crossover_snr, mimo_capacity,
 from .clusters import (ClusterSet, LinkGeometry, apply_in_cluster_k,
                        build_drop, extract_drop_stats, gen_angles, gen_delays,
                        gen_powers, gen_xpr_and_phases, geometry_for,
-                       map_drops, place_user, rescale_azimuth,
-                       rescale_delays, rescale_zenith)
+                       map_drops, place_user, place_users,
+                       rescale_azimuth, rescale_delays, rescale_zenith)
 from .coeffs import (AntennaArray, ChannelRealization, assemble_cir,
                      cir_to_ctf, isotropic_horizontal, isotropic_vertical,
                      single_antenna, spherical_unit, ura)

@@ -46,12 +46,11 @@ class Pdp:
 
 @dataclass
 class MpcSet:
-    """Discrete multipath components, optionally labeled by cluster."""
+    """Discrete multipath components."""
     delay_s: np.ndarray
     power: np.ndarray
     aoa_deg: np.ndarray | None = None
     zoa_deg: np.ndarray | None = None
-    labels: np.ndarray | None = None
 
     def __post_init__(self):
         self.delay_s = np.asarray(self.delay_s, dtype=float)
@@ -65,10 +64,6 @@ class MpcSet:
                 if v.shape != self.delay_s.shape:
                     raise ValueError(f"{name} must match delay_s in shape")
                 setattr(self, name, v)
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels)
-            if self.labels.shape != self.delay_s.shape:
-                raise ValueError("labels must match delay_s in shape")
 
     def __len__(self):
         return self.delay_s.size
@@ -121,21 +116,14 @@ def threshold(pdp: Pdp, noise_floor: float, margin_db: float) -> Pdp:
 # spread / K estimators
 
 
-def _delays_powers(a, powers):
-    if isinstance(a, Pdp):
-        return a.delays_s, a.powers
-    if powers is None:
-        raise ValueError("powers required when not passing a Pdp")
-    return np.asarray(a, dtype=float), np.asarray(powers, dtype=float)
-
-
-def rms_ds(pdp_or_delays, powers=None) -> float:
+def rms_ds(delays, powers) -> float:
     """RMS delay spread: power-weighted standard deviation of delay.
 
     The same statistic serves as the linear (unwrapped) zenith spread
     when given angles in degrees.
     """
-    delays, p = _delays_powers(pdp_or_delays, powers)
+    delays = np.asarray(delays, dtype=float)
+    p = np.asarray(powers, dtype=float)
     tot = p.sum()
     if tot <= 0:
         raise ValueError("total power must be positive")
@@ -164,16 +152,13 @@ def asa(azimuth_deg, powers) -> float | np.ndarray:
     return float(s) if s.ndim == 0 else s
 
 
-def k_factor(pdp_or_powers, powers=None) -> float:
+def k_factor(powers) -> float:
     """Rician K estimate in dB: strongest component over the rest.
 
     A profile with a single nonzero component has no diffuse power and
     returns +inf, a flag that keeps medians across clusters defined.
     """
-    if isinstance(pdp_or_powers, Pdp):
-        p = pdp_or_powers.powers
-    else:
-        p = np.asarray(pdp_or_powers if powers is None else powers, dtype=float)
+    p = np.asarray(powers, dtype=float)
     p = p[p > 0]
     if p.size == 0:
         raise ValueError("profile has no positive power")
@@ -439,17 +424,17 @@ class ClusterStats:
     medians: dict = field(default_factory=dict)
 
 
-def cluster_stats(mpcs: MpcSet, labels=None) -> ClusterStats:
-    """Per-cluster delay spread, azimuth spread and in-cluster K.
+def cluster_stats(mpcs: MpcSet, labels) -> ClusterStats:
+    """Per-cluster delay spread, azimuth spread and in-cluster K, with
+    one cluster label per component.
 
     Single-component clusters report zero spreads and an infinite
     in-cluster K (flagged as +inf, not an exception, so medians across
     clusters stay well defined).
     """
-    lab = labels if labels is not None else mpcs.labels
-    if lab is None:
-        raise ValueError("cluster labels required (fit KPowerMeans first)")
-    lab = np.asarray(lab)
+    lab = np.asarray(labels)
+    if lab.shape != mpcs.delay_s.shape:
+        raise ValueError("labels must match delay_s in shape")
     uniq = np.unique(lab)
     cds, casa, ck, cnt = [], [], [], []
     for c in uniq:

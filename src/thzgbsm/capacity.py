@@ -70,16 +70,9 @@ def capacity_from_eigs(eigs, rho_linear: float, m_t: int) -> np.ndarray:
 @dataclass
 class CapacityExperiment:
     """Mean capacity curve plus the per-drop data behind it."""
-    snr_db: np.ndarray
-    capacity_bpshz: np.ndarray          # mean over drops and tones
+    capacity_bpshz: np.ndarray          # mean over drops and tones, per SNR
     per_drop: np.ndarray                # (n_drops, n_snr)
-    scenario: str
-    condition: str
-    source: str
-    n_drops: int
-    mode: str
-    seed: int
-    normalization: str
+    condition: str                      # the set's, or mixed(p_los=...)
     meta: dict = field(default_factory=dict)
 
 
@@ -96,8 +89,8 @@ def _drop_payload(args):
     geom = place_user(p, rng)
     lsp = draw_lsp_iid(p, 1, rng).row(0)
     cs = build_drop(p, rng, geometry=geom, lsp_vals=lsp)
-    c_ds = p.clusters.c_ds_ns * 1e-9 if mode == "standard" else None
-    cr = assemble_cir(cs, rx, tx, p.wavelength_m, mode=mode, c_ds_s=c_ds)
+    cr = assemble_cir(cs, rx, tx, p.wavelength_m,
+                      c_ds_s=p.clusters.c_ds_ns * 1e-9, mode=mode)
     freqs = np.linspace(-bandwidth_hz / 2.0, bandwidth_hz / 2.0, n_tones)
     h = cir_to_ctf(cr, freqs)                              # (F, U, S)
     gram = h @ h.conj().transpose(0, 2, 1)
@@ -173,12 +166,9 @@ def run_capacity_experiment(params: ScenarioParamSet, snr_db,
                            "numerical failure in the eigenvalue path")
 
     return CapacityExperiment(
-        snr_db=snr_db, capacity_bpshz=per_drop.mean(axis=0),
-        per_drop=per_drop, scenario=params.scenario,
+        capacity_bpshz=per_drop.mean(axis=0), per_drop=per_drop,
         condition=params.condition if los_fraction is None
         else f"mixed(p_los={los_fraction})",
-        source=params.source, n_drops=n_drops, mode=mode, seed=seed,
-        normalization=normalization,
         meta={"n_tones": n_tones, "bandwidth_hz": bandwidth_hz,
               "m_t": m_t, "m_r": m_r},
     )

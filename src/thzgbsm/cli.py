@@ -24,7 +24,8 @@ import yaml
 
 from . import __version__, analysis
 from .capacity import crossover_snr, run_capacity_experiment
-from .clusters import build_drop, extract_drop_stats, geometry_for, map_drops
+from .clusters import (build_drop, extract_drop_stats, geometry_for, map_drops,
+                       place_users)
 from .coeffs import assemble_cir, single_antenna
 from .lsp import generate_lsp
 from .params import (ParamValidationError, ScenarioParamSet, data_dir,
@@ -135,9 +136,9 @@ def _sim_drop(job):
     cols = cs.mpc_arrays()
     cir_rows = None
     if want_cir:
-        c_ds = params.clusters.c_ds_ns * 1e-9 if mode == "standard" else None
         cr = assemble_cir(cs, single_antenna(), single_antenna(),
-                          params.wavelength_m, mode=mode, c_ds_s=c_ds)
+                          params.wavelength_m,
+                          c_ds_s=params.clusters.c_ds_ns * 1e-9, mode=mode)
         cir_rows = [(t, 0, 0, cr.delays_s[t] * 1e9,
                      cr.amps[t, 0, 0].real, cr.amps[t, 0, 0].imag)
                     for t in range(cr.n_taps)]
@@ -154,11 +155,7 @@ def cmd_simulate(parser, args) -> int:
     out = _out_dir(parser, args)
 
     children = np.random.SeedSequence(args.seed).spawn(2 + args.drops)
-    place_rng = np.random.default_rng(children[0])
-    r_min, r_max = params.geometry.annulus_m
-    r = np.sqrt(place_rng.uniform(r_min**2, r_max**2, args.drops))
-    ang = place_rng.uniform(-np.pi, np.pi, args.drops)
-    xs, ys = r * np.cos(ang), r * np.sin(ang)
+    xs, ys = place_users(params, np.random.default_rng(children[0]), args.drops)
 
     lsp_rng = np.random.default_rng(children[1])
     lsp = generate_lsp(params, xs, ys, lsp_rng, grid_step_m=args.grid_step)
@@ -248,10 +245,25 @@ def _f(line_row, key, default=None, power=False):
     return x
 
 
+def _label(line_row, key) -> int:
+    """Integer cell of a drop or cluster column; an empty or absent one
+    gives 0."""
+    x = _f(line_row, key, 0.0)
+    if x != int(x):
+        raise ValueError(f"input line {line_row[0]}: column {key!r} holds "
+                         f"{line_row[1][key]!r}, not an integer")
+    return int(x)
+
+
+def _fit(fit, values) -> dict:
+    mu, sg = fit(values)
+    return {"mu": round(mu, 6), "sigma": round(sg, 6)}
+
+
 def _analyze_mpcs(args, header, rows) -> tuple[dict, list[tuple]]:
     drops = {}
     for row in rows:
-        d = int(_f(row, "drop", 0.0))
+        d = _label(row, "drop")
         drops.setdefault(d, []).append(row)
 
     per_drop = []
@@ -279,20 +291,18 @@ def _analyze_mpcs(args, header, rows) -> tuple[dict, list[tuple]]:
         if np.isfinite(k_v):
             k_vals.append(k_v)
 
+        mp = analysis.MpcSet(delay, power, aoa, zoa)
         labels = None
         # only rows with power can seed a cluster
         n_powered = np.count_nonzero(power)
         if "cluster" in header and not args.recluster:
-            labels = np.array([int(_f(r, "cluster", 0.0)) for r in rs])
+            labels = np.array([_label(r, "cluster") for r in rs])
         elif aoa is not None and n_powered >= 3:
-            mp = analysis.MpcSet(delay, power, aoa, zoa)
             _, _, labels = analysis.select_n_clusters(
                 mp, k_min=2, k_max=min(args.max_clusters, n_powered - 1),
                 delay_weight=args.delay_weight)
         if labels is not None:
-            mp = analysis.MpcSet(delay, power, aoa, zoa, labels=labels)
-            st = analysis.cluster_stats(mp)
-            cstats = st.medians
+            cstats = analysis.cluster_stats(mp, labels).medians
             n_cl = int(np.unique(labels).size)
         else:
             cstats = {"c_ds_ns": None, "c_asa_deg": None, "c_k_db": None}
@@ -303,15 +313,12 @@ def _analyze_mpcs(args, header, rows) -> tuple[dict, list[tuple]]:
 
     ds_all = np.array([p[2] for p in per_drop])
     report = {"n_drops": len(per_drop), "kind": "mpc"}
-    mu, sg = analysis.fit_lognormal(ds_all)
-    report["ds_log10s"] = {"mu": round(mu, 6), "sigma": round(sg, 6)}
+    report["ds_log10s"] = _fit(analysis.fit_lognormal, ds_all)
     asa_all = np.array([p[3] for p in per_drop if p[3] is not None])
     if asa_all.size == len(per_drop) and asa_all.size > 0:
-        mu, sg = analysis.fit_lognormal(asa_all)
-        report["asa_log10deg"] = {"mu": round(mu, 6), "sigma": round(sg, 6)}
+        report["asa_log10deg"] = _fit(analysis.fit_lognormal, asa_all)
     if k_vals:
-        mu, sg = analysis.fit_normal(np.asarray(k_vals))
-        report["k_db"] = {"mu": round(mu, 6), "sigma": round(sg, 6),
+        report["k_db"] = {**_fit(analysis.fit_normal, np.asarray(k_vals)),
                           "n_finite": len(k_vals)}
     cl_counts = np.array([p[5] for p in per_drop], dtype=float)
     cmed = {"count_median": float(np.median(cl_counts))}
@@ -322,8 +329,7 @@ def _analyze_mpcs(args, header, rows) -> tuple[dict, list[tuple]]:
         if vals.size:
             cmed[key] = float(np.median(vals))
     if np.all(cl_counts > 0) and cl_counts.std() > 0:
-        mu, sg = analysis.fit_lognormal(cl_counts)
-        cmed["count_log10"] = {"mu": round(mu, 6), "sigma": round(sg, 6)}
+        cmed["count_log10"] = _fit(analysis.fit_lognormal, cl_counts)
     report["clusters"] = cmed
     if asa_all.size == len(per_drop) and len(per_drop) >= 3:
         try:
@@ -360,7 +366,7 @@ def _analyze_pdp(args, header, rows) -> dict:
     report = {
         "kind": "pdp",
         "n_directions": len(pdps),
-        "ds_ns": round(analysis.rms_ds(omni) * 1e9, 6),
+        "ds_ns": round(analysis.rms_ds(omni.delays_s, omni.powers) * 1e9, 6),
         "k_db": round(analysis.k_factor(omni.powers[omni.powers > 0]), 6),
     }
     if "phi_rx_deg" in dir_cols and len(pdps) > 1:
@@ -424,6 +430,10 @@ def _rt_drop(job):
 
 
 def cmd_roundtrip(parser, args) -> int:
+    for opt, tol in (("--tol-log10", args.tol_log10),
+                     ("--tol-k-db", args.tol_k_db)):
+        if tol < 0:
+            parser.error(f"{opt}: must not be negative")
     params, pfile = _resolve_params(parser, args)
     out = _out_dir(parser, args)
 
@@ -497,6 +507,8 @@ def cmd_capacity(parser, args) -> int:
     snr = _parse_snr(parser, args.snr)
     if snr.size == 0:
         parser.error("--snr: no points given")
+    if np.any(np.diff(snr) <= 0):
+        parser.error("--snr: points must strictly increase")
     if args.los_fraction is not None:
         if args.condition != "los":
             parser.error("--los-fraction: only meaningful with "

@@ -52,12 +52,20 @@ def geometry_for(params: ScenarioParamSet, x_m: float, y_m: float) -> LinkGeomet
                         zoa_los_deg=zoa, zod_los_deg=zod, mu_xy_m=(x_m, y_m))
 
 
-def place_user(params: ScenarioParamSet, rng) -> LinkGeometry:
-    """Uniform placement over the scenario's annulus (uniform in area)."""
+def place_users(params: ScenarioParamSet, rng, n: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of n users placed uniformly in area over the scenario's
+    annulus; n radii are drawn first, then n bearings."""
     r_min, r_max = params.geometry.annulus_m
-    r = float(np.sqrt(rng.uniform(r_min**2, r_max**2)))
-    ang = rng.uniform(-np.pi, np.pi)
-    return geometry_for(params, r * np.cos(ang), r * np.sin(ang))
+    r = np.sqrt(rng.uniform(r_min**2, r_max**2, n))
+    ang = rng.uniform(-np.pi, np.pi, n)
+    return r * np.cos(ang), r * np.sin(ang)
+
+
+def place_user(params: ScenarioParamSet, rng) -> LinkGeometry:
+    """Link geometry of one user placed by ``place_users``."""
+    x, y = place_users(params, rng, 1)
+    return geometry_for(params, x[0], y[0])
 
 
 # ---------------------------------------------------------------------------
@@ -444,14 +452,10 @@ def build_drop(params: ScenarioParamSet, rng, geometry: LinkGeometry | None = No
     xpr, phases = gen_xpr_and_phases(n, params.clusters.rays,
                                      sup.xpr_db.mu, sup.xpr_db.sigma, rng)
 
-    lsp_record = dict(lsp_vals)
-    lsp_record["k_db"] = k_db
-    lsp_record["zsa_deg"] = zsa
-    lsp_record["zsd_deg"] = zsd
     return ClusterSet(delays_s=delays, powers=powers, los_weight=w,
                       ray_fractions=fractions, aoa_deg=aoa, aod_deg=aod,
                       zoa_deg=zoa, zod_deg=zod, xpr=xpr, phases=phases,
-                      geometry=geometry, lsp=lsp_record)
+                      geometry=geometry, lsp={**lsp_vals, "k_db": k_db})
 
 
 def map_drops(fn, jobs, workers: int = 1) -> list:

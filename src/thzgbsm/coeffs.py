@@ -34,7 +34,6 @@ SUBCLUSTER_RAY_GROUPS = (
     (8, 9, 10, 11, 16, 17),
     (12, 13, 14, 15),
 )
-DEFAULT_C_DS_S = 3.91e-9
 
 
 def spherical_unit(zenith_deg, azimuth_deg) -> np.ndarray:
@@ -135,60 +134,56 @@ class ChannelRealization:
 
 
 def assemble_cir(cs: ClusterSet, rx_array: AntennaArray, tx_array: AntennaArray,
-                 wavelength_m: float, mode: str = "thz-simplified",
-                 c_ds_s: float | None = None) -> ChannelRealization:
+                 wavelength_m: float, *, c_ds_s: float,
+                 mode: str = "thz-simplified") -> ChannelRealization:
     """Tapped channel realization from one drop.
 
-    Every ray, the direct path included, goes through one kernel: its
-    amplitude times [f_theta_rx f_phi_rx] P [f_theta_tx f_phi_tx]^T times
-    the rx and tx steering phases (positive-exponent convention at both
-    ends). For a scattered ray P holds the random phases with cross terms
-    damped by sqrt(1/xpr) and the amplitude is the square root of the ray
-    power. The direct path, when the drop carries one, is ray 0 with
-    P = diag(1, -1), amplitude sqrt(los_weight) exp(-j 2 pi d3/lambda)
-    and a tap of its own at zero excess delay.
+    Every component of ``cs.mpc_arrays()``, the direct path included,
+    goes through one kernel: its amplitude times
+    [f_theta_rx f_phi_rx] P [f_theta_tx f_phi_tx]^T times the rx and tx
+    steering phases (positive-exponent convention at both ends). For a
+    scattered ray P holds the random phases with cross terms damped by
+    sqrt(1/xpr) and the amplitude is the square root of the ray power.
+    The direct path, cluster 0 of the component list when the drop
+    carries one, has P = diag(1, -1), amplitude
+    sqrt(los_weight) exp(-j 2 pi d3/lambda) and a tap of its own at zero
+    excess delay.
 
-    Each ray is assigned a tap and a tap sums its rays. mode
+    Each component is assigned a tap and a tap sums its components. mode
     "thz-simplified" gives every cluster one tap; mode "standard" splits
     the two strongest clusters into three sub-taps of fixed ray groups at
-    delay offsets scaled by c_ds_s (the canonical 3.91 ns when not
-    given). Drops with fewer than two clusters, or too few rays for a
+    delay offsets scaled by c_ds_s, the intra-cluster delay spread in
+    seconds. Drops with fewer than two clusters, or too few rays for a
     sub-group, degrade gracefully to fewer taps. Total tap power is
     identical between the modes. Taps come out in stable delay order,
     the direct tap first among the zero-delay ones.
     """
     if mode not in ("thz-simplified", "standard"):
         raise ValueError(f"unknown mode {mode!r}")
-    if c_ds_s is None:
-        c_ds_s = DEFAULT_C_DS_S
+    cols = cs.mpc_arrays()
     n, m = cs.ray_fractions.shape
     sub = np.zeros((n, m), dtype=int)     # sub-tap of each ray in its cluster
     if mode == "standard" and n >= 2:
         strongest = np.argsort(cs.powers)[::-1][:2]
         for k, group in enumerate(SUBCLUSTER_RAY_GROUPS):
             sub[np.ix_(strongest, [r for r in group if r < m])] = k
-    # tap index 3 * cluster + sub-tap; the direct path's -1 sorts first
-    # among equal delays
-    tap = (3 * np.arange(n)[:, None] + sub).ravel()
-    delay = (cs.delays_s[:, None]
-             + np.take(SUBCLUSTER_DELAY_FACTORS, sub) * c_ds_s).ravel()
-    amp = np.sqrt(cs.ray_powers()).ravel()
     inv = np.sqrt(1.0 / cs.xpr)
     e = np.exp(1j * cs.phases)
     pol = np.stack([e[..., 0], inv * e[..., 1], inv * e[..., 2], e[..., 3]],
                    axis=-1).reshape(-1, 4)            # rows of P, flattened
-    ang = np.stack([cs.zoa_deg, cs.aoa_deg, cs.zod_deg, cs.aod_deg]).reshape(4, -1)
-    if cs.los_weight > 0:
-        g = cs.geometry
-        tap = np.concatenate([[-1], tap])
-        delay = np.concatenate([[0.0], delay])
-        amp = np.concatenate([[np.sqrt(cs.los_weight)
-                               * np.exp(-2j * np.pi * g.d3_m / wavelength_m)], amp])
-        pol = np.concatenate([[[1.0, 0.0, 0.0, -1.0]], pol])
-        ang = np.column_stack([[g.zoa_los_deg, g.aoa_los_deg,
-                                g.zod_los_deg, g.aod_los_deg], ang])
+    # the direct path heads the component list, as cluster 0
+    head = np.count_nonzero(cols["cluster"] == 0)
+    sub = np.concatenate([np.zeros(head, dtype=int), sub.ravel()])
+    pol = np.concatenate([np.tile([1.0, 0.0, 0.0, -1.0], (head, 1)), pol])
+    amp = np.sqrt(cols["power"]).astype(complex)
+    amp[:head] *= np.exp(-2j * np.pi * cs.geometry.d3_m / wavelength_m)
+    # tap index 3 * cluster + sub-tap: the direct tap sorts first among
+    # equal delays
+    tap = 3 * cols["cluster"] + sub
+    delay = cols["delay_s"] + np.take(SUBCLUSTER_DELAY_FACTORS, sub) * c_ds_s
 
-    zoa, aoa, zod, aod = ang
+    zoa, aoa = cols["zoa_deg"], cols["aoa_deg"]
+    zod, aod = cols["zod_deg"], cols["aod_deg"]
     f_th_r, f_ph_r = rx_array.pattern(zoa, aoa)
     f_th_t, f_ph_t = tx_array.pattern(zod, aod)
     coeff = amp * (f_th_r * (pol[:, 0] * f_th_t + pol[:, 1] * f_ph_t)
@@ -196,7 +191,7 @@ def assemble_cir(cs: ClusterSet, rx_array: AntennaArray, tx_array: AntennaArray,
     a_rx = coeff * _steering(rx_array, spherical_unit(zoa, aoa), wavelength_m)
     a_tx = _steering(tx_array, spherical_unit(zod, aod), wavelength_m)
 
-    # rays sorted by (delay, tap): each tap is one contiguous run
+    # components sorted by (delay, tap): each tap is one contiguous run
     order = np.lexsort((tap, delay))
     tap, a_rx, a_tx = tap[order], a_rx[:, order], a_tx[:, order]
     start = np.flatnonzero(np.concatenate([[True], tap[1:] != tap[:-1]]))

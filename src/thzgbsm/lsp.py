@@ -33,23 +33,17 @@ class LspRealization:
     asa_deg: np.ndarray
     sf_db: np.ndarray
     k_db: np.ndarray | None = None   # None for NLoS sets
-    x_m: np.ndarray | None = None
-    y_m: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.ds_s)
 
     def row(self, i: int) -> dict:
-        out = {
+        return {
             "ds_s": float(self.ds_s[i]),
             "asa_deg": float(self.asa_deg[i]),
             "sf_db": float(self.sf_db[i]),
             "k_db": float(self.k_db[i]) if self.k_db is not None else None,
         }
-        if self.x_m is not None:
-            out["x_m"] = float(self.x_m[i])
-            out["y_m"] = float(self.y_m[i])
-        return out
 
 
 def mixing_matrix(params: ScenarioParamSet) -> np.ndarray:
@@ -107,7 +101,7 @@ def generate_lsp(params: ScenarioParamSet, x_m, y_m, rng,
         cols.append(f.sample(x, y))
     z = np.column_stack(cols) @ mixing_matrix(params).T
     vals = transform_standard_normals(params, z)
-    return LspRealization(x_m=x, y_m=y, **vals)
+    return LspRealization(**vals)
 
 
 def draw_lsp_iid(params: ScenarioParamSet, n: int, rng) -> LspRealization:

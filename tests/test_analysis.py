@@ -28,11 +28,6 @@ def test_rms_ds_single_tap_zero():
     assert rms_ds([5e-9], [2.0]) == 0.0
 
 
-def test_rms_ds_accepts_pdp_object():
-    p = Pdp(np.array([0.0, 4e-9]), np.array([1.0, 1.0]))
-    assert rms_ds(p) == pytest.approx(2e-9)
-
-
 @given(st.floats(min_value=1e-6, max_value=1e6))
 @settings(max_examples=30, deadline=None)
 def test_rms_ds_power_scale_invariant(scale):
@@ -412,26 +407,29 @@ def test_mcd_embedding_shapes_and_delay_weight():
 
 def test_cluster_stats_single_cluster_oracles():
     mp = MpcSet(np.array([0.0, 1e-9]), np.array([1.0, 1.0]),
-                np.array([0.0, 0.0]), np.array([90.0, 90.0]),
-                labels=np.array([0, 0]))
-    st_ = cluster_stats(mp)
+                np.array([0.0, 0.0]), np.array([90.0, 90.0]))
+    st_ = cluster_stats(mp, np.array([0, 0]))
     assert st_.c_ds_ns[0] == pytest.approx(0.5)
     assert st_.c_asa_deg[0] == pytest.approx(0.0)
 
     mp2 = MpcSet(np.array([0.0, 1e-9, 2e-9]), np.array([10.0, 1.0, 1.0]),
-                 np.array([0.0, 5.0, -5.0]), np.array([90.0] * 3),
-                 labels=np.array([0, 0, 0]))
-    st2 = cluster_stats(mp2)
+                 np.array([0.0, 5.0, -5.0]), np.array([90.0] * 3))
+    st2 = cluster_stats(mp2, np.array([0, 0, 0]))
     assert st2.c_k_db[0] == pytest.approx(10 * np.log10(5.0))
+
+
+def test_cluster_stats_rejects_labels_of_another_shape():
+    mp = MpcSet(np.array([0.0, 1e-9, 2e-9]), np.ones(3))
+    with pytest.raises(ValueError, match="labels must match"):
+        cluster_stats(mp, np.array([0, 1]))
 
 
 def test_cluster_stats_medians_across_clusters():
     mp = MpcSet(np.array([0.0, 1e-9, 100e-9, 103e-9]),
                 np.array([1.0, 1.0, 1.0, 1.0]),
                 np.array([0.0, 0.0, 90.0, 90.0]),
-                np.array([90.0] * 4),
-                labels=np.array([0, 0, 1, 1]))
-    st_ = cluster_stats(mp)
+                np.array([90.0] * 4))
+    st_ = cluster_stats(mp, np.array([0, 0, 1, 1]))
     assert st_.labels.size == 2
     assert st_.counts.tolist() == [2, 2]
     assert st_.medians["c_ds_ns"] == pytest.approx(np.median([0.5, 1.5]))

@@ -225,6 +225,27 @@ def test_analyze_bad_cell_exits_1_with_message(tmp_path, capsys, column, cell):
     assert not out.exists()
 
 
+# int() would truncate the cell and merge drop 0.5 into drop 0
+@pytest.mark.parametrize("column", ["drop", "cluster"])
+def test_analyze_non_integer_label_exits_1_with_message(tmp_path, capsys,
+                                                        column):
+    rows = [{"drop": 0, "cluster": 1, "delay_ns": 0.0, "power": 1.0},
+            {"drop": 0, "cluster": 2, "delay_ns": 5.0, "power": 0.5},
+            {"drop": 1, "cluster": 1, "delay_ns": 0.0, "power": 1.0},
+            {"drop": 1, "cluster": 2, "delay_ns": 7.0, "power": 0.3}]
+    rows[1][column] = 0.5
+    src = tmp_path / "mpcs.csv"
+    with open(src, "w", newline="") as fh:
+        w = csv.DictWriter(fh, ["drop", "cluster", "delay_ns", "power"])
+        w.writeheader()
+        w.writerows(rows)
+    out = tmp_path / "rep"
+    assert main(["analyze", "--input", str(src), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "line 3" in err and repr(column) in err and "not an integer" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(("drop0", "cause"), [
     ("0,5,1,30\n", "delay spread is zero"),
     ("0,5,1,30\n0,5,0.5,40\n0,9,0,50\n", "delay spread is zero"),
@@ -412,15 +433,31 @@ def test_non_finite_float_option_exits_2(tmp_path, capsys, argv):
     ["capacity", "--scenario", "umi", "--los-fraction", "1.5"],
     ["capacity", "--scenario", "umi", "--condition", "nlos",
      "--los-fraction", "0.5"],
+    ["roundtrip", "--scenario", "office", "--condition", "los",
+     "--tol-log10", "-0.1"],
+    ["roundtrip", "--scenario", "office", "--condition", "los",
+     "--tol-k-db", "-1"],
 ], ids=["simulate-drops", "roundtrip-drops", "simulate-workers-0",
         "roundtrip-workers-negative", "grid-step-zero",
         "grid-step-above-half-corr-dist", "los-fraction-range",
-        "los-fraction-nlos"])
+        "los-fraction-nlos", "tol-log10-negative", "tol-k-db-negative"])
 def test_bad_argument_exits_2_before_creating_out(tmp_path, argv):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(out)])
     assert exc.value.code == 2
+    assert not out.exists()
+
+
+# np.interp and crossover_snr read the grid in the order given
+@pytest.mark.parametrize("snr", ["40,30,20,10,0", "0,10,10,20"])
+def test_capacity_snr_not_increasing_exits_2(tmp_path, capsys, snr):
+    out = tmp_path / "cap"
+    with pytest.raises(SystemExit) as exc:
+        main(["capacity", "--scenario", "umi", "--snr", snr, "--drops", "2",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "strictly increase" in capsys.readouterr().err
     assert not out.exists()
 
 

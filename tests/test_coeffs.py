@@ -65,7 +65,7 @@ def _direct_tap(d3_m, rx, tx):
     """Direct-path tap of a drop whose power is all in the direct path."""
     cs = _hand_drop(1.0, 1.0, 40.0, 70.0, -20.0, 95.0, 10.0,
                     [0.3, -1.0, 2.2, 0.7], d3_m=d3_m)
-    cr = assemble_cir(cs, rx, tx, LAM)
+    cr = assemble_cir(cs, rx, tx, LAM, c_ds_s=3.91e-9)
     assert_allclose(cr.delays_s, [0.0, 5e-9])
     assert_allclose(cr.amps[1], 0.0, atol=1e-15)
     return cr.amps[0]
@@ -92,7 +92,7 @@ def test_direct_path_horizontal_polarization_sign():
 def _one_ray(power, aoa, zoa, aod, zod, xpr, phases, rx, tx):
     """(rx, tx) coefficients of a one-cluster, one-ray NLoS drop."""
     cs = _hand_drop(power, 0.0, aoa, zoa, aod, zod, xpr, phases)
-    cr = assemble_cir(cs, rx, tx, LAM)
+    cr = assemble_cir(cs, rx, tx, LAM, c_ds_s=3.91e-9)
     assert cr.amps.shape == (1, rx.n_elements, tx.n_elements)
     return cr.amps[0]
 
@@ -135,13 +135,15 @@ def test_assemble_cir_simplified_tap_count():
     p, cs = _drop("office", "nlos")
     rx = single_antenna()
     tx = single_antenna()
-    cr = assemble_cir(cs, rx, tx, p.wavelength_m, mode="thz-simplified")
+    cr = assemble_cir(cs, rx, tx, p.wavelength_m,
+                      c_ds_s=p.clusters.c_ds_ns * 1e-9, mode="thz-simplified")
     assert cr.amps.shape[0] == cs.n_clusters
     assert cr.delays_s.shape == (cs.n_clusters,)
     assert np.all(np.diff(cr.delays_s) >= 0)
 
     p2, cs2 = _drop("office", "los", seed=4)
-    cr2 = assemble_cir(cs2, rx, tx, p2.wavelength_m, mode="thz-simplified")
+    cr2 = assemble_cir(cs2, rx, tx, p2.wavelength_m,
+                       c_ds_s=p2.clusters.c_ds_ns * 1e-9, mode="thz-simplified")
     assert cr2.amps.shape[0] == cs2.n_clusters + 1
     assert cr2.delays_s[0] == 0.0
 
@@ -153,9 +155,10 @@ def test_assemble_cir_standard_splits_two_strongest():
     cs = build_drop(p, np.random.default_rng(0))
     rx = single_antenna()
     tx = single_antenna()
-    cr = assemble_cir(cs, rx, tx, p.wavelength_m, mode="standard")
+    cr = assemble_cir(cs, rx, tx, p.wavelength_m,
+                      c_ds_s=p.clusters.c_ds_ns * 1e-9, mode="standard")
     assert cr.amps.shape[0] == cs.n_clusters + 4
-    # sub-taps at tau, tau + 1.28 c and tau + 2.56 c, c the default 3.91 ns
+    # sub-taps at tau, tau + 1.28 c and tau + 2.56 c, c the set's 3.91 ns
     top = np.argsort(cs.powers)[-2:]
     tau = cs.delays_s[top]
     expected = np.sort(np.concatenate([cs.delays_s, tau + 1.28 * 3.91e-9,
@@ -163,7 +166,8 @@ def test_assemble_cir_standard_splits_two_strongest():
     assert_allclose(cr.delays_s, expected, rtol=1e-12, atol=0.0)
     # few-ray drops degrade gracefully instead of emitting empty taps
     pm, csm = _drop("office", "nlos")  # 5 rays per cluster
-    crm = assemble_cir(csm, rx, tx, pm.wavelength_m, mode="standard")
+    crm = assemble_cir(csm, rx, tx, pm.wavelength_m,
+                       c_ds_s=pm.clusters.c_ds_ns * 1e-9, mode="standard")
     assert crm.amps.shape[0] == csm.n_clusters
 
 
@@ -172,8 +176,10 @@ def test_standard_and_simplified_conserve_power():
         p, cs = _drop("office", "nlos", seed=seed)
         rx = single_antenna()
         tx = single_antenna()
-        a = assemble_cir(cs, rx, tx, p.wavelength_m, mode="thz-simplified")
-        b = assemble_cir(cs, rx, tx, p.wavelength_m, mode="standard")
+        c_ds = p.clusters.c_ds_ns * 1e-9
+        a = assemble_cir(cs, rx, tx, p.wavelength_m, c_ds_s=c_ds,
+                         mode="thz-simplified")
+        b = assemble_cir(cs, rx, tx, p.wavelength_m, c_ds_s=c_ds, mode="standard")
         assert b.total_power() == pytest.approx(a.total_power(), rel=1e-12)
 
 
@@ -184,7 +190,7 @@ def test_total_tap_power_unity_exact_with_one_ray_per_cluster():
     for seed in range(5):
         cs = build_drop(p1, np.random.default_rng(seed))
         cr = assemble_cir(cs, single_antenna(), single_antenna(),
-                          p1.wavelength_m)
+                          p1.wavelength_m, c_ds_s=p1.clusters.c_ds_ns * 1e-9)
         assert cr.total_power() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -195,7 +201,7 @@ def test_total_tap_power_unity_in_expectation():
     for seed in range(150):
         cs = build_drop(p, np.random.default_rng(seed))
         cr = assemble_cir(cs, single_antenna(), single_antenna(),
-                          p.wavelength_m)
+                          p.wavelength_m, c_ds_s=p.clusters.c_ds_ns * 1e-9)
         vals.append(cr.total_power())
     assert np.mean(vals) == pytest.approx(1.0, abs=0.01)
     assert np.std(vals) < 0.05
@@ -205,7 +211,7 @@ def test_assemble_cir_array_shapes():
     p, cs = _drop("office", "los", seed=1)
     rx = ura(2, 2, 0.5 * p.wavelength_m)
     tx = ura(4, 4, 0.5 * p.wavelength_m)
-    cr = assemble_cir(cs, rx, tx, p.wavelength_m)
+    cr = assemble_cir(cs, rx, tx, p.wavelength_m, c_ds_s=p.clusters.c_ds_ns * 1e-9)
     assert cr.amps.shape == (cs.n_clusters + 1, 4, 16)
     h = cir_to_ctf(cr, np.linspace(-0.5e9, 0.5e9, 8))
     assert h.shape == (8, 4, 16)
@@ -269,7 +275,7 @@ def test_assemble_cir_matches_per_ray_reference(source, condition, mode):
     for rx, tx in ((small, large), (large, small)):
         for seed in range(2):
             cs = build_drop(p, np.random.default_rng(seed))
-            cr = assemble_cir(cs, rx, tx, lam, mode=mode, c_ds_s=c_ds)
+            cr = assemble_cir(cs, rx, tx, lam, c_ds_s=c_ds, mode=mode)
             delays, amps = _reference_taps(cs, rx, tx, lam, mode, c_ds)
             assert_allclose(cr.delays_s, delays, rtol=1e-12, atol=0.0)
             assert cr.amps.shape == amps.shape

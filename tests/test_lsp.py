@@ -73,18 +73,6 @@ def test_transform_standard_normals_formulas():
     assert vals["k_db"][0] == pytest.approx(p.k_db.mu + 2.0 * p.k_db.sigma)
 
 
-def test_generate_lsp_records_location():
-    p = load_params("office", "los", "measured")
-    x = np.array([1.0, 4.0, 8.0])
-    y = np.array([2.0, 2.0, 2.0])
-    out = generate_lsp(p, x, y, np.random.default_rng(3))
-    assert len(out) == 3
-    assert_allclose(out.x_m, x)
-    assert_allclose(out.y_m, y)
-    assert np.all(out.ds_s > 0)
-    assert np.all((out.asa_deg > 0) & (out.asa_deg <= 104.0))
-
-
 def test_generate_lsp_nearby_points_similar():
     # two locations far closer than the correlation distance nearly coincide
     p = load_params("umi", "nlos", "measured")
