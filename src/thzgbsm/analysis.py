@@ -5,7 +5,8 @@ data: omnidirectional PDP synthesis from directional scans, noise
 thresholding, RMS delay spread, circular azimuth spread, Rician
 K-factor, lognormal/normal parameter fits, LSP cross-correlations,
 multipath-component clustering by power-weighted K-means over a
-multipath component distance, and per-cluster spread statistics.
+multipath component distance, per-cluster spread statistics, and the
+reports built from them.
 
 Everything here consumes plain arrays (or the small dataclasses below)
 and knows nothing about the generation side, so the same code runs on
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import wrap_deg
+from .pathloss import pl_from_pdp
 
 # ---------------------------------------------------------------------------
 # containers
@@ -92,12 +94,15 @@ def synth_omni(pdps: list[Pdp]) -> Pdp:
     return Pdp(delays_s=base.copy(), powers=powers)
 
 
+class ThresholdError(ValueError):
+    """A noise threshold that removes every bin of a profile."""
+
+
 def threshold(pdp: Pdp, noise_floor: float, margin_db: float) -> Pdp:
     """Zero out bins below noise_floor * 10^(margin_db/10).
 
-    Emits a warning and still returns the (all-zero) profile when the
-    cut removes everything, so callers can distinguish an over-aggressive
-    margin from an empty measurement.
+    Raises ThresholdError when the cut removes every bin, since no
+    statistic is defined on an empty profile.
     """
     if noise_floor < 0:
         raise ValueError("noise_floor must be nonnegative linear power")
@@ -106,9 +111,10 @@ def threshold(pdp: Pdp, noise_floor: float, margin_db: float) -> Pdp:
     cut = noise_floor * 10.0 ** (margin_db / 10.0)
     kept = np.where(pdp.powers >= cut, pdp.powers, 0.0)
     if not kept.any():
-        import warnings
-        warnings.warn("threshold removed every bin; margin_db too aggressive "
-                      "for this profile", RuntimeWarning, stacklevel=2)
+        raise ThresholdError(
+            f"noise floor {noise_floor:g} with a {margin_db:g} dB margin cuts "
+            f"at {cut:g}, above every bin (the strongest holds "
+            f"{pdp.powers.max():g})")
     return Pdp(delays_s=pdp.delays_s.copy(), powers=kept, direction=pdp.direction)
 
 
@@ -457,3 +463,142 @@ def cluster_stats(mpcs: MpcSet, labels) -> ClusterStats:
     }
     return ClusterStats(labels=uniq, c_ds_ns=cds, c_asa_deg=casa,
                         c_k_db=ck, counts=cnt, medians=medians)
+
+
+# ---------------------------------------------------------------------------
+# reports
+
+
+def _fit(fit, values) -> dict:
+    mu, sg = fit(values)
+    return {"mu": round(mu, 6), "sigma": round(sg, 6)}
+
+
+def analyze_mpcs(drop, delay_s, power, aoa_deg, zoa_deg, cluster,
+                 max_clusters: int, delay_weight: float) -> tuple[dict, dict]:
+    """Report and per-drop columns of multipath components, one array
+    entry per component; ``aoa_deg``, ``zoa_deg`` and ``cluster`` may be
+    None. Without cluster labels, a drop with azimuths and at least 3
+    powered components takes the ``select_n_clusters`` count over 2 to
+    ``max_clusters``, and any other drop counts as one cluster. A drop
+    without power or with zero delay or azimuth spread is a ValueError."""
+    ids, group = np.unique(drop, return_inverse=True)
+    rows = []
+    for g, d in enumerate(ids):
+        m = group == g
+        mp = MpcSet(*(None if v is None else np.asarray(v)[m]
+                      for v in (delay_s, power, aoa_deg, zoa_deg)))
+        t, p, a = mp.delay_s, mp.power, mp.aoa_deg
+        if not np.any(p > 0):
+            raise ValueError(f"drop {d}: all its power cells are 0, so it "
+                             "carries no power")
+        if np.ptp(t[p > 0]) == 0:
+            raise ValueError(f"drop {d}: all its rows with power share one "
+                             "delay, so its delay spread is zero")
+        if a is not None and np.ptp(a[p > 0]) == 0:
+            raise ValueError(f"drop {d}: all its rows with power share one "
+                             "aoa_deg, so its azimuth spread is zero")
+        labels = None if cluster is None else np.asarray(cluster)[m]
+        # only rows with power can seed a cluster
+        n_powered = np.count_nonzero(p)
+        if labels is None and a is not None and n_powered >= 3:
+            _, _, labels = select_n_clusters(
+                mp, k_min=2, k_max=min(max_clusters, n_powered - 1),
+                delay_weight=delay_weight)
+        med = {} if labels is None else cluster_stats(mp, labels).medians
+        rows.append({
+            "drop": d, "n_mpcs": t.size, "ds_s": rms_ds(t, p),
+            "asa_deg": None if a is None else asa(a, p), "k_db": k_factor(p),
+            "n_clusters": 1 if labels is None else np.unique(labels).size,
+            "c_ds_ns_median": med.get("c_ds_ns"),
+            "c_asa_deg_median": med.get("c_asa_deg"),
+            "c_k_db_median": med.get("c_k_db")})
+    per_drop = {k: [row[k] for row in rows] for k in rows[0]}
+
+    ds, asa_v = per_drop["ds_s"], per_drop["asa_deg"]
+    k_finite = [k for k in per_drop["k_db"] if np.isfinite(k)]
+    counts = np.array(per_drop["n_clusters"], dtype=float)
+    report = {"n_drops": len(rows), "kind": "mpc",
+              "ds_log10s": _fit(fit_lognormal, ds)}
+    if aoa_deg is not None:
+        report["asa_log10deg"] = _fit(fit_lognormal, asa_v)
+    if k_finite:
+        report["k_db"] = {**_fit(fit_normal, k_finite), "n_finite": len(k_finite)}
+    cmed = report["clusters"] = {"count_median": float(np.median(counts))}
+    for key, col in per_drop.items():       # c_: per-cluster statistics
+        vals = [v for v in col if v is not None]
+        if key.startswith("c_") and vals:
+            cmed[key] = float(np.median(vals))
+    if counts.std() > 0:
+        cmed["count_log10"] = _fit(fit_lognormal, counts)
+    if aoa_deg is not None and len(rows) >= 3:
+        cols = {"ds": np.log10(ds), "asa": np.log10(asa_v)}
+        if len(k_finite) == len(rows):
+            cols["k"] = np.asarray(k_finite)
+        try:
+            names, mat = cross_corr(cols)
+        except ValueError:              # a statistic without variance
+            return report, per_drop
+        report["xcorr"] = {
+            f"{names[i]}_{names[j]}": round(float(mat[i, j]), 6)
+            for i in range(len(names)) for j in range(i + 1, len(names))}
+    return report, per_drop
+
+
+def analyze_pdp(directions: dict, delay_s, power, distance_m, noise_floor,
+                margin_db) -> dict:
+    """Report of power-delay bins. ``directions`` maps pointing columns
+    to per-bin angles (empty for one profile); bins that share every
+    angle form one directional PDP, the PDPs merge by ``synth_omni``, and
+    a ``noise_floor`` (or None) thresholds the result. The path loss is
+    reported for a profile taken at a known ``distance_m`` (or None)."""
+    delay_s, power = np.asarray(delay_s), np.asarray(power)
+    groups = {}
+    keys = list(zip(*directions.values())) or [()] * delay_s.size
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    pdps = []
+    for key in sorted(groups):
+        t, p = delay_s[groups[key]], power[groups[key]]
+        order = np.argsort(t)
+        pdps.append(Pdp(t[order], p[order],
+                        direction=dict(zip(directions, key)) or None))
+    omni = synth_omni(pdps) if len(pdps) > 1 else pdps[0]
+    if noise_floor is not None:
+        omni = threshold(omni, noise_floor, margin_db)
+    report = {
+        "kind": "pdp",
+        "n_directions": len(pdps),
+        "ds_ns": round(rms_ds(omni.delays_s, omni.powers) * 1e9, 6),
+        "k_db": round(k_factor(omni.powers[omni.powers > 0]), 6),
+    }
+    if "phi_rx_deg" in directions and len(pdps) > 1:
+        az = np.array([p.direction["phi_rx_deg"] for p in pdps])
+        pw = np.array([p.powers.sum() for p in pdps])
+        report["asa_deg"] = round(asa(az, pw), 6)
+    if distance_m is not None:
+        report["pl_db"] = round(pl_from_pdp(omni), 6)
+        report["distance_m"] = distance_m
+    return report
+
+
+def roundtrip_checks(drawn, extracted, tol_log10: float,
+                     tol_k_db: float) -> list[dict]:
+    """Median checks of (drops, 3) arrays of DS (s), ASA (deg) and K (dB),
+    re-extracted against drawn: log10 medians within ``tol_log10`` for the
+    spreads, dB medians within ``tol_k_db`` for K, unless no drop draws K
+    (all NaN)."""
+    checks = []
+    for j, (name, tol) in enumerate((("ds", tol_log10), ("asa", tol_log10),
+                                     ("k", tol_k_db))):
+        d, e = drawn[:, j], extracted[:, j]
+        if np.all(np.isnan(d)):
+            continue
+        if name != "k":
+            d, e = np.log10(d), np.log10(e)
+        dm, em = float(np.median(d)), float(np.median(e))
+        checks.append({"statistic": name, "drawn_median": round(dm, 6),
+                       "extracted_median": round(em, 6),
+                       "delta": round(em - dm, 6), "tolerance": tol,
+                       "pass": bool(abs(em - dm) <= tol)})
+    return checks

@@ -169,9 +169,17 @@ def run_capacity_experiment(params: ScenarioParamSet, snr_db,
         capacity_bpshz=per_drop.mean(axis=0), per_drop=per_drop,
         condition=params.condition if los_fraction is None
         else f"mixed(p_los={los_fraction})",
-        meta={"n_tones": n_tones, "bandwidth_hz": bandwidth_hz,
-              "m_t": m_t, "m_r": m_r},
+        meta={"m_t": m_t, "m_r": m_r},
     )
+
+
+def gap_at_snr(snr_db, curve_a, curve_b, at_db: float) -> float | None:
+    """curve_a - curve_b at at_db, each linearly interpolated along the
+    increasing SNR grid; None when at_db lies outside the grid."""
+    snr = np.asarray(snr_db, dtype=float)
+    if not snr.min() <= at_db <= snr.max():
+        return None
+    return float(np.interp(at_db, snr, curve_a) - np.interp(at_db, snr, curve_b))
 
 
 def crossover_snr(snr_db, curve_a, curve_b) -> float | None:

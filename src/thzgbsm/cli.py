@@ -6,6 +6,10 @@ from power-delay data), ``roundtrip`` (generate, re-extract, compare),
 outputs plus exactly one ``manifest.json`` into ``--out`` and nowhere
 else; reruns with identical arguments reproduce CSVs byte for byte,
 independent of ``--workers``.
+
+A command only parses and checks its arguments and input, calls the
+library, which computes every statistic it reports, and writes what
+comes back. Each CSV is one ordered dict from column name to column.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 import yaml
 
 from . import __version__, analysis
-from .capacity import crossover_snr, run_capacity_experiment
+from .capacity import crossover_snr, gap_at_snr, run_capacity_experiment
 from .clusters import (build_drop, extract_drop_stats, geometry_for, map_drops,
                        place_users)
 from .coeffs import assemble_cir, single_antenna
@@ -41,12 +45,13 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, columns: dict) -> None:
+    """One CSV from equal-length columns; the dict's keys are the header."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        w.writerow(columns)
+        w.writerows([_fmt(v) for v in row]
+                    for row in zip(*columns.values(), strict=True))
 
 
 def _sha256(path: Path) -> str:
@@ -71,9 +76,9 @@ def _write_manifest(out: Path, command: str, argv: list[str], seed: int,
                                                   sort_keys=True) + "\n")
 
 
-def _resolve_params(parser, args, scenario=None, condition=None, source=None
+def _resolve_params(parser, args, condition=None, source=None
                     ) -> tuple[ScenarioParamSet, Path]:
-    scenario = scenario or args.scenario
+    scenario = args.scenario
     condition = condition or args.condition
     source = source or args.source
     if getattr(args, "params", None):
@@ -105,23 +110,18 @@ def _out_dir(parser, args) -> Path:
     return out
 
 
-def _to_native(obj):
-    """Recursively convert numpy scalars/arrays for yaml.safe_dump."""
+def _no_negative_zero(obj):
+    """A report with every -0.0 in it replaced by 0.0; round() of a tiny
+    negative value gives -0.0. Reports hold plain Python values only."""
     if isinstance(obj, dict):
-        return {k: _to_native(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_native(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_to_native(v) for v in obj.tolist()]
-    if isinstance(obj, np.generic):
-        obj = obj.item()
-    if isinstance(obj, float) and obj == 0.0:
-        return 0.0      # round() of a tiny negative value gives -0.0
-    return obj
+        return {k: _no_negative_zero(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_no_negative_zero(v) for v in obj]
+    return 0.0 if isinstance(obj, float) and obj == 0.0 else obj
 
 
 def _yaml_dump(obj, path: Path) -> None:
-    path.write_text(yaml.safe_dump(_to_native(obj), sort_keys=False))
+    path.write_text(yaml.safe_dump(_no_negative_zero(obj), sort_keys=False))
 
 
 # ---------------------------------------------------------------------------
@@ -129,20 +129,36 @@ def _yaml_dump(obj, path: Path) -> None:
 
 
 def _sim_drop(job):
+    """One drop's multipath components, CIR (when asked for) and
+    re-extracted statistics, each a table of named columns."""
     (params, seed_seq, x, y, lsp_row, mode, want_cir) = job
     rng = np.random.default_rng(seed_seq)
     geom = geometry_for(params, x, y)
     cs = build_drop(params, rng, geometry=geom, lsp_vals=lsp_row)
-    cols = cs.mpc_arrays()
-    cir_rows = None
+    c = cs.mpc_arrays()
+    mpcs = {"cluster": c["cluster"], "ray": c["ray"],
+            "delay_ns": c["delay_s"] * 1e9, "power": c["power"],
+            "aoa_deg": c["aoa_deg"], "zoa_deg": c["zoa_deg"],
+            "aod_deg": c["aod_deg"], "zod_deg": c["zod_deg"]}
+    cir = None
     if want_cir:
         cr = assemble_cir(cs, single_antenna(), single_antenna(),
                           params.wavelength_m,
                           c_ds_s=params.clusters.c_ds_ns * 1e-9, mode=mode)
-        cir_rows = [(t, 0, 0, cr.delays_s[t] * 1e9,
-                     cr.amps[t, 0, 0].real, cr.amps[t, 0, 0].imag)
-                    for t in range(cr.n_taps)]
-    return cols, cir_rows, extract_drop_stats(cs)
+        zeros = np.zeros(cr.n_taps, dtype=int)
+        cir = {"tap": np.arange(cr.n_taps), "u": zeros, "s": zeros,
+               "delay_ns": cr.delays_s * 1e9, "re": cr.amps[:, 0, 0].real,
+               "im": cr.amps[:, 0, 0].imag}
+    st = extract_drop_stats(cs)
+    return mpcs, cir, {"ds_s": [st["ds_s"]], "asa_deg": [st["asa_deg"]],
+                       "k_db": [st.get("k_db")]}
+
+
+def _stack(tables: list[dict]) -> dict:
+    """Per-drop tables joined in drop order, after a drop column."""
+    sizes = [len(next(iter(t.values()))) for t in tables]
+    return {"drop": np.repeat(np.arange(len(tables)), sizes),
+            **{k: np.concatenate([t[k] for t in tables]) for k in tables[0]}}
 
 
 def cmd_simulate(parser, args) -> int:
@@ -165,42 +181,18 @@ def cmd_simulate(parser, args) -> int:
              args.dump_cir) for i, ss in enumerate(drop_seeds)]
     results = map_drops(_sim_drop, jobs, args.workers)
 
-    outputs = ["lsp.csv"]
-    lsp_rows = [(i, xs[i], ys[i], lsp.ds_s[i], lsp.asa_deg[i], lsp.sf_db[i],
-                 lsp.k_db[i] if lsp.k_db is not None else None)
-                for i in range(args.drops)]
-    _write_csv(out / "lsp.csv", ("drop", "x_m", "y_m", "ds_s", "asa_deg",
-                                 "sf_db", "k_db"), lsp_rows)
-
+    tables = {"lsp.csv": {
+        "drop": np.arange(args.drops), "x_m": xs, "y_m": ys,
+        "ds_s": lsp.ds_s, "asa_deg": lsp.asa_deg, "sf_db": lsp.sf_db,
+        "k_db": [None] * args.drops if lsp.k_db is None else lsp.k_db}}
     if args.dump_clusters:
-        rows = []
-        for i, (cols, _, _) in enumerate(results):
-            for j in range(cols["cluster"].size):
-                rows.append((i, cols["cluster"][j], cols["ray"][j],
-                             cols["delay_s"][j] * 1e9, cols["power"][j],
-                             cols["aoa_deg"][j], cols["zoa_deg"][j],
-                             cols["aod_deg"][j], cols["zod_deg"][j]))
-        _write_csv(out / "clusters.csv",
-                   ("drop", "cluster", "ray", "delay_ns", "power", "aoa_deg",
-                    "zoa_deg", "aod_deg", "zod_deg"), rows)
-        outputs.append("clusters.csv")
-
+        tables["clusters.csv"] = _stack([mpcs for mpcs, _, _ in results])
     if args.dump_cir:
-        rows = []
-        for i, (_, cir_rows, _) in enumerate(results):
-            rows.extend((i,) + row for row in cir_rows)
-        _write_csv(out / "cir.csv",
-                   ("drop", "tap", "u", "s", "delay_ns", "re", "im"), rows)
-        outputs.append("cir.csv")
-
-    stats_rows = []
-    for i, (_, _, st) in enumerate(results):
-        stats_rows.append((i, st["ds_s"], st["asa_deg"], st.get("k_db")))
-    _write_csv(out / "drop_stats.csv", ("drop", "ds_s", "asa_deg", "k_db"),
-               stats_rows)
-    outputs.append("drop_stats.csv")
-
-    _write_manifest(out, "simulate", args.argv, args.seed, outputs,
+        tables["cir.csv"] = _stack([cir for _, cir, _ in results])
+    tables["drop_stats.csv"] = _stack([st for _, _, st in results])
+    for name, cols in tables.items():
+        _write_csv(out / name, cols)
+    _write_manifest(out, "simulate", args.argv, args.seed, list(tables),
                     {params.label(): pfile})
     print(f"simulate: {args.drops} drops of {params.label()} -> {out}")
     return 0
@@ -210,8 +202,9 @@ def cmd_simulate(parser, args) -> int:
 # analyze
 
 
-def _read_csv(parser, path: Path) -> tuple[list[str], list[tuple[int, dict]]]:
-    """Header and (line number, row) pairs of a CSV file."""
+def _read_csv(parser, path: Path) -> tuple[list[int], dict[str, list]]:
+    """Line number of each data row and the cells of each named column;
+    a cell missing from a short row is None."""
     if not path.is_file():
         parser.error(f"--input: file not found: {path}")
     with open(path, newline="") as fh:
@@ -219,199 +212,102 @@ def _read_csv(parser, path: Path) -> tuple[list[str], list[tuple[int, dict]]]:
         if reader.fieldnames is None:
             parser.error(f"--input: {path} has no header row")
         rows = [(reader.line_num, row) for row in reader]
-    return list(reader.fieldnames), rows
+    return ([line for line, _ in rows],
+            {k: [row[k] for _, row in rows] for k in reader.fieldnames})
 
 
-def _f(line_row, key, default=None, power=False):
-    """Finite float from a (line number, row) pair; an empty or absent
-    cell gives default, and is an error where there is none. A power
-    cell must not be negative either."""
-    line, row = line_row
-    v = row.get(key, "")
-    if v is None or v == "":
-        if default is None:
-            raise ValueError(f"input line {line}: column {key!r} is empty")
-        return default
-    try:
-        x = float(v)
-    except ValueError:
-        x = np.nan
-    if not np.isfinite(x):
-        raise ValueError(f"input line {line}: column {key!r} holds "
-                         f"{v!r}, not a finite number")
-    if power and x < 0:
-        raise ValueError(f"input line {line}: column {key!r} holds "
-                         f"{v!r}, a negative power")
+_POWER = (lambda x: x < 0, "a negative power")     # a rule for _floats
+
+
+def _floats(table, key, empty, rule) -> np.ndarray:
+    """Finite floats of one column. An empty or absent cell gives
+    ``empty``, and is an error where that is None; so is a cell for which
+    ``rule``, a (test, reason) pair or None, holds."""
+    lines, columns = table
+    cells = columns.get(key, [None] * len(lines))
+    x = np.empty(len(cells))
+    for i, v in enumerate(cells):
+        if v in (None, "") and empty is None:
+            raise ValueError(f"input line {lines[i]}: column {key!r} is empty")
+        try:
+            x[i] = empty if v in (None, "") else float(v)
+        except ValueError:
+            x[i] = np.nan
+    checks = [(~np.isfinite(x), "not a finite number")]
+    if rule is not None:
+        checks.append((rule[0](x), rule[1]))
+    for bad, reason in checks:
+        i = np.flatnonzero(bad)
+        if i.size:
+            raise ValueError(f"input line {lines[i[0]]}: column {key!r} "
+                             f"holds {cells[i[0]]!r}, {reason}")
     return x
 
 
-def _label(line_row, key) -> int:
-    """Integer cell of a drop or cluster column; an empty or absent one
-    gives 0."""
-    x = _f(line_row, key, 0.0)
-    if x != int(x):
-        raise ValueError(f"input line {line_row[0]}: column {key!r} holds "
-                         f"{line_row[1][key]!r}, not an integer")
-    return int(x)
-
-
-def _fit(fit, values) -> dict:
-    mu, sg = fit(values)
-    return {"mu": round(mu, 6), "sigma": round(sg, 6)}
-
-
-def _analyze_mpcs(args, header, rows) -> tuple[dict, list[tuple]]:
-    drops = {}
-    for row in rows:
-        d = _label(row, "drop")
-        drops.setdefault(d, []).append(row)
-
-    per_drop = []
-    k_vals = []
-    for d in sorted(drops):
-        rs = drops[d]
-        delay = np.array([_f(r, "delay_ns") * 1e-9 for r in rs])
-        power = np.array([_f(r, "power", power=True) for r in rs])
-        aoa = (np.array([_f(r, "aoa_deg") for r in rs])
-               if "aoa_deg" in header else None)
-        zoa = (np.array([_f(r, "zoa_deg", 90.0) for r in rs])
-               if "zoa_deg" in header or "aoa_deg" in header else None)
-        if not np.any(power > 0):
-            raise ValueError(f"drop {d}: all its power cells are 0, so it "
-                             "carries no power")
-        ds = analysis.rms_ds(delay, power)
-        if np.ptp(delay[power > 0]) == 0:
-            raise ValueError(f"drop {d}: all its rows with power share one "
-                             "delay, so its delay spread is zero")
-        if aoa is not None and np.ptp(aoa[power > 0]) == 0:
-            raise ValueError(f"drop {d}: all its rows with power share one "
-                             "aoa_deg, so its azimuth spread is zero")
-        asa_v = analysis.asa(aoa, power) if aoa is not None else None
-        k_v = analysis.k_factor(power)
-        if np.isfinite(k_v):
-            k_vals.append(k_v)
-
-        mp = analysis.MpcSet(delay, power, aoa, zoa)
-        labels = None
-        # only rows with power can seed a cluster
-        n_powered = np.count_nonzero(power)
-        if "cluster" in header and not args.recluster:
-            labels = np.array([_label(r, "cluster") for r in rs])
-        elif aoa is not None and n_powered >= 3:
-            _, _, labels = analysis.select_n_clusters(
-                mp, k_min=2, k_max=min(args.max_clusters, n_powered - 1),
-                delay_weight=args.delay_weight)
-        if labels is not None:
-            cstats = analysis.cluster_stats(mp, labels).medians
-            n_cl = int(np.unique(labels).size)
-        else:
-            cstats = {"c_ds_ns": None, "c_asa_deg": None, "c_k_db": None}
-            n_cl = 1
-        per_drop.append((d, len(rs), ds, asa_v, k_v, n_cl,
-                         cstats["c_ds_ns"], cstats["c_asa_deg"],
-                         cstats["c_k_db"]))
-
-    ds_all = np.array([p[2] for p in per_drop])
-    report = {"n_drops": len(per_drop), "kind": "mpc"}
-    report["ds_log10s"] = _fit(analysis.fit_lognormal, ds_all)
-    asa_all = np.array([p[3] for p in per_drop if p[3] is not None])
-    if asa_all.size == len(per_drop) and asa_all.size > 0:
-        report["asa_log10deg"] = _fit(analysis.fit_lognormal, asa_all)
-    if k_vals:
-        report["k_db"] = {**_fit(analysis.fit_normal, np.asarray(k_vals)),
-                          "n_finite": len(k_vals)}
-    cl_counts = np.array([p[5] for p in per_drop], dtype=float)
-    cmed = {"count_median": float(np.median(cl_counts))}
-    for idx, key in ((6, "c_ds_ns_median"), (7, "c_asa_deg_median"),
-                     (8, "c_k_db_median")):
-        vals = np.array([p[idx] for p in per_drop if p[idx] is not None],
-                        dtype=float)
-        if vals.size:
-            cmed[key] = float(np.median(vals))
-    if np.all(cl_counts > 0) and cl_counts.std() > 0:
-        cmed["count_log10"] = _fit(analysis.fit_lognormal, cl_counts)
-    report["clusters"] = cmed
-    if asa_all.size == len(per_drop) and len(per_drop) >= 3:
-        try:
-            cols = {"ds": np.log10(ds_all), "asa": np.log10(asa_all)}
-            if len(k_vals) == len(per_drop):
-                cols["k"] = np.asarray(k_vals)
-            names, mat = analysis.cross_corr(cols)
-            report["xcorr"] = {
-                f"{names[i]}_{names[j]}": round(float(mat[i, j]), 6)
-                for i in range(len(names)) for j in range(i + 1, len(names))}
-        except ValueError:
-            pass
-    return report, per_drop
-
-
-def _analyze_pdp(args, header, rows) -> dict:
-    dir_cols = [c for c in ("phi_rx_deg", "phi_tx_deg", "theta_rx_deg")
-                if c in header]
-    groups = {}
-    for row in rows:
-        key = tuple(_f(row, c) for c in dir_cols)
-        groups.setdefault(key, []).append(row)
-    pdps = []
-    for key in sorted(groups):
-        rs = groups[key]
-        delays = np.array([_f(r, "delay_ns") * 1e-9 for r in rs])
-        powers = np.array([_f(r, "power_linear", power=True) for r in rs])
-        order = np.argsort(delays)
-        pdps.append(analysis.Pdp(delays[order], powers[order],
-                                 direction=dict(zip(dir_cols, key)) or None))
-    omni = analysis.synth_omni(pdps) if len(pdps) > 1 else pdps[0]
-    if args.noise_floor is not None:
-        omni = analysis.threshold(omni, args.noise_floor, args.margin_db)
-    report = {
-        "kind": "pdp",
-        "n_directions": len(pdps),
-        "ds_ns": round(analysis.rms_ds(omni.delays_s, omni.powers) * 1e9, 6),
-        "k_db": round(analysis.k_factor(omni.powers[omni.powers > 0]), 6),
-    }
-    if "phi_rx_deg" in dir_cols and len(pdps) > 1:
-        az = np.array([p.direction["phi_rx_deg"] for p in pdps])
-        pw = np.array([p.powers.sum() for p in pdps])
-        report["asa_deg"] = round(analysis.asa(az, pw), 6)
-    if "distance_m" in header:
-        from .pathloss import pl_from_pdp
-        d = _f(rows[0], "distance_m")
-        report["pl_db"] = round(pl_from_pdp(omni), 6)
-        report["distance_m"] = d
-    return report
+def _labels(table, key) -> np.ndarray:
+    """Integer cells of a drop or cluster column, as Python ints so that
+    no label wraps around; an empty or absent cell gives 0."""
+    x = _floats(table, key, 0.0, (lambda x: x != np.trunc(x), "not an integer"))
+    return np.array([int(v) for v in x], dtype=object)
 
 
 def cmd_analyze(parser, args) -> int:
     if args.max_clusters < 2:
         parser.error("--max-clusters: must be at least 2")
     path = Path(args.input)
-    header, rows = _read_csv(parser, path)
-    if not rows:
+    table = _read_csv(parser, path)
+    lines, columns = table
+    if not lines:
         print(f"analyze: {path} contains a header but no data rows",
               file=sys.stderr)
         return 1
 
-    is_mpc = "power" in header and "delay_ns" in header
-    is_pdp = "power_linear" in header and "delay_ns" in header
-    if not (is_mpc or is_pdp):
+    tables = {}
+    if "delay_ns" in columns and "power" in columns:
+        has_aoa = "aoa_deg" in columns
+        report, tables["per_drop.csv"] = analysis.analyze_mpcs(
+            _labels(table, "drop"),
+            _floats(table, "delay_ns", None, None) * 1e-9,
+            _floats(table, "power", None, _POWER),
+            _floats(table, "aoa_deg", None, None) if has_aoa else None,
+            (_floats(table, "zoa_deg", 90.0, None)
+             if has_aoa or "zoa_deg" in columns else None),
+            (_labels(table, "cluster")
+             if "cluster" in columns and not args.recluster else None),
+            args.max_clusters, args.delay_weight)
+    elif "delay_ns" in columns and "power_linear" in columns:
+        dirs = {c: _floats(table, c, None, None)
+                for c in ("phi_rx_deg", "phi_tx_deg", "theta_rx_deg")
+                if c in columns}
+        delay_s = _floats(table, "delay_ns", None, None) * 1e-9
+        power = _floats(table, "power_linear", None, _POWER)
+        first = {}      # a delay appears once per direction
+        for i, key in enumerate(zip(delay_s, *dirs.values())):
+            if (j := first.setdefault(key, i)) != i:
+                where = ", ".join(f"{c} {v:g}" for c, v in zip(dirs, key[1:]))
+                raise ValueError(
+                    f"input line {lines[i]}: delay_ns "
+                    f"{columns['delay_ns'][i]!r} repeats input line {lines[j]}"
+                    + (f" in direction {where}" if dirs else ""))
+        distance = None
+        if "distance_m" in columns:
+            distance = float(_floats(table, "distance_m", None, (
+                lambda x: x != x[0], f"while input line {lines[0]} holds "
+                f"{columns['distance_m'][0]!r}; a profile has one distance"))[0])
+        try:
+            report = analysis.analyze_pdp(dirs, delay_s, power, distance,
+                                          args.noise_floor, args.margin_db)
+        except analysis.ThresholdError as exc:
+            raise ValueError(f"--noise-floor/--margin-db: {exc}") from None
+    else:
         parser.error("--input: CSV must carry delay_ns plus power (multipath "
                      "components) or power_linear (power-delay profile)")
-
-    if is_mpc:
-        report, per_drop = _analyze_mpcs(args, header, rows)
-    else:
-        report = _analyze_pdp(args, header, rows)
     report["input"] = path.name
     out = _out_dir(parser, args)
-    outputs = ["report.yaml"]
-    if is_mpc:
-        _write_csv(out / "per_drop.csv",
-                   ("drop", "n_mpcs", "ds_s", "asa_deg", "k_db", "n_clusters",
-                    "c_ds_ns_median", "c_asa_deg_median", "c_k_db_median"),
-                   per_drop)
-        outputs.append("per_drop.csv")
+    for name, cols in tables.items():
+        _write_csv(out / name, cols)
     _yaml_dump(report, out / "report.yaml")
-    _write_manifest(out, "analyze", args.argv, 0, outputs, {})
+    _write_manifest(out, "analyze", args.argv, 0, ["report.yaml", *tables], {})
     print(f"analyze: report written to {out / 'report.yaml'}")
     return 0
 
@@ -438,38 +334,22 @@ def cmd_roundtrip(parser, args) -> int:
     out = _out_dir(parser, args)
 
     seeds = np.random.SeedSequence(args.seed).spawn(args.drops)
-    res = map_drops(_rt_drop, [(params, ss) for ss in seeds], args.workers)
-    res = np.array([[np.nan if v is None else v for v in row] for row in res])
+    # (drops, 6): drawn then extracted DS, ASA, K; a missing K is NaN
+    res = np.array(map_drops(_rt_drop, [(params, ss) for ss in seeds],
+                             args.workers), dtype=float)
 
-    checks = []
-    for name, drawn, ext, tol, log in (
-            ("ds", res[:, 0], res[:, 3], args.tol_log10, True),
-            ("asa", res[:, 1], res[:, 4], args.tol_log10, True),
-            ("k", res[:, 2], res[:, 5], args.tol_k_db, False)):
-        if np.all(np.isnan(drawn)):
-            continue
-        if log:
-            dm = float(np.median(np.log10(drawn)))
-            em = float(np.median(np.log10(ext)))
-        else:
-            dm = float(np.median(drawn))
-            em = float(np.median(ext))
-        delta = em - dm
-        ok = abs(delta) <= tol
-        checks.append({"statistic": name, "drawn_median": round(dm, 6),
-                       "extracted_median": round(em, 6),
-                       "delta": round(delta, 6), "tolerance": tol,
-                       "pass": bool(ok)})
-
+    checks = analysis.roundtrip_checks(res[:, :3], res[:, 3:],
+                                       args.tol_log10, args.tol_k_db)
     all_ok = all(c["pass"] for c in checks)
     report = {
         "set": params.label(), "n_drops": args.drops, "seed": args.seed,
         "checks": checks, "status": "PASS" if all_ok else "FAIL",
     }
-    _write_csv(out / "roundtrip_drops.csv",
-               ("drop", "drawn_ds_s", "drawn_asa_deg", "drawn_k_db",
-                "extracted_ds_s", "extracted_asa_deg", "extracted_k_db"),
-               [(i, *row) for i, row in enumerate(res.tolist())])
+    _write_csv(out / "roundtrip_drops.csv", {
+        "drop": range(args.drops), "drawn_ds_s": res[:, 0],
+        "drawn_asa_deg": res[:, 1], "drawn_k_db": res[:, 2],
+        "extracted_ds_s": res[:, 3], "extracted_asa_deg": res[:, 4],
+        "extracted_k_db": res[:, 5]})
     _yaml_dump(report, out / "report.yaml")
     _write_manifest(out, "roundtrip", args.argv, args.seed,
                     ["report.yaml", "roundtrip_drops.csv"],
@@ -538,14 +418,13 @@ def cmd_capacity(parser, args) -> int:
             normalization=args.normalization, workers=args.workers, **kw)
         for src, (ps, kw) in runs.items()}
 
-    rows = []
-    for src in sources:
-        for i, s in enumerate(snr):
-            rows.append((src, args.scenario, curves[src].condition, s,
-                         curves[src].capacity_bpshz[i]))
-    _write_csv(out / "capacity.csv",
-               ("source", "scenario", "condition", "snr_db",
-                "mean_capacity_bpshz"), rows)
+    _write_csv(out / "capacity.csv", {
+        "source": [src for src in sources for _ in snr],
+        "scenario": [args.scenario] * (len(sources) * snr.size),
+        "condition": [curves[src].condition for src in sources for _ in snr],
+        "snr_db": np.tile(snr, len(sources)),
+        "mean_capacity_bpshz": np.concatenate(
+            [curves[src].capacity_bpshz for src in sources])})
 
     series = [(src, snr, curves[src].capacity_bpshz) for src in sources]
     line_plot(series, out / "capacity.svg",
@@ -559,11 +438,11 @@ def cmd_capacity(parser, args) -> int:
         "curves": {src: [round(float(c), 6) for c in curves[src].capacity_bpshz]
                    for src in sources},
     }
-    if len(sources) == 2 and snr.min() <= 30.0 <= snr.max():
-        gap = (np.interp(30.0, snr, curves["3gpp"].capacity_bpshz)
-               - np.interp(30.0, snr, curves["measured"].capacity_bpshz))
-        report["gap_3gpp_minus_measured_at_30db"] = round(float(gap), 6)
     if len(sources) == 2:
+        gap = gap_at_snr(snr, curves["3gpp"].capacity_bpshz,
+                         curves["measured"].capacity_bpshz, 30.0)
+        if gap is not None:
+            report["gap_3gpp_minus_measured_at_30db"] = round(gap, 6)
         x = crossover_snr(snr, curves["measured"].capacity_bpshz,
                           curves["3gpp"].capacity_bpshz)
         report["crossover_snr_db"] = None if x is None else round(x, 6)
@@ -615,17 +494,16 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--workers", type=_count, default=1,
                         help="parallel worker processes")
 
-    def selection(sp, with_source=True):
+    def selection(sp, condition, source, sources):
         sp.add_argument("--scenario", required=True, choices=("office", "umi"))
-        sp.add_argument("--condition", required=True, choices=("los", "nlos"))
-        if with_source:
-            sp.add_argument("--source", default="measured",
-                            choices=("measured", "3gpp"))
+        sp.add_argument("--condition", required=condition is None,
+                        default=condition, choices=("los", "nlos"))
+        sp.add_argument("--source", default=source, choices=sources)
         sp.add_argument("--params", metavar="FILE",
                         help="YAML parameter file overriding the bundled sets")
 
     sp = sub.add_parser("simulate", help="generate drops and dump CSVs")
-    selection(sp)
+    selection(sp, None, "measured", ("measured", "3gpp"))
     common(sp, 100)
     sp.add_argument("--mode", default="thz-simplified",
                     choices=("thz-simplified", "standard"))
@@ -651,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("roundtrip",
                         help="generate drops, re-extract, compare medians")
-    selection(sp)
+    selection(sp, None, "measured", ("measured", "3gpp"))
     common(sp, 500)
     sp.add_argument("--tol-log10", type=_finite_float, default=0.15,
                     help="median tolerance for log10 DS and ASA")
@@ -660,12 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_roundtrip)
 
     sp = sub.add_parser("capacity", help="equal-power MIMO capacity curves")
-    sp.add_argument("--scenario", required=True, choices=("office", "umi"))
-    sp.add_argument("--condition", default="los", choices=("los", "nlos"))
-    sp.add_argument("--source", default="both",
-                    choices=("measured", "3gpp", "both"))
-    sp.add_argument("--params", metavar="FILE",
-                    help="YAML parameter file overriding the bundled sets")
+    selection(sp, "los", "both", ("measured", "3gpp", "both"))
     common(sp, 100)
     sp.add_argument("--snr", default="0:35:2.5",
                     help="SNR grid: start:stop:step or comma list (dB)")

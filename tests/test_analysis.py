@@ -118,9 +118,10 @@ def test_threshold_cuts_noise():
     assert_allclose(out.powers, [1.0, 1e-4, 0.0])
 
 
-def test_threshold_warns_when_everything_cut():
+def test_threshold_raises_when_everything_cut():
     p = Pdp(np.array([0.0, 1e-9]), np.array([1e-9, 1e-9]))
-    with pytest.warns(RuntimeWarning):
+    with pytest.raises(ValueError, match=r"noise floor 1 with a 6 dB margin "
+                       r"cuts at 3\.98107, above every bin"):
         threshold(p, noise_floor=1.0, margin_db=6.0)
 
 

@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 import yaml
 
-from thzgbsm.cli import main
+from thzgbsm import analysis
+from thzgbsm.cli import _fmt, main
+from thzgbsm.clusters import build_drop
+from thzgbsm.params import load_params
 
 
 def _read(path):
@@ -246,6 +249,16 @@ def test_analyze_non_integer_label_exits_1_with_message(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_analyze_keeps_labels_beyond_int64_apart(tmp_path):
+    src = tmp_path / "mpcs.csv"
+    src.write_text("drop,delay_ns,power\n1e19,0,1\n1e19,5,0.5\n"
+                   "2e19,0,1\n2e19,7,0.3\n")
+    out = tmp_path / "rep"
+    assert main(["analyze", "--input", str(src), "--out", str(out)]) == 0
+    assert [r["drop"] for r in _rows(out / "per_drop.csv")] == [
+        "10000000000000000000", "20000000000000000000"]
+
+
 @pytest.mark.parametrize(("drop0", "cause"), [
     ("0,5,1,30\n", "delay spread is zero"),
     ("0,5,1,30\n0,5,0.5,40\n0,9,0,50\n", "delay spread is zero"),
@@ -327,6 +340,86 @@ def test_analyze_pdp_schema(tmp_path):
     assert rep["ds_ns"] > 0
     assert "asa_deg" in rep
     assert "pl_db" in rep
+
+
+# the report used to echo whichever distance the first row held
+@pytest.mark.parametrize(("distances", "line", "cell"),
+                         [((10, 10, 400), 4, "400"), ((400, 10, 10), 3, "10")],
+                         ids=["last-differs", "first-differs"])
+def test_analyze_pdp_distances_that_disagree_exit_1(tmp_path, capsys,
+                                                    distances, line, cell):
+    src = tmp_path / "pdp.csv"
+    src.write_text("delay_ns,power_linear,distance_m\n" + "".join(
+        f"{5 * i},{p},{d}\n" for i, (p, d) in enumerate(zip((1, 0.3, 0.1),
+                                                            distances))))
+    out = tmp_path / "rep"
+    assert main(["analyze", "--input", str(src), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"input line {line}: column 'distance_m' holds {cell!r}" in err
+    assert not out.exists()
+
+
+def test_analyze_noise_floor_above_every_bin_names_the_option(tmp_path,
+                                                               capsys):
+    src = tmp_path / "pdp.csv"
+    src.write_text("delay_ns,power_linear\n0,1e-3\n5,1e-4\n")
+    out = tmp_path / "rep"
+    assert main(["analyze", "--input", str(src), "--noise-floor", "1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "--noise-floor" in err and "cuts at 3.98107" in err
+    assert "Warning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(("text", "message"), [
+    ("delay_ns,power_linear\n0,1\n5,0.5\n5.0,0.2\n",
+     "input line 4: delay_ns '5.0' repeats input line 3\n"),
+    ("phi_rx_deg,delay_ns,power_linear\n0,0,1\n90,0,0.5\n0,5,0.3\n"
+     "90,5,0.2\n90,0,0.1\n",
+     "input line 6: delay_ns '0' repeats input line 3 in direction "
+     "phi_rx_deg 90\n"),
+], ids=["one-direction", "two-directions"])
+def test_analyze_pdp_repeated_delay_names_line_and_direction(tmp_path, capsys,
+                                                             text, message):
+    src = tmp_path / "pdp.csv"
+    src.write_text(text)
+    out = tmp_path / "rep"
+    assert main(["analyze", "--input", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.endswith(message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("recluster", [False, True])
+def test_analyze_writes_what_the_library_returns(tmp_path, recluster):
+    """analysis.analyze_mpcs on arrays gives the report and per-drop
+    columns that analyze writes for the same rows."""
+    params = load_params("office", "los", "measured")
+    drops = [build_drop(params, np.random.default_rng(s)).mpc_arrays()
+             for s in range(4)]
+    cols = {k: np.concatenate([d[k] for d in drops]) for k in drops[0]}
+    cols["drop"] = np.repeat(np.arange(4), [d["power"].size for d in drops])
+    cols["delay_ns"] = cols["delay_s"] * 1e9
+    names = ["drop", "cluster", "delay_ns", "power", "aoa_deg", "zoa_deg"]
+    src = tmp_path / "mpcs.csv"
+    with open(src, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(names)
+        w.writerows(zip(*(cols[n].tolist() for n in names)))
+    out = tmp_path / "rep"
+    assert main(["analyze", "--input", str(src), "--max-clusters", "4",
+                 "--out", str(out)] + ["--recluster"] * recluster) == 0
+
+    report, per_drop = analysis.analyze_mpcs(
+        cols["drop"], cols["delay_ns"] * 1e-9, cols["power"], cols["aoa_deg"],
+        cols["zoa_deg"], None if recluster else cols["cluster"], 4, 8.0)
+    written = yaml.safe_load((out / "report.yaml").read_text())
+    assert written.pop("input") == "mpcs.csv"
+    assert written == report
+    rows = _rows(out / "per_drop.csv")
+    assert list(rows[0]) == list(per_drop)
+    assert [[r[k] for r in rows] for k in per_drop] == [
+        [_fmt(v) for v in col] for col in per_drop.values()]
 
 
 def test_roundtrip_cli_pass_and_exit_codes(tmp_path, capsys):
