@@ -13,17 +13,17 @@ from .analysis import (KPowerMeans, MpcSet, Pdp, asa, cluster_stats,
                        cross_corr, fit_lognormal, fit_normal, k_factor,
                        kpower_means, lsp_cross_corr, rms_ds,
                        select_n_clusters, synth_omni, threshold)
-from .capacity import (CapacityExperiment, crossover_snr, mimo_capacity,
+from .capacity import (CapacityExperiment, crossover_snr, gram_eigs, mimo_capacity,
                        mimo_capacity_det, run_capacity_experiment)
 from .clusters import (ClusterSet, LinkGeometry, apply_in_cluster_k,
                        build_drop, extract_drop_stats, gen_angles, gen_delays,
                        gen_powers, gen_xpr_and_phases, geometry_for,
                        map_drops, place_user, place_users,
                        rescale_azimuth, rescale_delays, rescale_zenith)
-from .coeffs import (AntennaArray, ChannelRealization, assemble_cir,
-                     cir_to_ctf, isotropic_horizontal, isotropic_vertical,
-                     single_antenna, spherical_unit, ura)
-from .constants import RAY_OFFSETS, SPEED_OF_LIGHT, c_phi, c_theta, ray_offsets, wrap_deg
+from .coeffs import (AntennaArray, ChannelRealization, assemble_cir, cir_to_ctf,
+                     isotropic_horizontal, isotropic_vertical, single_antenna, ura)
+from .constants import (RAY_OFFSETS, SPEED_OF_LIGHT, c_phi, c_theta,
+                        ray_offsets, spherical_unit, wrap_deg)
 from .fields import GaussianField
 from .lsp import LspRealization, draw_lsp_iid, generate_lsp, mixing_matrix
 from .params import (LogNormalSpec, NormalSpec, ParamValidationError,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import wrap_deg
+from .constants import spherical_unit, wrap_deg
 from .pathloss import pl_from_pdp
 
 # ---------------------------------------------------------------------------
@@ -247,7 +247,6 @@ def mcd_embedding(delay_s, aoa_deg, zoa_deg, delay_weight: float = 8.0) -> np.nd
     into a plain Euclidean distance and weighted K-means into K-power-
     means over the MCD.
     """
-    from .coeffs import spherical_unit
     t = np.asarray(delay_s, dtype=float)
     u = spherical_unit(zoa_deg, aoa_deg)
     span = t.max() - t.min()
@@ -511,7 +510,7 @@ def analyze_mpcs(drop, delay_s, power, aoa_deg, zoa_deg, cluster,
             "asa_deg": None if a is None else asa(a, p), "k_db": k_factor(p),
             "n_clusters": 1 if labels is None else np.unique(labels).size,
             "c_ds_ns_median": med.get("c_ds_ns"),
-            "c_asa_deg_median": med.get("c_asa_deg"),
+            "c_asa_deg_median": None if a is None else med.get("c_asa_deg"),
             "c_k_db_median": med.get("c_k_db")})
     per_drop = {k: [row[k] for row in rows] for k in rows[0]}
 

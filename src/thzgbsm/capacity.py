@@ -23,6 +23,14 @@ from .lsp import draw_lsp_iid
 from .params import ScenarioParamSet
 
 
+def gram_eigs(h) -> np.ndarray:
+    """Eigenvalues of the Gram matrix of the smaller side of each channel
+    in an (..., rx, tx) stack, ascending along the last axis."""
+    h = np.asarray(h)
+    hh = h.conj().swapaxes(-1, -2)
+    return np.linalg.eigvalsh(h @ hh if h.shape[-2] <= h.shape[-1] else hh @ h)
+
+
 def mimo_capacity(h, rho_linear: float, m_t: int | None = None) -> float:
     """Equal-power capacity log2 det(I + rho/M_t H H^H) in bit/s/Hz.
 
@@ -39,11 +47,9 @@ def mimo_capacity(h, rho_linear: float, m_t: int | None = None) -> float:
         raise ValueError("channel matrix contains non-finite entries")
     if rho_linear < 0:
         raise ValueError("rho_linear must be nonnegative")
-    u, s = h.shape
     if m_t is None:
-        m_t = s
-    gram = h @ h.conj().T if u <= s else h.conj().T @ h
-    return float(capacity_from_eigs(np.linalg.eigvalsh(gram), rho_linear, m_t))
+        m_t = h.shape[1]
+    return float(capacity_from_eigs(gram_eigs(h), rho_linear, m_t))
 
 
 def mimo_capacity_det(h, rho_linear: float, m_t: int | None = None) -> float:
@@ -72,29 +78,19 @@ class CapacityExperiment:
     """Mean capacity curve plus the per-drop data behind it."""
     capacity_bpshz: np.ndarray          # mean over drops and tones, per SNR
     per_drop: np.ndarray                # (n_drops, n_snr)
-    condition: str                      # the set's, or mixed(p_los=...)
     meta: dict = field(default_factory=dict)
 
 
 def _drop_payload(args):
-    (params, params_nlos, seed_seq, mode, n_tones, bandwidth_hz,
-     rx, tx, los_fraction) = args
+    params, seed_seq, mode, n_tones, bandwidth_hz, rx, tx = args
     rng = np.random.default_rng(seed_seq)
-    p = params
-    if los_fraction is not None:
-        # condition flip is the drop's first draw so the rest of the
-        # stream stays aligned with the pure-condition runs
-        if rng.random() >= los_fraction:
-            p = params_nlos
-    geom = place_user(p, rng)
-    lsp = draw_lsp_iid(p, 1, rng).row(0)
-    cs = build_drop(p, rng, geometry=geom, lsp_vals=lsp)
-    cr = assemble_cir(cs, rx, tx, p.wavelength_m,
-                      c_ds_s=p.clusters.c_ds_ns * 1e-9, mode=mode)
+    geom = place_user(params, rng)
+    lsp = draw_lsp_iid(params, 1, rng).row(0)
+    cs = build_drop(params, rng, geometry=geom, lsp_vals=lsp)
+    cr = assemble_cir(cs, rx, tx, params.wavelength_m,
+                      c_ds_s=params.clusters.c_ds_ns * 1e-9, mode=mode)
     freqs = np.linspace(-bandwidth_hz / 2.0, bandwidth_hz / 2.0, n_tones)
-    h = cir_to_ctf(cr, freqs)                              # (F, U, S)
-    gram = h @ h.conj().transpose(0, 2, 1)
-    return np.linalg.eigvalsh(gram)                        # (F, U)
+    return gram_eigs(cir_to_ctf(cr, freqs))                # (F, min(U, S))
 
 
 def run_capacity_experiment(params: ScenarioParamSet, snr_db,
@@ -103,9 +99,6 @@ def run_capacity_experiment(params: ScenarioParamSet, snr_db,
                             rx_array: AntennaArray | None = None,
                             tx_array: AntennaArray | None = None,
                             n_tones: int = 64, bandwidth_hz: float = 1e9,
-                            los_fraction: float | None = None,
-                            params_nlos: ScenarioParamSet | None = None,
-                            normalization: str = "experiment",
                             workers: int = 1) -> CapacityExperiment:
     """Generate drops and average equal-power capacity per SNR point.
 
@@ -113,18 +106,9 @@ def run_capacity_experiment(params: ScenarioParamSet, snr_db,
     rectangular arrays of vertical isotropic elements. Per-drop seeds
     are spawned from one root sequence and results are reduced in
     submission order, so the outcome is independent of worker count.
-
-    normalization "experiment" (default) scales all drops by one common
-    factor; "per-drop" equalizes every drop's mean tone power (kept
-    behind this flag since it hides the scenario's gain spread).
+    All drops share one scale factor, so the scenario's gain spread
+    across drops stays in the result.
     """
-    if normalization not in ("experiment", "per-drop"):
-        raise ValueError(f"unknown normalization {normalization!r}")
-    if los_fraction is not None:
-        if params_nlos is None:
-            raise ValueError("los_fraction needs params_nlos for the NLoS share")
-        if not 0.0 <= los_fraction <= 1.0:
-            raise ValueError("los_fraction must lie in [0, 1]")
     if n_tones < 1:
         raise ValueError("n_tones must be at least 1")
     snr_db = np.atleast_1d(np.asarray(snr_db, dtype=float))
@@ -140,19 +124,13 @@ def run_capacity_experiment(params: ScenarioParamSet, snr_db,
     # arrays and seed sequences ride along whole (both pickle); patterns
     # must be module-level functions for workers > 1 (the bundled
     # isotropic patterns are)
-    jobs = [(params, params_nlos, ss, mode, n_tones, bandwidth_hz,
-             rx_array, tx_array, los_fraction)
+    jobs = [(params, ss, mode, n_tones, bandwidth_hz, rx_array, tx_array)
             for ss in seeds]
-    eigs = np.stack(map_drops(_drop_payload, jobs, workers))   # (drops, F, U)
+    eigs = np.stack(map_drops(_drop_payload, jobs, workers))   # (drops, F, min(U, S))
 
     m_t = tx_array.n_elements
     m_r = rx_array.n_elements
-    if normalization == "experiment":
-        scale = (m_t * m_r) / eigs.sum(axis=-1).mean()
-        eigs = eigs * scale
-    else:
-        per = (m_t * m_r) / eigs.sum(axis=-1).mean(axis=-1)   # (drops,)
-        eigs = eigs * per[:, None, None]
+    eigs = eigs * ((m_t * m_r) / eigs.sum(axis=-1).mean())
 
     rho = 10.0 ** (snr_db / 10.0)
     per_drop = np.empty((n_drops, snr_db.size))
@@ -167,8 +145,6 @@ def run_capacity_experiment(params: ScenarioParamSet, snr_db,
 
     return CapacityExperiment(
         capacity_bpshz=per_drop.mean(axis=0), per_drop=per_drop,
-        condition=params.condition if los_fraction is None
-        else f"mixed(p_los={los_fraction})",
         meta={"m_t": m_t, "m_r": m_r},
     )
 

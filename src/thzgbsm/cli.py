@@ -21,6 +21,7 @@ import json
 import platform
 import sys
 from datetime import datetime, timezone
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -76,11 +77,8 @@ def _write_manifest(out: Path, command: str, argv: list[str], seed: int,
                                                   sort_keys=True) + "\n")
 
 
-def _resolve_params(parser, args, condition=None, source=None
-                    ) -> tuple[ScenarioParamSet, Path]:
-    scenario = args.scenario
-    condition = condition or args.condition
-    source = source or args.source
+def _resolve_params(parser, args, source=None) -> tuple[ScenarioParamSet, Path]:
+    scenario, condition, source = args.scenario, args.condition, source or args.source
     if getattr(args, "params", None):
         path = Path(args.params)
         if not path.is_file():
@@ -245,15 +243,27 @@ def _floats(table, key, empty, rule) -> np.ndarray:
 
 
 def _labels(table, key) -> np.ndarray:
-    """Integer cells of a drop or cluster column, as Python ints so that
-    no label wraps around; an empty or absent cell gives 0."""
-    x = _floats(table, key, 0.0, (lambda x: x != np.trunc(x), "not an integer"))
-    return np.array([int(v) for v in x], dtype=object)
+    """Integer cells of a drop or cluster column, as exact Python ints so
+    that no label wraps around or rounds; an empty or absent cell gives 0."""
+    _floats(table, key, 0.0, None)          # every cell a finite number
+    lines, columns = table
+    labels = []
+    for line, v in zip(lines, columns.get(key, [None] * len(lines))):
+        x = Decimal(v or 0)
+        if x != x.to_integral_value():
+            raise ValueError(f"input line {line}: column {key!r} holds "
+                             f"{v!r}, not an integer")
+        labels.append(int(x))
+    return np.array(labels, dtype=object)
 
 
 def cmd_analyze(parser, args) -> int:
     if args.max_clusters < 2:
         parser.error("--max-clusters: must be at least 2")
+    if args.noise_floor is not None and args.noise_floor < 0:
+        parser.error("--noise-floor: must not be negative")
+    if args.noise_floor is not None and args.margin_db <= 0:
+        parser.error("--margin-db: must be positive with --noise-floor")
     path = Path(args.input)
     table = _read_csv(parser, path)
     lines, columns = table
@@ -389,39 +399,22 @@ def cmd_capacity(parser, args) -> int:
         parser.error("--snr: no points given")
     if np.any(np.diff(snr) <= 0):
         parser.error("--snr: points must strictly increase")
-    if args.los_fraction is not None:
-        if args.condition != "los":
-            parser.error("--los-fraction: only meaningful with "
-                         "--condition los as the base set")
-        if not 0.0 <= args.los_fraction <= 1.0:
-            parser.error("--los-fraction: must lie in [0, 1]")
     sources = ("measured", "3gpp") if args.source == "both" else (args.source,)
 
-    runs = {}
-    pfiles = {}
-    for src in sources:
-        ps, pf = _resolve_params(parser, args, source=src)
-        pfiles[ps.label()] = pf
-        kw = {}
-        if args.los_fraction is not None:
-            ps_nlos, pf_n = _resolve_params(parser, args, condition="nlos",
-                                            source=src)
-            pfiles[ps_nlos.label()] = pf_n
-            kw = {"los_fraction": args.los_fraction, "params_nlos": ps_nlos}
-        runs[src] = (ps, kw)
+    runs = {src: _resolve_params(parser, args, source=src) for src in sources}
     out = _out_dir(parser, args)
 
     curves = {
         src: run_capacity_experiment(
             ps, snr, n_drops=args.drops, seed=args.seed, mode=args.mode,
             n_tones=args.tones, bandwidth_hz=args.bandwidth_hz,
-            normalization=args.normalization, workers=args.workers, **kw)
-        for src, (ps, kw) in runs.items()}
+            workers=args.workers)
+        for src, (ps, _) in runs.items()}
 
     _write_csv(out / "capacity.csv", {
         "source": [src for src in sources for _ in snr],
         "scenario": [args.scenario] * (len(sources) * snr.size),
-        "condition": [curves[src].condition for src in sources for _ in snr],
+        "condition": [args.condition] * (len(sources) * snr.size),
         "snr_db": np.tile(snr, len(sources)),
         "mean_capacity_bpshz": np.concatenate(
             [curves[src].capacity_bpshz for src in sources])})
@@ -448,7 +441,8 @@ def cmd_capacity(parser, args) -> int:
         report["crossover_snr_db"] = None if x is None else round(x, 6)
     _yaml_dump(report, out / "report.yaml")
     _write_manifest(out, "capacity", args.argv, args.seed,
-                    ["capacity.csv", "capacity.svg", "report.yaml"], pfiles)
+                    ["capacity.csv", "capacity.svg", "report.yaml"],
+                    {ps.label(): pf for ps, pf in runs.values()})
     for src in sources:
         at = curves[src].capacity_bpshz[-1]
         print(f"capacity {src:>8}: {at:.2f} bit/s/Hz at {snr[-1]:g} dB "
@@ -546,10 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("thz-simplified", "standard"))
     sp.add_argument("--tones", type=_count, default=64)
     sp.add_argument("--bandwidth-hz", type=_finite_float, default=1e9)
-    sp.add_argument("--los-fraction", type=_finite_float, default=None,
-                    help="mix NLoS drops in with this LoS probability")
-    sp.add_argument("--normalization", default="experiment",
-                    choices=("experiment", "per-drop"))
     sp.set_defaults(func=cmd_capacity)
     return p
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clusters import ClusterSet
-from .constants import SPEED_OF_LIGHT
+from .constants import SPEED_OF_LIGHT, spherical_unit
 
 # Sub-tap structure for the standard (split) mode: delay offsets in units
 # of the intra-cluster delay spread, and fixed zero-based ray groups.
@@ -34,14 +34,6 @@ SUBCLUSTER_RAY_GROUPS = (
     (8, 9, 10, 11, 16, 17),
     (12, 13, 14, 15),
 )
-
-
-def spherical_unit(zenith_deg, azimuth_deg) -> np.ndarray:
-    """Unit propagation vector(s); output shape is input shape + (3,)."""
-    zen = np.deg2rad(np.asarray(zenith_deg, dtype=float))
-    az = np.deg2rad(np.asarray(azimuth_deg, dtype=float))
-    sz = np.sin(zen)
-    return np.stack([sz * np.cos(az), sz * np.sin(az), np.cos(zen)], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -93,3 +93,11 @@ def c_theta(n_clusters: int, k_db: float | None = None) -> float:
 def wrap_deg(angle_deg):
     """Wrap angles into [-180, 180)."""
     return (np.asarray(angle_deg, dtype=float) + 180.0) % 360.0 - 180.0
+
+
+def spherical_unit(zenith_deg, azimuth_deg) -> np.ndarray:
+    """Unit propagation vector(s); output shape is input shape + (3,)."""
+    zen = np.deg2rad(np.asarray(zenith_deg, dtype=float))
+    az = np.deg2rad(np.asarray(azimuth_deg, dtype=float))
+    sz = np.sin(zen)
+    return np.stack([sz * np.cos(az), sz * np.sin(az), np.cos(zen)], axis=-1)

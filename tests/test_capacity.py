@@ -5,8 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from thzgbsm.capacity import (
-    capacity_from_eigs, crossover_snr, mimo_capacity, mimo_capacity_det,
-    run_capacity_experiment)
+    capacity_from_eigs, crossover_snr, gram_eigs, mimo_capacity,
+    mimo_capacity_det, run_capacity_experiment)
 from thzgbsm.coeffs import ura
 from thzgbsm.params import load_params
 
@@ -42,6 +42,19 @@ def test_capacity_from_eigs_matches_direct():
     want = mimo_capacity(h, 5.0)
     got = capacity_from_eigs(eigs[None, :], 5.0, m_t=8)
     assert got[0] == pytest.approx(want, rel=1e-12)
+
+
+# (F, U, S) stacks, one wide and one tall, as the experiment's tones are
+@pytest.mark.parametrize(("u", "s"), [(2, 6), (5, 3)])
+def test_stacked_gram_eigs_match_det_path(u, s):
+    rng = np.random.default_rng(u * 10 + s)
+    h = rng.normal(size=(7, u, s)) + 1j * rng.normal(size=(7, u, s))
+    eigs = gram_eigs(h)
+    assert eigs.shape == (7, min(u, s))
+    for rho in (0.1, 3.0, 1000.0):
+        got = capacity_from_eigs(eigs, rho, s)
+        want = [mimo_capacity_det(hf, rho) for hf in h]
+        assert np.max(np.abs(got - want)) < 1e-9
 
 
 def test_capacity_rejects_bad_input():
@@ -109,17 +122,6 @@ def test_more_clusters_raise_high_snr_capacity():
         e = run_capacity_experiment(p, snr_db=[30.0], n_drops=100, seed=0)
         caps[n] = e.capacity_bpshz[0]
     assert caps[15] > caps[4]
-
-
-def test_mixed_condition_requires_nlos_params():
-    p_los = load_params("office", "los", "measured")
-    p_nlos = load_params("office", "nlos", "measured")
-    e = run_capacity_experiment(p_los, snr_db=[10.0], n_drops=6, seed=3,
-                                los_fraction=0.5, params_nlos=p_nlos)
-    assert np.isfinite(e.capacity_bpshz).all()
-    with pytest.raises(ValueError):
-        run_capacity_experiment(p_los, snr_db=[10.0], n_drops=2, seed=3,
-                                los_fraction=0.5)
 
 
 def test_experiment_rejects_fewer_than_one_tone():

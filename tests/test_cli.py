@@ -259,6 +259,32 @@ def test_analyze_keeps_labels_beyond_int64_apart(tmp_path):
         "10000000000000000000", "20000000000000000000"]
 
 
+# float() maps both labels to 2**53 and would merge the two drops
+def test_analyze_keeps_labels_beyond_2_pow_53_apart(tmp_path):
+    src = tmp_path / "mpcs.csv"
+    src.write_text("drop,delay_ns,power\n9007199254740993,0,1\n"
+                   "9007199254740993,5,0.5\n9007199254740992,0,1\n"
+                   "9007199254740992,7,0.3\n")
+    out = tmp_path / "rep"
+    assert main(["analyze", "--input", str(src), "--out", str(out)]) == 0
+    assert [(r["drop"], r["n_mpcs"]) for r in _rows(out / "per_drop.csv")] == [
+        ("9007199254740992", "2"), ("9007199254740993", "2")]
+
+
+def test_analyze_without_azimuths_reports_no_cluster_asa(tmp_path):
+    src = tmp_path / "mpcs.csv"
+    src.write_text("drop,delay_ns,power,cluster\n0,0,1,1\n0,5,0.5,1\n"
+                   "0,9,0.2,2\n0,12,0.1,2\n1,0,1,1\n1,4,0.3,2\n")
+    out = tmp_path / "rep"
+    assert main(["analyze", "--input", str(src), "--out", str(out)]) == 0
+    rep = yaml.safe_load((out / "report.yaml").read_text())
+    assert "c_asa_deg_median" not in rep["clusters"]
+    assert "c_ds_ns_median" in rep["clusters"]
+    for row in _rows(out / "per_drop.csv"):
+        assert row["asa_deg"] == row["c_asa_deg_median"] == ""
+        assert row["c_ds_ns_median"] != ""
+
+
 @pytest.mark.parametrize(("drop0", "cause"), [
     ("0,5,1,30\n", "delay spread is zero"),
     ("0,5,1,30\n0,5,0.5,40\n0,9,0,50\n", "delay spread is zero"),
@@ -497,7 +523,6 @@ def test_capacity_bad_snr_exits_2(tmp_path):
     ["analyze", "--input", "in.csv", "--margin-db", "nan"],
     ["capacity", "--scenario", "umi", "--bandwidth-hz", "nan"],
     ["capacity", "--scenario", "umi", "--bandwidth-hz", "inf"],
-    ["capacity", "--scenario", "umi", "--los-fraction", "nan"],
     ["simulate", "--scenario", "office", "--condition", "los",
      "--grid-step", "nan"],
     ["roundtrip", "--scenario", "office", "--condition", "los",
@@ -523,22 +548,27 @@ def test_non_finite_float_option_exits_2(tmp_path, capsys, argv):
      "--grid-step", "0"],
     ["simulate", "--scenario", "office", "--condition", "los",
      "--grid-step", "5"],
-    ["capacity", "--scenario", "umi", "--los-fraction", "1.5"],
-    ["capacity", "--scenario", "umi", "--condition", "nlos",
-     "--los-fraction", "0.5"],
     ["roundtrip", "--scenario", "office", "--condition", "los",
      "--tol-log10", "-0.1"],
     ["roundtrip", "--scenario", "office", "--condition", "los",
      "--tol-k-db", "-1"],
+    ["analyze", "--input", "in.csv", "--noise-floor", "-1"],
+    ["analyze", "--input", "in.csv", "--noise-floor", "1e-6",
+     "--margin-db", "0"],
 ], ids=["simulate-drops", "roundtrip-drops", "simulate-workers-0",
         "roundtrip-workers-negative", "grid-step-zero",
-        "grid-step-above-half-corr-dist", "los-fraction-range",
-        "los-fraction-nlos", "tol-log10-negative", "tol-k-db-negative"])
-def test_bad_argument_exits_2_before_creating_out(tmp_path, argv):
+        "grid-step-above-half-corr-dist", "tol-log10-negative",
+        "tol-k-db-negative", "noise-floor-negative", "margin-db-zero"])
+def test_bad_argument_exits_2_before_creating_out(tmp_path, monkeypatch,
+                                                  capsys, argv):
+    # a valid profile, so that only the option can be at fault
+    monkeypatch.chdir(tmp_path)
+    Path("in.csv").write_text("delay_ns,power_linear\n0,1\n5,0.5\n")
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(out)])
     assert exc.value.code == 2
+    assert [a for a in argv if a.startswith("--")][-1] in capsys.readouterr().err
     assert not out.exists()
 
 

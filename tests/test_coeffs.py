@@ -8,7 +8,8 @@ from thzgbsm.clusters import ClusterSet, LinkGeometry, build_drop
 from thzgbsm.coeffs import (
     SUBCLUSTER_DELAY_FACTORS, SUBCLUSTER_RAY_GROUPS, AntennaArray,
     ChannelRealization, assemble_cir, cir_to_ctf, isotropic_horizontal,
-    isotropic_vertical, single_antenna, spherical_unit, ura)
+    isotropic_vertical, single_antenna, ura)
+from thzgbsm.constants import spherical_unit
 from thzgbsm.params import load_params
 
 LAM = 299792458.0 / 100e9
