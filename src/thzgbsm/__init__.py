@@ -25,7 +25,7 @@ from .coeffs import (AntennaArray, ChannelRealization, assemble_cir, cir_to_ctf,
 from .constants import (RAY_OFFSETS, SPEED_OF_LIGHT, c_phi, c_theta,
                         ray_offsets, spherical_unit, wrap_deg)
 from .fields import GaussianField
-from .lsp import LspRealization, draw_lsp_iid, generate_lsp, mixing_matrix
+from .lsp import LspRealization, draw_lsp_iid, generate_lsp
 from .params import (LogNormalSpec, NormalSpec, ParamValidationError,
                      ScenarioParamSet, load_params, load_params_file,
                      nearest_psd)

@@ -153,9 +153,15 @@ def asa(azimuth_deg, powers) -> float | np.ndarray:
     tot = p.sum(axis=-1)
     if (tot <= 0).any():
         raise ValueError("total power must be positive")
-    r = np.minimum(np.abs((p * np.exp(1j * phi)).sum(axis=-1)) / tot, 1.0)
-    s = np.rad2deg(np.sqrt(np.maximum(1.0 - r * r, 0.0)))
+    s = _resultant_spread_deg(np.abs((p * np.exp(1j * phi)).sum(axis=-1)) / tot)
     return float(s) if s.ndim == 0 else s
+
+
+def _resultant_spread_deg(r):
+    """sqrt(1 - R^2) radians in degrees, R clipped at 1: the spread from
+    resultant lengths in ``asa`` and ``clusters.rescale_azimuth``'s search."""
+    r = np.minimum(r, 1.0)
+    return np.rad2deg(np.sqrt(np.maximum(1.0 - r * r, 0.0)))
 
 
 def k_factor(powers) -> float:
@@ -250,7 +256,7 @@ def mcd_embedding(delay_s, aoa_deg, zoa_deg, delay_weight: float = 8.0) -> np.nd
     t = np.asarray(delay_s, dtype=float)
     u = spherical_unit(zoa_deg, aoa_deg)
     span = t.max() - t.min()
-    if span > 0:
+    if span**2 > 0:                 # a span whose square underflows is none
         scale = delay_weight * t.std() / span**2
     else:
         scale = 0.0
@@ -423,15 +429,15 @@ class ClusterStats:
     """Intra-cluster spread statistics for one labeled MpcSet."""
     labels: np.ndarray
     c_ds_ns: np.ndarray
-    c_asa_deg: np.ndarray
+    c_asa_deg: np.ndarray | None  # None without azimuths
     c_k_db: np.ndarray          # +inf flags single-component clusters
     counts: np.ndarray
     medians: dict = field(default_factory=dict)
 
 
 def cluster_stats(mpcs: MpcSet, labels) -> ClusterStats:
-    """Per-cluster delay spread, azimuth spread and in-cluster K, with
-    one cluster label per component.
+    """Per-cluster delay spread, azimuth spread (None without azimuths)
+    and in-cluster K, with one cluster label per component.
 
     Single-component clusters report zero spreads and an infinite
     in-cluster K (flagged as +inf, not an exception, so medians across
@@ -448,18 +454,13 @@ def cluster_stats(mpcs: MpcSet, labels) -> ClusterStats:
         cds.append(rms_ds(mpcs.delay_s[m], p) * 1e9)
         if mpcs.aoa_deg is not None:
             casa.append(asa(mpcs.aoa_deg[m], p))
-        else:
-            casa.append(np.nan)
         ck.append(k_factor(p))
         cnt.append(int(m.sum()))
-    cds, casa, ck = map(np.asarray, (cds, casa, ck))
-    cnt = np.asarray(cnt)
-    medians = {
-        "c_ds_ns": float(np.median(cds)),
-        "c_asa_deg": float(np.median(casa)),
-        "c_k_db": float(np.median(ck)),
-        "count": float(np.median(cnt)),
-    }
+    cds, ck, cnt = map(np.asarray, (cds, ck, cnt))
+    casa = None if mpcs.aoa_deg is None else np.asarray(casa)
+    medians = {k: float(np.median(v)) for k, v in (
+        ("c_ds_ns", cds), ("c_asa_deg", casa), ("c_k_db", ck), ("count", cnt))
+        if v is not None}
     return ClusterStats(labels=uniq, c_ds_ns=cds, c_asa_deg=casa,
                         c_k_db=ck, counts=cnt, medians=medians)
 
@@ -510,7 +511,7 @@ def analyze_mpcs(drop, delay_s, power, aoa_deg, zoa_deg, cluster,
             "asa_deg": None if a is None else asa(a, p), "k_db": k_factor(p),
             "n_clusters": 1 if labels is None else np.unique(labels).size,
             "c_ds_ns_median": med.get("c_ds_ns"),
-            "c_asa_deg_median": None if a is None else med.get("c_asa_deg"),
+            "c_asa_deg_median": med.get("c_asa_deg"),
             "c_k_db_median": med.get("c_k_db")})
     per_drop = {k: [row[k] for row in rows] for k in rows[0]}
 

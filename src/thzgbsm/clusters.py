@@ -158,20 +158,28 @@ def rescale_delays(delays_s, powers, los_weight: float,
 
 
 def composite_asa(angles_deg, ray_powers, los_weight: float,
-                  bearing_deg: float) -> float | np.ndarray:
-    """Circular azimuth spread of all rays plus the direct path. Axes of
-    angles_deg ahead of ray_powers' shape stack configurations."""
-    a = np.asarray(angles_deg, dtype=float)
-    a = a.reshape(a.shape[:max(a.ndim - np.ndim(ray_powers), 0)] + (-1,))
+                  bearing_deg: float) -> float:
+    """Circular azimuth spread of all rays plus the direct path."""
+    a = np.asarray(angles_deg, dtype=float).ravel()
     p = np.asarray(ray_powers, dtype=float).ravel()
     if los_weight > 0:
-        a = np.concatenate([np.full(a.shape[:-1] + (1,), bearing_deg), a], axis=-1)
+        a = np.concatenate([[bearing_deg], a])
         p = np.concatenate([[los_weight], p])
     return analysis.asa(a, p)
 
 
-# ray angles per stacked spread evaluation in rescale_azimuth's scale-grid
-# scan: amortizes numpy's call overhead on small sets
+def _phasor_spread(ray_powers, los_weight: float):
+    """Composite spread of ray deviations d from the bearing in radians,
+    (n,) or stacked (k, n), from the resultant |w + sum p e^{jd}| / (w + sum p)."""
+    p = np.asarray(ray_powers, dtype=float).ravel()
+    tot = los_weight + p.sum()
+    return lambda d: analysis._resultant_spread_deg(
+        np.abs(los_weight + np.exp(1j * d) @ p) / tot)
+
+
+# rescale_azimuth's scale grid, and the ray angles per stacked spread
+# evaluation in its scan: amortizes numpy's call overhead on small sets
+_SCALES = np.geomspace(1.0, 256.0, 96)
 _ASA_BATCH = 1024
 
 # rescale_azimuth stops once the composite spread is this close to the
@@ -211,42 +219,43 @@ def rescale_azimuth(angles_deg, ray_powers, los_weight: float,
     at the maximum-spread configuration. The sweep distorts per-ray
     geometry only on drops whose drawn spread exceeds what their drawn
     K-factor admits at all.
+
+    The search starts from ``composite_asa`` of the angles; each later
+    step is one phasor sum over the deviations from the bearing in
+    radians (_phasor_spread), in which neither the bearing nor the wrap
+    of the angles enters, since e^{jx} is 2 pi periodic.
     """
     ang = np.asarray(angles_deg, dtype=float)
     dev = wrap_deg(ang - bearing_deg).ravel()
-    p = np.asarray(ray_powers, dtype=float).ravel()
     from_dev = lambda d: wrap_deg(bearing_deg + d).reshape(ang.shape)
-    # deviations (n,) -> spread, or stacked (k, n) -> (k,) spreads
-    spread = lambda d: composite_asa(wrap_deg(bearing_deg + d), p,
-                                     los_weight, bearing_deg)
-    scaled = lambda s: spread(s * dev)
-    s0 = spread(dev)
+    s0 = composite_asa(from_dev(dev), ray_powers, los_weight, bearing_deg)
     if s0 <= 0:
         return from_dev(dev)
+    rad, spread = np.deg2rad(dev), _phasor_spread(ray_powers, los_weight)
+    scaled = lambda s: spread(s * rad)
     if s0 >= target_asa_deg:
         return from_dev(_solve(scaled, 0.0, 1.0, target_asa_deg) * dev)
 
     # growing: the spread is not monotone in the scale once deviations
-    # wrap, so probe a log grid (grid[0] = 1 gave s0) and bisect the
+    # wrap, so probe a log grid (_SCALES[0] = 1 gave s0) and bisect the
     # first upward crossing
-    grid = np.geomspace(1.0, 256.0, 96)
     vals, j, chunk = [np.array([s0])], 1, max(1, _ASA_BATCH // dev.size)
-    while j < grid.size:
-        vals.append(spread(grid[j:j + chunk, None] * dev))
+    while j < _SCALES.size:
+        vals.append(spread(_SCALES[j:j + chunk, None] * rad))
         hit = np.nonzero(vals[-1] >= target_asa_deg)[0]
         if hit.size:
             i = j + hit[0]
-            s = _solve(scaled, grid[i - 1], grid[i], target_asa_deg)
+            s = _solve(scaled, _SCALES[i - 1], _SCALES[i], target_asa_deg)
             return from_dev(s * dev)
         j, chunk = j + chunk, 2 * chunk
     vals = np.concatenate(vals)
 
     # no uniform scale reaches the target: sweep from the best scaled
     # configuration toward the antipodal maximum-spread one
-    base = wrap_deg(grid[int(np.argmax(vals))] * dev)
+    base = wrap_deg(_SCALES[int(np.argmax(vals))] * dev)
     anti = 180.0 * np.where(base >= 0.0, 1.0, -1.0)
-    swept = lambda u: spread((1.0 - u) * base + u * anti)
-    s_anti = spread(anti)
+    swept = lambda u: spread(np.deg2rad((1.0 - u) * base + u * anti))
+    s_anti = spread(np.deg2rad(anti))
     if s_anti >= target_asa_deg:
         u = _solve(swept, 0.0, 1.0, target_asa_deg)
         return from_dev((1.0 - u) * base + u * anti)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import GaussianField
-from .params import LSP_ORDER, ScenarioParamSet, nearest_psd
+from .params import LSP_ORDER, ScenarioParamSet
 
 #: Azimuth spreads saturate; draws above this are clipped (degrees).
 ASA_CAP_DEG = 104.0
@@ -44,13 +44,6 @@ class LspRealization:
             "sf_db": float(self.sf_db[i]),
             "k_db": float(self.k_db[i]) if self.k_db is not None else None,
         }
-
-
-def mixing_matrix(params: ScenarioParamSet) -> np.ndarray:
-    """Square root (eigh-based) of the PSD-projected cross-correlation."""
-    c = nearest_psd(params.xcorr_matrix())
-    w, v = np.linalg.eigh(c)
-    return v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
 
 def transform_standard_normals(params: ScenarioParamSet, z: np.ndarray) -> dict:
@@ -99,9 +92,8 @@ def generate_lsp(params: ScenarioParamSet, x_m, y_m, rng,
             step = min(params.corr_dist_m[n] for n in names) / 4.0
         f = GaussianField(params.corr_dist_m[nm], extent, rng, step)
         cols.append(f.sample(x, y))
-    z = np.column_stack(cols) @ mixing_matrix(params).T
-    vals = transform_standard_normals(params, z)
-    return LspRealization(**vals)
+    z = np.column_stack(cols) @ params.mixing_matrix.T
+    return LspRealization(**transform_standard_normals(params, z))
 
 
 def draw_lsp_iid(params: ScenarioParamSet, n: int, rng) -> LspRealization:
@@ -110,6 +102,5 @@ def draw_lsp_iid(params: ScenarioParamSet, n: int, rng) -> LspRealization:
     Used for independent drops (capacity experiments, round-trip checks)
     where locations are statistically unrelated.
     """
-    z = rng.standard_normal((n, len(params.lsp_names))) @ mixing_matrix(params).T
-    vals = transform_standard_normals(params, z)
-    return LspRealization(**vals)
+    z = rng.standard_normal((n, len(params.lsp_names))) @ params.mixing_matrix.T
+    return LspRealization(**transform_standard_normals(params, z))

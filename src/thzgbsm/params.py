@@ -22,6 +22,7 @@ import sys
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,13 @@ class ScenarioParamSet:
             for j in range(i + 1, n):
                 c[i, j] = c[j, i] = _pair_lookup(self.xcorr, names[i], names[j])
         return c
+
+    @cached_property
+    def mixing_matrix(self) -> np.ndarray:
+        """Square root (eigh-based) of the PSD-projected cross-correlation,
+        built once per set, on first use (a ``replace``d set builds its own)."""
+        w, v = np.linalg.eigh(nearest_psd(self.xcorr_matrix()))
+        return v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
     def label(self) -> str:
         return f"{self.scenario}_{self.condition}_{self.source}"

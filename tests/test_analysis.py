@@ -404,6 +404,12 @@ def test_mcd_embedding_shapes_and_delay_weight():
     assert_allclose(e2[:, 3], 2 * e[:, 3], atol=1e-18)
 
 
+def test_mcd_embedding_delay_span_whose_square_underflows_counts_as_none():
+    # the example hypothesis found for test_kpower_means_properties
+    e = mcd_embedding([0.0, 1.07140429e-268], [0.0, 0.0], [0.0, 0.0])
+    assert np.array_equal(e[:, 3], [0.0, 0.0])
+
+
 # --- per-cluster statistics ---
 
 def test_cluster_stats_single_cluster_oracles():
@@ -423,6 +429,14 @@ def test_cluster_stats_rejects_labels_of_another_shape():
     mp = MpcSet(np.array([0.0, 1e-9, 2e-9]), np.ones(3))
     with pytest.raises(ValueError, match="labels must match"):
         cluster_stats(mp, np.array([0, 1]))
+
+
+def test_cluster_stats_without_azimuths_has_no_cluster_asa():
+    st_ = cluster_stats(MpcSet([0, 5e-9, 9e-9], [1, .5, .2]), [1, 1, 2])
+    assert st_.c_asa_deg is None
+    assert "c_asa_deg" not in st_.medians
+    assert st_.counts.tolist() == [2, 1]
+    assert set(st_.medians) == {"c_ds_ns", "c_k_db", "count"}
 
 
 def test_cluster_stats_medians_across_clusters():

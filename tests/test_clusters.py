@@ -311,13 +311,34 @@ def test_stacked_spreads_equal_one_dimensional_calls(n):
     assert stacked.shape == (6,)
     assert all(stacked[i] == asa(ang[i], pw) for i in range(6))
     assert isinstance(asa(ang[0], pw), float)
-    cfg = ang.reshape(3, 2, 1, n)           # two leading stack axes
-    pw2 = pw.reshape(1, n)
-    comp = composite_asa(cfg, pw2, 0.3, 42.0)
-    assert comp.shape == (3, 2)
-    assert all(comp[i, j] == composite_asa(cfg[i, j], pw2, 0.3, 42.0)
-               == _scalar_spread(cfg[i, j], pw2, 0.3, 42.0)
-               for i in range(3) for j in range(2))
+
+
+@pytest.mark.parametrize("w", [0.0, 0.35])
+@pytest.mark.parametrize("n", [1, 2, 9, 300, 381])
+def test_phasor_spread_equals_composite_asa_of_wrapped_angles(n, w):
+    for seed in range(3):
+        rng = np.random.default_rng([n, seed])
+        bearing = rng.uniform(-180.0, 180.0)
+        dev = wrap_deg(rng.normal(0.0, rng.uniform(5.0, 60.0), n))
+        pw = (1.0 - w) * rng.dirichlet(np.ones(n))
+        # scales up to 256 wrap the deviations past +-180; then the sweep
+        # from a scaled base toward the antipode
+        base = wrap_deg(clusters._SCALES[40] * dev)
+        anti = 180.0 * np.where(base >= 0.0, 1.0, -1.0)
+        rows = np.array([s * dev for s in (0.5, 1.0, *clusters._SCALES[5::10])]
+                        + [(1.0 - u) * base + u * anti for u in (0.0, 0.3, 0.7, 1.0)])
+        spread = clusters._phasor_spread(pw, w)
+        stacked = spread(np.deg2rad(rows))
+        assert stacked.shape == (len(rows),)
+        for i, row in enumerate(rows):
+            want = composite_asa(wrap_deg(bearing + row), pw, w, bearing)
+            got = (stacked[i], spread(np.deg2rad(row)))
+            if w == 0 and (n == 1 or i == len(rows) - 1):
+                # every ray in one direction: the exact spread is 0, and
+                # sqrt(1 - R^2) turns one ulp of R into 8.5e-7 degrees
+                assert max(want, *got) < 1e-5
+            else:
+                assert max(abs(g - want) for g in got) <= 1e-9
 
 
 def test_rescale_zenith_target_and_range():

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
-from thzgbsm.lsp import (
-    draw_lsp_iid, generate_lsp, mixing_matrix, transform_standard_normals)
+from thzgbsm import params as params_mod
+from thzgbsm.clusters import build_drop
+from thzgbsm.lsp import draw_lsp_iid, generate_lsp, transform_standard_normals
 from thzgbsm.params import load_params, nearest_psd
 
 
@@ -23,9 +26,25 @@ def test_degenerate_sigmas_give_point_mass():
 
 def test_mixing_matrix_reproduces_projected_target():
     p = load_params("office", "los", "measured")
-    l = mixing_matrix(p)
+    l = p.mixing_matrix
     target = nearest_psd(p.xcorr_matrix())
     assert_allclose(l @ l.T, target, atol=1e-10)
+
+
+def test_mixing_matrix_built_once_per_set(monkeypatch):
+    calls = []
+    monkeypatch.setattr(params_mod, "nearest_psd",
+                        lambda c: calls.append(c) or nearest_psd(c))
+    p = load_params("office", "los", "measured")
+    for s in np.random.SeedSequence(3).spawn(30):
+        build_drop(p, np.random.default_rng(s))
+    assert len(calls) == 1
+    q = dataclasses.replace(p, xcorr={**p.xcorr, "ds_asa": -0.6})
+    draw_lsp_iid(q, 4, np.random.default_rng(0))
+    assert len(calls) == 2
+    l = q.mixing_matrix
+    assert_allclose(l @ l.T, nearest_psd(q.xcorr_matrix()), atol=1e-10)
+    assert not np.allclose(l, p.mixing_matrix)
 
 
 def test_asa_cap_applies():
