@@ -26,9 +26,8 @@ from .constants import (RAY_OFFSETS, SPEED_OF_LIGHT, c_phi, c_theta,
                         ray_offsets, spherical_unit, wrap_deg)
 from .fields import GaussianField
 from .lsp import LspRealization, draw_lsp_iid, generate_lsp
-from .params import (LogNormalSpec, NormalSpec, ParamValidationError,
-                     ScenarioParamSet, load_params, load_params_file,
-                     nearest_psd)
+from .params import (NormalSpec, ParamValidationError, ScenarioParamSet,
+                     load_params, load_params_file, nearest_psd)
 from .pathloss import fspl_db, pl_from_pdp, umi_nlos_3gpp_pl_db
 
 __all__ = [k for k in dir() if not k.startswith("_")]

@@ -137,24 +137,20 @@ def rms_ds(delays, powers) -> float:
     return float(np.sqrt((p * (delays - mean) ** 2).sum() / tot))
 
 
-def asa(azimuth_deg, powers) -> float | np.ndarray:
+def asa(azimuth_deg, powers) -> float:
     """Circular azimuth spread in degrees.
 
     sqrt(1 - R^2) radians with R the power-weighted resultant length
     |sum p e^{j phi}| / sum p, converted to degrees. A single direction
     gives 0; power spread uniformly over the circle saturates at one
     radian (57.2958 deg).
-
-    Sums run over the last axis: 1-D inputs give a float, stacked (k, n)
-    rows give (k,) spreads, each equal bit for bit to its row's 1-D call.
     """
     phi = np.deg2rad(np.asarray(azimuth_deg, dtype=float))
     p = np.asarray(powers, dtype=float)
-    tot = p.sum(axis=-1)
-    if (tot <= 0).any():
+    tot = p.sum()
+    if tot <= 0:
         raise ValueError("total power must be positive")
-    s = _resultant_spread_deg(np.abs((p * np.exp(1j * phi)).sum(axis=-1)) / tot)
-    return float(s) if s.ndim == 0 else s
+    return float(_resultant_spread_deg(np.abs((p * np.exp(1j * phi)).sum()) / tot))
 
 
 def _resultant_spread_deg(r):

@@ -33,8 +33,8 @@ from .clusters import (build_drop, extract_drop_stats, geometry_for, map_drops,
                        place_users)
 from .coeffs import assemble_cir, single_antenna
 from .lsp import generate_lsp
-from .params import (ParamValidationError, ScenarioParamSet, data_dir,
-                     load_params, load_params_file)
+from .params import (CONDITIONS, SCENARIOS, SOURCES, ParamValidationError,
+                     ScenarioParamSet, data_dir, load_params, load_params_file)
 from .plotting import line_plot
 
 
@@ -489,15 +489,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="parallel worker processes")
 
     def selection(sp, condition, source, sources):
-        sp.add_argument("--scenario", required=True, choices=("office", "umi"))
+        sp.add_argument("--scenario", required=True, choices=SCENARIOS)
         sp.add_argument("--condition", required=condition is None,
-                        default=condition, choices=("los", "nlos"))
+                        default=condition, choices=CONDITIONS)
         sp.add_argument("--source", default=source, choices=sources)
         sp.add_argument("--params", metavar="FILE",
                         help="YAML parameter file overriding the bundled sets")
 
     sp = sub.add_parser("simulate", help="generate drops and dump CSVs")
-    selection(sp, None, "measured", ("measured", "3gpp"))
+    selection(sp, None, "measured", SOURCES)
     common(sp, 100)
     sp.add_argument("--mode", default="thz-simplified",
                     choices=("thz-simplified", "standard"))
@@ -523,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("roundtrip",
                         help="generate drops, re-extract, compare medians")
-    selection(sp, None, "measured", ("measured", "3gpp"))
+    selection(sp, None, "measured", SOURCES)
     common(sp, 500)
     sp.add_argument("--tol-log10", type=_finite_float, default=0.15,
                     help="median tolerance for log10 DS and ASA")
@@ -532,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_roundtrip)
 
     sp = sub.add_parser("capacity", help="equal-power MIMO capacity curves")
-    selection(sp, "los", "both", ("measured", "3gpp", "both"))
+    selection(sp, "los", "both", SOURCES + ("both",))
     common(sp, 100)
     sp.add_argument("--snr", default="0:35:2.5",
                     help="SNR grid: start:stop:step or comma list (dB)")

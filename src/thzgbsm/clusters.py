@@ -186,6 +186,13 @@ _ASA_BATCH = 1024
 # target, relative to it; nothing downstream resolves it any finer
 _SPREAD_RTOL = 1e-10
 
+# Rays that all point one way have spread 0, but sqrt(1 - R^2) turns the
+# few ulps of rounding in R into about 1e-6 degrees. No scale stretches
+# such a spread, so rescale_azimuth leaves rays below this floor as they
+# are rather than search on the noise; the bundled sets' smallest
+# starting spread is about 0.04 degrees.
+_SPREAD_FLOOR_DEG = 1e-4
+
 
 def _solve(f, lo, hi, target: float):
     """Bisect [lo, hi], where f(lo) < target <= f(hi), for f(x) = target:
@@ -229,7 +236,7 @@ def rescale_azimuth(angles_deg, ray_powers, los_weight: float,
     dev = wrap_deg(ang - bearing_deg).ravel()
     from_dev = lambda d: wrap_deg(bearing_deg + d).reshape(ang.shape)
     s0 = composite_asa(from_dev(dev), ray_powers, los_weight, bearing_deg)
-    if s0 <= 0:
+    if s0 < _SPREAD_FLOOR_DEG:
         return from_dev(dev)
     rad, spread = np.deg2rad(dev), _phasor_spread(ray_powers, los_weight)
     scaled = lambda s: spread(s * rad)

@@ -12,7 +12,9 @@ Sets are stored as YAML, one file per (scenario, condition, source).
 The bundled files live in ``thzgbsm/data``; the environment variable
 ``THZ_GBSM_PARAMS_DIR`` points the loader at an alternative directory.
 One builder, driven by the spec dataclasses' annotations, reports every
-missing, unknown, wrongly typed or non-finite entry by its dotted path.
+missing, unknown, wrongly typed, non-finite, out-of-range or unlisted
+entry by its dotted path; the rules that tie fields together run on the
+built set.
 """
 
 # No ``from __future__ import annotations``: _build reads each field's
@@ -21,9 +23,10 @@ import os
 import sys
 import types
 import typing
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Annotated, Literal
 
 import numpy as np
 import yaml
@@ -31,11 +34,19 @@ import yaml
 SCENARIOS = ("office", "umi")
 CONDITIONS = ("los", "nlos")
 SOURCES = ("measured", "3gpp")
+PATHLOSS_MODELS = ("ci", "umi_nlos_3gpp")
 
 #: Canonical ordering of large-scale parameters in correlation matrices.
 LSP_ORDER = ("ds", "asa", "sf", "k")
 
 DATA_ENV_VAR = "THZ_GBSM_PARAMS_DIR"
+
+# Each range is declared once, on the field's type, as an
+# Annotated[type, (test, reason)] that _build applies to the built value.
+# Numbers left plain are unbounded: every ``mu``, and ``clusters.c_k_db``.
+Nonneg = Annotated[float, (lambda v: v >= 0, "must be nonnegative")]
+Positive = Annotated[float, (lambda v: v > 0, "must be positive")]
+Corr = Annotated[float, (lambda v: -1 <= v <= 1, "must lie in [-1, 1]")]
 
 
 class ParamValidationError(ValueError):
@@ -47,34 +58,28 @@ class ParamValidationError(ValueError):
 
 
 @dataclass
-class LogNormalSpec:
-    """Lognormal in log10 domain: value = 10**(mu + sigma*x), x ~ N(0,1)."""
-    mu: float
-    sigma: float
-
-
-@dataclass
 class NormalSpec:
-    """Plain normal spec (dB domain for the K-factor and XPR)."""
+    """Normal law mu + sigma*x, x ~ N(0,1), in the domain the field name
+    gives: log10 of the value for ``*_log10*`` fields, dB for ``*_db``."""
     mu: float
-    sigma: float
+    sigma: Nonneg
 
 
 @dataclass
 class PathLossSpec:
-    model: str                 # "ci" or "umi_nlos_3gpp"
-    sigma_sf_db: float
-    ple: float | None = None   # close-in exponent; None for the fixed-slope model
+    model: Literal[PATHLOSS_MODELS]
+    sigma_sf_db: Nonneg
+    ple: Positive | None = None   # close-in exponent; None for the fixed-slope model
 
 
 @dataclass
 class ClusterSpec:
-    count: int
-    rays: int
-    c_ds_ns: float
-    c_asa_deg: float
+    count: Annotated[int, (lambda v: v >= 1, "must be at least 1")]
+    rays: Annotated[int, (lambda v: 1 <= v <= 20, "must be in 1..20")]
+    c_ds_ns: Nonneg
+    c_asa_deg: Nonneg
     c_k_db: float
-    count_log10: LogNormalSpec | None = None  # measured count fit; reference only
+    count_log10: NormalSpec | None = None  # measured count fit; reference only
 
 
 @dataclass
@@ -85,37 +90,37 @@ class SupplementalSpec:
     shared verbatim between the measured and 3gpp variants of a scenario
     so that source comparisons isolate the measured statistics.
     """
-    r_tau: float
-    per_cluster_shadow_db: float
+    r_tau: Annotated[float, (lambda v: v > 1, "must exceed 1")]
+    per_cluster_shadow_db: Nonneg
     xpr_db: NormalSpec
-    zsa_log10deg: LogNormalSpec
-    zsd_log10deg: LogNormalSpec
-    c_zsa_deg: float
-    c_zsd_deg: float
+    zsa_log10deg: NormalSpec
+    zsd_log10deg: NormalSpec
+    c_zsa_deg: Nonneg
+    c_zsd_deg: Nonneg
 
 
 @dataclass
 class GeometrySpec:
-    bs_height_m: float
-    mu_height_m: float
-    annulus_m: tuple[float, float]   # (min, max) horizontal link distance
+    bs_height_m: Positive
+    mu_height_m: Positive
+    annulus_m: tuple[Positive, Positive]   # (min, max) horizontal link distance
 
 
 @dataclass
 class ScenarioParamSet:
-    scenario: str
-    condition: str
-    source: str
-    carrier_frequency_ghz: float
+    scenario: Literal[SCENARIOS]
+    condition: Literal[CONDITIONS]
+    source: Literal[SOURCES]
+    carrier_frequency_ghz: Positive
     pathloss: PathLossSpec
-    ds_log10s: LogNormalSpec
-    asa_log10deg: LogNormalSpec
+    ds_log10s: NormalSpec
+    asa_log10deg: NormalSpec
     clusters: ClusterSpec
     supplemental: SupplementalSpec
     geometry: GeometrySpec
-    corr_dist_m: dict[str, float] = field(default_factory=dict)  # keys from LSP_ORDER
-    xcorr: dict[str, float] = field(default_factory=dict)        # pair keys like "ds_sf"
-    k_db: NormalSpec | None = None                               # LoS only
+    corr_dist_m: dict[str, Positive] = field(default_factory=dict)  # keys from LSP_ORDER
+    xcorr: dict[str, Corr] = field(default_factory=dict)            # pair keys like "ds_sf"
+    k_db: NormalSpec | None = None                                  # LoS only
 
     # -- derived ---------------------------------------------------------
 
@@ -152,101 +157,59 @@ class ScenarioParamSet:
     def label(self) -> str:
         return f"{self.scenario}_{self.condition}_{self.source}"
 
-    # -- validation ------------------------------------------------------
+    # -- validation and loading ------------------------------------------
 
     def validate(self) -> None:
+        """Check the set as it stands now, for example after a field was
+        changed: the same checks ``from_dict`` makes."""
+        type(self).from_dict(asdict(self))
+
+    def _cross_field_issues(self) -> list[str]:
+        """The rules that tie fields together; each field's own range and
+        choices are declared on its type."""
         issues = []
-        if self.scenario not in SCENARIOS:
-            issues.append(f"scenario: expected one of {SCENARIOS}, got {self.scenario!r}")
-        if self.condition not in CONDITIONS:
-            issues.append(f"condition: expected one of {CONDITIONS}, got {self.condition!r}")
-        if self.source not in SOURCES:
-            issues.append(f"source: expected one of {SOURCES}, got {self.source!r}")
-        if not self.carrier_frequency_ghz > 0:
-            issues.append("carrier_frequency_ghz: must be positive")
-
-        if self.pathloss.model not in ("ci", "umi_nlos_3gpp"):
-            issues.append(f"pathloss.model: unknown model {self.pathloss.model!r}")
-        if self.pathloss.model == "ci" and self.pathloss.ple is None:
-            issues.append("pathloss.ple: required for the ci model")
-        if self.pathloss.sigma_sf_db < 0:
-            issues.append("pathloss.sigma_sf_db: must be nonnegative")
-
-        for name, spec in (("ds_log10s", self.ds_log10s), ("asa_log10deg", self.asa_log10deg)):
-            if spec.sigma < 0:
-                issues.append(f"{name}.sigma: must be nonnegative")
         if self.condition == "los" and self.k_db is None:
             issues.append("k_db: required when condition is los")
         if self.condition == "nlos" and self.k_db is not None:
             issues.append("k_db: must be absent when condition is nlos")
-        if self.k_db is not None and self.k_db.sigma < 0:
-            issues.append("k_db.sigma: must be nonnegative")
-
-        if self.clusters.count < 1:
-            issues.append("clusters.count: must be at least 1")
-        if not 1 <= self.clusters.rays <= 20:
-            issues.append("clusters.rays: must be in 1..20")
-        for fname in ("c_ds_ns", "c_asa_deg"):
-            if getattr(self.clusters, fname) < 0:
-                issues.append(f"clusters.{fname}: must be nonnegative")
-
-        if self.supplemental.r_tau <= 1:
-            issues.append("supplemental.r_tau: must exceed 1")
-        if self.supplemental.per_cluster_shadow_db < 0:
-            issues.append("supplemental.per_cluster_shadow_db: must be nonnegative")
-
+        if self.pathloss.model == "ci" and self.pathloss.ple is None:
+            issues.append("pathloss.ple: required for the ci model")
         names = self.lsp_names
-        for key in self.corr_dist_m:
-            if key not in names:
-                issues.append(f"corr_dist_m: unknown parameter {key!r}")
-        for nm in names:
-            if nm not in self.corr_dist_m:
-                issues.append(f"corr_dist_m: missing entry for {nm!r}")
-            elif not self.corr_dist_m[nm] > 0:
-                issues.append(f"corr_dist_m[{nm!r}]: must be positive")
-
-        expected_pairs = {_pair_key(a, b) for i, a in enumerate(names) for b in names[i + 1:]}
-        seen = set(self.xcorr)
-        for key in sorted(seen - expected_pairs):
-            issues.append(f"xcorr: unexpected pair {key!r}")
-        for key in sorted(expected_pairs - seen):
-            issues.append(f"xcorr: missing pair {key!r}")
-        for key in sorted(seen & expected_pairs):
-            v = self.xcorr[key]
-            if not -1.0 <= v <= 1.0:
-                issues.append(f"xcorr[{key!r}]: correlation {v} outside [-1, 1]")
-
-        g = self.geometry
-        if g.bs_height_m <= 0 or g.mu_height_m <= 0:
-            issues.append("geometry: heights must be positive")
-        if not (0 < g.annulus_m[0] <= g.annulus_m[1]):
-            issues.append("geometry.annulus_m: need 0 < min <= max")
-
-        if issues:
-            raise ParamValidationError(issues)
-
-    # -- loading ---------------------------------------------------------
+        issues += [f"corr_dist_m: unknown parameter {k!r}"
+                   for k in self.corr_dist_m if k not in names]
+        issues += [f"corr_dist_m: missing entry for {k!r}"
+                   for k in names if k not in self.corr_dist_m]
+        expected = {_pair_key(a, b) for i, a in enumerate(names) for b in names[i + 1:]}
+        issues += [f"xcorr: unexpected pair {k!r}" for k in sorted(self.xcorr.keys() - expected)]
+        issues += [f"xcorr: missing pair {k!r}" for k in sorted(expected - self.xcorr.keys())]
+        if self.geometry.annulus_m[0] > self.geometry.annulus_m[1]:
+            issues.append("geometry.annulus_m: need min <= max")
+        return issues
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioParamSet":
         """Build and validate a set from ``yaml.safe_load`` data; ``d`` is not changed."""
         issues = []
         ps = _build(cls, d, "", issues)
+        if ps is not None:
+            issues += ps._cross_field_issues()
         if issues:
             raise ParamValidationError(issues)
-        ps.validate()
         return ps
 
 
 def _build(tp, raw, path: str, issues: list):
     """A value of type ``tp`` built from ``raw``, or None after appending
-    one issue per missing, unknown, wrongly typed or non-finite entry,
-    each named by its dotted path from the document root."""
+    one issue per missing, unknown, wrongly typed, non-finite, out-of-range
+    or unlisted entry, each named by its dotted path from the document root."""
     where = path or "top level"
-    if isinstance(tp, types.UnionType):    # X | None: null means absent
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):   # X | None: null means absent
         if raw is None:
             return None
         tp = typing.get_args(tp)[0]
+    rules = ()
+    if typing.get_origin(tp) is Annotated:
+        tp, *rules = typing.get_args(tp)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     n_issues = len(issues)
     if is_dataclass(tp) and isinstance(raw, dict):
@@ -264,6 +227,8 @@ def _build(tp, raw, path: str, issues: list):
     elif origin is tuple and isinstance(raw, (list, tuple)) and len(raw) == len(args):
         value = tuple(_build(a, v, f"{where}[{i}]", issues)
                       for i, (a, v) in enumerate(zip(args, raw)))
+    elif origin is Literal and isinstance(raw, str) and raw in args:
+        value = raw
     elif (tp in (float, int, str) and not isinstance(raw, bool)
           and isinstance(raw, (int, float) if tp is float else tp)
           # exact comparison: nan, +-inf and ints past the float range fail
@@ -272,9 +237,11 @@ def _build(tp, raw, path: str, issues: list):
     else:
         expected = ("a mapping" if is_dataclass(tp) or origin is dict
                     else f"a list of {len(args)} entries" if origin is tuple
+                    else f"one of {args}" if origin is Literal
                     else {float: "a finite number", int: "an integer"}.get(tp, "a string"))
         issues.append(f"{where}: expected {expected}, got {raw!r}")
         return None
+    issues += [f"{where}: {reason}, got {value!r}" for test, reason in rules if not test(value)]
     return value if len(issues) == n_issues else None
 
 

@@ -674,6 +674,23 @@ def test_malformed_params_file_exits_2_naming_the_entry(tmp_path, capsys, case):
     assert not out.exists()
 
 
+def test_simulate_params_out_of_range_exits_2_before_creating_out(
+        tmp_path, capsys):
+    from thzgbsm.params import data_dir
+    d = yaml.safe_load((data_dir() / "office_los_measured.yaml").read_text())
+    d["supplemental"]["xpr_db"]["sigma"] = -1
+    pfile = tmp_path / "bad.yaml"
+    pfile.write_text(yaml.safe_dump(d))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", "office", "--condition", "los",
+              "--params", str(pfile), "--drops", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert (f"{pfile}: supplemental.xpr_db.sigma: must be nonnegative, got -1.0"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_params_list_with_a_set_twice_exits_2_naming_both_entries(
         tmp_path, capsys):
     from thzgbsm.params import data_dir

@@ -159,6 +159,16 @@ def test_rescale_azimuth_degenerate_input_unchanged():
     assert_allclose(out, ang)
 
 
+@pytest.mark.parametrize("a,bearing", [(123.4, 5.0), (10.0, 5.0)])
+def test_rescale_azimuth_keeps_rays_in_one_direction(a, bearing):
+    """Three equal rays along one direction: the starting spread is
+    rounding noise, which no scale can stretch, so the rays keep their
+    common direction."""
+    ang = np.full((1, 3), a)
+    out = rescale_azimuth(ang, np.full((1, 3), 1 / 3), 0.0, bearing, 20.0)
+    assert_allclose(out, ang, atol=1e-9)
+
+
 def _scalar_spread(angles_deg, ray_powers, los_weight, bearing_deg):
     """One configuration's composite spread, as the scalar code took it."""
     a = np.asarray(angles_deg, dtype=float).ravel()
@@ -194,7 +204,7 @@ def _reference_rescale_azimuth(angles_deg, ray_powers, los_weight,
                 hi = mid
         return 0.5 * (lo + hi)
 
-    if spread_of(dev) <= 0:
+    if spread_of(dev) < clusters._SPREAD_FLOOR_DEG:
         return from_dev(dev), "zero"
     scale_spread = lambda s: spread_of(s * dev)
     if scale_spread(1.0) >= target_asa_deg:
@@ -234,6 +244,8 @@ _RESCALE_CASES = {
     "clamp to unscaled base": ([90.0, -90.0], [0.5, 0.5], 0.0, 0.0, 60.0, "base"),
     "single ray": ([12.0], [0.4], 0.6, 0.0, 35.0, "grow"),
     "single ray, no direct path": ([12.0], [1.0], 0.0, 0.0, 35.0, "zero"),
+    # one direction, spread about 1e-6 degrees of rounding noise
+    "rays in one direction": ([123.4] * 3, [1 / 3] * 3, 0.0, 5.0, 20.0, "zero"),
     # three upward crossings inside the grow bracket: a solver that does
     # not bisect lands on another one, about 110 degrees away
     "grow bracket with several crossings": ([-9.0, -10.0, 171.0],
@@ -304,13 +316,15 @@ def test_build_drop_azimuths_equal_scalar_search(scenario, condition, source,
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 301, 381,
                                1000])
 def test_stacked_spreads_equal_one_dimensional_calls(n):
+    """Each row of a stack, passed on its own, gives a float equal bit for
+    bit to the scalar spread; asa sums 1-D inputs only."""
     rng = np.random.default_rng(n)
     ang = rng.uniform(-180.0, 180.0, (6, n))
     pw = rng.uniform(0.0, 1.0, n)
-    stacked = asa(ang, pw)
-    assert stacked.shape == (6,)
-    assert all(stacked[i] == asa(ang[i], pw) for i in range(6))
-    assert isinstance(asa(ang[0], pw), float)
+    for row in ang:
+        got = asa(row, pw)
+        assert isinstance(got, float)
+        assert got == _scalar_spread(row, pw, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("w", [0.0, 0.35])

@@ -1,4 +1,7 @@
 import copy
+import dataclasses
+import types
+import typing
 
 import numpy as np
 import pytest
@@ -131,6 +134,61 @@ def test_from_dict_with_one_leaf_swapped_builds_or_raises_validation_error(
         assert exc.issues
     else:
         ps.validate()
+
+
+# fields whose range the hand-written checks once missed: (path, bad value)
+_OUT_OF_RANGE = [
+    (("supplemental", "xpr_db", "sigma"), -1.0),
+    (("supplemental", "zsa_log10deg", "sigma"), -0.1),
+    (("supplemental", "zsd_log10deg", "sigma"), -0.1),
+    (("supplemental", "c_zsa_deg"), -2.0),
+    (("supplemental", "c_zsd_deg"), -2.0),
+    (("clusters", "count_log10", "sigma"), -0.3),
+    (("pathloss", "ple"), 0.0),
+]
+
+
+@pytest.mark.parametrize("where,value", _OUT_OF_RANGE,
+                         ids=[".".join(w) for w, _ in _OUT_OF_RANGE])
+def test_from_dict_rejects_out_of_range_field_by_path(where, value):
+    d = _bundled_dict("office_los_measured")
+    node = d
+    for k in where[:-1]:
+        node = node[k]
+    node[where[-1]] = value
+    with pytest.raises(ParamValidationError) as exc:
+        ScenarioParamSet.from_dict(d)
+    [issue] = exc.value.issues
+    assert issue.startswith(".".join(where) + ": must be ")
+    assert issue.endswith(f"got {value!r}")
+
+
+def _numbers(tp, path=""):
+    """(dotted path, declared type) of every number in the schema."""
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        tp = typing.get_args(tp)[0]
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if dataclasses.is_dataclass(tp):
+        return [n for f in dataclasses.fields(tp)
+                for n in _numbers(f.type, f"{path}.{f.name}".lstrip("."))]
+    if origin is dict:
+        return _numbers(args[1], f"{path}[*]")
+    if origin is tuple:
+        return [n for i, a in enumerate(args) for n in _numbers(a, f"{path}[{i}]")]
+    base = args[0] if origin is typing.Annotated else tp
+    return [(path, tp)] if base in (int, float) else []
+
+
+# numbers that may take any finite value, by field name
+_UNBOUNDED = {"mu", "c_k_db"}
+
+
+def test_every_number_declares_a_range_or_is_listed_unbounded():
+    numbers = _numbers(ScenarioParamSet)
+    assert len(numbers) == 32
+    for path, tp in numbers:
+        bounded = typing.get_origin(tp) is typing.Annotated
+        assert bounded != (path.rsplit(".", 1)[-1] in _UNBOUNDED), path
 
 
 def test_validate_requires_k_for_los():
