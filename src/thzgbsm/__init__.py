@@ -17,11 +17,10 @@ from .capacity import (CapacityExperiment, crossover_snr, gram_eigs, mimo_capaci
                        mimo_capacity_det, run_capacity_experiment)
 from .clusters import (ClusterSet, LinkGeometry, apply_in_cluster_k,
                        build_drop, extract_drop_stats, gen_angles, gen_delays,
-                       gen_powers, gen_xpr_and_phases, geometry_for,
-                       map_drops, place_user, place_users,
-                       rescale_azimuth, rescale_delays, rescale_zenith)
+                       gen_powers, geometry_for, map_drops, place_user,
+                       place_users, rescale_azimuth, rescale_delays, rescale_zenith)
 from .coeffs import (AntennaArray, ChannelRealization, assemble_cir, cir_to_ctf,
-                     isotropic_horizontal, isotropic_vertical, single_antenna, ura)
+                     single_antenna, ura)
 from .constants import (RAY_OFFSETS, SPEED_OF_LIGHT, c_phi, c_theta,
                         ray_offsets, spherical_unit, wrap_deg)
 from .fields import GaussianField

@@ -103,11 +103,11 @@ def run_capacity_experiment(params: ScenarioParamSet, snr_db,
     """Generate drops and average equal-power capacity per SNR point.
 
     Default geometry: 16x16 transmit and 2x2 receive half-wavelength
-    rectangular arrays of vertical isotropic elements. Per-drop seeds
-    are spawned from one root sequence and results are reduced in
-    submission order, so the outcome is independent of worker count.
-    All drops share one scale factor, so the scenario's gain spread
-    across drops stays in the result.
+    rectangular arrays of single-polarized (vertical) isotropic elements.
+    Per-drop seeds are spawned from one root sequence and results are
+    reduced in submission order, so the outcome is independent of worker
+    count. All drops share one scale factor, so the scenario's gain
+    spread across drops stays in the result.
     """
     if n_tones < 1:
         raise ValueError("n_tones must be at least 1")
@@ -116,14 +116,12 @@ def run_capacity_experiment(params: ScenarioParamSet, snr_db,
         raise ValueError("snr_db must contain at least one point")
     wl = params.wavelength_m
     if tx_array is None:
-        tx_array = ura(16, 16, wl / 2.0, name="bs16x16")
+        tx_array = ura(16, 16, wl / 2.0)
     if rx_array is None:
-        rx_array = ura(2, 2, wl / 2.0, name="mu2x2")
+        rx_array = ura(2, 2, wl / 2.0)
 
     seeds = np.random.SeedSequence(seed).spawn(n_drops)
-    # arrays and seed sequences ride along whole (both pickle); patterns
-    # must be module-level functions for workers > 1 (the bundled
-    # isotropic patterns are)
+    # arrays and seed sequences ride along whole (both pickle)
     jobs = [(params, ss, mode, n_tones, bandwidth_hz, rx_array, tx_array)
             for ss in seeds]
     eigs = np.stack(map_drops(_drop_payload, jobs, workers))   # (drops, F, min(U, S))

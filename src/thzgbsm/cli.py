@@ -166,7 +166,6 @@ def cmd_simulate(parser, args) -> int:
         if not 0.0 < args.grid_step <= limit:
             parser.error(f"--grid-step: must lie in (0, {limit:g}] m, half the "
                          f"smallest correlation distance of {params.label()}")
-    out = _out_dir(parser, args)
 
     children = np.random.SeedSequence(args.seed).spawn(2 + args.drops)
     xs, ys = place_users(params, np.random.default_rng(children[0]), args.drops)
@@ -188,6 +187,7 @@ def cmd_simulate(parser, args) -> int:
     if args.dump_cir:
         tables["cir.csv"] = _stack([cir for _, cir, _ in results])
     tables["drop_stats.csv"] = _stack([st for _, _, st in results])
+    out = _out_dir(parser, args)
     for name, cols in tables.items():
         _write_csv(out / name, cols)
     _write_manifest(out, "simulate", args.argv, args.seed, list(tables),
@@ -341,7 +341,6 @@ def cmd_roundtrip(parser, args) -> int:
         if tol < 0:
             parser.error(f"{opt}: must not be negative")
     params, pfile = _resolve_params(parser, args)
-    out = _out_dir(parser, args)
 
     seeds = np.random.SeedSequence(args.seed).spawn(args.drops)
     # (drops, 6): drawn then extracted DS, ASA, K; a missing K is NaN
@@ -355,6 +354,7 @@ def cmd_roundtrip(parser, args) -> int:
         "set": params.label(), "n_drops": args.drops, "seed": args.seed,
         "checks": checks, "status": "PASS" if all_ok else "FAIL",
     }
+    out = _out_dir(parser, args)
     _write_csv(out / "roundtrip_drops.csv", {
         "drop": range(args.drops), "drawn_ds_s": res[:, 0],
         "drawn_asa_deg": res[:, 1], "drawn_k_db": res[:, 2],
@@ -402,7 +402,6 @@ def cmd_capacity(parser, args) -> int:
     sources = ("measured", "3gpp") if args.source == "both" else (args.source,)
 
     runs = {src: _resolve_params(parser, args, source=src) for src in sources}
-    out = _out_dir(parser, args)
 
     curves = {
         src: run_capacity_experiment(
@@ -411,6 +410,7 @@ def cmd_capacity(parser, args) -> int:
             workers=args.workers)
         for src, (ps, _) in runs.items()}
 
+    out = _out_dir(parser, args)
     _write_csv(out / "capacity.csv", {
         "source": [src for src in sources for _ in snr],
         "scenario": [args.scenario] * (len(sources) * snr.size),

@@ -5,7 +5,8 @@ clusters and rays: exponential conditional delays, delay-proportional
 powers with per-cluster shadowing, a Rice blend that carves the direct
 path share out of the cluster sum, inverse-Gaussian azimuth and
 inverse-Laplacian zenith cluster angles with tabulated-offset rays, an
-in-cluster K split, XPR draws and iid phases.
+in-cluster K split and one iid phase per ray (the arrays are
+single-polarized, so no XPR or cross-polar phases are drawn).
 
 Generated delays and composite angular spreads are rescaled per drop so
 the realization reproduces the drawn delay spread exactly and the drawn
@@ -117,18 +118,6 @@ def apply_in_cluster_k(powers, n_rays: int, c_k_db: float) -> np.ndarray:
     fr = np.full(n_rays, 1.0 / (kappa + n_rays - 1.0))
     fr[0] = kappa / (kappa + n_rays - 1.0)
     return np.tile(fr, (n, 1))
-
-
-def gen_xpr_and_phases(n_clusters: int, n_rays: int, xpr_mu_db: float,
-                       xpr_sigma_db: float, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Lognormal XPR (linear) and iid uniform phases per ray.
-
-    Phases come as (n_clusters, n_rays, 4) for the four polarization
-    combinations (theta-theta, theta-phi, phi-theta, phi-phi).
-    """
-    x_db = rng.normal(xpr_mu_db, xpr_sigma_db, (n_clusters, n_rays))
-    phases = rng.uniform(-np.pi, np.pi, (n_clusters, n_rays, 4))
-    return 10.0 ** (x_db / 10.0), phases
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +320,7 @@ def gen_angles(powers, ray_fractions, los_weight: float, asa_deg: float,
         y = rng.normal(0.0, spread / 7.0, n)
         centers = x * center_dev + y + bearing
         offs = c_spread * ray_offsets(m)
-        perm = np.array([rng.permutation(m) for _ in range(n)])
+        perm = rng.permuted(np.tile(np.arange(m), (n, 1)), axis=1)
         return rescale(centers[:, None] + offs[perm], ray_p, los_weight,
                        bearing, spread)
 
@@ -362,8 +351,7 @@ class ClusterSet:
     aod_deg: np.ndarray
     zoa_deg: np.ndarray
     zod_deg: np.ndarray
-    xpr: np.ndarray               # (N, M), linear
-    phases: np.ndarray            # (N, M, 4)
+    phases: np.ndarray            # (N, M), radians in [-pi, pi)
     geometry: LinkGeometry
     lsp: dict                     # drawn values this drop realizes
 
@@ -465,12 +453,11 @@ def build_drop(params: ScenarioParamSet, rng, geometry: LinkGeometry | None = No
                    + sup.zsd_log10deg.sigma * rng.standard_normal())
     aoa, aod, zoa, zod = gen_angles(powers, fractions, w, lsp_vals["asa_deg"],
                                     zsa, zsd, k_db, params, geometry, rng)
-    xpr, phases = gen_xpr_and_phases(n, params.clusters.rays,
-                                     sup.xpr_db.mu, sup.xpr_db.sigma, rng)
+    phases = rng.uniform(-np.pi, np.pi, (n, params.clusters.rays))
 
     return ClusterSet(delays_s=delays, powers=powers, los_weight=w,
                       ray_fractions=fractions, aoa_deg=aoa, aod_deg=aod,
-                      zoa_deg=zoa, zod_deg=zod, xpr=xpr, phases=phases,
+                      zoa_deg=zoa, zod_deg=zod, phases=phases,
                       geometry=geometry, lsp={**lsp_vals, "k_db": k_db})
 
 

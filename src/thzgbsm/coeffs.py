@@ -1,10 +1,10 @@
 """Antenna arrays, ray coefficients and channel impulse/transfer functions.
 
-Drops become MIMO channel matrices here. Every ray, the direct path
-included, contributes one dual-polarized field term (its amplitude and
-2x2 polarization matrix between the element patterns) and array
-steering phases at both ends; ``assemble_cir`` evaluates that one
-kernel for all rays of a drop at once. Rays sum within a tap; taps are
+Drops become MIMO channel matrices here. Arrays are made of
+single-polarized (vertical) isotropic elements, so every ray, the direct
+path included, contributes one complex amplitude times array steering
+phases at both ends; ``assemble_cir`` evaluates that one kernel for all
+rays of a drop at once. Rays sum within a tap; taps are
 either one per cluster ("thz-simplified", suited to sparse THz clusters
 whose intra-cluster delay spread is far below typical sounding
 resolution) or the standard form where the two strongest clusters split
@@ -12,9 +12,9 @@ into three sub-taps with fixed ray groups and delay offsets.
 
 Conventions: zenith is measured from +z, azimuth from +x in the x-y
 plane; arrival angles point from the receiver toward the source of the
-wave, departure angles from the transmitter toward the scatterer. The
-direct path's polarization matrix is diag(1, -1), and its amplitude
-carries the carrier phase of the 3D distance.
+wave, departure angles from the transmitter toward the scatterer. A
+scattered ray carries its random phase, the direct path the carrier
+phase of the 3D distance.
 """
 
 from __future__ import annotations
@@ -40,30 +40,10 @@ SUBCLUSTER_RAY_GROUPS = (
 # antennas
 
 
-def isotropic_vertical(zenith_deg, azimuth_deg):
-    """Unit vertical (theta) polarization response, no directivity."""
-    z = np.broadcast_arrays(np.asarray(zenith_deg, dtype=float),
-                            np.asarray(azimuth_deg, dtype=float))[0]
-    return np.ones_like(z), np.zeros_like(z)
-
-
-def isotropic_horizontal(zenith_deg, azimuth_deg):
-    """Unit horizontal (phi) polarization response, no directivity."""
-    z = np.broadcast_arrays(np.asarray(zenith_deg, dtype=float),
-                            np.asarray(azimuth_deg, dtype=float))[0]
-    return np.zeros_like(z), np.ones_like(z)
-
-
 @dataclass
 class AntennaArray:
-    """Element positions (meters) plus a shared polarimetric pattern.
-
-    ``pattern(zenith_deg, azimuth_deg) -> (f_theta, f_phi)`` must accept
-    arrays and broadcast.
-    """
+    """Positions (meters) of vertically polarized isotropic elements."""
     positions_m: np.ndarray
-    pattern: callable = isotropic_vertical
-    name: str = ""
 
     def __post_init__(self):
         self.positions_m = np.atleast_2d(np.asarray(self.positions_m, dtype=float))
@@ -75,12 +55,11 @@ class AntennaArray:
         return self.positions_m.shape[0]
 
 
-def single_antenna(pattern=isotropic_vertical, name="single") -> AntennaArray:
-    return AntennaArray(np.zeros((1, 3)), pattern, name)
+def single_antenna() -> AntennaArray:
+    return AntennaArray(np.zeros((1, 3)))
 
 
-def ura(n_rows: int, n_cols: int, spacing_m: float,
-        pattern=isotropic_vertical, name="") -> AntennaArray:
+def ura(n_rows: int, n_cols: int, spacing_m: float) -> AntennaArray:
     """Uniform rectangular array in the y-z plane, centered on the origin.
 
     Row index moves along z, column index along y; element order is
@@ -92,7 +71,7 @@ def ura(n_rows: int, n_cols: int, spacing_m: float,
     zs = (np.arange(n_rows) - (n_rows - 1) / 2.0) * spacing_m
     zz, yy = np.meshgrid(zs, ys, indexing="ij")
     pos = np.column_stack([np.zeros(zz.size), yy.ravel(), zz.ravel()])
-    return AntennaArray(pos, pattern, name or f"ura{n_rows}x{n_cols}")
+    return AntennaArray(pos)
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +110,12 @@ def assemble_cir(cs: ClusterSet, rx_array: AntennaArray, tx_array: AntennaArray,
     """Tapped channel realization from one drop.
 
     Every component of ``cs.mpc_arrays()``, the direct path included,
-    goes through one kernel: its amplitude times
-    [f_theta_rx f_phi_rx] P [f_theta_tx f_phi_tx]^T times the rx and tx
-    steering phases (positive-exponent convention at both ends). For a
-    scattered ray P holds the random phases with cross terms damped by
-    sqrt(1/xpr) and the amplitude is the square root of the ray power.
-    The direct path, cluster 0 of the component list when the drop
-    carries one, has P = diag(1, -1), amplitude
-    sqrt(los_weight) exp(-j 2 pi d3/lambda) and a tap of its own at zero
-    excess delay.
+    goes through one kernel: the square root of its power times a unit
+    phasor times the rx and tx steering phases (positive-exponent
+    convention at both ends). A scattered ray's phasor is exp(j phase)
+    of its drawn phase. The direct path, cluster 0 of the component list
+    when the drop carries one, has phasor exp(-j 2 pi d3/lambda) and a
+    tap of its own at zero excess delay.
 
     Each component is assigned a tap and a tap sums its components. mode
     "thz-simplified" gives every cluster one tap; mode "standard" splits
@@ -159,16 +135,12 @@ def assemble_cir(cs: ClusterSet, rx_array: AntennaArray, tx_array: AntennaArray,
         strongest = np.argsort(cs.powers)[::-1][:2]
         for k, group in enumerate(SUBCLUSTER_RAY_GROUPS):
             sub[np.ix_(strongest, [r for r in group if r < m])] = k
-    inv = np.sqrt(1.0 / cs.xpr)
-    e = np.exp(1j * cs.phases)
-    pol = np.stack([e[..., 0], inv * e[..., 1], inv * e[..., 2], e[..., 3]],
-                   axis=-1).reshape(-1, 4)            # rows of P, flattened
     # the direct path heads the component list, as cluster 0
     head = np.count_nonzero(cols["cluster"] == 0)
     sub = np.concatenate([np.zeros(head, dtype=int), sub.ravel()])
-    pol = np.concatenate([np.tile([1.0, 0.0, 0.0, -1.0], (head, 1)), pol])
-    amp = np.sqrt(cols["power"]).astype(complex)
-    amp[:head] *= np.exp(-2j * np.pi * cs.geometry.d3_m / wavelength_m)
+    carrier = -2.0 * np.pi * cs.geometry.d3_m / wavelength_m
+    phase = np.concatenate([np.full(head, carrier), cs.phases.ravel()])
+    coeff = np.sqrt(cols["power"]) * np.exp(1j * phase)
     # tap index 3 * cluster + sub-tap: the direct tap sorts first among
     # equal delays
     tap = 3 * cols["cluster"] + sub
@@ -176,10 +148,6 @@ def assemble_cir(cs: ClusterSet, rx_array: AntennaArray, tx_array: AntennaArray,
 
     zoa, aoa = cols["zoa_deg"], cols["aoa_deg"]
     zod, aod = cols["zod_deg"], cols["aod_deg"]
-    f_th_r, f_ph_r = rx_array.pattern(zoa, aoa)
-    f_th_t, f_ph_t = tx_array.pattern(zod, aod)
-    coeff = amp * (f_th_r * (pol[:, 0] * f_th_t + pol[:, 1] * f_ph_t)
-                   + f_ph_r * (pol[:, 2] * f_th_t + pol[:, 3] * f_ph_t))
     a_rx = coeff * _steering(rx_array, spherical_unit(zoa, aoa), wavelength_m)
     a_tx = _steering(tx_array, spherical_unit(zod, aod), wavelength_m)
 

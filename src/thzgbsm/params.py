@@ -6,7 +6,7 @@ path loss model coefficients, large-scale parameter distributions
 cross-correlation matrix, intra-cluster statistics, correlation
 distances, and the supplemental quantities the generation recipe needs
 but that the measurement campaign did not estimate (delay scaling
-factor, per-cluster shadowing, XPR, zenith spreads, geometry).
+factor, per-cluster shadowing, zenith spreads, geometry).
 
 Sets are stored as YAML, one file per (scenario, condition, source).
 The bundled files live in ``thzgbsm/data``; the environment variable
@@ -67,6 +67,7 @@ class NormalSpec:
 
 @dataclass
 class PathLossSpec:
+    """Reference path-loss fit; generation reads only ``sigma_sf_db``."""
     model: Literal[PATHLOSS_MODELS]
     sigma_sf_db: Nonneg
     ple: Positive | None = None   # close-in exponent; None for the fixed-slope model
@@ -92,7 +93,6 @@ class SupplementalSpec:
     """
     r_tau: Annotated[float, (lambda v: v > 1, "must exceed 1")]
     per_cluster_shadow_db: Nonneg
-    xpr_db: NormalSpec
     zsa_log10deg: NormalSpec
     zsd_log10deg: NormalSpec
     c_zsa_deg: Nonneg

@@ -325,6 +325,7 @@ def test_simulate_oversized_grid_exits_1(tmp_path, capsys):
                  "--out", str(tmp_path / "sim")]) == 1
     err = capsys.readouterr().err
     assert "grid_step_m=0.0001" in err and "grid cells" in err
+    assert not (tmp_path / "sim").exists()
 
 
 def test_analyze_max_clusters_below_two_exits_2(tmp_path):
@@ -622,6 +623,9 @@ _BAD_PARAMS = {
                            "clusters.count_log10: expected a mapping"),
     "unknown-supplemental-key": ((("supplemental", "extra"), 1),
                                  "supplemental: unknown key 'extra'"),
+    # arrays are single-polarized, so the schema has no XPR
+    "retired-xpr-db": ((("supplemental", "xpr_db"), {"mu": 11.0, "sigma": 4.0}),
+                       "supplemental: unknown key 'xpr_db'"),
     "unknown-geometry-key": ((("geometry", "extra"), 1),
                              "geometry: unknown key 'extra'"),
     "unknown-top-level-key": ((("extra",), 1), "top level: unknown key 'extra'"),
@@ -678,7 +682,7 @@ def test_simulate_params_out_of_range_exits_2_before_creating_out(
         tmp_path, capsys):
     from thzgbsm.params import data_dir
     d = yaml.safe_load((data_dir() / "office_los_measured.yaml").read_text())
-    d["supplemental"]["xpr_db"]["sigma"] = -1
+    d["supplemental"]["zsa_log10deg"]["sigma"] = -1
     pfile = tmp_path / "bad.yaml"
     pfile.write_text(yaml.safe_dump(d))
     out = tmp_path / "out"
@@ -686,7 +690,7 @@ def test_simulate_params_out_of_range_exits_2_before_creating_out(
         main(["simulate", "--scenario", "office", "--condition", "los",
               "--params", str(pfile), "--drops", "1", "--out", str(out)])
     assert exc.value.code == 2
-    assert (f"{pfile}: supplemental.xpr_db.sigma: must be nonnegative, got -1.0"
+    assert (f"{pfile}: supplemental.zsa_log10deg.sigma: must be nonnegative, got -1.0"
             in capsys.readouterr().err)
     assert not out.exists()
 

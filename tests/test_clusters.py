@@ -6,9 +6,8 @@ from thzgbsm import clusters
 from thzgbsm.analysis import asa, k_factor, rms_ds
 from thzgbsm.clusters import (
     apply_in_cluster_k, build_drop, composite_asa, composite_rms_ds,
-    extract_drop_stats, gen_delays, gen_powers, gen_xpr_and_phases,
-    geometry_for, place_user, rescale_azimuth, rescale_delays,
-    rescale_zenith)
+    extract_drop_stats, gen_delays, gen_powers, geometry_for, place_user,
+    rescale_azimuth, rescale_delays, rescale_zenith)
 from thzgbsm.constants import wrap_deg
 from thzgbsm.lsp import draw_lsp_iid
 from thzgbsm.params import load_params
@@ -91,12 +90,13 @@ def test_in_cluster_k_fractions():
     assert_allclose(fr3.sum(axis=1), 1.0)
 
 
-def test_xpr_and_phases_shapes():
-    xpr, ph = gen_xpr_and_phases(3, 4, 10.0, 4.0, np.random.default_rng(2))
-    assert xpr.shape == (3, 4)
-    assert ph.shape == (3, 4, 4)
-    assert np.all(xpr > 0)
-    assert np.all((ph >= -np.pi) & (ph < np.pi))
+def test_build_drop_phases_shape_and_range():
+    for label in (("office", "nlos", "3gpp"), ("umi", "los", "measured")):
+        p = load_params(*label)
+        for seed in range(3):
+            ph = build_drop(p, np.random.default_rng(seed)).phases
+            assert ph.shape == (p.clusters.count, p.clusters.rays)
+            assert np.all((ph >= -np.pi) & (ph < np.pi))
 
 
 # --- per-drop rescaling ---

@@ -7,8 +7,7 @@ from numpy.testing import assert_allclose
 from thzgbsm.clusters import ClusterSet, LinkGeometry, build_drop
 from thzgbsm.coeffs import (
     SUBCLUSTER_DELAY_FACTORS, SUBCLUSTER_RAY_GROUPS, AntennaArray,
-    ChannelRealization, assemble_cir, cir_to_ctf, isotropic_horizontal,
-    isotropic_vertical, single_antenna, ura)
+    ChannelRealization, assemble_cir, cir_to_ctf, single_antenna, ura)
 from thzgbsm.constants import spherical_unit
 from thzgbsm.params import load_params
 
@@ -47,7 +46,7 @@ def test_single_antenna():
     assert_allclose(arr.positions_m, 0.0)
 
 
-def _hand_drop(power, los_weight, aoa, zoa, aod, zod, xpr, phases, d3_m=1.0):
+def _hand_drop(power, los_weight, aoa, zoa, aod, zod, phase, d3_m=1.0):
     """One cluster of one ray at 5 ns, plus a direct path of share
     los_weight from azimuth 0 / 180 deg on the horizon, d3_m apart."""
     one = np.ones((1, 1))
@@ -57,15 +56,13 @@ def _hand_drop(power, los_weight, aoa, zoa, aod, zod, xpr, phases, d3_m=1.0):
     return ClusterSet(delays_s=np.array([5e-9]), powers=np.array([power]),
                       los_weight=los_weight, ray_fractions=one,
                       aoa_deg=aoa * one, aod_deg=aod * one, zoa_deg=zoa * one,
-                      zod_deg=zod * one, xpr=xpr * one,
-                      phases=np.asarray(phases, dtype=float).reshape(1, 1, 4),
+                      zod_deg=zod * one, phases=phase * one,
                       geometry=geom, lsp={})
 
 
 def _direct_tap(d3_m, rx, tx):
     """Direct-path tap of a drop whose power is all in the direct path."""
-    cs = _hand_drop(1.0, 1.0, 40.0, 70.0, -20.0, 95.0, 10.0,
-                    [0.3, -1.0, 2.2, 0.7], d3_m=d3_m)
+    cs = _hand_drop(1.0, 1.0, 40.0, 70.0, -20.0, 95.0, 0.3, d3_m=d3_m)
     cr = assemble_cir(cs, rx, tx, LAM, c_ds_s=3.91e-9)
     assert_allclose(cr.delays_s, [0.0, 5e-9])
     assert_allclose(cr.amps[1], 0.0, atol=1e-15)
@@ -82,28 +79,20 @@ def test_direct_path_phase_oracles():
     assert h2[0, 0] == pytest.approx(-1.0 + 0.0j, abs=1e-12)
 
 
-def test_direct_path_horizontal_polarization_sign():
-    rx = single_antenna(pattern=isotropic_horizontal)
-    tx = single_antenna(pattern=isotropic_horizontal)
-    h = _direct_tap(LAM, rx, tx)
-    # pure horizontal links through the minus branch of diag(1, -1)
-    assert h[0, 0] == pytest.approx(-1.0 + 0.0j, abs=1e-12)
-
-
-def _one_ray(power, aoa, zoa, aod, zod, xpr, phases, rx, tx):
+def _one_ray(power, aoa, zoa, aod, zod, phase, rx, tx):
     """(rx, tx) coefficients of a one-cluster, one-ray NLoS drop."""
-    cs = _hand_drop(power, 0.0, aoa, zoa, aod, zod, xpr, phases)
+    cs = _hand_drop(power, 0.0, aoa, zoa, aod, zod, phase)
     cr = assemble_cir(cs, rx, tx, LAM, c_ds_s=3.91e-9)
     assert cr.amps.shape == (1, rx.n_elements, tx.n_elements)
     return cr.amps[0]
 
 
-def test_nlos_ray_pure_copolar_when_xpr_infinite():
+def test_nlos_ray_coefficient_is_amplitude_times_phase():
     rx = single_antenna()
     tx = single_antenna()
-    phases = np.zeros(4)
-    h = _one_ray(1.0, 10.0, 90.0, -40.0, 90.0, 1e12, phases, rx, tx)
-    assert h[0, 0] == pytest.approx(1.0 + 0.0j, abs=1e-5)
+    for power, phase in ((1.0, 0.0), (0.7, 2.1), (0.05, -np.pi), (0.3, -0.4)):
+        h = _one_ray(power, 10.0, 90.0, -40.0, 90.0, phase, rx, tx)
+        assert h[0, 0] == np.sqrt(power) * np.exp(1j * phase)
 
 
 def test_nlos_ray_power_is_pattern_independent_of_phase():
@@ -111,19 +100,17 @@ def test_nlos_ray_power_is_pattern_independent_of_phase():
     tx = single_antenna()
     rng = np.random.default_rng(1)
     for _ in range(10):
-        phases = rng.uniform(-np.pi, np.pi, 4)
-        h = _one_ray(0.7, 33.0, 80.0, 12.0, 100.0, 10.0, phases, rx, tx)
+        phase = rng.uniform(-np.pi, np.pi)
+        h = _one_ray(0.7, 33.0, 80.0, 12.0, 100.0, phase, rx, tx)
         assert abs(h[0, 0]) == pytest.approx(np.sqrt(0.7), rel=1e-9)
 
 
 def test_steering_reciprocity_transpose():
     """Swapping the two arrays transposes the per-ray matrix."""
-    rx = ura(2, 2, 0.5 * LAM, name="a")
-    tx = ura(1, 3, 0.5 * LAM, name="b")
-    phases = np.array([0.3, -1.0, 2.2, 0.7])
-    h_ab = _one_ray(1.0, 25.0, 75.0, -130.0, 95.0, 8.0, phases, rx, tx)
-    h_ba = _one_ray(1.0, -130.0, 95.0, 25.0, 75.0, 8.0,
-                    phases[[0, 2, 1, 3]], tx, rx)
+    rx = ura(2, 2, 0.5 * LAM)
+    tx = ura(1, 3, 0.5 * LAM)
+    h_ab = _one_ray(1.0, 25.0, 75.0, -130.0, 95.0, 0.3, rx, tx)
+    h_ba = _one_ray(1.0, -130.0, 95.0, 25.0, 75.0, 0.3, tx, rx)
     assert_allclose(h_ba, h_ab.T, atol=1e-12)
 
 
@@ -218,32 +205,21 @@ def test_assemble_cir_array_shapes():
     assert h.shape == (8, 4, 16)
 
 
-def _slanted(zenith_deg, azimuth_deg):
-    """Pattern with both polarization components, so every entry of the
-    polarization matrix reaches the coefficient."""
-    z = np.deg2rad(np.asarray(zenith_deg, dtype=float))
-    a = np.deg2rad(np.asarray(azimuth_deg, dtype=float))
-    return np.cos(0.3 + 0.2 * a) * np.sin(z), np.sin(0.3 + 0.2 * a) + 0.0 * z
-
-
 def _reference_taps(cs, rx, tx, lam, mode, c_ds):
-    """Per-ray loop: each tap sums amp [f_th_r f_ph_r] P [f_th_t f_ph_t]^T
-    outer(a_rx, a_tx) over its rays; taps in stable delay order."""
+    """Per-ray loop: each tap sums amp exp(j phase) outer(a_rx, a_tx) over
+    its rays; taps in stable delay order."""
     def steer(arr, zen, az):
         return np.exp(2j * np.pi * (arr.positions_m @ spherical_unit(zen, az)) / lam)
 
-    def ray(amp, pol, zoa, aoa, zod, aod):
-        f_r = np.array(rx.pattern(zoa, aoa), dtype=float)
-        f_t = np.array(tx.pattern(zod, aod), dtype=float)
-        return (amp * (f_r @ pol @ f_t)
-                * np.outer(steer(rx, zoa, aoa), steer(tx, zod, aod)))
+    def ray(coeff, zoa, aoa, zod, aod):
+        return coeff * np.outer(steer(rx, zoa, aoa), steer(tx, zod, aod))
 
     taps = []
     if cs.los_weight > 0:
         g = cs.geometry
-        amp = np.sqrt(cs.los_weight) * np.exp(-2j * np.pi * g.d3_m / lam)
-        taps.append((0.0, ray(amp, np.diag([1.0, -1.0]), g.zoa_los_deg,
-                              g.aoa_los_deg, g.zod_los_deg, g.aod_los_deg)))
+        coeff = np.sqrt(cs.los_weight) * np.exp(-2j * np.pi * g.d3_m / lam)
+        taps.append((0.0, ray(coeff, g.zoa_los_deg, g.aoa_los_deg,
+                              g.zod_los_deg, g.aod_los_deg)))
     n, m = cs.ray_fractions.shape
     split = set(np.argsort(cs.powers)[-2:]) if mode == "standard" and n >= 2 else set()
     rp = cs.ray_powers()
@@ -253,11 +229,9 @@ def _reference_taps(cs, rx, tx, lam, mode, c_ds):
             h = 0.0
             rays = [r for r in group if r < m]
             for r in rays:
-                e = np.exp(1j * cs.phases[i, r])
-                k = np.sqrt(1.0 / cs.xpr[i, r])
-                pol = np.array([[e[0], k * e[1]], [k * e[2], e[3]]])
-                h = h + ray(np.sqrt(rp[i, r]), pol, cs.zoa_deg[i, r],
-                            cs.aoa_deg[i, r], cs.zod_deg[i, r], cs.aod_deg[i, r])
+                coeff = np.sqrt(rp[i, r]) * np.exp(1j * cs.phases[i, r])
+                h = h + ray(coeff, cs.zoa_deg[i, r], cs.aoa_deg[i, r],
+                            cs.zod_deg[i, r], cs.aod_deg[i, r])
             if rays:
                 taps.append((cs.delays_s[i] + fac * c_ds, h))
     taps.sort(key=lambda t: t[0])
@@ -271,8 +245,8 @@ def test_assemble_cir_matches_per_ray_reference(source, condition, mode):
     p = load_params("office", condition, source)
     c_ds = p.clusters.c_ds_ns * 1e-9
     lam = p.wavelength_m
-    small = ura(2, 2, lam / 2, pattern=_slanted)
-    large = ura(4, 4, lam / 2, pattern=_slanted)
+    small = ura(2, 2, lam / 2)
+    large = ura(4, 4, lam / 2)
     for rx, tx in ((small, large), (large, small)):
         for seed in range(2):
             cs = build_drop(p, np.random.default_rng(seed))

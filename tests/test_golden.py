@@ -26,6 +26,7 @@ import math
 import re
 import sys
 import tempfile
+from collections import Counter
 from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -187,10 +188,14 @@ def test_golden_outputs(tmp_path):
     run_matrix(tmp_path)
     exact = np.__version__ == ref["numpy"]
     problems = compare(fingerprint(tmp_path), ref["outputs"], exact)
+    # every differing file is named, however many details are cut
+    per_file = Counter(p.split(": ", 1)[0] for p in problems)
     assert not problems, (
         f"{len(problems)} output differences (numpy {np.__version__}, golden "
-        f"file {ref['numpy']}, {'exact' if exact else f'rtol {GOLDEN_RTOL}'}):\n"
-        + "\n".join(problems[:60]))
+        f"file {ref['numpy']}, {'exact' if exact else f'rtol {GOLDEN_RTOL}'}) "
+        f"in {len(per_file)} files:\n"
+        + "\n".join(f"{f}: {n}" for f, n in sorted(per_file.items()))
+        + "\nfirst details:\n" + "\n".join(problems[:60]))
 
 
 if __name__ == "__main__":
