@@ -9,7 +9,7 @@ between the two parameter sources.
 
 __version__ = "0.1.0"
 
-from .analysis import (KPowerMeans, MpcSet, Pdp, asa, cluster_stats,
+from .analysis import (KPowerMeans, Pdp, asa, cluster_stats,
                        cross_corr, fit_lognormal, fit_normal, k_factor,
                        kpower_means, lsp_cross_corr, rms_ds,
                        select_n_clusters, synth_omni, threshold)

@@ -4,13 +4,13 @@ Standalone estimators that work on measured or simulated power-delay
 data: omnidirectional PDP synthesis from directional scans, noise
 thresholding, RMS delay spread, circular azimuth spread, Rician
 K-factor, lognormal/normal parameter fits, LSP cross-correlations,
-multipath-component clustering by power-weighted K-means over a
-multipath component distance, per-cluster spread statistics, and the
-reports built from them.
+multipath-component clustering by power-weighted K-means on an
+embedding whose Euclidean distance is the multipath component distance,
+per-cluster spread statistics, and the reports built from them.
 
-Everything here consumes plain arrays (or the small dataclasses below)
-and knows nothing about the generation side, so the same code runs on
-external measurement exports.
+Everything here consumes plain arrays, one entry per component or bin
+(profiles travel as a ``Pdp``), and knows nothing about the generation
+side, so the same code runs on external measurement exports.
 """
 
 from __future__ import annotations
@@ -44,31 +44,6 @@ class Pdp:
             raise ValueError("delays_s must be strictly increasing")
         if np.any(self.powers < 0):
             raise ValueError("powers must be nonnegative")
-
-
-@dataclass
-class MpcSet:
-    """Discrete multipath components."""
-    delay_s: np.ndarray
-    power: np.ndarray
-    aoa_deg: np.ndarray | None = None
-    zoa_deg: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.delay_s = np.asarray(self.delay_s, dtype=float)
-        self.power = np.asarray(self.power, dtype=float)
-        if self.delay_s.shape != self.power.shape or self.delay_s.ndim != 1:
-            raise ValueError("delay_s and power must be matching 1-D arrays")
-        for name in ("aoa_deg", "zoa_deg"):
-            v = getattr(self, name)
-            if v is not None:
-                v = np.asarray(v, dtype=float)
-                if v.shape != self.delay_s.shape:
-                    raise ValueError(f"{name} must match delay_s in shape")
-                setattr(self, name, v)
-
-    def __len__(self):
-        return self.delay_s.size
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +222,18 @@ def mcd_embedding(delay_s, aoa_deg, zoa_deg, delay_weight: float = 8.0) -> np.nd
     of coordinate differences, so placing each component at
     (u/2, delay_weight * std(t)/max_spacing^2 * t) in R^4 turns the MCD
     into a plain Euclidean distance and weighted K-means into K-power-
-    means over the MCD.
+    means over the MCD. A delay_weight of 0 clusters on angles only.
     """
-    t = np.asarray(delay_s, dtype=float)
-    u = spherical_unit(zoa_deg, aoa_deg)
+    if aoa_deg is None or zoa_deg is None:
+        raise ValueError("clustering needs arrival angles, aoa_deg and zoa_deg")
+    if not delay_weight >= 0:
+        raise ValueError(f"delay_weight must be a nonnegative number, got {delay_weight:g}")
+    t, a, z = (np.asarray(v, dtype=float) for v in (delay_s, aoa_deg, zoa_deg))
+    if t.ndim != 1 or a.shape != t.shape or z.shape != t.shape:
+        raise ValueError("delay_s, aoa_deg and zoa_deg must be matching 1-D arrays")
+    if not np.isfinite(np.stack([t, a, z])).all():
+        raise ValueError("clustering needs finite delays and arrival angles")
+    u = spherical_unit(z, a)
     span = t.max() - t.min()
     if span**2 > 0:                 # a span whose square underflows is none
         scale = delay_weight * t.std() / span**2
@@ -267,47 +250,44 @@ class KPowerMeans:
     """Power-weighted K-means over the multipath component distance.
 
     Follows the estimator convention: construct with hyperparameters,
-    ``fit(X, sample_weight)`` with X columns (delay_s, aoa_deg, zoa_deg),
-    then read ``labels_``, ``cluster_centers_`` (same column layout),
-    ``inertia_``, ``objective_path_`` and ``n_iter_``.
+    ``fit(E, sample_weight)`` with E the rows of ``mcd_embedding``, one
+    per component, then read ``labels_``, ``inertia_``,
+    ``objective_path_`` and ``n_iter_``.
 
     The ``N_INIT`` restarts run as one batch in lockstep, each seeded by
     its own child of ``SeedSequence(random_state)``. A restart stops on
     the first iteration whose labels repeat (``MAX_ITER`` at most) and
     leaves the batch. The first restart with the lowest objective wins,
     and ``objective_path_`` and ``n_iter_`` are that restart's.
-    A cluster's center is its members' weighted mean, or their unweighted
-    mean when every member has zero weight.
+    A cluster's center is its members' weighted mean; a cluster that
+    holds no weight is re-seeded at its restart's worst represented point.
     """
 
-    def __init__(self, n_clusters: int = 3, delay_weight: float = 8.0,
-                 random_state: int = 0):
+    def __init__(self, n_clusters: int = 3, random_state: int = 0):
         self.n_clusters = n_clusters
-        self.delay_weight = delay_weight
         self.random_state = random_state
 
-    def fit(self, X, sample_weight=None) -> "KPowerMeans":
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != 3:
-            raise ValueError("X must be (n, 3): delay_s, aoa_deg, zoa_deg")
-        n = X.shape[0]
+    def fit(self, E, sample_weight) -> "KPowerMeans":
+        E = np.asarray(E, dtype=float)
+        if E.ndim != 2:
+            raise ValueError("E must be 2-D, one embedded component per row")
+        n = E.shape[0]
         k = self.n_clusters
         if not 1 <= k <= n:
             raise ValueError(f"n_clusters must be in 1..{n}")
-        w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=float)
+        w = np.asarray(sample_weight, dtype=float)
         if w.shape != (n,) or np.any(w < 0) or w.sum() <= 0:
             raise ValueError("sample_weight must be nonnegative with positive sum")
         if k > np.count_nonzero(w):
             raise ValueError(f"n_clusters={k} exceeds the number of components "
                              f"with positive weight, {np.count_nonzero(w)}")
 
-        E = mcd_embedding(X[:, 0], X[:, 1], X[:, 2], self.delay_weight)
         # weight-proportional seeding over distinct points, one generator
         # per restart
         seeds = np.random.SeedSequence(self.random_state).spawn(N_INIT)
         init = [np.random.default_rng(ss).choice(n, size=k, replace=False,
                                                  p=w / w.sum()) for ss in seeds]
-        centers = E[np.array(init)]                  # (restart, k, 4)
+        centers = E[np.array(init)]                  # (restart, k, d)
         labels = np.full((N_INIT, n), -1)
         paths = [[] for _ in range(N_INIT)]
         n_iter = np.zeros(N_INIT, dtype=int)
@@ -332,7 +312,7 @@ class KPowerMeans:
                 break
             # weighted sums and cluster weights in one matmul
             onehot = (new[:, None, :] == np.arange(k)[:, None]) * w
-            S = onehot @ EW                          # (active, k, 5)
+            S = onehot @ EW                          # (active, k, d + 1)
             wc = S[:, :, -1:]
             centers[active] = np.divide(S[:, :, :-1], wc, where=wc > 0,
                                         out=np.zeros_like(S[:, :, :-1]))
@@ -348,63 +328,37 @@ class KPowerMeans:
         self.inertia_ = paths[best][-1]
         self.objective_path_ = np.asarray(paths[best])
         self.n_iter_ = int(n_iter[best])
-        self.cluster_centers_ = self._centers_to_domain(E, X, self.labels_, w, k)
         return self
 
-    @staticmethod
-    def _centers_to_domain(E, X, labels, w, k):
-        out = np.zeros((k, 3))
-        for c in range(k):
-            m = labels == c
-            if not m.any():
-                out[c] = np.nan
-                continue
-            wc = w[m] if w[m].sum() > 0 else np.ones(np.count_nonzero(m))
-            out[c, 0] = (wc * X[m, 0]).sum() / wc.sum()
-            u = (wc[:, None] * 2.0 * E[m, :3]).sum(axis=0) / wc.sum()
-            norm = np.linalg.norm(u)
-            if norm > 0:
-                out[c, 1] = np.degrees(np.arctan2(u[1], u[0]))
-                out[c, 2] = np.degrees(np.arccos(np.clip(u[2] / norm, -1, 1)))
-        return out
+
+def kpower_means(delay_s, power, aoa_deg, zoa_deg, n_clusters: int,
+                 delay_weight: float = 8.0, random_state: int = 0) -> np.ndarray:
+    """Cluster labels of multipath components, one per component, by
+    K-power-means over the multipath component distance."""
+    E = mcd_embedding(delay_s, aoa_deg, zoa_deg, delay_weight)
+    km = KPowerMeans(n_clusters=n_clusters, random_state=random_state)
+    return km.fit(E, sample_weight=power).labels_
 
 
-def kpower_means(mpcs: MpcSet, n_clusters: int, delay_weight: float = 8.0,
-                 random_state: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster an MpcSet; returns (labels, centers) in domain units."""
-    if mpcs.aoa_deg is None or mpcs.zoa_deg is None:
-        raise ValueError("clustering needs arrival angles on the MpcSet")
-    km = KPowerMeans(n_clusters=n_clusters, delay_weight=delay_weight,
-                     random_state=random_state)
-    X = np.column_stack([mpcs.delay_s, mpcs.aoa_deg, mpcs.zoa_deg])
-    km.fit(X, sample_weight=mpcs.power)
-    return km.labels_, km.cluster_centers_
-
-
-def select_n_clusters(mpcs: MpcSet, k_min: int = 2, k_max: int = 10,
-                      delay_weight: float = 8.0, random_state: int = 0
-                      ) -> tuple[int, dict, np.ndarray]:
+def select_n_clusters(delay_s, power, aoa_deg, zoa_deg, k_max: int = 10,
+                      delay_weight: float = 8.0) -> tuple[int, dict, np.ndarray]:
     """Pick a cluster count by a Calinski-Harabasz style ratio.
 
-    Fits K-power-means for each k and scores the weighted between/within
-    dispersion ratio; returns (best_k, {k: score}, labels), the labels
-    being those of the best_k fit, i.e. what
-    ``kpower_means(mpcs, best_k, delay_weight, random_state)`` returns.
+    Embeds the components once, fits K-power-means to the embedding for
+    each k from 2 to ``k_max`` (at most one below the number of
+    components) and scores the weighted between/within dispersion ratio;
+    returns (best_k, {k: score}, labels), the labels being those of the
+    best_k fit, i.e. what ``kpower_means`` returns for best_k.
     """
-    if mpcs.aoa_deg is None or mpcs.zoa_deg is None:
-        raise ValueError("clustering needs arrival angles on the MpcSet")
-    X = np.column_stack([mpcs.delay_s, mpcs.aoa_deg, mpcs.zoa_deg])
-    w = mpcs.power
-    E = mcd_embedding(mpcs.delay_s, mpcs.aoa_deg, mpcs.zoa_deg, delay_weight)
+    E = mcd_embedding(delay_s, aoa_deg, zoa_deg, delay_weight)
+    w = np.asarray(power, dtype=float)
     gmean = (w[:, None] * E).sum(axis=0) / w.sum()
     total = float((w * ((E - gmean) ** 2).sum(axis=1)).sum())
-    n = len(mpcs)
+    n = E.shape[0]
     scores = {}
     labels = {}
-    for k in range(k_min, min(k_max, n - 1) + 1):
-        km = KPowerMeans(n_clusters=k, delay_weight=delay_weight,
-                         random_state=random_state)
-        km.fit(X, sample_weight=w)
+    for k in range(2, min(k_max, n - 1) + 1):
+        km = KPowerMeans(n_clusters=k).fit(E, sample_weight=w)
         labels[k] = km.labels_
         within = km.inertia_
         between = max(total - within, 0.0)
@@ -422,7 +376,7 @@ def select_n_clusters(mpcs: MpcSet, k_min: int = 2, k_max: int = 10,
 
 @dataclass
 class ClusterStats:
-    """Intra-cluster spread statistics for one labeled MpcSet."""
+    """Intra-cluster spread statistics of labeled multipath components."""
     labels: np.ndarray
     c_ds_ns: np.ndarray
     c_asa_deg: np.ndarray | None  # None without azimuths
@@ -431,29 +385,30 @@ class ClusterStats:
     medians: dict = field(default_factory=dict)
 
 
-def cluster_stats(mpcs: MpcSet, labels) -> ClusterStats:
-    """Per-cluster delay spread, azimuth spread (None without azimuths)
+def cluster_stats(delay_s, power, aoa_deg, labels) -> ClusterStats:
+    """Per-cluster delay spread, azimuth spread (None when aoa_deg is None)
     and in-cluster K, with one cluster label per component.
 
     Single-component clusters report zero spreads and an infinite
     in-cluster K (flagged as +inf, not an exception, so medians across
     clusters stay well defined).
     """
+    t, p = np.asarray(delay_s, dtype=float), np.asarray(power, dtype=float)
+    a = None if aoa_deg is None else np.asarray(aoa_deg, dtype=float)
     lab = np.asarray(labels)
-    if lab.shape != mpcs.delay_s.shape:
-        raise ValueError("labels must match delay_s in shape")
+    if t.ndim != 1 or any(v.shape != t.shape for v in (p, a, lab) if v is not None):
+        raise ValueError("power, aoa_deg and labels must match 1-D delay_s in shape")
     uniq = np.unique(lab)
     cds, casa, ck, cnt = [], [], [], []
     for c in uniq:
         m = lab == c
-        p = mpcs.power[m]
-        cds.append(rms_ds(mpcs.delay_s[m], p) * 1e9)
-        if mpcs.aoa_deg is not None:
-            casa.append(asa(mpcs.aoa_deg[m], p))
-        ck.append(k_factor(p))
+        cds.append(rms_ds(t[m], p[m]) * 1e9)
+        if a is not None:
+            casa.append(asa(a[m], p[m]))
+        ck.append(k_factor(p[m]))
         cnt.append(int(m.sum()))
     cds, ck, cnt = map(np.asarray, (cds, ck, cnt))
-    casa = None if mpcs.aoa_deg is None else np.asarray(casa)
+    casa = None if a is None else np.asarray(casa)
     medians = {k: float(np.median(v)) for k, v in (
         ("c_ds_ns", cds), ("c_asa_deg", casa), ("c_k_db", ck), ("count", cnt))
         if v is not None}
@@ -482,9 +437,8 @@ def analyze_mpcs(drop, delay_s, power, aoa_deg, zoa_deg, cluster,
     rows = []
     for g, d in enumerate(ids):
         m = group == g
-        mp = MpcSet(*(None if v is None else np.asarray(v)[m]
-                      for v in (delay_s, power, aoa_deg, zoa_deg)))
-        t, p, a = mp.delay_s, mp.power, mp.aoa_deg
+        t, p, a, z = (None if v is None else np.asarray(v, dtype=float)[m]
+                      for v in (delay_s, power, aoa_deg, zoa_deg))
         if not np.any(p > 0):
             raise ValueError(f"drop {d}: all its power cells are 0, so it "
                              "carries no power")
@@ -499,9 +453,9 @@ def analyze_mpcs(drop, delay_s, power, aoa_deg, zoa_deg, cluster,
         n_powered = np.count_nonzero(p)
         if labels is None and a is not None and n_powered >= 3:
             _, _, labels = select_n_clusters(
-                mp, k_min=2, k_max=min(max_clusters, n_powered - 1),
+                t, p, a, z, k_max=min(max_clusters, n_powered - 1),
                 delay_weight=delay_weight)
-        med = {} if labels is None else cluster_stats(mp, labels).medians
+        med = {} if labels is None else cluster_stats(t, p, a, labels).medians
         rows.append({
             "drop": d, "n_mpcs": t.size, "ds_s": rms_ds(t, p),
             "asa_deg": None if a is None else asa(a, p), "k_db": k_factor(p),

@@ -260,6 +260,8 @@ def _labels(table, key) -> np.ndarray:
 def cmd_analyze(parser, args) -> int:
     if args.max_clusters < 2:
         parser.error("--max-clusters: must be at least 2")
+    if args.delay_weight < 0:
+        parser.error("--delay-weight: must not be negative")
     if args.noise_floor is not None and args.noise_floor < 0:
         parser.error("--noise-floor: must not be negative")
     if args.noise_floor is not None and args.margin_db <= 0:

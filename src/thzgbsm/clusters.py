@@ -36,7 +36,6 @@ class LinkGeometry:
     aod_los_deg: float
     zoa_los_deg: float
     zod_los_deg: float
-    mu_xy_m: tuple[float, float]
 
 
 def geometry_for(params: ScenarioParamSet, x_m: float, y_m: float) -> LinkGeometry:
@@ -50,7 +49,7 @@ def geometry_for(params: ScenarioParamSet, x_m: float, y_m: float) -> LinkGeomet
     aoa = float(wrap_deg(aod + 180.0))
     zoa = float(np.degrees(np.arccos(np.clip(-dz / d3, -1.0, 1.0))))
     return LinkGeometry(d2_m=d2, d3_m=d3, aoa_los_deg=aoa, aod_los_deg=aod,
-                        zoa_los_deg=zoa, zod_los_deg=zod, mu_xy_m=(x_m, y_m))
+                        zoa_los_deg=zoa, zod_los_deg=zod)
 
 
 def place_users(params: ScenarioParamSet, rng, n: int

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from thzgbsm.analysis import (
-    KPowerMeans, MpcSet, asa, k_factor, kpower_means, lsp_cross_corr, rms_ds)
+    KPowerMeans, asa, k_factor, kpower_means, lsp_cross_corr, mcd_embedding,
+    rms_ds)
 from thzgbsm.capacity import (
     crossover_snr, mimo_capacity, mimo_capacity_det, run_capacity_experiment)
 from thzgbsm.cli import _rt_drop, main
@@ -225,12 +226,11 @@ def test_criterion_7_clustering_recovery():
             zoa.append(z0 + rng.normal(0.0, 0.4, m))
             power.append(rng.uniform(0.1, 1.0, m))
             truth.append(np.full(m, ci))
-        mp = MpcSet(np.concatenate(delay), np.concatenate(power),
-                    np.concatenate(aoa), np.concatenate(zoa))
+        delay, power, aoa, zoa = map(np.concatenate, (delay, power, aoa, zoa))
         truth = np.concatenate(truth)
-        labels, _ = kpower_means(mp, 3, random_state=trial)
-        x = np.column_stack([mp.delay_s, mp.aoa_deg, mp.zoa_deg])
-        km = KPowerMeans(n_clusters=3, random_state=trial).fit(x, mp.power)
+        labels = kpower_means(delay, power, aoa, zoa, 3, random_state=trial)
+        km = KPowerMeans(n_clusters=3, random_state=trial).fit(
+            mcd_embedding(delay, aoa, zoa), power)
         assert np.all(np.diff(km.objective_path_) <= 1e-12), trial
         mapping = {}
         ok = True

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from thzgbsm import analysis
 from thzgbsm.analysis import (
-    MAX_ITER, N_INIT, KPowerMeans, MpcSet, Pdp, cluster_stats, cross_corr,
-    fit_lognormal, fit_normal, k_factor, kpower_means, lsp_cross_corr,
-    mcd_embedding, rms_ds, asa, select_n_clusters, synth_omni, threshold)
+    MAX_ITER, N_INIT, KPowerMeans, Pdp, analyze_mpcs, cluster_stats,
+    cross_corr, fit_lognormal, fit_normal, k_factor, kpower_means,
+    lsp_cross_corr, mcd_embedding, rms_ds, asa, select_n_clusters, synth_omni,
+    threshold)
 from thzgbsm.clusters import build_drop
 from thzgbsm.params import load_params
 
@@ -174,6 +176,8 @@ def test_lsp_cross_corr_uses_log_domains():
 # --- clustering ---
 
 def _planted_mpcs(rng, centers, spread_scale=1.0, n_per=30):
+    """((delay_s, power, aoa_deg, zoa_deg), true labels) of clusters
+    planted around (delay, aoa, zoa) centers."""
     delay, aoa, zoa, power, label = [], [], [], [], []
     for i, (t0, a0, z0) in enumerate(centers):
         delay.append(t0 + rng.normal(0, 1e-9 * spread_scale, n_per))
@@ -181,9 +185,13 @@ def _planted_mpcs(rng, centers, spread_scale=1.0, n_per=30):
         zoa.append(z0 + rng.normal(0, 1.0 * spread_scale, n_per))
         power.append(rng.uniform(0.1, 1.0, n_per))
         label.append(np.full(n_per, i))
-    return (MpcSet(np.concatenate(delay), np.concatenate(power),
-                   np.concatenate(aoa), np.concatenate(zoa)),
+    return (tuple(map(np.concatenate, (delay, power, aoa, zoa))),
             np.concatenate(label))
+
+
+def _embed(x):
+    # rows of (delay_s, aoa_deg, zoa_deg)
+    return mcd_embedding(x[:, 0], x[:, 1], x[:, 2])
 
 
 def _label_match(found, truth):
@@ -199,13 +207,11 @@ def _label_match(found, truth):
 def test_kpower_means_recovers_planted_clusters():
     centers = [(0.0, -60.0, 85.0), (50e-9, 20.0, 95.0), (120e-9, 110.0, 100.0)]
     rng = np.random.default_rng(42)
-    mpcs, truth = _planted_mpcs(rng, centers, spread_scale=0.1)
-    labels, centers_found = kpower_means(mpcs, 3, random_state=7)
+    (t, p, a, z), truth = _planted_mpcs(rng, centers, spread_scale=0.1)
+    labels = kpower_means(t, p, a, z, 3, random_state=7)
     assert _label_match(labels, truth)
-    assert centers_found.shape == (3, 3)
 
-    x = np.column_stack([mpcs.delay_s, mpcs.aoa_deg, mpcs.zoa_deg])
-    km = KPowerMeans(n_clusters=3, random_state=7).fit(x, mpcs.power)
+    km = KPowerMeans(n_clusters=3, random_state=7).fit(mcd_embedding(t, a, z), p)
     assert np.all(np.diff(km.objective_path_) <= 1e-12)
 
 
@@ -214,16 +220,16 @@ def test_kpower_means_estimator_api():
     x = np.column_stack([rng.uniform(0, 1e-7, 40),
                          rng.uniform(-180, 180, 40),
                          rng.uniform(60, 120, 40)])
-    km = KPowerMeans(n_clusters=3, random_state=1).fit(x, sample_weight=np.ones(40))
+    km = KPowerMeans(n_clusters=3, random_state=1).fit(_embed(x),
+                                                       sample_weight=np.ones(40))
     assert km.labels_.shape == (40,)
-    assert km.cluster_centers_.shape == (3, 3)
     assert km.n_iter_ >= 1
     assert np.isfinite(km.inertia_)
 
 
 def test_kpower_means_duplicate_points_co_assigned():
     x = np.array([[0.0, 10.0, 90.0]] * 5 + [[80e-9, -120.0, 100.0]] * 5)
-    km = KPowerMeans(n_clusters=2, random_state=0).fit(x, np.ones(10))
+    km = KPowerMeans(n_clusters=2, random_state=0).fit(_embed(x), np.ones(10))
     assert len(set(km.labels_[:5])) == 1
     assert len(set(km.labels_[5:])) == 1
     assert km.labels_[0] != km.labels_[-1]
@@ -232,34 +238,22 @@ def test_kpower_means_duplicate_points_co_assigned():
 def test_kpower_means_weightless_cluster_center_is_plain_mean():
     # the zero-weight point ends up alone in its cluster
     x = np.array([[5e-8, -100.0, 80.0], [1e-8, 10.0, 90.0], [1e-8, 10.0, 90.0]])
-    km = KPowerMeans(n_clusters=2, random_state=0).fit(x, [0.0, 1.0, 1.0])
+    km = KPowerMeans(n_clusters=2, random_state=0).fit(_embed(x), [0.0, 1.0, 1.0])
     assert km.labels_[0] != km.labels_[1] == km.labels_[2]
-    assert_allclose(km.cluster_centers_[km.labels_[0]], x[0], rtol=1e-9)
-    assert_allclose(km.cluster_centers_[km.labels_[1]], x[1], rtol=1e-9)
-
-
-def test_kpower_means_weight_sensitivity():
-    # a heavy point drags its cluster centroid onto itself
-    x = np.array([[0.0, 0.0, 90.0], [0.0, 40.0, 90.0],
-                  [100e-9, 170.0, 90.0]])
-    w = np.array([100.0, 1.0, 1.0])
-    km = KPowerMeans(n_clusters=2, random_state=0).fit(x, w)
-    c = km.cluster_centers_[km.labels_[0]]
-    assert abs(c[1] - 0.0) < 5.0
 
 
 def test_kpower_means_rejects_more_clusters_than_powered_points():
     x = np.column_stack([np.arange(5) * 1e-9, np.arange(5) * 30.0,
                          np.full(5, 90.0)])
     with pytest.raises(ValueError, match="positive weight"):
-        KPowerMeans(n_clusters=3).fit(x, np.array([1.0, 0, 0, 2.0, 0]))
+        KPowerMeans(n_clusters=3).fit(_embed(x), np.array([1.0, 0, 0, 2.0, 0]))
 
 
-def _reference_restarts(x, w, k, random_state=0, delay_weight=8.0):
-    """The scalar Lloyd loop, one restart after another, that the lockstep
-    fit batches. Returns ([(labels, path, n_iter)] per restart, index of
-    the first restart with the lowest objective, re-seeded clusters)."""
-    e = mcd_embedding(x[:, 0], x[:, 1], x[:, 2], delay_weight)
+def _reference_restarts(e, w, k, random_state=0):
+    """The scalar Lloyd loop over embedded points e, one restart after
+    another, that the lockstep fit batches. Returns ([(labels, path,
+    n_iter)] per restart, index of the first restart with the lowest
+    objective, re-seeded clusters)."""
     n = e.shape[0]
     runs, reseeds = [], 0
     for ss in np.random.SeedSequence(random_state).spawn(N_INIT):
@@ -291,9 +285,9 @@ def _reference_restarts(x, w, k, random_state=0, delay_weight=8.0):
     return runs, best, reseeds
 
 
-def _assert_matches_reference(x, w, k):
-    runs, best, reseeds = _reference_restarts(x, w, k)
-    km = KPowerMeans(n_clusters=k).fit(x, w)
+def _assert_matches_reference(e, w, k):
+    runs, best, reseeds = _reference_restarts(e, w, k)
+    km = KPowerMeans(n_clusters=k).fit(e, w)
     labels, path, n_iter = runs[best]
     assert np.array_equal(km.labels_, labels)
     assert km.n_iter_ == n_iter
@@ -313,11 +307,10 @@ def _assert_matches_reference(x, w, k):
 
 def test_lockstep_fit_matches_scalar_restarts_on_planted_clusters():
     centers = [(0.0, -60.0, 85.0), (50e-9, 20.0, 95.0), (120e-9, 110.0, 100.0)]
-    mpcs, _ = _planted_mpcs(np.random.default_rng(3), centers,
-                            spread_scale=0.8)
-    x = np.column_stack([mpcs.delay_s, mpcs.aoa_deg, mpcs.zoa_deg])
+    (t, p, a, z), _ = _planted_mpcs(np.random.default_rng(3), centers,
+                                    spread_scale=0.8)
     for k in (2, 3, 5):
-        _assert_matches_reference(x, mpcs.power, k)
+        _assert_matches_reference(mcd_embedding(t, a, z), p, k)
 
 
 def test_lockstep_fit_matches_scalar_restarts_on_reseeded_clusters():
@@ -331,15 +324,15 @@ def test_lockstep_fit_matches_scalar_restarts_on_reseeded_clusters():
     x = np.vstack([stacks, scatter])
     w = np.linspace(0.5, 2.0, len(x))
     for k in (3, 4):
-        assert _assert_matches_reference(x, w, k) > 0
+        assert _assert_matches_reference(_embed(x), w, k) > 0
 
 
 def test_lockstep_fit_matches_scalar_restarts_on_generated_drop():
     cols = build_drop(load_params("umi", "nlos", "3gpp"),
                       np.random.default_rng(11)).mpc_arrays()
-    x = np.column_stack([cols["delay_s"], cols["aoa_deg"], cols["zoa_deg"]])
+    e = mcd_embedding(cols["delay_s"], cols["aoa_deg"], cols["zoa_deg"])
     for k in range(2, 7):
-        _assert_matches_reference(x, cols["power"], k)
+        _assert_matches_reference(e, cols["power"], k)
 
 
 @st.composite
@@ -360,13 +353,13 @@ def weighted_points(draw):
 @settings(max_examples=40, deadline=None)
 def test_kpower_means_properties(case):
     x, w, k, seed = case
-    km = KPowerMeans(n_clusters=k, random_state=seed).fit(x, w)
+    e = _embed(x)
+    km = KPowerMeans(n_clusters=k, random_state=seed).fit(e, w)
     path = km.objective_path_
     # nonincreasing up to the roundoff of squared embedded coordinates
-    e = mcd_embedding(x[:, 0], x[:, 1], x[:, 2])
     assert np.all(np.diff(path) <= 1e-12 * w.sum() * (e**2).sum(axis=1).max())
     assert km.labels_.min() >= 0 and km.labels_.max() < k
-    again = KPowerMeans(n_clusters=k, random_state=seed).fit(x, w)
+    again = KPowerMeans(n_clusters=k, random_state=seed).fit(e, w)
     assert np.array_equal(again.labels_, km.labels_)
     assert np.array_equal(again.objective_path_, path)
     assert again.n_iter_ == km.n_iter_
@@ -376,9 +369,23 @@ def test_select_n_clusters_finds_planted_count():
     centers = [(0.0, -90.0, 85.0), (60e-9, 0.0, 95.0), (150e-9, 120.0, 100.0)]
     rng = np.random.default_rng(9)
     mpcs, _ = _planted_mpcs(rng, centers, spread_scale=0.15)
-    best, scores, _ = select_n_clusters(mpcs, k_min=2, k_max=6)
+    best, scores, _ = select_n_clusters(*mpcs, k_max=6)
     assert best == 3
     assert set(scores) == {2, 3, 4, 5, 6}
+
+
+def test_select_n_clusters_embeds_once(monkeypatch):
+    # the total dispersion and every per-k fit share one embedding
+    centers = [(0.0, -90.0, 85.0), (60e-9, 0.0, 95.0), (150e-9, 120.0, 100.0)]
+    mpcs, _ = _planted_mpcs(np.random.default_rng(9), centers)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return mcd_embedding(*args, **kwargs)
+    monkeypatch.setattr(analysis, "mcd_embedding", counted)
+    select_n_clusters(*mpcs, k_max=6)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("seed", [9, 21])
@@ -386,9 +393,8 @@ def test_select_n_clusters_labels_match_refit(seed):
     centers = [(0.0, -90.0, 85.0), (60e-9, 0.0, 95.0), (150e-9, 120.0, 100.0)]
     mpcs, _ = _planted_mpcs(np.random.default_rng(seed), centers,
                             spread_scale=0.6)
-    best, _, labels = select_n_clusters(mpcs, k_min=2, k_max=6,
-                                        delay_weight=4.0)
-    refit, _ = kpower_means(mpcs, best, delay_weight=4.0)
+    best, _, labels = select_n_clusters(*mpcs, k_max=6, delay_weight=4.0)
+    refit = kpower_means(*mpcs, best, delay_weight=4.0)
     assert np.array_equal(labels, refit)
 
 
@@ -410,29 +416,46 @@ def test_mcd_embedding_delay_span_whose_square_underflows_counts_as_none():
     assert np.array_equal(e[:, 3], [0.0, 0.0])
 
 
+def test_mcd_embedding_rejects_negative_delay_weight():
+    with pytest.raises(ValueError, match="delay_weight must be a nonnegative"):
+        mcd_embedding([0.0, 1e-9], [0.0, 10.0], [90.0, 90.0], delay_weight=-8.0)
+
+
+def test_analyze_mpcs_clustering_without_zeniths_names_the_cause():
+    t = np.array([0.0, 5e-9, 20e-9, 40e-9])
+    with pytest.raises(ValueError, match="clustering needs arrival angles"):
+        analyze_mpcs(np.zeros(4, dtype=int), t, np.ones(4),
+                     np.array([0.0, 30.0, 90.0, 150.0]), None, None,
+                     max_clusters=3, delay_weight=8.0)
+
+
+def test_kpower_means_rejects_non_finite_angle():
+    a = np.array([0.0, 30.0, np.nan, 150.0])
+    with pytest.raises(ValueError, match="finite delays and arrival angles"):
+        kpower_means(np.arange(4) * 1e-9, np.ones(4), a, np.full(4, 90.0), 2)
+
+
 # --- per-cluster statistics ---
 
 def test_cluster_stats_single_cluster_oracles():
-    mp = MpcSet(np.array([0.0, 1e-9]), np.array([1.0, 1.0]),
-                np.array([0.0, 0.0]), np.array([90.0, 90.0]))
-    st_ = cluster_stats(mp, np.array([0, 0]))
+    st_ = cluster_stats(np.array([0.0, 1e-9]), np.array([1.0, 1.0]),
+                        np.array([0.0, 0.0]), np.array([0, 0]))
     assert st_.c_ds_ns[0] == pytest.approx(0.5)
     assert st_.c_asa_deg[0] == pytest.approx(0.0)
 
-    mp2 = MpcSet(np.array([0.0, 1e-9, 2e-9]), np.array([10.0, 1.0, 1.0]),
-                 np.array([0.0, 5.0, -5.0]), np.array([90.0] * 3))
-    st2 = cluster_stats(mp2, np.array([0, 0, 0]))
+    st2 = cluster_stats(np.array([0.0, 1e-9, 2e-9]), np.array([10.0, 1.0, 1.0]),
+                        np.array([0.0, 5.0, -5.0]), np.array([0, 0, 0]))
     assert st2.c_k_db[0] == pytest.approx(10 * np.log10(5.0))
 
 
 def test_cluster_stats_rejects_labels_of_another_shape():
-    mp = MpcSet(np.array([0.0, 1e-9, 2e-9]), np.ones(3))
     with pytest.raises(ValueError, match="labels must match"):
-        cluster_stats(mp, np.array([0, 1]))
+        cluster_stats(np.array([0.0, 1e-9, 2e-9]), np.ones(3), None,
+                      np.array([0, 1]))
 
 
 def test_cluster_stats_without_azimuths_has_no_cluster_asa():
-    st_ = cluster_stats(MpcSet([0, 5e-9, 9e-9], [1, .5, .2]), [1, 1, 2])
+    st_ = cluster_stats([0, 5e-9, 9e-9], [1, .5, .2], None, [1, 1, 2])
     assert st_.c_asa_deg is None
     assert "c_asa_deg" not in st_.medians
     assert st_.counts.tolist() == [2, 1]
@@ -440,11 +463,10 @@ def test_cluster_stats_without_azimuths_has_no_cluster_asa():
 
 
 def test_cluster_stats_medians_across_clusters():
-    mp = MpcSet(np.array([0.0, 1e-9, 100e-9, 103e-9]),
-                np.array([1.0, 1.0, 1.0, 1.0]),
-                np.array([0.0, 0.0, 90.0, 90.0]),
-                np.array([90.0] * 4))
-    st_ = cluster_stats(mp, np.array([0, 0, 1, 1]))
+    st_ = cluster_stats(np.array([0.0, 1e-9, 100e-9, 103e-9]),
+                        np.array([1.0, 1.0, 1.0, 1.0]),
+                        np.array([0.0, 0.0, 90.0, 90.0]),
+                        np.array([0, 0, 1, 1]))
     assert st_.labels.size == 2
     assert st_.counts.tolist() == [2, 2]
     assert st_.medians["c_ds_ns"] == pytest.approx(np.median([0.5, 1.5]))

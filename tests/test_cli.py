@@ -556,10 +556,12 @@ def test_non_finite_float_option_exits_2(tmp_path, capsys, argv):
     ["analyze", "--input", "in.csv", "--noise-floor", "-1"],
     ["analyze", "--input", "in.csv", "--noise-floor", "1e-6",
      "--margin-db", "0"],
+    ["analyze", "--input", "in.csv", "--recluster", "--delay-weight", "-8"],
 ], ids=["simulate-drops", "roundtrip-drops", "simulate-workers-0",
         "roundtrip-workers-negative", "grid-step-zero",
         "grid-step-above-half-corr-dist", "tol-log10-negative",
-        "tol-k-db-negative", "noise-floor-negative", "margin-db-zero"])
+        "tol-k-db-negative", "noise-floor-negative", "margin-db-zero",
+        "delay-weight-negative"])
 def test_bad_argument_exits_2_before_creating_out(tmp_path, monkeypatch,
                                                   capsys, argv):
     # a valid profile, so that only the option can be at fault

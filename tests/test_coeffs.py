@@ -51,8 +51,7 @@ def _hand_drop(power, los_weight, aoa, zoa, aod, zod, phase, d3_m=1.0):
     los_weight from azimuth 0 / 180 deg on the horizon, d3_m apart."""
     one = np.ones((1, 1))
     geom = LinkGeometry(d2_m=d3_m, d3_m=d3_m, aoa_los_deg=0.0,
-                        aod_los_deg=180.0, zoa_los_deg=90.0, zod_los_deg=90.0,
-                        mu_xy_m=(1.0, 0.0))
+                        aod_los_deg=180.0, zoa_los_deg=90.0, zod_los_deg=90.0)
     return ClusterSet(delays_s=np.array([5e-9]), powers=np.array([power]),
                       los_weight=los_weight, ray_fractions=one,
                       aoa_deg=aoa * one, aod_deg=aod * one, zoa_deg=zoa * one,
