@@ -1,16 +1,16 @@
 """Channel statistics extraction.
 
 Standalone estimators that work on measured or simulated power-delay
-data: omnidirectional PDP synthesis from directional scans, noise
-thresholding, RMS delay spread, circular azimuth spread, Rician
-K-factor, lognormal/normal parameter fits, LSP cross-correlations,
+data: RMS delay spread, circular azimuth spread, Rician K-factor,
+lognormal/normal parameter fits, LSP cross-correlations,
 multipath-component clustering by power-weighted K-means on an
 embedding whose Euclidean distance is the multipath component distance,
-per-cluster spread statistics, and the reports built from them.
+per-cluster spread statistics, and the reports built from them,
+including the omnidirectional PDP of directional scans.
 
-Everything here consumes plain arrays, one entry per component or bin
-(profiles travel as a ``Pdp``), and knows nothing about the generation
-side, so the same code runs on external measurement exports.
+Everything here consumes plain arrays, one entry per component or bin,
+and knows nothing about the generation side, so the same code runs on
+external measurement exports.
 """
 
 from __future__ import annotations
@@ -21,77 +21,6 @@ import numpy as np
 
 from .constants import spherical_unit, wrap_deg
 from .pathloss import pl_from_pdp
-
-# ---------------------------------------------------------------------------
-# containers
-
-
-@dataclass
-class Pdp:
-    """Power-delay profile on a uniform delay grid (linear power)."""
-    delays_s: np.ndarray
-    powers: np.ndarray
-    direction: dict | None = None   # e.g. {"phi_rx_deg": 30.0, ...}
-
-    def __post_init__(self):
-        self.delays_s = np.asarray(self.delays_s, dtype=float)
-        self.powers = np.asarray(self.powers, dtype=float)
-        if self.delays_s.shape != self.powers.shape or self.delays_s.ndim != 1:
-            raise ValueError("delays_s and powers must be matching 1-D arrays")
-        if self.delays_s.size == 0:
-            raise ValueError("empty profile")
-        if np.any(np.diff(self.delays_s) <= 0):
-            raise ValueError("delays_s must be strictly increasing")
-        if np.any(self.powers < 0):
-            raise ValueError("powers must be nonnegative")
-
-
-# ---------------------------------------------------------------------------
-# PDP synthesis and cleaning
-
-
-def synth_omni(pdps: list[Pdp]) -> Pdp:
-    """Omnidirectional PDP from directional scans: per-bin maximum.
-
-    Directional sounding with horn antennas sees each path in one
-    pointing only, so the omni profile is reconstructed by taking the
-    strongest observation per delay bin across pointings.
-    """
-    if not pdps:
-        raise ValueError("need at least one directional PDP")
-    base = pdps[0].delays_s
-    for p in pdps[1:]:
-        # rtol only: the default atol would equate ns-scale delay grids
-        if (p.delays_s.shape != base.shape
-                or not np.allclose(p.delays_s, base, rtol=1e-9, atol=0.0)):
-            raise ValueError("directional PDPs must share one delay grid")
-    powers = np.max(np.stack([p.powers for p in pdps]), axis=0)
-    return Pdp(delays_s=base.copy(), powers=powers)
-
-
-class ThresholdError(ValueError):
-    """A noise threshold that removes every bin of a profile."""
-
-
-def threshold(pdp: Pdp, noise_floor: float, margin_db: float) -> Pdp:
-    """Zero out bins below noise_floor * 10^(margin_db/10).
-
-    Raises ThresholdError when the cut removes every bin, since no
-    statistic is defined on an empty profile.
-    """
-    if noise_floor < 0:
-        raise ValueError("noise_floor must be nonnegative linear power")
-    if margin_db <= 0:
-        raise ValueError("margin_db must be positive")
-    cut = noise_floor * 10.0 ** (margin_db / 10.0)
-    kept = np.where(pdp.powers >= cut, pdp.powers, 0.0)
-    if not kept.any():
-        raise ThresholdError(
-            f"noise floor {noise_floor:g} with a {margin_db:g} dB margin cuts "
-            f"at {cut:g}, above every bin (the strongest holds "
-            f"{pdp.powers.max():g})")
-    return Pdp(delays_s=pdp.delays_s.copy(), powers=kept, direction=pdp.direction)
-
 
 # ---------------------------------------------------------------------------
 # spread / K estimators
@@ -348,13 +277,19 @@ def select_n_clusters(delay_s, power, aoa_deg, zoa_deg, k_max: int = 10,
     each k from 2 to ``k_max`` (at most one below the number of
     components) and scores the weighted between/within dispersion ratio;
     returns (best_k, {k: score}, labels), the labels being those of the
-    best_k fit, i.e. what ``kpower_means`` returns for best_k.
+    best_k fit, i.e. what ``kpower_means`` returns for best_k. Fewer than
+    3 components, or a ``k_max`` below 2, leave no k to score and are a
+    ValueError.
     """
     E = mcd_embedding(delay_s, aoa_deg, zoa_deg, delay_weight)
+    n = E.shape[0]
+    if n < 3 or k_max < 2:
+        raise ValueError(f"selecting a cluster count needs at least 3 "
+                         f"components and k_max of at least 2, got {n} "
+                         f"components and k_max={k_max}")
     w = np.asarray(power, dtype=float)
     gmean = (w[:, None] * E).sum(axis=0) / w.sum()
     total = float((w * ((E - gmean) ** 2).sum(axis=1)).sum())
-    n = E.shape[0]
     scores = {}
     labels = {}
     for k in range(2, min(k_max, n - 1) + 1):
@@ -495,37 +430,67 @@ def analyze_mpcs(drop, delay_s, power, aoa_deg, zoa_deg, cluster,
     return report, per_drop
 
 
+class ThresholdError(ValueError):
+    """A noise threshold that removes every bin of a profile."""
+
+
 def analyze_pdp(directions: dict, delay_s, power, distance_m, noise_floor,
                 margin_db) -> dict:
-    """Report of power-delay bins. ``directions`` maps pointing columns
-    to per-bin angles (empty for one profile); bins that share every
-    angle form one directional PDP, the PDPs merge by ``synth_omni``, and
-    a ``noise_floor`` (or None) thresholds the result. The path loss is
-    reported for a profile taken at a known ``distance_m`` (or None)."""
-    delay_s, power = np.asarray(delay_s), np.asarray(power)
-    groups = {}
-    keys = list(zip(*directions.values())) or [()] * delay_s.size
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    pdps = []
-    for key in sorted(groups):
-        t, p = delay_s[groups[key]], power[groups[key]]
-        order = np.argsort(t)
-        pdps.append(Pdp(t[order], p[order],
-                        direction=dict(zip(directions, key)) or None))
-    omni = synth_omni(pdps) if len(pdps) > 1 else pdps[0]
+    """Report of power-delay bins, one array entry per bin (linear power).
+
+    ``directions`` maps pointing columns to per-bin angles (empty for one
+    profile); bins that share every angle form one directional PDP, in
+    which no delay repeats. Every pointing must cover one delay grid. A
+    horn sees each path in one pointing only, so the omni profile takes
+    the strongest pointing per delay bin. A ``noise_floor`` (or None)
+    zeroes the omni bins below noise_floor * 10^(margin_db/10), and a cut
+    above every bin is a ThresholdError. The path loss is reported for a
+    profile taken at a known ``distance_m`` (or None).
+    """
+    t, p = np.asarray(delay_s, dtype=float), np.asarray(power, dtype=float)
+    if (t.ndim != 1 or t.size == 0 or p.shape != t.shape
+            or any(np.shape(v) != t.shape for v in directions.values())):
+        raise ValueError("delay_s, power and every direction must be "
+                         "matching non-empty 1-D arrays")
+    if np.any(p < 0):
+        raise ValueError("power must be nonnegative")
+    if noise_floor is not None and noise_floor < 0:
+        raise ValueError("noise_floor must be nonnegative linear power")
+    if noise_floor is not None and margin_db <= 0:
+        raise ValueError("margin_db must be positive")
+    # (pointing, bin) matrices: pointings in sorted order, bins by delay
+    keys = list(zip(*directions.values())) or [()] * t.size
+    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+    pointing = np.array([rank[key] for key in keys])
+    order = np.lexsort((t, pointing))
+    t, pointing = t[order], pointing[order]
+    if np.any((np.diff(t) <= 0) & (pointing[1:] == pointing[:-1])):
+        raise ValueError("a delay repeats within one pointing")
+    n_bins = t.size // len(rank)
+    T = t.reshape(-1, n_bins) if np.all(np.bincount(pointing) == n_bins) else None
+    # rtol only: the default atol would equate ns-scale delay grids
+    if T is None or not np.allclose(T, T[0], rtol=1e-9, atol=0.0):
+        raise ValueError("directional PDPs must share one delay grid")
+    P = p[order].reshape(-1, n_bins)
+    omni = P.max(axis=0)
     if noise_floor is not None:
-        omni = threshold(omni, noise_floor, margin_db)
+        cut = noise_floor * 10.0 ** (margin_db / 10.0)
+        omni = np.where(omni >= cut, omni, 0.0)
+        if not omni.any():
+            raise ThresholdError(
+                f"noise floor {noise_floor:g} with a {margin_db:g} dB margin "
+                f"cuts at {cut:g}, above every bin (the strongest holds "
+                f"{P.max():g})")
     report = {
         "kind": "pdp",
-        "n_directions": len(pdps),
-        "ds_ns": round(rms_ds(omni.delays_s, omni.powers) * 1e9, 6),
-        "k_db": round(k_factor(omni.powers[omni.powers > 0]), 6),
+        "n_directions": len(rank),
+        "ds_ns": round(rms_ds(T[0], omni) * 1e9, 6),
+        "k_db": round(k_factor(omni[omni > 0]), 6),
     }
-    if "phi_rx_deg" in directions and len(pdps) > 1:
-        az = np.array([p.direction["phi_rx_deg"] for p in pdps])
-        pw = np.array([p.powers.sum() for p in pdps])
-        report["asa_deg"] = round(asa(az, pw), 6)
+    if "phi_rx_deg" in directions and len(rank) > 1:
+        # each pointing's azimuth, weighted by the pointing's total power
+        j = list(directions).index("phi_rx_deg")
+        report["asa_deg"] = round(asa([key[j] for key in rank], P.sum(axis=1)), 6)
     if distance_m is not None:
         report["pl_db"] = round(pl_from_pdp(omni), 6)
         report["distance_m"] = distance_m

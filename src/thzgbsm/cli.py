@@ -401,6 +401,8 @@ def cmd_capacity(parser, args) -> int:
         parser.error("--snr: no points given")
     if np.any(np.diff(snr) <= 0):
         parser.error("--snr: points must strictly increase")
+    if args.bandwidth_hz <= 0:
+        parser.error("--bandwidth-hz: must be positive")
     sources = ("measured", "3gpp") if args.source == "both" else (args.source,)
 
     runs = {src: _resolve_params(parser, args, source=src) for src in sources}

@@ -93,7 +93,6 @@ class ChannelRealization:
     """Tapped-delay-line MIMO channel: amps are (tap, rx, tx)."""
     delays_s: np.ndarray
     amps: np.ndarray
-    wavelength_m: float
 
     @property
     def n_taps(self) -> int:
@@ -157,8 +156,7 @@ def assemble_cir(cs: ClusterSet, rx_array: AntennaArray, tx_array: AntennaArray,
     start = np.flatnonzero(np.concatenate([[True], tap[1:] != tap[:-1]]))
     stop = np.append(start[1:], tap.size)
     amps = np.stack([a_rx[:, i:j] @ a_tx[:, i:j].T for i, j in zip(start, stop)])
-    return ChannelRealization(delays_s=delay[order][start], amps=amps,
-                              wavelength_m=wavelength_m)
+    return ChannelRealization(delays_s=delay[order][start], amps=amps)
 
 
 def cir_to_ctf(cr: ChannelRealization, freqs_hz) -> np.ndarray:

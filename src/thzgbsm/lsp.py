@@ -34,9 +34,6 @@ class LspRealization:
     sf_db: np.ndarray
     k_db: np.ndarray | None = None   # None for NLoS sets
 
-    def __len__(self) -> int:
-        return len(self.ds_s)
-
     def row(self, i: int) -> dict:
         return {
             "ds_s": float(self.ds_s[i]),

@@ -32,13 +32,13 @@ def umi_nlos_3gpp_pl_db(d_m, sf_db=0.0) -> np.ndarray | float:
     return float(out) if np.isscalar(d_m) and np.isscalar(sf_db) else out
 
 
-def pl_from_pdp(pdp) -> float:
+def pl_from_pdp(powers) -> float:
     """Path gain integration: loss = -10 log10(sum of linear powers) in dB.
 
     The profile must be calibrated so bin powers are absolute linear
     path gains.
     """
-    total = float(np.asarray(pdp.powers, dtype=float).sum())
+    total = float(np.asarray(powers, dtype=float).sum())
     if total <= 0:
         raise ValueError("profile has no positive power")
     return float(-10.0 * np.log10(total))

@@ -5,10 +5,10 @@ from numpy.testing import assert_allclose
 
 from thzgbsm import analysis
 from thzgbsm.analysis import (
-    MAX_ITER, N_INIT, KPowerMeans, Pdp, analyze_mpcs, cluster_stats,
-    cross_corr, fit_lognormal, fit_normal, k_factor, kpower_means,
-    lsp_cross_corr, mcd_embedding, rms_ds, asa, select_n_clusters, synth_omni,
-    threshold)
+    MAX_ITER, N_INIT, KPowerMeans, ThresholdError, analyze_mpcs, analyze_pdp,
+    cluster_stats, cross_corr, fit_lognormal, fit_normal, k_factor,
+    kpower_means, lsp_cross_corr, mcd_embedding, rms_ds, asa,
+    select_n_clusters)
 from thzgbsm.clusters import build_drop
 from thzgbsm.params import load_params
 
@@ -87,44 +87,78 @@ def test_k_factor_infinite_policy():
     assert k_factor([1.0, 0.0, 0.0]) == np.inf
 
 
-# --- PDP containers and synthesis ---
+# --- power-delay profiles ---
+
+def _pdp(delay_s, power, directions=None, noise_floor=None, margin_db=6.0):
+    return analyze_pdp(directions or {}, delay_s, power, 1.0, noise_floor,
+                       margin_db)
+
+
+def _omni_report(delay_s, omni):
+    """The report fields analyze_pdp derives from an omni profile."""
+    omni = np.asarray(omni, dtype=float)
+    return {"ds_ns": round(rms_ds(delay_s, omni) * 1e9, 6),
+            "k_db": round(k_factor(omni), 6),
+            "pl_db": round(-10.0 * np.log10(omni.sum()), 6)}
+
 
 def test_pdp_validates_delays():
-    with pytest.raises(ValueError):
-        Pdp(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        Pdp(np.array([1e-9, 0.0]), np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        Pdp(np.array([0.0, 1e-9]), np.array([1.0, -1.0]))
+    with pytest.raises(ValueError, match="repeats within one pointing"):
+        _pdp([0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="repeats within one pointing"):
+        _pdp([0.0, 1e-9, 0.0, 1e-9], [1.0, 0.5, 0.3, 0.2],
+             {"phi_rx_deg": [0.0, 0.0, 90.0, 0.0]})
+    with pytest.raises(ValueError, match="nonnegative"):
+        _pdp([0.0, 1e-9], [1.0, -1.0])
+    # an unsorted pointing is read in delay order
+    assert _pdp([2e-9, 0.0, 1e-9], [0.1, 1.0, 0.5]) == _pdp(
+        [0.0, 1e-9, 2e-9], [1.0, 0.5, 0.1])
+    for delay_s, power, dirs in (([], [], None), ([0.0, 1e-9], [1.0], None),
+                                 ([[0.0, 1e-9]], [[1.0, 0.5]], None),
+                                 ([0.0, 1e-9], [1.0, 0.5],
+                                  {"phi_rx_deg": [0.0]})):
+        with pytest.raises(ValueError, match="matching non-empty 1-D"):
+            _pdp(delay_s, power, dirs)
 
 
 def test_synth_omni_takes_per_bin_max():
-    d = np.array([0.0, 1e-9, 2e-9])
-    a = Pdp(d, np.array([1.0, 0.2, 0.0]), direction={"phi_rx_deg": 0.0})
-    b = Pdp(d, np.array([0.3, 0.5, 0.1]), direction={"phi_rx_deg": 90.0})
-    omni = synth_omni([a, b])
-    assert_allclose(omni.powers, [1.0, 0.5, 0.1])
+    d = [0.0, 1e-9, 2e-9]
+    rep = _pdp(d * 2, [1.0, 0.2, 0.0, 0.3, 0.5, 0.1],
+               {"phi_rx_deg": [0.0] * 3 + [90.0] * 3})
+    assert rep["n_directions"] == 2
+    assert {k: rep[k] for k in ("ds_ns", "k_db", "pl_db")} == _omni_report(
+        d, [1.0, 0.5, 0.1])
+    # ASA weighs each pointing azimuth by the pointing's total power
+    assert rep["asa_deg"] == round(asa([0.0, 90.0], [1.2, 0.9]), 6)
 
 
 def test_synth_omni_requires_shared_grid():
-    a = Pdp(np.array([0.0, 1e-9]), np.array([1.0, 0.5]))
-    b = Pdp(np.array([0.0, 2e-9]), np.array([1.0, 0.5]))
-    with pytest.raises(ValueError):
-        synth_omni([a, b])
+    dirs = {"phi_rx_deg": [0.0, 0.0, 90.0, 90.0]}
+    with pytest.raises(ValueError, match="share one delay grid"):
+        _pdp([0.0, 1e-9, 0.0, 2e-9], [1.0, 0.5, 1.0, 0.5], dirs)
+    # a grid that differs by its bin count
+    with pytest.raises(ValueError, match="share one delay grid"):
+        _pdp([0.0, 1e-9, 2e-9, 0.0], [1.0, 0.5, 0.2, 1.0], dirs)
+    # grids that agree to rtol 1e-9 are one grid
+    _pdp([0.0, 1e-9, 0.0, 1e-9 * (1 + 1e-12)], [1.0, 0.5, 1.0, 0.5], dirs)
 
 
 def test_threshold_cuts_noise():
-    p = Pdp(np.array([0.0, 1e-9, 2e-9]), np.array([1.0, 1e-4, 1e-7]))
-    out = threshold(p, noise_floor=1e-6, margin_db=6.0)
+    d = [0.0, 1e-9, 2e-9]
+    rep = _pdp(d, [1.0, 1e-4, 1e-7], noise_floor=1e-6, margin_db=6.0)
     # floor * 4 (6 dB) removes the 1e-7 bin only
-    assert_allclose(out.powers, [1.0, 1e-4, 0.0])
+    assert {k: rep[k] for k in ("ds_ns", "k_db", "pl_db")} == _omni_report(
+        d, [1.0, 1e-4, 0.0])
+    with pytest.raises(ValueError, match="noise_floor must be nonnegative"):
+        _pdp(d, [1.0, 1e-4, 1e-7], noise_floor=-1.0)
+    with pytest.raises(ValueError, match="margin_db must be positive"):
+        _pdp(d, [1.0, 1e-4, 1e-7], noise_floor=1e-6, margin_db=0.0)
 
 
 def test_threshold_raises_when_everything_cut():
-    p = Pdp(np.array([0.0, 1e-9]), np.array([1e-9, 1e-9]))
-    with pytest.raises(ValueError, match=r"noise floor 1 with a 6 dB margin "
-                       r"cuts at 3\.98107, above every bin"):
-        threshold(p, noise_floor=1.0, margin_db=6.0)
+    with pytest.raises(ThresholdError, match=r"noise floor 1 with a 6 dB "
+                       r"margin cuts at 3\.98107, above every bin"):
+        _pdp([0.0, 1e-9], [1e-9, 1e-9], noise_floor=1.0, margin_db=6.0)
 
 
 # --- distribution fits ---
@@ -386,6 +420,15 @@ def test_select_n_clusters_embeds_once(monkeypatch):
     monkeypatch.setattr(analysis, "mcd_embedding", counted)
     select_n_clusters(*mpcs, k_max=6)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(("n", "k_max"), [(2, 10), (3, 1)])
+def test_select_n_clusters_without_a_k_to_score_names_the_cause(n, k_max):
+    t = np.arange(n) * 1e-9
+    with pytest.raises(ValueError, match=f"at least 3 components and k_max "
+                       f"of at least 2, got {n} components and k_max={k_max}"):
+        select_n_clusters(t, np.ones(n), np.arange(n) * 30.0,
+                          np.full(n, 90.0), k_max=k_max)
 
 
 @pytest.mark.parametrize("seed", [9, 21])

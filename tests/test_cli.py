@@ -449,6 +449,34 @@ def test_analyze_writes_what_the_library_returns(tmp_path, recluster):
         [_fmt(v) for v in col] for col in per_drop.values()]
 
 
+def test_analyze_pdp_writes_what_the_library_returns(tmp_path):
+    """analysis.analyze_pdp on arrays gives the report that analyze
+    writes for the same rows."""
+    rng = np.random.default_rng(3)
+    dirs = {"phi_rx_deg": np.repeat([0.0, 90.0, 180.0], 6),
+            "theta_rx_deg": np.full(18, 90.0)}
+    delay_ns = np.tile(np.arange(6) * 2.5, 3)
+    power = rng.lognormal(-4.0, 1.5, 18)
+    order = rng.permutation(18)         # rows in no particular order
+    src = tmp_path / "pdp.csv"
+    with open(src, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow([*dirs, "delay_ns", "power_linear", "distance_m"])
+        w.writerows(zip(*(v[order].tolist()
+                          for v in (*dirs.values(), delay_ns, power)),
+                        [12.5] * 18))
+    out = tmp_path / "rep"
+    assert main(["analyze", "--input", str(src), "--noise-floor", "1e-3",
+                 "--margin-db", "3", "--out", str(out)]) == 0
+
+    report = analysis.analyze_pdp(dirs, delay_ns * 1e-9, power, 12.5, 1e-3,
+                                  3.0)
+    written = yaml.safe_load((out / "report.yaml").read_text())
+    assert written.pop("input") == "pdp.csv"
+    assert written == report
+    assert {"asa_deg", "pl_db"} <= set(report)
+
+
 def test_roundtrip_cli_pass_and_exit_codes(tmp_path, capsys):
     out = tmp_path / "rt"
     rc = main(["roundtrip", "--scenario", "office", "--condition", "los",
@@ -557,11 +585,13 @@ def test_non_finite_float_option_exits_2(tmp_path, capsys, argv):
     ["analyze", "--input", "in.csv", "--noise-floor", "1e-6",
      "--margin-db", "0"],
     ["analyze", "--input", "in.csv", "--recluster", "--delay-weight", "-8"],
+    ["capacity", "--scenario", "umi", "--bandwidth-hz", "0"],
+    ["capacity", "--scenario", "umi", "--bandwidth-hz=-1e9"],
 ], ids=["simulate-drops", "roundtrip-drops", "simulate-workers-0",
         "roundtrip-workers-negative", "grid-step-zero",
         "grid-step-above-half-corr-dist", "tol-log10-negative",
         "tol-k-db-negative", "noise-floor-negative", "margin-db-zero",
-        "delay-weight-negative"])
+        "delay-weight-negative", "bandwidth-hz-zero", "bandwidth-hz-negative"])
 def test_bad_argument_exits_2_before_creating_out(tmp_path, monkeypatch,
                                                   capsys, argv):
     # a valid profile, so that only the option can be at fault
@@ -571,7 +601,8 @@ def test_bad_argument_exits_2_before_creating_out(tmp_path, monkeypatch,
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(out)])
     assert exc.value.code == 2
-    assert [a for a in argv if a.startswith("--")][-1] in capsys.readouterr().err
+    option = [a for a in argv if a.startswith("--")][-1].split("=")[0]
+    assert option in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -261,7 +261,7 @@ def _tap_cr(delays, amp_per_tap):
     t = len(delays)
     amps = np.asarray(amp_per_tap, dtype=complex).reshape(t, 1, 1)
     return ChannelRealization(delays_s=np.asarray(delays, dtype=float),
-                              amps=amps, wavelength_m=LAM)
+                              amps=amps)
 
 
 def test_cir_to_ctf_flat_for_single_zero_tap():

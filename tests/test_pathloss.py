@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from thzgbsm.analysis import Pdp
 from thzgbsm.pathloss import fspl_db, pl_from_pdp, umi_nlos_3gpp_pl_db
 
 
@@ -21,9 +20,8 @@ def test_umi_nlos_street_canyon_values():
 
 
 def test_pl_from_pdp_sums_power():
-    pdp = Pdp(np.array([0.0, 1e-9]), np.array([0.05, 0.05]))
-    pl = pl_from_pdp(pdp)
+    pl = pl_from_pdp(np.array([0.05, 0.05]))
     assert isinstance(pl, float)
     assert pl == pytest.approx(10.0)
     with pytest.raises(ValueError):
-        pl_from_pdp(Pdp(np.array([0.0]), np.array([0.0])))
+        pl_from_pdp(np.array([0.0]))
