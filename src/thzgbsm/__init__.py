@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .analysis import (KPowerMeans, asa, cluster_stats, cross_corr,
                        fit_lognormal, fit_normal, k_factor, kpower_means,
                        lsp_cross_corr, rms_ds, select_n_clusters)
-from .capacity import (CapacityExperiment, crossover_snr, gram_eigs, mimo_capacity,
+from .capacity import (CapacityExperiment, crossover_snr, gram_eigs,
                        mimo_capacity_det, run_capacity_experiment)
 from .clusters import (ClusterSet, LinkGeometry, apply_in_cluster_k,
                        build_drop, extract_drop_stats, gen_angles, gen_delays,

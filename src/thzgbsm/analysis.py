@@ -121,17 +121,18 @@ def cross_corr(columns: dict) -> tuple[list[str], np.ndarray]:
     return names, np.corrcoef(np.stack(mats))
 
 
-def lsp_cross_corr(ds_s, asa_deg, sf_db, k_db=None) -> tuple[list[str], np.ndarray]:
+def lsp_cross_corr(ds_s, asa_deg, sf_db=None, k_db=None) -> tuple[list[str], np.ndarray]:
     """Cross-correlations in the domains the parameter tables use.
 
     Spreads enter as log10, SF and K in dB. Column order matches the
-    parameter files: ds, asa, sf[, k].
+    parameter files: ds, asa[, sf][, k].
     """
     cols = {
         "ds": np.log10(np.asarray(ds_s, dtype=float)),
         "asa": np.log10(np.asarray(asa_deg, dtype=float)),
-        "sf": np.asarray(sf_db, dtype=float),
     }
+    if sf_db is not None:
+        cols["sf"] = np.asarray(sf_db, dtype=float)
     if k_db is not None:
         cols["k"] = np.asarray(k_db, dtype=float)
     return cross_corr(cols)
@@ -417,11 +418,9 @@ def analyze_mpcs(drop, delay_s, power, aoa_deg, zoa_deg, cluster,
     if counts.std() > 0:
         cmed["count_log10"] = _fit(fit_lognormal, counts)
     if aoa_deg is not None and len(rows) >= 3:
-        cols = {"ds": np.log10(ds), "asa": np.log10(asa_v)}
-        if len(k_finite) == len(rows):
-            cols["k"] = np.asarray(k_finite)
         try:
-            names, mat = cross_corr(cols)
+            names, mat = lsp_cross_corr(
+                ds, asa_v, k_db=k_finite if len(k_finite) == len(rows) else None)
         except ValueError:              # a statistic without variance
             return report, per_drop
         report["xcorr"] = {

@@ -1,11 +1,12 @@
 """MIMO capacity experiments over generated drops.
 
-Equal-power capacity of the sampled wideband channel: per drop the
-transfer function is evaluated on a tone grid, the per-tone Gram
-eigenvalues are kept, the whole experiment is normalized to a mean
-squared Frobenius norm of rx*tx elements (so SNR means per-receive-
-antenna SNR, not a per-drop gain equalization), and capacity is
-averaged over tones and drops per SNR point.
+Equal-power capacity of the sampled wideband channel from a 16x16
+transmit to a 2x2 receive array: per drop the transfer function is
+evaluated on a tone grid, the per-tone Gram eigenvalues are kept, the
+whole experiment is normalized to a mean squared Frobenius norm of
+rx*tx elements (so SNR means per-receive-antenna SNR, not a per-drop
+gain equalization), and capacity is averaged over tones and drops per
+SNR point.
 
 Transmit power splits evenly across transmit elements; no waterfilling
 anywhere. Every drop's capacity is checked to be nondecreasing in SNR.
@@ -13,12 +14,12 @@ anywhere. Every drop's capacity is checked to be nondecreasing in SNR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .clusters import build_drop, map_drops, place_user
-from .coeffs import AntennaArray, assemble_cir, cir_to_ctf, ura
+from .coeffs import assemble_cir, cir_to_ctf, ura
 from .lsp import draw_lsp_iid
 from .params import ScenarioParamSet
 
@@ -31,29 +32,8 @@ def gram_eigs(h) -> np.ndarray:
     return np.linalg.eigvalsh(h @ hh if h.shape[-2] <= h.shape[-1] else hh @ h)
 
 
-def mimo_capacity(h, rho_linear: float, m_t: int | None = None) -> float:
-    """Equal-power capacity log2 det(I + rho/M_t H H^H) in bit/s/Hz.
-
-    Computed from the Gram eigenvalues of the smaller channel side, which
-    is numerically cheaper and better conditioned than the determinant
-    for wide matrices.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim == 0:
-        h = h.reshape(1, 1)
-    if h.ndim != 2:
-        raise ValueError("h must be a 2-D channel matrix")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("channel matrix contains non-finite entries")
-    if rho_linear < 0:
-        raise ValueError("rho_linear must be nonnegative")
-    if m_t is None:
-        m_t = h.shape[1]
-    return float(capacity_from_eigs(gram_eigs(h), rho_linear, m_t))
-
-
 def mimo_capacity_det(h, rho_linear: float, m_t: int | None = None) -> float:
-    """Same capacity through the determinant; cross-check path."""
+    """Capacity log2 det(I + rho/M_t H H^H) in bit/s/Hz: the eigen path's reference."""
     h = np.asarray(h, dtype=complex)
     u, s = h.shape
     if m_t is None:
@@ -78,7 +58,6 @@ class CapacityExperiment:
     """Mean capacity curve plus the per-drop data behind it."""
     capacity_bpshz: np.ndarray          # mean over drops and tones, per SNR
     per_drop: np.ndarray                # (n_drops, n_snr)
-    meta: dict = field(default_factory=dict)
 
 
 def _drop_payload(args):
@@ -95,14 +74,12 @@ def _drop_payload(args):
 
 def run_capacity_experiment(params: ScenarioParamSet, snr_db,
                             n_drops: int = 100, seed: int = 0,
-                            mode: str = "thz-simplified",
-                            rx_array: AntennaArray | None = None,
-                            tx_array: AntennaArray | None = None,
-                            n_tones: int = 64, bandwidth_hz: float = 1e9,
+                            mode: str = "thz-simplified", n_tones: int = 64,
+                            bandwidth_hz: float = 1e9,
                             workers: int = 1) -> CapacityExperiment:
     """Generate drops and average equal-power capacity per SNR point.
 
-    Default geometry: 16x16 transmit and 2x2 receive half-wavelength
+    The arrays are 16x16 transmit and 2x2 receive half-wavelength
     rectangular arrays of single-polarized (vertical) isotropic elements.
     Per-drop seeds are spawned from one root sequence and results are
     reduced in submission order, so the outcome is independent of worker
@@ -114,21 +91,16 @@ def run_capacity_experiment(params: ScenarioParamSet, snr_db,
     snr_db = np.atleast_1d(np.asarray(snr_db, dtype=float))
     if snr_db.size == 0:
         raise ValueError("snr_db must contain at least one point")
-    wl = params.wavelength_m
-    if tx_array is None:
-        tx_array = ura(16, 16, wl / 2.0)
-    if rx_array is None:
-        rx_array = ura(2, 2, wl / 2.0)
+    half = params.wavelength_m / 2.0
+    rx, tx = ura(2, 2, half), ura(16, 16, half)
 
     seeds = np.random.SeedSequence(seed).spawn(n_drops)
     # arrays and seed sequences ride along whole (both pickle)
-    jobs = [(params, ss, mode, n_tones, bandwidth_hz, rx_array, tx_array)
-            for ss in seeds]
+    jobs = [(params, ss, mode, n_tones, bandwidth_hz, rx, tx) for ss in seeds]
     eigs = np.stack(map_drops(_drop_payload, jobs, workers))   # (drops, F, min(U, S))
 
-    m_t = tx_array.n_elements
-    m_r = rx_array.n_elements
-    eigs = eigs * ((m_t * m_r) / eigs.sum(axis=-1).mean())
+    m_t = tx.n_elements
+    eigs = eigs * ((m_t * rx.n_elements) / eigs.sum(axis=-1).mean())
 
     rho = 10.0 ** (snr_db / 10.0)
     per_drop = np.empty((n_drops, snr_db.size))
@@ -141,10 +113,8 @@ def run_capacity_experiment(params: ScenarioParamSet, snr_db,
         raise RuntimeError("capacity decreased with SNR on at least one drop; "
                            "numerical failure in the eigenvalue path")
 
-    return CapacityExperiment(
-        capacity_bpshz=per_drop.mean(axis=0), per_drop=per_drop,
-        meta={"m_t": m_t, "m_r": m_r},
-    )
+    return CapacityExperiment(capacity_bpshz=per_drop.mean(axis=0),
+                              per_drop=per_drop)
 
 
 def gap_at_snr(snr_db, curve_a, curve_b, at_db: float) -> float | None:

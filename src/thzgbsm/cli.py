@@ -7,7 +7,8 @@ outputs plus exactly one ``manifest.json`` into ``--out`` and nowhere
 else; reruns with identical arguments reproduce CSVs byte for byte,
 independent of ``--workers``.
 
-A command only parses and checks its arguments and input, calls the
+Each numeric option's range lives on its argparse type. A command
+checks its input and what needs more than one option's value, calls the
 library, which computes every statistic it reports, and writes what
 comes back. Each CSV is one ordered dict from column name to column.
 """
@@ -161,11 +162,10 @@ def _stack(tables: list[dict]) -> dict:
 
 def cmd_simulate(parser, args) -> int:
     params, pfile = _resolve_params(parser, args)
-    if args.grid_step is not None:
-        limit = min(params.corr_dist_m[n] for n in params.lsp_names) / 2.0
-        if not 0.0 < args.grid_step <= limit:
-            parser.error(f"--grid-step: must lie in (0, {limit:g}] m, half the "
-                         f"smallest correlation distance of {params.label()}")
+    limit = min(params.corr_dist_m[n] for n in params.lsp_names) / 2.0
+    if args.grid_step is not None and args.grid_step > limit:
+        parser.error(f"--grid-step: must lie in (0, {limit:g}] m, half the "
+                     f"smallest correlation distance of {params.label()}")
 
     children = np.random.SeedSequence(args.seed).spawn(2 + args.drops)
     xs, ys = place_users(params, np.random.default_rng(children[0]), args.drops)
@@ -258,14 +258,6 @@ def _labels(table, key) -> np.ndarray:
 
 
 def cmd_analyze(parser, args) -> int:
-    if args.max_clusters < 2:
-        parser.error("--max-clusters: must be at least 2")
-    if args.delay_weight < 0:
-        parser.error("--delay-weight: must not be negative")
-    if args.noise_floor is not None and args.noise_floor < 0:
-        parser.error("--noise-floor: must not be negative")
-    if args.noise_floor is not None and args.margin_db <= 0:
-        parser.error("--margin-db: must be positive with --noise-floor")
     path = Path(args.input)
     table = _read_csv(parser, path)
     lines, columns = table
@@ -338,10 +330,6 @@ def _rt_drop(job):
 
 
 def cmd_roundtrip(parser, args) -> int:
-    for opt, tol in (("--tol-log10", args.tol_log10),
-                     ("--tol-k-db", args.tol_k_db)):
-        if tol < 0:
-            parser.error(f"{opt}: must not be negative")
     params, pfile = _resolve_params(parser, args)
 
     seeds = np.random.SeedSequence(args.seed).spawn(args.drops)
@@ -349,8 +337,9 @@ def cmd_roundtrip(parser, args) -> int:
     res = np.array(map_drops(_rt_drop, [(params, ss) for ss in seeds],
                              args.workers), dtype=float)
 
-    checks = analysis.roundtrip_checks(res[:, :3], res[:, 3:],
-                                       args.tol_log10, args.tol_k_db)
+    # stdout prints the values report.yaml gets
+    checks = _no_negative_zero(analysis.roundtrip_checks(
+        res[:, :3], res[:, 3:], args.tol_log10, args.tol_k_db))
     all_ok = all(c["pass"] for c in checks)
     report = {
         "set": params.label(), "n_drops": args.drops, "seed": args.seed,
@@ -380,29 +369,8 @@ def cmd_roundtrip(parser, args) -> int:
 # capacity
 
 
-def _parse_snr(parser, spec: str) -> np.ndarray:
-    try:
-        if ":" in spec:
-            parts = [_finite_float(p) for p in spec.split(":")]
-            if len(parts) != 3:
-                raise ValueError("expected start:stop:step")
-            start, stop, step = parts
-            if step <= 0 or stop < start:
-                raise ValueError("need stop >= start and step > 0")
-            return np.arange(start, stop + step / 2.0, step)
-        return np.array([_finite_float(p) for p in spec.split(",") if p != ""])
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        parser.error(f"--snr: {exc}")
-
-
 def cmd_capacity(parser, args) -> int:
-    snr = _parse_snr(parser, args.snr)
-    if snr.size == 0:
-        parser.error("--snr: no points given")
-    if np.any(np.diff(snr) <= 0):
-        parser.error("--snr: points must strictly increase")
-    if args.bandwidth_hz <= 0:
-        parser.error("--bandwidth-hz: must be positive")
+    snr = args.snr
     sources = ("measured", "3gpp") if args.source == "both" else (args.source,)
 
     runs = {src: _resolve_params(parser, args, source=src) for src in sources}
@@ -461,20 +429,46 @@ def cmd_capacity(parser, args) -> int:
 # parser
 
 
-def _finite_float(text: str) -> float:
-    """argparse type: a float other than nan and +-inf."""
-    x = float(text)
-    if not np.isfinite(x):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
-    return x
+def _number(kind, test, reason: str):
+    """argparse type: a finite ``kind`` passing ``test``; ``reason`` names the range."""
+    def parse(text: str):
+        x = kind(text)          # a ValueError reads "invalid int value"
+        if kind is float and not np.isfinite(x):
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+        if not test(x):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {reason}")
+        return x
+    parse.__name__, parse.range = kind.__name__, reason
+    return parse
 
 
-def _count(text: str) -> int:
-    """argparse type: an integer of at least 1."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer of at least 1")
-    return n
+_COUNT = _number(int, lambda n: n >= 1, "an integer of at least 1")
+_NONNEGATIVE = _number(float, lambda x: x >= 0, "a nonnegative number")
+_POSITIVE = _number(float, lambda x: x > 0, "a positive number")
+_FINITE = _number(float, lambda x: True, "a finite number")
+
+
+def _parse_snr(text: str) -> np.ndarray:
+    """argparse type: an SNR grid in dB, start:stop:step or a comma list,
+    of finite points that strictly increase."""
+    sep = ":" if ":" in text else ","
+    try:
+        x = [_FINITE(p) for p in text.split(sep) if p != ""]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if sep == ":":
+        if len(x) != 3 or x[2] <= 0 or x[1] < x[0]:
+            raise argparse.ArgumentTypeError(
+                "expected start:stop:step with stop >= start and step > 0")
+        x = np.arange(x[0], x[1] + x[2] / 2.0, x[2])
+    if len(x) == 0:
+        raise argparse.ArgumentTypeError("no points given")
+    if np.any(np.diff(x) <= 0):
+        raise argparse.ArgumentTypeError("points must strictly increase")
+    return np.asarray(x)
+
+
+_parse_snr.range = "a nonempty, strictly increasing grid of finite numbers"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -487,9 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, drops_default):
         sp.add_argument("--out", required=True, help="output directory")
         sp.add_argument("--seed", type=int, default=0, help="master seed")
-        sp.add_argument("--drops", type=_count, default=drops_default,
+        sp.add_argument("--drops", type=_COUNT, default=drops_default,
                         help="number of independent drops")
-        sp.add_argument("--workers", type=_count, default=1,
+        sp.add_argument("--workers", type=_COUNT, default=1,
                         help="parallel worker processes")
 
     def selection(sp, condition, source, sources):
@@ -509,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write per-ray multipath components")
     sp.add_argument("--dump-cir", action="store_true",
                     help="write single-element tapped impulse responses")
-    sp.add_argument("--grid-step", type=_finite_float, default=None,
+    sp.add_argument("--grid-step", type=_POSITIVE, default=None,
                     help="field grid step in meters")
     sp.set_defaults(func=cmd_simulate)
 
@@ -518,32 +512,33 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--recluster", action="store_true",
                     help="ignore provided cluster labels and re-cluster")
-    sp.add_argument("--max-clusters", type=int, default=10)
-    sp.add_argument("--delay-weight", type=_finite_float, default=8.0)
-    sp.add_argument("--noise-floor", type=_finite_float, default=None,
+    sp.add_argument("--max-clusters", default=10, type=_number(
+        int, lambda n: n >= 2, "an integer of at least 2"))
+    sp.add_argument("--delay-weight", type=_NONNEGATIVE, default=8.0)
+    sp.add_argument("--noise-floor", type=_NONNEGATIVE, default=None,
                     help="linear noise floor for PDP thresholding")
-    sp.add_argument("--margin-db", type=_finite_float, default=6.0)
+    sp.add_argument("--margin-db", type=_POSITIVE, default=6.0)
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("roundtrip",
                         help="generate drops, re-extract, compare medians")
     selection(sp, None, "measured", SOURCES)
     common(sp, 500)
-    sp.add_argument("--tol-log10", type=_finite_float, default=0.15,
+    sp.add_argument("--tol-log10", type=_NONNEGATIVE, default=0.15,
                     help="median tolerance for log10 DS and ASA")
-    sp.add_argument("--tol-k-db", type=_finite_float, default=3.0,
+    sp.add_argument("--tol-k-db", type=_NONNEGATIVE, default=3.0,
                     help="median tolerance for the K-factor in dB")
     sp.set_defaults(func=cmd_roundtrip)
 
     sp = sub.add_parser("capacity", help="equal-power MIMO capacity curves")
     selection(sp, "los", "both", SOURCES + ("both",))
     common(sp, 100)
-    sp.add_argument("--snr", default="0:35:2.5",
+    sp.add_argument("--snr", type=_parse_snr, default="0:35:2.5",
                     help="SNR grid: start:stop:step or comma list (dB)")
     sp.add_argument("--mode", default="thz-simplified",
                     choices=("thz-simplified", "standard"))
-    sp.add_argument("--tones", type=_count, default=64)
-    sp.add_argument("--bandwidth-hz", type=_finite_float, default=1e9)
+    sp.add_argument("--tones", type=_COUNT, default=64)
+    sp.add_argument("--bandwidth-hz", type=_POSITIVE, default=1e9)
     sp.set_defaults(func=cmd_capacity)
     return p
 

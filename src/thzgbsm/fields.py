@@ -55,19 +55,16 @@ class GaussianField:
         Region (meters) the field must cover. Queries outside it raise.
     rng : numpy.random.Generator
         Source of the white noise.
-    grid_step_m : float, optional
-        Grid resolution; defaults to ``corr_dist_m / 4``. Must not
-        exceed ``corr_dist_m / 2``.
+    grid_step_m : float
+        Grid resolution; positive and at most ``corr_dist_m / 2``.
     """
 
-    def __init__(self, corr_dist_m, extent, rng, grid_step_m=None):
+    def __init__(self, corr_dist_m, extent, rng, grid_step_m):
         if corr_dist_m <= 0:
             raise ValueError("corr_dist_m must be positive")
         (xmin, xmax), (ymin, ymax) = extent
         if xmax < xmin or ymax < ymin:
             raise ValueError("extent must be non-empty")
-        if grid_step_m is None:
-            grid_step_m = corr_dist_m / 4.0
         if grid_step_m <= 0:
             raise ValueError("grid_step_m must be positive")
         if grid_step_m > corr_dist_m / 2.0 + 1e-12:

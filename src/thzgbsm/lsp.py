@@ -79,15 +79,14 @@ def generate_lsp(params: ScenarioParamSet, x_m, y_m, rng,
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x_m and y_m must be matching 1-D arrays")
     names = params.lsp_names
+    if grid_step_m is None:
+        # quarter of the smallest correlation distance keeps every field
+        # comfortably oversampled on one shared step
+        grid_step_m = min(params.corr_dist_m[n] for n in names) / 4.0
     extent = ((x.min(), x.max()), (y.min(), y.max()))
     cols = []
     for nm in names:
-        step = grid_step_m
-        if step is None:
-            # quarter of the smallest correlation distance keeps every
-            # field comfortably oversampled on a shared default
-            step = min(params.corr_dist_m[n] for n in names) / 4.0
-        f = GaussianField(params.corr_dist_m[nm], extent, rng, step)
+        f = GaussianField(params.corr_dist_m[nm], extent, rng, grid_step_m)
         cols.append(f.sample(x, y))
     z = np.column_stack(cols) @ params.mixing_matrix.T
     return LspRealization(**transform_standard_normals(params, z))

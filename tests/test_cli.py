@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 import yaml
 
 from thzgbsm import analysis
-from thzgbsm.cli import _fmt, main
+from thzgbsm.cli import _fmt, build_parser, main
 from thzgbsm.clusters import build_drop
 from thzgbsm.params import load_params
 
@@ -328,17 +329,6 @@ def test_simulate_oversized_grid_exits_1(tmp_path, capsys):
     assert not (tmp_path / "sim").exists()
 
 
-def test_analyze_max_clusters_below_two_exits_2(tmp_path):
-    src = tmp_path / "mpcs.csv"
-    src.write_text("drop,delay_ns,power,aoa_deg\n0,0,1,0\n0,5,1,90\n"
-                   "0,9,1,180\n0,12,1,-90\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["analyze", "--input", str(src), "--recluster",
-              "--max-clusters", "1", "--out", str(tmp_path / "rep")])
-    assert exc.value.code == 2
-    assert not (tmp_path / "rep").exists()
-
-
 def test_analyze_unknown_schema_exits_2_before_creating_out(tmp_path, capsys):
     src = tmp_path / "cir.csv"
     src.write_text("drop,tap,u,s,delay_ns,re,im\n0,0,0,0,1.5,1.0,0.0\n")
@@ -502,6 +492,19 @@ def test_roundtrip_report_writes_no_negative_zero(tmp_path):
     assert k["delta"] == 0.0 and not np.signbit(k["delta"])
 
 
+def test_roundtrip_prints_no_negative_zero(tmp_path, capsys):
+    # one drop: the asa medians agree, and their difference rounds to zero
+    # from below
+    out = tmp_path / "rt"
+    main(["roundtrip", "--scenario", "umi", "--condition", "nlos",
+          "--drops", "1", "--out", str(out)])
+    text = capsys.readouterr().out
+    rep = yaml.safe_load((out / "report.yaml").read_text())
+    asa, = (c for c in rep["checks"] if c["statistic"] == "asa")
+    assert asa["delta"] == 0.0
+    assert "delta=+0.0000 log10" in text and "-0.0000" not in text
+
+
 def test_roundtrip_zero_tolerance_fails(tmp_path):
     out = tmp_path / "rt0"
     rc = main(["roundtrip", "--scenario", "umi", "--condition", "los",
@@ -587,11 +590,15 @@ def test_non_finite_float_option_exits_2(tmp_path, capsys, argv):
     ["analyze", "--input", "in.csv", "--recluster", "--delay-weight", "-8"],
     ["capacity", "--scenario", "umi", "--bandwidth-hz", "0"],
     ["capacity", "--scenario", "umi", "--bandwidth-hz=-1e9"],
+    ["analyze", "--input", "in.csv", "--margin-db", "0"],
+    ["analyze", "--input", "in.csv", "--recluster", "--max-clusters", "1"],
+    ["capacity", "--scenario", "umi", "--snr", ","],
 ], ids=["simulate-drops", "roundtrip-drops", "simulate-workers-0",
         "roundtrip-workers-negative", "grid-step-zero",
         "grid-step-above-half-corr-dist", "tol-log10-negative",
         "tol-k-db-negative", "noise-floor-negative", "margin-db-zero",
-        "delay-weight-negative", "bandwidth-hz-zero", "bandwidth-hz-negative"])
+        "delay-weight-negative", "bandwidth-hz-zero", "bandwidth-hz-negative",
+        "margin-db-zero-without-noise-floor", "max-clusters-1", "snr-empty"])
 def test_bad_argument_exits_2_before_creating_out(tmp_path, monkeypatch,
                                                   capsys, argv):
     # a valid profile, so that only the option can be at fault
@@ -604,6 +611,29 @@ def test_bad_argument_exits_2_before_creating_out(tmp_path, monkeypatch,
     option = [a for a in argv if a.startswith("--")][-1].split("=")[0]
     assert option in capsys.readouterr().err
     assert not out.exists()
+
+
+# numeric options that may take any value of their type
+_UNBOUNDED_OPTIONS = {"--seed"}
+
+
+def test_every_numeric_option_declares_a_range_or_is_listed_unbounded():
+    """An option's range lives on its argparse type, which names it as
+    ``.range``; an option without a type would hand a number over as text."""
+    sub, = (a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    typed = []
+    for command, sp in sub.choices.items():
+        for action in sp._actions:
+            where = (command, action.option_strings[0])
+            if action.type is None:
+                assert (isinstance(action.default, bool)
+                        or not isinstance(action.default, (int, float))), where
+                continue
+            typed.append(where)
+            bounded = hasattr(action.type, "range")
+            assert bounded != (where[1] in _UNBOUNDED_OPTIONS), where
+    assert len(typed) == 19
 
 
 # np.interp and crossover_snr read the grid in the order given

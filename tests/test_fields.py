@@ -14,8 +14,8 @@ def _transect_autocorr(values, lag_steps):
 
 def test_field_is_reproducible():
     extent = ((0.0, 50.0), (0.0, 50.0))
-    f1 = GaussianField(5.0, extent, np.random.default_rng(3))
-    f2 = GaussianField(5.0, extent, np.random.default_rng(3))
+    f1 = GaussianField(5.0, extent, np.random.default_rng(3), 1.25)
+    f2 = GaussianField(5.0, extent, np.random.default_rng(3), 1.25)
     x = np.linspace(1.0, 49.0, 40)
     y = np.linspace(1.0, 49.0, 40)
     assert np.array_equal(f1.sample(x, y), f2.sample(x, y))
@@ -80,7 +80,7 @@ def test_field_marginals_standard_normal():
     vals = []
     for i in range(400):
         f = GaussianField(3.0, ((0.0, 12.0), (0.0, 12.0)),
-                          np.random.default_rng(i))
+                          np.random.default_rng(i), 0.75)
         vals.append(f.sample(5.3, 7.1))
     vals = np.asarray(vals, dtype=float)
     assert abs(vals.mean()) < 0.15
@@ -94,7 +94,7 @@ def test_autocorrelation_hits_one_over_e_at_corr_dist():
     n = 6000
     length = n * step
     f = GaussianField(d_corr, ((0.0, length), (0.0, 1.0)),
-                      np.random.default_rng(11))
+                      np.random.default_rng(11), d_corr / 4.0)
     x = np.arange(n) * step
     vals = f.sample(x, np.full(n, 0.5))
     rho = _transect_autocorr(vals, 2)
@@ -106,7 +106,7 @@ def test_interpolated_points_keep_unit_variance():
     vals = []
     for i in range(300):
         f = GaussianField(4.0, ((0.0, 20.0), (0.0, 20.0)),
-                          np.random.default_rng(1000 + i))
+                          np.random.default_rng(1000 + i), 1.0)
         vals.append(f.sample(10.0 + 0.5 * f.grid_step_m, 10.0 + 0.5 * f.grid_step_m))
     vals = np.asarray(vals, dtype=float)
     assert abs(vals.std() - 1.0) < 0.15
@@ -114,7 +114,7 @@ def test_interpolated_points_keep_unit_variance():
 
 def test_out_of_extent_raises():
     f = GaussianField(2.0, ((0.0, 10.0), (0.0, 10.0)),
-                      np.random.default_rng(0))
+                      np.random.default_rng(0), 0.5)
     with pytest.raises(ValueError):
         f.sample(11.0, 5.0)
     with pytest.raises(ValueError):
