@@ -86,11 +86,17 @@ def run_capacity_experiment(params: ScenarioParamSet, snr_db,
     count. All drops share one scale factor, so the scenario's gain
     spread across drops stays in the result.
     """
+    if n_drops < 1:
+        raise ValueError("n_drops must be at least 1")
     if n_tones < 1:
         raise ValueError("n_tones must be at least 1")
+    if not (np.isfinite(bandwidth_hz) and bandwidth_hz > 0):
+        raise ValueError("bandwidth_hz must be positive and finite")
     snr_db = np.atleast_1d(np.asarray(snr_db, dtype=float))
     if snr_db.size == 0:
         raise ValueError("snr_db must contain at least one point")
+    if not np.all(np.isfinite(snr_db)):
+        raise ValueError("snr_db points must be finite")
     half = params.wavelength_m / 2.0
     rx, tx = ura(2, 2, half), ura(16, 16, half)
 

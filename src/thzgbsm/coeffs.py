@@ -47,8 +47,12 @@ class AntennaArray:
 
     def __post_init__(self):
         self.positions_m = np.atleast_2d(np.asarray(self.positions_m, dtype=float))
-        if self.positions_m.shape[1] != 3:
+        if self.positions_m.ndim != 2 or self.positions_m.shape[1] != 3:
             raise ValueError("positions_m must be (n, 3)")
+        if self.positions_m.shape[0] == 0:
+            raise ValueError("positions_m must hold at least one element")
+        if not np.all(np.isfinite(self.positions_m)):
+            raise ValueError("positions_m must be finite")
 
     @property
     def n_elements(self) -> int:
@@ -67,6 +71,8 @@ def ura(n_rows: int, n_cols: int, spacing_m: float) -> AntennaArray:
     """
     if n_rows < 1 or n_cols < 1:
         raise ValueError("array dimensions must be positive")
+    if not (np.isfinite(spacing_m) and spacing_m > 0):
+        raise ValueError("spacing_m must be positive and finite")
     ys = (np.arange(n_cols) - (n_cols - 1) / 2.0) * spacing_m
     zs = (np.arange(n_rows) - (n_rows - 1) / 2.0) * spacing_m
     zz, yy = np.meshgrid(zs, ys, indexing="ij")
@@ -79,9 +85,26 @@ def ura(n_rows: int, n_cols: int, spacing_m: float) -> AntennaArray:
 
 
 def _steering(array: AntennaArray, unit_vec, wavelength_m: float):
-    """exp(+j 2 pi <p, r>/lambda) per element; unit_vec (..., 3)."""
-    phase = np.tensordot(array.positions_m, np.asarray(unit_vec), axes=([1], [-1]))
-    return np.exp(2j * np.pi * phase / wavelength_m)
+    """exp(+j 2 pi <p, r>/lambda) per element, shape (n_elements, ...);
+    unit_vec (..., 3).
+
+    The exponent is a sum over the x, y and z axes, so the phasor is the
+    product of one factor per axis, exp(j 2 pi p_axis r_axis/lambda);
+    the identity exp(a + b + c) = exp(a) exp(b) exp(c) makes this exact
+    in exact arithmetic, and in floating point it differs from the
+    direct form by a few ulps. Each axis exponentiates only its distinct
+    element coordinates and gathers them back per element, so a 16x16
+    y-z array takes 1 + 16 + 16 exponentials per direction instead of
+    256. A coordinate of 0 gives a factor of exactly 1, so a single
+    antenna at the origin steers by exactly 1.
+    """
+    u = np.asarray(unit_vec)
+    steer = 1.0
+    for axis in range(3):
+        coords, inv = np.unique(array.positions_m[:, axis], return_inverse=True)
+        phase = np.multiply.outer(coords, u[..., axis])
+        steer = steer * np.exp(2j * np.pi / wavelength_m * phase)[inv]
+    return steer
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,28 @@ def test_experiment_rejects_fewer_than_one_tone():
             run_capacity_experiment(p, snr_db=[10.0], n_drops=2, n_tones=n_tones)
 
 
+def test_experiment_rejects_fewer_than_one_drop():
+    p = load_params("office", "los", "measured")
+    for n_drops in (0, -1):
+        with pytest.raises(ValueError, match="n_drops"):
+            run_capacity_experiment(p, snr_db=[10.0], n_drops=n_drops)
+
+
+def test_experiment_rejects_non_finite_snr():
+    p = load_params("office", "los", "measured")
+    for snr_db in ([10.0, np.nan], [np.inf], [-np.inf, 0.0]):
+        with pytest.raises(ValueError, match="snr_db"):
+            run_capacity_experiment(p, snr_db=snr_db, n_drops=2)
+
+
+def test_experiment_rejects_bad_bandwidth():
+    p = load_params("office", "los", "measured")
+    for bandwidth_hz in (0.0, -1e9, np.nan, np.inf):
+        with pytest.raises(ValueError, match="bandwidth_hz"):
+            run_capacity_experiment(p, snr_db=[10.0], n_drops=2,
+                                    bandwidth_hz=bandwidth_hz)
+
+
 def test_crossover_snr_interpolates():
     snr = np.array([0.0, 10.0, 20.0])
     a = np.array([1.0, 2.0, 3.0])

@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 from thzgbsm.clusters import ClusterSet, LinkGeometry, build_drop
 from thzgbsm.coeffs import (
     SUBCLUSTER_DELAY_FACTORS, SUBCLUSTER_RAY_GROUPS, AntennaArray,
-    ChannelRealization, assemble_cir, cir_to_ctf, single_antenna, ura)
+    ChannelRealization, _steering, assemble_cir, cir_to_ctf, single_antenna,
+    ura)
 from thzgbsm.constants import spherical_unit
 from thzgbsm.params import load_params
 
@@ -44,6 +45,60 @@ def test_single_antenna():
     arr = single_antenna()
     assert arr.positions_m.shape == (1, 3)
     assert_allclose(arr.positions_m, 0.0)
+
+
+def test_ura_rejects_bad_spacing():
+    for spacing_m in (0.0, -1e-3, np.nan, np.inf):
+        with pytest.raises(ValueError, match="spacing_m"):
+            ura(2, 2, spacing_m)
+
+
+def test_antenna_array_rejects_degenerate_positions():
+    with pytest.raises(ValueError, match="at least one element"):
+        AntennaArray(np.zeros((0, 3)))
+    for bad in (np.nan, np.inf, -np.inf):
+        pos = np.zeros((2, 3))
+        pos[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            AntennaArray(pos)
+    with pytest.raises(ValueError, match=r"\(n, 3\)"):
+        AntennaArray(np.zeros((4, 2)))
+
+
+def _random_3d_array():
+    """Eight elements within two wavelengths of the origin; each axis
+    repeats some coordinates and has others distinct."""
+    rng = np.random.default_rng(3)
+    grid = rng.uniform(-2 * LAM, 2 * LAM, size=(3, 3))
+    pos = np.column_stack([rng.choice(grid[a], size=8) for a in range(3)])
+    pos[::2, 0] = rng.uniform(-2 * LAM, 2 * LAM, size=4)
+    assert all(1 < np.unique(pos[:, a]).size < 8 for a in range(3))
+    return AntennaArray(pos)
+
+
+@pytest.mark.parametrize("array", [
+    _random_3d_array(),
+    AntennaArray(np.column_stack([np.arange(5) * 0.37 * LAM, np.zeros(5),
+                                  np.zeros(5)])),
+    single_antenna(),
+    ura(3, 4, 0.5 * LAM),
+], ids=["random-3d", "line-x", "single", "ura"])
+@pytest.mark.parametrize("shape", [(), (7,), (2, 5)])
+def test_steering_matches_direct_phasor(array, shape):
+    rng = np.random.default_rng(5)
+    u = spherical_unit(rng.uniform(0, 180, shape), rng.uniform(-180, 180, shape))
+    assert u.shape == shape + (3,)
+    direct = np.exp(2j * np.pi * np.tensordot(array.positions_m, u,
+                                              axes=([1], [-1])) / LAM)
+    got = _steering(array, u, LAM)
+    assert got.shape == (array.n_elements,) + shape
+    assert_allclose(got, direct, rtol=0.0, atol=1e-12)
+
+
+def test_single_antenna_steering_is_exactly_one():
+    rng = np.random.default_rng(6)
+    u = spherical_unit(rng.uniform(0, 180, 50), rng.uniform(-180, 180, 50))
+    assert np.array_equal(_steering(single_antenna(), u, LAM), np.ones((1, 50)))
 
 
 def _hand_drop(power, los_weight, aoa, zoa, aod, zod, phase, d3_m=1.0):
