@@ -184,8 +184,11 @@ class KPowerMeans:
     per component, then read ``labels_``, ``inertia_``,
     ``objective_path_`` and ``n_iter_``.
 
-    The ``N_INIT`` restarts run as one batch in lockstep, each seeded by
-    its own child of ``SeedSequence(random_state)``. A restart stops on
+    The ``N_INIT`` restarts run as one batch in lockstep. One draw of
+    ``default_rng(random_state)`` seeds them all (``_seed_indices``): each
+    restart starts from k distinct components drawn without replacement
+    with probability proportional to weight, and at one random_state the
+    seeds for k are a prefix of those for k + 1. A restart stops on
     the first iteration whose labels repeat (``MAX_ITER`` at most) and
     leaves the batch. The first restart with the lowest objective wins,
     and ``objective_path_`` and ``n_iter_`` are that restart's.
@@ -205,34 +208,41 @@ class KPowerMeans:
         k = self.n_clusters
         if not 1 <= k <= n:
             raise ValueError(f"n_clusters must be in 1..{n}")
+        if not np.isfinite(E).all():
+            raise ValueError("E must be finite")
         w = np.asarray(sample_weight, dtype=float)
+        if not np.isfinite(w).all():
+            raise ValueError("sample_weight must be finite")
         if w.shape != (n,) or np.any(w < 0) or w.sum() <= 0:
             raise ValueError("sample_weight must be nonnegative with positive sum")
         if k > np.count_nonzero(w):
             raise ValueError(f"n_clusters={k} exceeds the number of components "
                              f"with positive weight, {np.count_nonzero(w)}")
 
-        # weight-proportional seeding over distinct points, one generator
-        # per restart
-        seeds = np.random.SeedSequence(self.random_state).spawn(N_INIT)
-        init = [np.random.default_rng(ss).choice(n, size=k, replace=False,
-                                                 p=w / w.sum()) for ss in seeds]
-        centers = E[np.array(init)]                  # (restart, k, d)
-        labels = np.full((N_INIT, n), -1)
-        paths = [[] for _ in range(N_INIT)]
+        centers = E[_seed_indices(w, k, self.random_state)]   # (restart, k, d)
+        # Labels take the narrowest unsigned type that holds k, so the
+        # label passes move bytes; k itself marks "not labeled yet".
+        cluster = np.arange(k, dtype=np.min_scalar_type(k))[:, None]
+        rank = k - cluster                   # k..1: the first minimum ranks highest
+        labels = np.full((N_INIT, n), k, dtype=cluster.dtype)
+        objective = np.empty((MAX_ITER, N_INIT))
         n_iter = np.zeros(N_INIT, dtype=int)
         active = np.arange(N_INIT)
+        ET = np.ascontiguousarray(E.T)               # (d, n)
         EW = np.column_stack([E, np.ones(n)])
+        d2_buf, sq_buf, onehot_buf = np.empty((3, N_INIT, k, n))
         for it in range(1, MAX_ITER + 1):
             # (active, k, n) squared distances, one coordinate at a time
+            d2, sq = d2_buf[:active.size], sq_buf[:active.size]
             C = centers[active, :, :, None]
-            d2 = (E[:, 0] - C[:, :, 0]) ** 2
-            for j in range(1, E.shape[1]):
-                d2 += (E[:, j] - C[:, :, j]) ** 2
-            new = d2.argmin(axis=1)
-            wd = w * d2.min(axis=1)
-            for r, obj in zip(active, wd.sum(axis=1)):
-                paths[r].append(float(obj))
+            np.square(np.subtract(ET[0], C[:, :, 0], out=d2), out=d2)
+            for j in range(1, ET.shape[0]):
+                d2 += np.square(np.subtract(ET[j], C[:, :, j], out=sq), out=sq)
+            mn = d2.min(axis=1)
+            # the first cluster at the minimum, as argmin picks it
+            new = k - ((d2 == mn[:, None]) * rank).max(axis=1)
+            wd = np.multiply(w, mn, out=mn)
+            objective[it - 1, active] = wd.sum(axis=1)
             # a restart whose labels repeat has converged and leaves
             moving = (new != labels[active]).any(axis=1)
             labels[active] = new
@@ -241,7 +251,8 @@ class KPowerMeans:
             if not active.size:
                 break
             # weighted sums and cluster weights in one matmul
-            onehot = (new[:, None, :] == np.arange(k)[:, None]) * w
+            onehot = onehot_buf[:active.size]
+            np.multiply(new[:, None, :] == cluster, w, out=onehot)
             S = onehot @ EW                          # (active, k, d + 1)
             wc = S[:, :, -1:]
             centers[active] = np.divide(S[:, :, :-1], wc, where=wc > 0,
@@ -253,12 +264,32 @@ class KPowerMeans:
                 centers[active[a], c] = E[wd[a].argmax()]
 
         # first restart with the lowest objective wins
-        best = int(np.argmin([path[-1] for path in paths]))
-        self.labels_ = labels[best].copy()
-        self.inertia_ = paths[best][-1]
-        self.objective_path_ = np.asarray(paths[best])
+        final = objective[n_iter - 1, np.arange(N_INIT)]
+        best = int(np.argmin(final))
+        self.labels_ = labels[best].astype(int)
+        self.inertia_ = float(final[best])
+        self.objective_path_ = objective[:n_iter[best], best].copy()
         self.n_iter_ = int(n_iter[best])
         return self
+
+
+def _seed_indices(w, k: int, random_state) -> np.ndarray:
+    """(N_INIT, k) initial center indices for ``KPowerMeans``, one row per
+    restart: k distinct indices drawn without replacement with
+    probability proportional to ``w``, in draw order.
+
+    One generator draws an exponential x per (restart, component), and
+    each row takes the k smallest keys x / w (Efraimidis and Spirakis,
+    "Weighted random sampling with a reservoir", 2006), the same
+    successive weighted sampling as ``Generator.choice(p=w / w.sum())``.
+    The keys are compared as log x - log w, which cannot overflow for a
+    tiny positive weight; a zero weight's key is +inf, so it is never
+    drawn while k does not exceed the number of positive weights. Seeds
+    for k are the first k columns of the seeds for k + 1.
+    """
+    log_w = np.log(w, out=np.full(w.shape, -np.inf), where=w > 0)
+    x = np.random.default_rng(random_state).standard_exponential((N_INIT, w.size))
+    return np.argsort(np.log(x) - log_w, axis=1)[:, :k]
 
 
 def kpower_means(delay_s, power, aoa_deg, zoa_deg, n_clusters: int,

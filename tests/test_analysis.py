@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -283,16 +285,59 @@ def test_kpower_means_rejects_more_clusters_than_powered_points():
         KPowerMeans(n_clusters=3).fit(_embed(x), np.array([1.0, 0, 0, 2.0, 0]))
 
 
+def test_kpower_means_rejects_non_finite_embedding():
+    e = _embed(np.column_stack([np.arange(4) * 1e-9, np.arange(4) * 30.0,
+                                np.full(4, 90.0)]))
+    e[2, 1] = np.nan
+    with pytest.raises(ValueError, match="E must be finite"):
+        KPowerMeans(n_clusters=2).fit(e, np.ones(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kpower_means_rejects_non_finite_weight(bad):
+    e = _embed(np.column_stack([np.arange(4) * 1e-9, np.arange(4) * 30.0,
+                                np.full(4, 90.0)]))
+    with pytest.raises(ValueError, match="sample_weight must be finite"):
+        KPowerMeans(n_clusters=2).fit(e, [1.0, bad, 1.0, 1.0])
+
+
+def test_seed_indices_draw_distinct_points_by_weight():
+    # 500 random states x N_INIT rows: each row's first pick is a draw
+    # from w / w.sum(), checked within 4.5 binomial standard deviations
+    w = np.array([0.0, 1.0, 2.0, 0.0, 3.0, 4.0])
+    rows = np.vstack([analysis._seed_indices(w, 4, s) for s in range(500)])
+    assert np.all(w[rows] > 0)
+    assert np.all(np.sort(rows, axis=1)[:, 1:] != np.sort(rows, axis=1)[:, :-1])
+    p = w / w.sum()
+    freq = np.bincount(rows[:, 0], minlength=w.size) / len(rows)
+    assert np.all(np.abs(freq - p) <= 4.5 * np.sqrt(p * (1 - p) / len(rows)))
+
+
+def test_seed_indices_nest_across_k():
+    w = np.random.default_rng(4).uniform(0.1, 1.0, 12)
+    for k in range(1, 12):
+        assert np.array_equal(analysis._seed_indices(w, k, 7),
+                              analysis._seed_indices(w, k + 1, 7)[:, :k])
+
+
+def test_seed_indices_draw_a_subnormal_weight_before_a_zero_one():
+    # a key x / w would overflow to inf for the subnormal weight and tie
+    # it with the zero weight
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = analysis._seed_indices(np.array([0.0, 1e-310, 1.0, 1.0]), 3, 0)
+    assert np.array_equal(np.sort(rows, axis=1), np.tile([1, 2, 3], (N_INIT, 1)))
+
+
 def _reference_restarts(e, w, k, random_state=0):
     """The scalar Lloyd loop over embedded points e, one restart after
-    another, that the lockstep fit batches. Returns ([(labels, path,
-    n_iter)] per restart, index of the first restart with the lowest
-    objective, re-seeded clusters)."""
+    another, that the lockstep fit batches, from the fit's own initial
+    centers. Returns ([(labels, path, n_iter)] per restart, index of the
+    first restart with the lowest objective, re-seeded clusters)."""
     n = e.shape[0]
     runs, reseeds = [], 0
-    for ss in np.random.SeedSequence(random_state).spawn(N_INIT):
-        rng = np.random.default_rng(ss)
-        centers = e[rng.choice(n, size=k, replace=False, p=w / w.sum())]
+    for init in analysis._seed_indices(w, k, random_state):
+        centers = e[init]
         labels = np.full(n, -1)
         path = []
         for it in range(1, MAX_ITER + 1):
