@@ -66,8 +66,7 @@ def _drop_payload(args):
     geom = place_user(params, rng)
     lsp = draw_lsp_iid(params, 1, rng).row(0)
     cs = build_drop(params, rng, geometry=geom, lsp_vals=lsp)
-    cr = assemble_cir(cs, rx, tx, params.wavelength_m,
-                      c_ds_s=params.clusters.c_ds_ns * 1e-9, mode=mode)
+    cr = assemble_cir(cs, rx, tx, mode=mode)
     freqs = np.linspace(-bandwidth_hz / 2.0, bandwidth_hz / 2.0, n_tones)
     return gram_eigs(cir_to_ctf(cr, freqs))                # (F, min(U, S))
 
@@ -134,12 +133,15 @@ def gap_at_snr(snr_db, curve_a, curve_b, at_db: float) -> float | None:
 
 def crossover_snr(snr_db, curve_a, curve_b) -> float | None:
     """First SNR where curve_a - curve_b changes sign, linearly
-    interpolated; None when the difference keeps one sign on the grid."""
+    interpolated or at the grid point where it is zero; None when it keeps
+    one sign on the grid, zeros it only touches included."""
     snr = np.asarray(snr_db, dtype=float)
     d = np.asarray(curve_a, dtype=float) - np.asarray(curve_b, dtype=float)
-    sign = np.sign(d)
-    for i in range(1, d.size):
-        if sign[i] != 0 and sign[i - 1] != 0 and sign[i] != sign[i - 1]:
-            frac = d[i - 1] / (d[i - 1] - d[i])
-            return float(snr[i - 1] + frac * (snr[i] - snr[i - 1]))
+    nz = np.flatnonzero(d)
+    for i, j in zip(nz[:-1], nz[1:]):
+        if np.sign(d[i]) != np.sign(d[j]):
+            if j > i + 1:               # d is zero from grid point i + 1 on
+                return float(snr[i + 1])
+            frac = d[i] / (d[i] - d[j])
+            return float(snr[i] + frac * (snr[j] - snr[i]))
     return None

@@ -141,9 +141,7 @@ def _sim_drop(job):
             "aod_deg": c["aod_deg"], "zod_deg": c["zod_deg"]}
     cir = None
     if want_cir:
-        cr = assemble_cir(cs, single_antenna(), single_antenna(),
-                          params.wavelength_m,
-                          c_ds_s=params.clusters.c_ds_ns * 1e-9, mode=mode)
+        cr = assemble_cir(cs, single_antenna(), single_antenna(), mode=mode)
         zeros = np.zeros(cr.n_taps, dtype=int)
         cir = {"tap": np.arange(cr.n_taps), "u": zeros, "s": zeros,
                "delay_ns": cr.delays_s * 1e9, "re": cr.amps[:, 0, 0].real,
@@ -202,16 +200,26 @@ def cmd_simulate(parser, args) -> int:
 
 def _read_csv(parser, path: Path) -> tuple[list[int], dict[str, list]]:
     """Line number of each data row and the cells of each named column;
-    a cell missing from a short row is None."""
+    a cell missing from a short row is None. A leading byte-order mark
+    is skipped; a column named twice and a row longer than the header
+    are errors."""
     if not path.is_file():
         parser.error(f"--input: file not found: {path}")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        names = reader.fieldnames
+        if names is None:
             parser.error(f"--input: {path} has no header row")
+        for i, k in enumerate(names):
+            if k in names[:i]:
+                raise ValueError(f"input line {reader.line_num}: column "
+                                 f"{k!r} is named twice in the header")
         rows = [(reader.line_num, row) for row in reader]
-    return ([line for line, _ in rows],
-            {k: [row[k] for _, row in rows] for k in reader.fieldnames})
+    for line, row in rows:
+        if None in row:     # DictReader files surplus cells under None
+            raise ValueError(f"input line {line}: {len(names) + len(row[None])}"
+                             f" cells under a header of {len(names)} columns")
+    return [line for line, _ in rows], {k: [row[k] for _, row in rows] for k in names}
 
 
 _POWER = (lambda x: x < 0, "a negative power")     # a rule for _floats

@@ -103,20 +103,19 @@ def gen_powers(delays_s, ds_s: float, r_tau: float, zeta_db: float, rng,
     return p, float(w)
 
 
-def apply_in_cluster_k(powers, n_rays: int, c_k_db: float) -> np.ndarray:
-    """Per-ray power fractions within each cluster.
+def apply_in_cluster_k(n_rays: int, c_k_db: float) -> np.ndarray:
+    """(M,) per-ray power fractions that every cluster shares.
 
     Ray 0 takes the in-cluster-K share kappa/(kappa+M-1), the remaining
-    rays split the rest evenly; every row sums to one. c_k_db = 0 gives
-    the uniform split.
+    rays split the rest evenly; the fractions sum to one. c_k_db = 0
+    gives the uniform split.
     """
-    n = len(np.atleast_1d(powers))
     if n_rays < 1:
         raise ValueError("n_rays must be at least 1")
     kappa = 10.0 ** (c_k_db / 10.0)
     fr = np.full(n_rays, 1.0 / (kappa + n_rays - 1.0))
     fr[0] = kappa / (kappa + n_rays - 1.0)
-    return np.tile(fr, (n, 1))
+    return fr
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +144,21 @@ def rescale_delays(delays_s, powers, los_weight: float,
     return np.asarray(delays_s, dtype=float) * (target_ds_s / cur)
 
 
-def composite_asa(angles_deg, ray_powers, los_weight: float,
-                  bearing_deg: float) -> float:
-    """Circular azimuth spread of all rays plus the direct path."""
+def _with_direct(angles_deg, ray_powers, los_weight: float, bearing_deg: float):
+    """Flat ray angles and powers, headed by the direct path's bearing and
+    share when the drop has one (los_weight > 0)."""
     a = np.asarray(angles_deg, dtype=float).ravel()
     p = np.asarray(ray_powers, dtype=float).ravel()
     if los_weight > 0:
-        a = np.concatenate([[bearing_deg], a])
-        p = np.concatenate([[los_weight], p])
-    return analysis.asa(a, p)
+        return np.concatenate([[bearing_deg], a]), np.concatenate([[los_weight], p])
+    return a, p
+
+
+def composite_asa(angles_deg, ray_powers, los_weight: float,
+                  bearing_deg: float) -> float:
+    """Circular azimuth spread of all rays plus the direct path."""
+    return analysis.asa(*_with_direct(angles_deg, ray_powers, los_weight,
+                                      bearing_deg))
 
 
 def _phasor_spread(ray_powers, los_weight: float):
@@ -268,12 +273,7 @@ def rescale_zenith(angles_deg, ray_powers, los_weight: float,
     only when rays were pushed past the poles.
     """
     ang = np.asarray(angles_deg, dtype=float)
-    a = ang.ravel()
-    p = np.asarray(ray_powers, dtype=float).ravel()
-    if los_weight > 0:
-        a = np.concatenate([[bearing_deg], a])
-        p = np.concatenate([[los_weight], p])
-    cur = analysis.rms_ds(a, p)
+    cur = analysis.rms_ds(*_with_direct(ang, ray_powers, los_weight, bearing_deg))
     if cur <= 0:
         return _fold_zenith(ang)
     return _fold_zenith(bearing_deg + (target_spread_deg / cur) * (ang - bearing_deg))
@@ -288,7 +288,7 @@ def _fold_zenith(z):
 # angles
 
 
-def gen_angles(powers, ray_fractions, los_weight: float, asa_deg: float,
+def gen_angles(powers, ray_powers, los_weight: float, asa_deg: float,
                zsa_deg: float, zsd_deg: float, k_db: float | None,
                params: ScenarioParamSet, geometry: LinkGeometry, rng):
     """Cluster and ray angles for one drop, spread-matched per drop.
@@ -302,15 +302,14 @@ def gen_angles(powers, ray_fractions, los_weight: float, asa_deg: float,
     (departure reuses the same azimuth statistics; zenith spreads use
     their drawn targets with a linear-std match).
 
-    Returns (aoa, aod, zoa, zod), each (n_clusters, n_rays) in degrees.
+    Returns (aoa, aod, zoa, zod), each shaped like ray_powers, in degrees.
     """
     p = np.asarray(powers, dtype=float)
     n = p.size
-    m = ray_fractions.shape[1]
+    m = ray_powers.shape[1]
     ratio = p / p.max()
     cp = c_phi(n, k_db)
     ct = c_theta(n, k_db)
-    ray_p = (1.0 - los_weight) * p[:, None] * ray_fractions
 
     def plane(rescale, bearing, center_dev, spread, c_spread):
         # random sign flips and N(0, spread/7) jitter about the bearing,
@@ -320,7 +319,7 @@ def gen_angles(powers, ray_fractions, los_weight: float, asa_deg: float,
         centers = x * center_dev + y + bearing
         offs = c_spread * ray_offsets(m)
         perm = rng.permuted(np.tile(np.arange(m), (n, 1)), axis=1)
-        return rescale(centers[:, None] + offs[perm], ray_p, los_weight,
+        return rescale(centers[:, None] + offs[perm], ray_powers, los_weight,
                        bearing, spread)
 
     phi_c = 2.0 * (asa_deg / 1.4) * np.sqrt(-np.log(ratio)) / cp
@@ -341,17 +340,19 @@ def gen_angles(powers, ray_fractions, los_weight: float, asa_deg: float,
 
 @dataclass
 class ClusterSet:
-    """One channel drop: everything the coefficient assembly needs."""
+    """One channel drop, the whole of what ``assemble_cir`` reads."""
     delays_s: np.ndarray          # (N,), sorted, first is 0 (excess delay)
     powers: np.ndarray            # (N,), normalized cluster powers, sum 1
     los_weight: float             # direct-path share, K/(K+1); 0 for NLoS
-    ray_fractions: np.ndarray     # (N, M), rows sum to 1
+    ray_powers: np.ndarray        # (N, M); with los_weight they sum to 1
     aoa_deg: np.ndarray           # (N, M)
     aod_deg: np.ndarray
     zoa_deg: np.ndarray
     zod_deg: np.ndarray
     phases: np.ndarray            # (N, M), radians in [-pi, pi)
     geometry: LinkGeometry
+    wavelength_m: float           # its parameter set's carrier wavelength
+    c_ds_s: float                 # and intra-cluster delay spread
     lsp: dict                     # drawn values this drop realizes
 
     @property
@@ -360,47 +361,32 @@ class ClusterSet:
 
     @property
     def n_rays(self) -> int:
-        return self.ray_fractions.shape[1]
-
-    def ray_powers(self) -> np.ndarray:
-        """(N, M) absolute ray powers; together with the direct share
-        they sum to one."""
-        return (1.0 - self.los_weight) * self.powers[:, None] * self.ray_fractions
+        return self.ray_powers.shape[1]
 
     def mpc_arrays(self) -> dict:
-        """Flat per-component arrays, direct path first when present.
+        """Flat per-component columns, direct path first when present.
 
         Cluster index 0 marks the direct path; generated clusters are
-        numbered from 1. Ray index within the direct path is 0.
+        numbered from 1. The direct path has ray index 0 and the carrier
+        phase -2 pi d3/lambda; the rays carry their drawn phases.
         """
-        rp = self.ray_powers()
-        n, m = rp.shape
-        cl = np.repeat(np.arange(1, n + 1), m)
-        ray = np.tile(np.arange(m), n)
-        cols = {
-            "cluster": cl,
-            "ray": ray,
-            "delay_s": np.repeat(self.delays_s, m),
-            "power": rp.ravel(),
-            "aoa_deg": self.aoa_deg.ravel(),
-            "zoa_deg": self.zoa_deg.ravel(),
-            "aod_deg": self.aod_deg.ravel(),
-            "zod_deg": self.zod_deg.ravel(),
+        g = self.geometry
+        n, m = self.ray_powers.shape
+        pairs = {   # column: (direct-path value, per-ray values)
+            "cluster": (0, np.repeat(np.arange(1, n + 1), m)),
+            "ray": (0, np.tile(np.arange(m), n)),
+            "delay_s": (0.0, np.repeat(self.delays_s, m)),
+            "power": (self.los_weight, self.ray_powers.ravel()),
+            "phase": (-2.0 * np.pi * g.d3_m / self.wavelength_m,
+                      self.phases.ravel()),
+            "aoa_deg": (g.aoa_los_deg, self.aoa_deg.ravel()),
+            "zoa_deg": (g.zoa_los_deg, self.zoa_deg.ravel()),
+            "aod_deg": (g.aod_los_deg, self.aod_deg.ravel()),
+            "zod_deg": (g.zod_los_deg, self.zod_deg.ravel()),
         }
         if self.los_weight > 0:
-            g = self.geometry
-            head = {
-                "cluster": np.array([0]),
-                "ray": np.array([0]),
-                "delay_s": np.array([0.0]),
-                "power": np.array([self.los_weight]),
-                "aoa_deg": np.array([g.aoa_los_deg]),
-                "zoa_deg": np.array([g.zoa_los_deg]),
-                "aod_deg": np.array([g.aod_los_deg]),
-                "zod_deg": np.array([g.zod_los_deg]),
-            }
-            cols = {k: np.concatenate([head[k], v]) for k, v in cols.items()}
-        return cols
+            return {k: np.concatenate([[d], r]) for k, (d, r) in pairs.items()}
+        return {k: r for k, (_, r) in pairs.items()}
 
 
 def extract_drop_stats(cs: ClusterSet) -> dict:
@@ -444,20 +430,22 @@ def build_drop(params: ScenarioParamSet, rng, geometry: LinkGeometry | None = No
     powers, w = gen_powers(delays, ds, sup.r_tau, sup.per_cluster_shadow_db,
                            rng, k_lin)
     delays = rescale_delays(delays, powers, w, ds)
-    fractions = apply_in_cluster_k(powers, params.clusters.rays,
-                                   params.clusters.c_k_db)
+    ray_p = ((1.0 - w) * powers[:, None]
+             * apply_in_cluster_k(params.clusters.rays, params.clusters.c_k_db))
     zsa = 10.0 ** (sup.zsa_log10deg.mu
                    + sup.zsa_log10deg.sigma * rng.standard_normal())
     zsd = 10.0 ** (sup.zsd_log10deg.mu
                    + sup.zsd_log10deg.sigma * rng.standard_normal())
-    aoa, aod, zoa, zod = gen_angles(powers, fractions, w, lsp_vals["asa_deg"],
+    aoa, aod, zoa, zod = gen_angles(powers, ray_p, w, lsp_vals["asa_deg"],
                                     zsa, zsd, k_db, params, geometry, rng)
     phases = rng.uniform(-np.pi, np.pi, (n, params.clusters.rays))
 
-    return ClusterSet(delays_s=delays, powers=powers, los_weight=w,
-                      ray_fractions=fractions, aoa_deg=aoa, aod_deg=aod,
-                      zoa_deg=zoa, zod_deg=zod, phases=phases,
-                      geometry=geometry, lsp={**lsp_vals, "k_db": k_db})
+    return ClusterSet(delays_s=delays, powers=powers, los_weight=w, ray_powers=ray_p,
+                      aoa_deg=aoa, aod_deg=aod, zoa_deg=zoa, zod_deg=zod,
+                      phases=phases, geometry=geometry,
+                      wavelength_m=params.wavelength_m,
+                      c_ds_s=params.clusters.c_ds_ns * 1e-9,
+                      lsp={**lsp_vals, "k_db": k_db})
 
 
 def map_drops(fn, jobs, workers: int = 1) -> list:

@@ -4,7 +4,9 @@ Drops become MIMO channel matrices here. Arrays are made of
 single-polarized (vertical) isotropic elements, so every ray, the direct
 path included, contributes one complex amplitude times array steering
 phases at both ends; ``assemble_cir`` evaluates that one kernel for all
-rays of a drop at once. Rays sum within a tap; taps are
+rows of a drop's component table (``ClusterSet.mpc_arrays``) at once,
+reading power, phase, delay and angles from it and wavelength and
+intra-cluster delay spread from the drop. Rays sum within a tap; taps are
 either one per cluster ("thz-simplified", suited to sparse THz clusters
 whose intra-cluster delay spread is far below typical sounding
 resolution) or the standard form where the two strongest clusters split
@@ -14,7 +16,7 @@ Conventions: zenith is measured from +z, azimuth from +x in the x-y
 plane; arrival angles point from the receiver toward the source of the
 wave, departure angles from the transmitter toward the scatterer. A
 scattered ray carries its random phase, the direct path the carrier
-phase of the 3D distance.
+phase -2 pi d3/lambda of the 3D distance (its phase-column entry).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clusters import ClusterSet
-from .constants import SPEED_OF_LIGHT, spherical_unit
+from .constants import spherical_unit
 
 # Sub-tap structure for the standard (split) mode: delay offsets in units
 # of the intra-cluster delay spread, and fixed zero-based ray groups.
@@ -127,51 +129,44 @@ class ChannelRealization:
 
 
 def assemble_cir(cs: ClusterSet, rx_array: AntennaArray, tx_array: AntennaArray,
-                 wavelength_m: float, *, c_ds_s: float,
-                 mode: str = "thz-simplified") -> ChannelRealization:
+                 *, mode: str = "thz-simplified") -> ChannelRealization:
     """Tapped channel realization from one drop.
 
     Every component of ``cs.mpc_arrays()``, the direct path included,
-    goes through one kernel: the square root of its power times a unit
-    phasor times the rx and tx steering phases (positive-exponent
-    convention at both ends). A scattered ray's phasor is exp(j phase)
-    of its drawn phase. The direct path, cluster 0 of the component list
-    when the drop carries one, has phasor exp(-j 2 pi d3/lambda) and a
-    tap of its own at zero excess delay.
+    goes through one kernel: the square root of its power times
+    exp(j phase) of its phase column times the rx and tx steering phases
+    at the drop's wavelength (positive-exponent convention at both ends).
+    The direct path, cluster 0 when the drop carries one, has a tap of
+    its own at zero excess delay.
 
     Each component is assigned a tap and a tap sums its components. mode
     "thz-simplified" gives every cluster one tap; mode "standard" splits
     the two strongest clusters into three sub-taps of fixed ray groups at
-    delay offsets scaled by c_ds_s, the intra-cluster delay spread in
-    seconds. Drops with fewer than two clusters, or too few rays for a
-    sub-group, degrade gracefully to fewer taps. Total tap power is
+    delay offsets scaled by the drop's intra-cluster delay spread
+    ``cs.c_ds_s``. Drops with fewer than two clusters, or too few rays
+    for a sub-group, degrade gracefully to fewer taps. Total tap power is
     identical between the modes. Taps come out in stable delay order,
     the direct tap first among the zero-delay ones.
     """
     if mode not in ("thz-simplified", "standard"):
         raise ValueError(f"unknown mode {mode!r}")
     cols = cs.mpc_arrays()
-    n, m = cs.ray_fractions.shape
-    sub = np.zeros((n, m), dtype=int)     # sub-tap of each ray in its cluster
-    if mode == "standard" and n >= 2:
-        strongest = np.argsort(cs.powers)[::-1][:2]
+    cluster, ray = cols["cluster"], cols["ray"]
+    sub = np.zeros(cluster.size, dtype=int)   # sub-tap of each component
+    if mode == "standard" and cs.n_clusters >= 2:
+        split = np.isin(cluster, 1 + np.argsort(cs.powers)[::-1][:2])
         for k, group in enumerate(SUBCLUSTER_RAY_GROUPS):
-            sub[np.ix_(strongest, [r for r in group if r < m])] = k
-    # the direct path heads the component list, as cluster 0
-    head = np.count_nonzero(cols["cluster"] == 0)
-    sub = np.concatenate([np.zeros(head, dtype=int), sub.ravel()])
-    carrier = -2.0 * np.pi * cs.geometry.d3_m / wavelength_m
-    phase = np.concatenate([np.full(head, carrier), cs.phases.ravel()])
-    coeff = np.sqrt(cols["power"]) * np.exp(1j * phase)
+            sub[split & np.isin(ray, group)] = k
+    coeff = np.sqrt(cols["power"]) * np.exp(1j * cols["phase"])
     # tap index 3 * cluster + sub-tap: the direct tap sorts first among
     # equal delays
-    tap = 3 * cols["cluster"] + sub
-    delay = cols["delay_s"] + np.take(SUBCLUSTER_DELAY_FACTORS, sub) * c_ds_s
+    tap = 3 * cluster + sub
+    delay = cols["delay_s"] + np.take(SUBCLUSTER_DELAY_FACTORS, sub) * cs.c_ds_s
 
     zoa, aoa = cols["zoa_deg"], cols["aoa_deg"]
     zod, aod = cols["zod_deg"], cols["aod_deg"]
-    a_rx = coeff * _steering(rx_array, spherical_unit(zoa, aoa), wavelength_m)
-    a_tx = _steering(tx_array, spherical_unit(zod, aod), wavelength_m)
+    a_rx = coeff * _steering(rx_array, spherical_unit(zoa, aoa), cs.wavelength_m)
+    a_tx = _steering(tx_array, spherical_unit(zod, aod), cs.wavelength_m)
 
     # components sorted by (delay, tap): each tap is one contiguous run
     order = np.lexsort((tap, delay))

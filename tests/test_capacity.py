@@ -162,6 +162,14 @@ def test_crossover_snr_interpolates():
     assert x == pytest.approx(0.0 + 10.0 * (1.0 / 1.5))
 
 
+def test_crossover_snr_on_a_grid_point():
+    # a - b goes +1, 0, -1: the curves cross exactly at 10 dB
+    assert crossover_snr([0, 10, 20], [1, 2, 3], [0, 2, 4]) == 10.0
+    assert crossover_snr([0, 10, 20, 30], [1, 2, 3, 0], [0, 2, 3, 1]) == 10.0
+    # a zero the difference only touches, +1, 0, +1, is no crossing
+    assert crossover_snr([0, 10, 20], [1, 2, 3], [0, 2, 2]) is None
+
+
 def test_crossover_snr_none_when_ordered():
     snr = np.array([0.0, 10.0])
     assert crossover_snr(snr, np.array([1.0, 2.0]), np.array([2.0, 4.0])) is None

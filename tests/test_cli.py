@@ -250,6 +250,42 @@ def test_analyze_non_integer_label_exits_1_with_message(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_analyze_reads_a_byte_order_mark_as_nothing(tmp_path):
+    # spreadsheet exports often start with one; it must not rename the
+    # first column and so merge every drop into one
+    text = ("drop,delay_ns,power\n0,0,1\n0,5,0.5\n0,9,0.2\n"
+            "1,0,1\n1,7,0.3\n1,8,0.1\n")
+    outs = []
+    for name, data in (("plain", text.encode()),
+                       ("bom", b"\xef\xbb\xbf" + text.encode())):
+        src = tmp_path / f"{name}.csv"
+        src.write_bytes(data)
+        outs.append(tmp_path / f"rep-{name}")
+        assert main(["analyze", "--input", str(src), "--out", str(outs[-1])]) == 0
+    plain, bom = outs
+    assert len(_rows(bom / "per_drop.csv")) == 2
+    assert _read(bom / "per_drop.csv") == _read(plain / "per_drop.csv")
+    rep = [yaml.safe_load((o / "report.yaml").read_text()) for o in outs]
+    assert rep[0].pop("input") == "plain.csv" and rep[1].pop("input") == "bom.csv"
+    assert rep[0] == rep[1]
+
+
+@pytest.mark.parametrize(("text", "message"), [
+    ("drop,delay_ns,power,power\n0,0,1,2\n0,5,0.5,0.1\n",
+     "input line 1: column 'power' is named twice in the header\n"),
+    ("drop,delay_ns,power,aoa_deg\n0,0,1,0\n0,5,0.5,10\n0,0,1,0,99\n",
+     "input line 4: 5 cells under a header of 4 columns\n"),
+], ids=["duplicate-column", "long-row"])
+def test_analyze_malformed_shape_exits_1_before_out(tmp_path, capsys, text,
+                                                    message):
+    src = tmp_path / "mpcs.csv"
+    src.write_text(text)
+    out = tmp_path / "rep"
+    assert main(["analyze", "--input", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.endswith(message)
+    assert not out.exists()
+
+
 def test_analyze_keeps_labels_beyond_int64_apart(tmp_path):
     src = tmp_path / "mpcs.csv"
     src.write_text("drop,delay_ns,power\n1e19,0,1\n1e19,5,0.5\n"

@@ -78,16 +78,17 @@ def test_gen_powers_los_weight():
 
 
 def test_in_cluster_k_fractions():
-    fr = apply_in_cluster_k(np.array([1.0]), 4, 0.0)
-    assert_allclose(fr[0], [0.25, 0.25, 0.25, 0.25])
-    fr1 = apply_in_cluster_k(np.array([1.0]), 1, 25.0)
-    assert_allclose(fr1[0], [1.0])
+    fr = apply_in_cluster_k(4, 0.0)
+    assert_allclose(fr, [0.25, 0.25, 0.25, 0.25])
+    fr1 = apply_in_cluster_k(1, 25.0)
+    assert_allclose(fr1, [1.0])
     kappa = 10.0 ** 1.349
-    fr3 = apply_in_cluster_k(np.array([0.5, 0.5]), 3, 13.49)
-    assert fr3.shape == (2, 3)
-    assert fr3[0, 0] == pytest.approx(kappa / (kappa + 2.0))
-    assert fr3[0, 1] == pytest.approx(1.0 / (kappa + 2.0))
-    assert_allclose(fr3.sum(axis=1), 1.0)
+    fr3 = apply_in_cluster_k(3, 13.49)
+    assert fr3.shape == (3,)
+    assert fr3[0] == pytest.approx(kappa / (kappa + 2.0))
+    assert fr3[1] == pytest.approx(1.0 / (kappa + 2.0))
+    assert fr3[2] == fr3[1]
+    assert fr3.sum() == pytest.approx(1.0)
 
 
 def test_build_drop_phases_shape_and_range():
@@ -112,7 +113,7 @@ def test_rescale_delays_hits_target_exactly():
 
 
 def test_composite_asa_includes_direct_ray():
-    # ray powers carry the (1 - w) scattered share, as ray_powers() returns
+    # ray powers carry the (1 - w) scattered share, as ClusterSet.ray_powers does
     ang = np.array([30.0, -30.0])
     scattered = np.array([0.5, 0.5])
     no_los = composite_asa(ang, scattered, 0.0, 0.0)
@@ -369,7 +370,7 @@ def test_rescale_zenith_target_and_range():
 def test_build_drop_power_closure():
     p = load_params("office", "los", "measured")
     cs = build_drop(p, np.random.default_rng(0))
-    total = cs.los_weight + cs.ray_powers().sum()
+    total = cs.los_weight + cs.ray_powers.sum()
     assert total == pytest.approx(1.0, abs=1e-12)
     assert cs.powers.sum() == pytest.approx(1.0, abs=1e-12)
     assert cs.n_clusters == p.clusters.count
@@ -453,6 +454,21 @@ def test_mpc_arrays_layout():
     assert cols["cluster"][0] == 0
     assert cols["power"][0] == pytest.approx(cs.los_weight)
     assert np.max(cols["cluster"]) == cs.n_clusters
+
+
+@pytest.mark.parametrize("condition", ["los", "nlos"])
+def test_mpc_arrays_phase_column(condition):
+    # the direct path's carrier phase leads exactly when the drop has one,
+    # then the drawn ray phases in component order
+    p = load_params("umi", condition, "measured")
+    cs = build_drop(p, np.random.default_rng(5))
+    phase = cs.mpc_arrays()["phase"]
+    want = cs.phases.ravel()
+    if cs.los_weight > 0:
+        carrier = -2.0 * np.pi * cs.geometry.d3_m / p.wavelength_m
+        want = np.concatenate([[carrier], want])
+    assert (cs.los_weight > 0) == (condition == "los")
+    assert np.array_equal(phase, want)
 
 
 def test_extract_matches_reference_estimators():

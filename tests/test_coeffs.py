@@ -108,16 +108,17 @@ def _hand_drop(power, los_weight, aoa, zoa, aod, zod, phase, d3_m=1.0):
     geom = LinkGeometry(d2_m=d3_m, d3_m=d3_m, aoa_los_deg=0.0,
                         aod_los_deg=180.0, zoa_los_deg=90.0, zod_los_deg=90.0)
     return ClusterSet(delays_s=np.array([5e-9]), powers=np.array([power]),
-                      los_weight=los_weight, ray_fractions=one,
+                      los_weight=los_weight,
+                      ray_powers=(1.0 - los_weight) * power * one,
                       aoa_deg=aoa * one, aod_deg=aod * one, zoa_deg=zoa * one,
                       zod_deg=zod * one, phases=phase * one,
-                      geometry=geom, lsp={})
+                      geometry=geom, wavelength_m=LAM, c_ds_s=3.91e-9, lsp={})
 
 
 def _direct_tap(d3_m, rx, tx):
     """Direct-path tap of a drop whose power is all in the direct path."""
     cs = _hand_drop(1.0, 1.0, 40.0, 70.0, -20.0, 95.0, 0.3, d3_m=d3_m)
-    cr = assemble_cir(cs, rx, tx, LAM, c_ds_s=3.91e-9)
+    cr = assemble_cir(cs, rx, tx)
     assert_allclose(cr.delays_s, [0.0, 5e-9])
     assert_allclose(cr.amps[1], 0.0, atol=1e-15)
     return cr.amps[0]
@@ -136,7 +137,7 @@ def test_direct_path_phase_oracles():
 def _one_ray(power, aoa, zoa, aod, zod, phase, rx, tx):
     """(rx, tx) coefficients of a one-cluster, one-ray NLoS drop."""
     cs = _hand_drop(power, 0.0, aoa, zoa, aod, zod, phase)
-    cr = assemble_cir(cs, rx, tx, LAM, c_ds_s=3.91e-9)
+    cr = assemble_cir(cs, rx, tx)
     assert cr.amps.shape == (1, rx.n_elements, tx.n_elements)
     return cr.amps[0]
 
@@ -177,15 +178,13 @@ def test_assemble_cir_simplified_tap_count():
     p, cs = _drop("office", "nlos")
     rx = single_antenna()
     tx = single_antenna()
-    cr = assemble_cir(cs, rx, tx, p.wavelength_m,
-                      c_ds_s=p.clusters.c_ds_ns * 1e-9, mode="thz-simplified")
+    cr = assemble_cir(cs, rx, tx, mode="thz-simplified")
     assert cr.amps.shape[0] == cs.n_clusters
     assert cr.delays_s.shape == (cs.n_clusters,)
     assert np.all(np.diff(cr.delays_s) >= 0)
 
     p2, cs2 = _drop("office", "los", seed=4)
-    cr2 = assemble_cir(cs2, rx, tx, p2.wavelength_m,
-                       c_ds_s=p2.clusters.c_ds_ns * 1e-9, mode="thz-simplified")
+    cr2 = assemble_cir(cs2, rx, tx, mode="thz-simplified")
     assert cr2.amps.shape[0] == cs2.n_clusters + 1
     assert cr2.delays_s[0] == 0.0
 
@@ -197,8 +196,7 @@ def test_assemble_cir_standard_splits_two_strongest():
     cs = build_drop(p, np.random.default_rng(0))
     rx = single_antenna()
     tx = single_antenna()
-    cr = assemble_cir(cs, rx, tx, p.wavelength_m,
-                      c_ds_s=p.clusters.c_ds_ns * 1e-9, mode="standard")
+    cr = assemble_cir(cs, rx, tx, mode="standard")
     assert cr.amps.shape[0] == cs.n_clusters + 4
     # sub-taps at tau, tau + 1.28 c and tau + 2.56 c, c the set's 3.91 ns
     top = np.argsort(cs.powers)[-2:]
@@ -208,8 +206,7 @@ def test_assemble_cir_standard_splits_two_strongest():
     assert_allclose(cr.delays_s, expected, rtol=1e-12, atol=0.0)
     # few-ray drops degrade gracefully instead of emitting empty taps
     pm, csm = _drop("office", "nlos")  # 5 rays per cluster
-    crm = assemble_cir(csm, rx, tx, pm.wavelength_m,
-                       c_ds_s=pm.clusters.c_ds_ns * 1e-9, mode="standard")
+    crm = assemble_cir(csm, rx, tx, mode="standard")
     assert crm.amps.shape[0] == csm.n_clusters
 
 
@@ -218,10 +215,8 @@ def test_standard_and_simplified_conserve_power():
         p, cs = _drop("office", "nlos", seed=seed)
         rx = single_antenna()
         tx = single_antenna()
-        c_ds = p.clusters.c_ds_ns * 1e-9
-        a = assemble_cir(cs, rx, tx, p.wavelength_m, c_ds_s=c_ds,
-                         mode="thz-simplified")
-        b = assemble_cir(cs, rx, tx, p.wavelength_m, c_ds_s=c_ds, mode="standard")
+        a = assemble_cir(cs, rx, tx, mode="thz-simplified")
+        b = assemble_cir(cs, rx, tx, mode="standard")
         assert b.total_power() == pytest.approx(a.total_power(), rel=1e-12)
 
 
@@ -231,8 +226,7 @@ def test_total_tap_power_unity_exact_with_one_ray_per_cluster():
     p1 = dataclasses.replace(p, clusters=dataclasses.replace(p.clusters, rays=1))
     for seed in range(5):
         cs = build_drop(p1, np.random.default_rng(seed))
-        cr = assemble_cir(cs, single_antenna(), single_antenna(),
-                          p1.wavelength_m, c_ds_s=p1.clusters.c_ds_ns * 1e-9)
+        cr = assemble_cir(cs, single_antenna(), single_antenna())
         assert cr.total_power() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -242,8 +236,7 @@ def test_total_tap_power_unity_in_expectation():
     vals = []
     for seed in range(150):
         cs = build_drop(p, np.random.default_rng(seed))
-        cr = assemble_cir(cs, single_antenna(), single_antenna(),
-                          p.wavelength_m, c_ds_s=p.clusters.c_ds_ns * 1e-9)
+        cr = assemble_cir(cs, single_antenna(), single_antenna())
         vals.append(cr.total_power())
     assert np.mean(vals) == pytest.approx(1.0, abs=0.01)
     assert np.std(vals) < 0.05
@@ -253,15 +246,16 @@ def test_assemble_cir_array_shapes():
     p, cs = _drop("office", "los", seed=1)
     rx = ura(2, 2, 0.5 * p.wavelength_m)
     tx = ura(4, 4, 0.5 * p.wavelength_m)
-    cr = assemble_cir(cs, rx, tx, p.wavelength_m, c_ds_s=p.clusters.c_ds_ns * 1e-9)
+    cr = assemble_cir(cs, rx, tx)
     assert cr.amps.shape == (cs.n_clusters + 1, 4, 16)
     h = cir_to_ctf(cr, np.linspace(-0.5e9, 0.5e9, 8))
     assert h.shape == (8, 4, 16)
 
 
-def _reference_taps(cs, rx, tx, lam, mode, c_ds):
+def _reference_taps(cs, rx, tx, mode):
     """Per-ray loop: each tap sums amp exp(j phase) outer(a_rx, a_tx) over
     its rays; taps in stable delay order."""
+    lam, c_ds = cs.wavelength_m, cs.c_ds_s
     def steer(arr, zen, az):
         return np.exp(2j * np.pi * (arr.positions_m @ spherical_unit(zen, az)) / lam)
 
@@ -274,9 +268,9 @@ def _reference_taps(cs, rx, tx, lam, mode, c_ds):
         coeff = np.sqrt(cs.los_weight) * np.exp(-2j * np.pi * g.d3_m / lam)
         taps.append((0.0, ray(coeff, g.zoa_los_deg, g.aoa_los_deg,
                               g.zod_los_deg, g.aod_los_deg)))
-    n, m = cs.ray_fractions.shape
+    n, m = cs.ray_powers.shape
     split = set(np.argsort(cs.powers)[-2:]) if mode == "standard" and n >= 2 else set()
-    rp = cs.ray_powers()
+    rp = cs.ray_powers
     for i in range(n):
         groups = SUBCLUSTER_RAY_GROUPS if i in split else [range(m)]
         for fac, group in zip(SUBCLUSTER_DELAY_FACTORS, groups):
@@ -297,15 +291,13 @@ def _reference_taps(cs, rx, tx, lam, mode, c_ds):
 @pytest.mark.parametrize("source", ["3gpp", "measured"])
 def test_assemble_cir_matches_per_ray_reference(source, condition, mode):
     p = load_params("office", condition, source)
-    c_ds = p.clusters.c_ds_ns * 1e-9
-    lam = p.wavelength_m
-    small = ura(2, 2, lam / 2)
-    large = ura(4, 4, lam / 2)
+    small = ura(2, 2, p.wavelength_m / 2)
+    large = ura(4, 4, p.wavelength_m / 2)
     for rx, tx in ((small, large), (large, small)):
         for seed in range(2):
             cs = build_drop(p, np.random.default_rng(seed))
-            cr = assemble_cir(cs, rx, tx, lam, c_ds_s=c_ds, mode=mode)
-            delays, amps = _reference_taps(cs, rx, tx, lam, mode, c_ds)
+            cr = assemble_cir(cs, rx, tx, mode=mode)
+            delays, amps = _reference_taps(cs, rx, tx, mode)
             assert_allclose(cr.delays_s, delays, rtol=1e-12, atol=0.0)
             assert cr.amps.shape == amps.shape
             assert_allclose(cr.amps, amps, rtol=0.0,
