@@ -9,8 +9,9 @@ independent of ``--workers``.
 
 Each numeric option's range lives on its argparse type. A command
 checks its input and what needs more than one option's value, calls the
-library, which computes every statistic it reports, and writes what
-comes back. Each CSV is one ordered dict from column name to column.
+library, which computes every statistic it reports, and hands what
+comes back to ``_write_run``, the one place that writes files. Each CSV
+is one ordered dict from column name to column.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .clusters import (build_drop, extract_drop_stats, geometry_for, map_drops,
 from .coeffs import assemble_cir, single_antenna
 from .lsp import generate_lsp
 from .params import (CONDITIONS, SCENARIOS, SOURCES, ParamValidationError,
-                     ScenarioParamSet, data_dir, load_params, load_params_file)
+                     ScenarioParamSet, load_params, params_file)
 from .plotting import line_plot
 
 
@@ -56,48 +57,16 @@ def _write_csv(path: Path, columns: dict) -> None:
                     for row in zip(*columns.values(), strict=True))
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _write_manifest(out: Path, command: str, argv: list[str], seed: int,
-                    outputs: list[str], params_files: dict) -> None:
-    manifest = {
-        "command": command,
-        "argv": argv,
-        "version": __version__,
-        "master_seed": seed,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "params_files": {k: _sha256(p) for k, p in sorted(params_files.items())},
-        "outputs": sorted(outputs),
-        # simulate's bytes depend on numpy's FFT and generators
-        "versions": {"python": platform.python_version(),
-                     "numpy": np.__version__, "pyyaml": yaml.__version__},
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2,
-                                                  sort_keys=True) + "\n")
-
-
 def _resolve_params(parser, args, source=None) -> tuple[ScenarioParamSet, Path]:
-    scenario, condition, source = args.scenario, args.condition, source or args.source
-    if getattr(args, "params", None):
-        path = Path(args.params)
-        if not path.is_file():
-            parser.error(f"--params: file not found: {path}")
-        try:
-            sets = load_params_file(path)
-        except ParamValidationError as exc:
-            parser.error(f"--params: {exc}")
-        for ps in sets:
-            if (ps.scenario, ps.condition, ps.source) == (scenario, condition, source):
-                return ps, path
-        parser.error(f"--params: {path} holds no set for "
-                     f"{scenario}/{condition}/{source}")
+    """The requested set and its file; a file that is missing, invalid or
+    lacks the set is a usage error."""
+    coords = (args.scenario, args.condition, source or args.source)
+    path = Path(args.params) if args.params else params_file(*coords)
     try:
-        ps = load_params(scenario, condition, source)
+        return load_params(*coords, path=path), path
     except (FileNotFoundError, ParamValidationError) as exc:
-        parser.error(f"--scenario/--condition/--source: {exc}")
-    return ps, data_dir() / f"{scenario}_{condition}_{source}.yaml"
+        option = "--params" if args.params else "--scenario/--condition/--source"
+        parser.error(f"{option}: {exc}")
 
 
 def _out_dir(parser, args) -> Path:
@@ -119,8 +88,36 @@ def _no_negative_zero(obj):
     return 0.0 if isinstance(obj, float) and obj == 0.0 else obj
 
 
-def _yaml_dump(obj, path: Path) -> None:
-    path.write_text(yaml.safe_dump(_no_negative_zero(obj), sort_keys=False))
+def _write_run(parser, args, files: dict, params_files: dict) -> Path:
+    """Create ``--out`` and write the run's files into it, then a
+    ``manifest.json`` whose outputs are exactly those files. A file is
+    text, CSV columns (a ``.csv`` name) or a report written as YAML;
+    ``params_files`` maps each set's label to the file it came from."""
+    out = _out_dir(parser, args)
+    for name, content in files.items():
+        if isinstance(content, str):
+            (out / name).write_text(content)
+        elif name.endswith(".csv"):
+            _write_csv(out / name, content)
+        else:
+            (out / name).write_text(yaml.safe_dump(_no_negative_zero(content),
+                                                   sort_keys=False))
+    manifest = {
+        "command": args.command,
+        "argv": args.argv,
+        "version": __version__,
+        "master_seed": getattr(args, "seed", 0),     # analyze draws nothing
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "params_files": {k: hashlib.sha256(p.read_bytes()).hexdigest()
+                         for k, p in sorted(params_files.items())},
+        "outputs": sorted(files),
+        # simulate's bytes depend on numpy's FFT and generators
+        "versions": {"python": platform.python_version(),
+                     "numpy": np.__version__, "pyyaml": yaml.__version__},
+    }
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2,
+                                                  sort_keys=True) + "\n")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +182,7 @@ def cmd_simulate(parser, args) -> int:
     if args.dump_cir:
         tables["cir.csv"] = _stack([cir for _, cir, _ in results])
     tables["drop_stats.csv"] = _stack([st for _, _, st in results])
-    out = _out_dir(parser, args)
-    for name, cols in tables.items():
-        _write_csv(out / name, cols)
-    _write_manifest(out, "simulate", args.argv, args.seed, list(tables),
-                    {params.label(): pfile})
+    out = _write_run(parser, args, tables, {params.label(): pfile})
     print(f"simulate: {args.drops} drops of {params.label()} -> {out}")
     return 0
 
@@ -200,21 +193,31 @@ def cmd_simulate(parser, args) -> int:
 
 def _read_csv(parser, path: Path) -> tuple[list[int], dict[str, list]]:
     """Line number of each data row and the cells of each named column;
-    a cell missing from a short row is None. A leading byte-order mark
-    is skipped; a column named twice and a row longer than the header
-    are errors."""
+    a cell missing from a short row is None. The file must be UTF-8, and a
+    leading byte-order mark is skipped; a column named twice and a row
+    longer than the header are errors."""
     if not path.is_file():
         parser.error(f"--input: file not found: {path}")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        names = reader.fieldnames
-        if names is None:
-            parser.error(f"--input: {path} has no header row")
-        for i, k in enumerate(names):
-            if k in names[:i]:
-                raise ValueError(f"input line {reader.line_num}: column "
-                                 f"{k!r} is named twice in the header")
-        rows = [(reader.line_num, row) for row in reader]
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.DictReader(fh)
+            names = reader.fieldnames
+            if names is None:
+                parser.error(f"--input: {path} has no header row")
+            for i, k in enumerate(names):
+                if k in names[:i]:
+                    raise ValueError(f"input line {reader.line_num}: column "
+                                     f"{k!r} is named twice in the header")
+            rows = [(reader.line_num, row) for row in reader]
+    except UnicodeDecodeError:
+        data = path.read_bytes()    # the whole file, so offsets are the file's
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ValueError(
+                f"--input: {path} is not UTF-8: byte 0x{data[exc.start]:02x} "
+                f"at offset {exc.start} (input line {line})") from None
     for line, row in rows:
         if None in row:     # DictReader files surplus cells under None
             raise ValueError(f"input line {line}: {len(names) + len(row[None])}"
@@ -315,11 +318,7 @@ def cmd_analyze(parser, args) -> int:
         parser.error("--input: CSV must carry delay_ns plus power (multipath "
                      "components) or power_linear (power-delay profile)")
     report["input"] = path.name
-    out = _out_dir(parser, args)
-    for name, cols in tables.items():
-        _write_csv(out / name, cols)
-    _yaml_dump(report, out / "report.yaml")
-    _write_manifest(out, "analyze", args.argv, 0, ["report.yaml", *tables], {})
+    out = _write_run(parser, args, {"report.yaml": report, **tables}, {})
     print(f"analyze: report written to {out / 'report.yaml'}")
     return 0
 
@@ -353,16 +352,12 @@ def cmd_roundtrip(parser, args) -> int:
         "set": params.label(), "n_drops": args.drops, "seed": args.seed,
         "checks": checks, "status": "PASS" if all_ok else "FAIL",
     }
-    out = _out_dir(parser, args)
-    _write_csv(out / "roundtrip_drops.csv", {
+    _write_run(parser, args, {"roundtrip_drops.csv": {
         "drop": range(args.drops), "drawn_ds_s": res[:, 0],
         "drawn_asa_deg": res[:, 1], "drawn_k_db": res[:, 2],
         "extracted_ds_s": res[:, 3], "extracted_asa_deg": res[:, 4],
-        "extracted_k_db": res[:, 5]})
-    _yaml_dump(report, out / "report.yaml")
-    _write_manifest(out, "roundtrip", args.argv, args.seed,
-                    ["report.yaml", "roundtrip_drops.csv"],
-                    {params.label(): pfile})
+        "extracted_k_db": res[:, 5]}, "report.yaml": report},
+        {params.label(): pfile})
     for c in checks:
         unit = "log10" if c["statistic"] != "k" else "dB"
         print(f"roundtrip {c['statistic']:>3}: drawn={c['drawn_median']:+.4f} "
@@ -390,20 +385,6 @@ def cmd_capacity(parser, args) -> int:
             workers=args.workers)
         for src, (ps, _) in runs.items()}
 
-    out = _out_dir(parser, args)
-    _write_csv(out / "capacity.csv", {
-        "source": [src for src in sources for _ in snr],
-        "scenario": [args.scenario] * (len(sources) * snr.size),
-        "condition": [args.condition] * (len(sources) * snr.size),
-        "snr_db": np.tile(snr, len(sources)),
-        "mean_capacity_bpshz": np.concatenate(
-            [curves[src].capacity_bpshz for src in sources])})
-
-    series = [(src, snr, curves[src].capacity_bpshz) for src in sources]
-    line_plot(series, out / "capacity.svg",
-              title=f"Equal-power MIMO capacity, {args.scenario} ({args.condition})",
-              xlabel="SNR (dB)", ylabel="capacity (bit/s/Hz)")
-
     report = {
         "scenario": args.scenario, "condition": args.condition,
         "sources": list(sources), "n_drops": args.drops, "seed": args.seed,
@@ -419,10 +400,19 @@ def cmd_capacity(parser, args) -> int:
         x = crossover_snr(snr, curves["measured"].capacity_bpshz,
                           curves["3gpp"].capacity_bpshz)
         report["crossover_snr_db"] = None if x is None else round(x, 6)
-    _yaml_dump(report, out / "report.yaml")
-    _write_manifest(out, "capacity", args.argv, args.seed,
-                    ["capacity.csv", "capacity.svg", "report.yaml"],
-                    {ps.label(): pf for ps, pf in runs.values()})
+    _write_run(parser, args, {
+        "capacity.csv": {
+            "source": [src for src in sources for _ in snr],
+            "scenario": [args.scenario] * (len(sources) * snr.size),
+            "condition": [args.condition] * (len(sources) * snr.size),
+            "snr_db": np.tile(snr, len(sources)),
+            "mean_capacity_bpshz": np.concatenate(
+                [curves[src].capacity_bpshz for src in sources])},
+        "capacity.svg": line_plot(
+            [(src, snr, curves[src].capacity_bpshz) for src in sources],
+            title=f"Equal-power MIMO capacity, {args.scenario} ({args.condition})",
+            xlabel="SNR (dB)", ylabel="capacity (bit/s/Hz)"),
+        "report.yaml": report}, {ps.label(): pf for ps, pf in runs.values()})
     for src in sources:
         at = curves[src].capacity_bpshz[-1]
         print(f"capacity {src:>8}: {at:.2f} bit/s/Hz at {snr[-1]:g} dB "

@@ -294,6 +294,11 @@ def data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
+def params_file(scenario: str, condition: str, source: str) -> Path:
+    """The file of one set under ``data_dir()``."""
+    return data_dir() / f"{scenario}_{condition}_{source}.yaml"
+
+
 def load_params_file(path) -> list[ScenarioParamSet]:
     """Load one YAML file holding a single set or a list of sets. Issues in
     a list name their entry; two entries for one set are an error."""
@@ -320,19 +325,15 @@ def load_params_file(path) -> list[ScenarioParamSet]:
     return sets
 
 
-def load_params(scenario: str, condition: str, source: str) -> ScenarioParamSet:
-    """Load one bundled (or overridden) parameter set by its coordinates."""
-    base = data_dir()
-    path = base / f"{scenario}_{condition}_{source}.yaml"
+def load_params(scenario: str, condition: str, source: str,
+                path=None) -> ScenarioParamSet:
+    """The set with these coordinates from ``path``, a file holding one
+    set or a list; by default ``params_file`` of those coordinates."""
+    path = Path(path or params_file(scenario, condition, source))
     if not path.is_file():
-        raise FileNotFoundError(
-            f"no parameter file {path.name} under {base} "
-            f"(scenario={scenario!r}, condition={condition!r}, source={source!r})")
-    sets = load_params_file(path)
-    if len(sets) != 1:
-        raise ParamValidationError([f"{path}: expected exactly one set, found {len(sets)}"])
-    ps = sets[0]
-    if (ps.scenario, ps.condition, ps.source) != (scenario, condition, source):
-        raise ParamValidationError(
-            [f"{path}: file coordinates {ps.label()} do not match request"])
-    return ps
+        raise FileNotFoundError(f"parameter file not found: {path}")
+    for ps in load_params_file(path):
+        if (ps.scenario, ps.condition, ps.source) == (scenario, condition, source):
+            return ps
+    raise ParamValidationError(
+        [f"{path} holds no set for {scenario}/{condition}/{source}"])

@@ -1,14 +1,13 @@
 """Dependency-free SVG line plots for the command-line reports.
 
 Deliberately small: line series on linear axes, nice tick placement,
-a legend box, fixed palette and canvas size. Output is a deterministic text
-file so reruns stay byte-identical.
+a legend box, fixed palette and canvas size. Output is deterministic text,
+so reruns stay byte-identical.
 """
 
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -35,9 +34,9 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def line_plot(series, out_path=None, title: str = "", xlabel: str = "",
+def line_plot(series, title: str = "", xlabel: str = "",
               ylabel: str = "") -> str:
-    """Render line series to an SVG string (and optionally a file).
+    """Render line series to an SVG string.
 
     series: iterable of (label, x, y) with array-likes x and y.
     """
@@ -120,7 +119,4 @@ def line_plot(series, out_path=None, title: str = "", xlabel: str = "",
         e.append(f'<text x="{lx + 28}" y="{yy}" font-size="11">{lab}</text>')
 
     e.append("</svg>")
-    svg = "\n".join(e) + "\n"
-    if out_path is not None:
-        Path(out_path).write_text(svg)
-    return svg
+    return "\n".join(e) + "\n"

@@ -92,7 +92,14 @@ def test_simulate_outputs_and_manifest(tmp_path):
     man = json.loads((out / "manifest.json").read_text())
     assert man["command"] == "simulate"
     assert man["master_seed"] == 3
-    assert {"lsp.csv", "drop_stats.csv", "clusters.csv"} <= set(man["outputs"])
+    assert man["outputs"] == ["clusters.csv", "drop_stats.csv", "lsp.csv"]
+    # without the dump options only the always-written tables appear
+    bare = tmp_path / "bare"
+    assert main(["simulate", "--scenario", "office", "--condition", "los",
+                 "--drops", "2", "--out", str(bare)]) == 0
+    man = json.loads((bare / "manifest.json").read_text())
+    assert man["outputs"] == ["drop_stats.csv", "lsp.csv"]
+    assert {f.name for f in bare.iterdir()} == {*man["outputs"], "manifest.json"}
 
 
 def test_simulate_rerun_byte_identical(tmp_path):
@@ -268,6 +275,19 @@ def test_analyze_reads_a_byte_order_mark_as_nothing(tmp_path):
     rep = [yaml.safe_load((o / "report.yaml").read_text()) for o in outs]
     assert rep[0].pop("input") == "plain.csv" and rep[1].pop("input") == "bom.csv"
     assert rep[0] == rep[1]
+
+
+def test_analyze_non_utf8_input_exits_1_naming_the_byte(tmp_path, capsys):
+    # a Latin-1 export: the é of "café" is the single byte 0xe9
+    src = tmp_path / "latin1.csv"
+    src.write_bytes("drop,delay_ns,power,note\n0,0,1,a\n0,5,0.5,café\n"
+                    .encode("latin-1"))
+    out = tmp_path / "rep"
+    assert main(["analyze", "--input", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"thzgbsm analyze: --input: {src} is not UTF-8: byte 0xe9 at offset "
+        "44 (input line 3)\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(("text", "message"), [
@@ -792,6 +812,30 @@ def test_simulate_params_out_of_range_exits_2_before_creating_out(
     assert (f"{pfile}: supplemental.zsa_log10deg.sigma: must be nonnegative, got -1.0"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("route", ["params", "env-dir"])
+def test_params_file_without_the_set_exits_2_before_creating_out(
+        tmp_path, capsys, monkeypatch, route):
+    from thzgbsm.params import data_dir
+    d = yaml.safe_load((data_dir() / "office_los_measured.yaml").read_text())
+    argv = ["roundtrip", "--scenario", "office", "--condition", "los",
+            "--source", "3gpp", "--drops", "1", "--out", str(tmp_path / "out")]
+    if route == "params":
+        pfile, option = tmp_path / "measured.yaml", "--params"
+        argv += ["--params", str(pfile)]
+    else:
+        # the set's own file name, holding a set with other coordinates
+        pfile, option = tmp_path / "office_los_3gpp.yaml", "--scenario/--condition/--source"
+        monkeypatch.setenv("THZ_GBSM_PARAMS_DIR", str(tmp_path))
+    pfile.write_text(yaml.safe_dump(d))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{option}: " in err
+    assert f"{pfile} holds no set for office/los/3gpp" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_params_list_with_a_set_twice_exits_2_naming_both_entries(

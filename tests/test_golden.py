@@ -186,6 +186,11 @@ def _dump(obj: dict) -> str:
 def test_golden_outputs(tmp_path):
     ref = json.loads(GOLDEN.read_text())
     run_matrix(tmp_path)
+    # each run's manifest lists exactly the files it wrote
+    for out in sorted(p for p in tmp_path.iterdir() if p.is_dir()):
+        listed = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert listed == sorted(f.name for f in out.iterdir()
+                                if f.name != "manifest.json"), out.name
     exact = np.__version__ == ref["numpy"]
     problems = compare(fingerprint(tmp_path), ref["outputs"], exact)
     # every differing file is named, however many details are cut

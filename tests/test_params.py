@@ -214,6 +214,31 @@ def test_env_var_overrides_bundled_dir(tmp_path, monkeypatch):
     assert q.ds_log10s.mu == pytest.approx(-9.5)
 
 
+def test_env_dir_file_may_hold_a_list(tmp_path, monkeypatch):
+    d = _bundled_dict("office_los_measured")
+    d["ds_log10s"]["mu"] = -9.5
+    (tmp_path / "office_los_measured.yaml").write_text(
+        yaml.safe_dump([_bundled_dict("umi_los_measured"), d]))
+    monkeypatch.setenv("THZ_GBSM_PARAMS_DIR", str(tmp_path))
+    q = load_params("office", "los", "measured")
+    assert q.label() == "office_los_measured"
+    assert q.ds_log10s.mu == pytest.approx(-9.5)
+
+
+def test_load_params_picks_the_set_out_of_a_path(tmp_path):
+    f = tmp_path / "sets.yaml"
+    f.write_text(yaml.safe_dump([_bundled_dict("umi_los_measured"),
+                                 _bundled_dict("office_nlos_3gpp")]))
+    assert load_params("office", "nlos", "3gpp", path=f) == \
+        load_params("office", "nlos", "3gpp")
+    assert load_params("umi", "los", "measured", path=f).label() == "umi_los_measured"
+    with pytest.raises(ParamValidationError) as exc:
+        load_params("office", "los", "3gpp", path=f)
+    assert exc.value.issues == [f"{f} holds no set for office/los/3gpp"]
+    with pytest.raises(FileNotFoundError, match="nope.yaml"):
+        load_params("office", "los", "3gpp", path=tmp_path / "nope.yaml")
+
+
 def test_list_file_issues_name_their_entry(tmp_path):
     good = _bundled_dict("office_los_measured")
     bad = _bundled_dict("umi_los_measured")

@@ -22,12 +22,6 @@ def test_line_plot_is_deterministic():
     assert line_plot(_series()) == line_plot(_series())
 
 
-def test_line_plot_writes_file(tmp_path):
-    out = tmp_path / "plot.svg"
-    svg = line_plot(_series(), out_path=out)
-    assert out.read_text() == svg
-
-
 def test_line_plot_rejects_empty_and_mismatched_series():
     with pytest.raises(ValueError):
         line_plot([])
