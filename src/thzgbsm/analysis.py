@@ -306,25 +306,27 @@ def select_n_clusters(delay_s, power, aoa_deg, zoa_deg, k_max: int = 10,
     """Pick a cluster count by a Calinski-Harabasz style ratio.
 
     Embeds the components once, fits K-power-means to the embedding for
-    each k from 2 to ``k_max`` (at most one below the number of
-    components) and scores the weighted between/within dispersion ratio;
-    returns (best_k, {k: score}, labels), the labels being those of the
-    best_k fit, i.e. what ``kpower_means`` returns for best_k. Fewer than
-    3 components, or a ``k_max`` below 2, leave no k to score and are a
-    ValueError.
+    each k from 2 to ``k_max``, at most one below the number of powered
+    components (only those seed a cluster), and scores the weighted
+    between/within dispersion ratio over all components; returns
+    (best_k, {k: score}, labels), the labels being those of the best_k
+    fit, i.e. what ``kpower_means`` returns for best_k. Fewer than 3
+    powered components, or a ``k_max`` below 2, leave no k to score and
+    are a ValueError.
     """
     E = mcd_embedding(delay_s, aoa_deg, zoa_deg, delay_weight)
     n = E.shape[0]
-    if n < 3 or k_max < 2:
-        raise ValueError(f"selecting a cluster count needs at least 3 "
-                         f"components and k_max of at least 2, got {n} "
-                         f"components and k_max={k_max}")
     w = np.asarray(power, dtype=float)
+    n_powered = np.count_nonzero(w > 0)
+    if n_powered < 3 or k_max < 2:
+        raise ValueError(f"selecting a cluster count needs at least 3 components and "
+                         f"k_max of at least 2, got {n_powered} components and "
+                         f"k_max={k_max}, counting only components with power")
     gmean = (w[:, None] * E).sum(axis=0) / w.sum()
     total = float((w * ((E - gmean) ** 2).sum(axis=1)).sum())
     scores = {}
     labels = {}
-    for k in range(2, min(k_max, n - 1) + 1):
+    for k in range(2, min(k_max, n_powered - 1) + 1):
         km = KPowerMeans(n_clusters=k).fit(E, sample_weight=w)
         labels[k] = km.labels_
         within = km.inertia_
@@ -399,7 +401,8 @@ def analyze_mpcs(drop, delay_s, power, aoa_deg, zoa_deg, cluster,
     None. Without cluster labels, a drop with azimuths and at least 3
     powered components takes the ``select_n_clusters`` count over 2 to
     ``max_clusters``, and any other drop counts as one cluster. A drop
-    without power or with zero delay or azimuth spread is a ValueError."""
+    without power or with zero delay or azimuth spread, and a labeled
+    cluster without power, is a ValueError."""
     ids, group = np.unique(drop, return_inverse=True)
     rows = []
     for g, d in enumerate(ids):
@@ -416,12 +419,12 @@ def analyze_mpcs(drop, delay_s, power, aoa_deg, zoa_deg, cluster,
             raise ValueError(f"drop {d}: all its rows with power share one "
                              "aoa_deg, so its azimuth spread is zero")
         labels = None if cluster is None else np.asarray(cluster)[m]
-        # only rows with power can seed a cluster
-        n_powered = np.count_nonzero(p)
-        if labels is None and a is not None and n_powered >= 3:
-            _, _, labels = select_n_clusters(
-                t, p, a, z, k_max=min(max_clusters, n_powered - 1),
-                delay_weight=delay_weight)
+        if labels is not None and (dark := set(labels) - set(labels[p > 0])):
+            raise ValueError(f"drop {d}: all power cells of its cluster "
+                             f"{min(dark)} are 0, so it carries no power")
+        if labels is None and a is not None and np.count_nonzero(p) >= 3:
+            _, _, labels = select_n_clusters(t, p, a, z, max_clusters,
+                                             delay_weight)
         med = {} if labels is None else cluster_stats(t, p, a, labels).medians
         rows.append({
             "drop": d, "n_mpcs": t.size, "ds_s": rms_ds(t, p),

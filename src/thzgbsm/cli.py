@@ -64,7 +64,7 @@ def _resolve_params(parser, args, source=None) -> tuple[ScenarioParamSet, Path]:
     path = Path(args.params) if args.params else params_file(*coords)
     try:
         return load_params(*coords, path=path), path
-    except (FileNotFoundError, ParamValidationError) as exc:
+    except (FileNotFoundError, LookupError, ParamValidationError) as exc:
         option = "--params" if args.params else "--scenario/--condition/--source"
         parser.error(f"{option}: {exc}")
 
@@ -131,7 +131,7 @@ def _sim_drop(job):
     rng = np.random.default_rng(seed_seq)
     geom = geometry_for(params, x, y)
     cs = build_drop(params, rng, geometry=geom, lsp_vals=lsp_row)
-    c = cs.mpc_arrays()
+    c = cs.mpc_arrays
     mpcs = {"cluster": c["cluster"], "ray": c["ray"],
             "delay_ns": c["delay_s"] * 1e9, "power": c["power"],
             "aoa_deg": c["aoa_deg"], "zoa_deg": c["zoa_deg"],
@@ -157,16 +157,11 @@ def _stack(tables: list[dict]) -> dict:
 
 def cmd_simulate(parser, args) -> int:
     params, pfile = _resolve_params(parser, args)
-    limit = min(params.corr_dist_m[n] for n in params.lsp_names) / 2.0
-    if args.grid_step is not None and args.grid_step > limit:
-        parser.error(f"--grid-step: must lie in (0, {limit:g}] m, half the "
-                     f"smallest correlation distance of {params.label()}")
-
     children = np.random.SeedSequence(args.seed).spawn(2 + args.drops)
     xs, ys = place_users(params, np.random.default_rng(children[0]), args.drops)
 
     lsp_rng = np.random.default_rng(children[1])
-    lsp = generate_lsp(params, xs, ys, lsp_rng, grid_step_m=args.grid_step)
+    lsp = generate_lsp(params, xs, ys, lsp_rng)
 
     drop_seeds = children[2:]
     jobs = [(params, ss, xs[i], ys[i], lsp.row(i), args.mode,
@@ -501,8 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write per-ray multipath components")
     sp.add_argument("--dump-cir", action="store_true",
                     help="write single-element tapped impulse responses")
-    sp.add_argument("--grid-step", type=_POSITIVE, default=None,
-                    help="field grid step in meters")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("analyze", help="extract statistics from a CSV")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -363,12 +364,14 @@ class ClusterSet:
     def n_rays(self) -> int:
         return self.ray_powers.shape[1]
 
+    @cached_property
     def mpc_arrays(self) -> dict:
         """Flat per-component columns, direct path first when present.
 
         Cluster index 0 marks the direct path; generated clusters are
         numbered from 1. The direct path has ray index 0 and the carrier
-        phase -2 pi d3/lambda; the rays carry their drawn phases.
+        phase -2 pi d3/lambda; the rays carry their drawn phases. Built
+        once per drop; every reader shares its read-only columns.
         """
         g = self.geometry
         n, m = self.ray_powers.shape
@@ -384,9 +387,11 @@ class ClusterSet:
             "aod_deg": (g.aod_los_deg, self.aod_deg.ravel()),
             "zod_deg": (g.zod_los_deg, self.zod_deg.ravel()),
         }
-        if self.los_weight > 0:
-            return {k: np.concatenate([[d], r]) for k, (d, r) in pairs.items()}
-        return {k: r for k, (_, r) in pairs.items()}
+        cols = {k: np.concatenate([[d], r]) if self.los_weight > 0 else r
+                for k, (d, r) in pairs.items()}
+        for c in cols.values():
+            c.flags.writeable = False
+        return cols
 
 
 def extract_drop_stats(cs: ClusterSet) -> dict:
@@ -395,7 +400,7 @@ def extract_drop_stats(cs: ClusterSet) -> dict:
     Works on the discrete component list (direct path included), i.e.
     the same information a dump of the drop carries.
     """
-    cols = cs.mpc_arrays()
+    cols = cs.mpc_arrays
     out = {
         "ds_s": analysis.rms_ds(cols["delay_s"], cols["power"]),
         "asa_deg": analysis.asa(cols["aoa_deg"], cols["power"]),

@@ -132,7 +132,7 @@ def assemble_cir(cs: ClusterSet, rx_array: AntennaArray, tx_array: AntennaArray,
                  *, mode: str = "thz-simplified") -> ChannelRealization:
     """Tapped channel realization from one drop.
 
-    Every component of ``cs.mpc_arrays()``, the direct path included,
+    Every component of ``cs.mpc_arrays``, the direct path included,
     goes through one kernel: the square root of its power times
     exp(j phase) of its phase column times the rx and tx steering phases
     at the drop's wavelength (positive-exponent convention at both ends).
@@ -150,7 +150,7 @@ def assemble_cir(cs: ClusterSet, rx_array: AntennaArray, tx_array: AntennaArray,
     """
     if mode not in ("thz-simplified", "standard"):
         raise ValueError(f"unknown mode {mode!r}")
-    cols = cs.mpc_arrays()
+    cols = cs.mpc_arrays
     cluster, ray = cols["cluster"], cols["ray"]
     sub = np.zeros(cluster.size, dtype=int)   # sub-tap of each component
     if mode == "standard" and cs.n_clusters >= 2:

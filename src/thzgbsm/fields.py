@@ -26,16 +26,9 @@ import numpy as np
 _MARGIN = 4.0
 
 # Most grid cells one field may build: 2**22 float64 cells are 32 MiB per
-# array. The bundled sets at their default steps stay under 1e6.
+# array. The bundled sets, at a quarter of their correlation distances,
+# stay under 1e6.
 MAX_GRID_CELLS = 2**22
-
-
-def _check_cells(cells: float, step_m: float) -> None:
-    """Refuse a grid step whose arrays would exceed MAX_GRID_CELLS."""
-    if not cells <= MAX_GRID_CELLS:
-        raise ValueError(
-            f"grid_step_m={step_m:g} needs about {cells:.3g} field grid "
-            f"cells, more than {MAX_GRID_CELLS}; use a coarser grid step")
 
 
 def _wrapped_lags(n: int) -> np.ndarray:
@@ -88,7 +81,12 @@ class GaussianField:
 
         # checked in floats, before any count becomes an int or an array
         margin = np.ceil(_MARGIN * ratio)
-        _check_cells((ny + 2 * margin) * (nx + 2 * margin), h)
+        cells = (ny + 2 * margin) * (nx + 2 * margin)
+        if not cells <= MAX_GRID_CELLS:
+            raise ValueError(
+                f"a field of correlation distance {self.corr_dist_m:g} m at "
+                f"grid_step_m={h:g} needs about {cells:.3g} grid cells, "
+                f"more than {MAX_GRID_CELLS}")
         ny, nx, margin = int(ny), int(nx), int(margin)
         torus = (ny + 2 * margin, nx + 2 * margin)
         lag = np.hypot(_wrapped_lags(torus[0])[:, None],

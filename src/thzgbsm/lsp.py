@@ -66,27 +66,25 @@ def transform_standard_normals(params: ScenarioParamSet, z: np.ndarray) -> dict:
     return out
 
 
-def generate_lsp(params: ScenarioParamSet, x_m, y_m, rng,
-                 grid_step_m=None) -> LspRealization:
+def generate_lsp(params: ScenarioParamSet, x_m, y_m, rng) -> LspRealization:
     """Spatially and cross-correlated LSPs at explicit 2D locations.
 
     One exponential-correlation field per parameter (its own correlation
     distance) supplies the spatial structure; the cross-correlation is
     imposed by mixing the per-parameter field samples at each location.
+    Every field shares one grid step, a quarter of the set's smallest
+    correlation distance, so each is comfortably oversampled.
     """
     x = np.atleast_1d(np.asarray(x_m, dtype=float))
     y = np.atleast_1d(np.asarray(y_m, dtype=float))
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x_m and y_m must be matching 1-D arrays")
     names = params.lsp_names
-    if grid_step_m is None:
-        # quarter of the smallest correlation distance keeps every field
-        # comfortably oversampled on one shared step
-        grid_step_m = min(params.corr_dist_m[n] for n in names) / 4.0
+    step = min(params.corr_dist_m[n] for n in names) / 4.0
     extent = ((x.min(), x.max()), (y.min(), y.max()))
     cols = []
     for nm in names:
-        f = GaussianField(params.corr_dist_m[nm], extent, rng, grid_step_m)
+        f = GaussianField(params.corr_dist_m[nm], extent, rng, step)
         cols.append(f.sample(x, y))
     z = np.column_stack(cols) @ params.mixing_matrix.T
     return LspRealization(**transform_standard_normals(params, z))

@@ -328,12 +328,12 @@ def load_params_file(path) -> list[ScenarioParamSet]:
 def load_params(scenario: str, condition: str, source: str,
                 path=None) -> ScenarioParamSet:
     """The set with these coordinates from ``path``, a file holding one
-    set or a list; by default ``params_file`` of those coordinates."""
+    set or a list; by default ``params_file`` of those coordinates. A
+    valid file without that set is a LookupError."""
     path = Path(path or params_file(scenario, condition, source))
     if not path.is_file():
         raise FileNotFoundError(f"parameter file not found: {path}")
     for ps in load_params_file(path):
         if (ps.scenario, ps.condition, ps.source) == (scenario, condition, source):
             return ps
-    raise ParamValidationError(
-        [f"{path} holds no set for {scenario}/{condition}/{source}"])
+    raise LookupError(f"{path} holds no set for {scenario}/{condition}/{source}")

@@ -408,7 +408,7 @@ def test_lockstep_fit_matches_scalar_restarts_on_reseeded_clusters():
 
 def test_lockstep_fit_matches_scalar_restarts_on_generated_drop():
     cols = build_drop(load_params("umi", "nlos", "3gpp"),
-                      np.random.default_rng(11)).mpc_arrays()
+                      np.random.default_rng(11)).mpc_arrays
     e = mcd_embedding(cols["delay_s"], cols["aoa_deg"], cols["zoa_deg"])
     for k in range(2, 7):
         _assert_matches_reference(e, cols["power"], k)
@@ -474,6 +474,24 @@ def test_select_n_clusters_without_a_k_to_score_names_the_cause(n, k_max):
                        f"of at least 2, got {n} components and k_max={k_max}"):
         select_n_clusters(t, np.ones(n), np.arange(n) * 30.0,
                           np.full(n, 90.0), k_max=k_max)
+
+
+def test_select_n_clusters_tries_k_below_the_powered_count():
+    # 6 components, 3 with power: only k = 2 leaves a powered seed spare
+    t = np.arange(6) * 10e-9
+    p = np.array([1.0, 0.0, 0.5, 0.0, 0.8, 0.0])
+    best, scores, labels = select_n_clusters(
+        t, p, np.arange(6) * 60.0, np.full(6, 90.0), k_max=5)
+    assert best == 2 and set(scores) == {2}
+    assert labels.shape == (6,)
+
+
+def test_select_n_clusters_counts_only_powered_components():
+    t = np.arange(4) * 1e-9
+    with pytest.raises(ValueError, match="got 2 components and k_max=5, "
+                       "counting only components with power"):
+        select_n_clusters(t, np.array([1.0, 0.0, 0.5, 0.0]),
+                          np.arange(4) * 30.0, np.full(4, 90.0), k_max=5)
 
 
 @pytest.mark.parametrize("seed", [9, 21])

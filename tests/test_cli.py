@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import yaml
 
 from thzgbsm import analysis
 from thzgbsm.cli import _fmt, build_parser, main
-from thzgbsm.clusters import build_drop
+from thzgbsm.clusters import ClusterSet, build_drop
 from thzgbsm.params import load_params
 
 
@@ -377,12 +378,30 @@ def test_analyze_recluster_counts_only_powered_rows(tmp_path):
 
 
 def test_simulate_oversized_grid_exits_1(tmp_path, capsys):
+    # a field's step is a quarter of the set's smallest correlation
+    # distance, so a set with millimetre distances needs billions of cells
+    from thzgbsm.params import data_dir
+    d = yaml.safe_load((data_dir() / "office_los_measured.yaml").read_text())
+    d["corr_dist_m"] = dict.fromkeys(d["corr_dist_m"], 1e-3)
+    pfile = tmp_path / "fine.yaml"
+    pfile.write_text(yaml.safe_dump(d))
     assert main(["simulate", "--scenario", "office", "--condition", "los",
-                 "--grid-step", "1e-4", "--drops", "3",
+                 "--params", str(pfile), "--drops", "3",
                  "--out", str(tmp_path / "sim")]) == 1
     err = capsys.readouterr().err
-    assert "grid_step_m=0.0001" in err and "grid cells" in err
+    assert "correlation distance 0.001 m" in err
+    assert "grid_step_m=0.00025" in err and "grid cells" in err
     assert not (tmp_path / "sim").exists()
+
+
+def test_simulate_has_no_grid_step_option(tmp_path, capsys):
+    out = tmp_path / "X"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", "office", "--condition", "los",
+              "--grid-step", "0.5", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--grid-step" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_unknown_schema_exits_2_before_creating_out(tmp_path, capsys):
@@ -394,6 +413,35 @@ def test_analyze_unknown_schema_exits_2_before_creating_out(tmp_path, capsys):
     assert exc.value.code == 2
     assert "power_linear" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_analyze_labeled_cluster_without_power_exits_1_naming_it(
+        tmp_path, capsys):
+    src = tmp_path / "mpcs.csv"
+    src.write_text("drop,cluster,delay_ns,power,aoa_deg\n"
+                   "0,1,0,1,0\n0,1,5,0.5,30\n0,2,9,0,60\n0,2,12,0,90\n"
+                   "1,1,0,1,0\n1,1,4,0.3,20\n1,2,8,0.6,40\n")
+    out = tmp_path / "rep"
+    assert main(["analyze", "--input", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "thzgbsm analyze: drop 0: all power cells of its cluster 2 are 0, "
+        "so it carries no power\n")
+    assert not out.exists()
+
+
+def test_simulate_builds_each_drop_component_table_once(tmp_path,
+                                                        monkeypatch):
+    table = ClusterSet.__dict__["mpc_arrays"]
+    build, builds = table.func, []
+
+    def counted(cs):
+        builds.append(cs)
+        return build(cs)
+    monkeypatch.setattr(table, "func", counted)
+    assert main(["simulate", "--scenario", "office", "--condition", "los",
+                 "--drops", "4", "--dump-clusters", "--dump-cir",
+                 "--out", str(tmp_path / "sim")]) == 0
+    assert len(builds) == len({id(cs) for cs in builds}) == 4
 
 
 def test_analyze_pdp_schema(tmp_path):
@@ -468,7 +516,7 @@ def test_analyze_writes_what_the_library_returns(tmp_path, recluster):
     """analysis.analyze_mpcs on arrays gives the report and per-drop
     columns that analyze writes for the same rows."""
     params = load_params("office", "los", "measured")
-    drops = [build_drop(params, np.random.default_rng(s)).mpc_arrays()
+    drops = [build_drop(params, np.random.default_rng(s)).mpc_arrays
              for s in range(4)]
     cols = {k: np.concatenate([d[k] for d in drops]) for k in drops[0]}
     cols["drop"] = np.repeat(np.arange(4), [d["power"].size for d in drops])
@@ -611,8 +659,6 @@ def test_capacity_bad_snr_exits_2(tmp_path):
     ["analyze", "--input", "in.csv", "--margin-db", "nan"],
     ["capacity", "--scenario", "umi", "--bandwidth-hz", "nan"],
     ["capacity", "--scenario", "umi", "--bandwidth-hz", "inf"],
-    ["simulate", "--scenario", "office", "--condition", "los",
-     "--grid-step", "nan"],
     ["roundtrip", "--scenario", "office", "--condition", "los",
      "--tol-log10", "nan"],
     ["roundtrip", "--scenario", "office", "--condition", "los",
@@ -632,10 +678,6 @@ def test_non_finite_float_option_exits_2(tmp_path, capsys, argv):
     ["roundtrip", "--scenario", "office", "--condition", "los", "--drops", "0"],
     ["simulate", "--scenario", "office", "--condition", "los", "--workers", "0"],
     ["roundtrip", "--scenario", "umi", "--condition", "los", "--workers", "-3"],
-    ["simulate", "--scenario", "office", "--condition", "los",
-     "--grid-step", "0"],
-    ["simulate", "--scenario", "office", "--condition", "los",
-     "--grid-step", "5"],
     ["roundtrip", "--scenario", "office", "--condition", "los",
      "--tol-log10", "-0.1"],
     ["roundtrip", "--scenario", "office", "--condition", "los",
@@ -650,8 +692,7 @@ def test_non_finite_float_option_exits_2(tmp_path, capsys, argv):
     ["analyze", "--input", "in.csv", "--recluster", "--max-clusters", "1"],
     ["capacity", "--scenario", "umi", "--snr", ","],
 ], ids=["simulate-drops", "roundtrip-drops", "simulate-workers-0",
-        "roundtrip-workers-negative", "grid-step-zero",
-        "grid-step-above-half-corr-dist", "tol-log10-negative",
+        "roundtrip-workers-negative", "tol-log10-negative",
         "tol-k-db-negative", "noise-floor-negative", "margin-db-zero",
         "delay-weight-negative", "bandwidth-hz-zero", "bandwidth-hz-negative",
         "margin-db-zero-without-noise-floor", "max-clusters-1", "snr-empty"])
@@ -689,7 +730,22 @@ def test_every_numeric_option_declares_a_range_or_is_listed_unbounded():
             typed.append(where)
             bounded = hasattr(action.type, "range")
             assert bounded != (where[1] in _UNBOUNDED_OPTIONS), where
-    assert len(typed) == 19
+    assert len(typed) == 18
+
+
+# options the README names that belong to other tools: pip's and the bench's
+_FOREIGN_OPTIONS = {"--no-build-isolation", "--workload"}
+
+
+def test_readme_names_only_options_the_parser_has():
+    parser = build_parser()
+    sub, = (a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction))
+    known = {o for p in (parser, *sub.choices.values())
+             for a in p._actions for o in a.option_strings}
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    assert named - known - _FOREIGN_OPTIONS == set()
 
 
 # np.interp and crossover_snr read the grid in the order given
@@ -833,8 +889,8 @@ def test_params_file_without_the_set_exits_2_before_creating_out(
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"{option}: " in err
-    assert f"{pfile} holds no set for office/los/3gpp" in err
+    assert f"{option}: {pfile} holds no set for office/los/3gpp" in err
+    assert "invalid" not in err         # the file itself is valid
     assert not (tmp_path / "out").exists()
 
 

@@ -445,7 +445,7 @@ def test_build_drop_angles_wrapped():
 def test_mpc_arrays_layout():
     p = load_params("umi", "los", "measured")
     cs = build_drop(p, np.random.default_rng(2))
-    cols = cs.mpc_arrays()
+    cols = cs.mpc_arrays
     n = cs.n_clusters * cs.n_rays + 1
     assert cols["delay_s"].shape == (n,)
     assert cols["power"].sum() == pytest.approx(1.0, abs=1e-12)
@@ -462,7 +462,7 @@ def test_mpc_arrays_phase_column(condition):
     # then the drawn ray phases in component order
     p = load_params("umi", condition, "measured")
     cs = build_drop(p, np.random.default_rng(5))
-    phase = cs.mpc_arrays()["phase"]
+    phase = cs.mpc_arrays["phase"]
     want = cs.phases.ravel()
     if cs.los_weight > 0:
         carrier = -2.0 * np.pi * cs.geometry.d3_m / p.wavelength_m
@@ -474,7 +474,7 @@ def test_mpc_arrays_phase_column(condition):
 def test_extract_matches_reference_estimators():
     p = load_params("office", "los", "measured")
     cs = build_drop(p, np.random.default_rng(21))
-    cols = cs.mpc_arrays()
+    cols = cs.mpc_arrays
     ext = extract_drop_stats(cs)
     assert ext["ds_s"] == pytest.approx(
         rms_ds(cols["delay_s"], cols["power"]), rel=1e-12)

@@ -50,6 +50,22 @@ def test_scaling_tables_interpolate_between_anchors():
     assert c_theta(13) == pytest.approx(0.5 * (c_theta(12) + c_theta(14, None)), rel=0.05)
 
 
+# _table_lookup's branches besides the anchors (pinned above), per table
+@pytest.mark.parametrize(("lookup", "n", "expected"), [
+    (c_phi, 6, 0.860 + 0.158 / 3),      # a third of the way from 5 to 8
+    (c_theta, 13, 1.1056),              # a third of the way from 12 to 15
+    (c_phi, 2, 0.617),                  # 0.779 - 2 * (0.860 - 0.779)
+    (c_theta, 6, 0.821),                # 0.889 - (0.957 - 0.889)
+    (c_phi, 25, 1.369),                 # 1.273 + 6 * (1.289 - 1.273)
+    (c_theta, 25, 1.148),               # 1.184 + 6 * (1.178 - 1.184)
+], ids=["c_phi-between", "c_theta-between", "c_phi-below", "c_theta-below",
+        "c_phi-above", "c_theta-above"])
+def test_scaling_table_lookup_exact_off_the_anchors(lookup, n, expected):
+    """Linear between the two neighbouring anchors, and linear through
+    the two nearest anchors outside the table."""
+    assert_allclose(lookup(n), expected, rtol=1e-12)
+
+
 def test_scaling_small_count_extrapolation_positive():
     for n in (1, 2, 3):
         assert c_phi(n) > 0
