@@ -10,14 +10,14 @@ between the two parameter sources.
 __version__ = "0.1.0"
 
 from .analysis import (KPowerMeans, asa, cluster_stats, cross_corr,
-                       fit_lognormal, fit_normal, k_factor, kpower_means,
-                       lsp_cross_corr, rms_ds, select_n_clusters)
+                       extract_drop_stats, fit_lognormal, fit_normal, k_factor,
+                       kpower_means, lsp_cross_corr, rms_ds, select_n_clusters)
 from .capacity import (CapacityExperiment, crossover_snr, gram_eigs,
                        mimo_capacity_det, run_capacity_experiment)
 from .clusters import (ClusterSet, LinkGeometry, apply_in_cluster_k,
-                       build_drop, extract_drop_stats, gen_angles, gen_delays,
-                       gen_powers, geometry_for, map_drops, place_user,
-                       place_users, rescale_azimuth, rescale_delays, rescale_zenith)
+                       build_drop, gen_angles, gen_delays, gen_powers,
+                       geometry_for, map_drops, place_user, place_users,
+                       rescale_azimuth, rescale_delays, rescale_zenith)
 from .coeffs import (AntennaArray, ChannelRealization, assemble_cir, cir_to_ctf,
                      single_antenna, ura)
 from .constants import (RAY_OFFSETS, SPEED_OF_LIGHT, c_phi, c_theta,

@@ -15,8 +15,6 @@ external measurement exports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .constants import spherical_unit, wrap_deg
@@ -340,49 +338,39 @@ def select_n_clusters(delay_s, power, aoa_deg, zoa_deg, k_max: int = 10,
 
 
 # ---------------------------------------------------------------------------
-# per-cluster statistics
+# per-group statistics
 
 
-@dataclass
-class ClusterStats:
-    """Intra-cluster spread statistics of labeled multipath components."""
-    labels: np.ndarray
-    c_ds_ns: np.ndarray
-    c_asa_deg: np.ndarray | None  # None without azimuths
-    c_k_db: np.ndarray          # +inf flags single-component clusters
-    counts: np.ndarray
-    medians: dict = field(default_factory=dict)
+def extract_drop_stats(delay_s, power, aoa_deg=None) -> dict:
+    """DS (s), ASA (deg) and K (dB) of one group of components: a drop,
+    direct path included, or one cluster of it. ``asa_deg`` is None
+    without azimuths. K is the strongest component over the rest, +inf
+    for a group with one powered component."""
+    return {"ds_s": rms_ds(delay_s, power),
+            "asa_deg": None if aoa_deg is None else asa(aoa_deg, power),
+            "k_db": k_factor(power)}
 
 
-def cluster_stats(delay_s, power, aoa_deg, labels) -> ClusterStats:
-    """Per-cluster delay spread, azimuth spread (None when aoa_deg is None)
-    and in-cluster K, with one cluster label per component.
-
-    Single-component clusters report zero spreads and an infinite
-    in-cluster K (flagged as +inf, not an exception, so medians across
-    clusters stay well defined).
-    """
+def cluster_stats(delay_s, power, aoa_deg, labels) -> dict:
+    """Per-cluster columns of labeled components, one label per component:
+    ``cluster`` (sorted distinct labels), ``c_ds_ns``, ``c_asa_deg`` (None
+    when aoa_deg is None), ``c_k_db`` and ``count``, each statistic
+    ``extract_drop_stats`` of the cluster's components. A single-component
+    cluster has zero spreads and a K of +inf, so medians across clusters
+    stay defined."""
     t, p = np.asarray(delay_s, dtype=float), np.asarray(power, dtype=float)
     a = None if aoa_deg is None else np.asarray(aoa_deg, dtype=float)
     lab = np.asarray(labels)
     if t.ndim != 1 or any(v.shape != t.shape for v in (p, a, lab) if v is not None):
         raise ValueError("power, aoa_deg and labels must match 1-D delay_s in shape")
-    uniq = np.unique(lab)
-    cds, casa, ck, cnt = [], [], [], []
-    for c in uniq:
-        m = lab == c
-        cds.append(rms_ds(t[m], p[m]) * 1e9)
-        if a is not None:
-            casa.append(asa(a[m], p[m]))
-        ck.append(k_factor(p[m]))
-        cnt.append(int(m.sum()))
-    cds, ck, cnt = map(np.asarray, (cds, ck, cnt))
-    casa = None if a is None else np.asarray(casa)
-    medians = {k: float(np.median(v)) for k, v in (
-        ("c_ds_ns", cds), ("c_asa_deg", casa), ("c_k_db", ck), ("count", cnt))
-        if v is not None}
-    return ClusterStats(labels=uniq, c_ds_ns=cds, c_asa_deg=casa,
-                        c_k_db=ck, counts=cnt, medians=medians)
+    uniq, count = np.unique(lab, return_counts=True)
+    st = [extract_drop_stats(t[m], p[m], None if a is None else a[m])
+          for m in (lab == c for c in uniq)]
+    return {"cluster": uniq,
+            "c_ds_ns": np.array([s["ds_s"] for s in st]) * 1e9,
+            "c_asa_deg": None if a is None else np.array([s["asa_deg"] for s in st]),
+            "c_k_db": np.array([s["k_db"] for s in st]),
+            "count": count}
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +413,12 @@ def analyze_mpcs(drop, delay_s, power, aoa_deg, zoa_deg, cluster,
         if labels is None and a is not None and np.count_nonzero(p) >= 3:
             _, _, labels = select_n_clusters(t, p, a, z, max_clusters,
                                              delay_weight)
-        med = {} if labels is None else cluster_stats(t, p, a, labels).medians
+        cl = {} if labels is None else cluster_stats(t, p, a, labels)
+        med = {k: float(np.median(v)) for k, v in cl.items()
+               if k.startswith("c_") and v is not None}
         rows.append({
-            "drop": d, "n_mpcs": t.size, "ds_s": rms_ds(t, p),
-            "asa_deg": None if a is None else asa(a, p), "k_db": k_factor(p),
-            "n_clusters": 1 if labels is None else np.unique(labels).size,
+            "drop": d, "n_mpcs": t.size, **extract_drop_stats(t, p, a),
+            "n_clusters": cl["cluster"].size if cl else 1,
             "c_ds_ns_median": med.get("c_ds_ns"),
             "c_asa_deg_median": med.get("c_asa_deg"),
             "c_k_db_median": med.get("c_k_db")})
@@ -514,11 +503,12 @@ def analyze_pdp(directions: dict, delay_s, power, distance_m, noise_floor,
                 f"noise floor {noise_floor:g} with a {margin_db:g} dB margin "
                 f"cuts at {cut:g}, above every bin (the strongest holds "
                 f"{P.max():g})")
+    st = extract_drop_stats(T[0], omni)
     report = {
         "kind": "pdp",
         "n_directions": len(rank),
-        "ds_ns": round(rms_ds(T[0], omni) * 1e9, 6),
-        "k_db": round(k_factor(omni[omni > 0]), 6),
+        "ds_ns": round(st["ds_s"] * 1e9, 6),
+        "k_db": round(st["k_db"], 6),
     }
     if "phi_rx_deg" in directions and len(rank) > 1:
         # each pointing's azimuth, weighted by the pointing's total power

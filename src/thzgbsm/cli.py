@@ -30,9 +30,11 @@ import numpy as np
 import yaml
 
 from . import __version__, analysis
+# the per-drop estimator, called through this module's global, where the
+# bench's tracer wraps it (bench/tracing.py)
+from .analysis import extract_drop_stats
 from .capacity import crossover_snr, gap_at_snr, run_capacity_experiment
-from .clusters import (build_drop, extract_drop_stats, geometry_for, map_drops,
-                       place_users)
+from .clusters import build_drop, geometry_for, map_drops, place_users
 from .coeffs import assemble_cir, single_antenna
 from .lsp import generate_lsp
 from .params import (CONDITIONS, SCENARIOS, SOURCES, ParamValidationError,
@@ -143,9 +145,8 @@ def _sim_drop(job):
         cir = {"tap": np.arange(cr.n_taps), "u": zeros, "s": zeros,
                "delay_ns": cr.delays_s * 1e9, "re": cr.amps[:, 0, 0].real,
                "im": cr.amps[:, 0, 0].imag}
-    st = extract_drop_stats(cs)
-    return mpcs, cir, {"ds_s": [st["ds_s"]], "asa_deg": [st["asa_deg"]],
-                       "k_db": [st.get("k_db")]}
+    st = extract_drop_stats(c["delay_s"], c["power"], c["aoa_deg"])
+    return mpcs, cir, {k: [v] for k, v in st.items()}
 
 
 def _stack(tables: list[dict]) -> dict:
@@ -326,9 +327,10 @@ def _rt_drop(job):
     params, seed_seq = job
     rng = np.random.default_rng(seed_seq)
     cs = build_drop(params, rng)
-    ext = extract_drop_stats(cs)
+    c = cs.mpc_arrays
+    ext = extract_drop_stats(c["delay_s"], c["power"], c["aoa_deg"])
     return (cs.lsp["ds_s"], cs.lsp["asa_deg"], cs.lsp.get("k_db"),
-            ext["ds_s"], ext["asa_deg"], ext.get("k_db"))
+            ext["ds_s"], ext["asa_deg"], ext["k_db"])
 
 
 def cmd_roundtrip(parser, args) -> int:
@@ -441,9 +443,13 @@ _POSITIVE = _number(float, lambda x: x > 0, "a positive number")
 _FINITE = _number(float, lambda x: True, "a finite number")
 
 
+MAX_SNR_POINTS = 10_001     # the most points a start:stop:step grid may hold
+
+
 def _parse_snr(text: str) -> np.ndarray:
-    """argparse type: an SNR grid in dB, start:stop:step or a comma list,
-    of finite points that strictly increase."""
+    """argparse type: an SNR grid in dB, start:stop:step of at most
+    ``MAX_SNR_POINTS`` points or a comma list, of finite points that
+    strictly increase. A grid's points are counted before it is built."""
     sep = ":" if ":" in text else ","
     try:
         x = [_FINITE(p) for p in text.split(sep) if p != ""]
@@ -453,7 +459,12 @@ def _parse_snr(text: str) -> np.ndarray:
         if len(x) != 3 or x[2] <= 0 or x[1] < x[0]:
             raise argparse.ArgumentTypeError(
                 "expected start:stop:step with stop >= start and step > 0")
-        x = np.arange(x[0], x[1] + x[2] / 2.0, x[2])
+        stop = x[1] + x[2] / 2.0
+        n = np.ceil((stop - x[0]) / x[2])      # np.arange's length, or inf
+        if n > MAX_SNR_POINTS:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} holds {n:.0f} points, more than {MAX_SNR_POINTS}")
+        x = np.arange(x[0], stop, x[2])
     if len(x) == 0:
         raise argparse.ArgumentTypeError("no points given")
     if np.any(np.diff(x) <= 0):

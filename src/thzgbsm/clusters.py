@@ -394,22 +394,6 @@ class ClusterSet:
         return cols
 
 
-def extract_drop_stats(cs: ClusterSet) -> dict:
-    """Re-extract DS / ASA / K from a drop's multipath components.
-
-    Works on the discrete component list (direct path included), i.e.
-    the same information a dump of the drop carries.
-    """
-    cols = cs.mpc_arrays
-    out = {
-        "ds_s": analysis.rms_ds(cols["delay_s"], cols["power"]),
-        "asa_deg": analysis.asa(cols["aoa_deg"], cols["power"]),
-    }
-    if cs.los_weight > 0:
-        out["k_db"] = analysis.k_factor(cols["power"])
-    return out
-
-
 def build_drop(params: ScenarioParamSet, rng, geometry: LinkGeometry | None = None,
                lsp_vals: dict | None = None) -> ClusterSet:
     """Generate one full drop.

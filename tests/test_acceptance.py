@@ -106,7 +106,8 @@ def test_criterion_4_channel_level_roundtrip():
             assert abs(d_k) <= 3.0, f"{p.label()}: K median delta {d_k:+.2f} dB"
 
     # forced K sweep: extraction must track the input strictly
-    from thzgbsm.clusters import build_drop, extract_drop_stats, place_user
+    from thzgbsm.analysis import extract_drop_stats
+    from thzgbsm.clusters import build_drop, place_user
     p = load_params("umi", "los", "measured")
     medians = []
     for k_db in (0.0, 10.0, 20.0):
@@ -117,8 +118,8 @@ def test_criterion_4_channel_level_roundtrip():
             geom = place_user(p, rng)
             lsp = draw_lsp_iid(p, 1, rng).row(0)
             lsp["k_db"] = k_db
-            ext.append(extract_drop_stats(build_drop(
-                p, rng, geometry=geom, lsp_vals=lsp))["k_db"])
+            c = build_drop(p, rng, geometry=geom, lsp_vals=lsp).mpc_arrays
+            ext.append(extract_drop_stats(c["delay_s"], c["power"])["k_db"])
         medians.append(float(np.median(ext)))
     assert medians[0] < medians[1] < medians[2], medians
 

@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 from thzgbsm import analysis
 from thzgbsm.analysis import (
     MAX_ITER, N_INIT, KPowerMeans, ThresholdError, analyze_mpcs, analyze_pdp,
-    cluster_stats, cross_corr, fit_lognormal, fit_normal, k_factor,
-    kpower_means, lsp_cross_corr, mcd_embedding, rms_ds, asa,
+    cluster_stats, cross_corr, extract_drop_stats, fit_lognormal, fit_normal,
+    k_factor, kpower_means, lsp_cross_corr, mcd_embedding, rms_ds, asa,
     select_n_clusters)
 from thzgbsm.clusters import build_drop
 from thzgbsm.params import load_params
@@ -546,12 +546,24 @@ def test_kpower_means_rejects_non_finite_angle():
 def test_cluster_stats_single_cluster_oracles():
     st_ = cluster_stats(np.array([0.0, 1e-9]), np.array([1.0, 1.0]),
                         np.array([0.0, 0.0]), np.array([0, 0]))
-    assert st_.c_ds_ns[0] == pytest.approx(0.5)
-    assert st_.c_asa_deg[0] == pytest.approx(0.0)
+    assert st_["c_ds_ns"][0] == pytest.approx(0.5)
+    assert st_["c_asa_deg"][0] == pytest.approx(0.0)
 
     st2 = cluster_stats(np.array([0.0, 1e-9, 2e-9]), np.array([10.0, 1.0, 1.0]),
                         np.array([0.0, 5.0, -5.0]), np.array([0, 0, 0]))
-    assert st2.c_k_db[0] == pytest.approx(10 * np.log10(5.0))
+    assert st2["c_k_db"][0] == pytest.approx(10 * np.log10(5.0))
+
+    # one label on every component: the cluster is the whole group, and
+    # its statistics are the group's, from the one estimator
+    t = np.array([0.0, 3e-9, 7e-9, 12e-9, 20e-9])
+    p = np.array([5.0, 1.0, 0.5, 2.0, 0.25])
+    a = np.array([-170.0, 175.0, 10.0, -30.0, 90.0])
+    st3 = cluster_stats(t, p, a, np.full(5, 7))
+    whole = extract_drop_stats(t, p, a)
+    assert st3["cluster"].tolist() == [7] and st3["count"].tolist() == [5]
+    assert st3["c_ds_ns"][0] == whole["ds_s"] * 1e9
+    assert st3["c_asa_deg"][0] == whole["asa_deg"]
+    assert st3["c_k_db"][0] == whole["k_db"]
 
 
 def test_cluster_stats_rejects_labels_of_another_shape():
@@ -562,10 +574,9 @@ def test_cluster_stats_rejects_labels_of_another_shape():
 
 def test_cluster_stats_without_azimuths_has_no_cluster_asa():
     st_ = cluster_stats([0, 5e-9, 9e-9], [1, .5, .2], None, [1, 1, 2])
-    assert st_.c_asa_deg is None
-    assert "c_asa_deg" not in st_.medians
-    assert st_.counts.tolist() == [2, 1]
-    assert set(st_.medians) == {"c_ds_ns", "c_k_db", "count"}
+    assert st_["c_asa_deg"] is None
+    assert st_["count"].tolist() == [2, 1]
+    assert list(st_) == ["cluster", "c_ds_ns", "c_asa_deg", "c_k_db", "count"]
 
 
 def test_cluster_stats_medians_across_clusters():
@@ -573,6 +584,7 @@ def test_cluster_stats_medians_across_clusters():
                         np.array([1.0, 1.0, 1.0, 1.0]),
                         np.array([0.0, 0.0, 90.0, 90.0]),
                         np.array([0, 0, 1, 1]))
-    assert st_.labels.size == 2
-    assert st_.counts.tolist() == [2, 2]
-    assert st_.medians["c_ds_ns"] == pytest.approx(np.median([0.5, 1.5]))
+    assert st_["cluster"].tolist() == [0, 1]
+    assert st_["count"].tolist() == [2, 2]
+    assert_allclose(st_["c_ds_ns"], [0.5, 1.5])
+    assert np.median(st_["c_ds_ns"]) == pytest.approx(np.median([0.5, 1.5]))

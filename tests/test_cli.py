@@ -1,7 +1,9 @@
 import argparse
 import csv
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
+import thzgbsm
 from thzgbsm import analysis
 from thzgbsm.cli import _fmt, build_parser, main
 from thzgbsm.clusters import ClusterSet, build_drop
@@ -204,6 +207,27 @@ def test_analyze_simulator_output_roundtrip(tmp_path):
     assert "clusters" in rep and "count_median" in rep["clusters"]
     per = _rows(rep_dir / "per_drop.csv")
     assert len(per) == 6
+
+
+@pytest.mark.parametrize("selection", [("office", "los", "measured"),
+                                       ("umi", "nlos", "3gpp")],
+                         ids=["office_los_measured", "umi_nlos_3gpp"])
+def test_analyze_of_a_dump_reproduces_simulate_drop_stats(tmp_path, selection):
+    # one estimator behind both files: they agree to the CSVs' 12 digits,
+    # K on NLoS drops included
+    sc, co, so = selection
+    sim, rep = tmp_path / "sim", tmp_path / "rep"
+    assert main(["simulate", "--scenario", sc, "--condition", co,
+                 "--source", so, "--drops", "3", "--seed", "2",
+                 "--dump-clusters", "--out", str(sim)]) == 0
+    assert main(["analyze", "--input", str(sim / "clusters.csv"),
+                 "--out", str(rep)]) == 0
+    want, got = _rows(sim / "drop_stats.csv"), _rows(rep / "per_drop.csv")
+    assert [r["drop"] for r in got] == [r["drop"] for r in want] == ["0", "1", "2"]
+    for w, g in zip(want, got):
+        for key in ("ds_s", "asa_deg", "k_db"):
+            assert float(g[key]) == pytest.approx(float(w[key]), rel=1e-9), (
+                w["drop"], key)
 
 
 def test_analyze_empty_input_no_partial_outputs(tmp_path):
@@ -644,13 +668,15 @@ def test_capacity_both_sources_report(tmp_path):
     assert "measured" in svg and "3gpp" in svg
 
 
-def test_capacity_bad_snr_exits_2(tmp_path):
-    for snr in ("bogus", "nan", "0,inf", "0:inf:5"):
+def test_capacity_bad_snr_exits_2(tmp_path, capsys):
+    for snr in ("bogus", "nan", "0,inf", "0:inf:5", "0:30:1e-9"):
         with pytest.raises(SystemExit) as exc:
             main(["capacity", "--scenario", "umi", "--snr", snr,
                   "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
         assert not (tmp_path / "x").exists()
+    # a grid too fine to build is counted, not allocated
+    assert "30000000001 points, more than 10001" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -746,6 +772,55 @@ def test_readme_names_only_options_the_parser_has():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
     assert named - known - _FOREIGN_OPTIONS == set()
+
+
+# names README calls that are not the package's: KPowerMeans' method, and
+# numpy's generator, complex exponential and weighted draw
+_FOREIGN_NAMES = {"fit", "default_rng", "exp", "choice"}
+_FILE_SUFFIXES = {"csv", "json", "md", "py", "svg", "yaml"}
+
+
+_MISSING = object()
+
+
+def _resolves(dotted: str, roots) -> bool:
+    """Whether ``dotted`` is an attribute path from one of ``roots``."""
+    for obj in roots:
+        for part in dotted.split("."):
+            obj = getattr(obj, part, _MISSING)
+            if obj is _MISSING:
+                break
+        else:
+            return True
+    return False
+
+
+def test_readme_names_only_api_the_package_has():
+    """Every backticked module-qualified name (``analysis.asa``) and every
+    backticked call (``kpower_means(``) in README resolves: a qualified
+    name from the package or, for a dotted parameter-file entry such as
+    ``clusters.count``, from a loaded set; a call from the package or one
+    of its modules, unless it is listed as foreign."""
+    modules = {m.name: importlib.import_module(f"thzgbsm.{m.name}")
+               for m in pkgutil.iter_modules(thzgbsm.__path__)}
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", readme, flags=re.S))
+    params = load_params("office", "los", "measured")
+    stale = set()
+    for span in spans:
+        for dotted in re.findall(r"(?<![\w./-])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+",
+                                 span):
+            name = dotted.removeprefix("thzgbsm.")
+            parts = name.split(".")
+            if (parts[0] in modules and parts[-1] not in _FILE_SUFFIXES
+                    and not _resolves(name, [thzgbsm, params])):
+                stale.add(dotted)
+        for called in re.findall(r"(?<![\w.])([A-Za-z_][\w.]*)\(", span):
+            name = called.removeprefix("thzgbsm.")
+            if name not in _FOREIGN_NAMES and not _resolves(
+                    name, [thzgbsm, *modules.values()]):
+                stale.add(called + "(")
+    assert stale == set()
 
 
 # np.interp and crossover_snr read the grid in the order given

@@ -3,11 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from thzgbsm import clusters
-from thzgbsm.analysis import asa, k_factor, rms_ds
+from thzgbsm.analysis import asa, extract_drop_stats, k_factor, rms_ds
 from thzgbsm.clusters import (
     apply_in_cluster_k, build_drop, composite_asa, composite_rms_ds,
-    extract_drop_stats, gen_delays, gen_powers, geometry_for, place_user,
-    rescale_azimuth, rescale_delays, rescale_zenith)
+    gen_delays, gen_powers, geometry_for, place_user, rescale_azimuth,
+    rescale_delays, rescale_zenith)
 from thzgbsm.constants import wrap_deg
 from thzgbsm.lsp import draw_lsp_iid
 from thzgbsm.params import load_params
@@ -386,11 +386,16 @@ def test_build_drop_reproducible():
     assert_allclose(a.phases, b.phases)
 
 
+def _drop_stats(cs):
+    c = cs.mpc_arrays
+    return extract_drop_stats(c["delay_s"], c["power"], c["aoa_deg"])
+
+
 def test_build_drop_roundtrip_ds_k_exact():
     p = load_params("office", "los", "measured")
     for seed in range(5):
         cs = build_drop(p, np.random.default_rng(seed))
-        ext = extract_drop_stats(cs)
+        ext = _drop_stats(cs)
         assert ext["ds_s"] == pytest.approx(cs.lsp["ds_s"], rel=1e-9)
         assert ext["k_db"] == pytest.approx(cs.lsp["k_db"], abs=1e-9)
 
@@ -399,7 +404,7 @@ def test_build_drop_roundtrip_asa_capped():
     p = load_params("umi", "los", "measured")
     for seed in range(5):
         cs = build_drop(p, np.random.default_rng(seed))
-        ext = extract_drop_stats(cs)
+        ext = _drop_stats(cs)
         w = cs.los_weight
         cap = np.degrees(np.sqrt(max(1.0 - (2 * w - 1.0) ** 2, 0.0)))
         want = min(cs.lsp["asa_deg"], cap)
@@ -410,7 +415,9 @@ def test_build_drop_nlos_has_no_direct():
     p = load_params("office", "nlos", "measured")
     cs = build_drop(p, np.random.default_rng(3))
     assert cs.los_weight == 0.0
-    assert "k_db" not in extract_drop_stats(cs)
+    # K of a drop without a direct path: its strongest ray over the rest
+    k = _drop_stats(cs)["k_db"]
+    assert np.isfinite(k) and k == k_factor(cs.ray_powers.ravel())
 
 
 def _forced_k_drop(params, rng, k_db):
@@ -425,7 +432,7 @@ def test_build_drop_forced_k():
     p = load_params("umi", "los", "measured")
     meds = []
     for k in (0.0, 10.0, 20.0):
-        ext = [extract_drop_stats(
+        ext = [_drop_stats(
                    _forced_k_drop(p, np.random.default_rng(s), k))["k_db"]
                for s in range(30)]
         meds.append(np.median(ext))
@@ -475,7 +482,7 @@ def test_extract_matches_reference_estimators():
     p = load_params("office", "los", "measured")
     cs = build_drop(p, np.random.default_rng(21))
     cols = cs.mpc_arrays
-    ext = extract_drop_stats(cs)
+    ext = _drop_stats(cs)
     assert ext["ds_s"] == pytest.approx(
         rms_ds(cols["delay_s"], cols["power"]), rel=1e-12)
     assert ext["asa_deg"] == pytest.approx(
