@@ -16,7 +16,7 @@ from .capacity import (CapacityExperiment, crossover_snr, gram_eigs,
                        mimo_capacity_det, run_capacity_experiment)
 from .clusters import (ClusterSet, LinkGeometry, apply_in_cluster_k,
                        build_drop, gen_angles, gen_delays, gen_powers,
-                       geometry_for, map_drops, place_user, place_users,
+                       geometry_for, place_user, place_users,
                        rescale_azimuth, rescale_delays, rescale_zenith)
 from .coeffs import (AntennaArray, ChannelRealization, assemble_cir, cir_to_ctf,
                      single_antenna, ura)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clusters import build_drop, map_drops, place_user
+from .clusters import build_drop, place_user
 from .coeffs import assemble_cir, cir_to_ctf, ura
 from .lsp import draw_lsp_iid
 from .params import ScenarioParamSet
@@ -60,30 +60,27 @@ class CapacityExperiment:
     per_drop: np.ndarray                # (n_drops, n_snr)
 
 
-def _drop_payload(args):
-    params, seed_seq, mode, n_tones, bandwidth_hz, rx, tx = args
+def _drop_payload(params, seed_seq, mode, rx, tx, freqs):
+    """One drop's per-tone Gram eigenvalues, shape (F, min(U, S))."""
     rng = np.random.default_rng(seed_seq)
     geom = place_user(params, rng)
     lsp = draw_lsp_iid(params, 1, rng).row(0)
     cs = build_drop(params, rng, geometry=geom, lsp_vals=lsp)
     cr = assemble_cir(cs, rx, tx, mode=mode)
-    freqs = np.linspace(-bandwidth_hz / 2.0, bandwidth_hz / 2.0, n_tones)
-    return gram_eigs(cir_to_ctf(cr, freqs))                # (F, min(U, S))
+    return gram_eigs(cir_to_ctf(cr, freqs))
 
 
 def run_capacity_experiment(params: ScenarioParamSet, snr_db,
                             n_drops: int = 100, seed: int = 0,
                             mode: str = "thz-simplified", n_tones: int = 64,
-                            bandwidth_hz: float = 1e9,
-                            workers: int = 1) -> CapacityExperiment:
+                            bandwidth_hz: float = 1e9) -> CapacityExperiment:
     """Generate drops and average equal-power capacity per SNR point.
 
     The arrays are 16x16 transmit and 2x2 receive half-wavelength
     rectangular arrays of single-polarized (vertical) isotropic elements.
-    Per-drop seeds are spawned from one root sequence and results are
-    reduced in submission order, so the outcome is independent of worker
-    count. All drops share one scale factor, so the scenario's gain
-    spread across drops stays in the result.
+    Per-drop seeds are spawned from one root sequence, so a rerun with the
+    same seed reproduces the result. All drops share one scale factor, so
+    the scenario's gain spread across drops stays in the result.
     """
     if n_drops < 1:
         raise ValueError("n_drops must be at least 1")
@@ -96,18 +93,22 @@ def run_capacity_experiment(params: ScenarioParamSet, snr_db,
         raise ValueError("snr_db must contain at least one point")
     if not np.all(np.isfinite(snr_db)):
         raise ValueError("snr_db points must be finite")
+    with np.errstate(over="ignore"):
+        rho = 10.0 ** (snr_db / 10.0)
+    if not np.all(np.isfinite(rho)):
+        raise ValueError(f"snr_db point {snr_db[~np.isfinite(rho)][0]:g} dB "
+                         "overflows as a linear SNR")
     half = params.wavelength_m / 2.0
     rx, tx = ura(2, 2, half), ura(16, 16, half)
+    freqs = np.linspace(-bandwidth_hz / 2.0, bandwidth_hz / 2.0, n_tones)
 
     seeds = np.random.SeedSequence(seed).spawn(n_drops)
-    # arrays and seed sequences ride along whole (both pickle)
-    jobs = [(params, ss, mode, n_tones, bandwidth_hz, rx, tx) for ss in seeds]
-    eigs = np.stack(map_drops(_drop_payload, jobs, workers))   # (drops, F, min(U, S))
+    eigs = np.stack([_drop_payload(params, ss, mode, rx, tx, freqs)
+                     for ss in seeds])                  # (drops, F, min(U, S))
 
     m_t = tx.n_elements
     eigs = eigs * ((m_t * rx.n_elements) / eigs.sum(axis=-1).mean())
 
-    rho = 10.0 ** (snr_db / 10.0)
     per_drop = np.empty((n_drops, snr_db.size))
     for i, r in enumerate(rho):
         per_drop[:, i] = capacity_from_eigs(eigs, r, m_t).mean(axis=1)

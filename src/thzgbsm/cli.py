@@ -4,8 +4,8 @@ Four subcommands: ``simulate`` (drops to CSV), ``analyze`` (statistics
 from power-delay data), ``roundtrip`` (generate, re-extract, compare),
 ``capacity`` (equal-power MIMO capacity curves). Every run writes its
 outputs plus exactly one ``manifest.json`` into ``--out`` and nowhere
-else; reruns with identical arguments reproduce CSVs byte for byte,
-independent of ``--workers``.
+else; reruns with identical arguments reproduce CSVs byte for byte. Each
+command runs its drops in order, in one process.
 
 Each numeric option's range lives on its argparse type. A command
 checks its input and what needs more than one option's value, calls the
@@ -34,7 +34,7 @@ from . import __version__, analysis
 # bench's tracer wraps it (bench/tracing.py)
 from .analysis import extract_drop_stats
 from .capacity import crossover_snr, gap_at_snr, run_capacity_experiment
-from .clusters import build_drop, geometry_for, map_drops, place_users
+from .clusters import build_drop, geometry_for, place_users
 from .coeffs import assemble_cir, single_antenna
 from .lsp import generate_lsp
 from .params import (CONDITIONS, SCENARIOS, SOURCES, ParamValidationError,
@@ -126,10 +126,9 @@ def _write_run(parser, args, files: dict, params_files: dict) -> Path:
 # simulate
 
 
-def _sim_drop(job):
+def _sim_drop(params, seed_seq, x, y, lsp_row, mode, want_cir):
     """One drop's multipath components, CIR (when asked for) and
     re-extracted statistics, each a table of named columns."""
-    (params, seed_seq, x, y, lsp_row, mode, want_cir) = job
     rng = np.random.default_rng(seed_seq)
     geom = geometry_for(params, x, y)
     cs = build_drop(params, rng, geometry=geom, lsp_vals=lsp_row)
@@ -164,10 +163,8 @@ def cmd_simulate(parser, args) -> int:
     lsp_rng = np.random.default_rng(children[1])
     lsp = generate_lsp(params, xs, ys, lsp_rng)
 
-    drop_seeds = children[2:]
-    jobs = [(params, ss, xs[i], ys[i], lsp.row(i), args.mode,
-             args.dump_cir) for i, ss in enumerate(drop_seeds)]
-    results = map_drops(_sim_drop, jobs, args.workers)
+    results = [_sim_drop(params, ss, xs[i], ys[i], lsp.row(i), args.mode,
+                         args.dump_cir) for i, ss in enumerate(children[2:])]
 
     tables = {"lsp.csv": {
         "drop": np.arange(args.drops), "x_m": xs, "y_m": ys,
@@ -323,8 +320,7 @@ def cmd_analyze(parser, args) -> int:
 # roundtrip
 
 
-def _rt_drop(job):
-    params, seed_seq = job
+def _rt_drop(params, seed_seq):
     rng = np.random.default_rng(seed_seq)
     cs = build_drop(params, rng)
     c = cs.mpc_arrays
@@ -338,8 +334,7 @@ def cmd_roundtrip(parser, args) -> int:
 
     seeds = np.random.SeedSequence(args.seed).spawn(args.drops)
     # (drops, 6): drawn then extracted DS, ASA, K; a missing K is NaN
-    res = np.array(map_drops(_rt_drop, [(params, ss) for ss in seeds],
-                             args.workers), dtype=float)
+    res = np.array([_rt_drop(params, ss) for ss in seeds], dtype=float)
 
     # stdout prints the values report.yaml gets
     checks = _no_negative_zero(analysis.roundtrip_checks(
@@ -378,8 +373,7 @@ def cmd_capacity(parser, args) -> int:
     curves = {
         src: run_capacity_experiment(
             ps, snr, n_drops=args.drops, seed=args.seed, mode=args.mode,
-            n_tones=args.tones, bandwidth_hz=args.bandwidth_hz,
-            workers=args.workers)
+            n_tones=args.tones, bandwidth_hz=args.bandwidth_hz)
         for src, (ps, _) in runs.items()}
 
     report = {
@@ -487,8 +481,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=0, help="master seed")
         sp.add_argument("--drops", type=_COUNT, default=drops_default,
                         help="number of independent drops")
-        sp.add_argument("--workers", type=_COUNT, default=1,
-                        help="parallel worker processes")
+        # unread; kept while the bench passes --workers 1 (ROADMAP item 1 A)
+        sp.add_argument("--workers", default=1, help="only 1 is accepted",
+                        type=_number(int, lambda n: n == 1,
+                                     "1; drops run in one process"))
 
     def selection(sp, condition, source, sources):
         sp.add_argument("--scenario", required=True, choices=SCENARIOS)
@@ -552,8 +548,9 @@ def main(argv=None) -> int:
     args.argv = argv
     try:
         return args.func(parser, args)
-    except (ParamValidationError, ValueError, RuntimeError) as exc:
-        print(f"thzgbsm {args.command}: {exc}", file=sys.stderr)
+    except (ParamValidationError, ValueError, RuntimeError, MemoryError) as exc:
+        print(f"thzgbsm {args.command}: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return 1
 
 

@@ -17,7 +17,6 @@ of being a smeared copy of them.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -436,16 +435,3 @@ def build_drop(params: ScenarioParamSet, rng, geometry: LinkGeometry | None = No
                       c_ds_s=params.clusters.c_ds_ns * 1e-9,
                       lsp={**lsp_vals, "k_db": k_db})
 
-
-def map_drops(fn, jobs, workers: int = 1) -> list:
-    """``[fn(job) for job in jobs]``, over a process pool when workers > 1.
-
-    Results come back in submission order, so output built from them
-    does not depend on the worker count. With workers > 1, fn and every
-    job must pickle.
-    """
-    if workers <= 1:
-        return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, jobs,
-                           chunksize=max(1, len(jobs) // (workers * 4))))

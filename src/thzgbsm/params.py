@@ -75,7 +75,8 @@ class PathLossSpec:
 
 @dataclass
 class ClusterSpec:
-    count: Annotated[int, (lambda v: v >= 1, "must be at least 1")]
+    # one cluster would sit at zero excess delay with the direct path
+    count: Annotated[int, (lambda v: v >= 2, "must be at least 2")]
     rays: Annotated[int, (lambda v: 1 <= v <= 20, "must be in 1..20")]
     c_ds_ns: Nonneg
     c_asa_deg: Nonneg

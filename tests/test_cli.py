@@ -37,24 +37,37 @@ def test_console_script_exists():
     assert "thzgbsm" in out.stdout
 
 
+def _python(code, *argv):
+    """``code`` run in a fresh interpreter that imports this package."""
+    src_root = str(Path(thzgbsm.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src_root] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    out = subprocess.run([sys.executable, "-c", code, *argv],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()[-1]
+
+
 def test_runtime_loads_no_scipy(tmp_path):
     """numpy and PyYAML are the whole runtime: importing the package and
     running simulate, Gaussian field included, loads no scipy module."""
-    import thzgbsm
     code = ("import sys, thzgbsm, thzgbsm.cli\n"
             "rc = thzgbsm.cli.main(['simulate', '--scenario', 'office', "
             "'--condition', 'los', '--drops', '2', '--out', sys.argv[1]])\n"
             "assert rc == 0, rc\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
-    src_root = str(Path(thzgbsm.__file__).parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src_root] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "sim")],
-                         capture_output=True, text=True, env=env)
-    assert out.returncode == 0, out.stderr
+    assert _python(code, str(tmp_path / "sim")) == "[]"
     assert (tmp_path / "sim" / "lsp.csv").is_file()
-    assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_imports_no_process_pool():
+    """Drops run in one process, so importing the CLI loads no process
+    pool machinery and pays none of its import cost."""
+    code = ("import sys, thzgbsm.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('multiprocessing', 'concurrent')))\n")
+    assert _python(code) == "[]"
 
 
 def test_missing_subcommand_exits_2():
@@ -108,20 +121,10 @@ def test_simulate_outputs_and_manifest(tmp_path):
 
 def test_simulate_rerun_byte_identical(tmp_path):
     args = ["simulate", "--scenario", "umi", "--condition", "nlos",
-            "--drops", "4", "--seed", "11", "--dump-clusters"]
+            "--drops", "4", "--seed", "11", "--dump-clusters", "--dump-cir"]
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
-    for name in ("lsp.csv", "drop_stats.csv", "clusters.csv"):
-        assert _read(a / name) == _read(b / name)
-
-
-def test_simulate_worker_count_does_not_change_output(tmp_path):
-    args = ["simulate", "--scenario", "office", "--condition", "nlos",
-            "--drops", "6", "--seed", "2", "--dump-clusters", "--dump-cir"]
-    a, b = tmp_path / "w1", tmp_path / "w3"
-    assert main(args + ["--out", str(a), "--workers", "1"]) == 0
-    assert main(args + ["--out", str(b), "--workers", "3"]) == 0
     for name in ("lsp.csv", "drop_stats.csv", "clusters.csv", "cir.csv"):
         assert _read(a / name) == _read(b / name)
 
@@ -679,6 +682,19 @@ def test_capacity_bad_snr_exits_2(tmp_path, capsys):
     assert "30000000001 points, more than 10001" in capsys.readouterr().err
 
 
+def test_out_of_memory_exits_1_before_creating_out(tmp_path, monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array")
+    monkeypatch.setattr("thzgbsm.cli.run_capacity_experiment", no_memory)
+    out = tmp_path / "cap"
+    assert main(["capacity", "--scenario", "umi", "--tones", "1000000000",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("thzgbsm capacity: Unable to allocate 7.45 GiB")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--input", "in.csv", "--recluster", "--delay-weight", "nan"],
     ["analyze", "--input", "in.csv", "--noise-floor", "inf"],
@@ -717,11 +733,13 @@ def test_non_finite_float_option_exits_2(tmp_path, capsys, argv):
     ["analyze", "--input", "in.csv", "--margin-db", "0"],
     ["analyze", "--input", "in.csv", "--recluster", "--max-clusters", "1"],
     ["capacity", "--scenario", "umi", "--snr", ","],
+    ["capacity", "--scenario", "umi", "--drops", "2", "--workers", "2"],
 ], ids=["simulate-drops", "roundtrip-drops", "simulate-workers-0",
         "roundtrip-workers-negative", "tol-log10-negative",
         "tol-k-db-negative", "noise-floor-negative", "margin-db-zero",
         "delay-weight-negative", "bandwidth-hz-zero", "bandwidth-hz-negative",
-        "margin-db-zero-without-noise-floor", "max-clusters-1", "snr-empty"])
+        "margin-db-zero-without-noise-floor", "max-clusters-1", "snr-empty",
+        "capacity-workers-2"])
 def test_bad_argument_exits_2_before_creating_out(tmp_path, monkeypatch,
                                                   capsys, argv):
     # a valid profile, so that only the option can be at fault
@@ -851,7 +869,7 @@ def test_capacity_rerun_byte_identical(tmp_path):
             "--seed", "4"]
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--out", str(b), "--workers", "2"]) == 0
+    assert main(args + ["--out", str(b)]) == 0
     assert _read(a / "capacity.csv") == _read(b / "capacity.csv")
     assert _read(a / "capacity.svg") == _read(b / "capacity.svg")
 

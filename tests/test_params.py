@@ -143,6 +143,7 @@ _OUT_OF_RANGE = [
     (("supplemental", "c_zsa_deg"), -2.0),
     (("supplemental", "c_zsd_deg"), -2.0),
     (("clusters", "count_log10", "sigma"), -0.3),
+    (("clusters", "count"), 1),
     (("pathloss", "ple"), 0.0),
 ]
 
