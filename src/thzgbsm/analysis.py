@@ -389,8 +389,9 @@ def analyze_mpcs(drop, delay_s, power, aoa_deg, zoa_deg, cluster,
     None. Without cluster labels, a drop with azimuths and at least 3
     powered components takes the ``select_n_clusters`` count over 2 to
     ``max_clusters``, and any other drop counts as one cluster. A drop
-    without power or with zero delay or azimuth spread, and a labeled
-    cluster without power, is a ValueError."""
+    without power, with zero delay or azimuth spread, or with power or
+    delay cells whose statistics overflow, and a labeled cluster without
+    power, is a ValueError."""
     ids, group = np.unique(drop, return_inverse=True)
     rows = []
     for g, d in enumerate(ids):
@@ -406,6 +407,15 @@ def analyze_mpcs(drop, delay_s, power, aoa_deg, zoa_deg, cluster,
         if a is not None and np.ptp(a[p > 0]) == 0:
             raise ValueError(f"drop {d}: all its rows with power share one "
                              "aoa_deg, so its azimuth spread is zero")
+        # finite cells can still overflow the estimators' sums and squares
+        with np.errstate(all="ignore"):
+            total, stats = p.sum(), extract_drop_stats(t, p, a)
+        if not np.isfinite(total):
+            raise ValueError(f"drop {d}: its power cells sum to more than "
+                             "the largest float, so its statistics overflow")
+        if not np.isfinite(stats["ds_s"]):
+            raise ValueError(f"drop {d}: its delay_ns cells lie too far "
+                             "apart, so its delay spread overflows")
         labels = None if cluster is None else np.asarray(cluster)[m]
         if labels is not None and (dark := set(labels) - set(labels[p > 0])):
             raise ValueError(f"drop {d}: all power cells of its cluster "
@@ -417,7 +427,7 @@ def analyze_mpcs(drop, delay_s, power, aoa_deg, zoa_deg, cluster,
         med = {k: float(np.median(v)) for k, v in cl.items()
                if k.startswith("c_") and v is not None}
         rows.append({
-            "drop": d, "n_mpcs": t.size, **extract_drop_stats(t, p, a),
+            "drop": d, "n_mpcs": t.size, **stats,
             "n_clusters": cl["cluster"].size if cl else 1,
             "c_ds_ns_median": med.get("c_ds_ns"),
             "c_asa_deg_median": med.get("c_asa_deg"),

@@ -187,19 +187,37 @@ _SPREAD_RTOL = 1e-10
 _SPREAD_FLOOR_DEG = 1e-4
 
 
-def _solve(f, lo, hi, target: float):
-    """Bisect [lo, hi], where f(lo) < target <= f(hi), for f(x) = target:
-    the first midpoint whose f lies within _SPREAD_RTOL * target of the
-    target, else the midpoint left after 60 halvings."""
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        val = f(mid)
-        if abs(val - target) <= _SPREAD_RTOL * target:
-            return mid
-        if val < target:
-            lo = mid
+def _solve(f, lo, hi, f_lo, f_hi, target: float):
+    """Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) for
+    f(x) = target on [lo, hi], where f_lo = f(lo) < target <= f_hi = f(hi).
+
+    Each step evaluates f at the secant through the ends, or at their
+    midpoint when the secant leaves the bracket or the end values
+    coincide, and the new point replaces the end on its side of the
+    target; an end kept twice in a row has its distance to the target
+    halved. Returns the first point whose f lies within
+    _SPREAD_RTOL * target of the target, else the midpoint once the
+    bracket is as narrow as 60 halvings make it, or no float lies inside.
+    """
+    g_lo, g_hi, last = f_lo - target, f_hi - target, 0
+    width = (hi - lo) * 2.0 ** -60
+    while hi - lo > width and lo < (mid := 0.5 * (lo + hi)) < hi:
+        # the fraction of the bracket lies in [0, 1]: it cannot overflow
+        x = lo + (hi - lo) * (g_lo / (g_lo - g_hi)) if g_hi > g_lo else mid
+        if not lo < x < hi:
+            x = mid
+        g = f(x) - target
+        if abs(g) <= _SPREAD_RTOL * target:
+            return x
+        # last: the end replaced by the step before, -1 lo or +1 hi
+        if g < 0.0:
+            if last < 0:
+                g_hi *= 0.5
+            lo, g_lo, last = x, g, -1
         else:
-            hi = mid
+            if last > 0:
+                g_lo *= 0.5
+            hi, g_hi, last = x, g, 1
     return 0.5 * (lo + hi)
 
 
@@ -208,17 +226,18 @@ def rescale_azimuth(angles_deg, ray_powers, los_weight: float,
     """Move ray azimuths about the bearing until the composite circular
     spread hits the target.
 
-    Reachable targets are met by bisecting a common deviation scale, to
+    Reachable targets are met by solving for a common deviation scale, to
     within _SPREAD_RTOL of the target (_solve). The spread saturates,
-    though: it cannot exceed one radian, and a direct path pinning the
-    fraction w at the bearing caps it harder, at sqrt(1 - (2w - 1)^2),
-    attained when all scattered power sits at the antipode. When no
-    uniform scale reaches the target the rays are therefore swept from
-    the best uniformly scaled configuration toward the antipode
-    (bisecting the sweep position), and a target beyond even that clamps
-    at the maximum-spread configuration. The sweep distorts per-ray
-    geometry only on drops whose drawn spread exceeds what their drawn
-    K-factor admits at all.
+    though: it cannot exceed one radian, and a direct path holding the
+    share w >= 1/2 of the power at the bearing caps it harder, at
+    sqrt(1 - (2w - 1)^2), attained when all scattered power sits at the
+    antipode; a target above that cap returns the antipode at once. When
+    no uniform scale reaches the target the rays are swept from the best
+    uniformly scaled configuration toward the antipode (solving for the
+    sweep position), and a target beyond even that clamps at the larger
+    spread of the two ends. The sweep distorts per-ray geometry only on
+    drops whose drawn spread exceeds what their drawn K-factor admits at
+    all.
 
     The search starts from ``composite_asa`` of the angles; each later
     step is one phasor sum over the deviations from the bearing in
@@ -234,34 +253,42 @@ def rescale_azimuth(angles_deg, ray_powers, los_weight: float,
     rad, spread = np.deg2rad(dev), _phasor_spread(ray_powers, los_weight)
     scaled = lambda s: spread(s * rad)
     if s0 >= target_asa_deg:
-        return from_dev(_solve(scaled, 0.0, 1.0, target_asa_deg) * dev)
+        return from_dev(_solve(scaled, 0.0, 1.0, 0.0, s0, target_asa_deg) * dev)
+
+    # every ray at the antipode: resultant |w - P| / (w + P) for the
+    # scattered power P, the largest spread there is when w >= P
+    antipode = np.full(ang.shape, wrap_deg(bearing_deg + 180.0))
+    p_sum = float(np.sum(ray_powers))
+    s_anti = float(analysis._resultant_spread_deg(
+        abs(los_weight - p_sum) / (los_weight + p_sum)))
+    if los_weight >= p_sum and s_anti < target_asa_deg:
+        return antipode
 
     # growing: the spread is not monotone in the scale once deviations
-    # wrap, so probe a log grid (_SCALES[0] = 1 gave s0) and bisect the
+    # wrap, so probe a log grid (_SCALES[0] = 1 gave s0) and solve on the
     # first upward crossing
     vals, j, chunk = [np.array([s0])], 1, max(1, _ASA_BATCH // dev.size)
     while j < _SCALES.size:
         vals.append(spread(_SCALES[j:j + chunk, None] * rad))
         hit = np.nonzero(vals[-1] >= target_asa_deg)[0]
         if hit.size:
-            i = j + hit[0]
-            s = _solve(scaled, _SCALES[i - 1], _SCALES[i], target_asa_deg)
+            v, i = np.concatenate(vals), j + hit[0]
+            s = _solve(scaled, _SCALES[i - 1], _SCALES[i], v[i - 1], v[i],
+                       target_asa_deg)
             return from_dev(s * dev)
         j, chunk = j + chunk, 2 * chunk
     vals = np.concatenate(vals)
 
     # no uniform scale reaches the target: sweep from the best scaled
-    # configuration toward the antipodal maximum-spread one
-    base = wrap_deg(_SCALES[int(np.argmax(vals))] * dev)
+    # configuration toward the antipodal one
+    k = int(np.argmax(vals))
+    base = wrap_deg(_SCALES[k] * dev)
     anti = 180.0 * np.where(base >= 0.0, 1.0, -1.0)
     swept = lambda u: spread(np.deg2rad((1.0 - u) * base + u * anti))
-    s_anti = spread(np.deg2rad(anti))
     if s_anti >= target_asa_deg:
-        u = _solve(swept, 0.0, 1.0, target_asa_deg)
+        u = _solve(swept, 0.0, 1.0, vals[k], s_anti, target_asa_deg)
         return from_dev((1.0 - u) * base + u * anti)
-    if s_anti >= vals.max():
-        return from_dev(anti)
-    return from_dev(base)
+    return antipode if s_anti >= vals[k] else from_dev(base)
 
 
 def rescale_zenith(angles_deg, ray_powers, los_weight: float,

@@ -7,6 +7,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -385,6 +386,28 @@ def test_analyze_zero_delay_spread_names_the_drop(tmp_path, capsys, drop0,
     assert main(["analyze", "--input", str(src), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "drop 0" in err and cause in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(("rows", "message"), [
+    ("0,0,1\n0,5,1\n0,1e200,1\n",
+     "drop 0: its delay_ns cells lie too far apart, so its delay spread "
+     "overflows"),
+    ("0,0,1e308\n0,5,1e308\n",
+     "drop 0: its power cells sum to more than the largest float, so its "
+     "statistics overflow"),
+], ids=["delay", "power"])
+def test_analyze_overflowing_cells_exit_1_naming_drop_and_column(
+        tmp_path, capsys, rows, message):
+    """Finite cells whose spread or power sum overflows a float stop the
+    run, without a warning, instead of writing inf or NaN statistics."""
+    src = tmp_path / "mpcs.csv"
+    src.write_text("drop,delay_ns,power\n" + rows + "1,0,1\n1,5,0.5\n")
+    out = tmp_path / "rep"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", "--input", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"thzgbsm analyze: {message}\n"
     assert not out.exists()
 
 

@@ -1,5 +1,9 @@
+import math
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from thzgbsm import clusters
@@ -185,8 +189,9 @@ def _scalar_spread(angles_deg, ray_powers, los_weight, bearing_deg):
 def _reference_rescale_azimuth(angles_deg, ray_powers, los_weight,
                                bearing_deg, target_asa_deg):
     """The search rescale_azimuth follows: a 96-point grid scan and 60-step
-    bisections, one spread evaluation at a time. Returns the angles and
-    the exit taken."""
+    bisections, one spread evaluation at a time. Returns the angles, the
+    exit taken and, on the solved exits, the bracket of the solved
+    parameter and the map from that parameter to the angles."""
     ang = np.asarray(angles_deg, dtype=float)
     dev = wrap_deg(ang - bearing_deg)
 
@@ -196,35 +201,44 @@ def _reference_rescale_azimuth(angles_deg, ray_powers, los_weight,
     def spread_of(d):
         return _scalar_spread(from_dev(d), ray_powers, los_weight, bearing_deg)
 
-    def bisect(f, lo, hi, n=60):
-        for _ in range(n):
-            mid = 0.5 * (lo + hi)
+    def solved(f, at, lo, hi, took):
+        a, b = lo, hi
+        for _ in range(60):
+            mid = 0.5 * (a + b)
             if f(mid) < target_asa_deg:
-                lo = mid
+                a = mid
             else:
-                hi = mid
-        return 0.5 * (lo + hi)
+                b = mid
+        return at(0.5 * (a + b)), took, (lo, hi), at
 
     if spread_of(dev) < clusters._SPREAD_FLOOR_DEG:
-        return from_dev(dev), "zero"
+        return from_dev(dev), "zero", None, None
     scale_spread = lambda s: spread_of(s * dev)
+    scaled = lambda s: from_dev(s * dev)
     if scale_spread(1.0) >= target_asa_deg:
-        return from_dev(bisect(scale_spread, 0.0, 1.0) * dev), "shrink"
+        return solved(scale_spread, scaled, 0.0, 1.0, "shrink")
+    # every ray at the antipode; with the direct path holding at least half
+    # the power no configuration spreads more
+    antipode = np.full(ang.shape, wrap_deg(bearing_deg + 180.0))
+    s_anti = _scalar_spread(antipode, ray_powers, los_weight, bearing_deg)
+    if los_weight >= np.sum(ray_powers) and s_anti < target_asa_deg:
+        return antipode, "antipode", None, None
     grid = np.geomspace(1.0, 256.0, 96)
     vals = np.array([scale_spread(s) for s in grid])
     hit = np.nonzero(vals >= target_asa_deg)[0]
     if hit.size:
         i = hit[0]
-        return from_dev(bisect(scale_spread, grid[i - 1], grid[i]) * dev), "grow"
+        return solved(scale_spread, scaled, grid[i - 1], grid[i], "grow")
     base = wrap_deg(grid[int(np.argmax(vals))] * dev)
     anti = 180.0 * np.where(base >= 0.0, 1.0, -1.0)
     sweep_spread = lambda u: spread_of((1.0 - u) * base + u * anti)
-    if sweep_spread(1.0) >= target_asa_deg:
-        u = bisect(sweep_spread, 0.0, 1.0)
-        return from_dev((1.0 - u) * base + u * anti), "sweep"
-    if sweep_spread(1.0) >= vals.max():
-        return from_dev(anti), "antipode"
-    return from_dev(base), "base"
+    if s_anti >= target_asa_deg:
+        return solved(sweep_spread,
+                      lambda u: from_dev((1.0 - u) * base + u * anti),
+                      0.0, 1.0, "sweep")
+    if s_anti >= vals.max():
+        return antipode, "antipode", None, None
+    return from_dev(base), "base", None, None
 
 
 # (angles, ray powers, direct share, bearing, target, exit the search takes)
@@ -247,8 +261,9 @@ _RESCALE_CASES = {
     "single ray, no direct path": ([12.0], [1.0], 0.0, 0.0, 35.0, "zero"),
     # one direction, spread about 1e-6 degrees of rounding noise
     "rays in one direction": ([123.4] * 3, [1 / 3] * 3, 0.0, 5.0, 20.0, "zero"),
-    # three upward crossings inside the grow bracket: a solver that does
-    # not bisect lands on another one, about 110 degrees away
+    # three crossings inside the grow bracket (160.5, 170.1): upward at
+    # scales 167.28 and 168.82, downward at 167.84; bisection reaches the
+    # first, the solver the last, and both meet the target
     "grow bracket with several crossings": ([-9.0, -10.0, 171.0],
                                             [0.49, 0.49, 0.01], 0.0, -27.0,
                                             57.0, "grow"),
@@ -257,34 +272,39 @@ _RESCALE_CASES = {
 
 @pytest.fixture
 def solves(monkeypatch):
-    """(bracket start, result) of every clusters._solve call."""
+    """(bracket start, bracket end, result, evaluations of f) of every
+    clusters._solve call."""
     seen, solve = [], clusters._solve
 
-    def spy(f, lo, hi, target):
-        seen.append((lo, solve(f, lo, hi, target)))
-        return seen[-1][1]
+    def spy(f, lo, hi, f_lo, f_hi, target):
+        n = [0]
+
+        def counted(x):
+            n[0] += 1
+            return f(x)
+        seen.append((lo, hi, solve(counted, lo, hi, f_lo, f_hi, target), n[0]))
+        return seen[-1][2]
     monkeypatch.setattr(clusters, "_solve", spy)
     return seen
 
 
 def _check_against_reference(ang, pw, w, bearing, target, solves):
-    """rescale_azimuth takes the reference search's exit, meets the target
-    to _SPREAD_RTOL on the bisected exits and stays within 1e-4 degrees of
-    the reference's angles. Returns rescale_azimuth's angles and the exit."""
-    want, took = _reference_rescale_azimuth(ang, pw, w, bearing, target)
+    """rescale_azimuth takes the reference search's exit, with the same
+    angles on the zero, antipode and base exits. On the solved exits it
+    solves once, on the reference's bracket, and its angles meet the
+    target to _SPREAD_RTOL. Returns rescale_azimuth's angles and the exit."""
+    want, took, bracket, at = _reference_rescale_azimuth(ang, pw, w, bearing,
+                                                         target)
     solves.clear()
     got = rescale_azimuth(ang, pw, w, bearing, target)
-    if took in ("zero", "antipode", "base"):
+    if bracket is None:
         assert not solves and np.array_equal(got, want)
         return got, took
-    # one bisection: of the deviation scale from 0 (shrink) or from a grid
-    # point at or above 1 (grow), else of the antipodal sweep
-    (lo, x), = solves
-    scaled = np.array_equal(got, wrap_deg(bearing + x * wrap_deg(ang - bearing)))
-    assert took == ("sweep" if not scaled else "grow" if lo >= 1.0 else "shrink")
+    (lo, hi, x, _), = solves
+    assert (lo, hi) == bracket and lo <= x <= hi
+    assert np.array_equal(got, at(x))
     spread = composite_asa(got, pw, w, bearing)
     assert abs(spread - target) <= clusters._SPREAD_RTOL * target
-    assert np.abs(wrap_deg(got - want)).max() <= 1e-4
     return got, took
 
 
@@ -296,9 +316,16 @@ def test_rescale_azimuth_equals_scalar_search(case, solves):
     assert took == exit_
 
 
-@pytest.mark.parametrize("scenario,condition,source", [
-    (s, c, src) for s in ("office", "umi") for c in ("los", "nlos")
-    for src in ("measured", "3gpp")])
+_SETS = [(s, c, src) for s in ("office", "umi") for c in ("los", "nlos")
+         for src in ("measured", "3gpp")]
+
+
+def _drops(params, n=25):
+    for s in np.random.SeedSequence(2024).spawn(n):
+        build_drop(params, np.random.default_rng(s))
+
+
+@pytest.mark.parametrize("scenario,condition,source", _SETS)
 def test_build_drop_azimuths_equal_scalar_search(scenario, condition, source,
                                                  solves, monkeypatch):
     p = load_params(scenario, condition, source)
@@ -309,9 +336,97 @@ def test_build_drop_azimuths_equal_scalar_search(scenario, condition, source,
         exits.append(took)
         return got
     monkeypatch.setattr(clusters, "rescale_azimuth", checked)
-    for s in np.random.SeedSequence(2024).spawn(25):
-        build_drop(p, np.random.default_rng(s))
+    _drops(p)
     assert len(exits) == 50
+
+
+def test_solve_evaluation_budget(solves):
+    """Bisecting to _SPREAD_RTOL takes about 28 spread evaluations per
+    solve; the bracketed solve needs at most 8 on average."""
+    for label in _SETS:
+        _drops(load_params(*label))
+    evals = [n for *_, n in solves]
+    assert len(evals) > 100
+    assert np.mean(evals) <= 8.0
+
+
+@pytest.fixture
+def spread_evals(monkeypatch):
+    """Shapes of the deviations every _phasor_spread function is called on."""
+    seen, make = [], clusters._phasor_spread
+
+    def spy(ray_powers, los_weight):
+        spread = make(ray_powers, los_weight)
+
+        def counted(d):
+            seen.append(np.shape(d))
+            return spread(d)
+        return counted
+    monkeypatch.setattr(clusters, "_phasor_spread", spy)
+    return seen
+
+
+def _antipodal_cap_deg(pw, w):
+    p = np.sum(pw)
+    return np.degrees(np.sqrt(1.0 - ((w - p) / (w + p)) ** 2))
+
+
+def test_rescale_azimuth_cap_exit_scans_no_scale(spread_evals, solves):
+    ang, pw, w, bearing, target, _ = _RESCALE_CASES["clamp to antipode"]
+    assert w >= 0.5 and target > _antipodal_cap_deg(pw, w)
+    got = rescale_azimuth(np.array(ang), np.array(pw), w, bearing, target)
+    assert not solves and all(len(s) == 1 for s in spread_evals)
+    assert np.array_equal(got, np.full(3, wrap_deg(bearing + 180.0)))
+
+
+@pytest.mark.parametrize("scenario,source", [(s, src) for s in ("office", "umi")
+                                             for src in ("measured", "3gpp")])
+def test_build_drop_cap_exits_scan_no_scale(scenario, source, spread_evals,
+                                            solves, monkeypatch):
+    """LoS drops whose drawn ASA exceeds what their K-factor admits take
+    the antipode without a scale scan or a solve."""
+    rescale, capped = clusters.rescale_azimuth, []
+
+    def checked(ang, pw, w, bearing, target):
+        spread_evals.clear()
+        solves.clear()
+        got = rescale(ang, pw, w, bearing, target)
+        if w >= 0.5 and target > _antipodal_cap_deg(pw, w):
+            capped.append(target)
+            assert not solves and all(len(s) == 1 for s in spread_evals)
+            assert np.array_equal(got, np.full(ang.shape,
+                                               wrap_deg(bearing + 180.0)))
+        return got
+    monkeypatch.setattr(clusters, "rescale_azimuth", checked)
+    _drops(load_params(scenario, "los", source))
+    assert capped
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), data=st.data(),
+       w=st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
+       bearing=st.floats(-720.0, 720.0),
+       target=st.floats(0.0, 100.0, exclude_min=True, exclude_max=True))
+def test_rescale_azimuth_spread_property(n, data, w, bearing, target):
+    """Any rays, direct share and target: the angles come back finite,
+    wrapped and shaped like the input, and meet every target the
+    reference search meets. Meeting means within _SPREAD_RTOL, plus the
+    rounding of sqrt(1 - R^2) near R = 1: (n + 1) terms of a few ulps in R
+    move a spread of s radians by about 4 (n + 1) eps / s, which exceeds
+    _SPREAD_RTOL * s below about half a degree."""
+    ang = np.array(data.draw(st.lists(st.floats(-180.0, 180.0), min_size=n,
+                                      max_size=n)))
+    pw = np.array(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=n,
+                                      max_size=n)))
+    pw *= (1.0 - w) / pw.sum()
+    got = rescale_azimuth(ang, pw, w, bearing, target)
+    assert got.shape == ang.shape
+    assert np.all(np.isfinite(got)) and np.all((got >= -180.0) & (got < 180.0))
+    want, *_ = _reference_rescale_azimuth(ang, pw, w, bearing, target)
+    eps_deg2 = sys.float_info.epsilon * math.degrees(1.0) ** 2
+    tol = clusters._SPREAD_RTOL * target + 4 * (n + 1) * eps_deg2 / target
+    if abs(composite_asa(want, pw, w, bearing) - target) <= tol:
+        assert abs(composite_asa(got, pw, w, bearing) - target) <= tol
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 301, 381,
