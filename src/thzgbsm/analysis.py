@@ -66,17 +66,24 @@ def k_factor(powers) -> float:
     """Rician K estimate in dB: strongest component over the rest.
 
     A profile with a single nonzero component has no diffuse power and
-    returns +inf, a flag that keeps medians across clusters defined.
+    returns +inf, a flag that keeps medians across clusters defined. Any
+    other profile has a finite K, also where the rest is too small next
+    to the peak to survive the sum.
     """
     p = np.asarray(powers, dtype=float)
     p = p[p > 0]
     if p.size == 0:
         raise ValueError("profile has no positive power")
+    if p.size == 1:
+        return float("inf")
     peak = p.max()
     rest = p.sum() - peak
-    if rest <= 0:
-        return float("inf")
-    return float(10.0 * np.log10(peak / rest))
+    if rest > 0:
+        return float(10.0 * np.log10(peak / rest))
+    # the sum rounded the rest away: add it up without the peak, and take
+    # logs first, since peak / rest may overflow
+    rest = np.delete(p, p.argmax()).sum()
+    return float(10.0 * (np.log10(peak) - np.log10(rest)))
 
 
 # ---------------------------------------------------------------------------
@@ -532,16 +539,18 @@ def analyze_pdp(directions: dict, delay_s, power, distance_m, noise_floor,
 
 def roundtrip_checks(drawn, extracted, tol_log10: float,
                      tol_k_db: float) -> list[dict]:
-    """Median checks of (drops, 3) arrays of DS (s), ASA (deg) and K (dB),
-    re-extracted against drawn: log10 medians within ``tol_log10`` for the
-    spreads, dB medians within ``tol_k_db`` for K, unless no drop draws K
-    (all NaN)."""
+    """Median checks of re-extracted against drawn values, each a dict of
+    per-drop ``ds_s``, ``asa_deg`` and ``k_db`` columns: log10 medians
+    within ``tol_log10`` for the spreads, dB medians within ``tol_k_db``
+    for K, unless no drop draws K (every drawn K None)."""
     checks = []
-    for j, (name, tol) in enumerate((("ds", tol_log10), ("asa", tol_log10),
-                                     ("k", tol_k_db))):
-        d, e = drawn[:, j], extracted[:, j]
-        if np.all(np.isnan(d)):
+    for name, key, tol in (("ds", "ds_s", tol_log10),
+                           ("asa", "asa_deg", tol_log10),
+                           ("k", "k_db", tol_k_db)):
+        if all(v is None for v in drawn[key]):
             continue
+        d = np.asarray(drawn[key], dtype=float)
+        e = np.asarray(extracted[key], dtype=float)
         if name != "k":
             d, e = np.log10(d), np.log10(e)
         dm, em = float(np.median(d)), float(np.median(e))

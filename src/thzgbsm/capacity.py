@@ -5,8 +5,8 @@ transmit to a 2x2 receive array: per drop the transfer function is
 evaluated on a tone grid, the per-tone Gram eigenvalues are kept, the
 whole experiment is normalized to a mean squared Frobenius norm of
 rx*tx elements (so SNR means per-receive-antenna SNR, not a per-drop
-gain equalization), and capacity is averaged over tones and drops per
-SNR point.
+gain equalization), and each drop's capacity is averaged over tones per
+SNR point; a curve is the mean over drops.
 
 Transmit power splits evenly across transmit elements; no waterfilling
 anywhere. Every drop's capacity is checked to be nondecreasing in SNR.
@@ -14,10 +14,11 @@ anywhere. Every drop's capacity is checked to be nondecreasing in SNR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+# build_drop places the user and draws the LSPs itself; place_user and
+# draw_lsp_iid stay importable here only because the bench's tracer wraps
+# them in this module (bench/tracing.py)
 from .clusters import build_drop, place_user
 from .coeffs import assemble_cir, cir_to_ctf, ura
 from .lsp import draw_lsp_iid
@@ -53,19 +54,9 @@ def capacity_from_eigs(eigs, rho_linear: float, m_t: int) -> np.ndarray:
 # experiments
 
 
-@dataclass
-class CapacityExperiment:
-    """Mean capacity curve plus the per-drop data behind it."""
-    capacity_bpshz: np.ndarray          # mean over drops and tones, per SNR
-    per_drop: np.ndarray                # (n_drops, n_snr)
-
-
 def _drop_payload(params, seed_seq, mode, rx, tx, freqs):
     """One drop's per-tone Gram eigenvalues, shape (F, min(U, S))."""
-    rng = np.random.default_rng(seed_seq)
-    geom = place_user(params, rng)
-    lsp = draw_lsp_iid(params, 1, rng).row(0)
-    cs = build_drop(params, rng, geometry=geom, lsp_vals=lsp)
+    cs = build_drop(params, np.random.default_rng(seed_seq))
     cr = assemble_cir(cs, rx, tx, mode=mode)
     return gram_eigs(cir_to_ctf(cr, freqs))
 
@@ -73,8 +64,10 @@ def _drop_payload(params, seed_seq, mode, rx, tx, freqs):
 def run_capacity_experiment(params: ScenarioParamSet, snr_db,
                             n_drops: int = 100, seed: int = 0,
                             mode: str = "thz-simplified", n_tones: int = 64,
-                            bandwidth_hz: float = 1e9) -> CapacityExperiment:
-    """Generate drops and average equal-power capacity per SNR point.
+                            bandwidth_hz: float = 1e9) -> np.ndarray:
+    """Equal-power capacity of each drop at each SNR point, averaged over
+    tones: an (n_drops, n_snr) array, whose mean over axis 0 is the
+    experiment's capacity curve.
 
     The arrays are 16x16 transmit and 2x2 receive half-wavelength
     rectangular arrays of single-polarized (vertical) isotropic elements.
@@ -119,8 +112,7 @@ def run_capacity_experiment(params: ScenarioParamSet, snr_db,
         raise RuntimeError("capacity decreased with SNR on at least one drop; "
                            "numerical failure in the eigenvalue path")
 
-    return CapacityExperiment(capacity_bpshz=per_drop.mean(axis=0),
-                              per_drop=per_drop)
+    return per_drop
 
 
 def gap_at_snr(snr_db, curve_a, curve_b, at_db: float) -> float | None:

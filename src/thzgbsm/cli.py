@@ -163,13 +163,13 @@ def cmd_simulate(parser, args) -> int:
     lsp_rng = np.random.default_rng(children[1])
     lsp = generate_lsp(params, xs, ys, lsp_rng)
 
-    results = [_sim_drop(params, ss, xs[i], ys[i], lsp.row(i), args.mode,
+    results = [_sim_drop(params, ss, xs[i], ys[i],
+                         {k: float(v[i]) for k, v in lsp.items()}, args.mode,
                          args.dump_cir) for i, ss in enumerate(children[2:])]
 
-    tables = {"lsp.csv": {
-        "drop": np.arange(args.drops), "x_m": xs, "y_m": ys,
-        "ds_s": lsp.ds_s, "asa_deg": lsp.asa_deg, "sf_db": lsp.sf_db,
-        "k_db": [None] * args.drops if lsp.k_db is None else lsp.k_db}}
+    # an NLoS set draws no K: its k_db cells are empty
+    tables = {"lsp.csv": {"drop": np.arange(args.drops), "x_m": xs, "y_m": ys,
+                          **lsp, "k_db": lsp.get("k_db", [None] * args.drops)}}
     if args.dump_clusters:
         tables["clusters.csv"] = _stack([mpcs for mpcs, _, _ in results])
     if args.dump_cir:
@@ -321,35 +321,34 @@ def cmd_analyze(parser, args) -> int:
 
 
 def _rt_drop(params, seed_seq):
-    rng = np.random.default_rng(seed_seq)
-    cs = build_drop(params, rng)
+    """One drop's drawn LSPs and the statistics re-extracted from it."""
+    cs = build_drop(params, np.random.default_rng(seed_seq))
     c = cs.mpc_arrays
-    ext = extract_drop_stats(c["delay_s"], c["power"], c["aoa_deg"])
-    return (cs.lsp["ds_s"], cs.lsp["asa_deg"], cs.lsp.get("k_db"),
-            ext["ds_s"], ext["asa_deg"], ext["k_db"])
+    return cs.lsp, extract_drop_stats(c["delay_s"], c["power"], c["aoa_deg"])
 
 
 def cmd_roundtrip(parser, args) -> int:
     params, pfile = _resolve_params(parser, args)
 
     seeds = np.random.SeedSequence(args.seed).spawn(args.drops)
-    # (drops, 6): drawn then extracted DS, ASA, K; a missing K is NaN
-    res = np.array([_rt_drop(params, ss) for ss in seeds], dtype=float)
+    res = [_rt_drop(params, ss) for ss in seeds]
+    names = ("ds_s", "asa_deg", "k_db")     # an NLoS drop's drawn K is None
+    drawn = {k: [d[k] for d, _ in res] for k in names}
+    extracted = {k: [e[k] for _, e in res] for k in names}
 
     # stdout prints the values report.yaml gets
     checks = _no_negative_zero(analysis.roundtrip_checks(
-        res[:, :3], res[:, 3:], args.tol_log10, args.tol_k_db))
+        drawn, extracted, args.tol_log10, args.tol_k_db))
     all_ok = all(c["pass"] for c in checks)
     report = {
         "set": params.label(), "n_drops": args.drops, "seed": args.seed,
         "checks": checks, "status": "PASS" if all_ok else "FAIL",
     }
     _write_run(parser, args, {"roundtrip_drops.csv": {
-        "drop": range(args.drops), "drawn_ds_s": res[:, 0],
-        "drawn_asa_deg": res[:, 1], "drawn_k_db": res[:, 2],
-        "extracted_ds_s": res[:, 3], "extracted_asa_deg": res[:, 4],
-        "extracted_k_db": res[:, 5]}, "report.yaml": report},
-        {params.label(): pfile})
+        "drop": range(args.drops),
+        **{f"drawn_{k}": v for k, v in drawn.items()},
+        **{f"extracted_{k}": v for k, v in extracted.items()}},
+        "report.yaml": report}, {params.label(): pfile})
     for c in checks:
         unit = "log10" if c["statistic"] != "k" else "dB"
         print(f"roundtrip {c['statistic']:>3}: drawn={c['drawn_median']:+.4f} "
@@ -373,23 +372,21 @@ def cmd_capacity(parser, args) -> int:
     curves = {
         src: run_capacity_experiment(
             ps, snr, n_drops=args.drops, seed=args.seed, mode=args.mode,
-            n_tones=args.tones, bandwidth_hz=args.bandwidth_hz)
+            n_tones=args.tones, bandwidth_hz=args.bandwidth_hz).mean(axis=0)
         for src, (ps, _) in runs.items()}
 
     report = {
         "scenario": args.scenario, "condition": args.condition,
         "sources": list(sources), "n_drops": args.drops, "seed": args.seed,
         "snr_db": [float(s) for s in snr],
-        "curves": {src: [round(float(c), 6) for c in curves[src].capacity_bpshz]
+        "curves": {src: [round(float(c), 6) for c in curves[src]]
                    for src in sources},
     }
     if len(sources) == 2:
-        gap = gap_at_snr(snr, curves["3gpp"].capacity_bpshz,
-                         curves["measured"].capacity_bpshz, 30.0)
+        gap = gap_at_snr(snr, curves["3gpp"], curves["measured"], 30.0)
         if gap is not None:
             report["gap_3gpp_minus_measured_at_30db"] = round(gap, 6)
-        x = crossover_snr(snr, curves["measured"].capacity_bpshz,
-                          curves["3gpp"].capacity_bpshz)
+        x = crossover_snr(snr, curves["measured"], curves["3gpp"])
         report["crossover_snr_db"] = None if x is None else round(x, 6)
     _write_run(parser, args, {
         "capacity.csv": {
@@ -398,14 +395,14 @@ def cmd_capacity(parser, args) -> int:
             "condition": [args.condition] * (len(sources) * snr.size),
             "snr_db": np.tile(snr, len(sources)),
             "mean_capacity_bpshz": np.concatenate(
-                [curves[src].capacity_bpshz for src in sources])},
+                [curves[src] for src in sources])},
         "capacity.svg": line_plot(
-            [(src, snr, curves[src].capacity_bpshz) for src in sources],
+            [(src, snr, curves[src]) for src in sources],
             title=f"Equal-power MIMO capacity, {args.scenario} ({args.condition})",
             xlabel="SNR (dB)", ylabel="capacity (bit/s/Hz)"),
         "report.yaml": report}, {ps.label(): pf for ps, pf in runs.values()})
     for src in sources:
-        at = curves[src].capacity_bpshz[-1]
+        at = curves[src][-1]
         print(f"capacity {src:>8}: {at:.2f} bit/s/Hz at {snr[-1]:g} dB "
               f"({args.drops} drops)")
     if "gap_3gpp_minus_measured_at_30db" in report:

@@ -179,6 +179,10 @@ _ASA_BATCH = 1024
 # target, relative to it; nothing downstream resolves it any finer
 _SPREAD_RTOL = 1e-10
 
+# eps (180/pi)^2: rounding in the resultant R moves the spread
+# sqrt(1 - R^2) in degrees by about this over the spread (_spread_tol)
+_EPS_DEG2 = float(np.finfo(float).eps * np.rad2deg(1.0) ** 2)
+
 # Rays that all point one way have spread 0, but sqrt(1 - R^2) turns the
 # few ulps of rounding in R into about 1e-6 degrees. No scale stretches
 # such a spread, so rescale_azimuth leaves rays below this floor as they
@@ -187,7 +191,17 @@ _SPREAD_RTOL = 1e-10
 _SPREAD_FLOOR_DEG = 1e-4
 
 
-def _solve(f, lo, hi, f_lo, f_hi, target: float):
+def _spread_tol(target: float, n: int) -> float:
+    """How near ``target`` degrees the composite spread of n rays counts
+    as met: within _SPREAD_RTOL of it, or within the rounding of
+    sqrt(1 - R^2) where that is larger, since (n + 1) terms of a few ulps
+    in R move a spread of s degrees by about 4 (n + 1) _EPS_DEG2 / s. A
+    target of 0 or below is never met."""
+    t = float(target)
+    return max(_SPREAD_RTOL * t, 4 * (n + 1) * _EPS_DEG2 / t) if t > 0 else 0.0
+
+
+def _solve(f, lo, hi, f_lo, f_hi, target: float, tol: float):
     """Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) for
     f(x) = target on [lo, hi], where f_lo = f(lo) < target <= f_hi = f(hi).
 
@@ -195,9 +209,9 @@ def _solve(f, lo, hi, f_lo, f_hi, target: float):
     midpoint when the secant leaves the bracket or the end values
     coincide, and the new point replaces the end on its side of the
     target; an end kept twice in a row has its distance to the target
-    halved. Returns the first point whose f lies within
-    _SPREAD_RTOL * target of the target, else the midpoint once the
-    bracket is as narrow as 60 halvings make it, or no float lies inside.
+    halved. Returns the first point whose f lies within tol of the
+    target, else the midpoint once the bracket is as narrow as 60 halvings
+    make it, or no float lies inside.
     """
     g_lo, g_hi, last = f_lo - target, f_hi - target, 0
     width = (hi - lo) * 2.0 ** -60
@@ -207,7 +221,7 @@ def _solve(f, lo, hi, f_lo, f_hi, target: float):
         if not lo < x < hi:
             x = mid
         g = f(x) - target
-        if abs(g) <= _SPREAD_RTOL * target:
+        if abs(g) <= tol:
             return x
         # last: the end replaced by the step before, -1 lo or +1 hi
         if g < 0.0:
@@ -227,7 +241,7 @@ def rescale_azimuth(angles_deg, ray_powers, los_weight: float,
     spread hits the target.
 
     Reachable targets are met by solving for a common deviation scale, to
-    within _SPREAD_RTOL of the target (_solve). The spread saturates,
+    within _spread_tol of the target (_solve). The spread saturates,
     though: it cannot exceed one radian, and a direct path holding the
     share w >= 1/2 of the power at the bearing caps it harder, at
     sqrt(1 - (2w - 1)^2), attained when all scattered power sits at the
@@ -252,8 +266,10 @@ def rescale_azimuth(angles_deg, ray_powers, los_weight: float,
         return from_dev(dev)
     rad, spread = np.deg2rad(dev), _phasor_spread(ray_powers, los_weight)
     scaled = lambda s: spread(s * rad)
+    tol = _spread_tol(target_asa_deg, dev.size)
     if s0 >= target_asa_deg:
-        return from_dev(_solve(scaled, 0.0, 1.0, 0.0, s0, target_asa_deg) * dev)
+        return from_dev(_solve(scaled, 0.0, 1.0, 0.0, s0, target_asa_deg,
+                               tol) * dev)
 
     # every ray at the antipode: resultant |w - P| / (w + P) for the
     # scattered power P, the largest spread there is when w >= P
@@ -274,7 +290,7 @@ def rescale_azimuth(angles_deg, ray_powers, los_weight: float,
         if hit.size:
             v, i = np.concatenate(vals), j + hit[0]
             s = _solve(scaled, _SCALES[i - 1], _SCALES[i], v[i - 1], v[i],
-                       target_asa_deg)
+                       target_asa_deg, tol)
             return from_dev(s * dev)
         j, chunk = j + chunk, 2 * chunk
     vals = np.concatenate(vals)
@@ -286,7 +302,7 @@ def rescale_azimuth(angles_deg, ray_powers, los_weight: float,
     anti = 180.0 * np.where(base >= 0.0, 1.0, -1.0)
     swept = lambda u: spread(np.deg2rad((1.0 - u) * base + u * anti))
     if s_anti >= target_asa_deg:
-        u = _solve(swept, 0.0, 1.0, vals[k], s_anti, target_asa_deg)
+        u = _solve(swept, 0.0, 1.0, vals[k], s_anti, target_asa_deg, tol)
         return from_dev((1.0 - u) * base + u * anti)
     return antipode if s_anti >= vals[k] else from_dev(base)
 
@@ -431,7 +447,8 @@ def build_drop(params: ScenarioParamSet, rng, geometry: LinkGeometry | None = No
         geometry = place_user(params, rng)
     if lsp_vals is None:
         from .lsp import draw_lsp_iid
-        lsp_vals = draw_lsp_iid(params, 1, rng).row(0)
+        lsp_vals = {k: float(v[0])
+                    for k, v in draw_lsp_iid(params, 1, rng).items()}
 
     n = params.clusters.count
     k_db = lsp_vals.get("k_db")

@@ -15,8 +15,6 @@ matrix, then pushed through the per-parameter marginal transforms
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fields import GaussianField
@@ -26,29 +24,13 @@ from .params import LSP_ORDER, ScenarioParamSet
 ASA_CAP_DEG = 104.0
 
 
-@dataclass
-class LspRealization:
-    """Large-scale parameters per location, in linear/physical units."""
-    ds_s: np.ndarray
-    asa_deg: np.ndarray
-    sf_db: np.ndarray
-    k_db: np.ndarray | None = None   # None for NLoS sets
-
-    def row(self, i: int) -> dict:
-        return {
-            "ds_s": float(self.ds_s[i]),
-            "asa_deg": float(self.asa_deg[i]),
-            "sf_db": float(self.sf_db[i]),
-            "k_db": float(self.k_db[i]) if self.k_db is not None else None,
-        }
-
-
 def transform_standard_normals(params: ScenarioParamSet, z: np.ndarray) -> dict:
     """Apply marginal transforms to correlated standard normals.
 
     ``z`` has one column per parameter in LSP_ORDER (K column only for
     LoS sets). Spreads are lognormal in log10 domain, SF is zero-mean
-    normal in dB, K is normal in dB.
+    normal in dB, K is normal in dB. Returns ``ds_s``, ``asa_deg``,
+    ``sf_db`` and, for LoS sets only, ``k_db`` columns.
     """
     names = params.lsp_names
     if z.shape[1] != len(names):
@@ -66,14 +48,15 @@ def transform_standard_normals(params: ScenarioParamSet, z: np.ndarray) -> dict:
     return out
 
 
-def generate_lsp(params: ScenarioParamSet, x_m, y_m, rng) -> LspRealization:
+def generate_lsp(params: ScenarioParamSet, x_m, y_m, rng) -> dict:
     """Spatially and cross-correlated LSPs at explicit 2D locations.
 
     One exponential-correlation field per parameter (its own correlation
     distance) supplies the spatial structure; the cross-correlation is
     imposed by mixing the per-parameter field samples at each location.
     Every field shares one grid step, a quarter of the set's smallest
-    correlation distance, so each is comfortably oversampled.
+    correlation distance, so each is comfortably oversampled. Returns
+    ``transform_standard_normals`` columns, one entry per location.
     """
     x = np.atleast_1d(np.asarray(x_m, dtype=float))
     y = np.atleast_1d(np.asarray(y_m, dtype=float))
@@ -87,14 +70,15 @@ def generate_lsp(params: ScenarioParamSet, x_m, y_m, rng) -> LspRealization:
         f = GaussianField(params.corr_dist_m[nm], extent, rng, step)
         cols.append(f.sample(x, y))
     z = np.column_stack(cols) @ params.mixing_matrix.T
-    return LspRealization(**transform_standard_normals(params, z))
+    return transform_standard_normals(params, z)
 
 
-def draw_lsp_iid(params: ScenarioParamSet, n: int, rng) -> LspRealization:
+def draw_lsp_iid(params: ScenarioParamSet, n: int, rng) -> dict:
     """Cross-correlated but spatially independent LSP draws.
 
     Used for independent drops (capacity experiments, round-trip checks)
-    where locations are statistically unrelated.
+    where locations are statistically unrelated; ``transform_standard_normals``
+    columns of n entries.
     """
     z = rng.standard_normal((n, len(params.lsp_names))) @ params.mixing_matrix.T
-    return LspRealization(**transform_standard_normals(params, z))
+    return transform_standard_normals(params, z)

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from thzgbsm.analysis import (
-    KPowerMeans, asa, k_factor, kpower_means, lsp_cross_corr, mcd_embedding,
-    rms_ds)
+    KPowerMeans, asa, extract_drop_stats, k_factor, kpower_means,
+    lsp_cross_corr, mcd_embedding, rms_ds)
 from thzgbsm.capacity import (
     capacity_from_eigs, crossover_snr, gram_eigs, mimo_capacity_det,
     run_capacity_experiment)
-from thzgbsm.cli import _rt_drop, main
+from thzgbsm.cli import main
+from thzgbsm.clusters import build_drop, place_user
 from thzgbsm.lsp import draw_lsp_iid, generate_lsp
 from thzgbsm.params import load_params, nearest_psd
 from thzgbsm.pathloss import fspl_db, umi_nlos_3gpp_pl_db
@@ -44,16 +45,16 @@ def test_criterion_2_lsp_statistical_roundtrip():
     for i, (scenario, condition) in enumerate(MEASURED_SETS):
         p = load_params(scenario, condition, "measured")
         out = draw_lsp_iid(p, n, np.random.default_rng(100 + i))
-        lgds = np.log10(out.ds_s)
-        lgasa = np.log10(out.asa_deg)
+        lgds = np.log10(out["ds_s"])
+        lgasa = np.log10(out["asa_deg"])
 
         assert np.mean(lgds) == pytest.approx(p.ds_log10s.mu, abs=0.03), p.label()
         assert np.std(lgds) == pytest.approx(p.ds_log10s.sigma, abs=0.03), p.label()
         assert np.mean(lgasa) == pytest.approx(p.asa_log10deg.mu, abs=0.03), p.label()
         assert np.std(lgasa) == pytest.approx(p.asa_log10deg.sigma, abs=0.03), p.label()
 
-        names, emp = lsp_cross_corr(out.ds_s, out.asa_deg, out.sf_db,
-                                    out.k_db if p.has_k else None)
+        names, emp = lsp_cross_corr(out["ds_s"], out["asa_deg"], out["sf_db"],
+                                    out.get("k_db"))
         target = nearest_psd(p.xcorr_matrix())
         for a in range(len(names)):
             for b in range(a + 1, len(names)):
@@ -75,7 +76,7 @@ def test_criterion_3_sf_spatial_autocorrelation():
         x = np.arange(n) * step
         y = np.zeros(n)
         out = generate_lsp(p, x, y, np.random.default_rng(seed))
-        sf = out.sf_db
+        sf = out["sf_db"]
         v = (sf - sf.mean()) / sf.std()
         rho = float(np.mean(v[:-2] * v[2:]))   # lag of two steps = d_corr
         assert rho == pytest.approx(np.exp(-1.0), abs=0.1), (scenario, condition)
@@ -89,25 +90,25 @@ def test_criterion_4_channel_level_roundtrip():
     n_drops = 500
     for scenario, condition in MEASURED_SETS:
         p = load_params(scenario, condition, "measured")
-        seeds = np.random.SeedSequence(0).spawn(n_drops)
-        res = [_rt_drop(p, ss) for ss in seeds]
+        drawn, ext = [], []
+        for ss in np.random.SeedSequence(0).spawn(n_drops):
+            cs = build_drop(p, np.random.default_rng(ss))
+            c = cs.mpc_arrays
+            drawn.append(cs.lsp)
+            ext.append(extract_drop_stats(c["delay_s"], c["power"],
+                                          c["aoa_deg"]))
 
-        drawn_ds = np.log10([r[0] for r in res])
-        ext_ds = np.log10([r[3] for r in res])
-        drawn_asa = np.log10([r[1] for r in res])
-        ext_asa = np.log10([r[4] for r in res])
-        d_ds = np.median(ext_ds) - np.median(drawn_ds)
-        d_asa = np.median(ext_asa) - np.median(drawn_asa)
+        def delta(key, f):
+            return (np.median(f([e[key] for e in ext]))
+                    - np.median(f([d[key] for d in drawn])))
+        d_ds, d_asa = delta("ds_s", np.log10), delta("asa_deg", np.log10)
         assert abs(d_ds) <= 0.15, f"{p.label()}: DS median delta {d_ds:+.4f}"
         assert abs(d_asa) <= 0.15, f"{p.label()}: ASA median delta {d_asa:+.4f}"
         if p.has_k:
-            d_k = (np.median([r[5] for r in res])
-                   - np.median([r[2] for r in res]))
+            d_k = delta("k_db", np.asarray)
             assert abs(d_k) <= 3.0, f"{p.label()}: K median delta {d_k:+.2f} dB"
 
     # forced K sweep: extraction must track the input strictly
-    from thzgbsm.analysis import extract_drop_stats
-    from thzgbsm.clusters import build_drop, place_user
     p = load_params("umi", "los", "measured")
     medians = []
     for k_db in (0.0, 10.0, 20.0):
@@ -116,7 +117,7 @@ def test_criterion_4_channel_level_roundtrip():
             # build_drop's own draw order, with K replaced
             rng = np.random.default_rng(5000 + i)
             geom = place_user(p, rng)
-            lsp = draw_lsp_iid(p, 1, rng).row(0)
+            lsp = {k: float(v[0]) for k, v in draw_lsp_iid(p, 1, rng).items()}
             lsp["k_db"] = k_db
             c = build_drop(p, rng, geometry=geom, lsp_vals=lsp).mpc_arrays
             ext.append(extract_drop_stats(c["delay_s"], c["power"])["k_db"])
@@ -135,8 +136,8 @@ def _capacity_curves():
     for scenario in ("office", "umi"):
         for source in ("measured", "3gpp"):
             p = load_params(scenario, "nlos", source)
-            e = run_capacity_experiment(p, snr_db=snr, n_drops=100, seed=0)
-            curves[(scenario, source)] = e.capacity_bpshz
+            curves[(scenario, source)] = run_capacity_experiment(
+                p, snr_db=snr, n_drops=100, seed=0).mean(axis=0)
     return snr, curves
 
 

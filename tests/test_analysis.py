@@ -89,6 +89,18 @@ def test_k_factor_infinite_policy():
     assert k_factor([1.0, 0.0, 0.0]) == np.inf
 
 
+@pytest.mark.parametrize(("powers", "want"), [
+    ([1e-300, 1e300, 1.0, 1e-320], 3000.0),
+    ([1e300, 1e-10], 3100.0),
+], ids=["rest-rounds-away", "ratio-overflows"])
+def test_k_factor_finite_when_the_sum_rounds_the_rest_away(powers, want):
+    """More than one powered component gives a finite K, without a
+    warning, even where the peak swallows the rest in the sum."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert k_factor(powers) == pytest.approx(want, rel=1e-12)
+
+
 # --- power-delay profiles ---
 
 def _pdp(delay_s, power, directions=None, noise_floor=None, margin_db=6.0):
@@ -588,3 +600,26 @@ def test_cluster_stats_medians_across_clusters():
     assert st_["count"].tolist() == [2, 2]
     assert_allclose(st_["c_ds_ns"], [0.5, 1.5])
     assert np.median(st_["c_ds_ns"]) == pytest.approx(np.median([0.5, 1.5]))
+
+
+# --- roundtrip checks ---
+
+def test_roundtrip_checks_log10_medians_and_skipped_k():
+    # medians of log10: DS -8 drawn against -9 extracted, where linear
+    # medians would give log10(5.05e-8) = -7.30; ASA 2 against 1.5. No
+    # drop draws K, so K is not checked.
+    drawn = {"ds_s": [1e-9, 1e-7], "asa_deg": [10.0, 1000.0],
+             "k_db": [None, None]}
+    extracted = {"ds_s": [1e-9, 1e-9], "asa_deg": [10.0, 100.0],
+                 "k_db": [4.0, 8.0]}
+    assert analysis.roundtrip_checks(drawn, extracted, 0.6, 3.0) == [
+        {"statistic": "ds", "drawn_median": -8.0, "extracted_median": -9.0,
+         "delta": -1.0, "tolerance": 0.6, "pass": False},
+        {"statistic": "asa", "drawn_median": 2.0, "extracted_median": 1.5,
+         "delta": -0.5, "tolerance": 0.6, "pass": True}]
+    # K is compared in dB: medians 5 and 6
+    k, = analysis.roundtrip_checks({**drawn, "k_db": [0.0, 10.0]}, extracted,
+                                   0.6, 0.9)[2:]
+    assert k == {"statistic": "k", "drawn_median": 5.0,
+                 "extracted_median": 6.0, "delta": 1.0, "tolerance": 0.9,
+                 "pass": False}

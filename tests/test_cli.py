@@ -411,6 +411,17 @@ def test_analyze_overflowing_cells_exit_1_naming_drop_and_column(
     assert not out.exists()
 
 
+def test_analyze_writes_a_finite_k_where_the_sum_rounds_the_rest_away(
+        tmp_path):
+    src = tmp_path / "mpcs.csv"
+    src.write_text("drop,delay_ns,power\n0,0,1e-300\n0,5,1e300\n0,9,1\n"
+                   "0,12,1e-320\n")
+    out = tmp_path / "rep"
+    assert main(["analyze", "--input", str(src), "--out", str(out)]) == 0
+    row, = _rows(out / "per_drop.csv")
+    assert float(row["k_db"]) == pytest.approx(3000.0, rel=1e-12)
+
+
 def test_analyze_recluster_counts_only_powered_rows(tmp_path):
     # drop 0: five rows, two with power; drop 1: six rows, four with power
     src = tmp_path / "mpcs.csv"
@@ -657,6 +668,16 @@ def test_roundtrip_prints_no_negative_zero(tmp_path, capsys):
     asa, = (c for c in rep["checks"] if c["statistic"] == "asa")
     assert asa["delta"] == 0.0
     assert "delta=+0.0000 log10" in text and "-0.0000" not in text
+
+
+def test_roundtrip_nlos_drawn_k_cells_are_empty(tmp_path):
+    # an NLoS set draws no K; the extracted K of its drops is still written
+    out = tmp_path / "rt"
+    main(["roundtrip", "--scenario", "umi", "--condition", "nlos",
+          "--drops", "3", "--out", str(out)])
+    rows = _rows(out / "roundtrip_drops.csv")
+    assert [r["drawn_k_db"] for r in rows] == ["", "", ""]
+    assert all(np.isfinite(float(r["extracted_k_db"])) for r in rows)
 
 
 def test_roundtrip_zero_tolerance_fails(tmp_path):

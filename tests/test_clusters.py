@@ -276,13 +276,13 @@ def solves(monkeypatch):
     clusters._solve call."""
     seen, solve = [], clusters._solve
 
-    def spy(f, lo, hi, f_lo, f_hi, target):
+    def spy(f, lo, hi, *args):
         n = [0]
 
         def counted(x):
             n[0] += 1
             return f(x)
-        seen.append((lo, hi, solve(counted, lo, hi, f_lo, f_hi, target), n[0]))
+        seen.append((lo, hi, solve(counted, lo, hi, *args), n[0]))
         return seen[-1][2]
     monkeypatch.setattr(clusters, "_solve", spy)
     return seen
@@ -348,6 +348,34 @@ def test_solve_evaluation_budget(solves):
     evals = [n for *_, n in solves]
     assert len(evals) > 100
     assert np.mean(evals) <= 8.0
+
+
+def _met_tol(target, n):
+    """What test_rescale_azimuth_spread_property accepts as meeting a
+    target with n rays: _SPREAD_RTOL plus the rounding of sqrt(1 - R^2)."""
+    eps_deg2 = sys.float_info.epsilon * math.degrees(1.0) ** 2
+    return clusters._SPREAD_RTOL * target + 4 * (n + 1) * eps_deg2 / target
+
+
+def test_solve_evaluation_budget_for_tiny_targets(solves):
+    """Below a fraction of a degree the rounding of sqrt(1 - R^2) exceeds
+    _SPREAD_RTOL of the target; a solve stops within that rounding after
+    a few evaluations, where reaching _SPREAD_RTOL took dozens."""
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(2, 60))        # one ray alone has no spread
+        w = float(rng.choice([0.0, rng.uniform(0.0, 0.9)]))
+        ang = rng.uniform(-180.0, 180.0, n)
+        pw = rng.uniform(0.01, 1.0, n)
+        pw *= (1.0 - w) / pw.sum()
+        bearing = rng.uniform(-180.0, 180.0)
+        target = 10.0 ** rng.uniform(-6.0, -1.0)
+        got = rescale_azimuth(ang, pw, w, bearing, target)
+        assert (abs(composite_asa(got, pw, w, bearing) - target)
+                <= _met_tol(target, n))
+    evals = [k for *_, k in solves]
+    assert len(evals) == 200
+    assert np.mean(evals) <= 4.0 and max(evals) <= 6
 
 
 @pytest.fixture
@@ -423,8 +451,7 @@ def test_rescale_azimuth_spread_property(n, data, w, bearing, target):
     assert got.shape == ang.shape
     assert np.all(np.isfinite(got)) and np.all((got >= -180.0) & (got < 180.0))
     want, *_ = _reference_rescale_azimuth(ang, pw, w, bearing, target)
-    eps_deg2 = sys.float_info.epsilon * math.degrees(1.0) ** 2
-    tol = clusters._SPREAD_RTOL * target + 4 * (n + 1) * eps_deg2 / target
+    tol = _met_tol(target, n)
     if abs(composite_asa(want, pw, w, bearing) - target) <= tol:
         assert abs(composite_asa(got, pw, w, bearing) - target) <= tol
 
@@ -538,7 +565,7 @@ def test_build_drop_nlos_has_no_direct():
 def _forced_k_drop(params, rng, k_db):
     # the draws build_drop makes itself, in its order, with K replaced
     geom = place_user(params, rng)
-    lsp = draw_lsp_iid(params, 1, rng).row(0)
+    lsp = {k: float(v[0]) for k, v in draw_lsp_iid(params, 1, rng).items()}
     lsp["k_db"] = k_db
     return build_drop(params, rng, geometry=geom, lsp_vals=lsp)
 

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from thzgbsm import params as params_mod
-from thzgbsm.clusters import build_drop
+from thzgbsm.clusters import build_drop, place_user
 from thzgbsm.lsp import draw_lsp_iid, generate_lsp, transform_standard_normals
 from thzgbsm.params import load_params, nearest_psd
 
@@ -18,10 +18,10 @@ def test_degenerate_sigmas_give_point_mass():
     p.pathloss.sigma_sf_db = 0.0
     p.k_db.sigma = 0.0
     out = draw_lsp_iid(p, 5, np.random.default_rng(0))
-    assert_allclose(out.ds_s, 10.0 ** p.ds_log10s.mu)
-    assert_allclose(out.asa_deg, 10.0 ** p.asa_log10deg.mu)
-    assert_allclose(out.sf_db, 0.0)
-    assert_allclose(out.k_db, p.k_db.mu)
+    assert_allclose(out["ds_s"], 10.0 ** p.ds_log10s.mu)
+    assert_allclose(out["asa_deg"], 10.0 ** p.asa_log10deg.mu)
+    assert_allclose(out["sf_db"], 0.0)
+    assert_allclose(out["k_db"], p.k_db.mu)
 
 
 def test_mixing_matrix_reproduces_projected_target():
@@ -51,24 +51,24 @@ def test_asa_cap_applies():
     p = load_params("office", "nlos", "measured")
     p.asa_log10deg.mu = 2.6  # ~400 degrees before capping
     out = draw_lsp_iid(p, 200, np.random.default_rng(1))
-    assert np.max(out.asa_deg) <= 104.0
-    assert np.any(out.asa_deg == 104.0)
+    assert np.max(out["asa_deg"]) <= 104.0
+    assert np.any(out["asa_deg"] == 104.0)
 
 
 def test_nlos_has_no_k():
     p = load_params("umi", "nlos", "measured")
     out = draw_lsp_iid(p, 3, np.random.default_rng(2))
-    assert out.k_db is None
+    assert list(out) == ["ds_s", "asa_deg", "sf_db"]
 
 
 def test_iid_marginals_ks():
     """Marginal laws of the generated parameters at the 1% level."""
     p = load_params("umi", "los", "measured")
     out = draw_lsp_iid(p, 10_000, np.random.default_rng(7))
-    lgds = np.log10(out.ds_s)
-    lgasa = np.log10(out.asa_deg)
-    sf = out.sf_db
-    k = out.k_db
+    lgds = np.log10(out["ds_s"])
+    lgasa = np.log10(out["asa_deg"])
+    sf = out["sf_db"]
+    k = out["k_db"]
     checks = [
         (lgds, p.ds_log10s.mu, p.ds_log10s.sigma),
         (lgasa, p.asa_log10deg.mu, p.asa_log10deg.sigma),
@@ -101,16 +101,18 @@ def test_generate_lsp_nearby_points_similar():
     diffs_far = []
     for seed in range(40):
         out = generate_lsp(p, x, y, np.random.default_rng(seed))
-        sf = out.sf_db
+        sf = out["sf_db"]
         diffs_near.append(abs(sf[0] - sf[1]))
         diffs_far.append(abs(sf[0] - sf[2]))
     assert np.mean(diffs_near) < 0.25 * np.mean(diffs_far)
 
 
-def test_row_dict():
+def test_build_drop_lsp_is_row_zero_as_floats():
+    # build_drop places the user, then takes row 0 of its own draw by name
     p = load_params("office", "nlos", "measured")
-    out = draw_lsp_iid(p, 1, np.random.default_rng(0))
-    d = out.row(0)
-    assert set(d) >= {"ds_s", "asa_deg", "sf_db"}
-    assert d["k_db"] is None
-    assert d["ds_s"] == out.ds_s[0]
+    rng = np.random.default_rng(0)
+    place_user(p, rng)
+    out = draw_lsp_iid(p, 1, rng)
+    lsp = build_drop(p, np.random.default_rng(0)).lsp
+    assert lsp == {k: out[k][0] for k in out} | {"k_db": None}
+    assert all(type(lsp[k]) is float for k in out)
