@@ -17,7 +17,7 @@ from .capacity import (crossover_snr, gram_eigs, mimo_capacity_det,
 from .clusters import (ClusterSet, LinkGeometry, apply_in_cluster_k,
                        build_drop, gen_angles, gen_delays, gen_powers,
                        geometry_for, place_user, place_users,
-                       rescale_azimuth, rescale_delays, rescale_zenith)
+                       rescale_azimuth, rescale_linear, rescale_zenith)
 from .coeffs import (AntennaArray, ChannelRealization, assemble_cir, cir_to_ctf,
                      single_antenna, ura)
 from .constants import (RAY_OFFSETS, SPEED_OF_LIGHT, c_phi, c_theta,

@@ -57,7 +57,7 @@ def asa(azimuth_deg, powers) -> float:
 
 def _resultant_spread_deg(r):
     """sqrt(1 - R^2) radians in degrees, R clipped at 1: the spread from
-    resultant lengths in ``asa`` and ``clusters.rescale_azimuth``'s search."""
+    resultant lengths in ``asa`` and ``clusters.composite_asa``."""
     r = np.minimum(r, 1.0)
     return np.rad2deg(np.sqrt(np.maximum(1.0 - r * r, 0.0)))
 
@@ -484,7 +484,8 @@ def analyze_pdp(directions: dict, delay_s, power, distance_m, noise_floor,
     the strongest pointing per delay bin. A ``noise_floor`` (or None)
     zeroes the omni bins below noise_floor * 10^(margin_db/10), and a cut
     above every bin is a ThresholdError. The path loss is reported for a
-    profile taken at a known ``distance_m`` (or None).
+    profile taken at a known ``distance_m`` (or None). Cells whose power
+    sum or delay spread overflows a float are a ValueError.
     """
     t, p = np.asarray(delay_s, dtype=float), np.asarray(power, dtype=float)
     if (t.ndim != 1 or t.size == 0 or p.shape != t.shape
@@ -520,7 +521,15 @@ def analyze_pdp(directions: dict, delay_s, power, distance_m, noise_floor,
                 f"noise floor {noise_floor:g} with a {margin_db:g} dB margin "
                 f"cuts at {cut:g}, above every bin (the strongest holds "
                 f"{P.max():g})")
-    st = extract_drop_stats(T[0], omni)
+    # finite cells can still overflow the estimators' sums and squares
+    with np.errstate(all="ignore"):
+        total, st = P.sum(), extract_drop_stats(T[0], omni)
+    if not np.isfinite(total):
+        raise ValueError("the profile's power_linear cells sum to more than "
+                         "the largest float, so its statistics overflow")
+    if not np.isfinite(st["ds_s"]):
+        raise ValueError("the profile's delay_ns cells lie too far apart, so "
+                         "its delay spread overflows")
     report = {
         "kind": "pdp",
         "n_directions": len(rank),

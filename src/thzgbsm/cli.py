@@ -221,10 +221,10 @@ def _read_csv(parser, path: Path) -> tuple[list[int], dict[str, list]]:
 _POWER = (lambda x: x < 0, "a negative power")     # a rule for _floats
 
 
-def _floats(table, key, empty, rule) -> np.ndarray:
+def _floats(table, key, empty, *rules) -> np.ndarray:
     """Finite floats of one column. An empty or absent cell gives
     ``empty``, and is an error where that is None; so is a cell for which
-    ``rule``, a (test, reason) pair or None, holds."""
+    one of ``rules``, (test, reason) pairs checked in order, holds."""
     lines, columns = table
     cells = columns.get(key, [None] * len(lines))
     x = np.empty(len(cells))
@@ -235,11 +235,9 @@ def _floats(table, key, empty, rule) -> np.ndarray:
             x[i] = empty if v in (None, "") else float(v)
         except ValueError:
             x[i] = np.nan
-    checks = [(~np.isfinite(x), "not a finite number")]
-    if rule is not None:
-        checks.append((rule[0](x), rule[1]))
-    for bad, reason in checks:
-        i = np.flatnonzero(bad)
+    for test, reason in [(lambda x: ~np.isfinite(x), "not a finite number"),
+                         *rules]:
+        i = np.flatnonzero(test(x))
         if i.size:
             raise ValueError(f"input line {lines[i[0]]}: column {key!r} "
                              f"holds {cells[i[0]]!r}, {reason}")
@@ -249,7 +247,7 @@ def _floats(table, key, empty, rule) -> np.ndarray:
 def _labels(table, key) -> np.ndarray:
     """Integer cells of a drop or cluster column, as exact Python ints so
     that no label wraps around or rounds; an empty or absent cell gives 0."""
-    _floats(table, key, 0.0, None)          # every cell a finite number
+    _floats(table, key, 0.0)                # every cell a finite number
     lines, columns = table
     labels = []
     for line, v in zip(lines, columns.get(key, [None] * len(lines))):
@@ -275,19 +273,19 @@ def cmd_analyze(parser, args) -> int:
         has_aoa = "aoa_deg" in columns
         report, tables["per_drop.csv"] = analysis.analyze_mpcs(
             _labels(table, "drop"),
-            _floats(table, "delay_ns", None, None) * 1e-9,
+            _floats(table, "delay_ns", None) * 1e-9,
             _floats(table, "power", None, _POWER),
-            _floats(table, "aoa_deg", None, None) if has_aoa else None,
-            (_floats(table, "zoa_deg", 90.0, None)
+            _floats(table, "aoa_deg", None) if has_aoa else None,
+            (_floats(table, "zoa_deg", 90.0)
              if has_aoa or "zoa_deg" in columns else None),
             (_labels(table, "cluster")
              if "cluster" in columns and not args.recluster else None),
             args.max_clusters, args.delay_weight)
     elif "delay_ns" in columns and "power_linear" in columns:
-        dirs = {c: _floats(table, c, None, None)
+        dirs = {c: _floats(table, c, None)
                 for c in ("phi_rx_deg", "phi_tx_deg", "theta_rx_deg")
                 if c in columns}
-        delay_s = _floats(table, "delay_ns", None, None) * 1e-9
+        delay_s = _floats(table, "delay_ns", None) * 1e-9
         power = _floats(table, "power_linear", None, _POWER)
         first = {}      # a delay appears once per direction
         for i, key in enumerate(zip(delay_s, *dirs.values())):
@@ -299,9 +297,11 @@ def cmd_analyze(parser, args) -> int:
                     + (f" in direction {where}" if dirs else ""))
         distance = None
         if "distance_m" in columns:
-            distance = float(_floats(table, "distance_m", None, (
-                lambda x: x != x[0], f"while input line {lines[0]} holds "
-                f"{columns['distance_m'][0]!r}; a profile has one distance"))[0])
+            distance = float(_floats(
+                table, "distance_m", None,
+                (lambda x: x <= 0, "not a positive distance"),
+                (lambda x: x != x[0], f"while input line {lines[0]} holds "
+                 f"{columns['distance_m'][0]!r}; a profile has one distance"))[0])
         try:
             report = analysis.analyze_pdp(dirs, delay_s, power, distance,
                                           args.noise_floor, args.margin_db)
@@ -429,6 +429,7 @@ def _number(kind, test, reason: str):
 
 
 _COUNT = _number(int, lambda n: n >= 1, "an integer of at least 1")
+_SEED = _number(int, lambda n: n >= 0, "a nonnegative integer")
 _NONNEGATIVE = _number(float, lambda x: x >= 0, "a nonnegative number")
 _POSITIVE = _number(float, lambda x: x > 0, "a positive number")
 _FINITE = _number(float, lambda x: True, "a finite number")
@@ -475,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, drops_default):
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--seed", type=int, default=0, help="master seed")
+        sp.add_argument("--seed", type=_SEED, default=0, help="master seed")
         sp.add_argument("--drops", type=_COUNT, default=drops_default,
                         help="number of independent drops")
         # unread; kept while the bench passes --workers 1 (ROADMAP item 1 A)

@@ -122,57 +122,45 @@ def apply_in_cluster_k(n_rays: int, c_k_db: float) -> np.ndarray:
 # per-drop rescaling
 
 
-def composite_rms_ds(delays_s, powers, los_weight: float) -> float:
-    """RMS delay spread of the clusters plus the direct tap at zero."""
-    d = np.concatenate([[0.0], np.asarray(delays_s, dtype=float)])
-    p = np.concatenate([[los_weight],
-                        (1.0 - los_weight) * np.asarray(powers, dtype=float)])
-    return analysis.rms_ds(d, p)
+def rescale_linear(values, powers, los_weight: float, center: float,
+                   target: float) -> np.ndarray:
+    """Scale deviations from ``center``, the direct path's value, so the
+    power-weighted linear spread of the values plus the direct path (when
+    los_weight > 0) hits the target.
 
-
-def rescale_delays(delays_s, powers, los_weight: float,
-                   target_ds_s: float) -> np.ndarray:
-    """Scale delays so the composite RMS delay spread hits the target.
-
-    The direct tap sits at zero delay, so the spread is homogeneous in
-    the delay scale and one multiplicative factor is exact. Degenerate
-    single-cluster realizations (zero spread) are returned unchanged.
+    The direct path sits at the center, so the spread is homogeneous in
+    the deviation scale and one factor is exact. Values without spread
+    are returned unchanged.
     """
-    cur = composite_rms_ds(delays_s, powers, los_weight)
-    if cur <= 0:
-        return np.asarray(delays_s, dtype=float).copy()
-    return np.asarray(delays_s, dtype=float) * (target_ds_s / cur)
-
-
-def _with_direct(angles_deg, ray_powers, los_weight: float, bearing_deg: float):
-    """Flat ray angles and powers, headed by the direct path's bearing and
-    share when the drop has one (los_weight > 0)."""
-    a = np.asarray(angles_deg, dtype=float).ravel()
-    p = np.asarray(ray_powers, dtype=float).ravel()
+    v = np.asarray(values, dtype=float)
+    x, p = v.ravel(), np.asarray(powers, dtype=float).ravel()
     if los_weight > 0:
-        return np.concatenate([[bearing_deg], a]), np.concatenate([[los_weight], p])
-    return a, p
+        x, p = np.concatenate([[center], x]), np.concatenate([[los_weight], p])
+    cur = analysis.rms_ds(x, p)
+    if cur <= 0:
+        return v.copy()
+    return center + (target / cur) * (v - center)
 
 
-def composite_asa(angles_deg, ray_powers, los_weight: float,
-                  bearing_deg: float) -> float:
-    """Circular azimuth spread of all rays plus the direct path."""
-    return analysis.asa(*_with_direct(angles_deg, ray_powers, los_weight,
-                                      bearing_deg))
-
-
-def _phasor_spread(ray_powers, los_weight: float):
-    """Composite spread of ray deviations d from the bearing in radians,
-    (n,) or stacked (k, n), from the resultant |w + sum p e^{jd}| / (w + sum p)."""
+def composite_asa(dev_rad, ray_powers, los_weight: float):
+    """Composite circular spread in degrees of rays at deviations
+    ``dev_rad`` from the direct path's bearing in radians, (n,) or stacked
+    (k, n), plus the direct path's share at deviation 0: sqrt(1 - R^2) of
+    the resultant R = |w + sum p e^{jd}| / (w + sum p) (Fleury, IEEE
+    Trans. IT 46(6), 2000), the spread ``analysis.asa`` takes. Neither the
+    bearing nor a wrap of the angles enters, since e^{jx} is 2 pi
+    periodic."""
     p = np.asarray(ray_powers, dtype=float).ravel()
-    tot = los_weight + p.sum()
-    return lambda d: analysis._resultant_spread_deg(
-        np.abs(los_weight + np.exp(1j * d) @ p) / tot)
+    # numpy's sum gives a stacked row the bits of the row alone; a BLAS
+    # matrix-vector product need not round as its dot product does
+    r = np.abs(los_weight + (np.exp(1j * dev_rad) * p).sum(axis=-1))
+    return analysis._resultant_spread_deg(r / (los_weight + p.sum()))
 
 
-# rescale_azimuth's scale grid, and the ray angles per stacked spread
-# evaluation in its scan: amortizes numpy's call overhead on small sets
-_SCALES = np.geomspace(1.0, 256.0, 96)
+# rescale_azimuth's scale grid, whose scale 0 has spread 0, and the ray
+# angles per stacked spread evaluation in its scan: amortizes numpy's call
+# overhead on small sets
+_SCALES = np.concatenate([[0.0], np.geomspace(1.0, 256.0, 96)])
 _ASA_BATCH = 1024
 
 # rescale_azimuth stops once the composite spread is this close to the
@@ -253,54 +241,54 @@ def rescale_azimuth(angles_deg, ray_powers, los_weight: float,
     drops whose drawn spread exceeds what their drawn K-factor admits at
     all.
 
-    The search starts from ``composite_asa`` of the angles; each later
-    step is one phasor sum over the deviations from the bearing in
-    radians (_phasor_spread), in which neither the bearing nor the wrap
-    of the angles enters, since e^{jx} is 2 pi periodic.
+    Every spread the search takes, the starting one, each scan chunk and
+    each solver step, is one ``composite_asa`` of the deviations from the
+    bearing.
     """
     ang = np.asarray(angles_deg, dtype=float)
     dev = wrap_deg(ang - bearing_deg).ravel()
     from_dev = lambda d: wrap_deg(bearing_deg + d).reshape(ang.shape)
-    s0 = composite_asa(from_dev(dev), ray_powers, los_weight, bearing_deg)
+    rad = np.deg2rad(dev)
+    s0 = composite_asa(rad, ray_powers, los_weight)
     if s0 < _SPREAD_FLOOR_DEG:
         return from_dev(dev)
-    rad, spread = np.deg2rad(dev), _phasor_spread(ray_powers, los_weight)
-    scaled = lambda s: spread(s * rad)
-    tol = _spread_tol(target_asa_deg, dev.size)
-    if s0 >= target_asa_deg:
-        return from_dev(_solve(scaled, 0.0, 1.0, 0.0, s0, target_asa_deg,
-                               tol) * dev)
 
     # every ray at the antipode: resultant |w - P| / (w + P) for the
-    # scattered power P, the largest spread there is when w >= P
+    # scattered power P, the largest spread there is when w >= P; an s0
+    # above it by rounding alone is solved in the scan's first bracket
     antipode = np.full(ang.shape, wrap_deg(bearing_deg + 180.0))
     p_sum = float(np.sum(ray_powers))
     s_anti = float(analysis._resultant_spread_deg(
         abs(los_weight - p_sum) / (los_weight + p_sum)))
-    if los_weight >= p_sum and s_anti < target_asa_deg:
+    if s0 < target_asa_deg and los_weight >= p_sum and s_anti < target_asa_deg:
         return antipode
 
-    # growing: the spread is not monotone in the scale once deviations
-    # wrap, so probe a log grid (_SCALES[0] = 1 gave s0) and solve on the
-    # first upward crossing
-    vals, j, chunk = [np.array([s0])], 1, max(1, _ASA_BATCH // dev.size)
-    while j < _SCALES.size:
-        vals.append(spread(_SCALES[j:j + chunk, None] * rad))
-        hit = np.nonzero(vals[-1] >= target_asa_deg)[0]
-        if hit.size:
-            v, i = np.concatenate(vals), j + hit[0]
-            s = _solve(scaled, _SCALES[i - 1], _SCALES[i], v[i - 1], v[i],
-                       target_asa_deg, tol)
-            return from_dev(s * dev)
+    # the spread is not monotone in the scale once deviations wrap, so
+    # probe the scale grid and solve on the first upward crossing; scale 0
+    # (spread 0) only opens the first bracket, and scale 1 gave s0
+    scaled = lambda s: composite_asa(s * rad, ray_powers, los_weight)
+    tol = _spread_tol(target_asa_deg, dev.size)
+    vals, j, chunk = [np.array([0.0, s0])], 2, max(1, _ASA_BATCH // dev.size)
+    hit = 1 + np.nonzero(vals[0][1:] >= target_asa_deg)[0]
+    while not hit.size and j < _SCALES.size:
+        vals.append(composite_asa(_SCALES[j:j + chunk, None] * rad,
+                                  ray_powers, los_weight))
+        hit = j + np.nonzero(vals[-1] >= target_asa_deg)[0]
         j, chunk = j + chunk, 2 * chunk
     vals = np.concatenate(vals)
+    if hit.size:
+        i = hit[0]
+        s = _solve(scaled, _SCALES[i - 1], _SCALES[i], vals[i - 1], vals[i],
+                   target_asa_deg, tol)
+        return from_dev(s * dev)
 
     # no uniform scale reaches the target: sweep from the best scaled
     # configuration toward the antipodal one
     k = int(np.argmax(vals))
     base = wrap_deg(_SCALES[k] * dev)
     anti = 180.0 * np.where(base >= 0.0, 1.0, -1.0)
-    swept = lambda u: spread(np.deg2rad((1.0 - u) * base + u * anti))
+    swept = lambda u: composite_asa(np.deg2rad((1.0 - u) * base + u * anti),
+                                    ray_powers, los_weight)
     if s_anti >= target_asa_deg:
         u = _solve(swept, 0.0, 1.0, vals[k], s_anti, target_asa_deg, tol)
         return from_dev((1.0 - u) * base + u * anti)
@@ -309,21 +297,11 @@ def rescale_azimuth(angles_deg, ray_powers, los_weight: float,
 
 def rescale_zenith(angles_deg, ray_powers, los_weight: float,
                    bearing_deg: float, target_spread_deg: float) -> np.ndarray:
-    """Scale zenith deviations to the target power-weighted linear std.
-
-    Linear spread scales exactly with the deviation factor; afterwards
-    angles are reflected back into [0, 180], which perturbs the spread
-    only when rays were pushed past the poles.
-    """
-    ang = np.asarray(angles_deg, dtype=float)
-    cur = analysis.rms_ds(*_with_direct(ang, ray_powers, los_weight, bearing_deg))
-    if cur <= 0:
-        return _fold_zenith(ang)
-    return _fold_zenith(bearing_deg + (target_spread_deg / cur) * (ang - bearing_deg))
-
-
-def _fold_zenith(z):
-    z = np.mod(np.asarray(z, dtype=float), 360.0)
+    """``rescale_linear`` of zenith angles about the bearing, reflected back
+    into [0, 180]; the fold perturbs the spread only when rays were pushed
+    past the poles."""
+    z = np.mod(rescale_linear(angles_deg, ray_powers, los_weight, bearing_deg,
+                              target_spread_deg), 360.0)
     return np.where(z > 180.0, 360.0 - z, z)
 
 
@@ -461,7 +439,7 @@ def build_drop(params: ScenarioParamSet, rng, geometry: LinkGeometry | None = No
     delays = gen_delays(n, ds, sup.r_tau, rng)
     powers, w = gen_powers(delays, ds, sup.r_tau, sup.per_cluster_shadow_db,
                            rng, k_lin)
-    delays = rescale_delays(delays, powers, w, ds)
+    delays = rescale_linear(delays, (1.0 - w) * powers, w, 0.0, ds)
     ray_p = ((1.0 - w) * powers[:, None]
              * apply_in_cluster_k(params.clusters.rays, params.clusters.c_k_db))
     zsa = 10.0 ** (sup.zsa_log10deg.mu

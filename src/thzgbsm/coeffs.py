@@ -123,10 +123,6 @@ class ChannelRealization:
     def n_taps(self) -> int:
         return self.delays_s.size
 
-    def total_power(self) -> float:
-        """Mean over rx/tx elements of the summed tap power."""
-        return float((np.abs(self.amps) ** 2).sum(axis=0).mean())
-
 
 def assemble_cir(cs: ClusterSet, rx_array: AntennaArray, tx_array: AntennaArray,
                  *, mode: str = "thz-simplified") -> ChannelRealization:

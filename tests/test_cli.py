@@ -411,6 +411,28 @@ def test_analyze_overflowing_cells_exit_1_naming_drop_and_column(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(("rows", "message"), [
+    ("0,1\n1e300,0.5\n",
+     "the profile's delay_ns cells lie too far apart, so its delay spread "
+     "overflows"),
+    ("0,1e308\n5,1e308\n",
+     "the profile's power_linear cells sum to more than the largest float, "
+     "so its statistics overflow"),
+], ids=["delay", "power"])
+def test_analyze_pdp_overflowing_cells_exit_1_naming_the_column(
+        tmp_path, capsys, rows, message):
+    """A power-delay profile whose finite cells overflow its statistics
+    stops the run, without a warning, instead of writing inf or 0."""
+    src = tmp_path / "pdp.csv"
+    src.write_text("delay_ns,power_linear\n" + rows)
+    out = tmp_path / "rep"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", "--input", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"thzgbsm analyze: {message}\n"
+    assert not out.exists()
+
+
 def test_analyze_writes_a_finite_k_where_the_sum_rounds_the_rest_away(
         tmp_path):
     src = tmp_path / "mpcs.csv"
@@ -538,6 +560,20 @@ def test_analyze_pdp_distances_that_disagree_exit_1(tmp_path, capsys,
     assert main(["analyze", "--input", str(src), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"input line {line}: column 'distance_m' holds {cell!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("distance", ["-5", "0"])
+def test_analyze_pdp_distance_not_positive_exits_1(tmp_path, capsys,
+                                                  distance):
+    src = tmp_path / "pdp.csv"
+    src.write_text("delay_ns,power_linear,distance_m\n"
+                   f"0,1,{distance}\n5,0.5,{distance}\n")
+    out = tmp_path / "rep"
+    assert main(["analyze", "--input", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"thzgbsm analyze: input line 2: column 'distance_m' holds "
+        f"{distance!r}, not a positive distance\n")
     assert not out.exists()
 
 
@@ -778,12 +814,13 @@ def test_non_finite_float_option_exits_2(tmp_path, capsys, argv):
     ["analyze", "--input", "in.csv", "--recluster", "--max-clusters", "1"],
     ["capacity", "--scenario", "umi", "--snr", ","],
     ["capacity", "--scenario", "umi", "--drops", "2", "--workers", "2"],
+    ["simulate", "--scenario", "office", "--condition", "los", "--seed", "-1"],
 ], ids=["simulate-drops", "roundtrip-drops", "simulate-workers-0",
         "roundtrip-workers-negative", "tol-log10-negative",
         "tol-k-db-negative", "noise-floor-negative", "margin-db-zero",
         "delay-weight-negative", "bandwidth-hz-zero", "bandwidth-hz-negative",
         "margin-db-zero-without-noise-floor", "max-clusters-1", "snr-empty",
-        "capacity-workers-2"])
+        "capacity-workers-2", "seed-negative"])
 def test_bad_argument_exits_2_before_creating_out(tmp_path, monkeypatch,
                                                   capsys, argv):
     # a valid profile, so that only the option can be at fault
@@ -799,7 +836,7 @@ def test_bad_argument_exits_2_before_creating_out(tmp_path, monkeypatch,
 
 
 # numeric options that may take any value of their type
-_UNBOUNDED_OPTIONS = {"--seed"}
+_UNBOUNDED_OPTIONS = set()
 
 
 def test_every_numeric_option_declares_a_range_or_is_listed_unbounded():

@@ -9,9 +9,8 @@ from numpy.testing import assert_allclose
 from thzgbsm import clusters
 from thzgbsm.analysis import asa, extract_drop_stats, k_factor, rms_ds
 from thzgbsm.clusters import (
-    apply_in_cluster_k, build_drop, composite_asa, composite_rms_ds,
-    gen_delays, gen_powers, geometry_for, place_user, rescale_azimuth,
-    rescale_delays, rescale_zenith)
+    apply_in_cluster_k, build_drop, composite_asa, gen_delays, gen_powers,
+    geometry_for, place_user, rescale_azimuth, rescale_linear, rescale_zenith)
 from thzgbsm.constants import wrap_deg
 from thzgbsm.lsp import draw_lsp_iid
 from thzgbsm.params import load_params
@@ -107,25 +106,29 @@ def test_build_drop_phases_shape_and_range():
 # --- per-drop rescaling ---
 
 def test_rescale_delays_hits_target_exactly():
+    """Delays scale about the direct tap at zero, as build_drop calls
+    rescale_linear, with and without a direct path."""
     d = np.array([0.0, 7e-9, 30e-9])
     p = np.array([0.6, 0.3, 0.1])
-    out = rescale_delays(d, p, 0.0, 25e-9)
-    assert composite_rms_ds(out, p, 0.0) == pytest.approx(25e-9, rel=1e-12)
+    out = rescale_linear(d, p, 0.0, 0.0, 25e-9)
+    assert rms_ds(out, p) == pytest.approx(25e-9, rel=1e-12)
     # a direct tap at zero delay keeps the scaling exact
-    out2 = rescale_delays(d, p, 0.7, 4e-9)
-    assert composite_rms_ds(out2, p, 0.7) == pytest.approx(4e-9, rel=1e-12)
+    w = 0.7
+    out2 = rescale_linear(d, (1 - w) * p, w, 0.0, 4e-9)
+    assert rms_ds(np.r_[0.0, out2], np.r_[w, (1 - w) * p]) == pytest.approx(
+        4e-9, rel=1e-12)
 
 
 def test_composite_asa_includes_direct_ray():
     # ray powers carry the (1 - w) scattered share, as ClusterSet.ray_powers does
-    ang = np.array([30.0, -30.0])
+    dev = np.deg2rad([30.0, -30.0])
     scattered = np.array([0.5, 0.5])
-    no_los = composite_asa(ang, scattered, 0.0, 0.0)
+    no_los = composite_asa(dev, scattered, 0.0)
     w = 0.9
-    with_los = composite_asa(ang, scattered * (1 - w), w, 0.0)
+    with_los = composite_asa(dev, scattered * (1 - w), w)
     assert with_los < no_los
     w = 1.0 - 1e-12
-    assert composite_asa(ang, scattered * (1 - w), w, 0.0) == pytest.approx(
+    assert composite_asa(dev, scattered * (1 - w), w) == pytest.approx(
         0.0, abs=1e-3)
 
 
@@ -134,7 +137,7 @@ def test_rescale_azimuth_reachable_target():
     ang = rng.uniform(-40.0, 40.0, 12)
     pw = rng.uniform(0.2, 1.0, 12)
     out = rescale_azimuth(ang, pw, 0.0, 10.0, 25.0)
-    assert composite_asa(out, pw, 0.0, 10.0) == pytest.approx(25.0, abs=1e-6)
+    assert _scalar_spread(out, pw, 0.0, 10.0) == pytest.approx(25.0, abs=1e-6)
     assert np.all(out >= -180.0) and np.all(out < 180.0)
 
 
@@ -142,7 +145,7 @@ def test_rescale_azimuth_shrinks_too():
     ang = np.array([-120.0, -60.0, 40.0, 170.0])
     pw = np.ones(4)
     out = rescale_azimuth(ang, pw, 0.0, 0.0, 5.0)
-    assert composite_asa(out, pw, 0.0, 0.0) == pytest.approx(5.0, abs=1e-6)
+    assert _scalar_spread(out, pw, 0.0, 0.0) == pytest.approx(5.0, abs=1e-6)
 
 
 def test_rescale_azimuth_unreachable_clamps_at_rician_limit():
@@ -153,7 +156,7 @@ def test_rescale_azimuth_unreachable_clamps_at_rician_limit():
     ang = np.array([5.0, -3.0, 12.0])
     pw = np.array([0.4, 0.4, 0.2]) * (1 - w)
     out = rescale_azimuth(ang, pw, w, 0.0, 40.0)
-    got = composite_asa(out, pw, w, 0.0)
+    got = _scalar_spread(out, pw, w, 0.0)
     assert got == pytest.approx(cap, abs=0.05)
 
 
@@ -303,7 +306,7 @@ def _check_against_reference(ang, pw, w, bearing, target, solves):
     (lo, hi, x, _), = solves
     assert (lo, hi) == bracket and lo <= x <= hi
     assert np.array_equal(got, at(x))
-    spread = composite_asa(got, pw, w, bearing)
+    spread = _scalar_spread(got, pw, w, bearing)
     assert abs(spread - target) <= clusters._SPREAD_RTOL * target
     return got, took
 
@@ -371,7 +374,7 @@ def test_solve_evaluation_budget_for_tiny_targets(solves):
         bearing = rng.uniform(-180.0, 180.0)
         target = 10.0 ** rng.uniform(-6.0, -1.0)
         got = rescale_azimuth(ang, pw, w, bearing, target)
-        assert (abs(composite_asa(got, pw, w, bearing) - target)
+        assert (abs(_scalar_spread(got, pw, w, bearing) - target)
                 <= _met_tol(target, n))
     evals = [k for *_, k in solves]
     assert len(evals) == 200
@@ -380,17 +383,13 @@ def test_solve_evaluation_budget_for_tiny_targets(solves):
 
 @pytest.fixture
 def spread_evals(monkeypatch):
-    """Shapes of the deviations every _phasor_spread function is called on."""
-    seen, make = [], clusters._phasor_spread
+    """Shapes of the deviations of every clusters.composite_asa call."""
+    seen, spread = [], clusters.composite_asa
 
-    def spy(ray_powers, los_weight):
-        spread = make(ray_powers, los_weight)
-
-        def counted(d):
-            seen.append(np.shape(d))
-            return spread(d)
-        return counted
-    monkeypatch.setattr(clusters, "_phasor_spread", spy)
+    def spy(dev_rad, *args):
+        seen.append(np.shape(dev_rad))
+        return spread(dev_rad, *args)
+    monkeypatch.setattr(clusters, "composite_asa", spy)
     return seen
 
 
@@ -430,6 +429,49 @@ def test_build_drop_cap_exits_scan_no_scale(scenario, source, spread_evals,
     assert capped
 
 
+def _check_spreads_from_composite_asa(rescale, args, spread_evals, solves):
+    """One rescale_azimuth call takes every spread from composite_asa: one
+    (n,) call for the starting spread, one per solver step, and one
+    stacked (k, n) call per scan chunk, chunks doubling from
+    _ASA_BATCH // n rows."""
+    spread_evals.clear()
+    solves.clear()
+    got = rescale(*args)
+    n = np.size(args[0])
+    flat = [s for s in spread_evals if s == (n,)]
+    stacked = [s[0] for s in spread_evals if s != (n,)]
+    assert all(s[1:] == (n,) for s in spread_evals if s != (n,))
+    assert len(flat) == 1 + sum(k for *_, k in solves)
+    chunk = max(1, clusters._ASA_BATCH // n)
+    want = [min(chunk * 2**i, clusters._SCALES.size - 2 - chunk * (2**i - 1))
+            for i in range(len(stacked))]
+    assert stacked == want
+    return got
+
+
+@pytest.mark.parametrize("case", list(_RESCALE_CASES))
+def test_rescale_azimuth_takes_every_spread_from_composite_asa(
+        case, spread_evals, solves):
+    ang, pw, w, bearing, target, _ = _RESCALE_CASES[case]
+    _check_spreads_from_composite_asa(
+        rescale_azimuth, (np.array(ang), np.array(pw), w, bearing, target),
+        spread_evals, solves)
+
+
+def test_build_drop_takes_every_spread_from_composite_asa(spread_evals, solves,
+                                                          monkeypatch):
+    rescale, calls = clusters.rescale_azimuth, []
+
+    def checked(*args):
+        calls.append(args)
+        return _check_spreads_from_composite_asa(rescale, args, spread_evals,
+                                                 solves)
+    monkeypatch.setattr(clusters, "rescale_azimuth", checked)
+    for label in _SETS:
+        _drops(load_params(*label), n=5)
+    assert len(calls) == 80
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 40), data=st.data(),
        w=st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
@@ -452,8 +494,8 @@ def test_rescale_azimuth_spread_property(n, data, w, bearing, target):
     assert np.all(np.isfinite(got)) and np.all((got >= -180.0) & (got < 180.0))
     want, *_ = _reference_rescale_azimuth(ang, pw, w, bearing, target)
     tol = _met_tol(target, n)
-    if abs(composite_asa(want, pw, w, bearing) - target) <= tol:
-        assert abs(composite_asa(got, pw, w, bearing) - target) <= tol
+    if abs(_scalar_spread(want, pw, w, bearing) - target) <= tol:
+        assert abs(_scalar_spread(got, pw, w, bearing) - target) <= tol
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 301, 381,
@@ -473,6 +515,9 @@ def test_stacked_spreads_equal_one_dimensional_calls(n):
 @pytest.mark.parametrize("w", [0.0, 0.35])
 @pytest.mark.parametrize("n", [1, 2, 9, 300, 381])
 def test_phasor_spread_equals_composite_asa_of_wrapped_angles(n, w):
+    """composite_asa's phasor sum over deviations equals analysis.asa of
+    the wrapped angles with the direct path prepended, and a stacked row
+    equals, bit for bit, the same row passed on its own."""
     for seed in range(3):
         rng = np.random.default_rng([n, seed])
         bearing = rng.uniform(-180.0, 180.0)
@@ -484,26 +529,38 @@ def test_phasor_spread_equals_composite_asa_of_wrapped_angles(n, w):
         anti = 180.0 * np.where(base >= 0.0, 1.0, -1.0)
         rows = np.array([s * dev for s in (0.5, 1.0, *clusters._SCALES[5::10])]
                         + [(1.0 - u) * base + u * anti for u in (0.0, 0.3, 0.7, 1.0)])
-        spread = clusters._phasor_spread(pw, w)
-        stacked = spread(np.deg2rad(rows))
+        stacked = composite_asa(np.deg2rad(rows), pw, w)
         assert stacked.shape == (len(rows),)
         for i, row in enumerate(rows):
-            want = composite_asa(wrap_deg(bearing + row), pw, w, bearing)
-            got = (stacked[i], spread(np.deg2rad(row)))
+            angles, powers = wrap_deg(bearing + row), pw
+            if w > 0:
+                angles, powers = np.r_[bearing, angles], np.r_[w, pw]
+            want = asa(angles, powers)
+            got = composite_asa(np.deg2rad(row), pw, w)
+            assert got == stacked[i]
             if w == 0 and (n == 1 or i == len(rows) - 1):
                 # every ray in one direction: the exact spread is 0, and
                 # sqrt(1 - R^2) turns one ulp of R into 8.5e-7 degrees
-                assert max(want, *got) < 1e-5
+                assert max(want, got) < 1e-5
             else:
-                assert max(abs(g - want) for g in got) <= 1e-9
+                assert abs(got - want) <= 1e-9
 
 
 def test_rescale_zenith_target_and_range():
     ang = np.array([85.0, 95.0, 100.0])
     pw = np.array([1.0, 1.0, 1.0])
     out = rescale_zenith(ang, pw, 0.0, 90.0, 3.0)
-    from thzgbsm.analysis import rms_ds
-    assert rms_ds(out, pw) == pytest.approx(3.0, abs=1e-9)
+    assert rms_ds(out, pw) == pytest.approx(3.0, rel=1e-12)
+    assert np.all((out >= 0.0) & (out <= 180.0))
+    # the direct path at the bearing counts towards the spread
+    w = 0.6
+    out = rescale_zenith(ang, (1 - w) * pw / 3, w, 90.0, 2.0)
+    assert rms_ds(np.r_[90.0, out], np.r_[w, (1 - w) * pw / 3]) == (
+        pytest.approx(2.0, rel=1e-12))
+    # rays pushed past a pole fold back into [0, 180]
+    out = rescale_zenith(np.array([[170.0, 178.0], [5.0, 1.0]]),
+                         np.full((2, 2), 0.25), 0.0, 90.0, 150.0)
+    assert out.shape == (2, 2)
     assert np.all((out >= 0.0) & (out <= 180.0))
 
 

@@ -217,7 +217,8 @@ def test_standard_and_simplified_conserve_power():
         tx = single_antenna()
         a = assemble_cir(cs, rx, tx, mode="thz-simplified")
         b = assemble_cir(cs, rx, tx, mode="standard")
-        assert b.total_power() == pytest.approx(a.total_power(), rel=1e-12)
+        assert np.sum(np.abs(b.amps) ** 2) == pytest.approx(
+            np.sum(np.abs(a.amps) ** 2), rel=1e-12)
 
 
 def test_total_tap_power_unity_exact_with_one_ray_per_cluster():
@@ -227,7 +228,7 @@ def test_total_tap_power_unity_exact_with_one_ray_per_cluster():
     for seed in range(5):
         cs = build_drop(p1, np.random.default_rng(seed))
         cr = assemble_cir(cs, single_antenna(), single_antenna())
-        assert cr.total_power() == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(np.abs(cr.amps) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_total_tap_power_unity_in_expectation():
@@ -237,7 +238,7 @@ def test_total_tap_power_unity_in_expectation():
     for seed in range(150):
         cs = build_drop(p, np.random.default_rng(seed))
         cr = assemble_cir(cs, single_antenna(), single_antenna())
-        vals.append(cr.total_power())
+        vals.append(np.sum(np.abs(cr.amps) ** 2))
     assert np.mean(vals) == pytest.approx(1.0, abs=0.01)
     assert np.std(vals) < 0.05
 
