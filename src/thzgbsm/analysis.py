@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constants import spherical_unit, wrap_deg
+from .constants import spherical_unit
 from .pathloss import pl_from_pdp
 
 # ---------------------------------------------------------------------------

@@ -146,21 +146,29 @@ def composite_asa(dev_rad, ray_powers, los_weight: float):
     """Composite circular spread in degrees of rays at deviations
     ``dev_rad`` from the direct path's bearing in radians, (n,) or stacked
     (k, n), plus the direct path's share at deviation 0: sqrt(1 - R^2) of
-    the resultant R = |w + sum p e^{jd}| / (w + sum p) (Fleury, IEEE
-    Trans. IT 46(6), 2000), the spread ``analysis.asa`` takes. Neither the
-    bearing nor a wrap of the angles enters, since e^{jx} is 2 pi
-    periodic."""
-    p = np.asarray(ray_powers, dtype=float).ravel()
+    the resultant R = |w + sum p e^{jd}| (Fleury, IEEE Trans. IT 46(6),
+    2000), the spread ``analysis.asa`` takes. The (n,) ray powers p and
+    the direct share w are shares of the total, summing to one as a
+    ``ClusterSet``'s do, so no call sums them. Neither the bearing nor a
+    wrap of the angles enters, since e^{jx} is 2 pi periodic."""
     # numpy's sum gives a stacked row the bits of the row alone; a BLAS
     # matrix-vector product need not round as its dot product does
-    r = np.abs(los_weight + (np.exp(1j * dev_rad) * p).sum(axis=-1))
-    return analysis._resultant_spread_deg(r / (los_weight + p.sum()))
+    return analysis._resultant_spread_deg(
+        np.abs(los_weight + (np.exp(1j * dev_rad) * ray_powers).sum(axis=-1)))
 
 
-# rescale_azimuth's scale grid, whose scale 0 has spread 0, and the ray
-# angles per stacked spread evaluation in its scan: amortizes numpy's call
-# overhead on small sets
+# rescale_azimuth's scale grid, whose scale 0 has spread 0, is scanned
+# coarse to fine: first _COARSE, every 8th scale from scale 1 and the last
+# one, then the fine scales of the first coarse bracket that reaches the
+# target, or all of _FINE when none does and the target is at most one
+# radian, the most sqrt(1 - R^2) spreads (_RAD_DEG). _ASA_BATCH is the ray
+# angles per stacked spread evaluation in a scan: it amortizes numpy's
+# call overhead on small sets. np.delete, not np.unique, builds _FINE:
+# np.unique's first call costs a fresh process milliseconds.
 _SCALES = np.concatenate([[0.0], np.geomspace(1.0, 256.0, 96)])
+_COARSE = np.append(np.arange(1, _SCALES.size, 8), _SCALES.size - 1)
+_FINE = np.delete(np.arange(2, _SCALES.size), _COARSE[1:] - 2)
+_RAD_DEG = float(np.rad2deg(1.0))
 _ASA_BATCH = 1024
 
 # rescale_azimuth stops once the composite spread is this close to the
@@ -241,15 +249,28 @@ def rescale_azimuth(angles_deg, ray_powers, los_weight: float,
     drops whose drawn spread exceeds what their drawn K-factor admits at
     all.
 
+    The scale grid _SCALES is scanned coarse to fine. The coarse scales
+    _COARSE go first; on the first that reaches the target, the fine
+    scales of its coarse bracket are evaluated and the solve runs on the
+    first fine crossing there. When no coarse scale reaches the target,
+    one at most a radian takes the fine scales in order as well, so every
+    target a scan of all 96 scales meets is met; one above a radian,
+    which nothing reaches, takes the best coarse scale or one of its two
+    fine neighbours as the best scaled configuration.
+
     Every spread the search takes, the starting one, each scan chunk and
     each solver step, is one ``composite_asa`` of the deviations from the
-    bearing.
+    bearing, with the powers turned into shares of their total once.
     """
     ang = np.asarray(angles_deg, dtype=float)
     dev = wrap_deg(ang - bearing_deg).ravel()
     from_dev = lambda d: wrap_deg(bearing_deg + d).reshape(ang.shape)
     rad = np.deg2rad(dev)
-    s0 = composite_asa(rad, ray_powers, los_weight)
+    p_sum = float(np.sum(ray_powers))
+    total = los_weight + p_sum
+    shares, w = np.ravel(ray_powers) / total, los_weight / total
+    spread = lambda d: composite_asa(d, shares, w)
+    s0 = spread(rad)
     if s0 < _SPREAD_FLOOR_DEG:
         return from_dev(dev)
 
@@ -257,38 +278,54 @@ def rescale_azimuth(angles_deg, ray_powers, los_weight: float,
     # scattered power P, the largest spread there is when w >= P; an s0
     # above it by rounding alone is solved in the scan's first bracket
     antipode = np.full(ang.shape, wrap_deg(bearing_deg + 180.0))
-    p_sum = float(np.sum(ray_powers))
     s_anti = float(analysis._resultant_spread_deg(
-        abs(los_weight - p_sum) / (los_weight + p_sum)))
+        abs(los_weight - p_sum) / total))
     if s0 < target_asa_deg and los_weight >= p_sum and s_anti < target_asa_deg:
         return antipode
 
     # the spread is not monotone in the scale once deviations wrap, so
-    # probe the scale grid and solve on the first upward crossing; scale 0
+    # probe the scale grid and solve on an upward crossing; scale 0
     # (spread 0) only opens the first bracket, and scale 1 gave s0
-    scaled = lambda s: composite_asa(s * rad, ray_powers, los_weight)
     tol = _spread_tol(target_asa_deg, dev.size)
-    vals, j, chunk = [np.array([0.0, s0])], 2, max(1, _ASA_BATCH // dev.size)
-    hit = 1 + np.nonzero(vals[0][1:] >= target_asa_deg)[0]
-    while not hit.size and j < _SCALES.size:
-        vals.append(composite_asa(_SCALES[j:j + chunk, None] * rad,
-                                  ray_powers, los_weight))
-        hit = j + np.nonzero(vals[-1] >= target_asa_deg)[0]
-        j, chunk = j + chunk, 2 * chunk
-    vals = np.concatenate(vals)
-    if hit.size:
-        i = hit[0]
-        s = _solve(scaled, _SCALES[i - 1], _SCALES[i], vals[i - 1], vals[i],
-                   target_asa_deg, tol)
+    vals = np.full(_SCALES.size, -np.inf)     # -inf: not evaluated
+    vals[:2] = 0.0, s0
+    at = lambda idx: spread(_SCALES[idx, None] * rad)
+
+    def scan(idx):
+        """Spreads at the scales idx in doubling chunks up to the chunk
+        that reaches the target; the first index that does, or 0."""
+        j, chunk = 0, max(1, _ASA_BATCH // dev.size)
+        while j < idx.size:
+            part = idx[j:j + chunk]
+            vals[part] = at(part)
+            if (hit := part[vals[part] >= target_asa_deg]).size:
+                return hit[0]
+            j, chunk = j + chunk, 2 * chunk
+        return 0
+
+    i = 1 if s0 >= target_asa_deg else scan(_COARSE[1:])
+    if i > 1:
+        fine = np.arange(_COARSE[np.searchsorted(_COARSE, i) - 1] + 1, i)
+        vals[fine] = at(fine)
+        i = fine[0] + int(np.argmax(vals[fine[0]:i + 1] >= target_asa_deg))
+    elif not i and target_asa_deg <= _RAD_DEG:
+        i = scan(_FINE)
+    if i:
+        s = _solve(lambda s: spread(s * rad), _SCALES[i - 1], _SCALES[i],
+                   vals[i - 1], vals[i], target_asa_deg, tol)
         return from_dev(s * dev)
 
     # no uniform scale reaches the target: sweep from the best scaled
     # configuration toward the antipodal one
     k = int(np.argmax(vals))
+    if target_asa_deg > _RAD_DEG:
+        near = np.array([k - 1, k + 1])
+        near = near[(near > 1) & (near < _SCALES.size)]
+        vals[near] = at(near)
+        k = int(np.argmax(vals))
     base = wrap_deg(_SCALES[k] * dev)
     anti = 180.0 * np.where(base >= 0.0, 1.0, -1.0)
-    swept = lambda u: composite_asa(np.deg2rad((1.0 - u) * base + u * anti),
-                                    ray_powers, los_weight)
+    swept = lambda u: spread(np.deg2rad((1.0 - u) * base + u * anti))
     if s_anti >= target_asa_deg:
         u = _solve(swept, 0.0, 1.0, vals[k], s_anti, target_asa_deg, tol)
         return from_dev((1.0 - u) * base + u * anti)

@@ -9,6 +9,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from thzgbsm import params
 from thzgbsm.params import (
     LSP_ORDER, ParamValidationError, ScenarioParamSet, data_dir, load_params,
     load_params_file, nearest_psd)
@@ -76,6 +77,18 @@ def test_lsp_names_order():
     q = load_params("office", "nlos", "measured")
     assert q.lsp_names == ("ds", "asa", "sf")
     assert LSP_ORDER == ("ds", "asa", "sf", "k")
+
+
+@pytest.mark.parametrize("scenario,condition,source", ALL_SETS)
+def test_bundled_files_parse_alike_under_both_loaders(scenario, condition,
+                                                      source):
+    """The loader the parameter files are parsed with, libyaml's where
+    PyYAML has it, gives each bundled file the dict the pure-Python safe
+    loader gives."""
+    assert params._YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    text = (data_dir() / f"{scenario}_{condition}_{source}.yaml").read_text()
+    assert (yaml.load(text, Loader=params._YAML_LOADER)
+            == yaml.load(text, Loader=yaml.SafeLoader))
 
 
 def _bundled_dict(label):
