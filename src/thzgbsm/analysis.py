@@ -189,19 +189,30 @@ class KPowerMeans:
     per component, then read ``labels_``, ``inertia_``,
     ``objective_path_`` and ``n_iter_``.
 
-    The ``N_INIT`` restarts run as one batch in lockstep. One draw of
-    ``default_rng(random_state)`` seeds them all (``_seed_indices``): each
-    restart starts from k distinct components drawn without replacement
-    with probability proportional to weight, and at one random_state the
-    seeds for k are a prefix of those for k + 1. A restart stops on
-    the first iteration whose labels repeat (``MAX_ITER`` at most) and
-    leaves the batch. The first restart with the lowest objective wins,
-    and ``objective_path_`` and ``n_iter_`` are that restart's.
-    A cluster's center is its members' weighted mean; a cluster that
-    holds no weight is re-seeded at its restart's worst represented point.
+    ``n_clusters`` is one count or a sequence of counts. Every (count,
+    restart) pair, ``N_INIT`` restarts per count, runs as one batch in
+    lockstep, with the centers padded to the largest count; a padded
+    center lies at infinite distance, so it never takes a component. One
+    draw of ``default_rng(random_state)`` seeds them all
+    (``_seed_indices``): each restart starts from k distinct components
+    drawn without replacement with probability proportional to weight,
+    and the seeds for k are a prefix of those for k + 1, so each count
+    starts where its own one-count fit would. A restart stops on the
+    first iteration whose labels repeat (``MAX_ITER`` at most) and
+    leaves the batch. Per count, the first restart with the lowest
+    objective wins. A cluster's center is its members' weighted mean; a
+    cluster that holds no weight is re-seeded at its restart's worst
+    represented point.
+
+    For one count, ``labels_`` is (n,), ``inertia_`` a float,
+    ``objective_path_`` the winner's objective per iteration and
+    ``n_iter_`` its iteration count. For a sequence, ``labels_`` is
+    (counts, n), ``inertia_`` (counts,), ``objective_path_`` a list of
+    one path per count, and ``n_iter_`` the sum of the winners'
+    iteration counts.
     """
 
-    def __init__(self, n_clusters: int = 3, random_state: int = 0):
+    def __init__(self, n_clusters=3, random_state: int = 0):
         self.n_clusters = n_clusters
         self.random_state = random_state
 
@@ -209,9 +220,11 @@ class KPowerMeans:
         E = np.asarray(E, dtype=float)
         if E.ndim != 2:
             raise ValueError("E must be 2-D, one embedded component per row")
-        n = E.shape[0]
-        k = self.n_clusters
-        if not 1 <= k <= n:
+        n, dim = E.shape
+        ks = np.array(self.n_clusters, ndmin=1)
+        if ks.ndim != 1 or not ks.size or ks.dtype.kind not in "iu":
+            raise ValueError("n_clusters must be an int or a non-empty sequence of ints")
+        if not (1 <= ks.min() and ks.max() <= n):
             raise ValueError(f"n_clusters must be in 1..{n}")
         if not np.isfinite(E).all():
             raise ValueError("E must be finite")
@@ -220,29 +233,47 @@ class KPowerMeans:
             raise ValueError("sample_weight must be finite")
         if w.shape != (n,) or np.any(w < 0) or w.sum() <= 0:
             raise ValueError("sample_weight must be nonnegative with positive sum")
+        k = int(ks.max())
         if k > np.count_nonzero(w):
             raise ValueError(f"n_clusters={k} exceeds the number of components "
                              f"with positive weight, {np.count_nonzero(w)}")
 
-        centers = E[_seed_indices(w, k, self.random_state)]   # (restart, k, d)
-        # Labels take the narrowest unsigned type that holds k, so the
+        # One row per (count, restart), count-major. Labels take the
+        # narrowest unsigned type that holds the largest count k, so the
         # label passes move bytes; k itself marks "not labeled yet".
+        rows = ks.size * N_INIT
         cluster = np.arange(k, dtype=np.min_scalar_type(k))[:, None]
         rank = k - cluster                   # k..1: the first minimum ranks highest
-        labels = np.full((N_INIT, n), k, dtype=cluster.dtype)
-        objective = np.empty((MAX_ITER, N_INIT))
-        n_iter = np.zeros(N_INIT, dtype=int)
-        active = np.arange(N_INIT)
-        ET = np.ascontiguousarray(E.T)               # (d, n)
+        padded = cluster[:, 0] >= np.repeat(ks, N_INIT)[:, None]   # (rows, k)
+        pad_inf = np.where(padded, np.inf, 0.0)
+        # Distances do not move with the origin. Taken from the weighted
+        # mean, |x|^2 stays near the scale of the distances, so the
+        # expansion below loses no digits to an offset such as large
+        # absolute delays.
+        E = E - (w @ E) / w.sum()
+        # |x - c|^2 = |c|^2 + |x|^2 - 2 c.x: center rows [c, |c|^2, 1]
+        # times component columns [-2 x; 1; |x|^2]. A padded center is
+        # [0, +inf, 1], so its distances are +inf, never NaN.
+        A = np.ones((rows, k, dim + 2))
+        A[:, :, :dim] = np.tile(E[_seed_indices(w, k, self.random_state)],
+                                (ks.size, 1, 1))
+        A[padded, :dim] = 0.0
+        A[:, :, dim] = (A[:, :, :dim] ** 2).sum(axis=2) + pad_inf
+        X = np.vstack([-2.0 * E.T, np.ones(n), (E * E).sum(axis=1)])
         EW = np.column_stack([E, np.ones(n)])
-        d2_buf, sq_buf, onehot_buf = np.empty((3, N_INIT, k, n))
+        labels = np.full((rows, n), k, dtype=cluster.dtype)
+        objective = np.empty((MAX_ITER, rows))
+        n_iter = np.zeros(rows, dtype=int)
+        active = np.arange(rows)
+        buf = np.empty((rows, k, n))         # the distances, then the one-hot weights
         for it in range(1, MAX_ITER + 1):
-            # (active, k, n) squared distances, one coordinate at a time
-            d2, sq = d2_buf[:active.size], sq_buf[:active.size]
-            C = centers[active, :, :, None]
-            np.square(np.subtract(ET[0], C[:, :, 0], out=d2), out=d2)
-            for j in range(1, ET.shape[0]):
-                d2 += np.square(np.subtract(ET[j], C[:, :, j], out=sq), out=sq)
+            # (active, k, n) squared distances, clipped at 0 against
+            # cancellation. The stacked matmul is one small product per
+            # row, so a row's distances do not depend on the batch around
+            # it; one 2-D product over all rows rounds by its size.
+            d2 = buf[:active.size]
+            np.matmul(A[active], X, out=d2)
+            np.maximum(d2, 0.0, out=d2)
             mn = d2.min(axis=1)
             # the first cluster at the minimum, as argmin picks it
             new = k - ((d2 == mn[:, None]) * rank).max(axis=1)
@@ -256,25 +287,34 @@ class KPowerMeans:
             if not active.size:
                 break
             # weighted sums and cluster weights in one matmul
-            onehot = onehot_buf[:active.size]
+            onehot = buf[:active.size]
             np.multiply(new[:, None, :] == cluster, w, out=onehot)
-            S = onehot @ EW                          # (active, k, d + 1)
+            S = onehot @ EW                          # (active, k, dim + 1)
             wc = S[:, :, -1:]
-            centers[active] = np.divide(S[:, :, :-1], wc, where=wc > 0,
-                                        out=np.zeros_like(S[:, :, :-1]))
+            centers = np.divide(S[:, :, :-1], wc, where=wc > 0,
+                                out=np.zeros_like(S[:, :, :-1]))
             # re-seed an emptied cluster at its restart's currently worst
             # represented point; the next assignment can only lower the
-            # objective
-            for a, c in zip(*np.nonzero(wc[:, :, 0] <= 0)):
-                centers[active[a], c] = E[wd[a].argmax()]
+            # objective. A padded cluster stays empty at +inf.
+            for a, c in zip(*np.nonzero((wc[:, :, 0] <= 0) & ~padded[active])):
+                centers[a, c] = E[wd[a].argmax()]
+            A[active, :, :dim] = centers
+            A[active, :, dim] = (centers**2).sum(axis=2) + pad_inf[active]
 
-        # first restart with the lowest objective wins
-        final = objective[n_iter - 1, np.arange(N_INIT)]
-        best = int(np.argmin(final))
-        self.labels_ = labels[best].astype(int)
-        self.inertia_ = float(final[best])
-        self.objective_path_ = objective[:n_iter[best], best].copy()
-        self.n_iter_ = int(n_iter[best])
+        # per count, the first restart with the lowest objective wins
+        final = objective[n_iter - 1, np.arange(rows)].reshape(ks.size, N_INIT)
+        best = final.argmin(axis=1) + N_INIT * np.arange(ks.size)
+        paths = [objective[:n_iter[b], b].copy() for b in best]
+        if np.ndim(self.n_clusters):
+            self.labels_ = labels[best].astype(int)
+            self.inertia_ = final.min(axis=1)
+            self.objective_path_ = paths
+            self.n_iter_ = int(n_iter[best].sum())
+        else:
+            self.labels_ = labels[best[0]].astype(int)
+            self.inertia_ = float(final.min())
+            self.objective_path_ = paths[0]
+            self.n_iter_ = int(n_iter[best[0]])
         return self
 
 
@@ -310,12 +350,13 @@ def select_n_clusters(delay_s, power, aoa_deg, zoa_deg, k_max: int = 10,
                       delay_weight: float = 8.0) -> tuple[int, dict, np.ndarray]:
     """Pick a cluster count by a Calinski-Harabasz style ratio.
 
-    Embeds the components once, fits K-power-means to the embedding for
-    each k from 2 to ``k_max``, at most one below the number of powered
-    components (only those seed a cluster), and scores the weighted
-    between/within dispersion ratio over all components; returns
-    (best_k, {k: score}, labels), the labels being those of the best_k
-    fit, i.e. what ``kpower_means`` returns for best_k. Fewer than 3
+    Embeds the components once, fits K-power-means to the embedding in
+    one batch over every k from 2 to ``k_max``, at most one below the
+    number of powered components (only those seed a cluster), and scores
+    the weighted between/within dispersion ratio over all components;
+    returns (best_k, {k: score}, labels), the labels being those of the
+    best_k fit, i.e. what ``kpower_means`` returns for best_k unless BLAS
+    rounds the batch's padded distance products differently. Fewer than 3
     powered components, or a ``k_max`` below 2, leave no k to score and
     are a ValueError.
     """
@@ -329,19 +370,17 @@ def select_n_clusters(delay_s, power, aoa_deg, zoa_deg, k_max: int = 10,
                          f"k_max={k_max}, counting only components with power")
     gmean = (w[:, None] * E).sum(axis=0) / w.sum()
     total = float((w * ((E - gmean) ** 2).sum(axis=1)).sum())
+    counts = range(2, min(k_max, n_powered - 1) + 1)
+    km = KPowerMeans(n_clusters=counts).fit(E, sample_weight=w)
     scores = {}
-    labels = {}
-    for k in range(2, min(k_max, n_powered - 1) + 1):
-        km = KPowerMeans(n_clusters=k).fit(E, sample_weight=w)
-        labels[k] = km.labels_
-        within = km.inertia_
+    for k, within in zip(counts, km.inertia_.tolist()):
         between = max(total - within, 0.0)
         if within <= 0:
             scores[k] = np.inf
         else:
             scores[k] = (between / (k - 1)) / (within / max(n - k, 1))
     best = max(scores, key=lambda k: (scores[k], -k))
-    return best, scores, labels[best]
+    return best, scores, km.labels_[counts.index(best)]
 
 
 # ---------------------------------------------------------------------------

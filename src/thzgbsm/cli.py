@@ -50,13 +50,23 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _cells(column) -> list[str]:
+    """A column's cells as ``_fmt`` writes them, formatted a whole float
+    or integer array at a time."""
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else None
+    if kind == "f":
+        return [f"{x:.12g}" for x in column.tolist()]
+    if kind in ("i", "u"):
+        return [str(x) for x in column.tolist()]
+    return [_fmt(v) for v in column]
+
+
 def _write_csv(path: Path, columns: dict) -> None:
     """One CSV from equal-length columns; the dict's keys are the header."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(columns)
-        w.writerows([_fmt(v) for v in row]
-                    for row in zip(*columns.values(), strict=True))
+        w.writerows(zip(*map(_cells, columns.values()), strict=True))
 
 
 def _resolve_params(parser, args, source=None) -> tuple[ScenarioParamSet, Path]:

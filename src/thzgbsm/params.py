@@ -305,14 +305,40 @@ def params_file(scenario: str, condition: str, source: str) -> Path:
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
+def _yaml_error(path: Path, text: str, exc: yaml.MarkedYAMLError) -> str:
+    """A YAML syntax error as ``<path>:<line>:<column>: <problem>``, 1-based,
+    then the context it arose in, each marked line quoted above a caret.
+    Both loaders mark the same places, but libyaml's quotes no line."""
+    lines = text.splitlines()
+
+    def place(mark) -> str:
+        return f"{path}:{mark.line + 1}:{mark.column + 1}"
+
+    def quote(mark) -> str:                 # nothing past the last line
+        if mark.line >= len(lines):
+            return ""
+        return f"\n    {lines[mark.line]}\n    {' ' * mark.column}^"
+
+    pm, cm = exc.problem_mark, exc.context_mark
+    msg = f"{place(pm)}: not valid YAML: {exc.problem}{quote(pm)}"
+    if exc.context:
+        msg += f"\n  {exc.context}"
+        if cm is not None:
+            msg += f" at {place(cm)}{quote(cm)}"
+    return msg
+
+
 def load_params_file(path) -> list[ScenarioParamSet]:
     """Load one YAML file holding a single set or a list of sets. Issues in
     a list name their entry; two entries for one set are an error."""
     path = Path(path)
     try:
-        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
+        text = path.read_text(encoding="utf-8")
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
-        raise ParamValidationError([f"{path}: not valid YAML: {exc}"]) from exc
+        marked = getattr(exc, "problem_mark", None) is not None
+        raise ParamValidationError([_yaml_error(path, text, exc) if marked else
+                                    f"{path}: not valid YAML: {exc}"]) from exc
     if raw is None:
         raise ParamValidationError([f"{path}: file is empty"])
     docs = raw if isinstance(raw, list) else [raw]

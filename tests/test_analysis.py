@@ -376,16 +376,21 @@ def _reference_restarts(e, w, k, random_state=0):
     return runs, best, reseeds
 
 
+def _path_tolerance(path):
+    # The batch sums cluster members in another order and expands the
+    # squared distances. An objective that is 0 in exact arithmetic is
+    # then roundoff of either sum, so the tolerance also has an absolute
+    # part scaled by the first objective.
+    return {"rtol": 1e-12, "atol": 1e-12 * path[0]}
+
+
 def _assert_matches_reference(e, w, k):
     runs, best, reseeds = _reference_restarts(e, w, k)
     km = KPowerMeans(n_clusters=k).fit(e, w)
     labels, path, n_iter = runs[best]
     assert np.array_equal(km.labels_, labels)
     assert km.n_iter_ == n_iter
-    # The batch sums cluster members in another order. An objective that
-    # is 0 in exact arithmetic is then roundoff of either sum, so the
-    # tolerance also has an absolute part scaled by the first objective.
-    tol = {"rtol": 1e-12, "atol": 1e-12 * path[0]}
+    tol = _path_tolerance(path)
     assert_allclose(km.objective_path_, path, **tol)
     assert_allclose(km.inertia_, path[-1], **tol)
     # the winner is the first restart that ends where the fit ended
@@ -404,26 +409,72 @@ def test_lockstep_fit_matches_scalar_restarts_on_planted_clusters():
         _assert_matches_reference(mcd_embedding(t, a, z), p, k)
 
 
-def test_lockstep_fit_matches_scalar_restarts_on_reseeded_clusters():
-    # Stacks of duplicates: a restart seeded twice inside one stack gets an
-    # empty cluster on its first assignment. The scattered points keep the
-    # objective away from 0, where roundoff alone would pick the labels.
+def _reseeded_stacks():
+    """(embedding, weights) of stacks of duplicates: a restart seeded twice
+    inside one stack gets an empty cluster on its first assignment. The
+    scattered points keep the objective away from 0, where roundoff alone
+    would pick the labels."""
     stacks = np.repeat([[0.0, 10.0, 90.0], [80e-9, -120.0, 100.0],
                         [40e-9, 60.0, 80.0]], 5, axis=0)
     scatter = np.array([[5e-9, 30.0, 85.0], [70e-9, -90.0, 95.0],
                         [30e-9, 80.0, 70.0], [60e-9, 150.0, 110.0]])
     x = np.vstack([stacks, scatter])
-    w = np.linspace(0.5, 2.0, len(x))
+    return _embed(x), np.linspace(0.5, 2.0, len(x))
+
+
+def _generated_drop(scenario, condition, source, seed):
+    """(embedding, powers) of one generated drop's components."""
+    cols = build_drop(load_params(scenario, condition, source),
+                      np.random.default_rng(seed)).mpc_arrays
+    return (mcd_embedding(cols["delay_s"], cols["aoa_deg"], cols["zoa_deg"]),
+            cols["power"])
+
+
+def test_lockstep_fit_matches_scalar_restarts_on_reseeded_clusters():
     for k in (3, 4):
-        assert _assert_matches_reference(_embed(x), w, k) > 0
+        assert _assert_matches_reference(*_reseeded_stacks(), k) > 0
 
 
 def test_lockstep_fit_matches_scalar_restarts_on_generated_drop():
-    cols = build_drop(load_params("umi", "nlos", "3gpp"),
-                      np.random.default_rng(11)).mpc_arrays
-    e = mcd_embedding(cols["delay_s"], cols["aoa_deg"], cols["zoa_deg"])
+    e, w = _generated_drop("umi", "nlos", "3gpp", 11)
     for k in range(2, 7):
-        _assert_matches_reference(e, cols["power"], k)
+        _assert_matches_reference(e, w, k)
+
+
+def test_kpower_means_does_not_move_with_the_origin():
+    # embedded points far from the origin, as large absolute delays put
+    # them: the expanded distance must not lose their digits
+    centers = [(0.0, -60.0, 85.0), (50e-9, 20.0, 95.0), (120e-9, 110.0, 100.0)]
+    (t, p, a, z), _ = _planted_mpcs(np.random.default_rng(3), centers,
+                                    spread_scale=0.8)
+    e = mcd_embedding(t, a, z)
+    for k in (2, 3, 5):
+        near = KPowerMeans(n_clusters=k).fit(e, p)
+        far = KPowerMeans(n_clusters=k).fit(e + [0.0, 0.0, 0.0, 1e7], p)
+        assert np.array_equal(far.labels_, near.labels_)
+        assert far.n_iter_ == near.n_iter_
+        assert_allclose(far.objective_path_, near.objective_path_, rtol=1e-6)
+
+
+@pytest.mark.parametrize("data", [
+    lambda: _generated_drop("umi", "nlos", "3gpp", 11),
+    lambda: _generated_drop("office", "los", "measured", 11),
+    _reseeded_stacks], ids=["umi_nlos_3gpp", "office_los_measured", "stacks"])
+def test_fit_over_counts_equals_one_count_fits(data):
+    e, w = data()
+    counts = list(range(2, min(6, np.count_nonzero(w) - 1) + 1))
+    km = KPowerMeans(n_clusters=counts, random_state=3).fit(e, w)
+    assert km.labels_.shape == (len(counts), len(w))
+    assert km.inertia_.shape == (len(counts),)
+    assert len(km.objective_path_) == len(counts)
+    singles = [KPowerMeans(n_clusters=k, random_state=3).fit(e, w) for k in counts]
+    for i, one in enumerate(singles):
+        assert np.array_equal(km.labels_[i], one.labels_)
+        tol = _path_tolerance(one.objective_path_)
+        assert_allclose(km.objective_path_[i], one.objective_path_, **tol)
+        assert_allclose(km.inertia_[i], one.inertia_, **tol)
+    assert km.n_iter_ == sum(one.n_iter_ for one in singles)
+    assert type(km.n_iter_) is int
 
 
 @st.composite
@@ -456,6 +507,28 @@ def test_kpower_means_properties(case):
     assert again.n_iter_ == km.n_iter_
 
 
+@given(weighted_points(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_kpower_means_labels_stay_below_each_count(case, data):
+    # padded centers never take a component, whatever counts share a batch
+    x, w, _, seed = case
+    powered = int(np.count_nonzero(w))
+    counts = data.draw(st.lists(st.integers(1, powered), min_size=1,
+                                max_size=5))
+    km = KPowerMeans(n_clusters=counts, random_state=seed).fit(_embed(x), w)
+    assert km.labels_.shape == (len(counts), len(w))
+    assert np.all(km.labels_ >= 0)
+    assert np.all(km.labels_ < np.array(counts)[:, None])
+    assert np.isfinite(km.inertia_).all()
+
+
+def test_kpower_means_rejects_an_empty_count_sequence():
+    e = _embed(np.column_stack([np.arange(4) * 1e-9, np.arange(4) * 30.0,
+                                np.full(4, 90.0)]))
+    with pytest.raises(ValueError, match="non-empty sequence of ints"):
+        KPowerMeans(n_clusters=[]).fit(e, np.ones(4))
+
+
 def test_select_n_clusters_finds_planted_count():
     centers = [(0.0, -90.0, 85.0), (60e-9, 0.0, 95.0), (150e-9, 120.0, 100.0)]
     rng = np.random.default_rng(9)
@@ -477,6 +550,20 @@ def test_select_n_clusters_embeds_once(monkeypatch):
     monkeypatch.setattr(analysis, "mcd_embedding", counted)
     select_n_clusters(*mpcs, k_max=6)
     assert len(calls) == 1
+
+
+def test_select_n_clusters_fits_once(monkeypatch):
+    # every cluster count runs in one batched fit
+    centers = [(0.0, -90.0, 85.0), (60e-9, 0.0, 95.0), (150e-9, 120.0, 100.0)]
+    mpcs, _ = _planted_mpcs(np.random.default_rng(9), centers)
+    fit, calls = KPowerMeans.fit, []
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.n_clusters)
+        return fit(self, *args, **kwargs)
+    monkeypatch.setattr(KPowerMeans, "fit", counted)
+    _, scores, _ = select_n_clusters(*mpcs, k_max=6)
+    assert len(calls) == 1 and list(calls[0]) == sorted(scores)
 
 
 @pytest.mark.parametrize(("n", "k_max"), [(2, 10), (3, 1)])

@@ -16,7 +16,7 @@ import yaml
 
 import thzgbsm
 from thzgbsm import analysis
-from thzgbsm.cli import _fmt, build_parser, main
+from thzgbsm.cli import _fmt, _write_csv, build_parser, main
 from thzgbsm.clusters import ClusterSet, build_drop
 from thzgbsm.params import load_params
 
@@ -638,6 +638,32 @@ def test_analyze_writes_what_the_library_returns(tmp_path, recluster):
     assert list(rows[0]) == list(per_drop)
     assert [[r[k] for r in rows] for k in per_drop] == [
         [_fmt(v) for v in col] for col in per_drop.values()]
+
+
+def test_write_csv_formats_columns_as_fmt_does_cell_by_cell(tmp_path):
+    # whole-column formatting of float and integer arrays gives the bytes
+    # of the per-cell _fmt writer; other columns go cell by cell
+    cols = {
+        "f": np.array([0.1, -0.0, np.inf, -np.inf, 1e-300, 123456789.123456789,
+                       np.nan, 2.0 / 3.0]),
+        "f32": np.linspace(-1.0, 1.0, 8, dtype=np.float32),
+        "i": np.array([0, -1, 2**62, -(2**62), 5, 6, 7, 8]),
+        "u": np.arange(8, dtype=np.uint8) * 31,
+        "label": np.array(["a", "b,c", 'q"d', "", "x", "y", "z", "w"], dtype=object),
+        "opt": [None, 1.5, np.float64(-0.0), 3, None, "s", np.int64(4), 0.25],
+    }
+    path = tmp_path / "mixed.csv"
+    _write_csv(path, cols)
+    with open(tmp_path / "cells.csv", "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(cols)
+        w.writerows([_fmt(v) for v in row] for row in zip(*cols.values()))
+    assert path.read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
+def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ValueError):
+        _write_csv(tmp_path / "bad.csv", {"a": np.arange(3), "b": [1.0, 2.0]})
 
 
 def test_analyze_pdp_writes_what_the_library_returns(tmp_path):

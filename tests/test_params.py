@@ -91,6 +91,42 @@ def test_bundled_files_parse_alike_under_both_loaders(scenario, condition,
             == yaml.load(text, Loader=yaml.SafeLoader))
 
 
+_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+
+
+@pytest.mark.parametrize("loader", _LOADERS, ids=lambda L: L.__name__)
+def test_yaml_syntax_error_names_file_line_and_column(tmp_path, monkeypatch,
+                                                      loader):
+    """A syntax error names <path>:<line>:<column>, 1-based, and quotes
+    the marked lines with a caret under the column, under either loader."""
+    monkeypatch.setattr(params, "_YAML_LOADER", loader)
+    f = tmp_path / "bad.yaml"
+    f.write_text("scenario: office\ncondition: [los\nsource: measured\n")
+    with pytest.raises(ParamValidationError) as err:
+        load_params_file(f)
+    (issue,) = err.value.issues
+    lines = issue.splitlines()
+    assert lines[0].startswith(f"{f}:3:7: not valid YAML: ")
+    assert lines[1:3] == ["    source: measured", "          ^"]
+    assert lines[3] == f"  while parsing a flow sequence at {f}:2:12"
+    assert lines[4:] == ["    condition: [los", "               ^"]
+    assert "<unicode string>" not in issue
+
+
+@pytest.mark.parametrize("loader", _LOADERS, ids=lambda L: L.__name__)
+def test_yaml_syntax_error_at_the_end_of_the_file_quotes_its_context(
+        tmp_path, monkeypatch, loader):
+    monkeypatch.setattr(params, "_YAML_LOADER", loader)
+    f = tmp_path / "cut.yaml"
+    f.write_text("scenario: office\ncondition: [los\n")
+    with pytest.raises(ParamValidationError) as err:
+        load_params_file(f)
+    lines = err.value.issues[0].splitlines()
+    assert lines[0].startswith(f"{f}:3:1: not valid YAML: ")
+    assert lines[1:] == [f"  while parsing a flow sequence at {f}:2:12",
+                         "    condition: [los", "               ^"]
+
+
 def _bundled_dict(label):
     return yaml.safe_load((data_dir() / f"{label}.yaml").read_text())
 
