@@ -136,9 +136,10 @@ def _write_run(parser, args, files: dict, params_files: dict) -> Path:
 # simulate
 
 
-def _sim_drop(params, seed_seq, x, y, lsp_row, mode, want_cir):
-    """One drop's multipath components, CIR (when asked for) and
-    re-extracted statistics, each a table of named columns."""
+def _sim_drop(params, seed_seq, x, y, lsp_row, mode, antenna):
+    """One drop's multipath components, CIR and re-extracted statistics,
+    each a table of named columns; the CIR runs between two copies of
+    ``antenna``, and is None when ``antenna`` is."""
     rng = np.random.default_rng(seed_seq)
     geom = geometry_for(params, x, y)
     cs = build_drop(params, rng, geometry=geom, lsp_vals=lsp_row)
@@ -148,8 +149,8 @@ def _sim_drop(params, seed_seq, x, y, lsp_row, mode, want_cir):
             "aoa_deg": c["aoa_deg"], "zoa_deg": c["zoa_deg"],
             "aod_deg": c["aod_deg"], "zod_deg": c["zod_deg"]}
     cir = None
-    if want_cir:
-        cr = assemble_cir(cs, single_antenna(), single_antenna(), mode=mode)
+    if antenna is not None:
+        cr = assemble_cir(cs, antenna, antenna, mode=mode)
         zeros = np.zeros(cr.n_taps, dtype=int)
         cir = {"tap": np.arange(cr.n_taps), "u": zeros, "s": zeros,
                "delay_ns": cr.delays_s * 1e9, "re": cr.amps[:, 0, 0].real,
@@ -173,9 +174,11 @@ def cmd_simulate(parser, args) -> int:
     lsp_rng = np.random.default_rng(children[1])
     lsp = generate_lsp(params, xs, ys, lsp_rng)
 
+    # an array is immutable, so one serves every drop at both ends
+    antenna = single_antenna() if args.dump_cir else None
     results = [_sim_drop(params, ss, xs[i], ys[i],
                          {k: float(v[i]) for k, v in lsp.items()}, args.mode,
-                         args.dump_cir) for i, ss in enumerate(children[2:])]
+                         antenna) for i, ss in enumerate(children[2:])]
 
     # an NLoS set draws no K: its k_db cells are empty
     tables = {"lsp.csv": {"drop": np.arange(args.drops), "x_m": xs, "y_m": ys,

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from thzgbsm import capacity
 from thzgbsm.capacity import (
     capacity_from_eigs, crossover_snr, gram_eigs, mimo_capacity_det,
     run_capacity_experiment)
-from thzgbsm.coeffs import assemble_cir, ura
+from thzgbsm.coeffs import assemble_cir, cir_to_ctf, ura
 from thzgbsm.params import load_params
 
 
@@ -61,6 +62,56 @@ def test_stacked_gram_eigs_match_det_path(u, s):
         got = capacity_from_eigs(eigs, rho, s)
         want = [mimo_capacity_det(hf, rho) for hf in h]
         assert np.max(np.abs(got - want)) < 1e-9
+
+
+def _tone_stack(n_tones, u, s, seed=0):
+    rng = np.random.default_rng(seed)
+    shape = (n_tones, u, s)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize(("u", "s"), [(4, 32), (32, 4)])
+@pytest.mark.parametrize("n_tones", [1, 7, 13, 64])
+def test_gram_eigs_equals_the_unblocked_eigvalsh(n_tones, u, s):
+    h = _tone_stack(n_tones, u, s)
+    hh = h.conj().swapaxes(-1, -2)
+    want = np.linalg.eigvalsh(h @ hh if u <= s else hh @ h)
+    assert np.array_equal(gram_eigs(h), want)
+    assert np.array_equal(gram_eigs(h[0]), want[0])
+    assert np.array_equal(gram_eigs(h.reshape(1, n_tones, u, s)), want[None])
+
+
+def test_gram_eigs_peak_stays_below_half_the_stack():
+    h = _tone_stack(64, 4, 256)
+    tracemalloc.start()
+    try:
+        gram_eigs(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < h.nbytes / 2
+
+
+def test_experiment_calls_assembly_and_transfer_function_once_per_drop(monkeypatch):
+    # the benchmark's traced run wraps both names in this module and
+    # counts one Gram eigendecomposition per row cir_to_ctf returns
+    p = load_params("office", "los", "measured")
+    n_assembled, ctf_rows = [], []
+
+    def count_assembly(*args, **kwargs):
+        n_assembled.append(1)
+        return assemble_cir(*args, **kwargs)
+
+    def count_rows(*args, **kwargs):
+        h = cir_to_ctf(*args, **kwargs)
+        ctf_rows.append(h.shape[0])
+        return h
+
+    monkeypatch.setattr(capacity, "assemble_cir", count_assembly)
+    monkeypatch.setattr(capacity, "cir_to_ctf", count_rows)
+    run_capacity_experiment(p, snr_db=[10.0], n_drops=3, n_tones=16)
+    assert len(n_assembled) == 3
+    assert ctf_rows == [16, 16, 16]
 
 
 def test_experiment_normalization_frobenius_budget():

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,18 @@ def test_antenna_array_rejects_degenerate_positions():
             AntennaArray(pos)
     with pytest.raises(ValueError, match=r"\(n, 3\)"):
         AntennaArray(np.zeros((4, 2)))
+
+
+def test_antenna_array_positions_are_read_only():
+    pos = ura(2, 2, 0.5 * LAM).positions_m.copy()
+    arr = AntennaArray(pos)
+    with pytest.raises(ValueError, match="read-only"):
+        arr.positions_m[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        arr.positions_m = np.zeros((1, 3))
+    # the array keeps its own copy; the caller's stays writable
+    pos[0, 0] = 1.0
+    assert arr.positions_m[0, 0] != 1.0
 
 
 def _random_3d_array():
@@ -287,6 +300,14 @@ def _reference_taps(cs, rx, tx, mode):
     return np.array([t[0] for t in taps]), np.stack([t[1] for t in taps])
 
 
+def _assert_matches_reference(cs, rx, tx, mode):
+    cr = assemble_cir(cs, rx, tx, mode=mode)
+    delays, amps = _reference_taps(cs, rx, tx, mode)
+    assert_allclose(cr.delays_s, delays, rtol=1e-12, atol=0.0)
+    assert cr.amps.shape == amps.shape
+    assert_allclose(cr.amps, amps, rtol=0.0, atol=1e-12 * np.abs(amps).max())
+
+
 @pytest.mark.parametrize("mode", ["thz-simplified", "standard"])
 @pytest.mark.parametrize("condition", ["los", "nlos"])
 @pytest.mark.parametrize("source", ["3gpp", "measured"])
@@ -294,15 +315,42 @@ def test_assemble_cir_matches_per_ray_reference(source, condition, mode):
     p = load_params("office", condition, source)
     small = ura(2, 2, p.wavelength_m / 2)
     large = ura(4, 4, p.wavelength_m / 2)
-    for rx, tx in ((small, large), (large, small)):
+    # the scattered 3-D array contracts over pairs that are not a grid
+    for rx, tx in ((small, large), (large, small), (small, _random_3d_array())):
         for seed in range(2):
             cs = build_drop(p, np.random.default_rng(seed))
-            cr = assemble_cir(cs, rx, tx, mode=mode)
-            delays, amps = _reference_taps(cs, rx, tx, mode)
-            assert_allclose(cr.delays_s, delays, rtol=1e-12, atol=0.0)
-            assert cr.amps.shape == amps.shape
-            assert_allclose(cr.amps, amps, rtol=0.0,
-                            atol=1e-12 * np.abs(amps).max())
+            _assert_matches_reference(cs, rx, tx, mode)
+
+
+@pytest.mark.parametrize("mode", ["thz-simplified", "standard"])
+@pytest.mark.parametrize("scenario", ["office", "umi"])
+def test_assemble_cir_matches_per_ray_reference_at_capacity_geometry(scenario, mode):
+    """The capacity experiment's 2x2 receive and 16x16 transmit arrays,
+    and the two swapped, on the 3GPP LoS sets' 241-301 components."""
+    p = load_params(scenario, "los", "3gpp")
+    small = ura(2, 2, p.wavelength_m / 2)
+    panel = ura(16, 16, p.wavelength_m / 2)
+    for rx, tx in ((small, panel), (panel, small)):
+        for seed in range(2):
+            cs = build_drop(p, np.random.default_rng(seed))
+            _assert_matches_reference(cs, rx, tx, mode)
+
+
+def test_assemble_cir_peak_stays_below_the_transmit_steering_matrix():
+    # the (n_tx, components) complex steering matrix the contraction
+    # never builds would alone take 16 * n_tx * n_components bytes
+    p = load_params("office", "los", "3gpp")
+    cs = build_drop(p, np.random.default_rng(0))
+    n_components = cs.mpc_arrays["power"].size
+    rx = ura(2, 2, p.wavelength_m / 2)
+    tx = ura(16, 16, p.wavelength_m / 2)
+    tracemalloc.start()
+    try:
+        assemble_cir(cs, rx, tx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * tx.n_elements * n_components
 
 
 def _tap_cr(delays, amp_per_tap):
