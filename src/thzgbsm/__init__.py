@@ -19,7 +19,7 @@ from .clusters import (ClusterSet, LinkGeometry, apply_in_cluster_k,
                        geometry_for, place_user, place_users,
                        rescale_azimuth, rescale_linear, rescale_zenith)
 from .coeffs import (AntennaArray, ChannelRealization, assemble_cir, cir_to_ctf,
-                     single_antenna, ura)
+                     single_antenna)
 from .constants import (RAY_OFFSETS, SPEED_OF_LIGHT, c_phi, c_theta,
                         ray_offsets, spherical_unit, wrap_deg)
 from .fields import GaussianField

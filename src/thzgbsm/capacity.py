@@ -20,7 +20,7 @@ import numpy as np
 # draw_lsp_iid stay importable here only because the bench's tracer wraps
 # them in this module (bench/tracing.py)
 from .clusters import build_drop, place_user
-from .coeffs import assemble_cir, cir_to_ctf, ura
+from .coeffs import AntennaArray, assemble_cir, cir_to_ctf
 from .lsp import draw_lsp_iid
 from .params import ScenarioParamSet
 
@@ -112,7 +112,7 @@ def run_capacity_experiment(params: ScenarioParamSet, snr_db,
         raise ValueError(f"snr_db point {snr_db[~np.isfinite(rho)][0]:g} dB "
                          "overflows as a linear SNR")
     half = params.wavelength_m / 2.0
-    rx, tx = ura(2, 2, half), ura(16, 16, half)
+    rx, tx = AntennaArray(2, 2, half), AntennaArray(16, 16, half)
     freqs = np.linspace(-bandwidth_hz / 2.0, bandwidth_hz / 2.0, n_tones)
 
     seeds = np.random.SeedSequence(seed).spawn(n_drops)

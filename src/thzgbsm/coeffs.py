@@ -13,16 +13,15 @@ resolution) or the standard form where the two strongest clusters split
 into three sub-taps with fixed ray groups and delay offsets.
 
 A tap's sum over its components is contracted along the transmit
-array's axes (TR 38.901 section 7.5 step 11 sums per tap; a URA's
-response is the Kronecker product of its axes' responses). The steering
-phase is a product of one factor per axis, so the (rx, tx) matrix of a
-tap is one matmul: rows are the receive steering times the component's
-amplitude and the factors of the transmit array's two narrower axes,
-over the coordinate pairs that occur; columns are the factors of its
-widest axis. A gather that each ``AntennaArray`` builds once puts the
-elements in order. The (n_tx, components) steering matrix is never
-built, and every geometry (URA, line, single element, scattered 3-D
-positions) goes through this one path, no special case per shape.
+panel's axes (TR 38.901 section 7.5 step 11 sums per tap; a URA's
+response is the Kronecker product of its axes' responses). Every array
+is a uniform rectangular panel in the y-z plane, so the steering phase
+is a row (z) factor times a column (y) factor, and the (rx, tx) matrix
+of a tap is one matmul written straight into the result: rows are the
+receive steering times the component's amplitude and the transmit row
+factor, columns the transmit column factors, and the row-major element
+order falls out of the product. The (n_tx, components) steering matrix
+is never built.
 
 Conventions: zenith is measured from +z, azimuth from +x in the x-y
 plane; arrival angles point from the receiver toward the source of the
@@ -56,98 +55,68 @@ SUBCLUSTER_RAY_GROUPS = (
 
 @dataclass(frozen=True)
 class AntennaArray:
-    """Positions (meters) of vertically polarized isotropic elements.
+    """Uniform rectangular panel of vertically polarized isotropic
+    elements in the y-z plane, centered on the origin.
 
-    The positions are a read-only copy, so the tables built from them at
-    construction cannot go stale: per axis, the distinct element
-    coordinates and each element's index into them (``_axes``), and the
-    plan of ``assemble_cir``'s tap contraction (``_contraction``).
+    Row index moves along z, column index along y, elements ``spacing_m``
+    apart; element order is row-major.
     """
-    positions_m: np.ndarray
+    n_rows: int
+    n_cols: int
+    spacing_m: float
 
     def __post_init__(self):
-        pos = np.array(self.positions_m, dtype=float, ndmin=2)
-        if pos.ndim != 2 or pos.shape[1] != 3:
-            raise ValueError("positions_m must be (n, 3)")
-        if pos.shape[0] == 0:
-            raise ValueError("positions_m must hold at least one element")
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("positions_m must be finite")
-        pos.flags.writeable = False
-        axes = [np.unique(pos[:, a], return_inverse=True) for a in range(3)]
-        # the axis with the most distinct coordinates, w, against the
-        # (a, b) coordinate pairs that occur on the other two: element e
-        # is entry pair[e] * n_w + index_w[e] of a tap's (pair, w) product
-        sizes = [coords.size for coords, _ in axes]
-        w = int(np.argmax(sizes))
-        a, b = (x for x in range(3) if x != w)
-        keys, pair = np.unique(axes[a][1] * sizes[b] + axes[b][1],
-                               return_inverse=True)
-        element = pair * sizes[w] + axes[w][1]
-        object.__setattr__(self, "positions_m", pos)
-        object.__setattr__(self, "_axes", axes)
-        object.__setattr__(self, "_contraction", (
-            w, (a, keys // sizes[b]), (b, keys % sizes[b]), element))
+        if self.n_rows < 1 or self.n_cols < 1:
+            raise ValueError("array dimensions must be positive")
+        if not (np.isfinite(self.spacing_m) and self.spacing_m > 0):
+            raise ValueError("spacing_m must be positive and finite")
 
     @property
     def n_elements(self) -> int:
-        return self.positions_m.shape[0]
+        return self.n_rows * self.n_cols
+
+    def _coords(self, n: int) -> np.ndarray:
+        return (np.arange(n) - (n - 1) / 2.0) * self.spacing_m
+
+    @property
+    def positions_m(self) -> np.ndarray:
+        """(n_elements, 3) element positions, row-major."""
+        zz, yy = np.meshgrid(self._coords(self.n_rows),
+                             self._coords(self.n_cols), indexing="ij")
+        return np.column_stack([np.zeros(zz.size), yy.ravel(), zz.ravel()])
 
 
 def single_antenna() -> AntennaArray:
-    return AntennaArray(np.zeros((1, 3)))
-
-
-def ura(n_rows: int, n_cols: int, spacing_m: float) -> AntennaArray:
-    """Uniform rectangular array in the y-z plane, centered on the origin.
-
-    Row index moves along z, column index along y; element order is
-    row-major.
-    """
-    if n_rows < 1 or n_cols < 1:
-        raise ValueError("array dimensions must be positive")
-    if not (np.isfinite(spacing_m) and spacing_m > 0):
-        raise ValueError("spacing_m must be positive and finite")
-    ys = (np.arange(n_cols) - (n_cols - 1) / 2.0) * spacing_m
-    zs = (np.arange(n_rows) - (n_rows - 1) / 2.0) * spacing_m
-    zz, yy = np.meshgrid(zs, ys, indexing="ij")
-    pos = np.column_stack([np.zeros(zz.size), yy.ravel(), zz.ravel()])
-    return AntennaArray(pos)
+    # one element sits at the origin whatever the spacing
+    return AntennaArray(1, 1, 1.0)
 
 
 # ---------------------------------------------------------------------------
 # ray coefficients
 
 
-def _axis_phasors(array: AntennaArray, u, wavelength_m: float) -> list:
-    """exp(j 2 pi c u_axis/lambda) over each axis's distinct element
-    coordinates c: one (n_coords, ...) table per axis; u (..., 3)."""
+def _panel_phasors(array: AntennaArray, u, wavelength_m: float):
+    """exp(j 2 pi c u_axis/lambda) over the row (z) and the column (y)
+    coordinates c: tables (n_rows, ...) and (n_cols, ...); u (..., 3)."""
     k = 2j * np.pi / wavelength_m
-    return [np.exp(k * np.multiply.outer(coords, u[..., axis]))
-            for axis, (coords, _) in enumerate(array._axes)]
+    return (np.exp(k * np.multiply.outer(array._coords(array.n_rows), u[..., 2])),
+            np.exp(k * np.multiply.outer(array._coords(array.n_cols), u[..., 1])))
 
 
 def _steering(array: AntennaArray, unit_vec, wavelength_m: float):
     """exp(+j 2 pi <p, r>/lambda) per element, shape (n_elements, ...);
     unit_vec (..., 3).
 
-    The exponent is a sum over the x, y and z axes, so the phasor is the
-    product of one factor per axis, exp(j 2 pi p_axis r_axis/lambda);
-    the identity exp(a + b + c) = exp(a) exp(b) exp(c) makes this exact
-    in exact arithmetic, and in floating point it differs from the
-    direct form by a few ulps. Each axis exponentiates only its distinct
-    element coordinates (``_axis_phasors``) and gathers them back per
-    element, so a 16x16 y-z array takes 1 + 16 + 16 exponentials per
-    direction instead of 256. A coordinate of 0 gives a factor of
-    exactly 1, so a single antenna at the origin steers by exactly 1.
-    ``assemble_cir`` uses this on the receive side only; the transmit
-    side keeps the per-axis tables and contracts them per tap.
+    Every element has x = 0, so the phasor is the row-major product of
+    the row (z) and column (y) tables of ``_panel_phasors``: exact in
+    exact arithmetic, a few ulps from the direct form in floating point,
+    and 16 + 16 exponentials per direction on a 16x16 panel instead of
+    256. A single antenna steers by exactly 1. ``assemble_cir`` uses this
+    on the receive side only; the transmit side contracts the two tables
+    per tap.
     """
-    u = np.asarray(unit_vec)
-    steer = 1.0
-    for (_, inv), table in zip(array._axes, _axis_phasors(array, u, wavelength_m)):
-        steer = steer * table[inv]
-    return steer
+    rows, cols = _panel_phasors(array, np.asarray(unit_vec), wavelength_m)
+    return (cols * rows[:, None]).reshape((array.n_elements,) + rows.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -216,17 +185,12 @@ def assemble_cir(cs: ClusterSet, rx_array: AntennaArray, tx_array: AntennaArray,
     lam = cs.wavelength_m
     coeff = np.sqrt(power) * np.exp(1j * phase)
     a_rx = coeff * _steering(rx_array, spherical_unit(zoa, aoa), lam)
-    w, (a, coord_a), (b, coord_b), element = tx_array._contraction
-    f = _axis_phasors(tx_array, spherical_unit(zod, aod), lam)
-    # rows (rx element, a-b coordinate pair), columns the w axis's coordinates
-    left = (a_rx[:, None] * (f[a][coord_a] * f[b][coord_b])).reshape(-1, tap.size)
-    right = f[w]
-    taps = np.empty((start.size, left.shape[0], right.shape[0]), dtype=complex)
+    rows, cols = _panel_phasors(tx_array, spherical_unit(zod, aod), lam)
+    # rows (rx element, tx row), columns the tx columns: row-major in both
+    left = (a_rx[:, None] * rows).reshape(n_rx * tx_array.n_rows, tap.size)
     for k, (i, j) in enumerate(zip(start, stop)):
-        np.matmul(left[:, i:j], right[:, i:j].T, out=taps[k])
-    # mode "clip" writes straight into out; "raise" would buffer a copy
-    np.take(taps.reshape(start.size, n_rx, -1), element, axis=2, out=amps,
-            mode="clip")
+        np.matmul(left[:, i:j], cols[:, i:j].T,
+                  out=amps[k].reshape(left.shape[0], tx_array.n_cols))
     return ChannelRealization(delays_s=delays, amps=amps)
 
 

@@ -9,7 +9,7 @@ from thzgbsm import capacity
 from thzgbsm.capacity import (
     capacity_from_eigs, crossover_snr, gram_eigs, mimo_capacity_det,
     run_capacity_experiment)
-from thzgbsm.coeffs import assemble_cir, cir_to_ctf, ura
+from thzgbsm.coeffs import AntennaArray, assemble_cir, cir_to_ctf
 from thzgbsm.params import load_params
 
 
@@ -148,7 +148,7 @@ def test_experiment_default_arrays_shape(monkeypatch):
     seen = []
 
     def spy(cs, rx, tx, *args, **kwargs):
-        seen.append((rx.positions_m, tx.positions_m))
+        seen.append((rx, tx))
         return assemble_cir(cs, rx, tx, *args, **kwargs)
 
     monkeypatch.setattr(capacity, "assemble_cir", spy)
@@ -156,8 +156,8 @@ def test_experiment_default_arrays_shape(monkeypatch):
     half = p.wavelength_m / 2
     assert len(seen) == 2
     for rx, tx in seen:
-        assert np.array_equal(rx, ura(2, 2, half).positions_m)
-        assert np.array_equal(tx, ura(16, 16, half).positions_m)
+        assert rx == AntennaArray(2, 2, half)
+        assert tx == AntennaArray(16, 16, half)
 
 
 def test_more_clusters_raise_high_snr_capacity():

@@ -8,8 +8,7 @@ from numpy.testing import assert_allclose
 from thzgbsm.clusters import ClusterSet, LinkGeometry, build_drop
 from thzgbsm.coeffs import (
     SUBCLUSTER_DELAY_FACTORS, SUBCLUSTER_RAY_GROUPS, AntennaArray,
-    ChannelRealization, _steering, assemble_cir, cir_to_ctf, single_antenna,
-    ura)
+    ChannelRealization, _steering, assemble_cir, cir_to_ctf, single_antenna)
 from thzgbsm.constants import spherical_unit
 from thzgbsm.params import load_params
 
@@ -31,7 +30,7 @@ def test_spherical_unit_is_unit_norm():
 
 
 def test_ura_layout():
-    arr = ura(2, 3, 0.5 * LAM)
+    arr = AntennaArray(2, 3, 0.5 * LAM)
     assert arr.positions_m.shape == (6, 3)
     # panel lies in the y-z plane
     assert_allclose(arr.positions_m[:, 0], 0.0, atol=1e-15)
@@ -40,6 +39,11 @@ def test_ura_layout():
     # nearest-neighbour spacing
     d01 = np.linalg.norm(arr.positions_m[0] - arr.positions_m[1])
     assert d01 == pytest.approx(0.5 * LAM)
+    # row-major: the column index moves along y, the row index along z
+    step = np.diff(arr.positions_m.reshape(2, 3, 3), axis=1)
+    assert_allclose(step, np.broadcast_to([0.0, 0.5 * LAM, 0.0], step.shape))
+    step = np.diff(arr.positions_m.reshape(2, 3, 3), axis=0)
+    assert_allclose(step, np.broadcast_to([0.0, 0.0, 0.5 * LAM], step.shape))
 
 
 def test_single_antenna():
@@ -48,54 +52,28 @@ def test_single_antenna():
     assert_allclose(arr.positions_m, 0.0)
 
 
-def test_ura_rejects_bad_spacing():
+def test_antenna_array_rejects_bad_dimensions_and_spacing():
+    for n_rows, n_cols in ((0, 2), (2, 0), (-1, 3)):
+        with pytest.raises(ValueError, match="dimensions"):
+            AntennaArray(n_rows, n_cols, 0.5 * LAM)
     for spacing_m in (0.0, -1e-3, np.nan, np.inf):
         with pytest.raises(ValueError, match="spacing_m"):
-            ura(2, 2, spacing_m)
+            AntennaArray(2, 2, spacing_m)
 
 
-def test_antenna_array_rejects_degenerate_positions():
-    with pytest.raises(ValueError, match="at least one element"):
-        AntennaArray(np.zeros((0, 3)))
-    for bad in (np.nan, np.inf, -np.inf):
-        pos = np.zeros((2, 3))
-        pos[1, 2] = bad
-        with pytest.raises(ValueError, match="finite"):
-            AntennaArray(pos)
-    with pytest.raises(ValueError, match=r"\(n, 3\)"):
-        AntennaArray(np.zeros((4, 2)))
-
-
-def test_antenna_array_positions_are_read_only():
-    pos = ura(2, 2, 0.5 * LAM).positions_m.copy()
-    arr = AntennaArray(pos)
-    with pytest.raises(ValueError, match="read-only"):
-        arr.positions_m[0, 0] = 1.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        arr.positions_m = np.zeros((1, 3))
-    # the array keeps its own copy; the caller's stays writable
-    pos[0, 0] = 1.0
-    assert arr.positions_m[0, 0] != 1.0
-
-
-def _random_3d_array():
-    """Eight elements within two wavelengths of the origin; each axis
-    repeats some coordinates and has others distinct."""
-    rng = np.random.default_rng(3)
-    grid = rng.uniform(-2 * LAM, 2 * LAM, size=(3, 3))
-    pos = np.column_stack([rng.choice(grid[a], size=8) for a in range(3)])
-    pos[::2, 0] = rng.uniform(-2 * LAM, 2 * LAM, size=4)
-    assert all(1 < np.unique(pos[:, a]).size < 8 for a in range(3))
-    return AntennaArray(pos)
+def test_antenna_arrays_compare_by_value():
+    assert AntennaArray(2, 2, 1e-3) == AntennaArray(2, 2, 1e-3)
+    assert AntennaArray(2, 2, 1e-3) != AntennaArray(2, 2, 2e-3)
+    assert AntennaArray(2, 3, 1e-3) != AntennaArray(3, 2, 1e-3)
+    assert single_antenna() == single_antenna()
 
 
 @pytest.mark.parametrize("array", [
-    _random_3d_array(),
-    AntennaArray(np.column_stack([np.arange(5) * 0.37 * LAM, np.zeros(5),
-                                  np.zeros(5)])),
+    AntennaArray(4, 3, 0.5 * LAM),
+    AntennaArray(1, 5, 0.37 * LAM),
     single_antenna(),
-    ura(3, 4, 0.5 * LAM),
-], ids=["random-3d", "line-x", "single", "ura"])
+    AntennaArray(3, 4, 0.5 * LAM),
+], ids=["tall", "line", "single", "ura"])
 @pytest.mark.parametrize("shape", [(), (7,), (2, 5)])
 def test_steering_matches_direct_phasor(array, shape):
     rng = np.random.default_rng(5)
@@ -175,8 +153,8 @@ def test_nlos_ray_power_is_pattern_independent_of_phase():
 
 def test_steering_reciprocity_transpose():
     """Swapping the two arrays transposes the per-ray matrix."""
-    rx = ura(2, 2, 0.5 * LAM)
-    tx = ura(1, 3, 0.5 * LAM)
+    rx = AntennaArray(2, 2, 0.5 * LAM)
+    tx = AntennaArray(1, 3, 0.5 * LAM)
     h_ab = _one_ray(1.0, 25.0, 75.0, -130.0, 95.0, 0.3, rx, tx)
     h_ba = _one_ray(1.0, -130.0, 95.0, 25.0, 75.0, 0.3, tx, rx)
     assert_allclose(h_ba, h_ab.T, atol=1e-12)
@@ -258,8 +236,8 @@ def test_total_tap_power_unity_in_expectation():
 
 def test_assemble_cir_array_shapes():
     p, cs = _drop("office", "los", seed=1)
-    rx = ura(2, 2, 0.5 * p.wavelength_m)
-    tx = ura(4, 4, 0.5 * p.wavelength_m)
+    rx = AntennaArray(2, 2, 0.5 * p.wavelength_m)
+    tx = AntennaArray(4, 4, 0.5 * p.wavelength_m)
     cr = assemble_cir(cs, rx, tx)
     assert cr.amps.shape == (cs.n_clusters + 1, 4, 16)
     h = cir_to_ctf(cr, np.linspace(-0.5e9, 0.5e9, 8))
@@ -313,10 +291,11 @@ def _assert_matches_reference(cs, rx, tx, mode):
 @pytest.mark.parametrize("source", ["3gpp", "measured"])
 def test_assemble_cir_matches_per_ray_reference(source, condition, mode):
     p = load_params("office", condition, source)
-    small = ura(2, 2, p.wavelength_m / 2)
-    large = ura(4, 4, p.wavelength_m / 2)
-    # the scattered 3-D array contracts over pairs that are not a grid
-    for rx, tx in ((small, large), (large, small), (small, _random_3d_array())):
+    small = AntennaArray(2, 2, p.wavelength_m / 2)
+    large = AntennaArray(4, 4, p.wavelength_m / 2)
+    # a tall panel contracts along its shorter axis, the columns
+    tall = AntennaArray(4, 3, p.wavelength_m / 2)
+    for rx, tx in ((small, large), (large, small), (small, tall)):
         for seed in range(2):
             cs = build_drop(p, np.random.default_rng(seed))
             _assert_matches_reference(cs, rx, tx, mode)
@@ -328,8 +307,8 @@ def test_assemble_cir_matches_per_ray_reference_at_capacity_geometry(scenario, m
     """The capacity experiment's 2x2 receive and 16x16 transmit arrays,
     and the two swapped, on the 3GPP LoS sets' 241-301 components."""
     p = load_params(scenario, "los", "3gpp")
-    small = ura(2, 2, p.wavelength_m / 2)
-    panel = ura(16, 16, p.wavelength_m / 2)
+    small = AntennaArray(2, 2, p.wavelength_m / 2)
+    panel = AntennaArray(16, 16, p.wavelength_m / 2)
     for rx, tx in ((small, panel), (panel, small)):
         for seed in range(2):
             cs = build_drop(p, np.random.default_rng(seed))
@@ -342,8 +321,8 @@ def test_assemble_cir_peak_stays_below_the_transmit_steering_matrix():
     p = load_params("office", "los", "3gpp")
     cs = build_drop(p, np.random.default_rng(0))
     n_components = cs.mpc_arrays["power"].size
-    rx = ura(2, 2, p.wavelength_m / 2)
-    tx = ura(16, 16, p.wavelength_m / 2)
+    rx = AntennaArray(2, 2, p.wavelength_m / 2)
+    tx = AntennaArray(16, 16, p.wavelength_m / 2)
     tracemalloc.start()
     try:
         assemble_cir(cs, rx, tx)
