@@ -264,42 +264,58 @@ class KPowerMeans:
         labels = np.full((rows, n), k, dtype=cluster.dtype)
         objective = np.empty((MAX_ITER, rows))
         n_iter = np.zeros(rows, dtype=int)
-        active = np.arange(rows)
+        # The active restarts' batch rows, centers, labels and padding,
+        # kept compact: a restart that converges is dropped once.
+        row, lab = np.arange(rows), labels
         buf = np.empty((rows, k, n))         # the distances, then the one-hot weights
         for it in range(1, MAX_ITER + 1):
             # (active, k, n) squared distances, clipped at 0 against
             # cancellation. The stacked matmul is one small product per
             # row, so a row's distances do not depend on the batch around
             # it; one 2-D product over all rows rounds by its size.
-            d2 = buf[:active.size]
-            np.matmul(A[active], X, out=d2)
-            np.maximum(d2, 0.0, out=d2)
+            d2 = buf[:row.size]
+            np.matmul(A, X, out=d2)
             mn = d2.min(axis=1)
+            if mn.min() < 0:                # else clipping changes nothing
+                np.maximum(d2, 0.0, out=d2)
+                mn = d2.min(axis=1)
             # the first cluster at the minimum, as argmin picks it
             new = k - ((d2 == mn[:, None]) * rank).max(axis=1)
             wd = np.multiply(w, mn, out=mn)
-            objective[it - 1, active] = wd.sum(axis=1)
+            objective[it - 1, row] = wd.sum(axis=1)
             # a restart whose labels repeat has converged and leaves
-            moving = (new != labels[active]).any(axis=1)
-            labels[active] = new
-            n_iter[active] = it
-            active, new, wd = active[moving], new[moving], wd[moving]
-            if not active.size:
+            moving = (new != lab).any(axis=1)
+            lab = new
+            if not moving.all():
+                done = ~moving
+                labels[row[done]] = new[done]
+                n_iter[row[done]] = it
+                keep = np.flatnonzero(moving)
+                row, lab, wd, A, pad_inf, padded = (
+                    v.take(keep, axis=0) for v in (row, lab, wd, A, pad_inf, padded))
+            if not row.size:
                 break
-            # weighted sums and cluster weights in one matmul
-            onehot = buf[:active.size]
-            np.multiply(new[:, None, :] == cluster, w, out=onehot)
+            # weighted sums and cluster weights in one matmul; the one-hot
+            # 0/1 go straight into floats, where a boolean times w would
+            # run through a buffered cast
+            onehot = buf[:row.size]
+            np.equal(lab[:, None, :], cluster, out=onehot, casting="unsafe")
+            np.multiply(onehot, w, out=onehot)
             S = onehot @ EW                          # (active, k, dim + 1)
             wc = S[:, :, -1:]
-            centers = np.divide(S[:, :, :-1], wc, where=wc > 0,
-                                out=np.zeros_like(S[:, :, :-1]))
+            # an empty cluster keeps its center; a padded one stays at 0
+            np.divide(S[:, :, :-1], wc, where=wc > 0, out=A[:, :, :dim])
             # re-seed an emptied cluster at its restart's currently worst
             # represented point; the next assignment can only lower the
             # objective. A padded cluster stays empty at +inf.
-            for a, c in zip(*np.nonzero((wc[:, :, 0] <= 0) & ~padded[active])):
-                centers[a, c] = E[wd[a].argmax()]
-            A[active, :, :dim] = centers
-            A[active, :, dim] = (centers**2).sum(axis=2) + pad_inf[active]
+            reseed = (wc[:, :, 0] <= 0) & ~padded
+            if reseed.any():
+                for a, c in zip(*np.nonzero(reseed)):
+                    A[a, c, :dim] = E[wd[a].argmax()]
+            A[:, :, dim] = (A[:, :, :dim] ** 2).sum(axis=2) + pad_inf
+        # restarts still moving at MAX_ITER stop there
+        labels[row] = lab
+        n_iter[row] = it
 
         # per count, the first restart with the lowest objective wins
         final = objective[n_iter - 1, np.arange(rows)].reshape(ks.size, N_INIT)

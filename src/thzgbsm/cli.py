@@ -50,23 +50,38 @@ def _fmt(v) -> str:
     return str(v)
 
 
+# printf formats of float and integer arrays' cells, as _fmt writes them
+_FORMATS = {"f": "%.12g", "i": "%d", "u": "%d"}
+
+
+def _format(column) -> str | None:
+    """The printf format of a float or integer array's cells, else None."""
+    return _FORMATS.get(column.dtype.kind) if isinstance(column, np.ndarray) else None
+
+
 def _cells(column) -> list[str]:
     """A column's cells as ``_fmt`` writes them, formatted a whole float
     or integer array at a time."""
-    kind = column.dtype.kind if isinstance(column, np.ndarray) else None
-    if kind == "f":
-        return [f"{x:.12g}" for x in column.tolist()]
-    if kind in ("i", "u"):
-        return [str(x) for x in column.tolist()]
-    return [_fmt(v) for v in column]
+    fmt = _format(column)
+    if fmt is None:
+        return [_fmt(v) for v in column]
+    return [fmt % x for x in column.tolist()]
 
 
 def _write_csv(path: Path, columns: dict) -> None:
-    """One CSV from equal-length columns; the dict's keys are the header."""
+    """One CSV from equal-length columns; the dict's keys are the header.
+    A table of float and integer arrays only is written one printf per
+    row: its cells need no quoting."""
+    fmts = [_format(c) for c in columns.values()]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(columns)
-        w.writerows(zip(*map(_cells, columns.values()), strict=True))
+        if None in fmts:
+            w.writerows(zip(*map(_cells, columns.values()), strict=True))
+        else:
+            row = ",".join(fmts) + "\n"
+            fh.writelines(map(row.__mod__, zip(
+                *(c.tolist() for c in columns.values()), strict=True)))
 
 
 def _resolve_params(parser, args, source=None) -> tuple[ScenarioParamSet, Path]:
@@ -199,22 +214,25 @@ def cmd_simulate(parser, args) -> int:
 
 def _read_csv(parser, path: Path) -> tuple[list[int], dict[str, list]]:
     """Line number of each data row and the cells of each named column;
-    a cell missing from a short row is None. The file must be UTF-8, and a
-    leading byte-order mark is skipped; a column named twice and a row
-    longer than the header are errors."""
+    a cell missing from a short row is None, and a blank line is no row.
+    The file must be UTF-8, and a leading byte-order mark is skipped; a
+    column named twice, a row longer than the header and a line the csv
+    module cannot split are errors."""
     if not path.is_file():
         parser.error(f"--input: file not found: {path}")
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.DictReader(fh)
-            names = reader.fieldnames
+            reader = csv.reader(fh)
+            names = next(reader, None)
             if names is None:
                 parser.error(f"--input: {path} has no header row")
             for i, k in enumerate(names):
                 if k in names[:i]:
                     raise ValueError(f"input line {reader.line_num}: column "
                                      f"{k!r} is named twice in the header")
-            rows = [(reader.line_num, row) for row in reader]
+            numbered = [(reader.line_num, row) for row in reader if row]
+    except csv.Error as exc:        # such as a cell over csv's field limit
+        raise ValueError(f"input line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError:
         data = path.read_bytes()    # the whole file, so offsets are the file's
         try:
@@ -224,11 +242,17 @@ def _read_csv(parser, path: Path) -> tuple[list[int], dict[str, list]]:
             raise ValueError(
                 f"--input: {path} is not UTF-8: byte 0x{data[exc.start]:02x} "
                 f"at offset {exc.start} (input line {line})") from None
-    for line, row in rows:
-        if None in row:     # DictReader files surplus cells under None
-            raise ValueError(f"input line {line}: {len(names) + len(row[None])}"
-                             f" cells under a header of {len(names)} columns")
-    return [line for line, _ in rows], {k: [row[k] for _, row in rows] for k in names}
+    lines = [line for line, _ in numbered]
+    rows = [row for _, row in numbered]
+    if set(map(len, rows)) - {len(names)}:
+        for line, row in numbered:
+            if len(row) > len(names):
+                raise ValueError(f"input line {line}: {len(row)} cells under "
+                                 f"a header of {len(names)} columns")
+            row += [None] * (len(names) - len(row))
+    # one transpose; without rows, every column is empty
+    cells = [list(c) for c in zip(*rows)] or [[] for _ in names]
+    return lines, dict(zip(names, cells))
 
 
 _POWER = (lambda x: x < 0, "a negative power")     # a rule for _floats
@@ -240,14 +264,17 @@ def _floats(table, key, empty, *rules) -> np.ndarray:
     one of ``rules``, (test, reason) pairs checked in order, holds."""
     lines, columns = table
     cells = columns.get(key, [None] * len(lines))
-    x = np.empty(len(cells))
-    for i, v in enumerate(cells):
-        if v in (None, "") and empty is None:
-            raise ValueError(f"input line {lines[i]}: column {key!r} is empty")
-        try:
-            x[i] = empty if v in (None, "") else float(v)
-        except ValueError:
-            x[i] = np.nan
+    try:
+        x = np.fromiter(map(float, cells), float, len(cells))
+    except (TypeError, ValueError):     # an empty cell, or one float() rejects
+        x = np.empty(len(cells))
+        for i, v in enumerate(cells):
+            if v in (None, "") and empty is None:
+                raise ValueError(f"input line {lines[i]}: column {key!r} is empty")
+            try:
+                x[i] = empty if v in (None, "") else float(v)
+            except ValueError:
+                x[i] = np.nan
     for test, reason in [(lambda x: ~np.isfinite(x), "not a finite number"),
                          *rules]:
         i = np.flatnonzero(test(x))
@@ -262,13 +289,17 @@ def _labels(table, key) -> np.ndarray:
     that no label wraps around or rounds; an empty or absent cell gives 0."""
     _floats(table, key, 0.0)                # every cell a finite number
     lines, columns = table
-    labels = []
-    for line, v in zip(lines, columns.get(key, [None] * len(lines))):
-        x = Decimal(v or 0)
-        if x != x.to_integral_value():
-            raise ValueError(f"input line {line}: column {key!r} holds "
-                             f"{v!r}, not an integer")
-        labels.append(int(x))
+    cells = columns.get(key, [None] * len(lines))
+    try:
+        labels = [int(v) for v in cells]
+    except (TypeError, ValueError):     # an empty cell, or one such as 1.0
+        labels = []
+        for line, v in zip(lines, cells):
+            x = Decimal(v or 0)
+            if x != x.to_integral_value():
+                raise ValueError(f"input line {line}: column {key!r} holds "
+                                 f"{v!r}, not an integer")
+            labels.append(int(x))
     return np.array(labels, dtype=object)
 
 

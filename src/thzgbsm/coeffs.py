@@ -66,6 +66,9 @@ class AntennaArray:
     spacing_m: float
 
     def __post_init__(self):
+        for n in (self.n_rows, self.n_cols):
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+                raise ValueError(f"array dimensions must be integers, got {n!r}")
         if self.n_rows < 1 or self.n_cols < 1:
             raise ValueError("array dimensions must be positive")
         if not (np.isfinite(self.spacing_m) and self.spacing_m > 0):

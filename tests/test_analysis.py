@@ -12,7 +12,7 @@ from thzgbsm.analysis import (
     k_factor, kpower_means, lsp_cross_corr, mcd_embedding, rms_ds, asa,
     select_n_clusters)
 from thzgbsm.clusters import build_drop
-from thzgbsm.params import load_params
+from thzgbsm.params import CONDITIONS, SCENARIOS, SOURCES, load_params
 
 
 # --- delay spread ---
@@ -422,6 +422,17 @@ def _reseeded_stacks():
     return _embed(x), np.linspace(0.5, 2.0, len(x))
 
 
+def _clipped_embedding():
+    """(embedding, weights) of two tight stacks 2,000 apart. Taken from
+    the mean, each point's squared norm is about 1e6, so the expanded
+    squared distance |c|^2 + |x|^2 - 2 c.x to its own stack's center, a
+    few 1e-18 in exact arithmetic, rounds to about +-1e-10: below 0 for
+    some points whatever order the products are summed in."""
+    rng = np.random.default_rng(0)
+    x = np.repeat([[-1e3, 0.0, 0.0], [1e3, 0.0, 0.0]], 6, axis=0)
+    return x + rng.normal(scale=1e-9, size=x.shape), rng.uniform(0.5, 2.0, 12)
+
+
 def _generated_drop(scenario, condition, source, seed):
     """(embedding, powers) of one generated drop's components."""
     cols = build_drop(load_params(scenario, condition, source),
@@ -475,6 +486,132 @@ def test_fit_over_counts_equals_one_count_fits(data):
         assert_allclose(km.inertia_[i], one.inertia_, **tol)
     assert km.n_iter_ == sum(one.n_iter_ for one in singles)
     assert type(km.n_iter_) is int
+
+
+def _reference_lockstep_fit(e, w, n_clusters, random_state=0):
+    """KPowerMeans.fit's lockstep Lloyd loop in its plainest form: every
+    iteration gathers and scatters the active rows, clips every distance
+    block at 0, builds the one-hot weights as a boolean product and looks
+    for emptied clusters. Returns
+    the fit's (labels, inertia, objective path(s), n_iter) and how often
+    each branch ran: "clip", iterations in which some expanded distance
+    rounded below 0; "reseed", emptied clusters re-seeded; "leave",
+    iterations in which some restarts converged while others moved on;
+    and "cut", restarts still moving at ``analysis.MAX_ITER``."""
+    E, w = np.asarray(e, dtype=float), np.asarray(w, dtype=float)
+    n, dim = E.shape
+    ks = np.array(n_clusters, ndmin=1)
+    k = int(ks.max())
+    branches = dict.fromkeys(("clip", "reseed", "leave", "cut"), 0)
+    rows = ks.size * N_INIT
+    cluster = np.arange(k, dtype=np.min_scalar_type(k))[:, None]
+    rank = k - cluster
+    padded = cluster[:, 0] >= np.repeat(ks, N_INIT)[:, None]
+    pad_inf = np.where(padded, np.inf, 0.0)
+    E = E - (w @ E) / w.sum()
+    A = np.ones((rows, k, dim + 2))
+    A[:, :, :dim] = np.tile(E[analysis._seed_indices(w, k, random_state)],
+                            (ks.size, 1, 1))
+    A[padded, :dim] = 0.0
+    A[:, :, dim] = (A[:, :, :dim] ** 2).sum(axis=2) + pad_inf
+    X = np.vstack([-2.0 * E.T, np.ones(n), (E * E).sum(axis=1)])
+    EW = np.column_stack([E, np.ones(n)])
+    labels = np.full((rows, n), k, dtype=cluster.dtype)
+    objective = np.empty((analysis.MAX_ITER, rows))
+    n_iter = np.zeros(rows, dtype=int)
+    active = np.arange(rows)
+    buf = np.empty((rows, k, n))
+    for it in range(1, analysis.MAX_ITER + 1):
+        d2 = buf[:active.size]
+        np.matmul(A[active], X, out=d2)
+        branches["clip"] += bool((d2 < 0).any())
+        np.maximum(d2, 0.0, out=d2)
+        mn = d2.min(axis=1)
+        new = k - ((d2 == mn[:, None]) * rank).max(axis=1)
+        wd = np.multiply(w, mn, out=mn)
+        objective[it - 1, active] = wd.sum(axis=1)
+        moving = (new != labels[active]).any(axis=1)
+        labels[active] = new
+        n_iter[active] = it
+        branches["leave"] += bool(moving.any() and not moving.all())
+        active, new, wd = active[moving], new[moving], wd[moving]
+        if not active.size:
+            break
+        onehot = buf[:active.size]
+        np.multiply(new[:, None, :] == cluster, w, out=onehot)
+        S = onehot @ EW
+        wc = S[:, :, -1:]
+        centers = np.divide(S[:, :, :-1], wc, where=wc > 0,
+                            out=np.zeros_like(S[:, :, :-1]))
+        for a, c in zip(*np.nonzero((wc[:, :, 0] <= 0) & ~padded[active])):
+            branches["reseed"] += 1
+            centers[a, c] = E[wd[a].argmax()]
+        A[active, :, :dim] = centers
+        A[active, :, dim] = (centers**2).sum(axis=2) + pad_inf[active]
+    branches["cut"] = active.size
+    final = objective[n_iter - 1, np.arange(rows)].reshape(ks.size, N_INIT)
+    best = final.argmin(axis=1) + N_INIT * np.arange(ks.size)
+    paths = [objective[:n_iter[b], b].copy() for b in best]
+    if np.ndim(n_clusters):
+        fit = (labels[best].astype(int), final.min(axis=1), paths,
+               int(n_iter[best].sum()))
+    else:
+        fit = (labels[best[0]].astype(int), float(final.min()), paths[0],
+               int(n_iter[best[0]]))
+    return fit, branches
+
+
+def _assert_fit_equals_reference(e, w, n_clusters, random_state=0):
+    """KPowerMeans gives the reference loop's results bit for bit;
+    returns the branches the reference took."""
+    (labels, inertia, paths, n_iter), branches = _reference_lockstep_fit(
+        e, w, n_clusters, random_state)
+    km = KPowerMeans(n_clusters=n_clusters, random_state=random_state).fit(e, w)
+    assert np.array_equal(km.labels_, labels)
+    assert type(km.inertia_) is type(inertia)
+    assert np.array_equal(km.inertia_, inertia)
+    assert km.n_iter_ == n_iter and type(km.n_iter_) is int
+    if np.ndim(n_clusters):
+        assert len(km.objective_path_) == len(paths)
+        assert all(map(np.array_equal, km.objective_path_, paths))
+    else:
+        assert np.array_equal(km.objective_path_, paths)
+    return branches
+
+
+_SETS = [(sc, co, so) for sc in SCENARIOS for co in CONDITIONS for so in SOURCES]
+
+
+@pytest.mark.parametrize("selection", _SETS, ids="_".join)
+def test_fit_equals_the_reference_loop_on_generated_drops(selection):
+    taken = dict.fromkeys(("clip", "reseed", "leave", "cut"), 0)
+    for seed in (11, 12):
+        e, w = _generated_drop(*selection, seed)
+        counts = list(range(2, min(6, np.count_nonzero(w) - 1) + 1))
+        for n_clusters in (counts, *counts):
+            for b, times in _assert_fit_equals_reference(e, w, n_clusters).items():
+                taken[b] += times
+    # restarts converge at different iterations and leave the batch
+    assert taken["leave"] > 0
+
+
+def test_fit_equals_the_reference_loop_where_a_cluster_is_reseeded():
+    e, w = _reseeded_stacks()
+    for n_clusters in (3, 4, [2, 3, 4]):
+        assert _assert_fit_equals_reference(e, w, n_clusters)["reseed"] > 0
+
+
+def test_fit_equals_the_reference_loop_where_restarts_reach_the_cap(monkeypatch):
+    monkeypatch.setattr(analysis, "MAX_ITER", 2)
+    e, w = _generated_drop("umi", "nlos", "3gpp", 11)
+    for n_clusters in (4, [2, 3, 4]):
+        assert _assert_fit_equals_reference(e, w, n_clusters)["cut"] > 0
+
+
+def test_fit_equals_the_reference_loop_where_a_distance_rounds_below_0():
+    e, w = _clipped_embedding()
+    for n_clusters in (2, 3, [2, 3]):
+        assert _assert_fit_equals_reference(e, w, n_clusters)["clip"] > 0
 
 
 @st.composite

@@ -16,7 +16,9 @@ import yaml
 
 import thzgbsm
 from thzgbsm import analysis
-from thzgbsm.cli import _fmt, _write_csv, build_parser, main
+from thzgbsm import cli
+from thzgbsm.cli import (_floats, _fmt, _labels, _read_csv, _write_csv,
+                         build_parser, main)
 from thzgbsm.clusters import ClusterSet, build_drop
 from thzgbsm.params import load_params
 
@@ -324,7 +326,10 @@ def test_analyze_non_utf8_input_exits_1_naming_the_byte(tmp_path, capsys):
      "input line 1: column 'power' is named twice in the header\n"),
     ("drop,delay_ns,power,aoa_deg\n0,0,1,0\n0,5,0.5,10\n0,0,1,0,99\n",
      "input line 4: 5 cells under a header of 4 columns\n"),
-], ids=["duplicate-column", "long-row"])
+    # csv's field limit is 131,072 characters
+    ("drop,delay_ns,power\n0,0,1\n0," + "5" * 200_000 + ",0.5\n",
+     "input line 3: field larger than field limit (131072)\n"),
+], ids=["duplicate-column", "long-row", "oversized-cell"])
 def test_analyze_malformed_shape_exits_1_before_out(tmp_path, capsys, text,
                                                     message):
     src = tmp_path / "mpcs.csv"
@@ -333,6 +338,66 @@ def test_analyze_malformed_shape_exits_1_before_out(tmp_path, capsys, text,
     assert main(["analyze", "--input", str(src), "--out", str(out)]) == 1
     assert capsys.readouterr().err.endswith(message)
     assert not out.exists()
+
+
+def _dict_reader_table(path):
+    """(lines, columns) as a csv.DictReader reads the file, one dict per
+    row: the oracle for _read_csv's one transpose."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.DictReader(fh)
+        rows = [(reader.line_num, row) for row in reader]
+        names = reader.fieldnames
+    return [line for line, _ in rows], {k: [row[k] for _, row in rows]
+                                        for k in names}
+
+
+@pytest.mark.parametrize("data", [
+    b"\xef\xbb\xbfdrop,delay_ns,power\n0,0,1\n0,5,0.5\n",
+    b"drop,delay_ns,power\n\n0,0,1\n\n\n0,5,0.5\n\n",
+    b"drop,delay_ns,power,aoa_deg\n0,0,1,10\n0,5\n1,,3,4\n1\n",
+    b'note,delay_ns,power\n"a,b",0,1\n"two\nlines",5,0.5\n"q ""x""",7,"0,2"\n',
+    b"drop,delay_ns,power\r\n0,0,1\r\n\r\n0,5,0.5\r\n",
+    b"drop,delay_ns,power\n",
+], ids=["bom", "blank-lines", "short-rows", "quoted", "crlf", "header-only"])
+def test_read_csv_reads_what_a_dict_reader_reads(tmp_path, data):
+    src = tmp_path / "in.csv"
+    src.write_bytes(data)
+    assert _read_csv(build_parser(), src) == _dict_reader_table(src)
+
+
+@pytest.mark.parametrize(("cell", "message"), [
+    ("", "input line 3: column 'c' is empty"),
+    ("abc", "input line 3: column 'c' holds 'abc', not a finite number"),
+    ("nan", "input line 3: column 'c' holds 'nan', not a finite number"),
+])
+def test_floats_name_a_bad_cell(cell, message):
+    table = ([2, 3], {"c": ["0", cell]})
+    with pytest.raises(ValueError) as exc:
+        _floats(table, "c", None)
+    assert str(exc.value) == message
+    if cell:        # an empty label is 0
+        with pytest.raises(ValueError) as exc:
+            _labels(table, "c")
+        assert str(exc.value) == message
+
+
+def test_floats_and_labels_parse_whole_columns_as_cell_by_cell():
+    cells = ["1.0", "9007199254740993", " 7 ", "-0", "", "0" * 5000 + "1"]
+    table = (list(range(2, 8)), {"c": cells})
+    x = _floats(table, "c", 90.0)
+    assert x.tolist() == [1.0, 9007199254740992.0, 7.0, -0.0, 90.0, 1.0]
+    assert np.signbit(x[3])
+    labels = _labels(table, "c")
+    assert labels.dtype == object
+    assert labels.tolist() == [1, 9007199254740993, 7, 0, 0, 1]
+    assert all(type(v) is int for v in labels)
+    # whole columns of plain numbers take the one-pass parse
+    table = ([2, 3], {"c": ["3", "9007199254740993"]})
+    assert _floats(table, "c", None).tolist() == [3.0, 9007199254740992.0]
+    assert _labels(table, "c").tolist() == [3, 9007199254740993]
+    # an absent column is all empty cells
+    assert _floats(table, "d", 90.0).tolist() == [90.0, 90.0]
+    assert _labels(table, "d").tolist() == [0, 0]
 
 
 def test_analyze_keeps_labels_beyond_int64_apart(tmp_path):
@@ -640,30 +705,48 @@ def test_analyze_writes_what_the_library_returns(tmp_path, recluster):
         [_fmt(v) for v in col] for col in per_drop.values()]
 
 
-def test_write_csv_formats_columns_as_fmt_does_cell_by_cell(tmp_path):
+def test_write_csv_formats_columns_as_fmt_does_cell_by_cell(tmp_path, monkeypatch):
     # whole-column formatting of float and integer arrays gives the bytes
-    # of the per-cell _fmt writer; other columns go cell by cell
-    cols = {
+    # of the per-cell _fmt writer; a table of such arrays only is written
+    # one printf per row, any other table cell by cell through csv.writer
+    numeric = {
         "f": np.array([0.1, -0.0, np.inf, -np.inf, 1e-300, 123456789.123456789,
                        np.nan, 2.0 / 3.0]),
         "f32": np.linspace(-1.0, 1.0, 8, dtype=np.float32),
-        "i": np.array([0, -1, 2**62, -(2**62), 5, 6, 7, 8]),
+        "i": np.array([0, -1, 2**63 - 1, -(2**63), 2**62, -(2**62), 7, 8]),
         "u": np.arange(8, dtype=np.uint8) * 31,
-        "label": np.array(["a", "b,c", 'q"d', "", "x", "y", "z", "w"], dtype=object),
-        "opt": [None, 1.5, np.float64(-0.0), 3, None, "s", np.int64(4), 0.25],
+        "u64": np.array([2**64 - 1, 0, 1, 2, 3, 4, 5, 6], dtype=np.uint64),
+        "x,y": np.array([1e20, -1e-20, 5e-324, 1.7976931348623157e308,
+                         0.5, 1.0, 100.0, 1e12]),   # a header name with a comma
     }
-    path = tmp_path / "mixed.csv"
-    _write_csv(path, cols)
-    with open(tmp_path / "cells.csv", "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(cols)
-        w.writerows([_fmt(v) for v in row] for row in zip(*cols.values()))
-    assert path.read_bytes() == (tmp_path / "cells.csv").read_bytes()
+    tables = {
+        "numeric": numeric,
+        "zero-rows": {k: v[:0] for k, v in numeric.items()},
+        "one-column": {"x,y": numeric["x,y"]},
+        "mixed": {**numeric,
+                  "label": np.array(["a", "b,c", 'q"d', "", "x", "y", "z", "w"],
+                                    dtype=object),
+                  "opt": [None, 1.5, np.float64(-0.0), 3, None, "s", np.int64(4),
+                          0.25]},
+    }
+    for name, cols in tables.items():
+        path = tmp_path / f"{name}.csv"
+        with monkeypatch.context() as m:
+            if name != "mixed":     # the printf path formats no cell alone
+                m.setattr(cli, "_cells", None)
+            _write_csv(path, cols)
+        with open(tmp_path / "cells.csv", "w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(cols)
+            w.writerows([_fmt(v) for v in row] for row in zip(*cols.values()))
+        assert path.read_bytes() == (tmp_path / "cells.csv").read_bytes(), name
 
 
 def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
     with pytest.raises(ValueError):
         _write_csv(tmp_path / "bad.csv", {"a": np.arange(3), "b": [1.0, 2.0]})
+    with pytest.raises(ValueError):
+        _write_csv(tmp_path / "bad.csv", {"a": np.arange(3), "b": np.ones(2)})
 
 
 def test_analyze_pdp_writes_what_the_library_returns(tmp_path):

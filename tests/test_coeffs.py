@@ -53,9 +53,12 @@ def test_single_antenna():
 
 
 def test_antenna_array_rejects_bad_dimensions_and_spacing():
-    for n_rows, n_cols in ((0, 2), (2, 0), (-1, 3)):
+    for n_rows, n_cols in ((0, 2), (2, 0), (-1, 3), (2.5, 2), (2, 2.0),
+                           (True, 2), (2, np.True_), ("2", 2), (None, 2)):
         with pytest.raises(ValueError, match="dimensions"):
             AntennaArray(n_rows, n_cols, 0.5 * LAM)
+    # numpy integers are integers
+    assert AntennaArray(np.int64(2), np.uint8(3), 0.5 * LAM).n_elements == 6
     for spacing_m in (0.0, -1e-3, np.nan, np.inf):
         with pytest.raises(ValueError, match="spacing_m"):
             AntennaArray(2, 2, spacing_m)
