@@ -30,19 +30,20 @@ def gram_eigs(h) -> np.ndarray:
     in an (..., rx, tx) stack, ascending along the last axis.
 
     The Grams are formed over blocks of 8 channels, so no temporary is a
-    conjugate copy of the whole stack. Each channel's product is the
-    same matmul as over the whole stack, and so are its eigenvalues.
+    conjugate copy of the whole stack, into one stack that one eigvalsh
+    call takes. Each channel's product is the same matmul as over the
+    whole stack, and LAPACK takes one matrix at a time, so each
+    channel's eigenvalues are those of its Gram alone.
     """
     h = np.asarray(h)
     u, s = h.shape[-2:]
     flat = h.reshape(-1, u, s)
-    # the precision eigvalsh returns: single for single, else double
-    eigs = np.empty((flat.shape[0], min(u, s)),
-                    dtype=np.result_type(h.real.dtype, np.float32))
+    gram = np.empty((flat.shape[0], min(u, s), min(u, s)), dtype=h.dtype)
     for i in range(0, flat.shape[0], 8):
         b = flat[i:i + 8]
         bh = b.conj().swapaxes(-1, -2)
-        eigs[i:i + 8] = np.linalg.eigvalsh(b @ bh if u <= s else bh @ b)
+        np.matmul(*((b, bh) if u <= s else (bh, b)), out=gram[i:i + 8])
+    eigs = np.linalg.eigvalsh(gram)
     return eigs.reshape(h.shape[:-2] + eigs.shape[-1:])
 
 

@@ -151,10 +151,11 @@ def _write_run(parser, args, files: dict, params_files: dict) -> Path:
 # simulate
 
 
-def _sim_drop(params, seed_seq, x, y, lsp_row, mode, antenna):
-    """One drop's multipath components, CIR and re-extracted statistics,
-    each a table of named columns; the CIR runs between two copies of
-    ``antenna``, and is None when ``antenna`` is."""
+def _sim_drop(params, seed_seq, x, y, lsp_row, mode, antenna, dump_mpcs):
+    """One drop's multipath components (None unless ``dump_mpcs``), CIR
+    and re-extracted statistics, each a table of named columns; the CIR
+    runs between two copies of ``antenna``, and is None when ``antenna``
+    is. Only what is returned is read, so only those planes are matched."""
     rng = np.random.default_rng(seed_seq)
     geom = geometry_for(params, x, y)
     cs = build_drop(params, rng, geometry=geom, lsp_vals=lsp_row)
@@ -162,7 +163,8 @@ def _sim_drop(params, seed_seq, x, y, lsp_row, mode, antenna):
     mpcs = {"cluster": c["cluster"], "ray": c["ray"],
             "delay_ns": c["delay_s"] * 1e9, "power": c["power"],
             "aoa_deg": c["aoa_deg"], "zoa_deg": c["zoa_deg"],
-            "aod_deg": c["aod_deg"], "zod_deg": c["zod_deg"]}
+            "aod_deg": c["aod_deg"], "zod_deg": c["zod_deg"]
+            } if dump_mpcs else None
     cir = None
     if antenna is not None:
         cr = assemble_cir(cs, antenna, antenna, mode=mode)
@@ -193,7 +195,8 @@ def cmd_simulate(parser, args) -> int:
     antenna = single_antenna() if args.dump_cir else None
     results = [_sim_drop(params, ss, xs[i], ys[i],
                          {k: float(v[i]) for k, v in lsp.items()}, args.mode,
-                         antenna) for i, ss in enumerate(children[2:])]
+                         antenna, args.dump_clusters)
+               for i, ss in enumerate(children[2:])]
 
     # an NLoS set draws no K: its k_db cells are empty
     tables = {"lsp.csv": {"drop": np.arange(args.drops), "x_m": xs, "y_m": ys,
@@ -261,12 +264,16 @@ _POWER = (lambda x: x < 0, "a negative power")     # a rule for _floats
 def _floats(table, key, empty, *rules) -> np.ndarray:
     """Finite floats of one column. An empty or absent cell gives
     ``empty``, and is an error where that is None; so is a cell for which
-    one of ``rules``, (test, reason) pairs checked in order, holds."""
+    one of ``rules``, (test, reason) pairs checked in order, holds. A
+    cell holding ``_`` or a non-ASCII character is not a number, though
+    ``float()`` reads 1_0 as 10 and a non-ASCII digit as its value."""
     lines, columns = table
     cells = columns.get(key, [None] * len(lines))
     try:
         x = np.fromiter(map(float, cells), float, len(cells))
+        text = "".join(cells)               # the whole column at once
     except (TypeError, ValueError):     # an empty cell, or one float() rejects
+        text = "".join(filter(None, cells))
         x = np.empty(len(cells))
         for i, v in enumerate(cells):
             if v in (None, "") and empty is None:
@@ -275,6 +282,9 @@ def _floats(table, key, empty, *rules) -> np.ndarray:
                 x[i] = empty if v in (None, "") else float(v)
             except ValueError:
                 x[i] = np.nan
+    if "_" in text or not text.isascii():
+        x[[i for i, v in enumerate(cells)
+           if v and ("_" in v or not v.isascii())]] = np.nan
     for test, reason in [(lambda x: ~np.isfinite(x), "not a finite number"),
                          *rules]:
         i = np.flatnonzero(test(x))

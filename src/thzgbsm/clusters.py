@@ -12,13 +12,16 @@ Generated delays and composite angular spreads are rescaled per drop so
 the realization reproduces the drawn delay spread exactly and the drawn
 azimuth spread as closely as the circular-spread saturation allows;
 statistics re-extracted from a drop then match the drawn values instead
-of being a smeared copy of them.
+of being a smeared copy of them. ``build_drop`` draws all of a drop's
+random numbers; an angle plane's match draws none and runs on the
+plane's first read, so a reader of arrival azimuths skips the others.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -360,7 +363,10 @@ def gen_angles(powers, ray_powers, los_weight: float, asa_deg: float,
     (departure reuses the same azimuth statistics; zenith spreads use
     their drawn targets with a linear-std match).
 
-    Returns (aoa, aod, zoa, zod), each shaped like ray_powers, in degrees.
+    Every random number is drawn here. The matches draw none, so each
+    plane is returned pending, in a dict by name (aoa_deg, aod_deg,
+    zoa_deg, zod_deg): a function of no argument that matches it and
+    returns it, shaped like ray_powers, in degrees.
     """
     p = np.asarray(powers, dtype=float)
     n = p.size
@@ -368,6 +374,7 @@ def gen_angles(powers, ray_powers, los_weight: float, asa_deg: float,
     ratio = p / p.max()
     cp = c_phi(n, k_db)
     ct = c_theta(n, k_db)
+    offs, order = ray_offsets(m), np.tile(np.arange(m), (n, 1))
 
     def plane(rescale, bearing, center_dev, spread, c_spread):
         # random sign flips and N(0, spread/7) jitter about the bearing,
@@ -375,10 +382,9 @@ def gen_angles(powers, ray_powers, los_weight: float, asa_deg: float,
         x = rng.integers(0, 2, n) * 2 - 1
         y = rng.normal(0.0, spread / 7.0, n)
         centers = x * center_dev + y + bearing
-        offs = c_spread * ray_offsets(m)
-        perm = rng.permuted(np.tile(np.arange(m), (n, 1)), axis=1)
-        return rescale(centers[:, None] + offs[perm], ray_powers, los_weight,
-                       bearing, spread)
+        perm = rng.permuted(order, axis=1)
+        return partial(rescale, centers[:, None] + (c_spread * offs)[perm],
+                       ray_powers, los_weight, bearing, spread)
 
     phi_c = 2.0 * (asa_deg / 1.4) * np.sqrt(-np.log(ratio)) / cp
     c_asa = params.clusters.c_asa_deg
@@ -389,29 +395,61 @@ def gen_angles(powers, ray_powers, los_weight: float, asa_deg: float,
                 -(zsa_deg / ct) * np.log(ratio), zsa_deg, sup.c_zsa_deg)
     zod = plane(rescale_zenith, geometry.zod_los_deg,
                 -(zsd_deg / ct) * np.log(ratio), zsd_deg, sup.c_zsd_deg)
-    return aoa, aod, zoa, zod
+    return {"aoa_deg": aoa, "aod_deg": aod, "zoa_deg": zoa, "zod_deg": zod}
 
 
 # ---------------------------------------------------------------------------
 # drop assembly
 
 
+class _Columns(Mapping):
+    """Read-only named arrays, each made by its function on first read."""
+
+    def __init__(self, make: dict):
+        self._make, self._made = make, {}
+
+    def __getitem__(self, key) -> np.ndarray:
+        if key not in self._made:
+            col = self._make[key]()             # KeyError for an unknown key
+            col.flags.writeable = False
+            self._made[key] = col
+        return self._made[key]
+
+    def __contains__(self, key) -> bool:
+        return key in self._make
+
+    def __iter__(self):
+        return iter(self._make)
+
+    def __len__(self) -> int:
+        return len(self._make)
+
+
+def _matched(name: str) -> cached_property:
+    """The plane ``name`` of a ``ClusterSet``, matched on first read."""
+    return cached_property(lambda cs: cs.planes[name]())
+
+
 @dataclass
 class ClusterSet:
-    """One channel drop, the whole of what ``assemble_cir`` reads."""
+    """One channel drop, the whole of what ``assemble_cir`` reads; each
+    angle plane attribute is its ``planes`` function's result, on first
+    read."""
     delays_s: np.ndarray          # (N,), sorted, first is 0 (excess delay)
     powers: np.ndarray            # (N,), normalized cluster powers, sum 1
     los_weight: float             # direct-path share, K/(K+1); 0 for NLoS
     ray_powers: np.ndarray        # (N, M); with los_weight they sum to 1
-    aoa_deg: np.ndarray           # (N, M)
-    aod_deg: np.ndarray
-    zoa_deg: np.ndarray
-    zod_deg: np.ndarray
+    planes: dict                  # angle plane: () -> (N, M) degrees
     phases: np.ndarray            # (N, M), radians in [-pi, pi)
     geometry: LinkGeometry
     wavelength_m: float           # its parameter set's carrier wavelength
     c_ds_s: float                 # and intra-cluster delay spread
     lsp: dict                     # drawn values this drop realizes
+
+    aoa_deg = _matched("aoa_deg")
+    aod_deg = _matched("aod_deg")
+    zoa_deg = _matched("zoa_deg")
+    zod_deg = _matched("zod_deg")
 
     @property
     def n_clusters(self) -> int:
@@ -422,33 +460,34 @@ class ClusterSet:
         return self.ray_powers.shape[1]
 
     @cached_property
-    def mpc_arrays(self) -> dict:
+    def mpc_arrays(self) -> Mapping:
         """Flat per-component columns, direct path first when present.
 
         Cluster index 0 marks the direct path; generated clusters are
         numbered from 1. The direct path has ray index 0 and the carrier
-        phase -2 pi d3/lambda; the rays carry their drawn phases. Built
-        once per drop; every reader shares its read-only columns.
+        phase -2 pi d3/lambda; the rays carry their drawn phases. One
+        read-only mapping per drop, whose columns are each built on first
+        read, so only the planes a reader reads are matched; every reader
+        shares its read-only columns.
         """
         g = self.geometry
         n, m = self.ray_powers.shape
-        pairs = {   # column: (direct-path value, per-ray values)
-            "cluster": (0, np.repeat(np.arange(1, n + 1), m)),
-            "ray": (0, np.tile(np.arange(m), n)),
-            "delay_s": (0.0, np.repeat(self.delays_s, m)),
-            "power": (self.los_weight, self.ray_powers.ravel()),
+        pairs = {   # column: (direct-path value, per-ray values on call)
+            "cluster": (0, lambda: np.repeat(np.arange(1, n + 1), m)),
+            "ray": (0, lambda: np.tile(np.arange(m), n)),
+            "delay_s": (0.0, lambda: np.repeat(self.delays_s, m)),
+            "power": (self.los_weight, self.ray_powers.ravel),
             "phase": (-2.0 * np.pi * g.d3_m / self.wavelength_m,
-                      self.phases.ravel()),
-            "aoa_deg": (g.aoa_los_deg, self.aoa_deg.ravel()),
-            "zoa_deg": (g.zoa_los_deg, self.zoa_deg.ravel()),
-            "aod_deg": (g.aod_los_deg, self.aod_deg.ravel()),
-            "zod_deg": (g.zod_los_deg, self.zod_deg.ravel()),
+                      self.phases.ravel),
+            "aoa_deg": (g.aoa_los_deg, lambda: self.aoa_deg.ravel()),
+            "zoa_deg": (g.zoa_los_deg, lambda: self.zoa_deg.ravel()),
+            "aod_deg": (g.aod_los_deg, lambda: self.aod_deg.ravel()),
+            "zod_deg": (g.zod_los_deg, lambda: self.zod_deg.ravel()),
         }
-        cols = {k: np.concatenate([[d], r]) if self.los_weight > 0 else r
-                for k, (d, r) in pairs.items()}
-        for c in cols.values():
-            c.flags.writeable = False
-        return cols
+        if self.los_weight > 0:
+            return _Columns({k: lambda d=d, r=r: np.concatenate([[d], r()])
+                             for k, (d, r) in pairs.items()})
+        return _Columns({k: r for k, (_, r) in pairs.items()})
 
 
 def build_drop(params: ScenarioParamSet, rng, geometry: LinkGeometry | None = None,
@@ -483,13 +522,12 @@ def build_drop(params: ScenarioParamSet, rng, geometry: LinkGeometry | None = No
                    + sup.zsa_log10deg.sigma * rng.standard_normal())
     zsd = 10.0 ** (sup.zsd_log10deg.mu
                    + sup.zsd_log10deg.sigma * rng.standard_normal())
-    aoa, aod, zoa, zod = gen_angles(powers, ray_p, w, lsp_vals["asa_deg"],
-                                    zsa, zsd, k_db, params, geometry, rng)
+    planes = gen_angles(powers, ray_p, w, lsp_vals["asa_deg"], zsa, zsd,
+                        k_db, params, geometry, rng)
     phases = rng.uniform(-np.pi, np.pi, (n, params.clusters.rays))
 
     return ClusterSet(delays_s=delays, powers=powers, los_weight=w, ray_powers=ray_p,
-                      aoa_deg=aoa, aod_deg=aod, zoa_deg=zoa, zod_deg=zod,
-                      phases=phases, geometry=geometry,
+                      planes=planes, phases=phases, geometry=geometry,
                       wavelength_m=params.wavelength_m,
                       c_ds_s=params.clusters.c_ds_ns * 1e-9,
                       lsp={**lsp_vals, "k_db": k_db})

@@ -15,8 +15,7 @@ import pytest
 import yaml
 
 import thzgbsm
-from thzgbsm import analysis
-from thzgbsm import cli
+from thzgbsm import analysis, capacity, cli, clusters
 from thzgbsm.cli import (_floats, _fmt, _labels, _read_csv, _write_csv,
                          build_parser, main)
 from thzgbsm.clusters import ClusterSet, build_drop
@@ -267,6 +266,29 @@ def test_analyze_bad_cell_exits_1_with_message(tmp_path, capsys, column, cell):
     assert not out.exists()
 
 
+# float(), int() and Decimal() read 1_0 as 10 and the Arabic-Indic digit
+# three as 3; neither is a number in a CSV file
+@pytest.mark.parametrize(("column", "cell"), [
+    ("power", "1_0"), ("drop", "1_0"), ("delay_ns", "\u0663")])
+def test_analyze_underscored_or_non_ascii_number_exits_1(tmp_path, capsys,
+                                                         column, cell):
+    rows = [{"drop": 0, "delay_ns": 0.0, "power": 1.0},
+            {"drop": 0, "delay_ns": 5.0, "power": 0.5},
+            {"drop": 1, "delay_ns": 0.0, "power": 1.0}]
+    rows[1][column] = cell
+    src = tmp_path / "bad.csv"
+    with open(src, "w", newline="", encoding="utf-8") as fh:
+        w = csv.DictWriter(fh, ["drop", "delay_ns", "power"])
+        w.writeheader()
+        w.writerows(rows)
+    out = tmp_path / "rep"
+    assert main(["analyze", "--input", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"thzgbsm analyze: input line 3: column {column!r} holds {cell!r}, "
+        "not a finite number\n")
+    assert not out.exists()
+
+
 # int() would truncate the cell and merge drop 0.5 into drop 0
 @pytest.mark.parametrize("column", ["drop", "cluster"])
 def test_analyze_non_integer_label_exits_1_with_message(tmp_path, capsys,
@@ -369,6 +391,8 @@ def test_read_csv_reads_what_a_dict_reader_reads(tmp_path, data):
     ("", "input line 3: column 'c' is empty"),
     ("abc", "input line 3: column 'c' holds 'abc', not a finite number"),
     ("nan", "input line 3: column 'c' holds 'nan', not a finite number"),
+    ("1_0", "input line 3: column 'c' holds '1_0', not a finite number"),
+    ("\u0663", "input line 3: column 'c' holds '\u0663', not a finite number"),
 ])
 def test_floats_name_a_bad_cell(cell, message):
     table = ([2, 3], {"c": ["0", cell]})
@@ -590,6 +614,52 @@ def test_simulate_builds_each_drop_component_table_once(tmp_path,
                  "--drops", "4", "--dump-clusters", "--dump-cir",
                  "--out", str(tmp_path / "sim")]) == 0
     assert len(builds) == len({id(cs) for cs in builds}) == 4
+
+
+def _spy_matches(monkeypatch):
+    """Calls of each spread match, spied where gen_angles looks them up."""
+    calls = {"rescale_azimuth": 0, "rescale_zenith": 0}
+    for name in calls:
+        def counted(*args, match=getattr(clusters, name), name=name):
+            calls[name] += 1
+            return match(*args)
+        monkeypatch.setattr(clusters, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(("argv", "per_plane"), [
+    (["roundtrip"], (1, 0)),
+    (["simulate"], (1, 0)),
+    (["simulate", "--dump-clusters"], (2, 2)),
+    (["simulate", "--dump-cir"], (2, 2)),
+], ids=["roundtrip", "simulate", "simulate-clusters", "simulate-cir"])
+def test_commands_match_only_the_planes_they_read(tmp_path, monkeypatch,
+                                                   argv, per_plane):
+    # roundtrip and a simulate without dumps read the arrival azimuths
+    # alone; a dump reads all four planes
+    calls = _spy_matches(monkeypatch)
+    assert main([*argv, "--scenario", "office", "--condition", "los",
+                 "--drops", "3", "--out", str(tmp_path / "run")]) == 0
+    azimuth, zenith = per_plane
+    assert calls == {"rescale_azimuth": 3 * azimuth,
+                     "rescale_zenith": 3 * zenith}
+
+
+def test_capacity_matches_every_plane_after_each_build(tmp_path, monkeypatch):
+    calls = _spy_matches(monkeypatch)
+    build, matched_in_build = capacity.build_drop, []
+
+    def built(*args, **kwargs):
+        before = dict(calls)
+        cs = build(*args, **kwargs)
+        matched_in_build.append(calls != before)
+        return cs
+    monkeypatch.setattr(capacity, "build_drop", built)
+    assert main(["capacity", "--scenario", "office", "--condition", "los",
+                 "--source", "measured", "--drops", "2",
+                 "--out", str(tmp_path / "cap")]) == 0
+    assert calls == {"rescale_azimuth": 4, "rescale_zenith": 4}
+    assert matched_in_build == [False, False]
 
 
 def test_analyze_pdp_schema(tmp_path):

@@ -365,8 +365,10 @@ _SETS = [(s, c, src) for s in ("office", "umi") for c in ("los", "nlos")
 
 
 def _drops(params, n=25):
+    """Build n drops and read all four planes, so that every match runs."""
     for s in np.random.SeedSequence(2024).spawn(n):
-        build_drop(params, np.random.default_rng(s))
+        cs = build_drop(params, np.random.default_rng(s))
+        cs.aoa_deg, cs.aod_deg, cs.zoa_deg, cs.zod_deg
 
 
 @pytest.mark.parametrize("scenario,condition,source", _SETS)
@@ -771,6 +773,60 @@ def test_mpc_arrays_phase_column(condition):
         want = np.concatenate([[carrier], want])
     assert (cs.los_weight > 0) == (condition == "los")
     assert np.array_equal(phase, want)
+
+
+_PLANES = ["aoa_deg", "aod_deg", "zoa_deg", "zod_deg"]
+_COLUMNS = ["cluster", "ray", "delay_s", "power", "phase", "aoa_deg",
+            "zoa_deg", "aod_deg", "zod_deg"]
+
+
+@pytest.mark.parametrize("scenario,condition,source", _SETS)
+def test_planes_read_in_any_order_are_the_same_bits(scenario, condition,
+                                                    source):
+    """A plane is matched on its first read: none when build_drop returns,
+    the same bits whichever order the planes are read in, and no random
+    number drawn by the reads."""
+    p = load_params(scenario, condition, source)
+    for ss in np.random.SeedSequence(7).spawn(3):
+        ahead = build_drop(p, np.random.default_rng(ss))
+        rng = np.random.default_rng(ss)
+        back = build_drop(p, rng)
+        state = rng.bit_generator.state
+        assert not set(_PLANES) & set(vars(back))
+        got = {k: getattr(back, k) for k in reversed(_PLANES)}
+        for k in _PLANES:
+            assert getattr(ahead, k).tobytes() == got[k].tobytes()
+            assert getattr(back, k) is got[k]
+        assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("condition", ["los", "nlos"])
+def test_mpc_arrays_builds_each_read_only_column_once(condition):
+    cs = build_drop(load_params("umi", condition, "measured"),
+                    np.random.default_rng(4))
+    runs = []
+    for k, match in list(cs.planes.items()):
+        cs.planes[k] = lambda k=k, match=match: runs.append(k) or match()
+    cols = cs.mpc_arrays
+    assert list(cols) == _COLUMNS and len(cols) == 9
+    # a column a reader does not read matches no plane
+    assert "aoa_deg" in cols and "id" not in cols
+    cols["delay_s"], cols["power"]
+    assert runs == []
+    for k in _COLUMNS:
+        col = cols[k]
+        assert cols[k] is col and cs.mpc_arrays[k] is col
+        assert not col.flags.writeable
+        with pytest.raises(ValueError):
+            col[0] = 1
+    # the attributes keep what the columns matched
+    for k in _PLANES:
+        getattr(cs, k)
+    assert sorted(runs) == sorted(_PLANES)
+    with pytest.raises(TypeError):
+        cols["aoa_deg"] = cols["zoa_deg"]
+    with pytest.raises(KeyError):
+        cols["id"]
 
 
 def test_extract_matches_reference_estimators():

@@ -104,8 +104,11 @@ def _hand_drop(power, los_weight, aoa, zoa, aod, zod, phase, d3_m=1.0):
     return ClusterSet(delays_s=np.array([5e-9]), powers=np.array([power]),
                       los_weight=los_weight,
                       ray_powers=(1.0 - los_weight) * power * one,
-                      aoa_deg=aoa * one, aod_deg=aod * one, zoa_deg=zoa * one,
-                      zod_deg=zod * one, phases=phase * one,
+                      planes={"aoa_deg": lambda: aoa * one,
+                              "aod_deg": lambda: aod * one,
+                              "zoa_deg": lambda: zoa * one,
+                              "zod_deg": lambda: zod * one},
+                      phases=phase * one,
                       geometry=geom, wavelength_m=LAM, c_ds_s=3.91e-9, lsp={})
 
 
