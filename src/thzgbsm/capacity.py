@@ -47,17 +47,6 @@ def gram_eigs(h) -> np.ndarray:
     return eigs.reshape(h.shape[:-2] + eigs.shape[-1:])
 
 
-def mimo_capacity_det(h, rho_linear: float, m_t: int | None = None) -> float:
-    """Capacity log2 det(I + rho/M_t H H^H) in bit/s/Hz: the eigen path's reference."""
-    h = np.asarray(h, dtype=complex)
-    u, s = h.shape
-    if m_t is None:
-        m_t = s
-    gram = h @ h.conj().T if u <= s else h.conj().T @ h
-    sign, logdet = np.linalg.slogdet(np.eye(gram.shape[0]) + rho_linear * gram / m_t)
-    return float(logdet / np.log(2.0))
-
-
 def capacity_from_eigs(eigs, rho_linear: float, m_t: int) -> np.ndarray:
     """Capacity per eigenvalue row; eigs has shape (..., n_eigs)."""
     lam = np.clip(np.asarray(eigs, dtype=float), 0.0, None)

@@ -153,13 +153,14 @@ def _write_run(parser, args, files: dict, params_files: dict) -> Path:
 
 def _sim_drop(params, seed_seq, x, y, lsp_row, mode, antenna, dump_mpcs):
     """One drop's multipath components (None unless ``dump_mpcs``), CIR
-    and re-extracted statistics, each a table of named columns; the CIR
-    runs between two copies of ``antenna``, and is None when ``antenna``
-    is. Only what is returned is read, so only those planes are matched."""
+    (None unless ``antenna``, between two copies of it) and re-extracted
+    statistics, each a table of named columns. Only the columns written
+    or read are asked for; without dumps only arrival azimuths are matched."""
     rng = np.random.default_rng(seed_seq)
     geom = geometry_for(params, x, y)
     cs = build_drop(params, rng, geometry=geom, lsp_vals=lsp_row)
-    c = cs.mpc_arrays
+    c = cs.mpc_arrays("delay_s", "power", "aoa_deg", *(
+        ("cluster", "ray", "zoa_deg", "aod_deg", "zod_deg") if dump_mpcs else ()))
     mpcs = {"cluster": c["cluster"], "ray": c["ray"],
             "delay_ns": c["delay_s"] * 1e9, "power": c["power"],
             "aoa_deg": c["aoa_deg"], "zoa_deg": c["zoa_deg"],
@@ -220,7 +221,7 @@ def _read_csv(parser, path: Path) -> tuple[list[int], dict[str, list]]:
     a cell missing from a short row is None, and a blank line is no row.
     The file must be UTF-8, and a leading byte-order mark is skipped; a
     column named twice, a row longer than the header and a line the csv
-    module cannot split are errors."""
+    module cannot split are errors. The rows are transposed once."""
     if not path.is_file():
         parser.error(f"--input: file not found: {path}")
     try:
@@ -262,11 +263,13 @@ _POWER = (lambda x: x < 0, "a negative power")     # a rule for _floats
 
 
 def _floats(table, key, empty, *rules) -> np.ndarray:
-    """Finite floats of one column. An empty or absent cell gives
-    ``empty``, and is an error where that is None; so is a cell for which
-    one of ``rules``, (test, reason) pairs checked in order, holds. A
-    cell holding ``_`` or a non-ASCII character is not a number, though
-    ``float()`` reads 1_0 as 10 and a non-ASCII digit as its value."""
+    """Finite floats of one column, parsed by one ``np.fromiter``; only a
+    column with a cell ``float()`` rejects takes the per-cell loop that
+    words the error. An empty or absent cell gives ``empty``, and is an
+    error where that is None; so is a cell for which one of ``rules``,
+    (test, reason) pairs checked in order, holds. A cell holding ``_`` or
+    a non-ASCII character is not a number, though ``float()`` reads 1_0
+    as 10 and a non-ASCII digit as its value."""
     lines, columns = table
     cells = columns.get(key, [None] * len(lines))
     try:
@@ -377,7 +380,7 @@ def cmd_analyze(parser, args) -> int:
 def _rt_drop(params, seed_seq):
     """One drop's drawn LSPs and the statistics re-extracted from it."""
     cs = build_drop(params, np.random.default_rng(seed_seq))
-    c = cs.mpc_arrays
+    c = cs.mpc_arrays("delay_s", "power", "aoa_deg")
     return cs.lsp, extract_drop_stats(c["delay_s"], c["power"], c["aoa_deg"])
 
 

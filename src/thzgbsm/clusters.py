@@ -14,12 +14,12 @@ azimuth spread as closely as the circular-spread saturation allows;
 statistics re-extracted from a drop then match the drawn values instead
 of being a smeared copy of them. ``build_drop`` draws all of a drop's
 random numbers; an angle plane's match draws none and runs on the
-plane's first read, so a reader of arrival azimuths skips the others.
+plane's first read, so a reader that names no other plane among its
+columns (``ClusterSet.mpc_arrays``) skips the other matches.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -160,14 +160,13 @@ def composite_asa(dev_rad, ray_powers, los_weight: float):
         np.abs(los_weight + (np.exp(1j * dev_rad) * ray_powers).sum(axis=-1)))
 
 
-# rescale_azimuth's scale grid, whose scale 0 has spread 0, is scanned
-# coarse to fine: first _COARSE, every 8th scale from scale 1 and the last
-# one, then the fine scales of the first coarse bracket that reaches the
-# target, or all of _FINE when none does and the target is at most one
-# radian, the most sqrt(1 - R^2) spreads (_RAD_DEG). _ASA_BATCH is the ray
-# angles per stacked spread evaluation in a scan: it amortizes numpy's
-# call overhead on small sets. np.delete, not np.unique, builds _FINE:
-# np.unique's first call costs a fresh process milliseconds.
+# rescale_azimuth's scale grid, whose scale 0 has spread 0, its coarse
+# scales (every 8th from scale 1, and the last) and its fine ones; its
+# docstring gives the scan order. _RAD_DEG is the most sqrt(1 - R^2)
+# spreads. _ASA_BATCH is the ray angles per stacked spread evaluation in
+# a scan: it amortizes numpy's call overhead on small sets. np.delete,
+# not np.unique, builds _FINE: np.unique's first call costs a fresh
+# process milliseconds.
 _SCALES = np.concatenate([[0.0], np.geomspace(1.0, 256.0, 96)])
 _COARSE = np.append(np.arange(1, _SCALES.size, 8), _SCALES.size - 1)
 _FINE = np.delete(np.arange(2, _SCALES.size), _COARSE[1:] - 2)
@@ -402,29 +401,6 @@ def gen_angles(powers, ray_powers, los_weight: float, asa_deg: float,
 # drop assembly
 
 
-class _Columns(Mapping):
-    """Read-only named arrays, each made by its function on first read."""
-
-    def __init__(self, make: dict):
-        self._make, self._made = make, {}
-
-    def __getitem__(self, key) -> np.ndarray:
-        if key not in self._made:
-            col = self._make[key]()             # KeyError for an unknown key
-            col.flags.writeable = False
-            self._made[key] = col
-        return self._made[key]
-
-    def __contains__(self, key) -> bool:
-        return key in self._make
-
-    def __iter__(self):
-        return iter(self._make)
-
-    def __len__(self) -> int:
-        return len(self._make)
-
-
 def _matched(name: str) -> cached_property:
     """The plane ``name`` of a ``ClusterSet``, matched on first read."""
     return cached_property(lambda cs: cs.planes[name]())
@@ -432,9 +408,9 @@ def _matched(name: str) -> cached_property:
 
 @dataclass
 class ClusterSet:
-    """One channel drop, the whole of what ``assemble_cir`` reads; each
-    angle plane attribute is its ``planes`` function's result, on first
-    read."""
+    """One channel drop, the whole of what ``assemble_cir`` reads. Each
+    angle plane attribute is its ``planes`` function's result, matched on
+    first read and kept: once per drop, however many readers take it."""
     delays_s: np.ndarray          # (N,), sorted, first is 0 (excess delay)
     powers: np.ndarray            # (N,), normalized cluster powers, sum 1
     los_weight: float             # direct-path share, K/(K+1); 0 for NLoS
@@ -459,35 +435,35 @@ class ClusterSet:
     def n_rays(self) -> int:
         return self.ray_powers.shape[1]
 
-    @cached_property
-    def mpc_arrays(self) -> Mapping:
-        """Flat per-component columns, direct path first when present.
+    def mpc_arrays(self, *names: str) -> dict:
+        """Flat per-component columns by name, direct path first when
+        present; with no names, all nine in table order.
 
         Cluster index 0 marks the direct path; generated clusters are
         numbered from 1. The direct path has ray index 0 and the carrier
-        phase -2 pi d3/lambda; the rays carry their drawn phases. One
-        read-only mapping per drop, whose columns are each built on first
-        read, so only the planes a reader reads are matched; every reader
-        shares its read-only columns.
+        phase -2 pi d3/lambda; the rays carry their drawn phases. Each
+        column is a fresh array, and only the planes named are matched.
         """
         g = self.geometry
         n, m = self.ray_powers.shape
-        pairs = {   # column: (direct-path value, per-ray values on call)
+        table = {   # column: (direct-path value, per-ray values on call)
             "cluster": (0, lambda: np.repeat(np.arange(1, n + 1), m)),
             "ray": (0, lambda: np.tile(np.arange(m), n)),
             "delay_s": (0.0, lambda: np.repeat(self.delays_s, m)),
-            "power": (self.los_weight, self.ray_powers.ravel),
+            "power": (self.los_weight, lambda: self.ray_powers),
             "phase": (-2.0 * np.pi * g.d3_m / self.wavelength_m,
-                      self.phases.ravel),
-            "aoa_deg": (g.aoa_los_deg, lambda: self.aoa_deg.ravel()),
-            "zoa_deg": (g.zoa_los_deg, lambda: self.zoa_deg.ravel()),
-            "aod_deg": (g.aod_los_deg, lambda: self.aod_deg.ravel()),
-            "zod_deg": (g.zod_los_deg, lambda: self.zod_deg.ravel()),
+                      lambda: self.phases),
+            "aoa_deg": (g.aoa_los_deg, lambda: self.aoa_deg),
+            "zoa_deg": (g.zoa_los_deg, lambda: self.zoa_deg),
+            "aod_deg": (g.aod_los_deg, lambda: self.aod_deg),
+            "zod_deg": (g.zod_los_deg, lambda: self.zod_deg),
         }
-        if self.los_weight > 0:
-            return _Columns({k: lambda d=d, r=r: np.concatenate([[d], r()])
-                             for k, (d, r) in pairs.items()})
-        return _Columns({k: r for k, (_, r) in pairs.items()})
+        cols = {}
+        for k in names or table:
+            direct, rays = table[k]             # KeyError for an unknown name
+            cols[k] = (np.concatenate([[direct], rays().ravel()])
+                       if self.los_weight > 0 else rays().flatten())
+        return cols
 
 
 def build_drop(params: ScenarioParamSet, rng, geometry: LinkGeometry | None = None,

@@ -81,13 +81,6 @@ class AntennaArray:
     def _coords(self, n: int) -> np.ndarray:
         return (np.arange(n) - (n - 1) / 2.0) * self.spacing_m
 
-    @property
-    def positions_m(self) -> np.ndarray:
-        """(n_elements, 3) element positions, row-major."""
-        zz, yy = np.meshgrid(self._coords(self.n_rows),
-                             self._coords(self.n_cols), indexing="ij")
-        return np.column_stack([np.zeros(zz.size), yy.ravel(), zz.ravel()])
-
 
 def single_antenna() -> AntennaArray:
     # one element sits at the origin whatever the spacing
@@ -141,7 +134,7 @@ def assemble_cir(cs: ClusterSet, rx_array: AntennaArray, tx_array: AntennaArray,
                  *, mode: str = "thz-simplified") -> ChannelRealization:
     """Tapped channel realization from one drop.
 
-    Every component of ``cs.mpc_arrays``, the direct path included,
+    Every component of ``cs.mpc_arrays()``, the direct path included,
     goes through one kernel: the square root of its power times
     exp(j phase) of its phase column times the rx and tx steering phases
     at the drop's wavelength (positive-exponent convention at both ends).
@@ -159,7 +152,7 @@ def assemble_cir(cs: ClusterSet, rx_array: AntennaArray, tx_array: AntennaArray,
     """
     if mode not in ("thz-simplified", "standard"):
         raise ValueError(f"unknown mode {mode!r}")
-    cols = cs.mpc_arrays
+    cols = cs.mpc_arrays()
     cluster, ray = cols["cluster"], cols["ray"]
     sub = np.zeros(cluster.size, dtype=int)   # sub-tap of each component
     if mode == "standard" and cs.n_clusters >= 2:

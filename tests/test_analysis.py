@@ -436,7 +436,7 @@ def _clipped_embedding():
 def _generated_drop(scenario, condition, source, seed):
     """(embedding, powers) of one generated drop's components."""
     cols = build_drop(load_params(scenario, condition, source),
-                      np.random.default_rng(seed)).mpc_arrays
+                      np.random.default_rng(seed)).mpc_arrays()
     return (mcd_embedding(cols["delay_s"], cols["aoa_deg"], cols["zoa_deg"]),
             cols["power"])
 

@@ -18,7 +18,7 @@ import thzgbsm
 from thzgbsm import analysis, capacity, cli, clusters
 from thzgbsm.cli import (_floats, _fmt, _labels, _read_csv, _write_csv,
                          build_parser, main)
-from thzgbsm.clusters import ClusterSet, build_drop
+from thzgbsm.clusters import build_drop
 from thzgbsm.params import load_params
 
 
@@ -601,21 +601,6 @@ def test_analyze_labeled_cluster_without_power_exits_1_naming_it(
     assert not out.exists()
 
 
-def test_simulate_builds_each_drop_component_table_once(tmp_path,
-                                                        monkeypatch):
-    table = ClusterSet.__dict__["mpc_arrays"]
-    build, builds = table.func, []
-
-    def counted(cs):
-        builds.append(cs)
-        return build(cs)
-    monkeypatch.setattr(table, "func", counted)
-    assert main(["simulate", "--scenario", "office", "--condition", "los",
-                 "--drops", "4", "--dump-clusters", "--dump-cir",
-                 "--out", str(tmp_path / "sim")]) == 0
-    assert len(builds) == len({id(cs) for cs in builds}) == 4
-
-
 def _spy_matches(monkeypatch):
     """Calls of each spread match, spied where gen_angles looks them up."""
     calls = {"rescale_azimuth": 0, "rescale_zenith": 0}
@@ -632,11 +617,14 @@ def _spy_matches(monkeypatch):
     (["simulate"], (1, 0)),
     (["simulate", "--dump-clusters"], (2, 2)),
     (["simulate", "--dump-cir"], (2, 2)),
-], ids=["roundtrip", "simulate", "simulate-clusters", "simulate-cir"])
+    (["simulate", "--dump-clusters", "--dump-cir"], (2, 2)),
+], ids=["roundtrip", "simulate", "simulate-clusters", "simulate-cir",
+        "simulate-clusters-cir"])
 def test_commands_match_only_the_planes_they_read(tmp_path, monkeypatch,
                                                    argv, per_plane):
     # roundtrip and a simulate without dumps read the arrival azimuths
-    # alone; a dump reads all four planes
+    # alone; a dump reads all four planes, matched once however many
+    # dumps read them
     calls = _spy_matches(monkeypatch)
     assert main([*argv, "--scenario", "office", "--condition", "los",
                  "--drops", "3", "--out", str(tmp_path / "run")]) == 0
@@ -748,7 +736,7 @@ def test_analyze_writes_what_the_library_returns(tmp_path, recluster):
     """analysis.analyze_mpcs on arrays gives the report and per-drop
     columns that analyze writes for the same rows."""
     params = load_params("office", "los", "measured")
-    drops = [build_drop(params, np.random.default_rng(s)).mpc_arrays
+    drops = [build_drop(params, np.random.default_rng(s)).mpc_arrays()
              for s in range(4)]
     cols = {k: np.concatenate([d[k] for d in drops]) for k in drops[0]}
     cols["drop"] = np.repeat(np.arange(4), [d["power"].size for d in drops])
@@ -1099,6 +1087,16 @@ def test_readme_names_only_api_the_package_has():
                     name, [thzgbsm, *modules.values()]):
                 stale.add(called + "(")
     assert stale == set()
+
+
+def test_package_exports_only_api_readme_names():
+    """The reverse direction: every name ``from thzgbsm import *`` gives
+    is one README names, and none is a module."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"\w+", readme))
+    assert thzgbsm.__all__ and set(thzgbsm.__all__) <= named
+    assert not [k for k in thzgbsm.__all__
+                if isinstance(getattr(thzgbsm, k), type(thzgbsm))]
 
 
 # np.interp and crossover_snr read the grid in the order given

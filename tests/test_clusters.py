@@ -684,7 +684,7 @@ def test_build_drop_reproducible():
 
 
 def _drop_stats(cs):
-    c = cs.mpc_arrays
+    c = cs.mpc_arrays()
     return extract_drop_stats(c["delay_s"], c["power"], c["aoa_deg"])
 
 
@@ -749,7 +749,7 @@ def test_build_drop_angles_wrapped():
 def test_mpc_arrays_layout():
     p = load_params("umi", "los", "measured")
     cs = build_drop(p, np.random.default_rng(2))
-    cols = cs.mpc_arrays
+    cols = cs.mpc_arrays()
     n = cs.n_clusters * cs.n_rays + 1
     assert cols["delay_s"].shape == (n,)
     assert cols["power"].sum() == pytest.approx(1.0, abs=1e-12)
@@ -766,7 +766,7 @@ def test_mpc_arrays_phase_column(condition):
     # then the drawn ray phases in component order
     p = load_params("umi", condition, "measured")
     cs = build_drop(p, np.random.default_rng(5))
-    phase = cs.mpc_arrays["phase"]
+    phase = cs.mpc_arrays()["phase"]
     want = cs.phases.ravel()
     if cs.los_weight > 0:
         carrier = -2.0 * np.pi * cs.geometry.d3_m / p.wavelength_m
@@ -801,38 +801,40 @@ def test_planes_read_in_any_order_are_the_same_bits(scenario, condition,
 
 
 @pytest.mark.parametrize("condition", ["los", "nlos"])
-def test_mpc_arrays_builds_each_read_only_column_once(condition):
+def test_mpc_arrays_hands_out_fresh_named_columns(condition):
     cs = build_drop(load_params("umi", condition, "measured"),
                     np.random.default_rng(4))
     runs = []
     for k, match in list(cs.planes.items()):
         cs.planes[k] = lambda k=k, match=match: runs.append(k) or match()
-    cols = cs.mpc_arrays
-    assert list(cols) == _COLUMNS and len(cols) == 9
-    # a column a reader does not read matches no plane
-    assert "aoa_deg" in cols and "id" not in cols
-    cols["delay_s"], cols["power"]
+    # the columns named, in call order, matching only the planes named
+    assert list(cs.mpc_arrays("power", "delay_s")) == ["power", "delay_s"]
     assert runs == []
-    for k in _COLUMNS:
-        col = cols[k]
-        assert cols[k] is col and cs.mpc_arrays[k] is col
-        assert not col.flags.writeable
-        with pytest.raises(ValueError):
-            col[0] = 1
-    # the attributes keep what the columns matched
-    for k in _PLANES:
-        getattr(cs, k)
+    cs.mpc_arrays("delay_s", "power", "aoa_deg")
+    assert runs == ["aoa_deg"]
+    cols = cs.mpc_arrays()
+    assert list(cols) == _COLUMNS
     assert sorted(runs) == sorted(_PLANES)
-    with pytest.raises(TypeError):
-        cols["aoa_deg"] = cols["zoa_deg"]
+    # writing into a column reaches neither a second call nor the drop
+    drop = {k: getattr(cs, k).copy()
+            for k in ["delays_s", "ray_powers", "phases", *_PLANES]}
+    want = {k: v.copy() for k, v in cols.items()}
+    for col in cols.values():
+        col[...] = 7
+    again = cs.mpc_arrays()
+    for k in _COLUMNS:
+        assert again[k].tobytes() == want[k].tobytes()
+    for k, v in drop.items():
+        assert getattr(cs, k).tobytes() == v.tobytes()
+    assert sorted(runs) == sorted(_PLANES)
     with pytest.raises(KeyError):
-        cols["id"]
+        cs.mpc_arrays("delay_s", "id")
 
 
 def test_extract_matches_reference_estimators():
     p = load_params("office", "los", "measured")
     cs = build_drop(p, np.random.default_rng(21))
-    cols = cs.mpc_arrays
+    cols = cs.mpc_arrays()
     ext = _drop_stats(cs)
     assert ext["ds_s"] == pytest.approx(
         rms_ds(cols["delay_s"], cols["power"]), rel=1e-12)

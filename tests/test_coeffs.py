@@ -15,6 +15,15 @@ from thzgbsm.params import load_params
 LAM = 299792458.0 / 100e9
 
 
+def _positions(arr):
+    """(n_elements, 3) element positions of a panel, row-major: centered on
+    the origin in the y-z plane, rows along z, columns along y."""
+    z, y = ((np.arange(n) - (n - 1) / 2.0) * arr.spacing_m
+            for n in (arr.n_rows, arr.n_cols))
+    zz, yy = np.meshgrid(z, y, indexing="ij")
+    return np.column_stack([np.zeros(zz.size), yy.ravel(), zz.ravel()])
+
+
 def test_spherical_unit_axes():
     assert_allclose(spherical_unit(0.0, 0.0), [0.0, 0.0, 1.0], atol=1e-12)
     assert_allclose(spherical_unit(90.0, 0.0), [1.0, 0.0, 0.0], atol=1e-12)
@@ -30,26 +39,27 @@ def test_spherical_unit_is_unit_norm():
 
 
 def test_ura_layout():
-    arr = AntennaArray(2, 3, 0.5 * LAM)
-    assert arr.positions_m.shape == (6, 3)
+    # the layout the steering oracles below take as the panel's
+    pos = _positions(AntennaArray(2, 3, 0.5 * LAM))
+    assert pos.shape == (6, 3)
     # panel lies in the y-z plane
-    assert_allclose(arr.positions_m[:, 0], 0.0, atol=1e-15)
+    assert_allclose(pos[:, 0], 0.0, atol=1e-15)
     # centered
-    assert_allclose(arr.positions_m.mean(axis=0), 0.0, atol=1e-15)
+    assert_allclose(pos.mean(axis=0), 0.0, atol=1e-15)
     # nearest-neighbour spacing
-    d01 = np.linalg.norm(arr.positions_m[0] - arr.positions_m[1])
+    d01 = np.linalg.norm(pos[0] - pos[1])
     assert d01 == pytest.approx(0.5 * LAM)
     # row-major: the column index moves along y, the row index along z
-    step = np.diff(arr.positions_m.reshape(2, 3, 3), axis=1)
+    step = np.diff(pos.reshape(2, 3, 3), axis=1)
     assert_allclose(step, np.broadcast_to([0.0, 0.5 * LAM, 0.0], step.shape))
-    step = np.diff(arr.positions_m.reshape(2, 3, 3), axis=0)
+    step = np.diff(pos.reshape(2, 3, 3), axis=0)
     assert_allclose(step, np.broadcast_to([0.0, 0.0, 0.5 * LAM], step.shape))
 
 
 def test_single_antenna():
-    arr = single_antenna()
-    assert arr.positions_m.shape == (1, 3)
-    assert_allclose(arr.positions_m, 0.0)
+    pos = _positions(single_antenna())
+    assert pos.shape == (1, 3)
+    assert_allclose(pos, 0.0)
 
 
 def test_antenna_array_rejects_bad_dimensions_and_spacing():
@@ -82,7 +92,7 @@ def test_steering_matches_direct_phasor(array, shape):
     rng = np.random.default_rng(5)
     u = spherical_unit(rng.uniform(0, 180, shape), rng.uniform(-180, 180, shape))
     assert u.shape == shape + (3,)
-    direct = np.exp(2j * np.pi * np.tensordot(array.positions_m, u,
+    direct = np.exp(2j * np.pi * np.tensordot(_positions(array), u,
                                               axes=([1], [-1])) / LAM)
     got = _steering(array, u, LAM)
     assert got.shape == (array.n_elements,) + shape
@@ -255,7 +265,7 @@ def _reference_taps(cs, rx, tx, mode):
     its rays; taps in stable delay order."""
     lam, c_ds = cs.wavelength_m, cs.c_ds_s
     def steer(arr, zen, az):
-        return np.exp(2j * np.pi * (arr.positions_m @ spherical_unit(zen, az)) / lam)
+        return np.exp(2j * np.pi * (_positions(arr) @ spherical_unit(zen, az)) / lam)
 
     def ray(coeff, zoa, aoa, zod, aod):
         return coeff * np.outer(steer(rx, zoa, aoa), steer(tx, zod, aod))
@@ -326,7 +336,7 @@ def test_assemble_cir_peak_stays_below_the_transmit_steering_matrix():
     # never builds would alone take 16 * n_tx * n_components bytes
     p = load_params("office", "los", "3gpp")
     cs = build_drop(p, np.random.default_rng(0))
-    n_components = cs.mpc_arrays["power"].size
+    n_components = cs.mpc_arrays()["power"].size
     rx = AntennaArray(2, 2, p.wavelength_m / 2)
     tx = AntennaArray(16, 16, p.wavelength_m / 2)
     tracemalloc.start()
