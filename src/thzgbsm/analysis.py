@@ -24,23 +24,31 @@ from .pathloss import pl_from_pdp
 # spread / K estimators
 
 
-def rms_ds(delays, powers) -> float:
+def _per_row(v):
+    """A reduction over the last axis: a float for one group of
+    components, else the array of one value per row of a stack."""
+    return float(v) if np.ndim(v) == 0 else v
+
+
+def rms_ds(delays, powers):
     """RMS delay spread: power-weighted standard deviation of delay.
 
     The same statistic serves as the linear (unwrapped) zenith spread
-    when given angles in degrees.
+    when given angles in degrees. Like ``asa`` and ``k_factor`` it
+    reduces over the last axis: a float for one group of components, one
+    value per row of a stack, each with the bits of that row alone.
     """
     delays = np.asarray(delays, dtype=float)
     p = np.asarray(powers, dtype=float)
-    tot = p.sum()
-    if tot <= 0:
+    tot = p.sum(axis=-1)
+    if np.any(tot <= 0):
         raise ValueError("total power must be positive")
-    mean = (p * delays).sum() / tot
-    return float(np.sqrt((p * (delays - mean) ** 2).sum() / tot))
+    mean = (p * delays).sum(axis=-1) / tot
+    return _per_row(np.sqrt((p * (delays - mean[..., None]) ** 2).sum(axis=-1) / tot))
 
 
-def asa(azimuth_deg, powers) -> float:
-    """Circular azimuth spread in degrees.
+def asa(azimuth_deg, powers):
+    """Circular azimuth spread in degrees, over the last axis.
 
     sqrt(1 - R^2) radians with R the power-weighted resultant length
     |sum p e^{j phi}| / sum p, converted to degrees. A single direction
@@ -49,10 +57,11 @@ def asa(azimuth_deg, powers) -> float:
     """
     phi = np.deg2rad(np.asarray(azimuth_deg, dtype=float))
     p = np.asarray(powers, dtype=float)
-    tot = p.sum()
-    if tot <= 0:
+    tot = p.sum(axis=-1)
+    if np.any(tot <= 0):
         raise ValueError("total power must be positive")
-    return float(_resultant_spread_deg(np.abs((p * np.exp(1j * phi)).sum()) / tot))
+    return _per_row(_resultant_spread_deg(
+        np.abs((p * np.exp(1j * phi)).sum(axis=-1)) / tot))
 
 
 def _resultant_spread_deg(r):
@@ -62,8 +71,9 @@ def _resultant_spread_deg(r):
     return np.rad2deg(np.sqrt(np.maximum(1.0 - r * r, 0.0)))
 
 
-def k_factor(powers) -> float:
-    """Rician K estimate in dB: strongest component over the rest.
+def k_factor(powers):
+    """Rician K estimate in dB: strongest component over the rest, over
+    the last axis.
 
     A profile with a single nonzero component has no diffuse power and
     returns +inf, a flag that keeps medians across clusters defined. Any
@@ -71,6 +81,17 @@ def k_factor(powers) -> float:
     to the peak to survive the sum.
     """
     p = np.asarray(powers, dtype=float)
+    if p.ndim > 1:
+        # rows with every power positive and a rest that survives the sum
+        # take the profile's arithmetic in lockstep; the others take it alone
+        rows = p.reshape(-1, p.shape[-1])
+        peak = rows.max(axis=-1)
+        rest = rows.sum(axis=-1) - peak
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = 10.0 * np.log10(peak / rest)
+        odd = np.flatnonzero(~((rest > 0) & (rows > 0).all(axis=-1)))
+        k[odd] = [k_factor(rows[i]) for i in odd]
+        return k.reshape(p.shape[:-1])
     p = p[p > 0]
     if p.size == 0:
         raise ValueError("profile has no positive power")
@@ -407,7 +428,9 @@ def extract_drop_stats(delay_s, power, aoa_deg=None) -> dict:
     """DS (s), ASA (deg) and K (dB) of one group of components: a drop,
     direct path included, or one cluster of it. ``asa_deg`` is None
     without azimuths. K is the strongest component over the rest, +inf
-    for a group with one powered component."""
+    for a group with one powered component. Each statistic reduces over
+    the last axis, so drops stacked on leading axes give one array per
+    statistic, each row the value of that drop alone."""
     return {"ds_s": rms_ds(delay_s, power),
             "asa_deg": None if aoa_deg is None else asa(aoa_deg, power),
             "k_db": k_factor(power)}

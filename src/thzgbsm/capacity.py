@@ -19,7 +19,7 @@ import numpy as np
 # build_drop places the user and draws the LSPs itself; place_user and
 # draw_lsp_iid stay importable here only because the bench's tracer wraps
 # them in this module (bench/tracing.py)
-from .clusters import build_drop, place_user
+from .clusters import build_drop, match_planes, place_user
 from .coeffs import AntennaArray, assemble_cir, cir_to_ctf
 from .lsp import draw_lsp_iid
 from .params import ScenarioParamSet
@@ -57,13 +57,6 @@ def capacity_from_eigs(eigs, rho_linear: float, m_t: int) -> np.ndarray:
 # experiments
 
 
-def _drop_payload(params, seed_seq, mode, rx, tx, freqs):
-    """One drop's per-tone Gram eigenvalues, shape (F, min(U, S))."""
-    cs = build_drop(params, np.random.default_rng(seed_seq))
-    cr = assemble_cir(cs, rx, tx, mode=mode)
-    return gram_eigs(cir_to_ctf(cr, freqs))
-
-
 def run_capacity_experiment(params: ScenarioParamSet, snr_db,
                             n_drops: int = 100, seed: int = 0,
                             mode: str = "thz-simplified", n_tones: int = 64,
@@ -75,7 +68,9 @@ def run_capacity_experiment(params: ScenarioParamSet, snr_db,
     The arrays are 16x16 transmit and 2x2 receive half-wavelength
     rectangular arrays of single-polarized (vertical) isotropic elements.
     Per-drop seeds are spawned from one root sequence, so a rerun with the
-    same seed reproduces the result.
+    same seed reproduces the result. Every drop is built first and the
+    azimuth planes of all of them are matched in one stacked search
+    (``match_planes``); each drop's channel is then taken alone.
 
     Each drop's component powers sum to 1, so path loss and shadow
     fading are normalized out before any scaling. All drops then share
@@ -105,9 +100,12 @@ def run_capacity_experiment(params: ScenarioParamSet, snr_db,
     rx, tx = AntennaArray(2, 2, half), AntennaArray(16, 16, half)
     freqs = np.linspace(-bandwidth_hz / 2.0, bandwidth_hz / 2.0, n_tones)
 
-    seeds = np.random.SeedSequence(seed).spawn(n_drops)
-    eigs = np.stack([_drop_payload(params, ss, mode, rx, tx, freqs)
-                     for ss in seeds])                  # (drops, F, min(U, S))
+    drops = [build_drop(params, np.random.default_rng(ss))
+             for ss in np.random.SeedSequence(seed).spawn(n_drops)]
+    match_planes(drops, "aoa_deg", "aod_deg")
+    eigs = np.stack([gram_eigs(cir_to_ctf(assemble_cir(cs, rx, tx, mode=mode),
+                                          freqs))
+                     for cs in drops])                  # (drops, F, min(U, S))
 
     m_t = tx.n_elements
     eigs = eigs * ((m_t * rx.n_elements) / eigs.sum(axis=-1).mean())

@@ -34,7 +34,7 @@ from . import __version__, analysis
 # bench's tracer wraps it (bench/tracing.py)
 from .analysis import extract_drop_stats
 from .capacity import crossover_snr, gap_at_snr, run_capacity_experiment
-from .clusters import build_drop, geometry_for, place_users
+from .clusters import build_drop, geometry_for, match_planes, place_users
 from .coeffs import assemble_cir, single_antenna
 from .lsp import generate_lsp
 from .params import (CONDITIONS, SCENARIOS, SOURCES, ParamValidationError,
@@ -115,6 +115,11 @@ def _no_negative_zero(obj):
     return 0.0 if isinstance(obj, float) and obj == 0.0 else obj
 
 
+# libyaml's safe dumper writes a report about four times faster than the
+# pure-Python one, to the same bytes; a PyYAML built without libyaml lacks it
+_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
 def _write_run(parser, args, files: dict, params_files: dict) -> Path:
     """Create ``--out`` and write the run's files into it, then a
     ``manifest.json`` whose outputs are exactly those files. A file is
@@ -127,8 +132,8 @@ def _write_run(parser, args, files: dict, params_files: dict) -> Path:
         elif name.endswith(".csv"):
             _write_csv(out / name, content)
         else:
-            (out / name).write_text(yaml.safe_dump(_no_negative_zero(content),
-                                                   sort_keys=False))
+            (out / name).write_text(yaml.dump(_no_negative_zero(content),
+                                              Dumper=_YAML_DUMPER, sort_keys=False))
     manifest = {
         "command": args.command,
         "argv": args.argv,
@@ -151,16 +156,12 @@ def _write_run(parser, args, files: dict, params_files: dict) -> Path:
 # simulate
 
 
-def _sim_drop(params, seed_seq, x, y, lsp_row, mode, antenna, dump_mpcs):
+def _sim_drop(cs, names, mode, antenna, dump_mpcs):
     """One drop's multipath components (None unless ``dump_mpcs``), CIR
     (None unless ``antenna``, between two copies of it) and re-extracted
-    statistics, each a table of named columns. Only the columns written
-    or read are asked for; without dumps only arrival azimuths are matched."""
-    rng = np.random.default_rng(seed_seq)
-    geom = geometry_for(params, x, y)
-    cs = build_drop(params, rng, geometry=geom, lsp_vals=lsp_row)
-    c = cs.mpc_arrays("delay_s", "power", "aoa_deg", *(
-        ("cluster", "ray", "zoa_deg", "aod_deg", "zod_deg") if dump_mpcs else ()))
+    statistics, each a table of named columns; ``names`` are the columns
+    they read."""
+    c = cs.mpc_arrays(*names)
     mpcs = {"cluster": c["cluster"], "ray": c["ray"],
             "delay_ns": c["delay_s"] * 1e9, "power": c["power"],
             "aoa_deg": c["aoa_deg"], "zoa_deg": c["zoa_deg"],
@@ -192,12 +193,20 @@ def cmd_simulate(parser, args) -> int:
     lsp_rng = np.random.default_rng(children[1])
     lsp = generate_lsp(params, xs, ys, lsp_rng)
 
+    drops = [build_drop(params, np.random.default_rng(ss),
+                        geometry=geometry_for(params, xs[i], ys[i]),
+                        lsp_vals={k: float(v[i]) for k, v in lsp.items()})
+             for i, ss in enumerate(children[2:])]
+    # only the columns written or read are asked for, and a CIR reads
+    # both azimuth planes; without dumps only arrival azimuths are matched
+    names = ("delay_s", "power", "aoa_deg", *(
+        ("cluster", "ray", "zoa_deg", "aod_deg", "zod_deg")
+        if args.dump_clusters else ()))
+    match_planes(drops, *names, *(("aod_deg",) if args.dump_cir else ()))
     # an array is immutable, so one serves every drop at both ends
     antenna = single_antenna() if args.dump_cir else None
-    results = [_sim_drop(params, ss, xs[i], ys[i],
-                         {k: float(v[i]) for k, v in lsp.items()}, args.mode,
-                         antenna, args.dump_clusters)
-               for i, ss in enumerate(children[2:])]
+    results = [_sim_drop(cs, names, args.mode, antenna, args.dump_clusters)
+               for cs in drops]
 
     # an NLoS set draws no K: its k_db cells are empty
     tables = {"lsp.csv": {"drop": np.arange(args.drops), "x_m": xs, "y_m": ys,
@@ -377,21 +386,18 @@ def cmd_analyze(parser, args) -> int:
 # roundtrip
 
 
-def _rt_drop(params, seed_seq):
-    """One drop's drawn LSPs and the statistics re-extracted from it."""
-    cs = build_drop(params, np.random.default_rng(seed_seq))
-    c = cs.mpc_arrays("delay_s", "power", "aoa_deg")
-    return cs.lsp, extract_drop_stats(c["delay_s"], c["power"], c["aoa_deg"])
-
-
 def cmd_roundtrip(parser, args) -> int:
     params, pfile = _resolve_params(parser, args)
 
-    seeds = np.random.SeedSequence(args.seed).spawn(args.drops)
-    res = [_rt_drop(params, ss) for ss in seeds]
+    drops = [build_drop(params, np.random.default_rng(ss))
+             for ss in np.random.SeedSequence(args.seed).spawn(args.drops)]
+    match_planes(drops, "aoa_deg")
+    cols = [cs.mpc_arrays("delay_s", "power", "aoa_deg") for cs in drops]
+    ext = extract_drop_stats(*(np.stack([c[k] for c in cols])
+                               for k in ("delay_s", "power", "aoa_deg")))
     names = ("ds_s", "asa_deg", "k_db")     # an NLoS drop's drawn K is None
-    drawn = {k: [d[k] for d, _ in res] for k in names}
-    extracted = {k: [e[k] for _, e in res] for k in names}
+    drawn = {k: [cs.lsp[k] for cs in drops] for k in names}
+    extracted = {k: ext[k].tolist() for k in names}
 
     # stdout prints the values report.yaml gets
     checks = _no_negative_zero(analysis.roundtrip_checks(

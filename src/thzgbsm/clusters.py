@@ -16,6 +16,8 @@ of being a smeared copy of them. ``build_drop`` draws all of a drop's
 random numbers; an angle plane's match draws none and runs on the
 plane's first read, so a reader that names no other plane among its
 columns (``ClusterSet.mpc_arrays``) skips the other matches.
+``match_planes`` runs the azimuth matches of many drops as one stacked
+search before their first read.
 """
 
 from __future__ import annotations
@@ -145,13 +147,14 @@ def rescale_linear(values, powers, los_weight: float, center: float,
     return center + (target / cur) * (v - center)
 
 
-def composite_asa(dev_rad, ray_powers, los_weight: float):
+def composite_asa(dev_rad, ray_powers, los_weight):
     """Composite circular spread in degrees of rays at deviations
-    ``dev_rad`` from the direct path's bearing in radians, (n,) or stacked
-    (k, n), plus the direct path's share at deviation 0: sqrt(1 - R^2) of
-    the resultant R = |w + sum p e^{jd}| (Fleury, IEEE Trans. IT 46(6),
-    2000), the spread ``analysis.asa`` takes. The (n,) ray powers p and
-    the direct share w are shares of the total, summing to one as a
+    ``dev_rad`` from the direct path's bearing in radians, (..., n), plus
+    the direct path's share at deviation 0: sqrt(1 - R^2) of the
+    resultant R = |w + sum p e^{jd}| (Fleury, IEEE Trans. IT 46(6),
+    2000), the spread ``analysis.asa`` takes. The ray powers p, (..., n),
+    and the direct share w, (...), broadcast against the deviations and
+    their leading axes; they are shares of the total, summing to one as a
     ``ClusterSet``'s do, so no call sums them. Neither the bearing nor a
     wrap of the angles enters, since e^{jx} is 2 pi periodic."""
     # numpy's sum gives a stacked row the bits of the row alone; a BLAS
@@ -163,15 +166,17 @@ def composite_asa(dev_rad, ray_powers, los_weight: float):
 # rescale_azimuth's scale grid, whose scale 0 has spread 0, its coarse
 # scales (every 8th from scale 1, and the last) and its fine ones; its
 # docstring gives the scan order. _RAD_DEG is the most sqrt(1 - R^2)
-# spreads. _ASA_BATCH is the ray angles per stacked spread evaluation in
-# a scan: it amortizes numpy's call overhead on small sets. np.delete,
-# not np.unique, builds _FINE: np.unique's first call costs a fresh
-# process milliseconds.
+# spreads. A row's scan takes chunks of scales doubling from _ASA_BATCH
+# ray angles, which amortizes numpy's call overhead on small sets.
+# _STACK_ANGLES caps the ray angles of one stacked spread evaluation over
+# rows, which bounds its temporaries. np.delete, not np.unique, builds
+# _FINE: np.unique's first call costs a fresh process milliseconds.
 _SCALES = np.concatenate([[0.0], np.geomspace(1.0, 256.0, 96)])
 _COARSE = np.append(np.arange(1, _SCALES.size, 8), _SCALES.size - 1)
 _FINE = np.delete(np.arange(2, _SCALES.size), _COARSE[1:] - 2)
 _RAD_DEG = float(np.rad2deg(1.0))
 _ASA_BATCH = 1024
+_STACK_ANGLES = 1 << 12
 
 # rescale_azimuth stops once the composite spread is this close to the
 # target, relative to it; nothing downstream resolves it any finer
@@ -189,54 +194,83 @@ _EPS_DEG2 = float(np.finfo(float).eps * np.rad2deg(1.0) ** 2)
 _SPREAD_FLOOR_DEG = 1e-4
 
 
-def _spread_tol(target: float, n: int) -> float:
-    """How near ``target`` degrees the composite spread of n rays counts
-    as met: within _SPREAD_RTOL of it, or within the rounding of
+def _spread_tol(target, n: int) -> np.ndarray:
+    """How near each ``target`` in degrees the composite spread of n rays
+    counts as met: within _SPREAD_RTOL of it, or within the rounding of
     sqrt(1 - R^2) where that is larger, since (n + 1) terms of a few ulps
     in R move a spread of s degrees by about 4 (n + 1) _EPS_DEG2 / s. A
     target of 0 or below is never met."""
-    t = float(target)
-    return max(_SPREAD_RTOL * t, 4 * (n + 1) * _EPS_DEG2 / t) if t > 0 else 0.0
+    t = np.asarray(target, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(t > 0, np.maximum(_SPREAD_RTOL * t,
+                                          4 * (n + 1) * _EPS_DEG2 / t), 0.0)
 
 
-def _solve(f, lo, hi, f_lo, f_hi, target: float, tol: float):
+def _solve(f, lo, hi, f_lo, f_hi, target, tol) -> np.ndarray:
     """Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) for
-    f(x) = target on [lo, hi], where f_lo = f(lo) < target <= f_hi = f(hi).
+    f(x) = target on [lo, hi], where f_lo = f(lo) < target <= f_hi = f(hi),
+    run in lockstep over rows: every argument but f is an (m,) array, and
+    f(j, x) gives f of the rows j at the points x.
 
     Each step evaluates f at the secant through the ends, or at their
     midpoint when the secant leaves the bracket or the end values
     coincide, and the new point replaces the end on its side of the
     target; an end kept twice in a row has its distance to the target
-    halved. Returns the first point whose f lies within tol of the
-    target, else the midpoint once the bracket is as narrow as 60 halvings
-    make it, or no float lies inside.
+    halved. A row's result is its first point whose f lies within tol of
+    the target, else the midpoint once its bracket is as narrow as 60
+    halvings make it, or no float lies inside. A row steps with the
+    arithmetic it would take alone, so its result does not depend on the
+    others.
     """
-    g_lo, g_hi, last = f_lo - target, f_hi - target, 0
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    g_lo, g_hi = f_lo - target, f_hi - target
     width = (hi - lo) * 2.0 ** -60
-    while hi - lo > width and lo < (mid := 0.5 * (lo + hi)) < hi:
-        # the fraction of the bracket lies in [0, 1]: it cannot overflow
-        x = lo + (hi - lo) * (g_lo / (g_lo - g_hi)) if g_hi > g_lo else mid
-        if not lo < x < hi:
-            x = mid
-        g = f(x) - target
-        if abs(g) <= tol:
-            return x
-        # last: the end replaced by the step before, -1 lo or +1 hi
-        if g < 0.0:
-            if last < 0:
-                g_hi *= 0.5
-            lo, g_lo, last = x, g, -1
-        else:
-            if last > 0:
-                g_lo *= 0.5
-            hi, g_hi, last = x, g, 1
-    return 0.5 * (lo + hi)
+    last = np.zeros(lo.size, dtype=int)     # end replaced last: -1 lo, +1 hi
+    met, x_met = np.zeros(lo.size, dtype=bool), np.empty(lo.size)
+    j = np.arange(lo.size)                  # rows still stepping
+    while True:
+        a, b = lo[j], hi[j]
+        mid = 0.5 * (a + b)
+        go = (b - a > width[j]) & (a < mid) & (mid < b)
+        if not go.all():
+            j, a, b, mid = j[go], a[go], b[go], mid[go]
+        if not j.size:
+            break
+        ga, gb, kept = g_lo[j], g_hi[j], last[j]
+        # the fraction of the bracket lies in [0, 1]: it cannot overflow;
+        # rows whose end values coincide take the midpoint, and divide by
+        # -1 instead of 0
+        secant = gb > ga
+        x = np.where(secant, a + (b - a) * (ga / np.where(secant, ga - gb, -1.0)),
+                     mid)
+        x = np.where((a < x) & (x < b), x, mid)
+        g = f(j, x) - target[j]
+        below = g < 0.0
+        lo[j], hi[j] = np.where(below, x, a), np.where(below, b, x)
+        g_lo[j] = np.where(below, g, np.where(kept > 0, 0.5 * ga, ga))
+        g_hi[j] = np.where(below, np.where(kept < 0, 0.5 * gb, gb), g)
+        last[j] = np.where(below, -1, 1)
+        done = np.abs(g) <= tol[j]
+        met[j[done]], x_met[j[done]] = True, x[done]
+        j = j[~done]
+    return np.where(met, x_met, 0.5 * (lo + hi))
 
 
-def rescale_azimuth(angles_deg, ray_powers, los_weight: float,
-                    bearing_deg: float, target_asa_deg: float) -> np.ndarray:
+def rescale_azimuth(angles_deg, ray_powers, los_weight, bearing_deg,
+                    target_asa_deg) -> np.ndarray:
     """Move ray azimuths about the bearing until the composite circular
-    spread hits the target.
+    spread hits the target, for one drop or for drops stacked on leading
+    axes.
+
+    The leading shape is that of ``los_weight``, ``bearing_deg`` and
+    ``target_asa_deg`` broadcast together: () for one drop, (d,) for d
+    drops. ``angles_deg`` and ``ray_powers`` hold that shape followed by
+    each drop's rays, the same count for every drop, and the result has
+    the shape of ``angles_deg``. The drops run one search in lockstep,
+    each leaving it at its own exit, and a drop's angles are the bits it
+    gets alone: every spread of a stacked row is that row's alone
+    (``composite_asa``), whatever the rows beside it and however the
+    stack is cut into evaluations of at most _STACK_ANGLES ray angles.
 
     Reachable targets are met by solving for a common deviation scale, to
     within _spread_tol of the target (_solve). The spread saturates,
@@ -249,7 +283,8 @@ def rescale_azimuth(angles_deg, ray_powers, los_weight: float,
     sweep position), and a target beyond even that clamps at the larger
     spread of the two ends. The sweep distorts per-ray geometry only on
     drops whose drawn spread exceeds what their drawn K-factor admits at
-    all.
+    all. Rays whose starting spread is below _SPREAD_FLOOR_DEG are left
+    as they are.
 
     The scale grid _SCALES is scanned coarse to fine. The coarse scales
     _COARSE go first; on the first that reaches the target, the fine
@@ -258,80 +293,136 @@ def rescale_azimuth(angles_deg, ray_powers, los_weight: float,
     one at most a radian takes the fine scales in order as well, so every
     target a scan of all 96 scales meets is met; one above a radian,
     which nothing reaches, takes the best coarse scale or one of its two
-    fine neighbours as the best scaled configuration.
+    fine neighbours as the best scaled configuration. A drop evaluates
+    exactly the scales it would alone, since the best configuration is
+    the best of those.
 
     Every spread the search takes, the starting one, each scan chunk and
     each solver step, is one ``composite_asa`` of the deviations from the
     bearing, with the powers turned into shares of their total once.
     """
+    lead = np.broadcast_shapes(np.shape(los_weight), np.shape(bearing_deg),
+                               np.shape(target_asa_deg))
+    w, bearing, target = (np.broadcast_to(np.asarray(v, dtype=float),
+                                          lead).ravel()
+                          for v in (los_weight, bearing_deg, target_asa_deg))
     ang = np.asarray(angles_deg, dtype=float)
-    dev = wrap_deg(ang - bearing_deg).ravel()
-    from_dev = lambda d: wrap_deg(bearing_deg + d).reshape(ang.shape)
+    dev = wrap_deg(ang.reshape(w.size, -1) - bearing[:, None])
     rad = np.deg2rad(dev)
-    p_sum = float(np.sum(ray_powers))
-    total = los_weight + p_sum
-    shares, w = np.ravel(ray_powers) / total, los_weight / total
-    spread = lambda d: composite_asa(d, shares, w)
-    s0 = spread(rad)
-    if s0 < _SPREAD_FLOOR_DEG:
-        return from_dev(dev)
+    p = np.asarray(ray_powers, dtype=float).reshape(dev.shape)
+    p_sum = p.sum(axis=1)
+    total = w + p_sum
+    shares, w_share = p / total[:, None], w / total
+    n = dev.shape[1]
+
+    def spread(rows, dev_of, k=None):
+        """Spreads of the rows, one each or k each: composite_asa of the
+        deviations dev_of(sl) of the rows at positions sl, (m, n) or
+        (m, k, n), in pieces of at most _STACK_ANGLES ray angles (one row
+        where its k n alone is more)."""
+        out = np.empty((rows.size,) if k is None else (rows.size, k))
+        step = max(1, _STACK_ANGLES // ((k or 1) * n))
+        for i in range(0, rows.size, step):
+            sl = slice(i, i + step)
+            r = rows[sl] if k is None else rows[sl, None]
+            out[sl] = composite_asa(dev_of(sl), shares[r], w_share[r])
+        return out
+
+    vals = np.full((w.size, _SCALES.size), -np.inf)   # -inf: not evaluated
+    vals[:, 0] = 0.0
+
+    def at(rows, idx):
+        """Spreads at the scale indices idx, (k,) or (rows, k), kept in vals."""
+        idx = np.broadcast_to(idx, (rows.size, np.shape(idx)[-1]))
+        v = spread(rows, lambda sl: _SCALES[idx[sl], None] * rad[rows[sl], None],
+                   idx.shape[1])
+        vals[rows[:, None], idx] = v
+        return v
+
+    def scan(rows, idx):
+        """The first index of idx, in order, whose spread reaches each
+        row's target, or 0: chunks of scales doubling from _ASA_BATCH
+        angles, a row leaving at the chunk that reaches its target."""
+        first = np.zeros(rows.size, dtype=int)
+        todo = np.arange(rows.size)
+        j, chunk = 0, max(1, _ASA_BATCH // n)
+        while j < idx.size and todo.size:
+            part = idx[j:j + chunk]
+            reach = at(rows[todo], part) >= target[rows[todo], None]
+            hit = reach.any(axis=1)
+            first[todo[hit]] = part[reach[hit].argmax(axis=1)]
+            todo = todo[~hit]
+            j, chunk = j + chunk, 2 * chunk
+        return first
+
+    every = np.arange(w.size)
+    s0 = vals[:, 1] = spread(every, lambda sl: rad[sl])
+    out = dev.copy()          # deviations of the result; the floor keeps them
 
     # every ray at the antipode: resultant |w - P| / (w + P) for the
     # scattered power P, the largest spread there is when w >= P; an s0
     # above it by rounding alone is solved in the scan's first bracket
-    antipode = np.full(ang.shape, wrap_deg(bearing_deg + 180.0))
-    s_anti = float(analysis._resultant_spread_deg(
-        abs(los_weight - p_sum) / total))
-    if s0 < target_asa_deg and los_weight >= p_sum and s_anti < target_asa_deg:
-        return antipode
+    s_anti = analysis._resultant_spread_deg(np.abs(w - p_sum) / total)
+    live = s0 >= _SPREAD_FLOOR_DEG
+    capped = live & (s0 < target) & (w >= p_sum) & (s_anti < target)
+    out[capped] = 180.0
+    live &= ~capped
 
     # the spread is not monotone in the scale once deviations wrap, so
     # probe the scale grid and solve on an upward crossing; scale 0
     # (spread 0) only opens the first bracket, and scale 1 gave s0
-    tol = _spread_tol(target_asa_deg, dev.size)
-    vals = np.full(_SCALES.size, -np.inf)     # -inf: not evaluated
-    vals[:2] = 0.0, s0
-    at = lambda idx: spread(_SCALES[idx, None] * rad)
+    tol = _spread_tol(target, n)
+    i = np.where(live & (s0 >= target), 1, 0)
+    rows = np.flatnonzero(live & (i == 0))
+    i[rows] = scan(rows, _COARSE[1:])
+    hit = rows[i[rows] > 0]
+    if hit.size:
+        prev = _COARSE[np.searchsorted(_COARSE, i[hit]) - 1]
+        # a bracket narrower than the widest repeats its coarse scale
+        width = (i[hit] - prev).max() - 1
+        fine = np.minimum(prev[:, None] + 1 + np.arange(width), i[hit, None])
+        reach = at(hit, fine) >= target[hit, None]
+        i[hit] = np.where(reach.any(axis=1),
+                          fine[np.arange(hit.size), reach.argmax(axis=1)], i[hit])
+    low = rows[(i[rows] == 0) & (target[rows] <= _RAD_DEG)]
+    i[low] = scan(low, _FINE)
 
-    def scan(idx):
-        """Spreads at the scales idx in doubling chunks up to the chunk
-        that reaches the target; the first index that does, or 0."""
-        j, chunk = 0, max(1, _ASA_BATCH // dev.size)
-        while j < idx.size:
-            part = idx[j:j + chunk]
-            vals[part] = at(part)
-            if (hit := part[vals[part] >= target_asa_deg]).size:
-                return hit[0]
-            j, chunk = j + chunk, 2 * chunk
-        return 0
+    rows = np.flatnonzero(i)
+    if rows.size:
+        k = i[rows]
 
-    i = 1 if s0 >= target_asa_deg else scan(_COARSE[1:])
-    if i > 1:
-        fine = np.arange(_COARSE[np.searchsorted(_COARSE, i) - 1] + 1, i)
-        vals[fine] = at(fine)
-        i = fine[0] + int(np.argmax(vals[fine[0]:i + 1] >= target_asa_deg))
-    elif not i and target_asa_deg <= _RAD_DEG:
-        i = scan(_FINE)
-    if i:
-        s = _solve(lambda s: spread(s * rad), _SCALES[i - 1], _SCALES[i],
-                   vals[i - 1], vals[i], target_asa_deg, tol)
-        return from_dev(s * dev)
+        def scaled(j, x):
+            return spread(rows[j], lambda sl: x[sl, None] * rad[rows[j][sl]])
+        s = _solve(scaled, _SCALES[k - 1], _SCALES[k], vals[rows, k - 1],
+                   vals[rows, k], target[rows], tol[rows])
+        out[rows] = s[:, None] * dev[rows]
 
     # no uniform scale reaches the target: sweep from the best scaled
     # configuration toward the antipodal one
-    k = int(np.argmax(vals))
-    if target_asa_deg > _RAD_DEG:
-        near = np.array([k - 1, k + 1])
-        near = near[(near > 1) & (near < _SCALES.size)]
-        vals[near] = at(near)
-        k = int(np.argmax(vals))
-    base = wrap_deg(_SCALES[k] * dev)
+    rows = np.flatnonzero(live & (i == 0))
+    far = rows[target[rows] > _RAD_DEG]
+    if far.size:
+        k = np.argmax(vals[far], axis=1)
+        below, above = k - 1 > 1, k + 1 < _SCALES.size
+        near = np.stack([np.where(below, k - 1, k + 1),
+                         np.where(above, k + 1, k - 1)], axis=1)
+        at(far, near if (below & above).any() else near[:, :1])
+    k = np.argmax(vals[rows], axis=1)
+    best = vals[rows, k]
+    base = wrap_deg(_SCALES[k, None] * dev[rows])
     anti = 180.0 * np.where(base >= 0.0, 1.0, -1.0)
-    swept = lambda u: spread(np.deg2rad((1.0 - u) * base + u * anti))
-    if s_anti >= target_asa_deg:
-        u = _solve(swept, 0.0, 1.0, vals[k], s_anti, target_asa_deg, tol)
-        return from_dev((1.0 - u) * base + u * anti)
-    return antipode if s_anti >= vals[k] else from_dev(base)
+    out[rows] = np.where((s_anti[rows] >= best)[:, None], 180.0, base)
+    sweep = s_anti[rows] >= target[rows]
+    if sweep.any():
+        rows, base, anti = rows[sweep], base[sweep], anti[sweep]
+
+        def swept(j, x):
+            return spread(rows[j], lambda sl: np.deg2rad(
+                (1.0 - x[sl, None]) * base[j][sl] + x[sl, None] * anti[j][sl]))
+        u = _solve(swept, np.zeros(rows.size), np.ones(rows.size), best[sweep],
+                   s_anti[rows], target[rows], tol[rows])
+        out[rows] = (1.0 - u)[:, None] * base + u[:, None] * anti
+    return wrap_deg(bearing[:, None] + out).reshape(ang.shape)
 
 
 def rescale_zenith(angles_deg, ray_powers, los_weight: float,
@@ -410,7 +501,8 @@ def _matched(name: str) -> cached_property:
 class ClusterSet:
     """One channel drop, the whole of what ``assemble_cir`` reads. Each
     angle plane attribute is its ``planes`` function's result, matched on
-    first read and kept: once per drop, however many readers take it."""
+    first read, or with other drops' by ``match_planes``, and kept: once
+    per drop, however many readers take it."""
     delays_s: np.ndarray          # (N,), sorted, first is 0 (excess delay)
     powers: np.ndarray            # (N,), normalized cluster powers, sum 1
     los_weight: float             # direct-path share, K/(K+1); 0 for NLoS
@@ -464,6 +556,25 @@ class ClusterSet:
             cols[k] = (np.concatenate([[direct], rays().ravel()])
                        if self.los_weight > 0 else rays().flatten())
         return cols
+
+
+def match_planes(drops, *names: str) -> None:
+    """Match the named azimuth planes of drops of one set together and
+    keep each result as its drop's plane, as its first read would.
+
+    The pending matches (planes not read yet) of every drop and named
+    plane are stacked into one ``rescale_azimuth`` call, which gives each
+    the bits it gets alone. Names other than ``aoa_deg`` and ``aod_deg``
+    are left to their first read, so a caller may name every column it
+    reads. Like a read, this draws no random numbers.
+    """
+    todo = [(cs, k) for k in dict.fromkeys(names) if k in ("aoa_deg", "aod_deg")
+            for cs in drops if k not in vars(cs)]
+    if todo:
+        # a pending plane is its match's partial over the match's inputs
+        args = zip(*(cs.planes[k].args for cs, k in todo))
+        for (cs, k), plane in zip(todo, rescale_azimuth(*map(np.stack, args))):
+            setattr(cs, k, plane)
 
 
 def build_drop(params: ScenarioParamSet, rng, geometry: LinkGeometry | None = None,

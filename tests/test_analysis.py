@@ -101,6 +101,31 @@ def test_k_factor_finite_when_the_sum_rounds_the_rest_away(powers, want):
         assert k_factor(powers) == pytest.approx(want, rel=1e-12)
 
 
+def test_stacked_statistics_equal_each_row_alone():
+    """extract_drop_stats of stacked rows reduces over the last axis: each
+    row's DS, ASA and K are bit for bit that row's alone, also for rows
+    whose K takes the single-component, zero-power or rounded-away path,
+    and a row without power fails the whole stack."""
+    rng = np.random.default_rng(8)
+    t = rng.uniform(0.0, 1e-7, (40, 13))
+    p = rng.uniform(0.0, 1.0, (40, 13))
+    a = rng.uniform(-180.0, 180.0, (40, 13))
+    p[3, 1:] = 0.0                          # one powered component
+    p[5, [2, 7]] = 0.0
+    p[9] = [1e300, *[1e-300] * 12]          # the sum rounds the rest away
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = extract_drop_stats(t.reshape(4, 10, 13), p.reshape(4, 10, 13),
+                                 a.reshape(4, 10, 13))
+    for k, v in got.items():
+        assert v.shape == (4, 10)
+        want = [extract_drop_stats(*row)[k] for row in zip(t, p, a)]
+        assert v.ravel().tobytes() == np.array(want).tobytes()
+    p[12] = 0.0
+    with pytest.raises(ValueError):
+        extract_drop_stats(t, p, a)
+
+
 # --- power-delay profiles ---
 
 def _pdp(delay_s, power, directions=None, noise_floor=None, margin_db=6.0):

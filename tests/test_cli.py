@@ -602,14 +602,23 @@ def test_analyze_labeled_cluster_without_power_exits_1_naming_it(
 
 
 def _spy_matches(monkeypatch):
-    """Calls of each spread match, spied where gen_angles looks them up."""
-    calls = {"rescale_azimuth": 0, "rescale_zenith": 0}
-    for name in calls:
-        def counted(*args, match=getattr(clusters, name), name=name):
-            calls[name] += 1
-            return match(*args)
+    """The rows each spread match runs, spied where gen_angles and
+    match_planes look the matches up: one (bearing, target) per plane
+    matched, a stacked call giving one per drop and plane it holds."""
+    rows = {"rescale_azimuth": [], "rescale_zenith": []}
+    for name in rows:
+        def counted(ang, pw, w, bearing, target, match=getattr(clusters, name),
+                    name=name):
+            rows[name] += zip(np.ravel(bearing), np.ravel(target))
+            return match(ang, pw, w, bearing, target)
         monkeypatch.setattr(clusters, name, counted)
-    return calls
+    return rows
+
+
+def _matched_once(rows, per_drop, drops):
+    """Each drop's planes were matched once: per_drop rows per drop, no
+    row twice (every plane has its own drawn bearing and target)."""
+    return len(rows) == per_drop * drops and len(set(rows)) == len(rows)
 
 
 @pytest.mark.parametrize(("argv", "per_plane"), [
@@ -625,28 +634,29 @@ def test_commands_match_only_the_planes_they_read(tmp_path, monkeypatch,
     # roundtrip and a simulate without dumps read the arrival azimuths
     # alone; a dump reads all four planes, matched once however many
     # dumps read them
-    calls = _spy_matches(monkeypatch)
+    rows = _spy_matches(monkeypatch)
     assert main([*argv, "--scenario", "office", "--condition", "los",
                  "--drops", "3", "--out", str(tmp_path / "run")]) == 0
     azimuth, zenith = per_plane
-    assert calls == {"rescale_azimuth": 3 * azimuth,
-                     "rescale_zenith": 3 * zenith}
+    assert _matched_once(rows["rescale_azimuth"], azimuth, 3)
+    assert _matched_once(rows["rescale_zenith"], zenith, 3)
 
 
 def test_capacity_matches_every_plane_after_each_build(tmp_path, monkeypatch):
-    calls = _spy_matches(monkeypatch)
+    rows = _spy_matches(monkeypatch)
     build, matched_in_build = capacity.build_drop, []
 
     def built(*args, **kwargs):
-        before = dict(calls)
+        before = {k: len(v) for k, v in rows.items()}
         cs = build(*args, **kwargs)
-        matched_in_build.append(calls != before)
+        matched_in_build.append({k: len(v) for k, v in rows.items()} != before)
         return cs
     monkeypatch.setattr(capacity, "build_drop", built)
     assert main(["capacity", "--scenario", "office", "--condition", "los",
                  "--source", "measured", "--drops", "2",
                  "--out", str(tmp_path / "cap")]) == 0
-    assert calls == {"rescale_azimuth": 4, "rescale_zenith": 4}
+    assert _matched_once(rows["rescale_azimuth"], 2, 2)
+    assert _matched_once(rows["rescale_zenith"], 2, 2)
     assert matched_in_build == [False, False]
 
 

@@ -317,15 +317,15 @@ _RESCALE_CASES = {
 @pytest.fixture
 def solves(monkeypatch):
     """(bracket start, bracket end, result, evaluations of f) of every
-    clusters._solve call."""
+    clusters._solve call, the first three one entry per row it solves."""
     seen, solve = [], clusters._solve
 
     def spy(f, lo, hi, *args):
         n = [0]
 
-        def counted(x):
+        def counted(*args):
             n[0] += 1
-            return f(x)
+            return f(*args)
         seen.append((lo, hi, solve(counted, lo, hi, *args), n[0]))
         return seen[-1][2]
     monkeypatch.setattr(clusters, "_solve", spy)
@@ -418,7 +418,7 @@ def test_nlos_3gpp_scan_budget(scenario, spread_evals, monkeypatch):
     def counted(ang, *args):
         spread_evals.clear()
         got = rescale(ang, *args)
-        rows.append(sum(s[0] for s in spread_evals if len(s) == 2))
+        rows.append(sum(s[1] for s in spread_evals if len(s) == 3))
         return got
     monkeypatch.setattr(clusters, "rescale_azimuth", counted)
     _drops(load_params(scenario, "nlos", "3gpp"))
@@ -485,7 +485,7 @@ def test_rescale_azimuth_cap_exit_scans_no_scale(spread_evals, solves):
     ang, pw, w, bearing, target, _ = _RESCALE_CASES["clamp to antipode"]
     assert w >= 0.5 and target > _antipodal_cap_deg(pw, w)
     got = rescale_azimuth(np.array(ang), np.array(pw), w, bearing, target)
-    assert not solves and all(len(s) == 1 for s in spread_evals)
+    assert not solves and all(len(s) == 2 for s in spread_evals)
     assert np.array_equal(got, np.full(3, wrap_deg(bearing + 180.0)))
 
 
@@ -503,7 +503,7 @@ def test_build_drop_cap_exits_scan_no_scale(scenario, source, spread_evals,
         got = rescale(ang, pw, w, bearing, target)
         if w >= 0.5 and target > _antipodal_cap_deg(pw, w):
             capped.append(target)
-            assert not solves and all(len(s) == 1 for s in spread_evals)
+            assert not solves and all(len(s) == 2 for s in spread_evals)
             assert np.array_equal(got, np.full(ang.shape,
                                                wrap_deg(bearing + 180.0)))
         return got
@@ -513,7 +513,7 @@ def test_build_drop_cap_exits_scan_no_scale(scenario, source, spread_evals,
 
 
 def _scan_chunks(scan, n):
-    """Rows of the stacked composite_asa calls a scan takes: a coarse or
+    """Scales of the stacked composite_asa calls a scan takes: a coarse or
     fine stage evaluates chunks doubling from _ASA_BATCH // n scales up to
     the chunk that reaches the target, and a coarse bracket's fine scales
     or a best coarse scale's neighbours are one call."""
@@ -530,17 +530,18 @@ def _scan_chunks(scan, n):
 
 
 def _check_spreads_from_composite_asa(rescale, args, spread_evals, solves):
-    """One rescale_azimuth call takes every spread from composite_asa: one
-    (n,) call for the starting spread, one per solver step, and one
-    stacked (k, n) call per chunk of the reference search's scan."""
+    """One rescale_azimuth call of one drop takes every spread from
+    composite_asa: one (1, n) call for the starting spread, one per solver
+    step, and one stacked (1, k, n) call per chunk of the reference
+    search's scan."""
     *_, scan = _reference_rescale_azimuth(*args)
     spread_evals.clear()
     solves.clear()
     got = rescale(*args)
     n = np.size(args[0])
-    flat = [s for s in spread_evals if s == (n,)]
-    stacked = [s[0] for s in spread_evals if s != (n,)]
-    assert all(s[1:] == (n,) for s in spread_evals if s != (n,))
+    flat = [s for s in spread_evals if s == (1, n)]
+    stacked = [s[1] for s in spread_evals if s != (1, n)]
+    assert all(s[::2] == (1, n) for s in spread_evals if s != (1, n))
     assert len(flat) == 1 + sum(k for *_, k in solves)
     assert stacked == _scan_chunks(scan, n)
     return got
@@ -594,6 +595,100 @@ def test_rescale_azimuth_spread_property(n, data, w, bearing, target):
     tol = _met_tol(target, n)
     if abs(_scalar_spread(want, pw, w, bearing) - target) <= tol:
         assert abs(_scalar_spread(got, pw, w, bearing) - target) <= tol
+
+
+def _check_stack_against_reference(cases, solves):
+    """One rescale_azimuth call over the cases stacked, each (angles, ray
+    powers, direct share, bearing, target) with one ray count: every row
+    takes the reference search's exit with that exit's angles, on the
+    solved exits at the row's own point of the lockstep solve (the scale
+    solve's rows in row order, then the sweep's) and on the reference's
+    bracket, and has the bits of the row matched alone."""
+    stack = [np.stack([np.asarray(c[i], dtype=float) for c in cases])
+             for i in range(5)]
+    refs = [_reference_rescale_azimuth(*c) for c in cases]
+    solves.clear()
+    got = rescale_azimuth(*stack)
+    assert got.shape == stack[0].shape
+    solved = {"sweep" if took == "sweep" else "scale"
+              for _, took, bracket, *_ in refs if bracket}
+    runs = iter(solves)
+    points = {kind: iter(zip(*next(runs)[:3]))
+              for kind in ("scale", "sweep") if kind in solved}
+    assert next(runs, None) is None
+    for row, case, (want, took, bracket, at, _) in zip(got, cases, refs):
+        assert np.array_equal(row, rescale_azimuth(*case))
+        if bracket is None:
+            assert np.array_equal(row, want)
+            continue
+        lo, hi, x = next(points["sweep" if took == "sweep" else "scale"])
+        assert (lo, hi) == bracket and lo <= x <= hi
+        assert np.array_equal(row, at(x))
+        ang, pw, w, bearing, target = case
+        assert (abs(_scalar_spread(row, pw, w, bearing) - target)
+                <= _met_tol(target, np.size(ang)))
+
+
+@pytest.mark.parametrize("stack_angles", [None, 1, 700])
+def test_stacked_exit_cases_equal_reference_rows(stack_angles, solves,
+                                                 monkeypatch):
+    """The hand-built exit cases, stacked by ray count and twice over in
+    opposite orders, whatever the cut into spread evaluations."""
+    if stack_angles is not None:
+        monkeypatch.setattr(clusters, "_STACK_ANGLES", stack_angles)
+    cases = [c[:5] for c in _RESCALE_CASES.values()]
+    for n in {len(c[0]) for c in cases}:
+        same = [c for c in cases if len(c[0]) == n]
+        _check_stack_against_reference(same + same[::-1], solves)
+
+
+@pytest.mark.parametrize("scenario,condition,source", _SETS)
+def test_stacked_drops_equal_reference_rows(scenario, condition, source,
+                                            solves, monkeypatch):
+    """Both azimuth planes of 25 seeded drops of each set in one stack,
+    cut into spread evaluations at the default size, one row at a time
+    and a few rows at a time."""
+    p = load_params(scenario, condition, source)
+    cases = [build_drop(p, np.random.default_rng(s)).planes[k].args
+             for s in np.random.SeedSequence(2024).spawn(25)
+             for k in ("aoa_deg", "aod_deg")]
+    for stack_angles in (clusters._STACK_ANGLES, 1, 4 * np.size(cases[0][0])):
+        monkeypatch.setattr(clusters, "_STACK_ANGLES", stack_angles)
+        _check_stack_against_reference(cases, solves)
+
+
+@pytest.mark.parametrize("scenario,condition,source", _SETS)
+def test_match_planes_gives_each_drop_its_own_bits(scenario, condition, source,
+                                                   monkeypatch):
+    """match_planes over 30 drops: one rescale_azimuth call, looked up in
+    clusters, matches each drop's pending azimuth planes to the bytes the
+    drop gets read alone, draws no random number, leaves the zenith
+    planes to their first read and matches no plane twice."""
+    p = load_params(scenario, condition, source)
+    seeds = np.random.SeedSequence(11).spawn(30)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    drops = [build_drop(p, rng) for rng in rngs]
+    states = [rng.bit_generator.state for rng in rngs]
+    drops[3].aod_deg                        # already matched: left as read
+    rescale, rows = clusters.rescale_azimuth, []
+
+    def counted(*args):
+        rows.append(np.size(args[2]))
+        return rescale(*args)
+    monkeypatch.setattr(clusters, "rescale_azimuth", counted)
+    clusters.match_planes(drops, "delay_s", "aoa_deg", "zoa_deg", "aod_deg",
+                          "aoa_deg")
+    assert rows == [59]
+    clusters.match_planes(drops, "aoa_deg", "aod_deg")
+    assert rows == [59]
+    for cs, ss, rng, state in zip(drops, seeds, rngs, states):
+        assert rng.bit_generator.state == state
+        assert {"aoa_deg", "aod_deg"} <= set(vars(cs))
+        assert not {"zoa_deg", "zod_deg"} & set(vars(cs))
+        alone = build_drop(p, np.random.default_rng(ss))
+        for k in _PLANES:
+            assert getattr(cs, k).tobytes() == getattr(alone, k).tobytes()
+    assert rows == [59] + [1] * 60
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 301, 381,
