@@ -68,9 +68,10 @@ def run_capacity_experiment(params: ScenarioParamSet, snr_db,
     The arrays are 16x16 transmit and 2x2 receive half-wavelength
     rectangular arrays of single-polarized (vertical) isotropic elements.
     Per-drop seeds are spawned from one root sequence, so a rerun with the
-    same seed reproduces the result. Every drop is built first and the
-    azimuth planes of all of them are matched in one stacked search
-    (``match_planes``); each drop's channel is then taken alone.
+    same seed reproduces the result. Every drop is built first and all
+    four angle planes of all of them are matched in one ``match_planes``
+    call, the azimuth planes as one stacked search; each drop's channel
+    is then taken alone.
 
     Each drop's component powers sum to 1, so path loss and shadow
     fading are normalized out before any scaling. All drops then share
@@ -102,7 +103,7 @@ def run_capacity_experiment(params: ScenarioParamSet, snr_db,
 
     drops = [build_drop(params, np.random.default_rng(ss))
              for ss in np.random.SeedSequence(seed).spawn(n_drops)]
-    match_planes(drops, "aoa_deg", "aod_deg")
+    match_planes(drops, "aoa_deg", "aod_deg", "zoa_deg", "zod_deg")
     eigs = np.stack([gram_eigs(cir_to_ctf(assemble_cir(cs, rx, tx, mode=mode),
                                           freqs))
                      for cs in drops])                  # (drops, F, min(U, S))

@@ -152,37 +152,25 @@ def _write_run(parser, args, files: dict, params_files: dict) -> Path:
     return out
 
 
+def _columns(drops, *names) -> dict:
+    """The named columns of drops of one set, stacked to (drops,
+    components) after one ``match_planes`` call: every drop of a set has
+    as many components."""
+    match_planes(drops, *names)
+    cols = [cs.mpc_arrays(*names) for cs in drops]
+    return {k: np.stack([c[k] for c in cols]) for k in names}
+
+
+def _by_drop(columns: dict) -> dict:
+    """A table of (drops, rows) columns, one row after another in drop
+    order, after a drop column."""
+    n_drops, n_rows = next(iter(columns.values())).shape
+    return {"drop": np.repeat(np.arange(n_drops), n_rows),
+            **{k: v.ravel() for k, v in columns.items()}}
+
+
 # ---------------------------------------------------------------------------
 # simulate
-
-
-def _sim_drop(cs, names, mode, antenna, dump_mpcs):
-    """One drop's multipath components (None unless ``dump_mpcs``), CIR
-    (None unless ``antenna``, between two copies of it) and re-extracted
-    statistics, each a table of named columns; ``names`` are the columns
-    they read."""
-    c = cs.mpc_arrays(*names)
-    mpcs = {"cluster": c["cluster"], "ray": c["ray"],
-            "delay_ns": c["delay_s"] * 1e9, "power": c["power"],
-            "aoa_deg": c["aoa_deg"], "zoa_deg": c["zoa_deg"],
-            "aod_deg": c["aod_deg"], "zod_deg": c["zod_deg"]
-            } if dump_mpcs else None
-    cir = None
-    if antenna is not None:
-        cr = assemble_cir(cs, antenna, antenna, mode=mode)
-        zeros = np.zeros(cr.n_taps, dtype=int)
-        cir = {"tap": np.arange(cr.n_taps), "u": zeros, "s": zeros,
-               "delay_ns": cr.delays_s * 1e9, "re": cr.amps[:, 0, 0].real,
-               "im": cr.amps[:, 0, 0].imag}
-    st = extract_drop_stats(c["delay_s"], c["power"], c["aoa_deg"])
-    return mpcs, cir, {k: [v] for k, v in st.items()}
-
-
-def _stack(tables: list[dict]) -> dict:
-    """Per-drop tables joined in drop order, after a drop column."""
-    sizes = [len(next(iter(t.values()))) for t in tables]
-    return {"drop": np.repeat(np.arange(len(tables)), sizes),
-            **{k: np.concatenate([t[k] for t in tables]) for k in tables[0]}}
 
 
 def cmd_simulate(parser, args) -> int:
@@ -197,25 +185,34 @@ def cmd_simulate(parser, args) -> int:
                         geometry=geometry_for(params, xs[i], ys[i]),
                         lsp_vals={k: float(v[i]) for k, v in lsp.items()})
              for i, ss in enumerate(children[2:])]
-    # only the columns written or read are asked for, and a CIR reads
-    # both azimuth planes; without dumps only arrival azimuths are matched
-    names = ("delay_s", "power", "aoa_deg", *(
-        ("cluster", "ray", "zoa_deg", "aod_deg", "zod_deg")
-        if args.dump_clusters else ()))
-    match_planes(drops, *names, *(("aod_deg",) if args.dump_cir else ()))
-    # an array is immutable, so one serves every drop at both ends
-    antenna = single_antenna() if args.dump_cir else None
-    results = [_sim_drop(cs, names, args.mode, antenna, args.dump_clusters)
-               for cs in drops]
+    # only the columns written or read are matched; a CIR reads every
+    # plane, so without dumps only arrival azimuths are matched
+    c = _columns(drops, *(
+        ("cluster", "ray", "delay_s", "power", "aoa_deg", "zoa_deg", "aod_deg",
+         "zod_deg") if args.dump_clusters or args.dump_cir
+        else ("delay_s", "power", "aoa_deg")))
 
     # an NLoS set draws no K: its k_db cells are empty
     tables = {"lsp.csv": {"drop": np.arange(args.drops), "x_m": xs, "y_m": ys,
                           **lsp, "k_db": lsp.get("k_db", [None] * args.drops)}}
     if args.dump_clusters:
-        tables["clusters.csv"] = _stack([mpcs for mpcs, _, _ in results])
+        tables["clusters.csv"] = _by_drop({
+            "cluster": c["cluster"], "ray": c["ray"],
+            "delay_ns": c["delay_s"] * 1e9, "power": c["power"],
+            **{k: c[k] for k in ("aoa_deg", "zoa_deg", "aod_deg", "zod_deg")}})
     if args.dump_cir:
-        tables["cir.csv"] = _stack([cir for _, cir, _ in results])
-    tables["drop_stats.csv"] = _stack([st for _, _, st in results])
+        # an array is immutable, so one serves every drop at both ends;
+        # every drop of a set has as many taps
+        antenna = single_antenna()
+        cirs = [assemble_cir(cs, antenna, antenna, mode=args.mode) for cs in drops]
+        amps = np.array([cr.amps[:, 0, 0] for cr in cirs])
+        tap = np.broadcast_to(np.arange(amps.shape[1]), amps.shape)
+        tables["cir.csv"] = _by_drop({
+            "tap": tap, "u": np.zeros_like(tap), "s": np.zeros_like(tap),
+            "delay_ns": np.array([cr.delays_s for cr in cirs]) * 1e9,
+            "re": amps.real, "im": amps.imag})
+    tables["drop_stats.csv"] = {"drop": np.arange(args.drops), **extract_drop_stats(
+        c["delay_s"], c["power"], c["aoa_deg"])}
     out = _write_run(parser, args, tables, {params.label(): pfile})
     print(f"simulate: {args.drops} drops of {params.label()} -> {out}")
     return 0
@@ -391,10 +388,7 @@ def cmd_roundtrip(parser, args) -> int:
 
     drops = [build_drop(params, np.random.default_rng(ss))
              for ss in np.random.SeedSequence(args.seed).spawn(args.drops)]
-    match_planes(drops, "aoa_deg")
-    cols = [cs.mpc_arrays("delay_s", "power", "aoa_deg") for cs in drops]
-    ext = extract_drop_stats(*(np.stack([c[k] for c in cols])
-                               for k in ("delay_s", "power", "aoa_deg")))
+    ext = extract_drop_stats(*_columns(drops, "delay_s", "power", "aoa_deg").values())
     names = ("ds_s", "asa_deg", "k_db")     # an NLoS drop's drawn K is None
     drawn = {k: [cs.lsp[k] for cs in drops] for k in names}
     extracted = {k: ext[k].tolist() for k in names}

@@ -13,17 +13,16 @@ the realization reproduces the drawn delay spread exactly and the drawn
 azimuth spread as closely as the circular-spread saturation allows;
 statistics re-extracted from a drop then match the drawn values instead
 of being a smeared copy of them. ``build_drop`` draws all of a drop's
-random numbers; an angle plane's match draws none and runs on the
-plane's first read, so a reader that names no other plane among its
-columns (``ClusterSet.mpc_arrays``) skips the other matches.
-``match_planes`` runs the azimuth matches of many drops as one stacked
-search before their first read.
+random numbers and keeps its angle planes as drawn; ``match_planes``,
+which draws none, matches the planes a reader names, the azimuth planes
+of many drops as one stacked search, so a reader that names no other
+plane among its columns (``ClusterSet.mpc_arrays``) skips the other
+matches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, partial
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -439,52 +438,50 @@ def rescale_zenith(angles_deg, ray_powers, los_weight: float,
 # angles
 
 
-def gen_angles(powers, ray_powers, los_weight: float, asa_deg: float,
-               zsa_deg: float, zsd_deg: float, k_db: float | None,
-               params: ScenarioParamSet, geometry: LinkGeometry, rng):
-    """Cluster and ray angles for one drop, spread-matched per drop.
+def gen_angles(powers, asa_deg: float, zsa_deg: float, zsd_deg: float,
+               k_db: float | None, params: ScenarioParamSet,
+               geometry: LinkGeometry, rng) -> dict:
+    """Cluster and ray angles for one drop, as drawn.
 
     Azimuth cluster centers follow the inverse-Gaussian construction,
     zenith centers the inverse-Laplacian one, both centered on the LoS
     bearing with random sign flips and Gaussian perturbations. Rays add
     tabulated offsets (re-centered first-M entries) scaled by the
-    intra-cluster spread constants, randomly coupled per cluster. The
-    composite arrival azimuth spread is then rescaled to the drawn ASA
-    (departure reuses the same azimuth statistics; zenith spreads use
-    their drawn targets with a linear-std match).
+    intra-cluster spread constants, randomly coupled per cluster. Both
+    azimuth planes take the drawn ASA as their spread, the zenith planes
+    their drawn ZSA and ZSD.
 
-    Every random number is drawn here. The matches draw none, so each
-    plane is returned pending, in a dict by name (aoa_deg, aod_deg,
-    zoa_deg, zod_deg): a function of no argument that matches it and
-    returns it, shaped like ray_powers, in degrees.
+    Every random number is drawn here and no plane is matched: each is
+    returned in a dict by name (aoa_deg, aod_deg, zoa_deg, zod_deg) as
+    its drawn (N, M) angles in degrees and the spread ``match_planes``
+    matches them to.
     """
     p = np.asarray(powers, dtype=float)
     n = p.size
-    m = ray_powers.shape[1]
+    m = params.clusters.rays
     ratio = p / p.max()
     cp = c_phi(n, k_db)
     ct = c_theta(n, k_db)
     offs, order = ray_offsets(m), np.tile(np.arange(m), (n, 1))
 
-    def plane(rescale, bearing, center_dev, spread, c_spread):
+    def plane(bearing, center_dev, spread, c_spread):
         # random sign flips and N(0, spread/7) jitter about the bearing,
         # then the tabulated offsets in a fresh order per cluster
         x = rng.integers(0, 2, n) * 2 - 1
         y = rng.normal(0.0, spread / 7.0, n)
         centers = x * center_dev + y + bearing
         perm = rng.permuted(order, axis=1)
-        return partial(rescale, centers[:, None] + (c_spread * offs)[perm],
-                       ray_powers, los_weight, bearing, spread)
+        return centers[:, None] + (c_spread * offs)[perm], spread
 
     phi_c = 2.0 * (asa_deg / 1.4) * np.sqrt(-np.log(ratio)) / cp
     c_asa = params.clusters.c_asa_deg
     sup = params.supplemental
-    aoa = plane(rescale_azimuth, geometry.aoa_los_deg, phi_c, asa_deg, c_asa)
-    aod = plane(rescale_azimuth, geometry.aod_los_deg, phi_c, asa_deg, c_asa)
-    zoa = plane(rescale_zenith, geometry.zoa_los_deg,
-                -(zsa_deg / ct) * np.log(ratio), zsa_deg, sup.c_zsa_deg)
-    zod = plane(rescale_zenith, geometry.zod_los_deg,
-                -(zsd_deg / ct) * np.log(ratio), zsd_deg, sup.c_zsd_deg)
+    aoa = plane(geometry.aoa_los_deg, phi_c, asa_deg, c_asa)
+    aod = plane(geometry.aod_los_deg, phi_c, asa_deg, c_asa)
+    zoa = plane(geometry.zoa_los_deg, -(zsa_deg / ct) * np.log(ratio), zsa_deg,
+                sup.c_zsa_deg)
+    zod = plane(geometry.zod_los_deg, -(zsd_deg / ct) * np.log(ratio), zsd_deg,
+                sup.c_zsd_deg)
     return {"aoa_deg": aoa, "aod_deg": aod, "zoa_deg": zoa, "zod_deg": zod}
 
 
@@ -492,32 +489,23 @@ def gen_angles(powers, ray_powers, los_weight: float, asa_deg: float,
 # drop assembly
 
 
-def _matched(name: str) -> cached_property:
-    """The plane ``name`` of a ``ClusterSet``, matched on first read."""
-    return cached_property(lambda cs: cs.planes[name]())
-
-
 @dataclass
 class ClusterSet:
-    """One channel drop, the whole of what ``assemble_cir`` reads. Each
-    angle plane attribute is its ``planes`` function's result, matched on
-    first read, or with other drops' by ``match_planes``, and kept: once
-    per drop, however many readers take it."""
+    """One channel drop, the whole of what ``assemble_cir`` reads. Its
+    angle planes are kept as drawn, in ``drawn``, and as matched, in
+    ``angles``, which only ``match_planes`` fills: each plane is matched
+    once per drop, however many readers take it."""
     delays_s: np.ndarray          # (N,), sorted, first is 0 (excess delay)
     powers: np.ndarray            # (N,), normalized cluster powers, sum 1
     los_weight: float             # direct-path share, K/(K+1); 0 for NLoS
     ray_powers: np.ndarray        # (N, M); with los_weight they sum to 1
-    planes: dict                  # angle plane: () -> (N, M) degrees
+    drawn: dict                   # angle plane: ((N, M) degrees, its spread)
     phases: np.ndarray            # (N, M), radians in [-pi, pi)
     geometry: LinkGeometry
     wavelength_m: float           # its parameter set's carrier wavelength
     c_ds_s: float                 # and intra-cluster delay spread
     lsp: dict                     # drawn values this drop realizes
-
-    aoa_deg = _matched("aoa_deg")
-    aod_deg = _matched("aod_deg")
-    zoa_deg = _matched("zoa_deg")
-    zod_deg = _matched("zod_deg")
+    angles: dict = field(default_factory=dict)  # angle plane: (N, M) degrees
 
     @property
     def n_clusters(self) -> int:
@@ -534,7 +522,8 @@ class ClusterSet:
         Cluster index 0 marks the direct path; generated clusters are
         numbered from 1. The direct path has ray index 0 and the carrier
         phase -2 pi d3/lambda; the rays carry their drawn phases. Each
-        column is a fresh array, and only the planes named are matched.
+        column is a fresh array, and only the planes named are matched,
+        by ``match_planes`` as a set of one drop.
         """
         g = self.geometry
         n, m = self.ray_powers.shape
@@ -545,13 +534,15 @@ class ClusterSet:
             "power": (self.los_weight, lambda: self.ray_powers),
             "phase": (-2.0 * np.pi * g.d3_m / self.wavelength_m,
                       lambda: self.phases),
-            "aoa_deg": (g.aoa_los_deg, lambda: self.aoa_deg),
-            "zoa_deg": (g.zoa_los_deg, lambda: self.zoa_deg),
-            "aod_deg": (g.aod_los_deg, lambda: self.aod_deg),
-            "zod_deg": (g.zod_los_deg, lambda: self.zod_deg),
+            "aoa_deg": (g.aoa_los_deg, lambda: self.angles["aoa_deg"]),
+            "zoa_deg": (g.zoa_los_deg, lambda: self.angles["zoa_deg"]),
+            "aod_deg": (g.aod_los_deg, lambda: self.angles["aod_deg"]),
+            "zod_deg": (g.zod_los_deg, lambda: self.angles["zod_deg"]),
         }
+        names = names or tuple(table)
+        match_planes([self], *names)
         cols = {}
-        for k in names or table:
+        for k in names:
             direct, rays = table[k]             # KeyError for an unknown name
             cols[k] = (np.concatenate([[direct], rays().ravel()])
                        if self.los_weight > 0 else rays().flatten())
@@ -559,22 +550,33 @@ class ClusterSet:
 
 
 def match_planes(drops, *names: str) -> None:
-    """Match the named azimuth planes of drops of one set together and
-    keep each result as its drop's plane, as its first read would.
+    """Match the named angle planes of drops of one set that are not
+    matched yet, and keep each in its drop's ``angles``.
 
-    The pending matches (planes not read yet) of every drop and named
-    plane are stacked into one ``rescale_azimuth`` call, which gives each
-    the bits it gets alone. Names other than ``aoa_deg`` and ``aod_deg``
-    are left to their first read, so a caller may name every column it
-    reads. Like a read, this draws no random numbers.
+    The azimuth planes of every drop go into one stacked
+    ``rescale_azimuth`` call, which gives each the bits it gets alone;
+    each zenith plane goes through ``rescale_zenith`` on its own. Both
+    are looked up in this module on every call. Names that are no plane
+    are skipped, so a caller may name every column it reads. No random
+    number is drawn.
     """
-    todo = [(cs, k) for k in dict.fromkeys(names) if k in ("aoa_deg", "aod_deg")
-            for cs in drops if k not in vars(cs)]
-    if todo:
-        # a pending plane is its match's partial over the match's inputs
-        args = zip(*(cs.planes[k].args for cs, k in todo))
-        for (cs, k), plane in zip(todo, rescale_azimuth(*map(np.stack, args))):
-            setattr(cs, k, plane)
+    todo = [(cs, k) for k in dict.fromkeys(names) for cs in drops
+            if k in cs.drawn and k not in cs.angles]
+
+    def args(cs, k):
+        # a plane is matched about the direct path's angle: aoa_deg about
+        # the geometry's aoa_los_deg
+        angles, spread = cs.drawn[k]
+        return (angles, cs.ray_powers, cs.los_weight,
+                getattr(cs.geometry, k.replace("_deg", "_los_deg")), spread)
+    azimuth = [(cs, k) for cs, k in todo if k in ("aoa_deg", "aod_deg")]
+    if azimuth:
+        stacked = zip(*(args(cs, k) for cs, k in azimuth))
+        for (cs, k), plane in zip(azimuth, rescale_azimuth(*map(np.stack, stacked))):
+            cs.angles[k] = plane
+    for cs, k in todo:
+        if k in ("zoa_deg", "zod_deg"):
+            cs.angles[k] = rescale_zenith(*args(cs, k))
 
 
 def build_drop(params: ScenarioParamSet, rng, geometry: LinkGeometry | None = None,
@@ -609,12 +611,12 @@ def build_drop(params: ScenarioParamSet, rng, geometry: LinkGeometry | None = No
                    + sup.zsa_log10deg.sigma * rng.standard_normal())
     zsd = 10.0 ** (sup.zsd_log10deg.mu
                    + sup.zsd_log10deg.sigma * rng.standard_normal())
-    planes = gen_angles(powers, ray_p, w, lsp_vals["asa_deg"], zsa, zsd,
-                        k_db, params, geometry, rng)
+    drawn = gen_angles(powers, lsp_vals["asa_deg"], zsa, zsd, k_db, params,
+                       geometry, rng)
     phases = rng.uniform(-np.pi, np.pi, (n, params.clusters.rays))
 
     return ClusterSet(delays_s=delays, powers=powers, los_weight=w, ray_powers=ray_p,
-                      planes=planes, phases=phases, geometry=geometry,
+                      drawn=drawn, phases=phases, geometry=geometry,
                       wavelength_m=params.wavelength_m,
                       c_ds_s=params.clusters.c_ds_ns * 1e-9,
                       lsp={**lsp_vals, "k_db": k_db})

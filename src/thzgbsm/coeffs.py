@@ -125,10 +125,6 @@ class ChannelRealization:
     delays_s: np.ndarray
     amps: np.ndarray
 
-    @property
-    def n_taps(self) -> int:
-        return self.delays_s.size
-
 
 def assemble_cir(cs: ClusterSet, rx_array: AntennaArray, tx_array: AntennaArray,
                  *, mode: str = "thz-simplified") -> ChannelRealization:

@@ -602,8 +602,8 @@ def test_analyze_labeled_cluster_without_power_exits_1_naming_it(
 
 
 def _spy_matches(monkeypatch):
-    """The rows each spread match runs, spied where gen_angles and
-    match_planes look the matches up: one (bearing, target) per plane
+    """The rows each spread match runs, spied where match_planes looks
+    the matches up: one (bearing, target) per plane
     matched, a stacked call giving one per drop and plane it holds."""
     rows = {"rescale_azimuth": [], "rescale_zenith": []}
     for name in rows:
@@ -643,21 +643,59 @@ def test_commands_match_only_the_planes_they_read(tmp_path, monkeypatch,
 
 
 def test_capacity_matches_every_plane_after_each_build(tmp_path, monkeypatch):
+    # every plane is matched between the builds and the channels: none
+    # inside build_drop or assemble_cir
     rows = _spy_matches(monkeypatch)
-    build, matched_in_build = capacity.build_drop, []
-
-    def built(*args, **kwargs):
-        before = {k: len(v) for k, v in rows.items()}
-        cs = build(*args, **kwargs)
-        matched_in_build.append({k: len(v) for k, v in rows.items()} != before)
-        return cs
-    monkeypatch.setattr(capacity, "build_drop", built)
+    matched_in = {"build_drop": [], "assemble_cir": []}
+    for name, flags in matched_in.items():
+        def watched(*args, call=getattr(capacity, name), flags=flags, **kwargs):
+            before = {k: len(v) for k, v in rows.items()}
+            result = call(*args, **kwargs)
+            flags.append({k: len(v) for k, v in rows.items()} != before)
+            return result
+        monkeypatch.setattr(capacity, name, watched)
     assert main(["capacity", "--scenario", "office", "--condition", "los",
                  "--source", "measured", "--drops", "2",
                  "--out", str(tmp_path / "cap")]) == 0
     assert _matched_once(rows["rescale_azimuth"], 2, 2)
     assert _matched_once(rows["rescale_zenith"], 2, 2)
-    assert matched_in_build == [False, False]
+    assert matched_in == {"build_drop": [False, False],
+                          "assemble_cir": [False, False]}
+
+
+@pytest.mark.parametrize("dumps", [[], ["--dump-clusters", "--dump-cir"]],
+                         ids=["no-dumps", "dumps"])
+def test_simulate_extracts_every_drop_in_one_call(tmp_path, monkeypatch, dumps):
+    """simulate re-extracts the statistics of all its drops with one
+    extract_drop_stats call over their stacked columns, looked up in cli,
+    as roundtrip does."""
+    extract, shapes = cli.extract_drop_stats, []
+
+    def counted(*args):
+        shapes.append(np.shape(args[0]))
+        return extract(*args)
+    monkeypatch.setattr(cli, "extract_drop_stats", counted)
+    assert main(["simulate", "--scenario", "office", "--condition", "los",
+                 "--drops", "3", *dumps, "--out", str(tmp_path / "sim")]) == 0
+    p = load_params("office", "los", "measured")    # with a direct path
+    assert shapes == [(3, p.clusters.count * p.clusters.rays + 1)]
+
+
+@pytest.mark.parametrize("mode", ["thz-simplified", "standard"])
+def test_simulate_each_dump_alone_writes_what_both_dumps_write(tmp_path, mode):
+    def run(name, *dumps):
+        out = tmp_path / name
+        assert main(["simulate", "--scenario", "umi", "--condition", "los",
+                     "--source", "3gpp", "--mode", mode, "--drops", "3",
+                     "--seed", "4", *dumps, "--out", str(out)]) == 0
+        return {f.name: f.read_bytes() for f in out.iterdir()
+                if f.name != "manifest.json"}
+    both = run("both", "--dump-clusters", "--dump-cir")
+    for name, dumps, files in [
+            ("clusters", ["--dump-clusters"], ["clusters.csv"]),
+            ("cir", ["--dump-cir"], ["cir.csv"]), ("none", [], [])]:
+        assert run(name, *dumps) == {
+            k: both[k] for k in ["lsp.csv", "drop_stats.csv", *files]}
 
 
 def test_analyze_pdp_schema(tmp_path):

@@ -365,10 +365,22 @@ _SETS = [(s, c, src) for s in ("office", "umi") for c in ("los", "nlos")
 
 
 def _drops(params, n=25):
-    """Build n drops and read all four planes, so that every match runs."""
+    """Build n drops and match all four planes of each, one plane per
+    match_planes call, so that every match runs on one plane alone."""
     for s in np.random.SeedSequence(2024).spawn(n):
         cs = build_drop(params, np.random.default_rng(s))
-        cs.aoa_deg, cs.aod_deg, cs.zoa_deg, cs.zod_deg
+        for k in _PLANES:
+            clusters.match_planes([cs], k)
+
+
+def _one_drop(check):
+    """A rescale_azimuth stand-in for a call that stacks one plane: check
+    takes the plane's arguments unstacked, as one drop's, and returns its
+    angles, which are stacked back."""
+    def unstacked(*stacked):
+        (args,) = zip(*stacked)             # one plane, no more
+        return check(*args)[None]
+    return unstacked
 
 
 @pytest.mark.parametrize("scenario,condition,source", _SETS)
@@ -381,7 +393,7 @@ def test_build_drop_azimuths_equal_scalar_search(scenario, condition, source,
         got, took = _check_against_reference(*args, solves)
         exits.append(took)
         return got
-    monkeypatch.setattr(clusters, "rescale_azimuth", checked)
+    monkeypatch.setattr(clusters, "rescale_azimuth", _one_drop(checked))
     _drops(p)
     assert len(exits) == 50
 
@@ -402,7 +414,7 @@ def test_build_drop_meets_every_target_the_full_scan_meets(
             met.append(target)
             assert abs(_scalar_spread(got, pw, w, bearing) - target) <= tol
         return got
-    monkeypatch.setattr(clusters, "rescale_azimuth", checked)
+    monkeypatch.setattr(clusters, "rescale_azimuth", _one_drop(checked))
     _drops(load_params(scenario, condition, source))
     assert met
 
@@ -507,7 +519,7 @@ def test_build_drop_cap_exits_scan_no_scale(scenario, source, spread_evals,
             assert np.array_equal(got, np.full(ang.shape,
                                                wrap_deg(bearing + 180.0)))
         return got
-    monkeypatch.setattr(clusters, "rescale_azimuth", checked)
+    monkeypatch.setattr(clusters, "rescale_azimuth", _one_drop(checked))
     _drops(load_params(scenario, "los", source))
     assert capped
 
@@ -564,7 +576,7 @@ def test_build_drop_takes_every_spread_from_composite_asa(spread_evals, solves,
         calls.append(args)
         return _check_spreads_from_composite_asa(rescale, args, spread_evals,
                                                  solves)
-    monkeypatch.setattr(clusters, "rescale_azimuth", checked)
+    monkeypatch.setattr(clusters, "rescale_azimuth", _one_drop(checked))
     for label in _SETS:
         _drops(load_params(*label), n=5)
     assert len(calls) == 80
@@ -649,12 +661,25 @@ def test_stacked_drops_equal_reference_rows(scenario, condition, source,
     cut into spread evaluations at the default size, one row at a time
     and a few rows at a time."""
     p = load_params(scenario, condition, source)
-    cases = [build_drop(p, np.random.default_rng(s)).planes[k].args
-             for s in np.random.SeedSequence(2024).spawn(25)
+    cases = [_match_args(cs, k)
+             for cs in (build_drop(p, np.random.default_rng(s))
+                        for s in np.random.SeedSequence(2024).spawn(25))
              for k in ("aoa_deg", "aod_deg")]
     for stack_angles in (clusters._STACK_ANGLES, 1, 4 * np.size(cases[0][0])):
         monkeypatch.setattr(clusters, "_STACK_ANGLES", stack_angles)
         _check_stack_against_reference(cases, solves)
+
+
+_LOS = {"aoa_deg": "aoa_los_deg", "aod_deg": "aod_los_deg",
+        "zoa_deg": "zoa_los_deg", "zod_deg": "zod_los_deg"}
+
+
+def _match_args(cs, k):
+    """The arguments that match a drop's drawn plane k: its angles, the
+    ray powers, the direct share, the direct path's angle and the spread."""
+    ang, spread = cs.drawn[k]
+    return (ang, cs.ray_powers, cs.los_weight, getattr(cs.geometry, _LOS[k]),
+            spread)
 
 
 @pytest.mark.parametrize("scenario,condition,source", _SETS)
@@ -662,14 +687,14 @@ def test_match_planes_gives_each_drop_its_own_bits(scenario, condition, source,
                                                    monkeypatch):
     """match_planes over 30 drops: one rescale_azimuth call, looked up in
     clusters, matches each drop's pending azimuth planes to the bytes the
-    drop gets read alone, draws no random number, leaves the zenith
-    planes to their first read and matches no plane twice."""
+    drop gets matched alone, draws no random number, matches only the
+    planes named and matches no plane twice."""
     p = load_params(scenario, condition, source)
     seeds = np.random.SeedSequence(11).spawn(30)
     rngs = [np.random.default_rng(s) for s in seeds]
     drops = [build_drop(p, rng) for rng in rngs]
     states = [rng.bit_generator.state for rng in rngs]
-    drops[3].aod_deg                        # already matched: left as read
+    clusters.match_planes([drops[3]], "aod_deg")    # already matched: kept
     rescale, rows = clusters.rescale_azimuth, []
 
     def counted(*args):
@@ -683,12 +708,61 @@ def test_match_planes_gives_each_drop_its_own_bits(scenario, condition, source,
     assert rows == [59]
     for cs, ss, rng, state in zip(drops, seeds, rngs, states):
         assert rng.bit_generator.state == state
-        assert {"aoa_deg", "aod_deg"} <= set(vars(cs))
-        assert not {"zoa_deg", "zod_deg"} & set(vars(cs))
+        assert set(cs.angles) == {"aoa_deg", "aod_deg", "zoa_deg"}
         alone = build_drop(p, np.random.default_rng(ss))
-        for k in _PLANES:
-            assert getattr(cs, k).tobytes() == getattr(alone, k).tobytes()
+        for k in cs.angles:
+            clusters.match_planes([alone], k)
+            assert cs.angles[k].tobytes() == alone.angles[k].tobytes()
     assert rows == [59] + [1] * 60
+
+
+@pytest.mark.parametrize("scenario,condition,source", _SETS)
+def test_match_planes_matches_each_pending_plane_once(scenario, condition,
+                                                      source, monkeypatch):
+    """One match_planes call over 30 drops and all four planes, one drop's
+    departure planes matched before: one rescale_azimuth call holding the
+    59 azimuth planes still pending and one rescale_zenith call per drop
+    and pending zenith plane, each on that plane's drawn arguments, the
+    planes matched before kept, and no random number drawn."""
+    p = load_params(scenario, condition, source)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(5).spawn(30)]
+    drops = [build_drop(p, rng) for rng in rngs]
+    states = [rng.bit_generator.state for rng in rngs]
+    clusters.match_planes([drops[3]], "aod_deg", "zod_deg")
+    kept = dict(drops[3].angles)
+    calls = {"rescale_azimuth": [], "rescale_zenith": []}
+    for name in calls:
+        def spied(*args, match=getattr(clusters, name), name=name):
+            calls[name].append(args)
+            return match(*args)
+        monkeypatch.setattr(clusters, name, spied)
+    clusters.match_planes(drops, *_PLANES)
+
+    def pending(planes):
+        return [_match_args(cs, k) for cs in drops for k in planes
+                if not (cs is drops[3] and k in kept)]
+    (stacked,) = calls["rescale_azimuth"]
+    want = pending(["aoa_deg", "aod_deg"])
+    assert np.size(stacked[2]) == len(want) == 59
+    # each row by its (bearing, spread), which no other plane shares
+    rows = {(b, t): i for i, (b, t) in enumerate(zip(stacked[3], stacked[4]))}
+    assert len(rows) == 59
+    for ang, pw, w, bearing, spread in want:
+        i = rows[bearing, spread]
+        assert np.array_equal(stacked[0][i], ang)
+        assert np.array_equal(stacked[1][i], pw) and stacked[2][i] == w
+    want = pending(["zoa_deg", "zod_deg"])
+    assert len(calls["rescale_zenith"]) == len(want) == 59
+    def key(args):
+        return args[3], args[4]             # bearing, spread
+    for got, args in zip(sorted(calls["rescale_zenith"], key=key),
+                         sorted(want, key=key)):
+        assert got[0] is args[0] and got[1] is args[1] and got[2:] == args[2:]
+    for k, plane in kept.items():
+        assert drops[3].angles[k] is plane
+    for cs, rng, state in zip(drops, rngs, states):
+        assert set(cs.angles) == set(_PLANES)
+        assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 301, 381,
@@ -774,7 +848,8 @@ def test_build_drop_reproducible():
     a = build_drop(p, np.random.default_rng(11))
     b = build_drop(p, np.random.default_rng(11))
     assert_allclose(a.delays_s, b.delays_s)
-    assert_allclose(a.aoa_deg, b.aoa_deg)
+    assert_allclose(a.mpc_arrays("aoa_deg")["aoa_deg"],
+                    b.mpc_arrays("aoa_deg")["aoa_deg"])
     assert_allclose(a.phases, b.phases)
 
 
@@ -835,9 +910,10 @@ def test_build_drop_forced_k():
 def test_build_drop_angles_wrapped():
     p = load_params("office", "nlos", "measured")
     cs = build_drop(p, np.random.default_rng(8))
-    for a in (cs.aoa_deg, cs.aod_deg):
+    clusters.match_planes([cs], *_PLANES)
+    for a in (cs.angles["aoa_deg"], cs.angles["aod_deg"]):
         assert np.all(a >= -180.0) and np.all(a < 180.0)
-    for z in (cs.zoa_deg, cs.zod_deg):
+    for z in (cs.angles["zoa_deg"], cs.angles["zod_deg"]):
         assert np.all((z >= 0.0) & (z <= 180.0))
 
 
@@ -878,20 +954,25 @@ _COLUMNS = ["cluster", "ray", "delay_s", "power", "phase", "aoa_deg",
 @pytest.mark.parametrize("scenario,condition,source", _SETS)
 def test_planes_read_in_any_order_are_the_same_bits(scenario, condition,
                                                     source):
-    """A plane is matched on its first read: none when build_drop returns,
-    the same bits whichever order the planes are read in, and no random
-    number drawn by the reads."""
+    """Only match_planes matches a plane: none is when build_drop returns,
+    the planes get the same bits matched together or one at a time in
+    either order, a plane is matched once, and no random number is
+    drawn by the matches."""
     p = load_params(scenario, condition, source)
     for ss in np.random.SeedSequence(7).spawn(3):
         ahead = build_drop(p, np.random.default_rng(ss))
         rng = np.random.default_rng(ss)
         back = build_drop(p, rng)
         state = rng.bit_generator.state
-        assert not set(_PLANES) & set(vars(back))
-        got = {k: getattr(back, k) for k in reversed(_PLANES)}
+        assert ahead.angles == {} and back.angles == {}
+        clusters.match_planes([ahead], *_PLANES)
+        for k in reversed(_PLANES):
+            clusters.match_planes([back], k)
+        got = dict(back.angles)
+        clusters.match_planes([back], *_PLANES)
         for k in _PLANES:
-            assert getattr(ahead, k).tobytes() == got[k].tobytes()
-            assert getattr(back, k) is got[k]
+            assert ahead.angles[k].tobytes() == got[k].tobytes()
+            assert back.angles[k] is got[k]
         assert rng.bit_generator.state == state
 
 
@@ -899,20 +980,18 @@ def test_planes_read_in_any_order_are_the_same_bits(scenario, condition,
 def test_mpc_arrays_hands_out_fresh_named_columns(condition):
     cs = build_drop(load_params("umi", condition, "measured"),
                     np.random.default_rng(4))
-    runs = []
-    for k, match in list(cs.planes.items()):
-        cs.planes[k] = lambda k=k, match=match: runs.append(k) or match()
     # the columns named, in call order, matching only the planes named
     assert list(cs.mpc_arrays("power", "delay_s")) == ["power", "delay_s"]
-    assert runs == []
+    assert cs.angles == {}
     cs.mpc_arrays("delay_s", "power", "aoa_deg")
-    assert runs == ["aoa_deg"]
+    assert list(cs.angles) == ["aoa_deg"]
     cols = cs.mpc_arrays()
     assert list(cols) == _COLUMNS
-    assert sorted(runs) == sorted(_PLANES)
+    assert sorted(cs.angles) == sorted(_PLANES)
     # writing into a column reaches neither a second call nor the drop
-    drop = {k: getattr(cs, k).copy()
-            for k in ["delays_s", "ray_powers", "phases", *_PLANES]}
+    planes = dict(cs.angles)
+    drop = {k: getattr(cs, k).copy() for k in ["delays_s", "ray_powers", "phases"]}
+    drop |= {k: v.copy() for k, v in planes.items()}
     want = {k: v.copy() for k, v in cols.items()}
     for col in cols.values():
         col[...] = 7
@@ -920,8 +999,10 @@ def test_mpc_arrays_hands_out_fresh_named_columns(condition):
     for k in _COLUMNS:
         assert again[k].tobytes() == want[k].tobytes()
     for k, v in drop.items():
-        assert getattr(cs, k).tobytes() == v.tobytes()
-    assert sorted(runs) == sorted(_PLANES)
+        assert (cs.angles[k] if k in planes else getattr(cs, k)).tobytes() == (
+            v.tobytes())
+    for k, plane in planes.items():
+        assert cs.angles[k] is plane
     with pytest.raises(KeyError):
         cs.mpc_arrays("delay_s", "id")
 

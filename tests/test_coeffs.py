@@ -114,10 +114,8 @@ def _hand_drop(power, los_weight, aoa, zoa, aod, zod, phase, d3_m=1.0):
     return ClusterSet(delays_s=np.array([5e-9]), powers=np.array([power]),
                       los_weight=los_weight,
                       ray_powers=(1.0 - los_weight) * power * one,
-                      planes={"aoa_deg": lambda: aoa * one,
-                              "aod_deg": lambda: aod * one,
-                              "zoa_deg": lambda: zoa * one,
-                              "zod_deg": lambda: zod * one},
+                      drawn={}, angles={"aoa_deg": aoa * one, "aod_deg": aod * one,
+                                        "zoa_deg": zoa * one, "zod_deg": zod * one},
                       phases=phase * one,
                       geometry=geom, wavelength_m=LAM, c_ds_s=3.91e-9, lsp={})
 
@@ -279,6 +277,8 @@ def _reference_taps(cs, rx, tx, mode):
     n, m = cs.ray_powers.shape
     split = set(np.argsort(cs.powers)[-2:]) if mode == "standard" and n >= 2 else set()
     rp = cs.ray_powers
+    zoa, aoa, zod, aod = (cs.angles[k] for k in ("zoa_deg", "aoa_deg", "zod_deg",
+                                                 "aod_deg"))
     for i in range(n):
         groups = SUBCLUSTER_RAY_GROUPS if i in split else [range(m)]
         for fac, group in zip(SUBCLUSTER_DELAY_FACTORS, groups):
@@ -286,8 +286,7 @@ def _reference_taps(cs, rx, tx, mode):
             rays = [r for r in group if r < m]
             for r in rays:
                 coeff = np.sqrt(rp[i, r]) * np.exp(1j * cs.phases[i, r])
-                h = h + ray(coeff, cs.zoa_deg[i, r], cs.aoa_deg[i, r],
-                            cs.zod_deg[i, r], cs.aod_deg[i, r])
+                h = h + ray(coeff, zoa[i, r], aoa[i, r], zod[i, r], aod[i, r])
             if rays:
                 taps.append((cs.delays_s[i] + fac * c_ds, h))
     taps.sort(key=lambda t: t[0])
