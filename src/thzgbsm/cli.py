@@ -181,10 +181,8 @@ def cmd_simulate(parser, args) -> int:
     lsp_rng = np.random.default_rng(children[1])
     lsp = generate_lsp(params, xs, ys, lsp_rng)
 
-    drops = [build_drop(params, np.random.default_rng(ss),
-                        geometry=geometry_for(params, xs[i], ys[i]),
-                        lsp_vals={k: float(v[i]) for k, v in lsp.items()})
-             for i, ss in enumerate(children[2:])]
+    drops = build_drop(params, [np.random.default_rng(ss) for ss in children[2:]],
+                       geometry=geometry_for(params, xs, ys), lsp_vals=lsp)
     # only the columns written or read are matched; a CIR reads every
     # plane, so without dumps only arrival azimuths are matched
     c = _columns(drops, *(
@@ -386,8 +384,8 @@ def cmd_analyze(parser, args) -> int:
 def cmd_roundtrip(parser, args) -> int:
     params, pfile = _resolve_params(parser, args)
 
-    drops = [build_drop(params, np.random.default_rng(ss))
-             for ss in np.random.SeedSequence(args.seed).spawn(args.drops)]
+    drops = build_drop(params, [np.random.default_rng(ss) for ss in
+                                np.random.SeedSequence(args.seed).spawn(args.drops)])
     ext = extract_drop_stats(*_columns(drops, "delay_s", "power", "aoa_deg").values())
     names = ("ds_s", "asa_deg", "k_db")     # an NLoS drop's drawn K is None
     drawn = {k: [cs.lsp[k] for cs in drops] for k in names}

@@ -659,8 +659,35 @@ def test_capacity_matches_every_plane_after_each_build(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "cap")]) == 0
     assert _matched_once(rows["rescale_azimuth"], 2, 2)
     assert _matched_once(rows["rescale_zenith"], 2, 2)
-    assert matched_in == {"build_drop": [False, False],
+    assert matched_in == {"build_drop": [False],
                           "assemble_cir": [False, False]}
+
+
+@pytest.mark.parametrize(("argv", "spawned"), [
+    (["roundtrip", "--scenario", "office", "--condition", "los"], slice(None)),
+    (["simulate", "--scenario", "umi", "--condition", "nlos"], slice(2, None)),
+    (["capacity", "--scenario", "office", "--condition", "los",
+      "--source", "both"], slice(None)),
+], ids=["roundtrip", "simulate", "capacity"])
+def test_commands_build_each_set_in_one_call(tmp_path, monkeypatch, argv,
+                                             spawned):
+    """roundtrip, simulate and capacity call build_drop once per set,
+    looked up where the bench wraps it, with every drop's generator in
+    drop order, each fresh from its spawned seed."""
+    calls = []
+    for module in (cli, capacity):
+        def spied(params, rng, *args, build=module.build_drop, **kwargs):
+            calls.append((params.label(), [r.bit_generator.state for r in rng]))
+            return build(params, rng, *args, **kwargs)
+        monkeypatch.setattr(module, "build_drop", spied)
+    assert main([*argv, "--drops", "3", "--seed", "5",
+                 "--out", str(tmp_path / "run")]) == 0
+    n_seeds = 5 if argv[0] == "simulate" else 3
+    fresh = [np.random.default_rng(ss).bit_generator.state
+             for ss in np.random.SeedSequence(5).spawn(n_seeds)[spawned]]
+    sets = ([f"office_los_{s}" for s in ("measured", "3gpp")]
+            if argv[0] == "capacity" else [f"{argv[2]}_{argv[4]}_measured"])
+    assert calls == [(label, fresh) for label in sets]
 
 
 @pytest.mark.parametrize("dumps", [[], ["--dump-clusters", "--dump-cir"]],

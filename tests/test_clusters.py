@@ -11,8 +11,8 @@ from thzgbsm.analysis import asa, extract_drop_stats, k_factor, rms_ds
 from thzgbsm.clusters import (
     apply_in_cluster_k, build_drop, composite_asa, gen_delays, gen_powers,
     geometry_for, place_user, rescale_azimuth, rescale_linear, rescale_zenith)
-from thzgbsm.constants import wrap_deg
-from thzgbsm.lsp import draw_lsp_iid
+from thzgbsm.constants import c_phi, c_theta, ray_offsets, wrap_deg
+from thzgbsm.lsp import draw_lsp_iid, generate_lsp
 from thzgbsm.params import load_params
 
 
@@ -56,7 +56,7 @@ def test_place_user_respects_annulus():
 
 def test_gen_delays_sorted_and_zero_based():
     rng = np.random.default_rng(1)
-    d = gen_delays(8, 20e-9, 3.0, rng)
+    (d,) = gen_delays(8, [20e-9], 3.0, [rng])   # a batch of one drop
     assert d[0] == 0.0
     assert np.all(np.diff(d) >= 0)
     assert d.shape == (8,)
@@ -65,7 +65,8 @@ def test_gen_delays_sorted_and_zero_based():
 def test_gen_powers_exponential_profile_no_shadowing():
     # two clusters 10 ns apart, r_tau=2, DS=10 ns: power ratio exp(-1/2)
     d = np.array([0.0, 10e-9])
-    p, w = gen_powers(d, 10e-9, 2.0, 0.0, np.random.default_rng(0))
+    (p,), (w,) = gen_powers(d[None], [10e-9], 2.0, 0.0,
+                            [np.random.default_rng(0)])
     assert w == 0.0
     assert p.sum() == pytest.approx(1.0)
     assert p[1] / p[0] == pytest.approx(np.exp(-0.5), rel=1e-12)
@@ -74,8 +75,8 @@ def test_gen_powers_exponential_profile_no_shadowing():
 def test_gen_powers_los_weight():
     d = np.array([0.0, 5e-9, 9e-9])
     k_lin = 10.0 ** (6.0 / 10.0)
-    p, w = gen_powers(d, 10e-9, 3.0, 0.0, np.random.default_rng(0),
-                      k_linear=k_lin)
+    (p,), (w,) = gen_powers(d[None], [10e-9], 3.0, 0.0,
+                            [np.random.default_rng(0)], k_linear=[k_lin])
     assert w == pytest.approx(k_lin / (k_lin + 1.0))
     assert p.sum() == pytest.approx(1.0)
 
@@ -117,6 +118,22 @@ def test_rescale_delays_hits_target_exactly():
     out2 = rescale_linear(d, (1 - w) * p, w, 0.0, 4e-9)
     assert rms_ds(np.r_[0.0, out2], np.r_[w, (1 - w) * p]) == pytest.approx(
         4e-9, rel=1e-12)
+
+
+def test_rescale_linear_stacked_rows_are_each_row_alone():
+    """Drops stacked on a leading axis, with and without a direct path and
+    one without spread, each get the bits they get alone."""
+    rng = np.random.default_rng(6)
+    vals = rng.uniform(0.0, 40e-9, (4, 3, 5))
+    vals[3] = 7e-9                  # no direct path and no spread: unchanged
+    pw = rng.uniform(0.1, 1.0, (4, 3, 5))
+    w, center = np.array([0.6, 0.0, 0.2, 0.0]), np.array([0.0, 3e-9, 1e-9, 0.0])
+    target = np.array([5e-9, 9e-9, 2e-9, 30e-9])
+    got = rescale_linear(vals, pw, w, center, target)
+    for i in range(4):
+        alone = rescale_linear(vals[i], pw[i], w[i], center[i], target[i])
+        assert got[i].tobytes() == alone.tobytes()
+    assert np.array_equal(got[3], vals[3])
 
 
 def test_composite_asa_includes_direct_ray():
@@ -851,6 +868,147 @@ def test_build_drop_reproducible():
     assert_allclose(a.mpc_arrays("aoa_deg")["aoa_deg"],
                     b.mpc_arrays("aoa_deg")["aoa_deg"])
     assert_allclose(a.phases, b.phases)
+
+
+def _reference_geometry(params, x, y):
+    """geometry_for as it was: one user's scalar arithmetic."""
+    g = params.geometry
+    d2 = float(np.hypot(x, y))
+    dz = g.mu_height_m - g.bs_height_m
+    d3 = float(np.hypot(d2, dz))
+    aod = float(np.degrees(np.arctan2(y, x)))
+    zod = float(np.degrees(np.arccos(np.clip(dz / d3, -1.0, 1.0))))
+    aoa = float(wrap_deg(aod + 180.0))
+    zoa = float(np.degrees(np.arccos(np.clip(-dz / d3, -1.0, 1.0))))
+    return clusters.LinkGeometry(d2, d3, aoa, aod, zoa, zod)
+
+
+def _reference_build_drop(params, rng, geometry=None, lsp_vals=None):
+    """build_drop as it was, one drop at a time on its (N,) and (N, M)
+    arrays: the oracle of the batched build."""
+    if geometry is None:
+        x, y = clusters.place_users(params, rng, 1)
+        geometry = _reference_geometry(params, x[0], y[0])
+    if lsp_vals is None:
+        lsp_vals = {k: float(v[0]) for k, v in draw_lsp_iid(params, 1, rng).items()}
+    n, m = params.clusters.count, params.clusters.rays
+    sup = params.supplemental
+    k_db = lsp_vals.get("k_db") if params.condition == "los" else None
+    ds = lsp_vals["ds_s"]
+    tau = -sup.r_tau * ds * np.log(1.0 - rng.random(n))
+    tau.sort()
+    tau = tau - tau[0]
+    zeta = sup.per_cluster_shadow_db
+    z = rng.normal(0.0, zeta, n) if zeta > 0 else np.zeros(n)
+    p = np.exp(-tau * (sup.r_tau - 1.0) / (sup.r_tau * ds)) * 10.0 ** (-z / 10.0)
+    p = p / p.sum()
+    w = 0.0
+    if k_db is not None:
+        k_lin = 10.0 ** (k_db / 10.0)
+        w = k_lin / (k_lin + 1.0)
+    # rescale_linear of the delays about the direct tap at 0
+    center, x, q = 0.0, tau, (1.0 - w) * p
+    if w > 0:
+        x, q = np.concatenate([[center], x]), np.concatenate([[w], q])
+    cur = rms_ds(x, q)
+    delays = tau.copy() if cur <= 0 else center + (ds / cur) * (tau - center)
+    ray_p = (1.0 - w) * p[:, None] * apply_in_cluster_k(m, params.clusters.c_k_db)
+    zsa = 10.0 ** (sup.zsa_log10deg.mu
+                   + sup.zsa_log10deg.sigma * rng.standard_normal())
+    zsd = 10.0 ** (sup.zsd_log10deg.mu
+                   + sup.zsd_log10deg.sigma * rng.standard_normal())
+    ratio = p / p.max()
+    offs, order = ray_offsets(m), np.tile(np.arange(m), (n, 1))
+
+    def plane(bearing, center_dev, spread, c_spread):
+        flips = rng.integers(0, 2, n) * 2 - 1
+        jitter = rng.normal(0.0, spread / 7.0, n)
+        centers = flips * center_dev + jitter + bearing
+        perm = rng.permuted(order, axis=1)
+        return centers[:, None] + (c_spread * offs)[perm], spread
+    asa_deg, ct = lsp_vals["asa_deg"], c_theta(n, k_db)
+    phi_c = 2.0 * (asa_deg / 1.4) * np.sqrt(-np.log(ratio)) / c_phi(n, k_db)
+    g, c_asa = geometry, params.clusters.c_asa_deg
+    drawn = {"aoa_deg": plane(g.aoa_los_deg, phi_c, asa_deg, c_asa),
+             "aod_deg": plane(g.aod_los_deg, phi_c, asa_deg, c_asa),
+             "zoa_deg": plane(g.zoa_los_deg, -(zsa / ct) * np.log(ratio), zsa,
+                              sup.c_zsa_deg),
+             "zod_deg": plane(g.zod_los_deg, -(zsd / ct) * np.log(ratio), zsd,
+                              sup.c_zsd_deg)}
+    phases = rng.uniform(-np.pi, np.pi, (n, m))
+    return clusters.ClusterSet(
+        delays_s=delays, powers=p, los_weight=float(w), ray_powers=ray_p,
+        drawn=drawn, phases=phases, geometry=geometry,
+        wavelength_m=params.wavelength_m, c_ds_s=params.clusters.c_ds_ns * 1e-9,
+        lsp={**lsp_vals, "k_db": k_db})
+
+
+def _fields(cs):
+    """Every field of a drop, each array as its dtype, shape and bytes."""
+    def bits(v):
+        return (v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+    return {k: ({p: (bits(a), s) for p, (a, s) in v.items()} if k == "drawn"
+                else bits(v)) for k, v in vars(cs).items()}
+
+
+@pytest.mark.parametrize("scenario,condition,source", _SETS)
+def test_batched_build_gives_each_drop_its_bits(scenario, condition, source,
+                                                monkeypatch):
+    """30 drops built in one call get every field bit for bit as the
+    per-drop oracle builds them, drawing their users and LSPs themselves
+    or given them as simulate gives them, and each generator's next draw
+    is the oracle's; so do the batch reversed, the batch stacked in
+    pieces of 7 drops or of 1, and a batch of one."""
+    p = load_params(scenario, condition, source)
+    seeds = np.random.SeedSequence(40).spawn(30)
+    xs, ys = clusters.place_users(p, np.random.default_rng(1), 30)
+    lsp = generate_lsp(p, xs, ys, np.random.default_rng(2))
+    links = clusters.geometry_for(p, xs, ys)
+    one = [(g, {k: float(v[i]) for k, v in lsp.items()})
+           for i, g in enumerate(links)]
+    for given in (False, True):
+        ref_rngs = [np.random.default_rng(s) for s in seeds]
+        want = [_fields(_reference_build_drop(
+                    p, r, *((_reference_geometry(p, xs[i], ys[i]), one[i][1])
+                            if given else (None, None))))
+                for i, r in enumerate(ref_rngs)]
+        after = [r.random() for r in ref_rngs]
+        for piece in (clusters._BUILD_ANGLES, 7, 1):
+            monkeypatch.setattr(clusters, "_BUILD_ANGLES",
+                                min(piece * p.clusters.count * p.clusters.rays,
+                                    clusters._BUILD_ANGLES))
+            rngs = [np.random.default_rng(s) for s in seeds]
+            got = build_drop(p, rngs, *((links, lsp) if given else (None, None)))
+            assert [_fields(cs) for cs in got] == want
+            assert [r.random() for r in rngs] == after
+        back = build_drop(p, [np.random.default_rng(s) for s in seeds[::-1]],
+                          *((links[::-1], {k: v[::-1] for k, v in lsp.items()})
+                            if given else (None, None)))
+        assert [_fields(cs) for cs in back[::-1]] == want
+        alone = [build_drop(p, np.random.default_rng(s), *(one[i] if given
+                                                          else (None, None)))
+                 for i, s in enumerate(seeds)]
+        assert [_fields(cs) for cs in alone] == want
+
+
+@pytest.mark.parametrize("missing", ["k_db", "asa_deg", "ds_s"])
+def test_build_drop_names_a_missing_lsp_column(missing):
+    """A LoS set's drops given LSPs need ds_s, asa_deg and k_db: without
+    one, one drop and a batch both raise a ValueError naming the column
+    and the set, rather than build without a direct path or raise a bare
+    KeyError; columns of another length than the batch are refused."""
+    p = load_params("office", "los", "measured")
+    cols = draw_lsp_iid(p, 2, np.random.default_rng(0))
+    rngs = [np.random.default_rng(s) for s in (1, 2)]
+    build_drop(p, rngs, lsp_vals=cols)
+    with pytest.raises(ValueError, match="need one geometry and one value"):
+        build_drop(p, rngs[:1], lsp_vals=cols)
+    del cols[missing]
+    msg = f"lsp_vals for office_los_measured have no {missing} column"
+    with pytest.raises(ValueError, match=msg):
+        build_drop(p, rngs, lsp_vals=cols)
+    with pytest.raises(ValueError, match=msg):
+        build_drop(p, rngs[0], lsp_vals={k: float(v[0]) for k, v in cols.items()})
 
 
 def _drop_stats(cs):
