@@ -17,7 +17,7 @@ from .analysis import (KPowerMeans, asa, cluster_stats, extract_drop_stats,
                        k_factor, kpower_means, mcd_embedding, rms_ds,
                        select_n_clusters)
 from .capacity import capacity_from_eigs, run_capacity_experiment
-from .clusters import (ClusterSet, build_drop, match_planes, rescale_azimuth,
+from .clusters import (Drops, build_drop, match_planes, rescale_azimuth,
                        rescale_linear, rescale_zenith)
 from .coeffs import AntennaArray, assemble_cir, single_antenna
 from .params import NormalSpec, ScenarioParamSet, load_params

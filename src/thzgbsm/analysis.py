@@ -60,8 +60,9 @@ def asa(azimuth_deg, powers):
     tot = p.sum(axis=-1)
     if np.any(tot <= 0):
         raise ValueError("total power must be positive")
-    return _per_row(_resultant_spread_deg(
-        np.abs((p * np.exp(1j * phi)).sum(axis=-1)) / tot))
+    z = 1j * phi
+    np.exp(z, out=z)        # in place: one (drops, components) temporary less
+    return _per_row(_resultant_spread_deg(np.abs((p * z).sum(axis=-1)) / tot))
 
 
 def _resultant_spread_deg(r):

@@ -34,7 +34,7 @@ from . import __version__, analysis
 # bench's tracer wraps it (bench/tracing.py)
 from .analysis import extract_drop_stats
 from .capacity import crossover_snr, gap_at_snr, run_capacity_experiment
-from .clusters import build_drop, geometry_for, match_planes, place_users
+from .clusters import build_drop, geometry_for, place_users
 from .coeffs import assemble_cir, single_antenna
 from .lsp import generate_lsp
 from .params import (CONDITIONS, SCENARIOS, SOURCES, ParamValidationError,
@@ -152,15 +152,6 @@ def _write_run(parser, args, files: dict, params_files: dict) -> Path:
     return out
 
 
-def _columns(drops, *names) -> dict:
-    """The named columns of drops of one set, stacked to (drops,
-    components) after one ``match_planes`` call: every drop of a set has
-    as many components."""
-    match_planes(drops, *names)
-    cols = [cs.mpc_arrays(*names) for cs in drops]
-    return {k: np.stack([c[k] for c in cols]) for k in names}
-
-
 def _by_drop(columns: dict) -> dict:
     """A table of (drops, rows) columns, one row after another in drop
     order, after a drop column."""
@@ -185,7 +176,7 @@ def cmd_simulate(parser, args) -> int:
                        geometry=geometry_for(params, xs, ys), lsp_vals=lsp)
     # only the columns written or read are matched; a CIR reads every
     # plane, so without dumps only arrival azimuths are matched
-    c = _columns(drops, *(
+    c = drops.columns(*(
         ("cluster", "ray", "delay_s", "power", "aoa_deg", "zoa_deg", "aod_deg",
          "zod_deg") if args.dump_clusters or args.dump_cir
         else ("delay_s", "power", "aoa_deg")))
@@ -386,9 +377,10 @@ def cmd_roundtrip(parser, args) -> int:
 
     drops = build_drop(params, [np.random.default_rng(ss) for ss in
                                 np.random.SeedSequence(args.seed).spawn(args.drops)])
-    ext = extract_drop_stats(*_columns(drops, "delay_s", "power", "aoa_deg").values())
+    ext = extract_drop_stats(*drops.columns("delay_s", "power", "aoa_deg").values())
     names = ("ds_s", "asa_deg", "k_db")     # an NLoS drop's drawn K is None
-    drawn = {k: [cs.lsp[k] for cs in drops] for k in names}
+    drawn = {k: drops.lsp[k].tolist() if k in drops.lsp else [None] * args.drops
+             for k in names}
     extracted = {k: ext[k].tolist() for k in names}
 
     # stdout prints the values report.yaml gets

@@ -12,19 +12,21 @@ Generated delays and composite angular spreads are rescaled per drop so
 the realization reproduces the drawn delay spread exactly and the drawn
 azimuth spread as closely as the circular-spread saturation allows;
 statistics re-extracted from a drop then match the drawn values instead
-of being a smeared copy of them. ``build_drop`` builds the drops of a
-set together: each drop draws all of its random numbers from its own
-generator, in the order it draws them alone, while the arithmetic runs
-once over the drops stacked on a leading axis; it keeps the angle planes
-as drawn. ``match_planes``, which draws none, matches the planes a
-reader names, the azimuth planes of many drops as one stacked search, so
-a reader that names no other plane among its columns
-(``ClusterSet.mpc_arrays``) skips the other matches.
+of being a smeared copy of them.
+
+Drops travel stacked: ``build_drop`` builds a set as one record,
+``Drops``, every array on a leading drop axis (a lone generator builds a
+set of one), and the steps below take such stacks. Each drop draws from
+its own generator in the order it draws alone, the arithmetic runs once
+over the stack, and each drop gets the bits it gets alone. The record
+keeps its angle planes as drawn; ``match_planes``, which draws none,
+matches those a reader names, one stacked call per plane, so a reader
+naming no other plane among its columns skips the other matches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
 
@@ -35,19 +37,19 @@ from .params import ScenarioParamSet
 
 @dataclass
 class LinkGeometry:
-    """BS at the origin, user on the annulus; LoS bearings in degrees."""
-    d2_m: float
-    d3_m: float
-    aoa_los_deg: float
-    aod_los_deg: float
-    zoa_los_deg: float
-    zod_los_deg: float
+    """BS at the origin, users on the annulus; LoS bearings in degrees."""
+    d2_m: np.ndarray
+    d3_m: np.ndarray
+    aoa_los_deg: np.ndarray
+    aod_los_deg: np.ndarray
+    zoa_los_deg: np.ndarray
+    zod_los_deg: np.ndarray
 
 
-def geometry_for(params: ScenarioParamSet, x_m, y_m):
-    """Link geometry for users at explicit horizontal positions: one
-    ``LinkGeometry`` for a scalar x and y, a list of them in order for
-    1-D arrays, each with the bits it gets alone."""
+def geometry_for(params: ScenarioParamSet, x_m, y_m) -> LinkGeometry:
+    """Link geometry of users at explicit horizontal positions, each
+    field shaped like x and y: one user's for scalars, d users' for 1-D
+    arrays."""
     g = params.geometry
     x, y = np.asarray(x_m, dtype=float), np.asarray(y_m, dtype=float)
     d2 = np.hypot(x, y)
@@ -57,9 +59,7 @@ def geometry_for(params: ScenarioParamSet, x_m, y_m):
     zod = np.degrees(np.arccos(np.clip(dz / d3, -1.0, 1.0)))
     aoa = wrap_deg(aod + 180.0)
     zoa = np.degrees(np.arccos(np.clip(-dz / d3, -1.0, 1.0)))
-    links = [LinkGeometry(*v) for v in zip(*(np.ravel(a).tolist() for a in (
-        d2, d3, aoa, aod, zoa, zod)))]
-    return links if x.ndim else links[0]
+    return LinkGeometry(d2, d3, aoa, aod, zoa, zod)
 
 
 def place_users(params: ScenarioParamSet, rng, n: int
@@ -74,8 +74,7 @@ def place_users(params: ScenarioParamSet, rng, n: int
 
 def place_user(params: ScenarioParamSet, rng) -> LinkGeometry:
     """Link geometry of one user placed by ``place_users``."""
-    x, y = place_users(params, rng, 1)
-    return geometry_for(params, x[0], y[0])
+    return geometry_for(params, *(v[0] for v in place_users(params, rng, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +83,7 @@ def place_user(params: ScenarioParamSet, rng) -> LinkGeometry:
 
 def _rows(shape, draw, rngs, *per_drop, dtype=float) -> np.ndarray:
     """A (d, *shape) array whose row i is draw(rngs[i], *(a[i] for a in
-    per_drop)), each row stored as it is drawn, so that no more than one
-    drop's draw is held apart from the stack."""
+    per_drop)), stored as drawn: one drop's draw at most is held apart."""
     out = np.empty((len(rngs), *shape), dtype=dtype)
     for row, args in zip(out, zip(rngs, *per_drop)):
         row[...] = draw(*args)
@@ -93,9 +91,8 @@ def _rows(shape, draw, rngs, *per_drop, dtype=float) -> np.ndarray:
 
 
 def gen_delays(n_clusters: int, ds_s, r_tau: float, rng) -> np.ndarray:
-    """Exponential conditional cluster delays, sorted, first at zero, of
-    drops stacked on a leading axis: (d, N) for the d delay spreads
-    ``ds_s``, each drop drawing from its generator of the d in ``rng``."""
+    """(d, N) exponential conditional cluster delays, sorted, first at
+    zero, for the d delay spreads ``ds_s`` and generators ``rng``."""
     ds = np.asarray(ds_s, dtype=float)
     if n_clusters < 1:
         raise ValueError("n_clusters must be at least 1")
@@ -109,15 +106,13 @@ def gen_delays(n_clusters: int, ds_s, r_tau: float, rng) -> np.ndarray:
 
 def gen_powers(delays_s, ds_s, r_tau: float, zeta_db: float, rng,
                k_linear=None) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster powers and the direct-path shares of drops stacked on a
-    leading axis: (d, N) delays and d delay spreads, generators and, for
-    LoS, Rice factors.
+    """Cluster powers and direct-path shares for (d, N) delays and d delay
+    spreads, generators and, for LoS, Rice factors k.
 
     Powers decay exponentially in delay with per-cluster lognormal
-    shadowing, then normalize to one. For LoS the Rice factor moves the
-    share k/(k+1) onto the direct path; the normalized cluster powers are
-    returned unscaled with the d shares, 0 without a Rice factor,
-    reported separately.
+    shadowing, then normalize to one. The share k/(k+1), 0 without a
+    Rice factor, goes to the direct path; it is returned apart from the
+    powers, which are not scaled by it.
     """
     tau = np.asarray(delays_s, dtype=float)
     n = tau.shape[1]
@@ -154,16 +149,14 @@ def apply_in_cluster_k(n_rays: int, c_k_db: float) -> np.ndarray:
 def rescale_linear(values, powers, los_weight, center, target) -> np.ndarray:
     """Scale deviations from ``center``, the direct path's value, so the
     power-weighted linear spread of the values plus the direct path (when
-    los_weight > 0) hits the target, for one drop or for drops stacked on
-    leading axes.
+    los_weight > 0) hits the target.
 
     As in ``rescale_azimuth``, the leading shape is that of
     ``los_weight``, ``center`` and ``target`` broadcast together, and
-    ``values`` and ``powers`` hold it followed by each drop's values; a
-    drop gets the bits it gets alone (``analysis.rms_ds`` sums each row
-    alone). The direct path sits at the center, so the spread is
-    homogeneous in the deviation scale and one factor is exact. Values
-    without spread are returned unchanged.
+    ``values`` and ``powers`` hold it followed by each drop's values
+    (``analysis.rms_ds`` sums each row alone). The direct path sits at
+    the center, so one scale factor is exact. Values without spread are
+    returned unchanged.
     """
     w, c, t = (a.reshape(-1, 1) for a in np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (los_weight, center, target))))
@@ -196,7 +189,7 @@ def composite_asa(dev_rad, ray_powers, los_weight):
     2000), the spread ``analysis.asa`` takes. The ray powers p, (..., n),
     and the direct share w, (...), broadcast against the deviations and
     their leading axes; they are shares of the total, summing to one as a
-    ``ClusterSet``'s do, so no call sums them. Neither the bearing nor a
+    ``Drops`` record's do, so no call sums them. Neither the bearing nor a
     wrap of the angles enters, since e^{jx} is 2 pi periodic."""
     # numpy's sum gives a stacked row the bits of the row alone; a BLAS
     # matrix-vector product need not round as its dot product does
@@ -300,18 +293,14 @@ def _solve(f, lo, hi, f_lo, f_hi, target, tol) -> np.ndarray:
 def rescale_azimuth(angles_deg, ray_powers, los_weight, bearing_deg,
                     target_asa_deg) -> np.ndarray:
     """Move ray azimuths about the bearing until the composite circular
-    spread hits the target, for one drop or for drops stacked on leading
-    axes.
+    spread hits the target, for one drop or a stack.
 
     The leading shape is that of ``los_weight``, ``bearing_deg`` and
-    ``target_asa_deg`` broadcast together: () for one drop, (d,) for d
-    drops. ``angles_deg`` and ``ray_powers`` hold that shape followed by
-    each drop's rays, the same count for every drop, and the result has
-    the shape of ``angles_deg``. The drops run one search in lockstep,
-    each leaving it at its own exit, and a drop's angles are the bits it
-    gets alone: every spread of a stacked row is that row's alone
-    (``composite_asa``), whatever the rows beside it and however the
-    stack is cut into evaluations of at most _STACK_ANGLES ray angles.
+    ``target_asa_deg`` broadcast together, () or (d,); ``angles_deg`` and
+    ``ray_powers`` add each drop's rays, as many for every drop. The drops
+    run one search in lockstep, each leaving at its own exit; a row's
+    spreads are its own (``composite_asa``), however the stack is cut
+    into evaluations of at most _STACK_ANGLES ray angles.
 
     Reachable targets are met by solving for a common deviation scale, to
     within _spread_tol of the target (_solve). The spread saturates,
@@ -466,11 +455,10 @@ def rescale_azimuth(angles_deg, ray_powers, los_weight, bearing_deg,
     return wrap_deg(bearing[:, None] + out).reshape(ang.shape)
 
 
-def rescale_zenith(angles_deg, ray_powers, los_weight: float,
-                   bearing_deg: float, target_spread_deg: float) -> np.ndarray:
-    """``rescale_linear`` of zenith angles about the bearing, reflected back
-    into [0, 180]; the fold perturbs the spread only when rays were pushed
-    past the poles."""
+def rescale_zenith(angles_deg, ray_powers, los_weight, bearing_deg,
+                   target_spread_deg) -> np.ndarray:
+    """``rescale_linear`` of zenith angles about the bearing, folded back
+    into [0, 180], which moves the spread only of rays pushed past a pole."""
     z = np.mod(rescale_linear(angles_deg, ray_powers, los_weight, bearing_deg,
                               target_spread_deg), 360.0)
     return np.where(z > 180.0, 360.0 - z, z)
@@ -482,7 +470,7 @@ def rescale_zenith(angles_deg, ray_powers, los_weight: float,
 
 def gen_angles(powers, asa_deg, zsa_deg, zsd_deg, k_db, params: ScenarioParamSet,
                geometry, rng) -> dict:
-    """Cluster and ray angles of drops stacked on a leading axis, as drawn.
+    """Cluster and ray angles of a stack of drops, as drawn.
 
     Azimuth cluster centers follow the inverse-Gaussian construction,
     zenith centers the inverse-Laplacian one, both centered on the LoS
@@ -492,14 +480,12 @@ def gen_angles(powers, asa_deg, zsa_deg, zsd_deg, k_db, params: ScenarioParamSet
     azimuth planes take the drawn ASA as their spread, the zenith planes
     their drawn ZSA and ZSD.
 
-    ``powers`` is (d, N); the spreads hold d values, and ``k_db`` (None
-    for NLoS), ``geometry`` and ``rng`` are sequences of d. Every random
-    number is drawn here, each drop from its own generator, plane by
-    plane in the order aoa, aod, zoa, zod: N sign flips, N jitters, then
-    one permutation of the ray offsets per cluster. No plane is matched:
-    each is returned in a dict by name (aoa_deg, aod_deg, zoa_deg,
-    zod_deg) as its drawn (d, N, M) angles in degrees and the d spreads
-    ``match_planes`` matches them to.
+    ``powers`` is (d, N), ``geometry`` holds d users, and the spreads,
+    ``k_db`` (None for NLoS) and ``rng`` d values each. Every random
+    number is drawn here, plane by plane in the order aoa, aod, zoa, zod:
+    N sign flips, N jitters, then one permutation of the ray offsets per
+    cluster. No plane is matched: each is returned by name as its drawn
+    (d, N, M) angles in degrees and the d spreads it is matched to.
     """
     p = np.asarray(powers, dtype=float)
     d, n = p.shape
@@ -519,7 +505,7 @@ def gen_angles(powers, asa_deg, zsa_deg, zsd_deg, k_db, params: ScenarioParamSet
                        (spread / 7.0).tolist())
         perms = _rows((n, m), lambda r: r.permuted(order, axis=1), rng,
                       dtype=np.uint8)
-        bearing = np.array([getattr(g, los) for g in geometry])[:, None]
+        bearing = np.asarray(getattr(geometry, los), dtype=float)[:, None]
         centers = (flips * 2 - 1) * center_dev + jitter + bearing
         rays = (c_spread * offs)[perms]
         rays += centers[:, :, None]
@@ -541,94 +527,112 @@ def gen_angles(powers, asa_deg, zsa_deg, zsd_deg, k_db, params: ScenarioParamSet
 # drop assembly
 
 
+def _map(fn, x, *rest):
+    """A copy of x with fn of its arrays and the like-placed ones of rest."""
+    if isinstance(x, np.ndarray):
+        return fn(x, *rest)
+    if isinstance(x, dict):
+        return {k: _map(fn, v, *(r[k] for r in rest)) for k, v in x.items()}
+    if isinstance(x, tuple):
+        return tuple(_map(fn, *v) for v in zip(x, *rest))
+    if is_dataclass(x):
+        return type(x)(**{k: _map(fn, v, *(vars(r)[k] for r in rest))
+                          for k, v in vars(x).items()})
+    return x
+
+
 @dataclass
-class ClusterSet:
-    """One channel drop, the whole of what ``assemble_cir`` reads. Its
-    angle planes are kept as drawn, in ``drawn``, and as matched, in
-    ``angles``, which only ``match_planes`` fills: each plane is matched
-    once per drop, however many readers take it."""
-    delays_s: np.ndarray          # (N,), sorted, first is 0 (excess delay)
-    powers: np.ndarray            # (N,), normalized cluster powers, sum 1
-    los_weight: float             # direct-path share, K/(K+1); 0 for NLoS
-    ray_powers: np.ndarray        # (N, M); with los_weight they sum to 1
-    drawn: dict                   # angle plane: ((N, M) degrees, its spread)
-    phases: np.ndarray            # (N, M), radians in [-pi, pi)
-    geometry: LinkGeometry
+class Drops:
+    """The d drops of one set, every array stacked on a leading drop axis.
+    Its angle planes are kept as drawn and as matched (``angles``, filled
+    by ``match_planes`` once per plane). ``drops[i]`` is drop i as a
+    record of one, the row ``assemble_cir`` reads; iteration gives rows."""
+    delays_s: np.ndarray          # (d, N), sorted, first is 0 (excess delay)
+    powers: np.ndarray            # (d, N), normalized cluster powers, sum 1
+    los_weight: np.ndarray        # (d,), direct-path share K/(K+1); 0 for NLoS
+    ray_powers: np.ndarray        # (d, N, M); with los_weight they sum to 1
+    drawn: dict                   # angle plane: ((d, N, M) degrees, (d,) spreads)
+    phases: np.ndarray            # (d, N, M), radians in [-pi, pi)
+    geometry: LinkGeometry        # of the d users
     wavelength_m: float           # its parameter set's carrier wavelength
     c_ds_s: float                 # and intra-cluster delay spread
-    lsp: dict                     # drawn values this drop realizes
-    angles: dict = field(default_factory=dict)  # angle plane: (N, M) degrees
+    lsp: dict                     # LSP: (d,) drawn values the drops realize
+    angles: dict = field(default_factory=dict)  # angle plane: (d, N, M) degrees
+    table: dict = field(default_factory=dict)   # column: (d, components), read-only
+
+    def __len__(self) -> int:
+        return len(self.los_weight)
+
+    def __getitem__(self, i: int) -> Drops:
+        i = range(len(self))[i]         # IndexError past the end ends iteration
+        r = slice(i, i + 1)     # field by field: a quarter of what _map costs
+        return Drops(
+            self.delays_s[r], self.powers[r], self.los_weight[r],
+            self.ray_powers[r], {k: (a[r], s[r]) for k, (a, s) in self.drawn.items()},
+            self.phases[r], LinkGeometry(*(v[r] for v in vars(self.geometry).values())),
+            self.wavelength_m, self.c_ds_s,
+            *({k: v[r] for k, v in f.items()} for f in (self.lsp, self.angles, self.table)))
 
     @property
     def n_clusters(self) -> int:
-        return self.delays_s.size
+        return self.delays_s.shape[1]
 
     @property
     def n_rays(self) -> int:
-        return self.ray_powers.shape[1]
+        return self.ray_powers.shape[2]
 
-    def mpc_arrays(self, *names: str) -> dict:
-        """Flat per-component columns by name, direct path first when
-        present; with no names, all nine in table order.
-
-        Cluster index 0 marks the direct path; generated clusters are
-        numbered from 1. The direct path has ray index 0 and the carrier
-        phase -2 pi d3/lambda; the rays carry their drawn phases. Each
-        column is a fresh array, and only the planes named are matched,
-        by ``match_planes`` as a set of one drop.
-        """
+    def columns(self, *names: str) -> dict:
+        """Per-component columns by name, (d, components), direct path
+        first when the drops have one; with no names, all nine in order.
+        Each is built once per record, kept in ``table``, handed out
+        read-only, and matches only the planes named (``match_planes``).
+        The direct path has cluster and ray index 0 (generated clusters
+        count from 1) and the carrier phase -2 pi d3/lambda."""
         g = self.geometry
-        n, m = self.ray_powers.shape
-        table = {   # column: (direct-path value, per-ray values on call)
-            "cluster": (0, lambda: np.repeat(np.arange(1, n + 1), m)),
-            "ray": (0, lambda: np.tile(np.arange(m), n)),
-            "delay_s": (0.0, lambda: np.repeat(self.delays_s, m)),
+        d, n, m = self.ray_powers.shape
+        ray = np.arange(n * m)
+        recipe = {  # column: (direct-path values, per-ray values on call)
+            "cluster": (0, lambda: ray // m + 1),
+            "ray": (0, lambda: ray % m),
+            "delay_s": (0.0, lambda: np.repeat(self.delays_s, m, axis=1)),
             "power": (self.los_weight, lambda: self.ray_powers),
             "phase": (-2.0 * np.pi * g.d3_m / self.wavelength_m,
                       lambda: self.phases),
-            "aoa_deg": (g.aoa_los_deg, lambda: self.angles["aoa_deg"]),
-            "zoa_deg": (g.zoa_los_deg, lambda: self.angles["zoa_deg"]),
-            "aod_deg": (g.aod_los_deg, lambda: self.angles["aod_deg"]),
-            "zod_deg": (g.zod_los_deg, lambda: self.angles["zod_deg"]),
+            **{k: (getattr(g, k[:3] + "_los_deg"), lambda k=k: self.angles[k])
+               for k in ("aoa_deg", "zoa_deg", "aod_deg", "zod_deg")},
         }
-        names = names or tuple(table)
-        match_planes([self], *names)
-        cols = {}
-        for k in names:
-            direct, rays = table[k]             # KeyError for an unknown name
-            cols[k] = (np.concatenate([[direct], rays().ravel()])
-                       if self.los_weight > 0 else rays().flatten())
-        return cols
+        names = names or tuple(recipe)
+        match_planes(self, *names)
+        direct = int(self.los_weight.any())     # shares are never negative
+        for k in [k for k in names if k not in self.table]:
+            lead, rays = recipe[k]              # KeyError for an unknown name
+            rays = rays().reshape(-1, n * m)
+            col = self.table[k] = np.empty((d, direct + n * m), rays.dtype)
+            col[:, :direct], col[:, direct:] = np.reshape(lead, (-1, 1)), rays
+            col.flags.writeable = False
+        return {k: self.table[k] for k in names}
 
 
-def match_planes(drops, *names: str) -> None:
-    """Match the named angle planes of drops of one set that are not
-    matched yet, and keep each in its drop's ``angles``.
+def match_planes(drops: Drops, *names: str) -> None:
+    """Match the named angle planes of a record not matched yet into its
+    ``angles``: the azimuth planes in one ``rescale_azimuth`` call, each
+    zenith plane in one ``rescale_zenith`` call, both looked up in this
+    module on every call. Names that are no plane are skipped, so a
+    caller may name every column it reads. No random number is drawn."""
+    todo = [k for k in dict.fromkeys(names)
+            if k in drops.drawn and k not in drops.angles]
 
-    The azimuth planes of every drop go into one stacked
-    ``rescale_azimuth`` call, which gives each the bits it gets alone;
-    each zenith plane goes through ``rescale_zenith`` on its own. Both
-    are looked up in this module on every call. Names that are no plane
-    are skipped, so a caller may name every column it reads. No random
-    number is drawn.
-    """
-    todo = [(cs, k) for k in dict.fromkeys(names) for cs in drops
-            if k in cs.drawn and k not in cs.angles]
-
-    def args(cs, k):
-        # a plane is matched about the direct path's angle: aoa_deg about
-        # the geometry's aoa_los_deg
-        angles, spread = cs.drawn[k]
-        return (angles, cs.ray_powers, cs.los_weight,
-                getattr(cs.geometry, k.replace("_deg", "_los_deg")), spread)
-    azimuth = [(cs, k) for cs, k in todo if k in ("aoa_deg", "aod_deg")]
+    def args(k):    # matched about the direct path's angle: aoa_los_deg
+        angles, spread = drops.drawn[k]
+        return (angles, drops.ray_powers, drops.los_weight,
+                getattr(drops.geometry, k[:3] + "_los_deg"), spread)
+    azimuth = [k for k in todo if k in ("aoa_deg", "aod_deg")]
     if azimuth:
-        stacked = zip(*(args(cs, k) for cs, k in azimuth))
-        for (cs, k), plane in zip(azimuth, rescale_azimuth(*map(np.stack, stacked))):
-            cs.angles[k] = plane
-    for cs, k in todo:
-        if k in ("zoa_deg", "zod_deg"):
-            cs.angles[k] = rescale_zenith(*args(cs, k))
+        matched = rescale_azimuth(*map(np.concatenate, zip(*map(args, azimuth))))
+        drops.angles.update(zip(azimuth, np.split(matched, len(azimuth))))
+    for k in todo:
+        if k not in azimuth:
+            drops.angles[k] = rescale_zenith(*args(k))
 
 
 # build_drop stacks the drops of a set in pieces of at most this many ray
@@ -638,67 +642,58 @@ def match_planes(drops, *names: str) -> None:
 _BUILD_ANGLES = 1 << 17
 
 
-def build_drop(params: ScenarioParamSet, rng, geometry=None, lsp_vals=None):
-    """Generate drops of one set, each from its own generator.
+def build_drop(params: ScenarioParamSet, rng, geometry=None,
+               lsp_vals=None) -> Drops:
+    """The drops of one set as one record, each from its own generator.
 
-    ``rng`` is one generator, for which one ``ClusterSet`` is returned,
-    or a sequence of them, for which the list of their drops is; one
-    generator is a batch of one. ``geometry``, when given, holds one
-    ``LinkGeometry`` per drop. ``lsp_vals``, when given, holds columns
-    with one value per drop, as ``draw_lsp_iid`` and ``generate_lsp``
-    return them (for one generator, one drop's values), and must carry
-    ds_s and asa_deg, and k_db for a LoS set. A drop given neither places
-    its user with ``place_users`` and draws its LSPs with
-    ``lsp.draw_lsp_iid`` itself.
+    ``rng`` is a sequence of d generators, or one, which builds a set of
+    one. ``geometry``, when given, is the ``LinkGeometry`` of the d users
+    (``geometry_for``); ``lsp_vals`` holds columns of d values, as
+    ``draw_lsp_iid`` and ``generate_lsp`` return them (floats for one
+    generator), with ds_s and asa_deg, and k_db for a LoS set. Drops given
+    neither place their users and draw their LSPs (``lsp.draw_lsp_iid``).
 
-    Each drop draws from its own generator, in this order: the user, the
-    LSPs, the cluster delays, the per-cluster shadowing, the zenith
-    spreads of arrival and departure, the angle planes (``gen_angles``)
-    and the ray phases. No generator draws for another drop, so the
-    draws run stage by stage over the drops, and what is computed from
-    them runs once over arrays stacked on a leading drop axis, in pieces
-    of at most _BUILD_ANGLES ray angles, which bounds the temporaries;
-    each drop gets the bits, and leaves its generator in the state, it
-    does built alone. The zenith spreads' and K's powers of ten are taken
-    per drop in Python floats, which numpy's power on arrays does not
-    round alike. A drop's arrays are views into the stacked ones, and
-    none of its planes is matched.
+    A drop draws, in order: the user, the LSPs, the cluster delays, the
+    per-cluster shadowing, the zenith spreads of arrival and departure,
+    the angle planes (``gen_angles``) and the ray phases. A set is built
+    in pieces of at most _BUILD_ANGLES ray angles, which bounds the
+    temporaries. The zenith spreads' and K's powers of ten are taken per
+    drop in Python floats, which numpy's power on arrays does not round
+    alike. No plane is matched.
     """
-    one = isinstance(rng, np.random.Generator)
-    if one:
-        rng, geometry = [rng], None if geometry is None else [geometry]
-        lsp_vals = (None if lsp_vals is None
-                    else {k: [v] for k, v in lsp_vals.items()})
-    rngs = list(rng)
-    d = len(rngs)
+    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+    d, los = len(rngs), params.condition == "los"
+    def per_drop(v):
+        return np.atleast_1d(np.asarray(v, dtype=float))
     if lsp_vals is not None:
-        for k in ("ds_s", "asa_deg", "k_db")[:3 if params.condition == "los" else 2]:
+        for k in ("ds_s", "asa_deg", "k_db")[:3 if los else 2]:
             if k not in lsp_vals:
                 raise ValueError(f"lsp_vals for {params.label()} have no {k} column")
-    if (geometry is not None and len(geometry) != d) or any(
-            np.shape(v) != (d,) for v in (lsp_vals or {}).values()):
+        lsp_vals = {k: per_drop(v) for k, v in lsp_vals.items()}
+    if geometry is not None:
+        geometry = LinkGeometry(*map(per_drop, vars(geometry).values()))
+    shapes = set()
+    _map(lambda a: shapes.add(a.shape), (geometry, lsp_vals))
+    if shapes - {(d,)}:
         raise ValueError(f"{d} drops of {params.label()} need one geometry and "
                          "one value of each LSP column per drop")
-    step = max(1, _BUILD_ANGLES // (params.clusters.count * params.clusters.rays))
-    drops = [cs for c in (slice(i, i + step) for i in range(0, d, step))
-             for cs in _build(params, rngs[c],
-                              None if geometry is None else geometry[c],
-                              None if lsp_vals is None
-                              else {k: v[c] for k, v in lsp_vals.items()})]
-    return drops[0] if one else drops
-
-
-def _build(params: ScenarioParamSet, rngs, geometry, lsp_vals) -> list:
-    """``build_drop`` on one piece of a set."""
-    d, los = len(rngs), params.condition == "los"
+    n, m = params.clusters.count, params.clusters.rays
+    step = max(1, _BUILD_ANGLES // (n * m))
+    if d > step:
+        out = None
+        for i in range(0, d, step):
+            c = slice(i, i + step)
+            piece = build_drop(params, rngs[c], _map(lambda a: a[c], geometry),
+                               _map(lambda a: a[c], lsp_vals))
+            out = out or _map(lambda a: np.empty((d, *a.shape[1:]), a.dtype), piece)
+            _map(lambda o, a: o.__setitem__(c, a), out, piece)
+        return out
     if geometry is None:
         x, y = _rows((2,), lambda r: np.ravel(place_users(params, r, 1)), rngs).T
         geometry = geometry_for(params, x, y)
     if lsp_vals is None:
         from .lsp import draw_lsp_iid
-        draws = [draw_lsp_iid(params, 1, r) for r in rngs]
-        lsp_vals = {k: np.concatenate([v[k] for v in draws]) for k in draws[0]}
-    n, m = params.clusters.count, params.clusters.rays
+        lsp_vals = draw_lsp_iid(params, d, rngs)
     k_db = [float(k) for k in lsp_vals["k_db"]] if los else [None] * d
     k_lin = [10.0 ** (k / 10.0) for k in k_db] if los else None
     sup = params.supplemental
@@ -716,12 +711,9 @@ def _build(params: ScenarioParamSet, rngs, geometry, lsp_vals) -> list:
     drawn = gen_angles(powers, np.asarray(lsp_vals["asa_deg"], dtype=float),
                        zsa, zsd, k_db, params, geometry, rngs)
     phases = _rows((n, m), lambda r: r.uniform(-np.pi, np.pi, (n, m)), rngs)
-
-    return [ClusterSet(
-        delays_s=delays[i], powers=powers[i], los_weight=float(w[i]),
-        ray_powers=ray_p[i],
-        drawn={k: (a[i], float(s[i])) for k, (a, s) in drawn.items()},
-        phases=phases[i], geometry=geometry[i], wavelength_m=params.wavelength_m,
-        c_ds_s=params.clusters.c_ds_ns * 1e-9,
-        lsp={**{k: float(v[i]) for k, v in lsp_vals.items() if los or k != "k_db"},
-             "k_db": k_db[i]}) for i in range(d)]
+    return Drops(
+        delays_s=delays, powers=powers, los_weight=w, ray_powers=ray_p,
+        drawn=drawn, phases=phases, geometry=geometry,
+        wavelength_m=params.wavelength_m, c_ds_s=params.clusters.c_ds_ns * 1e-9,
+        lsp={k: np.array(v, dtype=float) for k, v in lsp_vals.items()
+             if los or k != "k_db"})

@@ -4,7 +4,7 @@ Drops become MIMO channel matrices here. Arrays are made of
 single-polarized (vertical) isotropic elements, so every ray, the direct
 path included, contributes one complex amplitude times array steering
 phases at both ends; ``assemble_cir`` evaluates that one kernel for all
-rows of a drop's component table (``ClusterSet.mpc_arrays``) at once,
+rows of a drop's component table (``Drops.columns``) at once,
 reading power, phase, delay and angles from it and wavelength and
 intra-cluster delay spread from the drop. Rays sum within a tap; taps are
 either one per cluster ("thz-simplified", suited to sparse THz clusters
@@ -17,11 +17,12 @@ panel's axes (TR 38.901 section 7.5 step 11 sums per tap; a URA's
 response is the Kronecker product of its axes' responses). Every array
 is a uniform rectangular panel in the y-z plane, so the steering phase
 is a row (z) factor times a column (y) factor, and the (rx, tx) matrix
-of a tap is one matmul written straight into the result: rows are the
-receive steering times the component's amplitude and the transmit row
-factor, columns the transmit column factors, and the row-major element
-order falls out of the product. The (n_tx, components) steering matrix
-is never built.
+of a tap is one matmul, stacked over consecutive taps with as many
+components, written straight into the result: rows are the receive
+steering times the component's amplitude and the transmit row factor,
+columns the transmit column factors, and the row-major element order
+falls out of the product. The (n_tx, components) steering matrix is
+never built.
 
 Conventions: zenith is measured from +z, azimuth from +x in the x-y
 plane; arrival angles point from the receiver toward the source of the
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clusters import ClusterSet
+from .clusters import Drops
 from .constants import spherical_unit
 
 # Sub-tap structure for the standard (split) mode: delay offsets in units
@@ -126,11 +127,11 @@ class ChannelRealization:
     amps: np.ndarray
 
 
-def assemble_cir(cs: ClusterSet, rx_array: AntennaArray, tx_array: AntennaArray,
+def assemble_cir(cs: Drops, rx_array: AntennaArray, tx_array: AntennaArray,
                  *, mode: str = "thz-simplified") -> ChannelRealization:
-    """Tapped channel realization from one drop.
+    """Tapped channel realization from a record of one drop (``drops[i]``).
 
-    Every component of ``cs.mpc_arrays()``, the direct path included,
+    Every component of ``cs.columns()``, the direct path included,
     goes through one kernel: the square root of its power times
     exp(j phase) of its phase column times the rx and tx steering phases
     at the drop's wavelength (positive-exponent convention at both ends).
@@ -148,11 +149,13 @@ def assemble_cir(cs: ClusterSet, rx_array: AntennaArray, tx_array: AntennaArray,
     """
     if mode not in ("thz-simplified", "standard"):
         raise ValueError(f"unknown mode {mode!r}")
-    cols = cs.mpc_arrays()
+    if len(cs) != 1:
+        raise ValueError(f"assemble_cir takes one drop, not {len(cs)}")
+    cols = {k: v for k, (v,) in cs.columns().items()}
     cluster, ray = cols["cluster"], cols["ray"]
     sub = np.zeros(cluster.size, dtype=int)   # sub-tap of each component
     if mode == "standard" and cs.n_clusters >= 2:
-        split = np.isin(cluster, 1 + np.argsort(cs.powers)[::-1][:2])
+        split = np.isin(cluster, 1 + np.argsort(cs.powers[0])[::-1][:2])
         for k, group in enumerate(SUBCLUSTER_RAY_GROUPS):
             sub[split & np.isin(ray, group)] = k
     # tap index 3 * cluster + sub-tap: the direct tap sorts first among
@@ -165,7 +168,7 @@ def assemble_cir(cs: ClusterSet, rx_array: AntennaArray, tx_array: AntennaArray,
     power, phase, zoa, aoa, zod, aod = (cols[k][order] for k in (
         "power", "phase", "zoa_deg", "aoa_deg", "zod_deg", "aod_deg"))
     start = np.flatnonzero(np.concatenate([[True], tap[1:] != tap[:-1]]))
-    stop = np.append(start[1:], tap.size)
+    runs = np.append(start[1:], tap.size) - start
     # the result is allocated before the temporaries, so they sit above it
     # on the heap and, freed, merge into its top: the transfer function's
     # array then reuses that memory instead of the heap growing and being
@@ -180,9 +183,14 @@ def assemble_cir(cs: ClusterSet, rx_array: AntennaArray, tx_array: AntennaArray,
     rows, cols = _panel_phasors(tx_array, spherical_unit(zod, aod), lam)
     # rows (rx element, tx row), columns the tx columns: row-major in both
     left = (a_rx[:, None] * rows).reshape(n_rx * tx_array.n_rows, tap.size)
-    for k, (i, j) in enumerate(zip(start, stop)):
-        np.matmul(left[:, i:j], cols[:, i:j].T,
-                  out=amps[k].reshape(left.shape[0], tx_array.n_cols))
+    # one stacked matmul of views per run of taps with as many components
+    edges = np.flatnonzero(np.concatenate(
+        [[True], runs[1:] != runs[:-1], [True]])).tolist()
+    for a, b in zip(edges[:-1], edges[1:]):
+        i, j, n = start[a], start[b - 1] + runs[a], runs[a]
+        np.matmul(left[:, i:j].reshape(-1, b - a, n).transpose(1, 0, 2),
+                  cols[:, i:j].reshape(-1, b - a, n).transpose(1, 2, 0),
+                  out=amps[a:b].reshape(b - a, -1, tx_array.n_cols))
     return ChannelRealization(delays_s=delays, amps=amps)
 
 

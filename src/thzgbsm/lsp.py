@@ -78,7 +78,12 @@ def draw_lsp_iid(params: ScenarioParamSet, n: int, rng) -> dict:
 
     Used for independent drops (capacity experiments, round-trip checks)
     where locations are statistically unrelated; ``transform_standard_normals``
-    columns of n entries.
+    columns of n entries, drawn by one generator or each by its own of n;
+    a row is mixed by its own (1, L) product, with the bits it gets alone.
     """
-    z = rng.standard_normal((n, len(params.lsp_names))) @ params.mixing_matrix.T
-    return transform_standard_normals(params, z)
+    row = (1, len(params.lsp_names))
+    z = (rng.standard_normal((n, *row)) if isinstance(rng, np.random.Generator)
+         else np.stack([r.standard_normal(row) for r in rng]))
+    if len(z) != n:
+        raise ValueError(f"{len(z)} generators for {n} draws")
+    return transform_standard_normals(params, (z @ params.mixing_matrix.T)[:, 0])

@@ -91,17 +91,13 @@ def test_criterion_4_channel_level_roundtrip():
     n_drops = 500
     for scenario, condition in MEASURED_SETS:
         p = load_params(scenario, condition, "measured")
-        drawn, ext = [], []
-        for ss in np.random.SeedSequence(0).spawn(n_drops):
-            cs = build_drop(p, np.random.default_rng(ss))
-            c = cs.mpc_arrays()
-            drawn.append(cs.lsp)
-            ext.append(extract_drop_stats(c["delay_s"], c["power"],
-                                          c["aoa_deg"]))
+        drops = build_drop(p, [np.random.default_rng(ss) for ss in
+                               np.random.SeedSequence(0).spawn(n_drops)])
+        c = drops.columns("delay_s", "power", "aoa_deg")
+        ext = extract_drop_stats(c["delay_s"], c["power"], c["aoa_deg"])
 
         def delta(key, f):
-            return (np.median(f([e[key] for e in ext]))
-                    - np.median(f([d[key] for d in drawn])))
+            return np.median(f(ext[key])) - np.median(f(drops.lsp[key]))
         d_ds, d_asa = delta("ds_s", np.log10), delta("asa_deg", np.log10)
         assert abs(d_ds) <= 0.15, f"{p.label()}: DS median delta {d_ds:+.4f}"
         assert abs(d_asa) <= 0.15, f"{p.label()}: ASA median delta {d_asa:+.4f}"
@@ -120,8 +116,9 @@ def test_criterion_4_channel_level_roundtrip():
             geom = place_user(p, rng)
             lsp = {k: float(v[0]) for k, v in draw_lsp_iid(p, 1, rng).items()}
             lsp["k_db"] = k_db
-            c = build_drop(p, rng, geometry=geom, lsp_vals=lsp).mpc_arrays()
-            ext.append(extract_drop_stats(c["delay_s"], c["power"])["k_db"])
+            c = build_drop(p, rng, geometry=geom, lsp_vals=lsp).columns(
+                "delay_s", "power")
+            ext.append(extract_drop_stats(c["delay_s"], c["power"])["k_db"][0])
         medians.append(float(np.median(ext)))
     assert medians[0] < medians[1] < medians[2], medians
 

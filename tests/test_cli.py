@@ -811,7 +811,8 @@ def test_analyze_writes_what_the_library_returns(tmp_path, recluster):
     """analysis.analyze_mpcs on arrays gives the report and per-drop
     columns that analyze writes for the same rows."""
     params = load_params("office", "los", "measured")
-    drops = [build_drop(params, np.random.default_rng(s)).mpc_arrays()
+    drops = [{k: v for k, (v,) in build_drop(
+                  params, np.random.default_rng(s)).columns().items()}
              for s in range(4)]
     cols = {k: np.concatenate([d[k] for d in drops]) for k in drops[0]}
     cols["drop"] = np.repeat(np.arange(4), [d["power"].size for d in drops])

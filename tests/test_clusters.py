@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
@@ -12,8 +13,8 @@ from thzgbsm.clusters import (
     apply_in_cluster_k, build_drop, composite_asa, gen_delays, gen_powers,
     geometry_for, place_user, rescale_azimuth, rescale_linear, rescale_zenith)
 from thzgbsm.constants import c_phi, c_theta, ray_offsets, wrap_deg
-from thzgbsm.lsp import draw_lsp_iid, generate_lsp
-from thzgbsm.params import load_params
+from thzgbsm.lsp import draw_lsp_iid, generate_lsp, transform_standard_normals
+from thzgbsm.params import ScenarioParamSet, load_params, params_file
 
 
 # --- link geometry ---
@@ -100,7 +101,7 @@ def test_build_drop_phases_shape_and_range():
         p = load_params(*label)
         for seed in range(3):
             ph = build_drop(p, np.random.default_rng(seed)).phases
-            assert ph.shape == (p.clusters.count, p.clusters.rays)
+            assert ph.shape == (1, p.clusters.count, p.clusters.rays)
             assert np.all((ph >= -np.pi) & (ph < np.pi))
 
 
@@ -137,7 +138,7 @@ def test_rescale_linear_stacked_rows_are_each_row_alone():
 
 
 def test_composite_asa_includes_direct_ray():
-    # ray powers carry the (1 - w) scattered share, as ClusterSet.ray_powers does
+    # ray powers carry the (1 - w) scattered share, as Drops.ray_powers does
     dev = np.deg2rad([30.0, -30.0])
     scattered = np.array([0.5, 0.5])
     no_los = composite_asa(dev, scattered, 0.0)
@@ -382,12 +383,13 @@ _SETS = [(s, c, src) for s in ("office", "umi") for c in ("los", "nlos")
 
 
 def _drops(params, n=25):
-    """Build n drops and match all four planes of each, one plane per
-    match_planes call, so that every match runs on one plane alone."""
+    """Build n drops, each a record of one, and match all four planes of
+    each, one plane per match_planes call, so that every match runs on one
+    plane of one drop alone."""
     for s in np.random.SeedSequence(2024).spawn(n):
         cs = build_drop(params, np.random.default_rng(s))
         for k in _PLANES:
-            clusters.match_planes([cs], k)
+            clusters.match_planes(cs, k)
 
 
 def _one_drop(check):
@@ -691,27 +693,29 @@ _LOS = {"aoa_deg": "aoa_los_deg", "aod_deg": "aod_los_deg",
         "zoa_deg": "zoa_los_deg", "zod_deg": "zod_los_deg"}
 
 
-def _match_args(cs, k):
-    """The arguments that match a drop's drawn plane k: its angles, the
-    ray powers, the direct share, the direct path's angle and the spread."""
+def _match_args(cs, k, i=0):
+    """The arguments that match the drawn plane k of drop i of a record:
+    its angles, the ray powers, the direct share, the direct path's angle
+    and the spread."""
     ang, spread = cs.drawn[k]
-    return (ang, cs.ray_powers, cs.los_weight, getattr(cs.geometry, _LOS[k]),
-            spread)
+    return (ang[i], cs.ray_powers[i], cs.los_weight[i],
+            getattr(cs.geometry, _LOS[k])[i], spread[i])
 
 
 @pytest.mark.parametrize("scenario,condition,source", _SETS)
 def test_match_planes_gives_each_drop_its_own_bits(scenario, condition, source,
                                                    monkeypatch):
-    """match_planes over 30 drops: one rescale_azimuth call, looked up in
-    clusters, matches each drop's pending azimuth planes to the bytes the
-    drop gets matched alone, draws no random number, matches only the
-    planes named and matches no plane twice."""
+    """match_planes over a record of 30 drops: one rescale_azimuth call,
+    looked up in clusters, matches the pending azimuth plane of every
+    drop to the bytes the drop gets matched alone, draws no random
+    number, matches only the planes named and matches no plane twice."""
     p = load_params(scenario, condition, source)
     seeds = np.random.SeedSequence(11).spawn(30)
     rngs = [np.random.default_rng(s) for s in seeds]
-    drops = [build_drop(p, rng) for rng in rngs]
+    drops = build_drop(p, rngs)
     states = [rng.bit_generator.state for rng in rngs]
-    clusters.match_planes([drops[3]], "aod_deg")    # already matched: kept
+    clusters.match_planes(drops, "aod_deg")         # already matched: kept
+    kept = drops.angles["aod_deg"]
     rescale, rows = clusters.rescale_azimuth, []
 
     def counted(*args):
@@ -720,33 +724,35 @@ def test_match_planes_gives_each_drop_its_own_bits(scenario, condition, source,
     monkeypatch.setattr(clusters, "rescale_azimuth", counted)
     clusters.match_planes(drops, "delay_s", "aoa_deg", "zoa_deg", "aod_deg",
                           "aoa_deg")
-    assert rows == [59]
+    assert rows == [30]
     clusters.match_planes(drops, "aoa_deg", "aod_deg")
-    assert rows == [59]
-    for cs, ss, rng, state in zip(drops, seeds, rngs, states):
+    assert rows == [30] and drops.angles["aod_deg"] is kept
+    assert set(drops.angles) == {"aoa_deg", "aod_deg", "zoa_deg"}
+    for i, (ss, rng, state) in enumerate(zip(seeds, rngs, states)):
         assert rng.bit_generator.state == state
-        assert set(cs.angles) == {"aoa_deg", "aod_deg", "zoa_deg"}
         alone = build_drop(p, np.random.default_rng(ss))
-        for k in cs.angles:
-            clusters.match_planes([alone], k)
-            assert cs.angles[k].tobytes() == alone.angles[k].tobytes()
-    assert rows == [59] + [1] * 60
+        for k in drops.angles:
+            clusters.match_planes(alone, k)
+            assert drops.angles[k][i].tobytes() == alone.angles[k][0].tobytes()
+    assert rows == [30] + [1] * 60
 
 
 @pytest.mark.parametrize("scenario,condition,source", _SETS)
 def test_match_planes_matches_each_pending_plane_once(scenario, condition,
                                                       source, monkeypatch):
-    """One match_planes call over 30 drops and all four planes, one drop's
-    departure planes matched before: one rescale_azimuth call holding the
-    59 azimuth planes still pending and one rescale_zenith call per drop
-    and pending zenith plane, each on that plane's drawn arguments, the
-    planes matched before kept, and no random number drawn."""
+    """One match_planes call over a record of 30 drops and all four
+    planes, its departure azimuths matched before: one rescale_azimuth
+    call holding the 30 arrival azimuth planes still pending and one
+    rescale_zenith call per pending zenith plane, holding that plane of
+    every drop, each row on its drop's drawn arguments and matched to the
+    bits of its own call; the plane matched before kept, and no random
+    number drawn."""
     p = load_params(scenario, condition, source)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(5).spawn(30)]
-    drops = [build_drop(p, rng) for rng in rngs]
+    drops = build_drop(p, rngs)
     states = [rng.bit_generator.state for rng in rngs]
-    clusters.match_planes([drops[3]], "aod_deg", "zod_deg")
-    kept = dict(drops[3].angles)
+    clusters.match_planes(drops, "aod_deg")
+    kept = drops.angles["aod_deg"]
     calls = {"rescale_azimuth": [], "rescale_zenith": []}
     for name in calls:
         def spied(*args, match=getattr(clusters, name), name=name):
@@ -755,30 +761,22 @@ def test_match_planes_matches_each_pending_plane_once(scenario, condition,
         monkeypatch.setattr(clusters, name, spied)
     clusters.match_planes(drops, *_PLANES)
 
-    def pending(planes):
-        return [_match_args(cs, k) for cs in drops for k in planes
-                if not (cs is drops[3] and k in kept)]
+    def check_rows(stacked, plane):
+        for i in range(30):
+            want = _match_args(drops, plane, i)
+            assert all(np.array_equal(a[i], b) for a, b in zip(stacked, want))
     (stacked,) = calls["rescale_azimuth"]
-    want = pending(["aoa_deg", "aod_deg"])
-    assert np.size(stacked[2]) == len(want) == 59
-    # each row by its (bearing, spread), which no other plane shares
-    rows = {(b, t): i for i, (b, t) in enumerate(zip(stacked[3], stacked[4]))}
-    assert len(rows) == 59
-    for ang, pw, w, bearing, spread in want:
-        i = rows[bearing, spread]
-        assert np.array_equal(stacked[0][i], ang)
-        assert np.array_equal(stacked[1][i], pw) and stacked[2][i] == w
-    want = pending(["zoa_deg", "zod_deg"])
-    assert len(calls["rescale_zenith"]) == len(want) == 59
-    def key(args):
-        return args[3], args[4]             # bearing, spread
-    for got, args in zip(sorted(calls["rescale_zenith"], key=key),
-                         sorted(want, key=key)):
-        assert got[0] is args[0] and got[1] is args[1] and got[2:] == args[2:]
-    for k, plane in kept.items():
-        assert drops[3].angles[k] is plane
-    for cs, rng, state in zip(drops, rngs, states):
-        assert set(cs.angles) == set(_PLANES)
+    assert np.shape(stacked[2]) == (30,)
+    check_rows(stacked, "aoa_deg")
+    assert len(calls["rescale_zenith"]) == 2
+    for plane, stacked in zip(["zoa_deg", "zod_deg"], calls["rescale_zenith"]):
+        check_rows(stacked, plane)
+        for i in range(30):
+            alone = rescale_zenith(*_match_args(drops, plane, i))
+            assert drops.angles[plane][i].tobytes() == alone.tobytes()
+    assert drops.angles["aod_deg"] is kept
+    assert set(drops.angles) == set(_PLANES)
+    for rng, state in zip(rngs, states):
         assert rng.bit_generator.state == state
 
 
@@ -865,8 +863,8 @@ def test_build_drop_reproducible():
     a = build_drop(p, np.random.default_rng(11))
     b = build_drop(p, np.random.default_rng(11))
     assert_allclose(a.delays_s, b.delays_s)
-    assert_allclose(a.mpc_arrays("aoa_deg")["aoa_deg"],
-                    b.mpc_arrays("aoa_deg")["aoa_deg"])
+    assert_allclose(a.columns("aoa_deg")["aoa_deg"],
+                    b.columns("aoa_deg")["aoa_deg"])
     assert_allclose(a.phases, b.phases)
 
 
@@ -885,12 +883,14 @@ def _reference_geometry(params, x, y):
 
 def _reference_build_drop(params, rng, geometry=None, lsp_vals=None):
     """build_drop as it was, one drop at a time on its (N,) and (N, M)
-    arrays: the oracle of the batched build."""
+    arrays, returned as a record of one: the oracle of the stacked build."""
     if geometry is None:
         x, y = clusters.place_users(params, rng, 1)
         geometry = _reference_geometry(params, x[0], y[0])
     if lsp_vals is None:
-        lsp_vals = {k: float(v[0]) for k, v in draw_lsp_iid(params, 1, rng).items()}
+        z = rng.standard_normal((1, len(params.lsp_names))) @ params.mixing_matrix.T
+        lsp_vals = {k: float(v[0])
+                    for k, v in transform_standard_normals(params, z).items()}
     n, m = params.clusters.count, params.clusters.rays
     sup = params.supplemental
     k_db = lsp_vals.get("k_db") if params.condition == "los" else None
@@ -936,36 +936,38 @@ def _reference_build_drop(params, rng, geometry=None, lsp_vals=None):
              "zod_deg": plane(g.zod_los_deg, -(zsd / ct) * np.log(ratio), zsd,
                               sup.c_zsd_deg)}
     phases = rng.uniform(-np.pi, np.pi, (n, m))
-    return clusters.ClusterSet(
-        delays_s=delays, powers=p, los_weight=float(w), ray_powers=ray_p,
-        drawn=drawn, phases=phases, geometry=geometry,
+    one = lambda v: np.array([v], dtype=float)     # noqa: E731
+    return clusters.Drops(
+        delays_s=delays[None], powers=p[None], los_weight=one(w),
+        ray_powers=ray_p[None],
+        drawn={k: (a[None], one(s)) for k, (a, s) in drawn.items()},
+        phases=phases[None],
+        geometry=clusters.LinkGeometry(*map(one, vars(geometry).values())),
         wavelength_m=params.wavelength_m, c_ds_s=params.clusters.c_ds_ns * 1e-9,
-        lsp={**lsp_vals, "k_db": k_db})
+        lsp={k: one(v) for k, v in lsp_vals.items()
+             if params.condition == "los" or k != "k_db"})
 
 
 def _fields(cs):
-    """Every field of a drop, each array as its dtype, shape and bytes."""
-    def bits(v):
-        return (v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
-    return {k: ({p: (bits(a), s) for p, (a, s) in v.items()} if k == "drawn"
-                else bits(v)) for k, v in vars(cs).items()}
+    """A record with each array as its dtype, shape and bytes."""
+    return clusters._map(lambda a: (a.dtype, a.shape, a.tobytes()), cs)
 
 
 @pytest.mark.parametrize("scenario,condition,source", _SETS)
 def test_batched_build_gives_each_drop_its_bits(scenario, condition, source,
                                                 monkeypatch):
-    """30 drops built in one call get every field bit for bit as the
-    per-drop oracle builds them, drawing their users and LSPs themselves
-    or given them as simulate gives them, and each generator's next draw
-    is the oracle's; so do the batch reversed, the batch stacked in
-    pieces of 7 drops or of 1, and a batch of one."""
+    """Each row of a record of 30 drops built in one call has every field
+    bit for bit as the per-drop oracle builds it, drawing its user and
+    LSPs itself or given them as simulate gives them, and each
+    generator's next draw is the oracle's; so do the set reversed, the
+    set stacked in pieces of 7 drops or of 1, and a set of one."""
     p = load_params(scenario, condition, source)
     seeds = np.random.SeedSequence(40).spawn(30)
     xs, ys = clusters.place_users(p, np.random.default_rng(1), 30)
     lsp = generate_lsp(p, xs, ys, np.random.default_rng(2))
     links = clusters.geometry_for(p, xs, ys)
-    one = [(g, {k: float(v[i]) for k, v in lsp.items()})
-           for i, g in enumerate(links)]
+    one = [(clusters._map(lambda a: a[i], links),
+            {k: float(v[i]) for k, v in lsp.items()}) for i in range(30)]
     for given in (False, True):
         ref_rngs = [np.random.default_rng(s) for s in seeds]
         want = [_fields(_reference_build_drop(
@@ -982,13 +984,70 @@ def test_batched_build_gives_each_drop_its_bits(scenario, condition, source,
             assert [_fields(cs) for cs in got] == want
             assert [r.random() for r in rngs] == after
         back = build_drop(p, [np.random.default_rng(s) for s in seeds[::-1]],
-                          *((links[::-1], {k: v[::-1] for k, v in lsp.items()})
+                          *((clusters._map(lambda a: a[::-1], links),
+                             {k: v[::-1] for k, v in lsp.items()})
                             if given else (None, None)))
-        assert [_fields(cs) for cs in back[::-1]] == want
+        assert [_fields(cs) for cs in back][::-1] == want
         alone = [build_drop(p, np.random.default_rng(s), *(one[i] if given
                                                           else (None, None)))
                  for i, s in enumerate(seeds)]
         assert [_fields(cs) for cs in alone] == want
+
+
+@st.composite
+def _perturbed_sets(draw):
+    """A bundled set through ScenarioParamSet.from_dict, with every input
+    generation reads redrawn inside its schema range. K stays above about
+    -9 dB, where TR 38.901's zenith scaling polynomial c_theta crosses 0."""
+    d = yaml.safe_load(params_file(*draw(st.sampled_from(_SETS))).read_text())
+
+    def normal(mu, sigma):
+        return {"mu": draw(st.floats(*mu)), "sigma": draw(st.floats(0.0, sigma))}
+    d["ds_log10s"] = normal((-9.0, -6.5), 0.6)
+    d["asa_log10deg"] = normal((-0.5, 2.2), 0.6)
+    if d.get("k_db"):
+        d["k_db"] = normal((3.0, 15.0), 3.0)
+    d["xcorr"] = {k: draw(st.floats(-0.9, 0.9)) for k in d["xcorr"]}
+    d["clusters"].update(count=draw(st.integers(2, 20)),
+                         rays=draw(st.integers(1, 20)),
+                         c_asa_deg=draw(st.floats(0.0, 30.0)),
+                         c_k_db=draw(st.floats(-10.0, 20.0)))
+    d["supplemental"].update(r_tau=draw(st.floats(1.05, 4.0)),
+                             per_cluster_shadow_db=draw(st.floats(0.0, 8.0)),
+                             zsa_log10deg=normal((-0.5, 1.5), 0.5),
+                             zsd_log10deg=normal((-0.5, 1.5), 0.5),
+                             c_zsa_deg=draw(st.floats(0.0, 15.0)),
+                             c_zsd_deg=draw(st.floats(0.0, 15.0)))
+    return ScenarioParamSet.from_dict(d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=_perturbed_sets(), seed=st.integers(0, 2**32 - 1))
+def test_perturbed_sets_build_whole_as_drop_by_drop(p, seed):
+    """On perturbed sets a record of 9 drops equals, row by row and with
+    every plane matched, the drops built one at a time, and so do the set
+    built in pieces of 7 drops and of 1; every value is finite, delays are
+    sorted and nonnegative, and ray powers plus the direct share sum to 1."""
+    seeds = np.random.SeedSequence(seed).spawn(9)
+    drops = build_drop(p, [np.random.default_rng(s) for s in seeds])
+    alone = [build_drop(p, np.random.default_rng(s)) for s in seeds]
+    with pytest.MonkeyPatch.context() as mp:
+        for piece in (7, 1):
+            mp.setattr(clusters, "_BUILD_ANGLES",
+                       piece * p.clusters.count * p.clusters.rays)
+            cut = build_drop(p, [np.random.default_rng(s) for s in seeds])
+            assert [_fields(cs) for cs in cut] == [_fields(cs) for cs in drops]
+    clusters.match_planes(drops, *_PLANES)
+    for cs in alone:
+        clusters.match_planes(cs, *_PLANES)
+    assert [_fields(cs) for cs in drops] == [_fields(cs) for cs in alone]
+    finite = []
+    clusters._map(lambda a: finite.append(np.isfinite(a).all()), drops)
+    assert all(finite) and len(finite) > 20
+    assert np.all(drops.delays_s >= 0.0)
+    assert np.all(np.diff(drops.delays_s, axis=1) >= 0.0)
+    assert_allclose(drops.los_weight + drops.ray_powers.sum(axis=(1, 2)), 1.0,
+                    rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("missing", ["k_db", "asa_deg", "ds_s"])
@@ -1011,8 +1070,13 @@ def test_build_drop_names_a_missing_lsp_column(missing):
         build_drop(p, rngs[0], lsp_vals={k: float(v[0]) for k, v in cols.items()})
 
 
+def _one(cs, *names):
+    """The named columns of a record of one drop, as 1-D arrays."""
+    return {k: v for k, (v,) in cs.columns(*names).items()}
+
+
 def _drop_stats(cs):
-    c = cs.mpc_arrays()
+    c = _one(cs)
     return extract_drop_stats(c["delay_s"], c["power"], c["aoa_deg"])
 
 
@@ -1021,8 +1085,8 @@ def test_build_drop_roundtrip_ds_k_exact():
     for seed in range(5):
         cs = build_drop(p, np.random.default_rng(seed))
         ext = _drop_stats(cs)
-        assert ext["ds_s"] == pytest.approx(cs.lsp["ds_s"], rel=1e-9)
-        assert ext["k_db"] == pytest.approx(cs.lsp["k_db"], abs=1e-9)
+        assert ext["ds_s"] == pytest.approx(cs.lsp["ds_s"][0], rel=1e-9)
+        assert ext["k_db"] == pytest.approx(cs.lsp["k_db"][0], abs=1e-9)
 
 
 def test_build_drop_roundtrip_asa_capped():
@@ -1030,16 +1094,16 @@ def test_build_drop_roundtrip_asa_capped():
     for seed in range(5):
         cs = build_drop(p, np.random.default_rng(seed))
         ext = _drop_stats(cs)
-        w = cs.los_weight
+        (w,) = cs.los_weight
         cap = np.degrees(np.sqrt(max(1.0 - (2 * w - 1.0) ** 2, 0.0)))
-        want = min(cs.lsp["asa_deg"], cap)
+        want = min(cs.lsp["asa_deg"][0], cap)
         assert ext["asa_deg"] == pytest.approx(want, rel=0.02)
 
 
 def test_build_drop_nlos_has_no_direct():
     p = load_params("office", "nlos", "measured")
     cs = build_drop(p, np.random.default_rng(3))
-    assert cs.los_weight == 0.0
+    assert cs.los_weight.tolist() == [0.0]
     # K of a drop without a direct path: its strongest ray over the rest
     k = _drop_stats(cs)["k_db"]
     assert np.isfinite(k) and k == k_factor(cs.ray_powers.ravel())
@@ -1068,7 +1132,7 @@ def test_build_drop_forced_k():
 def test_build_drop_angles_wrapped():
     p = load_params("office", "nlos", "measured")
     cs = build_drop(p, np.random.default_rng(8))
-    clusters.match_planes([cs], *_PLANES)
+    clusters.match_planes(cs, *_PLANES)
     for a in (cs.angles["aoa_deg"], cs.angles["aod_deg"]):
         assert np.all(a >= -180.0) and np.all(a < 180.0)
     for z in (cs.angles["zoa_deg"], cs.angles["zod_deg"]):
@@ -1078,14 +1142,14 @@ def test_build_drop_angles_wrapped():
 def test_mpc_arrays_layout():
     p = load_params("umi", "los", "measured")
     cs = build_drop(p, np.random.default_rng(2))
-    cols = cs.mpc_arrays()
-    n = cs.n_clusters * cs.n_rays + 1
-    assert cols["delay_s"].shape == (n,)
+    assert cs.columns("delay_s")["delay_s"].shape == (1, cs.n_clusters
+                                                      * cs.n_rays + 1)
+    cols = _one(cs)
     assert cols["power"].sum() == pytest.approx(1.0, abs=1e-12)
     # direct tap leads: zero excess delay, cluster label 0
     assert cols["delay_s"][0] == 0.0
     assert cols["cluster"][0] == 0
-    assert cols["power"][0] == pytest.approx(cs.los_weight)
+    assert cols["power"][0] == pytest.approx(cs.los_weight[0])
     assert np.max(cols["cluster"]) == cs.n_clusters
 
 
@@ -1095,12 +1159,13 @@ def test_mpc_arrays_phase_column(condition):
     # then the drawn ray phases in component order
     p = load_params("umi", condition, "measured")
     cs = build_drop(p, np.random.default_rng(5))
-    phase = cs.mpc_arrays()["phase"]
+    phase = _one(cs, "phase")["phase"]
     want = cs.phases.ravel()
-    if cs.los_weight > 0:
-        carrier = -2.0 * np.pi * cs.geometry.d3_m / p.wavelength_m
+    (w,), (d3,) = cs.los_weight, cs.geometry.d3_m
+    if w > 0:
+        carrier = -2.0 * np.pi * d3 / p.wavelength_m
         want = np.concatenate([[carrier], want])
-    assert (cs.los_weight > 0) == (condition == "los")
+    assert (w > 0) == (condition == "los")
     assert np.array_equal(phase, want)
 
 
@@ -1123,11 +1188,11 @@ def test_planes_read_in_any_order_are_the_same_bits(scenario, condition,
         back = build_drop(p, rng)
         state = rng.bit_generator.state
         assert ahead.angles == {} and back.angles == {}
-        clusters.match_planes([ahead], *_PLANES)
+        clusters.match_planes(ahead, *_PLANES)
         for k in reversed(_PLANES):
-            clusters.match_planes([back], k)
+            clusters.match_planes(back, k)
         got = dict(back.angles)
-        clusters.match_planes([back], *_PLANES)
+        clusters.match_planes(back, *_PLANES)
         for k in _PLANES:
             assert ahead.angles[k].tobytes() == got[k].tobytes()
             assert back.angles[k] is got[k]
@@ -1135,40 +1200,41 @@ def test_planes_read_in_any_order_are_the_same_bits(scenario, condition,
 
 
 @pytest.mark.parametrize("condition", ["los", "nlos"])
-def test_mpc_arrays_hands_out_fresh_named_columns(condition):
-    cs = build_drop(load_params("umi", condition, "measured"),
-                    np.random.default_rng(4))
+def test_columns_are_built_once_and_handed_out_read_only(condition):
+    drops = build_drop(load_params("umi", condition, "measured"),
+                       [np.random.default_rng(s) for s in (4, 5, 6)])
     # the columns named, in call order, matching only the planes named
-    assert list(cs.mpc_arrays("power", "delay_s")) == ["power", "delay_s"]
-    assert cs.angles == {}
-    cs.mpc_arrays("delay_s", "power", "aoa_deg")
-    assert list(cs.angles) == ["aoa_deg"]
-    cols = cs.mpc_arrays()
+    assert list(drops.columns("power", "delay_s")) == ["power", "delay_s"]
+    assert drops.angles == {}
+    drops.columns("delay_s", "power", "aoa_deg")
+    assert list(drops.angles) == ["aoa_deg"]
+    cols = drops.columns()
     assert list(cols) == _COLUMNS
-    assert sorted(cs.angles) == sorted(_PLANES)
-    # writing into a column reaches neither a second call nor the drop
-    planes = dict(cs.angles)
-    drop = {k: getattr(cs, k).copy() for k in ["delays_s", "ray_powers", "phases"]}
-    drop |= {k: v.copy() for k, v in planes.items()}
-    want = {k: v.copy() for k, v in cols.items()}
-    for col in cols.values():
-        col[...] = 7
-    again = cs.mpc_arrays()
+    assert sorted(drops.angles) == sorted(_PLANES)
+    # each column is the record's, built once: a second call, and each
+    # row, hand out the same memory, and no reader can write into it
+    again = drops.columns()
     for k in _COLUMNS:
-        assert again[k].tobytes() == want[k].tobytes()
-    for k, v in drop.items():
-        assert (cs.angles[k] if k in planes else getattr(cs, k)).tobytes() == (
-            v.tobytes())
-    for k, plane in planes.items():
-        assert cs.angles[k] is plane
+        assert again[k] is cols[k] and not cols[k].flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cols[k][...] = 7
+    for i, row in enumerate(drops):
+        for k, col in row.columns().items():
+            assert np.shares_memory(col, cols[k]) and np.array_equal(col[0], cols[k][i])
+    # a row of a record whose table is empty builds its own, to the same bits
+    fresh = build_drop(load_params("umi", condition, "measured"),
+                       [np.random.default_rng(s) for s in (4, 5, 6)])
+    for i, row in enumerate(fresh):
+        for k, col in row.columns().items():
+            assert col.tobytes() == cols[k][i:i + 1].tobytes()
     with pytest.raises(KeyError):
-        cs.mpc_arrays("delay_s", "id")
+        drops.columns("delay_s", "id")
 
 
 def test_extract_matches_reference_estimators():
     p = load_params("office", "los", "measured")
     cs = build_drop(p, np.random.default_rng(21))
-    cols = cs.mpc_arrays()
+    cols = _one(cs)
     ext = _drop_stats(cs)
     assert ext["ds_s"] == pytest.approx(
         rms_ds(cols["delay_s"], cols["power"]), rel=1e-12)

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from thzgbsm.clusters import ClusterSet, LinkGeometry, build_drop
+from thzgbsm.clusters import Drops, LinkGeometry, build_drop
 from thzgbsm.coeffs import (
     SUBCLUSTER_DELAY_FACTORS, SUBCLUSTER_RAY_GROUPS, AntennaArray,
-    ChannelRealization, _steering, assemble_cir, cir_to_ctf, single_antenna)
+    ChannelRealization, _panel_phasors, _steering, assemble_cir, cir_to_ctf,
+    single_antenna)
 from thzgbsm.constants import spherical_unit
 from thzgbsm.params import load_params
 
@@ -106,18 +107,19 @@ def test_single_antenna_steering_is_exactly_one():
 
 
 def _hand_drop(power, los_weight, aoa, zoa, aod, zod, phase, d3_m=1.0):
-    """One cluster of one ray at 5 ns, plus a direct path of share
-    los_weight from azimuth 0 / 180 deg on the horizon, d3_m apart."""
-    one = np.ones((1, 1))
-    geom = LinkGeometry(d2_m=d3_m, d3_m=d3_m, aoa_los_deg=0.0,
-                        aod_los_deg=180.0, zoa_los_deg=90.0, zod_los_deg=90.0)
-    return ClusterSet(delays_s=np.array([5e-9]), powers=np.array([power]),
-                      los_weight=los_weight,
-                      ray_powers=(1.0 - los_weight) * power * one,
-                      drawn={}, angles={"aoa_deg": aoa * one, "aod_deg": aod * one,
-                                        "zoa_deg": zoa * one, "zod_deg": zod * one},
-                      phases=phase * one,
-                      geometry=geom, wavelength_m=LAM, c_ds_s=3.91e-9, lsp={})
+    """A record of one drop: one cluster of one ray at 5 ns, plus a direct
+    path of share los_weight from azimuth 0 / 180 deg on the horizon, d3_m
+    apart."""
+    one = np.ones((1, 1, 1))
+    geom = LinkGeometry(*(np.array([v]) for v in (d3_m, d3_m, 0.0, 180.0, 90.0,
+                                                  90.0)))
+    return Drops(delays_s=np.array([[5e-9]]), powers=np.array([[power]]),
+                 los_weight=np.array([los_weight]),
+                 ray_powers=(1.0 - los_weight) * power * one,
+                 drawn={}, angles={"aoa_deg": aoa * one, "aod_deg": aod * one,
+                                   "zoa_deg": zoa * one, "zod_deg": zod * one},
+                 phases=phase * one,
+                 geometry=geom, wavelength_m=LAM, c_ds_s=3.91e-9, lsp={})
 
 
 def _direct_tap(d3_m, rx, tx):
@@ -204,9 +206,9 @@ def test_assemble_cir_standard_splits_two_strongest():
     cr = assemble_cir(cs, rx, tx, mode="standard")
     assert cr.amps.shape[0] == cs.n_clusters + 4
     # sub-taps at tau, tau + 1.28 c and tau + 2.56 c, c the set's 3.91 ns
-    top = np.argsort(cs.powers)[-2:]
-    tau = cs.delays_s[top]
-    expected = np.sort(np.concatenate([cs.delays_s, tau + 1.28 * 3.91e-9,
+    top = np.argsort(cs.powers[0])[-2:]
+    tau = cs.delays_s[0, top]
+    expected = np.sort(np.concatenate([cs.delays_s[0], tau + 1.28 * 3.91e-9,
                                        tau + 2.56 * 3.91e-9]))
     assert_allclose(cr.delays_s, expected, rtol=1e-12, atol=0.0)
     # few-ray drops degrade gracefully instead of emitting empty taps
@@ -259,9 +261,13 @@ def test_assemble_cir_array_shapes():
 
 
 def _reference_taps(cs, rx, tx, mode):
-    """Per-ray loop: each tap sums amp exp(j phase) outer(a_rx, a_tx) over
-    its rays; taps in stable delay order."""
+    """Per-ray loop over the one drop of a record: each tap sums amp
+    exp(j phase) outer(a_rx, a_tx) over its rays; taps in stable delay
+    order."""
     lam, c_ds = cs.wavelength_m, cs.c_ds_s
+    (w,), g = cs.los_weight, LinkGeometry(*(v[0] for v in vars(cs.geometry).values()))
+    (powers,), (delays_s,), (rp,), (phases,) = (cs.powers, cs.delays_s,
+                                                cs.ray_powers, cs.phases)
     def steer(arr, zen, az):
         return np.exp(2j * np.pi * (_positions(arr) @ spherical_unit(zen, az)) / lam)
 
@@ -269,26 +275,24 @@ def _reference_taps(cs, rx, tx, mode):
         return coeff * np.outer(steer(rx, zoa, aoa), steer(tx, zod, aod))
 
     taps = []
-    if cs.los_weight > 0:
-        g = cs.geometry
-        coeff = np.sqrt(cs.los_weight) * np.exp(-2j * np.pi * g.d3_m / lam)
+    if w > 0:
+        coeff = np.sqrt(w) * np.exp(-2j * np.pi * g.d3_m / lam)
         taps.append((0.0, ray(coeff, g.zoa_los_deg, g.aoa_los_deg,
                               g.zod_los_deg, g.aod_los_deg)))
-    n, m = cs.ray_powers.shape
-    split = set(np.argsort(cs.powers)[-2:]) if mode == "standard" and n >= 2 else set()
-    rp = cs.ray_powers
-    zoa, aoa, zod, aod = (cs.angles[k] for k in ("zoa_deg", "aoa_deg", "zod_deg",
-                                                 "aod_deg"))
+    n, m = rp.shape
+    split = set(np.argsort(powers)[-2:]) if mode == "standard" and n >= 2 else set()
+    zoa, aoa, zod, aod = (cs.angles[k][0] for k in ("zoa_deg", "aoa_deg",
+                                                    "zod_deg", "aod_deg"))
     for i in range(n):
         groups = SUBCLUSTER_RAY_GROUPS if i in split else [range(m)]
         for fac, group in zip(SUBCLUSTER_DELAY_FACTORS, groups):
             h = 0.0
             rays = [r for r in group if r < m]
             for r in rays:
-                coeff = np.sqrt(rp[i, r]) * np.exp(1j * cs.phases[i, r])
+                coeff = np.sqrt(rp[i, r]) * np.exp(1j * phases[i, r])
                 h = h + ray(coeff, zoa[i, r], aoa[i, r], zod[i, r], aod[i, r])
             if rays:
-                taps.append((cs.delays_s[i] + fac * c_ds, h))
+                taps.append((delays_s[i] + fac * c_ds, h))
     taps.sort(key=lambda t: t[0])
     return np.array([t[0] for t in taps]), np.stack([t[1] for t in taps])
 
@@ -330,12 +334,63 @@ def test_assemble_cir_matches_per_ray_reference_at_capacity_geometry(scenario, m
             _assert_matches_reference(cs, rx, tx, mode)
 
 
+def _per_tap_amps(cs, rx, tx, mode):
+    """assemble_cir's taps as one matmul per tap in a loop, each on views
+    of the (rx element and tx row, component) and (tx column, component)
+    tables: the loop the stacked products replaced."""
+    cols = {k: v[0] for k, v in cs.columns().items()}
+    sub = np.zeros(cols["cluster"].size, dtype=int)
+    if mode == "standard" and cs.n_clusters >= 2:
+        split = np.isin(cols["cluster"], 1 + np.argsort(cs.powers[0])[::-1][:2])
+        for k, group in enumerate(SUBCLUSTER_RAY_GROUPS):
+            sub[split & np.isin(cols["ray"], group)] = k
+    tap = 3 * cols["cluster"] + sub
+    delay = cols["delay_s"] + np.take(SUBCLUSTER_DELAY_FACTORS, sub) * cs.c_ds_s
+    order = np.lexsort((tap, delay))
+    tap = tap[order]
+    c = {k: v[order] for k, v in cols.items()}
+    a_rx = (np.sqrt(c["power"]) * np.exp(1j * c["phase"])
+            * _steering(rx, spherical_unit(c["zoa_deg"], c["aoa_deg"]),
+                        cs.wavelength_m))
+    rows, tx_cols = _panel_phasors(tx, spherical_unit(c["zod_deg"], c["aod_deg"]),
+                                   cs.wavelength_m)
+    left = (a_rx[:, None] * rows).reshape(rx.n_elements * tx.n_rows, tap.size)
+    start = np.flatnonzero(np.concatenate([[True], tap[1:] != tap[:-1]]))
+    stop = np.append(start[1:], tap.size)
+    amps = np.empty((start.size, rx.n_elements, tx.n_elements), dtype=complex)
+    for k, (i, j) in enumerate(zip(start, stop)):
+        np.matmul(left[:, i:j], tx_cols[:, i:j].T,
+                  out=amps[k].reshape(left.shape[0], tx.n_cols))
+    return amps
+
+
+@pytest.mark.parametrize("mode", ["thz-simplified", "standard"])
+@pytest.mark.parametrize("condition", ["los", "nlos"])
+@pytest.mark.parametrize("source", ["3gpp", "measured"])
+def test_stacked_tap_products_equal_the_per_tap_loop(source, condition, mode):
+    """Taps of one component count, one stacked matmul of views, have the
+    bits of one matmul per tap, at the capacity experiment's arrays."""
+    p = load_params("umi", condition, source)
+    rx = AntennaArray(2, 2, p.wavelength_m / 2)
+    tx = AntennaArray(16, 16, p.wavelength_m / 2)
+    for cs in build_drop(p, [np.random.default_rng(s) for s in range(3)]):
+        got = assemble_cir(cs, rx, tx, mode=mode).amps
+        assert got.tobytes() == _per_tap_amps(cs, rx, tx, mode).tobytes()
+
+
+def test_assemble_cir_takes_one_drop():
+    p = load_params("office", "los", "measured")
+    drops = build_drop(p, [np.random.default_rng(s) for s in range(2)])
+    with pytest.raises(ValueError, match="one drop, not 2"):
+        assemble_cir(drops, single_antenna(), single_antenna())
+
+
 def test_assemble_cir_peak_stays_below_the_transmit_steering_matrix():
     # the (n_tx, components) complex steering matrix the contraction
     # never builds would alone take 16 * n_tx * n_components bytes
     p = load_params("office", "los", "3gpp")
     cs = build_drop(p, np.random.default_rng(0))
-    n_components = cs.mpc_arrays()["power"].size
+    n_components = cs.columns("power")["power"].size
     rx = AntennaArray(2, 2, p.wavelength_m / 2)
     tx = AntennaArray(16, 16, p.wavelength_m / 2)
     tracemalloc.start()

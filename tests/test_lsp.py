@@ -108,11 +108,12 @@ def test_generate_lsp_nearby_points_similar():
 
 
 def test_build_drop_lsp_is_row_zero_as_floats():
-    # build_drop places the user, then takes row 0 of its own draw by name
+    # build_drop places the user, then keeps its own draw by name: a set of
+    # one holds row 0 of each column, floats, and an NLoS set no K
     p = load_params("office", "nlos", "measured")
     rng = np.random.default_rng(0)
     place_user(p, rng)
     out = draw_lsp_iid(p, 1, rng)
     lsp = build_drop(p, np.random.default_rng(0)).lsp
-    assert lsp == {k: out[k][0] for k in out} | {"k_db": None}
-    assert all(type(lsp[k]) is float for k in out)
+    assert {k: v.tolist() for k, v in lsp.items()} == {k: [out[k][0]] for k in out}
+    assert all(v.dtype == float for v in lsp.values()) and "k_db" not in lsp
